@@ -3,10 +3,11 @@
 Two product engines share one algebra:
 
 * a blade engine for any real signature Cl(k, l), where basis blades are
-  bitmasks and the product sign is counted exactly;
+  bitmasks and the product sign is a bilinear form over GF(2) on them,
+  built from the one primitive ``parity_above``;
 * a fast engine for the neutral signatures Cl(m, m), where the algebra
-  is laid out as a full matrix of signed basis words and the product
-  reduces to row/column bookkeeping plus an O(m) sign scan.
+  is laid out as a full matrix of normalized matrix units and the
+  product is a plain matrix product, with no sign at all.
 
 A dense product costs 16^m coefficient pairs in the blade engine but
 only 8^m triples in the fast one, a factor of exactly 2^m.
@@ -17,7 +18,7 @@ measured squares of canonical elements back into bits of the signature.
 """
 
 from .bits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
-                   neg_mod8, sign_bit, sign_to_bit)
+                   neg_mod8, parity_above, sign_bit, sign_to_bit)
 from .blades import (Metric, MetricError, Multivector, ParseError,
                      blade_product, center_check, dual_automorphism_check,
                      grade_involution, mv_mul, omega_squared_oracle,
@@ -53,7 +54,8 @@ __all__ = [
     "mv_mul", "neg_mod8", "normal_order", "normalization_sign",
     "omega_eigen_check", "omega_squared", "omega_squared_oracle",
     "omega_tau_squared", "omega_tau_squared_oracle", "op_counters",
-    "recover_n_bits", "recover_signature_partial", "render_cube",
+    "parity_above", "recover_n_bits", "recover_signature_partial",
+    "render_cube",
     "reset_op_counters", "run_suite", "sig_label", "sign_bit", "sign_s",
     "sign_to_bit", "signatures", "table_entries", "tau_blade", "tau_squared",
     "tau_squared_oracle", "varlamov_bits", "volume_element", "witt_basis",

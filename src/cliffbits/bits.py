@@ -2,7 +2,8 @@
 
 A bit b in {0, 1} and a sign s in {+1, -1} are interchangeable through
 s = 1 - 2*b.  The mod-8 periodicity formulas are all statements about
-the three least significant bits of an integer, extracted here.
+the three least significant bits of an integer, extracted here.  Every
+product sign is a GF(2) bilinear form built on parity_above.
 """
 
 from __future__ import annotations
@@ -39,6 +40,21 @@ def bit(n: int, i: int) -> int:
 def sign_bit(n: int, i: int) -> SignBit:
     """The i-th bit of n as a sign, equal to (-1) ** (n // 2**i)."""
     return 1 - 2 * bit(n, i)
+
+
+def parity_above(x: int) -> int:
+    """Mask whose bit j is the parity of the set bits of x strictly above j.
+
+    A suffix XOR by doubling shifts: O(log bit_length) word operations.
+    """
+    if x < 0:
+        raise ValueError("x must be non-negative")
+    p = x >> 1
+    shift = 1
+    while p >> shift:
+        p ^= p >> shift
+        shift <<= 1
+    return p
 
 
 def lucas_sign(n: int, i: int) -> SignBit:

@@ -8,7 +8,8 @@ Subcommands:
   verify     run the internal cross-validation suites
   bench      compare dense product costs of the two engines
 
-Exit status: 0 on success, 1 when a verify suite fails, 2 on bad input.
+Exit status: 0 on success, 1 when a verify suite fails, the engines
+disagree or stdout is closed early, 2 on bad input.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ def _cmd_efb_table(args) -> int:
 
 
 def _cmd_mul(args) -> int:
+    if not 1 <= args.m <= 8:
+        print(f"mul: m must be between 1 and 8, got {args.m}", file=sys.stderr)
+        return 2
     metric = Metric.interleaved(args.m)
     try:
         x = Multivector.parse(args.left, metric)
@@ -223,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_efb_table)
 
     p = sub.add_parser("mul", help="multiply two expressions over Cl(m, m)")
-    p.add_argument("m", type=int, help="number of generator pairs")
+    p.add_argument("m", type=int, help="number of generator pairs (1..8)")
     p.add_argument("left", help="expression, e.g. '1/2 g1 g2 + 3'")
     p.add_argument("right")
     p.add_argument("--engine", choices=["blade", "efb", "both"],
@@ -249,7 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone; send the unflushed rest to /dev/null
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1

@@ -6,9 +6,11 @@ q_i p_i, p_i q_i, p_i, q_i.  Two m-bit signatures classify a word:
 h (first letter per slot: q -> +, p -> -) and g (letter-count parity per
 slot: even -> +).  Rows are indexed by h, columns by the entrywise
 product h o g, with slot 1 in the most significant bit and bit values
-0 <-> + and 1 <-> -.  In this indexing the Clifford product is matrix
-multiplication with a sign twist computable in O(m) per entry, one
-factor of 2^m cheaper than blade-pair convolution on dense operands.
+0 <-> + and 1 <-> -.  In this indexing word(a,b) * word(b,d) is
+sign_s(a,b,d) * word(a,d), a GF(2) bilinear sign.  Scaled by
+normalization_sign, the words become honest matrix units whose product
+has no sign at all, so the Clifford product is a plain matrix product:
+one factor of 2^m cheaper than blade-pair convolution on dense operands.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+from .bits import parity_above
 from .blades import (Metric, MetricError, Multivector, mv_mul,
                      volume_element)
 from .dyadic import DyadicRational
@@ -181,41 +184,28 @@ def word_product_oracle(a: int, b: int, c: int, d: int, m: int):
     return sign, efb_element(row, col, m)
 
 
-def _parity_scan(g1: int, g2: int, m: int) -> int:
-    # flip once for every odd slot of the first word preceded (in slot
-    # order) by an odd number of odd slots of the second word
-    sign = 1
-    prefix = 0
-    for pos in range(m - 1, -1, -1):
-        if prefix and (g1 >> pos) & 1:
-            sign = -sign
-        prefix ^= (g2 >> pos) & 1
-    return sign
-
-
 def sign_s(a: int, b: int, d: int, m: int) -> int:
     """The sign in word(a,b) * word(b,d) = s * word(a,d).
 
-    Left-to-right slot scan over the two words' letter-count parities;
-    O(m), no word is ever materialized.
+    Each odd slot of the first word crosses the odd slots of the second
+    word that come before it in slot order (higher bits):
+    (-1)^popcount((a^b) & parity_above(b^d)).  A word-coordinate oracle:
+    efb_product works on matrix units and needs no sign.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     dim = 1 << m
     if not (0 <= a < dim and 0 <= b < dim and 0 <= d < dim):
         raise ValueError(f"index out of range for m={m}")
-    return _parity_scan(a ^ b, b ^ d, m)
-
-
-@lru_cache(maxsize=None)
-def _sign_table(m: int):
-    # indexed by the two parity vectors, so 2^m x 2^m, not 4^m x 4^m
-    dim = 1 << m
-    return [[_parity_scan(g1, g2, m) for g2 in range(dim)] for g1 in range(dim)]
+    return -1 if ((a ^ b) & parity_above(b ^ d)).bit_count() & 1 else 1
 
 
 class EFBMultivector:
-    """Dense 2^m x 2^m coefficient matrix over the basis words.
+    """Dense 2^m x 2^m coefficient matrix over the normalized matrix units.
+
+    Entry (a, b) is the coefficient of normalization_sign(a, b) *
+    word(a, b); only the conversions to and from blades know that sign,
+    which is +1 on the diagonal.
 
     Coefficients may be scalars from any commutative ring (int,
     DyadicRational, Fraction, float); the exact suites use dyadics.
@@ -324,7 +314,7 @@ class EFBMultivector:
 
 
 def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
-    """Matrix-multiplication loop with the sign twist.
+    """Plain matrix product in the matrix-unit basis.
 
     Exact whenever the coefficients are exact; the executed triple count
     goes to the op counters (8^m on dense operands).
@@ -335,7 +325,6 @@ def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
         raise ValueError("operands have different m")
     m = x.m
     dim = 1 << m
-    table = _sign_table(m)
     yrows = y._rows
     nz = [sum(1 for v in row if v) for row in yrows]
     out = [[0] * dim for _ in range(dim)]
@@ -347,28 +336,23 @@ def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
             xi = xrow[b]
             if not xi:
                 continue
-            srow = table[a ^ b]
             triples += nz[b]
             for d, zeta in enumerate(yrows[b]):
-                if not zeta:
-                    continue
-                v = xi * zeta
-                if srow[b ^ d] < 0:
-                    v = -v
-                orow[d] = orow[d] + v
+                if zeta:
+                    orow[d] = orow[d] + xi * zeta
     counters.efb_triples += triples
     return EFBMultivector._from_rows(m, out)
 
 
 @lru_cache(maxsize=None)
 def _blade_efb_support(mask: int, m: int):
-    """Basis-word support of one blade, as (row, col, sign) triples.
+    """Matrix-unit support of one blade, as (row, col, sign) triples.
 
     The blade's generators arrive in slot order, so no cross-slot
     transpositions occur and each slot expands independently; absent
     slots are padded with the unit q_i p_i + p_i q_i.  Exactly 2^m
     triples, all in the single column coset fixed by the blade's
-    per-slot parity pattern.
+    per-slot parity pattern.  The sign includes the normalization.
     """
     combos = [(0, 0, 1)]
     for slot in range(1, m + 1):
@@ -382,7 +366,10 @@ def _blade_efb_support(mask: int, m: int):
                             col | ((hb ^ gb) << pos),
                             sign * s))
         combos = nxt
-    return tuple(combos)
+    # normalization_sign(row, col, m), with row ^ col fixed by the coset
+    above = parity_above(combos[0][0] ^ combos[0][1])
+    return tuple((row, col, -sign if (row & above).bit_count() & 1 else sign)
+                 for row, col, sign in combos)
 
 
 def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
@@ -416,12 +403,16 @@ def word_multivector(e: EFBElement) -> Multivector:
 def efb_to_blades(x: EFBMultivector) -> Multivector:
     """Inverse change of basis.
 
+    Each matrix-unit coefficient is turned back into a word coefficient
+    by its normalization sign before the word's blade expansion.
     Coefficients must be int or DyadicRational here; the generic-scalar
     freedom belongs to the product engine, not the oracle plumbing.
     """
     metric = Metric.interleaved(x.m)
     acc: dict[int, DyadicRational] = {}
     for a, b, coeff in x.nonzero():
+        if normalization_sign(a, b, x.m) < 0:
+            coeff = -coeff
         w = _word_multivector(x.m, a, b)
         for mask, wc in w.terms.items():
             c = wc * coeff
@@ -438,20 +429,13 @@ def normalization_sign(a: int, b: int, m: int) -> int:
     """Sign turning the basis word at (a, b) into an honest matrix unit.
 
     Anchored at row 0, whose words all carry +; the sign for the other
-    rows counts the crossings of the word's own odd slots against the h
-    bits of later slots.
+    rows counts the crossings of the h bits against the word's own odd
+    slots earlier in slot order: the sign_s form on (a, a^b).
     """
     dim = 1 << m
     if not (0 <= a < dim and 0 <= b < dim):
         raise ValueError(f"index out of range for m={m}")
-    g = a ^ b
-    sign = 1
-    prefix = 0
-    for pos in range(m - 1, -1, -1):
-        if prefix and (a >> pos) & 1:
-            sign = -sign
-        prefix ^= (g >> pos) & 1
-    return sign
+    return -1 if (a & parity_above(a ^ b)).bit_count() & 1 else 1
 
 
 def matrix_unit_normalization(m: int) -> dict:

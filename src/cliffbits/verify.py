@@ -7,6 +7,7 @@ test suite runs the same checks at the full bounds.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -61,9 +62,9 @@ def _done(name: str, failures: list, checked: int) -> CheckResult:
 
 _BOUNDS = {
     "quick": dict(lucas_n=512, lucas_i=9, assoc_n=4, kl=8, center_kl=6,
-                  m=3, m_small=2, pairs=8, dense_m=3),
+                  m=3, m_small=2, pairs=8, dense_m=3, sign_n=4),
     "full": dict(lucas_n=4096, lucas_i=12, assoc_n=6, kl=16, center_kl=12,
-                 m=4, m_small=3, pairs=25, dense_m=4),
+                 m=4, m_small=3, pairs=25, dense_m=4, sign_n=6),
 }
 
 
@@ -75,6 +76,48 @@ def check_lucas(b) -> CheckResult:
             if lucas_sign(n, i) != sign_bit(n, i):
                 failures.append((n, i))
     return _done("lucas-vs-sign-bit", failures, checked)
+
+
+def _blade_product_by_sorting(a: int, b: int, metric: Metric):
+    # bubble-sort the two index lists, one sign flip per swap, then
+    # contract equal neighbours by their metric square
+    word = [i for i in range(metric.n) if (a >> i) & 1]
+    word += [i for i in range(metric.n) if (b >> i) & 1]
+    sign = 1
+    for end in range(len(word) - 1, 0, -1):
+        for i in range(end):
+            if word[i] > word[i + 1]:
+                word[i], word[i + 1] = word[i + 1], word[i]
+                sign = -sign
+    mask, i = 0, 0
+    while i < len(word):
+        if i + 1 < len(word) and word[i] == word[i + 1]:
+            sign *= metric.squares[word[i]]
+            i += 2
+        else:
+            mask |= 1 << word[i]
+            i += 1
+    return sign, mask
+
+
+def check_blade_sign_vs_normal_order(b) -> CheckResult:
+    # every metric up to n = 4, block and interleaved ones beyond
+    failures, checked = [], 0
+    for n in range(b["sign_n"] + 1):
+        if n <= 4:
+            metrics = [Metric(s) for s in itertools.product((1, -1), repeat=n)]
+        else:
+            metrics = [Metric.block(k, n - k) for k in range(n + 1)]
+            if n % 2 == 0:
+                metrics.append(Metric.interleaved(n // 2))
+        for metric in metrics:
+            for x in range(1 << n):
+                for y in range(1 << n):
+                    checked += 1
+                    if (blade_product(x, y, metric)
+                            != _blade_product_by_sorting(x, y, metric)):
+                        failures.append((metric.squares, x, y))
+    return _done("blade-sign-vs-normal-order", failures, checked)
 
 
 def check_blade_associativity(b) -> CheckResult:
@@ -440,6 +483,7 @@ def check_op_ratio(b) -> CheckResult:
 
 _CHECKS = [
     check_lucas,
+    check_blade_sign_vs_normal_order,
     check_blade_associativity,
     check_witt_relations,
     check_omega_squared,

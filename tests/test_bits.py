@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cliffbits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
-                       neg_mod8, sign_bit, sign_to_bit)
+                       neg_mod8, parity_above, sign_bit, sign_to_bit)
 
 
 def test_bit_extraction():
@@ -59,3 +59,13 @@ def test_neg_mod8():
     assert neg_mod8(0) == 0
     assert neg_mod8(-3) == 3
     assert neg_mod8(11) == 5
+
+
+def test_parity_above_matches_loop():
+    for x in range(1 << 12):
+        want = 0
+        for j in range(12):
+            if bin(x >> (j + 1)).count("1") & 1:
+                want |= 1 << j
+        assert parity_above(x) == want
+    assert parity_above(0b1010) == 0b0110

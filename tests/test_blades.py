@@ -7,6 +7,8 @@ from cliffbits import (DyadicRational, Metric, MetricError, Multivector,
                        omega_squared_oracle, tau_blade, tau_squared_oracle,
                        volume_element)
 
+from cliffbits.verify import check_blade_sign_vs_normal_order
+
 from conftest import multivectors
 
 E22 = Metric.block(2, 2)
@@ -181,3 +183,10 @@ def test_scalar_coercion():
     assert x + 1 == Multivector.parse("1 + g1", E22)
     assert DyadicRational(1, 1) * x == Multivector.parse("1/2 g1", E22)
     assert x - 1 == Multivector.parse("g1 - 1", E22)
+
+
+def test_blade_sign_vs_normal_order():
+    # every metric for n <= 4, block and interleaved metrics for n = 5, 6
+    result = check_blade_sign_vs_normal_order({"sign_n": 6})
+    assert result.passed, result.detail
+    assert result.checked == sum(8 ** n for n in range(5)) + 6 * 4 ** 5 + 8 * 4 ** 6

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cliffbits
+from cliffbits import Multivector
 from cliffbits.cli import bench_results, main
 
 
@@ -113,6 +119,31 @@ def test_mul_engines_agree(capsys):
 def test_mul_parse_error(capsys):
     code, _, err = run(capsys, "mul", "2", "g9", "g1")
     assert code == 2 and "mul:" in err
+
+
+@pytest.mark.parametrize("m, engine", [("0", "blade"), ("0", "efb"),
+                                       ("0", "both"), ("20", "both")])
+def test_mul_m_range(capsys, monkeypatch, m, engine):
+    # the bound is checked before parsing, so no operand is ever built
+    def refuse(*args):
+        raise AssertionError("mul parsed operands for an out-of-range m")
+    monkeypatch.setattr(Multivector, "parse", refuse)
+    code, out, err = run(capsys, "mul", m, "g1", "g2", "--engine", engine)
+    assert code == 2 and not out
+    assert err == f"mul: m must be between 1 and 8, got {m}\n"
+
+
+def test_closed_pipe_exits_without_traceback():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cliffbits.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cliffbits", "efb-table", "4", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before any output
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err
 
 
 def test_mul_json(capsys):
