@@ -7,7 +7,9 @@ Two product engines share one algebra:
   built from the one primitive ``parity_above``;
 * a fast engine for the neutral signatures Cl(m, m), where the algebra
   is laid out as a full matrix of normalized matrix units and the
-  product is a plain matrix product, with no sign at all.
+  product is a plain matrix product, with no sign at all; the changes
+  of basis to and from blades are Walsh-Hadamard transforms
+  (``walsh_hadamard``), one per column coset.
 
 A dense product costs 16^m coefficient pairs in the blade engine but
 only 8^m triples in the fast one, a factor of exactly 2^m.
@@ -18,7 +20,8 @@ measured squares of canonical elements back into bits of the signature.
 """
 
 from .bits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
-                   neg_mod8, parity_above, sign_bit, sign_to_bit)
+                   neg_mod8, parity_above, sign_bit, sign_to_bit,
+                   walsh_hadamard)
 from .blades import (Metric, MetricError, Multivector, ParseError,
                      blade_product, center_check, dual_automorphism_check,
                      grade_involution, mv_mul, omega_squared_oracle,
@@ -58,6 +61,6 @@ __all__ = [
     "render_cube",
     "reset_op_counters", "run_suite", "sig_label", "sign_bit", "sign_s",
     "sign_to_bit", "signatures", "table_entries", "tau_blade", "tau_squared",
-    "tau_squared_oracle", "varlamov_bits", "volume_element", "witt_basis",
-    "word_multivector", "word_product_oracle",
+    "tau_squared_oracle", "varlamov_bits", "volume_element", "walsh_hadamard",
+    "witt_basis", "word_multivector", "word_product_oracle",
 ]

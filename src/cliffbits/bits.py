@@ -3,7 +3,8 @@
 A bit b in {0, 1} and a sign s in {+1, -1} are interchangeable through
 s = 1 - 2*b.  The mod-8 periodicity formulas are all statements about
 the three least significant bits of an integer, extracted here.  Every
-product sign is a GF(2) bilinear form built on parity_above.
+product sign is a GF(2) bilinear form built on parity_above, and every
+change-of-basis sign is a Walsh function applied by walsh_hadamard.
 """
 
 from __future__ import annotations
@@ -55,6 +56,20 @@ def parity_above(x: int) -> int:
         p ^= p >> shift
         shift <<= 1
     return p
+
+
+def walsh_hadamard(v: list) -> None:
+    """In place, v[a] <- sum_i v[i] * (-1)^popcount(a & i); len(v) = 2^k."""
+    n = len(v)
+    if not n or n & (n - 1):
+        raise ValueError(f"length must be a power of 2, got {n}")
+    h = 1
+    while h < n:
+        for start in range(0, n, 2 * h):
+            for j in range(start, start + h):
+                x, y = v[j], v[j + h]
+                v[j], v[j + h] = x + y, x - y
+        h <<= 1
 
 
 def lucas_sign(n: int, i: int) -> SignBit:

@@ -8,7 +8,6 @@ the two dual-automorphism elements recover the bits of n itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,7 +18,7 @@ _DIVISION = (
     ("R", False), ("R", True), ("R", False), ("C", False),
     ("H", False), ("H", True), ("H", False), ("C", False),
 )
-_BASE_DIM = {"R": 1, "C": 2, "H": 4}
+_LOG2_BASE_DIM = {"R": 0, "C": 1, "H": 2}
 
 
 @dataclass(frozen=True)
@@ -106,13 +105,10 @@ def classify(k: int, l: int) -> AlgebraClass:
     """Full isomorphism class of Cl(k,l) from the closed forms."""
     sig = SignatureKL(k, l)
     base, doubled = division_algebra(sig.nu)
-    denom = _BASE_DIM[base] * (2 if doubled else 1)
-    size_sq, rem = divmod(1 << sig.n, denom)
-    size = math.isqrt(size_sq)
-    assert not rem and size * size == size_sq, "dimension bookkeeping broke"
+    # 2^n = size^2 * dim(base) * (2 if doubled), so the exponent halves
     return AlgebraClass(
         base=base,
-        matrix_size=size,
+        matrix_size=1 << ((sig.n - _LOG2_BASE_DIM[base] - doubled) // 2),
         doubled=doubled,
         is_central=sig.n % 2 == 0,
         is_simple=not doubled,

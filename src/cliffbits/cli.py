@@ -23,8 +23,8 @@ import time
 from .blades import Metric, Multivector, ParseError, mv_mul
 from .classify import (algebra_name, classification_record, classify,
                        cube_record, render_cube)
-from .efb import (blades_to_efb, efb_product, efb_to_blades, sig_label,
-                  table_entries)
+from .efb import (MAX_M, blades_to_efb, efb_product, efb_to_blades,
+                  sig_label, table_entries)
 from .instrument import op_counters, reset_op_counters
 from .sampling import dense_blade_multivector, dense_efb_multivector
 from .verify import run_suite
@@ -88,8 +88,9 @@ def _cmd_efb_table(args) -> int:
 
 
 def _cmd_mul(args) -> int:
-    if not 1 <= args.m <= 8:
-        print(f"mul: m must be between 1 and 8, got {args.m}", file=sys.stderr)
+    if not 1 <= args.m <= MAX_M:
+        print(f"mul: m must be between 1 and {MAX_M}, got {args.m}",
+              file=sys.stderr)
         return 2
     metric = Metric.interleaved(args.m)
     try:
@@ -144,8 +145,8 @@ def bench_results(m_max: int, seed: int = 20240914) -> list[dict]:
     16^m coefficient pairs while the fast engine touches 8^m triples,
     a ratio of exactly 2^m.  Wall times ride along for context.
     """
-    if not 1 <= m_max <= 8:
-        raise ValueError(f"m_max must be between 1 and 8, got {m_max}")
+    if not 1 <= m_max <= MAX_M:
+        raise ValueError(f"m_max must be between 1 and {MAX_M}, got {m_max}")
     import random
     rng = random.Random(seed)
     rows = []
@@ -183,8 +184,8 @@ def bench_results(m_max: int, seed: int = 20240914) -> list[dict]:
 
 
 def _cmd_bench(args) -> int:
-    if not 1 <= args.m_max <= 8:
-        print(f"bench: m-max must be between 1 and 8, got {args.m_max}",
+    if not 1 <= args.m_max <= MAX_M:
+        print(f"bench: m-max must be between 1 and {MAX_M}, got {args.m_max}",
               file=sys.stderr)
         return 2
     rows = bench_results(args.m_max, seed=args.seed)

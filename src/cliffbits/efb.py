@@ -11,15 +11,21 @@ sign_s(a,b,d) * word(a,d), a GF(2) bilinear sign.  Scaled by
 normalization_sign, the words become honest matrix units whose product
 has no sign at all, so the Clifford product is a plain matrix product:
 one factor of 2^m cheaper than blade-pair convolution on dense operands.
+
+A blade lies in one column coset, the entries (a, a ^ g) with g = b0 ^ b1,
+where the masks b0 and b1 (slot 1 on top) hold the presence bits of
+g_{2s-1} and of g_{2s}.  Its entry there, normalization included, is the
+Walsh function coeff * (-1)^(popcount(b1 & g) + popcount(a & i)) with
+i = b1 ^ parity_above(g), so each change of basis is one Walsh-Hadamard
+transform per coset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
-from .bits import parity_above
+from .bits import parity_above, walsh_hadamard
 from .blades import (Metric, MetricError, Multivector, mv_mul,
                      volume_element)
 from .dyadic import DyadicRational
@@ -30,15 +36,8 @@ from .instrument import counters
 _SLOT_CODE = {(0, 0): "qp", (0, 1): "q", (1, 0): "pq", (1, 1): "p"}
 _CODE_BITS = {v: k for k, v in _SLOT_CODE.items()}
 
-# per-slot expansion of a blade restricted to slot i, keyed by the
-# presence bits of (g_{2i-1}, g_{2i}); an absent slot is padded with the
-# unit q_i p_i + p_i q_i, which costs no sign
-_SLOT_EXPANSIONS = {
-    (0, 0): (("qp", 1), ("pq", 1)),
-    (1, 0): (("p", 1), ("q", 1)),     # g_{2i-1} = p_i + q_i
-    (0, 1): (("p", 1), ("q", -1)),    # g_{2i}   = p_i - q_i
-    (1, 1): (("qp", 1), ("pq", -1)),  # g_{2i-1} g_{2i} = q_i p_i - p_i q_i
-}
+# largest m a dense 2^m x 2^m matrix is allocated for
+MAX_M = 8
 
 
 def sig_label(bits: int, m: int) -> str:
@@ -215,8 +214,8 @@ class EFBMultivector:
     __slots__ = ("m", "_rows")
 
     def __init__(self, m: int, entries=None):
-        if m < 1:
-            raise ValueError("m must be at least 1")
+        if not 1 <= m <= MAX_M:
+            raise ValueError(f"m must be between 1 and {MAX_M}, got {m}")
         dim = 1 << m
         rows = [[0] * dim for _ in range(dim)]
         if entries:
@@ -344,85 +343,69 @@ def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
     return EFBMultivector._from_rows(m, out)
 
 
-@lru_cache(maxsize=None)
-def _blade_efb_support(mask: int, m: int):
-    """Matrix-unit support of one blade, as (row, col, sign) triples.
+def _slot_masks(mask: int, m: int) -> tuple[int, int]:
+    """(b0, b1): the presence bits of g_{2s-1} and of g_{2s}, slot 1 on top."""
+    b0 = b1 = 0
+    for i in range(0, 2 * m, 2):
+        b0 = (b0 << 1) | ((mask >> i) & 1)
+        b1 = (b1 << 1) | ((mask >> (i + 1)) & 1)
+    return b0, b1
 
-    The blade's generators arrive in slot order, so no cross-slot
-    transpositions occur and each slot expands independently; absent
-    slots are padded with the unit q_i p_i + p_i q_i.  Exactly 2^m
-    triples, all in the single column coset fixed by the blade's
-    per-slot parity pattern.  The sign includes the normalization.
-    """
-    combos = [(0, 0, 1)]
-    for slot in range(1, m + 1):
-        pos = m - slot
-        presence = ((mask >> (2 * slot - 2)) & 1, (mask >> (2 * slot - 1)) & 1)
-        nxt = []
-        for row, col, sign in combos:
-            for code, s in _SLOT_EXPANSIONS[presence]:
-                hb, gb = _CODE_BITS[code]
-                nxt.append((row | (hb << pos),
-                            col | ((hb ^ gb) << pos),
-                            sign * s))
-        combos = nxt
-    # normalization_sign(row, col, m), with row ^ col fixed by the coset
-    above = parity_above(combos[0][0] ^ combos[0][1])
-    return tuple((row, col, -sign if (row & above).bit_count() & 1 else sign)
-                 for row, col, sign in combos)
+
+def _blade_mask(b0: int, b1: int, m: int) -> int:
+    """Inverse of _slot_masks."""
+    mask = 0
+    for _ in range(m):
+        mask = (mask << 2) | ((b1 & 1) << 1) | (b0 & 1)
+        b0, b1 = b0 >> 1, b1 >> 1
+    return mask
 
 
 def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     """Change of basis from blades; requires the interleaved Cl(m,m) metric."""
     if x.metric != Metric.interleaved(m):
         raise MetricError(f"multivector is not over interleaved Cl({m},{m})")
-    dim = 1 << m
-    rows = [[0] * dim for _ in range(dim)]
+    out = EFBMultivector(m)
+    cosets: dict[int, list] = {}
     for mask, coeff in x.terms.items():
-        for row, col, sign in _blade_efb_support(mask, m):
-            rows[row][col] = rows[row][col] + (coeff if sign > 0 else -coeff)
-    return EFBMultivector._from_rows(m, rows)
-
-
-@lru_cache(maxsize=None)
-def _word_multivector(m: int, row: int, col: int) -> Multivector:
-    e = efb_element(row, col, m)
-    p, q = witt_basis(m)
-    out = Multivector.scalar(Metric.interleaved(m), 1)
-    for slot, code in enumerate(e.word, 1):
-        for ch in code:
-            out = mv_mul(out, q[slot - 1] if ch == "q" else p[slot - 1])
+        b0, b1 = _slot_masks(mask, m)
+        g = b0 ^ b1
+        v = cosets.setdefault(g, [0] * out.dim)
+        v[b1 ^ parity_above(g)] = -coeff if (b1 & g).bit_count() & 1 else coeff
+    for g, v in cosets.items():
+        walsh_hadamard(v)
+        for a, coeff in enumerate(v):
+            out._rows[a][a ^ g] = coeff
     return out
 
 
 def word_multivector(e: EFBElement) -> Multivector:
-    """Blade expansion of a basis word, letter by letter."""
-    return _word_multivector(e.index.m, e.index.row, e.index.col)
+    """Blade expansion of a basis word, letter by letter: the oracle."""
+    p, q = witt_basis(e.index.m)
+    out = Multivector.scalar(p[0].metric, 1)
+    for slot, code in enumerate(e.word):
+        for ch in code:
+            out = mv_mul(out, (q if ch == "q" else p)[slot])
+    return out
 
 
 def efb_to_blades(x: EFBMultivector) -> Multivector:
-    """Inverse change of basis.
-
-    Each matrix-unit coefficient is turned back into a word coefficient
-    by its normalization sign before the word's blade expansion.
-    Coefficients must be int or DyadicRational here; the generic-scalar
-    freedom belongs to the product engine, not the oracle plumbing.
-    """
-    metric = Metric.interleaved(x.m)
-    acc: dict[int, DyadicRational] = {}
-    for a, b, coeff in x.nonzero():
-        if normalization_sign(a, b, x.m) < 0:
-            coeff = -coeff
-        w = _word_multivector(x.m, a, b)
-        for mask, wc in w.terms.items():
-            c = wc * coeff
-            prev = acc.get(mask)
-            total = c if prev is None else prev + c
-            if total:
-                acc[mask] = total
-            elif prev is not None:
-                del acc[mask]
-    return Multivector._raw(metric, acc)
+    """Inverse change of basis, for int or DyadicRational coefficients."""
+    m, dim = x.m, x.dim
+    scale = DyadicRational(1, m)
+    terms: dict[int, DyadicRational] = {}
+    for g in range(dim):
+        v = [x._rows[a][a ^ g] for a in range(dim)]
+        if not any(v):
+            continue
+        walsh_hadamard(v)  # its own inverse up to the factor 2^m
+        above = parity_above(g)
+        for i, coeff in enumerate(v):
+            if coeff:
+                b1 = i ^ above
+                sign = -scale if (b1 & g).bit_count() & 1 else scale
+                terms[_blade_mask(b1 ^ g, b1, m)] = sign * coeff
+    return Multivector._raw(Metric.interleaved(m), terms)
 
 
 def normalization_sign(a: int, b: int, m: int) -> int:

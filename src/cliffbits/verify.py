@@ -421,6 +421,22 @@ def check_direct_sum_support(b) -> CheckResult:
     return _done("blade-coset-support", failures, checked)
 
 
+def check_conversion_vs_word_oracle(b) -> CheckResult:
+    # each matrix unit against its letter-by-letter word, both directions
+    failures, checked = [], 0
+    for m in range(1, b["m_small"] + 1):
+        dim = 1 << m
+        for a in range(dim):
+            for col in range(dim):
+                unit = EFBMultivector(m, {(a, col): 1})
+                word = (normalization_sign(a, col, m)
+                        * word_multivector(efb_element(a, col, m)))
+                checked += 1
+                if efb_to_blades(unit) != word or blades_to_efb(word, m) != unit:
+                    failures.append((m, a, col))
+    return _done("conversion-vs-word-oracle", failures, checked)
+
+
 def check_roundtrip(b) -> CheckResult:
     failures, checked = [], 0
     rng = random.Random(23)
@@ -501,6 +517,7 @@ _CHECKS = [
     check_matrix_units,
     check_identity_omega_expansion,
     check_direct_sum_support,
+    check_conversion_vs_word_oracle,
     check_roundtrip,
     check_oracle_equivalence,
     check_involution_consistency,

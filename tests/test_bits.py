@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cliffbits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
-                       neg_mod8, parity_above, sign_bit, sign_to_bit)
+                       neg_mod8, parity_above, sign_bit, sign_to_bit,
+                       walsh_hadamard)
 
 
 def test_bit_extraction():
@@ -69,3 +70,22 @@ def test_parity_above_matches_loop():
                 want |= 1 << j
         assert parity_above(x) == want
     assert parity_above(0b1010) == 0b0110
+
+
+def test_walsh_hadamard_matches_double_sum():
+    for k in range(7):
+        n = 1 << k
+        v = [(7 * i * i - 5 * i + 3) % 23 - 11 for i in range(n)]
+        want = [sum(v[i] * (-1) ** bin(a & i).count("1") for i in range(n))
+                for a in range(n)]
+        got = list(v)
+        walsh_hadamard(got)
+        assert got == want
+        walsh_hadamard(got)
+        assert got == [n * x for x in v]
+
+
+def test_walsh_hadamard_needs_power_of_two():
+    for n in (0, 3, 6, 12):
+        with pytest.raises(ValueError):
+            walsh_hadamard([1] * n)

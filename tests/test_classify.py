@@ -151,3 +151,10 @@ def test_cube_record_vertices():
     byv = {v["nu_mod8"]: v for v in rec["vertices"]}
     assert byv[0]["label"] == "R" and byv[5]["label"] == "2H"
     assert byv[7]["bits"] == [1, 1, 1]
+
+
+def test_classify_huge_n_in_closed_form():
+    # 2^n is never built: the matrix size follows from the exponent
+    c = classify(10**6, 0)
+    assert c.base == "R" and not c.doubled
+    assert c.matrix_size == 1 << 500_000

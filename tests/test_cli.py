@@ -183,3 +183,14 @@ def test_bench_range(capsys):
     assert code == 2
     with pytest.raises(ValueError):
         bench_results(0)
+
+
+def test_mul_matches_golden_output(capsys):
+    # mul stdout for m = 1..6, each engine, text and --json, byte for byte
+    golden = Path(__file__).parent / "data" / "cli_golden.json"
+    cases = json.loads(golden.read_text(encoding="utf-8"))
+    assert len(cases) == 72
+    for case in cases:
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, err) == (0, "")
+        assert out == case["stdout"], case["argv"]

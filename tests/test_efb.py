@@ -7,6 +7,7 @@ from cliffbits import (DyadicRational, EFBMultivector, Metric, MetricError,
                        normal_order, normalization_sign, omega_eigen_check,
                        sig_label, sign_s, signatures, volume_element,
                        witt_basis, word_multivector, word_product_oracle)
+from cliffbits import verify
 
 from conftest import multivectors
 
@@ -263,3 +264,19 @@ def test_normalized_units_via_blade_oracle():
                     got = mv_mul(units[a, b], units[c, d])
                     want = units[a, d] if b == c else zero
                     assert got == want
+
+
+def test_conversions_vs_word_oracle():
+    result = verify.check_conversion_vs_word_oracle({"m_small": 4})
+    assert result.passed, result.detail
+    assert result.checked == 4 + 16 + 64 + 256
+
+
+def test_m_bound():
+    # m = 9 is one past the bound, yet small enough to allocate if unchecked
+    with pytest.raises(ValueError):
+        EFBMultivector(9)
+    with pytest.raises(ValueError):
+        EFBMultivector(0)
+    with pytest.raises(ValueError):
+        blades_to_efb(Multivector.scalar(Metric.interleaved(9), 1), 9)
