@@ -6,10 +6,11 @@ Two product engines share one algebra:
   bitmasks and the product sign is a bilinear form over GF(2) on them,
   built from the one primitive ``parity_above``;
 * a fast engine for the neutral signatures Cl(m, m), where the algebra
-  is laid out as a full matrix of normalized matrix units and the
-  product is a plain matrix product, with no sign at all; the changes
+  is a matrix of normalized matrix units stored by column coset
+  g = row ^ col; coset g times coset h lands in coset g ^ h, so the
+  product is an XOR-graded sweep with no sign at all, and the changes
   of basis to and from blades are Walsh-Hadamard transforms
-  (``walsh_hadamard``), one per column coset.
+  (``walsh_hadamard``), one per stored coset.
 
 A dense product costs 16^m coefficient pairs in the blade engine but
 only 8^m triples in the fast one, a factor of exactly 2^m.

@@ -35,11 +35,19 @@ def _ascii_default() -> bool:
 
 
 def _cmd_classify(args) -> int:
+    c = classify(args.k, args.l)
+    # str() of an int refuses more digits than this limit; older 3.10
+    # patch releases have no limit and no function to read it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and c.matrix_size >= 10 ** limit:
+        print(f"classify: matrix size 2^{c.matrix_size.bit_length() - 1} "
+              f"has more than {limit} digits, too many to print",
+              file=sys.stderr)
+        return 2
     record = classification_record(args.k, args.l)
     if args.json:
         print(json.dumps(record, indent=2))
         return 0
-    c = classify(args.k, args.l)
     print(f"Cl({args.k},{args.l}) = {algebra_name(c)}")
     print(f"  base ring      {record['base']}"
           + ("  (doubled)" if c.doubled else ""))

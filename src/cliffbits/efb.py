@@ -12,12 +12,16 @@ normalization_sign, the words become honest matrix units whose product
 has no sign at all, so the Clifford product is a plain matrix product:
 one factor of 2^m cheaper than blade-pair convolution on dense operands.
 
-A blade lies in one column coset, the entries (a, a ^ g) with g = b0 ^ b1,
-where the masks b0 and b1 (slot 1 on top) hold the presence bits of
-g_{2s-1} and of g_{2s}.  Its entry there, normalization included, is the
-Walsh function coeff * (-1)^(popcount(b1 & g) + popcount(a & i)) with
+The matrix is stored by column coset: the entries (a, a ^ g) for one
+g = row ^ col, the per-slot letter-count parity of the word.  Coset g
+times coset h lands in coset g ^ h, just as blade a times blade b lands
+at a ^ b, so the product is an XOR-graded sweep over pairs of stored
+cosets.  A blade lies in one coset, g = b0 ^ b1, where the masks b0 and
+b1 (slot 1 on top) hold the presence bits of g_{2s-1} and of g_{2s}.
+Its entries there, normalization included, are the Walsh function
+coeff * (-1)^(popcount(b1 & g) + popcount(a & i)) with
 i = b1 ^ parity_above(g), so each change of basis is one Walsh-Hadamard
-transform per coset.
+transform per stored coset.
 """
 
 from __future__ import annotations
@@ -34,9 +38,8 @@ from .instrument import counters
 # slot content keyed by (h bit, g bit): h bit 0 means the first letter
 # is q, g bit 0 means an even letter count
 _SLOT_CODE = {(0, 0): "qp", (0, 1): "q", (1, 0): "pq", (1, 1): "p"}
-_CODE_BITS = {v: k for k, v in _SLOT_CODE.items()}
 
-# largest m a dense 2^m x 2^m matrix is allocated for
+# largest m an EFBMultivector is built for: 4^m entries when dense
 MAX_M = 8
 
 
@@ -101,18 +104,15 @@ def efb_element(row: int, col: int, m: int) -> EFBElement:
 
 
 def signatures(e: EFBElement):
-    """Per-slot h and g sign tuples plus their products."""
-    h, g = [], []
-    for code in e.word:
-        hb, gb = _CODE_BITS[code]
-        h.append(1 - 2 * hb)
-        g.append(1 - 2 * gb)
-    h_hat = g_hat = 1
-    for s in h:
-        h_hat *= s
-    for s in g:
-        g_hat *= s
-    return tuple(h), tuple(g), ChiralityRecord(h_hat, g_hat)
+    """Per-slot h and g sign tuples plus their products, read off the
+    index: h is row and g is row ^ col, slot 1 in the top bit."""
+    m, h = e.index.m, e.index.row
+    g = h ^ e.index.col
+    slots = range(m - 1, -1, -1)  # bit positions, slot 1 first
+    return (tuple(1 - 2 * ((h >> i) & 1) for i in slots),
+            tuple(1 - 2 * ((g >> i) & 1) for i in slots),
+            ChiralityRecord(1 - 2 * (h.bit_count() & 1),
+                            1 - 2 * (g.bit_count() & 1)))
 
 
 def witt_basis(m: int):
@@ -200,37 +200,42 @@ def sign_s(a: int, b: int, d: int, m: int) -> int:
 
 
 class EFBMultivector:
-    """Dense 2^m x 2^m coefficient matrix over the normalized matrix units.
+    """A 2^m x 2^m coefficient matrix over the normalized matrix units,
+    stored by column coset.
 
     Entry (a, b) is the coefficient of normalization_sign(a, b) *
     word(a, b); only the conversions to and from blades know that sign,
-    which is +1 on the diagonal.
+    which is +1 on the diagonal.  _cosets[g][a] holds entry (a, a ^ g),
+    and a coset is absent exactly when all its entries are zero, so
+    equality is a dict comparison.  Coset g times coset h lands in coset
+    g ^ h.  nonzero() yields entries in coset order, then by row.
 
     Coefficients may be scalars from any commutative ring (int,
     DyadicRational, Fraction, float); the exact suites use dyadics.
     Treated as immutable.
     """
 
-    __slots__ = ("m", "_rows")
+    __slots__ = ("m", "_cosets")
 
     def __init__(self, m: int, entries=None):
         if not 1 <= m <= MAX_M:
             raise ValueError(f"m must be between 1 and {MAX_M}, got {m}")
         dim = 1 << m
-        rows = [[0] * dim for _ in range(dim)]
+        cosets: dict[int, list] = {}
         if entries:
             for (a, b), coeff in dict(entries).items():
                 if not (0 <= a < dim and 0 <= b < dim):
                     raise ValueError(f"entry ({a}, {b}) out of range for m={m}")
-                rows[a][b] = coeff
+                if coeff:
+                    cosets.setdefault(a ^ b, [0] * dim)[a] = coeff
         self.m = m
-        self._rows = rows
+        self._cosets = cosets
 
     @classmethod
-    def _from_rows(cls, m: int, rows) -> "EFBMultivector":
-        x = object.__new__(cls)
-        x.m = m
-        x._rows = rows
+    def _from_cosets(cls, m: int, cosets: dict) -> "EFBMultivector":
+        """Adopt the coset lists, dropping the all-zero ones."""
+        x = cls(m)
+        x._cosets = {g: v for g, v in cosets.items() if any(v)}
         return x
 
     @classmethod
@@ -240,72 +245,64 @@ class EFBMultivector:
     @classmethod
     def identity(cls, m: int) -> "EFBMultivector":
         """Expansion of the scalar 1: +1 on the whole diagonal."""
-        x = cls(m)
-        for a in range(1 << m):
-            x._rows[a][a] = 1
-        return x
+        return cls._from_cosets(m, {0: [1] * (1 << m)})
 
     @classmethod
     def volume(cls, m: int) -> "EFBMultivector":
         """Expansion of the volume element: (-1)^popcount(a) at (a, a)."""
-        x = cls(m)
-        for a in range(1 << m):
-            x._rows[a][a] = -1 if a.bit_count() & 1 else 1
-        return x
+        return cls._from_cosets(m, {0: [-1 if a.bit_count() & 1 else 1
+                                        for a in range(1 << m)]})
 
     @property
     def dim(self) -> int:
         return 1 << self.m
 
     def entry(self, a: int, b: int):
-        return self._rows[a][b]
+        v = self._cosets.get(a ^ b)
+        return v[a] if v else 0
 
     def nonzero(self):
-        for a, row in enumerate(self._rows):
-            for b, coeff in enumerate(row):
+        for g in sorted(self._cosets):
+            for a, coeff in enumerate(self._cosets[g]):
                 if coeff:
-                    yield a, b, coeff
+                    yield a, a ^ g, coeff
 
     def __eq__(self, other):
         if not isinstance(other, EFBMultivector):
             return NotImplemented
-        if self.m != other.m:
-            return False
-        for ra, rb in zip(self._rows, other._rows):
-            for va, vb in zip(ra, rb):
-                if not (va == vb):
-                    return False
-        return True
+        return self.m == other.m and self._cosets == other._cosets
 
     __hash__ = None
+
+    def _map(self, f):
+        return EFBMultivector._from_cosets(
+            self.m, {g: [f(v) if v else v for v in vs]
+                     for g, vs in self._cosets.items()})
 
     def __add__(self, other):
         if not isinstance(other, EFBMultivector) or other.m != self.m:
             return NotImplemented
-        return EFBMultivector._from_rows(
-            self.m, [[va + vb for va, vb in zip(ra, rb)]
-                     for ra, rb in zip(self._rows, other._rows)])
+        zeros = [0] * self.dim
+        return EFBMultivector._from_cosets(self.m, {
+            g: [va + vb for va, vb in zip(self._cosets.get(g, zeros),
+                                          other._cosets.get(g, zeros))]
+            for g in self._cosets.keys() | other._cosets.keys()})
 
     def __sub__(self, other):
         if not isinstance(other, EFBMultivector) or other.m != self.m:
             return NotImplemented
-        return EFBMultivector._from_rows(
-            self.m, [[va - vb for va, vb in zip(ra, rb)]
-                     for ra, rb in zip(self._rows, other._rows)])
+        return self + -other
 
     def __neg__(self):
-        return EFBMultivector._from_rows(
-            self.m, [[-v if v else v for v in row] for row in self._rows])
+        return self._map(lambda v: -v)
 
     def __mul__(self, other):
         if isinstance(other, EFBMultivector):
             return efb_product(self, other)
-        return EFBMultivector._from_rows(
-            self.m, [[v * other if v else v for v in row] for row in self._rows])
+        return self._map(lambda v: v * other)
 
     def __rmul__(self, other):
-        return EFBMultivector._from_rows(
-            self.m, [[other * v if v else v for v in row] for row in self._rows])
+        return self._map(lambda v: other * v)
 
     def __repr__(self):
         nnz = sum(1 for _ in self.nonzero())
@@ -313,10 +310,12 @@ class EFBMultivector:
 
 
 def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
-    """Plain matrix product in the matrix-unit basis.
+    """Plain matrix product in the matrix-unit basis, graded by coset.
 
-    Exact whenever the coefficients are exact; the executed triple count
-    goes to the op counters (8^m on dense operands).
+    Entry (a, a ^ g) of x meets row a ^ g of y, so coset g times coset h
+    is out[g ^ h][a] += x[g][a] * y[h][a ^ g], with no sign.  Exact
+    whenever the coefficients are exact; the executed triple count goes
+    to the op counters (8^m on dense operands).
     """
     if not isinstance(x, EFBMultivector) or not isinstance(y, EFBMultivector):
         raise TypeError("efb_product needs two EFBMultivector operands")
@@ -324,23 +323,22 @@ def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
         raise ValueError("operands have different m")
     m = x.m
     dim = 1 << m
-    yrows = y._rows
-    nz = [sum(1 for v in row if v) for row in yrows]
-    out = [[0] * dim for _ in range(dim)]
+    ycosets = y._cosets.items()
+    out: dict[int, list] = {}
     triples = 0
-    for a in range(dim):
-        xrow = x._rows[a]
-        orow = out[a]
-        for b in range(dim):
-            xi = xrow[b]
-            if not xi:
-                continue
-            triples += nz[b]
-            for d, zeta in enumerate(yrows[b]):
+    for g, xv in x._cosets.items():
+        xs = [(a, a ^ g, xi) for a, xi in enumerate(xv) if xi]
+        for h, yv in ycosets:
+            ov = out.setdefault(g ^ h, [0] * dim)
+            triples += len(xs)  # a zero of y takes one back below
+            for a, b, xi in xs:
+                zeta = yv[b]
                 if zeta:
-                    orow[d] = orow[d] + xi * zeta
+                    ov[a] += xi * zeta
+                else:
+                    triples -= 1
     counters.efb_triples += triples
-    return EFBMultivector._from_rows(m, out)
+    return EFBMultivector._from_cosets(m, out)
 
 
 def _slot_masks(mask: int, m: int) -> tuple[int, int]:
@@ -366,16 +364,13 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     if x.metric != Metric.interleaved(m):
         raise MetricError(f"multivector is not over interleaved Cl({m},{m})")
     out = EFBMultivector(m)
-    cosets: dict[int, list] = {}
     for mask, coeff in x.terms.items():
         b0, b1 = _slot_masks(mask, m)
         g = b0 ^ b1
-        v = cosets.setdefault(g, [0] * out.dim)
+        v = out._cosets.setdefault(g, [0] * out.dim)
         v[b1 ^ parity_above(g)] = -coeff if (b1 & g).bit_count() & 1 else coeff
-    for g, v in cosets.items():
-        walsh_hadamard(v)
-        for a, coeff in enumerate(v):
-            out._rows[a][a ^ g] = coeff
+    for v in out._cosets.values():
+        walsh_hadamard(v)  # invertible, so a touched coset stays nonzero
     return out
 
 
@@ -391,13 +386,11 @@ def word_multivector(e: EFBElement) -> Multivector:
 
 def efb_to_blades(x: EFBMultivector) -> Multivector:
     """Inverse change of basis, for int or DyadicRational coefficients."""
-    m, dim = x.m, x.dim
+    m = x.m
     scale = DyadicRational(1, m)
     terms: dict[int, DyadicRational] = {}
-    for g in range(dim):
-        v = [x._rows[a][a ^ g] for a in range(dim)]
-        if not any(v):
-            continue
+    for g, v in x._cosets.items():
+        v = v[:]
         walsh_hadamard(v)  # its own inverse up to the factor 2^m
         above = parity_above(g)
         for i, coeff in enumerate(v):

@@ -33,7 +33,8 @@ def dense_blade_multivector(metric: Metric, rng: random.Random) -> Multivector:
 
 
 def dense_efb_multivector(m: int, rng: random.Random) -> EFBMultivector:
-    """Every matrix entry a nonzero integer."""
+    """Every matrix entry a nonzero integer, as a DyadicRational like the
+    coefficients of the blade operands."""
     dim = 1 << m
-    return EFBMultivector(m, {(a, b): _nonzero_int(rng)
+    return EFBMultivector(m, {(a, b): DyadicRational(_nonzero_int(rng))
                               for a in range(dim) for b in range(dim)})

@@ -267,6 +267,8 @@ def check_varlamov(b) -> CheckResult:
 
 
 def check_eigenvectors(b) -> CheckResult:
+    # signatures() reads the index bits; the eigenvalues come letter by
+    # letter from the blade oracle
     failures, checked = [], 0
     for m in range(1, b["m"] + 1):
         for row in range(1 << m):
@@ -466,7 +468,8 @@ def check_oracle_equivalence(b) -> CheckResult:
 
 
 def check_involution_consistency(b) -> CheckResult:
-    # grade involution negates exactly the odd-parity words
+    # grade involution negates exactly the odd-parity words: the g bits
+    # of the index against the letter-by-letter blade expansion
     failures, checked = [], 0
     for m in range(1, b["m_small"] + 1):
         for row in range(1 << m):

@@ -56,6 +56,30 @@ def test_negative_signature_is_input_error(capsys):
     assert err
 
 
+@pytest.fixture
+def default_digit_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-string digit limit in this interpreter")
+def test_classify_too_large_to_print(capsys, default_digit_limit):
+    # 2^15000 has 4516 digits, past the default limit of 4300
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, "classify", "30000", "0", *extra)
+        assert (code, out) == (2, "")
+        assert "2^15000" in err
+        assert "set_int_max_str_digits" not in err
+    # the boundary: 2^14284 has 4300 digits and prints, 2^14285 has 4301
+    code, out, _ = run(capsys, "classify", "28568", "0")
+    assert code == 0 and str(1 << 14284) in out
+    code, _, err = run(capsys, "classify", "28570", "0")
+    assert code == 2 and "2^14285" in err
+
+
 def test_cube_ascii_flag(capsys):
     code, out, _ = run(capsys, "cube", "--ascii")
     assert code == 0

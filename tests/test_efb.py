@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,9 +7,11 @@ from cliffbits import (DyadicRational, EFBMultivector, Metric, MetricError,
                        Multivector, blades_to_efb, efb_element, efb_product,
                        efb_to_blades, matrix_unit_normalization, mv_mul,
                        normal_order, normalization_sign, omega_eigen_check,
-                       sig_label, sign_s, signatures, volume_element,
-                       witt_basis, word_multivector, word_product_oracle)
+                       op_counters, reset_op_counters, sig_label, sign_s,
+                       signatures, volume_element, witt_basis,
+                       word_multivector, word_product_oracle)
 from cliffbits import verify
+from cliffbits.sampling import dense_blade_multivector, dense_efb_multivector
 
 from conftest import multivectors
 
@@ -280,3 +284,54 @@ def test_m_bound():
         EFBMultivector(0)
     with pytest.raises(ValueError):
         blades_to_efb(Multivector.scalar(Metric.interleaved(9), 1), 9)
+
+
+def test_zero_entry_stores_no_coset():
+    assert EFBMultivector(2, {(0, 1): 0}) == EFBMultivector.zeros(2)
+    assert list(EFBMultivector(2, {(0, 1): 0}).nonzero()) == []
+
+
+def test_cancelled_coset_is_dropped():
+    # (E00 + E01)(E00 + E01 - E10) = E00 + E01 - E00: coset 0 cancels
+    x = EFBMultivector(1, {(0, 0): 1, (0, 1): 1})
+    y = EFBMultivector(1, {(0, 0): 1, (0, 1): 1, (1, 0): -1})
+    z = efb_product(x, y)
+    assert z == EFBMultivector(1, {(0, 1): 1})
+    assert list(z.nonzero()) == [(0, 1, 1)]
+    assert x - x == EFBMultivector.zeros(1)
+    assert 0 * x == EFBMultivector.zeros(1)
+
+
+def test_nonzero_yields_each_entry_once():
+    rng = random.Random(3)
+    entries = {(rng.randrange(8), rng.randrange(8)): rng.randint(-2, 2)
+               for _ in range(40)}
+    got = list(EFBMultivector(3, entries).nonzero())
+    want = {(a, b): c for (a, b), c in entries.items() if c}
+    assert len(got) == len(want)
+    assert {(a, b): c for a, b, c in got} == want
+    # coset order, then by row
+    assert got == sorted(got, key=lambda t: (t[0] ^ t[1], t[0]))
+
+
+def test_single_blades_run_one_coset_pair_m8():
+    m = 8
+    metric = Metric.interleaved(m)
+    x = blades_to_efb(Multivector.generator(metric, 1), m)
+    entries = list(x.nonzero())
+    assert len(entries) == 1 << m
+    assert len({a ^ b for a, b, _ in entries}) == 1
+    y = blades_to_efb(Multivector.generator(metric, 16), m)
+    reset_op_counters()
+    efb_product(x, y)
+    assert op_counters().efb_triples == 1 << m
+    reset_op_counters()
+
+
+def test_dense_operands_share_coefficient_type():
+    # bench's wall ratio compares algorithms, not int against dyadic
+    x = dense_efb_multivector(2, random.Random(1))
+    y = dense_blade_multivector(Metric.interleaved(2), random.Random(1))
+    assert len(list(x.nonzero())) == 16
+    assert all(type(c) is DyadicRational for _, _, c in x.nonzero())
+    assert all(type(c) is DyadicRational for c in y.terms.values())
