@@ -10,7 +10,21 @@ from __future__ import annotations
 
 import re
 
-_COEFF_RE = re.compile(r"^([+-]?\d+)(?:/(?:2\^(\d+)|(\d+)))?$")
+_COEFF_RE = re.compile(r"^([+-]?)0*(\d+)(?:/(?:2\^0*(\d+)|0*(\d+)))?$")
+
+# A parsed coefficient has at most MAX_BITS bits above and below the
+# point, so a product of two operands of up to 4^8 terms each still
+# prints in under 2,500 digits.
+MAX_BITS = 2048
+_MAX_DIGITS = len(str(1 << MAX_BITS))
+_TOO_LONG = 1 << (MAX_BITS + 1)
+
+
+def _int(digits: str) -> int:
+    # int() of a long digit string is slow and, past 4300 digits, refused
+    # by Python; any string longer than an in-bounds value stands in as
+    # 2^(MAX_BITS + 1), which every bound in parse rejects
+    return int(digits) if len(digits) <= _MAX_DIGITS else _TOO_LONG
 
 
 def _reduced(numerator: int, exponent: int) -> "DyadicRational":
@@ -43,32 +57,36 @@ class DyadicRational:
             raise TypeError("numerator and exponent must be integers")
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
-        if numerator == 0:
-            exponent = 0
-        elif exponent and not numerator & 1:
-            shift = (numerator & -numerator).bit_length() - 1
-            if shift > exponent:
-                shift = exponent
-            numerator >>= shift
-            exponent -= shift
-        self.numerator = numerator
-        self.exponent = exponent
+        reduced = _reduced(numerator, exponent)
+        self.numerator = reduced.numerator
+        self.exponent = reduced.exponent
 
     @classmethod
     def parse(cls, text: str) -> "DyadicRational":
-        """Parse '3', '-5/8' or '7/2^4'; the denominator must be a power of 2."""
+        """Parse '3', '-5/8' or '7/2^4'; the denominator must be a power of 2.
+
+        The numerator may have at most MAX_BITS bits and the denominator
+        may be at most 2^MAX_BITS.
+        """
         m = _COEFF_RE.match(text.strip())
         if not m:
             raise ValueError(f"not a dyadic coefficient: {text!r}")
-        num = int(m.group(1))
-        if m.group(2) is not None:
-            return cls(num, int(m.group(2)))
-        if m.group(3) is not None:
-            den = int(m.group(3))
+        sign, num_text, exp_text, den_text = m.groups()
+        num = _int(num_text)
+        if num.bit_length() > MAX_BITS:
+            raise ValueError(
+                f"coefficient numerator longer than {MAX_BITS} bits")
+        exponent = 0
+        if exp_text is not None:
+            exponent = _int(exp_text)
+        elif den_text is not None:
+            den = _int(den_text)
             if den <= 0 or den & (den - 1):
                 raise ValueError(f"denominator must be a power of 2: {text!r}")
-            return cls(num, den.bit_length() - 1)
-        return cls(num)
+            exponent = den.bit_length() - 1
+        if exponent > MAX_BITS:
+            raise ValueError(f"coefficient denominator above 2^{MAX_BITS}")
+        return cls(-num if sign == "-" else num, exponent)
 
     def __add__(self, other):
         if isinstance(other, int):

@@ -1,12 +1,22 @@
 """Cross-validation suites: every closed form against the blade oracle.
 
-Each check returns its name, whether it passed, and how many cases it
-covered.  The CLI aggregates the results and sets the exit code; the
-test suite runs the same checks at the full bounds.
+A suite is a generator that yields one ``(case, ok)`` pair per case it
+checks; ``@_suite(name)`` turns it into a ``check_*(bounds)`` function
+that returns a ``CheckResult`` (its name, whether it passed, how many
+cases it covered and the first failing case) and registers it, in
+definition order, for ``run_suite``.  The CLI aggregates the results
+and sets the exit code; the test suite runs the same checks.
+
+Each level sets six bounds: ``lucas_n`` (n below it, i up to
+``lucas_n.bit_length() - 1``), ``assoc_n`` (the exhaustive blade
+checks), ``kl`` and ``center_kl`` (signatures), ``m`` (Fock-basis
+checks; the costlier ones stop at ``m - 1``) and ``pairs`` (random
+operands per m).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -55,27 +65,40 @@ class CheckResult:
     detail: str = ""
 
 
-def _done(name: str, failures: list, checked: int) -> CheckResult:
-    detail = "" if not failures else f"first failure: {failures[0]}"
-    return CheckResult(name, not failures, checked, detail)
-
-
 _BOUNDS = {
-    "quick": dict(lucas_n=512, lucas_i=9, assoc_n=4, kl=8, center_kl=6,
-                  m=3, m_small=2, pairs=8, dense_m=3, sign_n=4),
-    "full": dict(lucas_n=4096, lucas_i=12, assoc_n=6, kl=16, center_kl=12,
-                 m=4, m_small=3, pairs=25, dense_m=4, sign_n=6),
+    "quick": dict(lucas_n=512, assoc_n=4, kl=8, center_kl=6, m=3, pairs=8),
+    "full": dict(lucas_n=4096, assoc_n=6, kl=16, center_kl=12, m=4,
+                 pairs=25),
 }
 
+_CHECKS = []
 
-def check_lucas(b) -> CheckResult:
-    failures, checked = [], 0
+
+def _suite(name: str):
+    """Turn a generator of (case, ok) pairs into a registered check.
+
+    The check counts every case and reports the first one that is not
+    ok; the suites run in the order they are defined.
+    """
+    def register(cases):
+        @functools.wraps(cases)
+        def check(b) -> CheckResult:
+            checked, detail = 0, ""
+            for case, ok in cases(b):
+                checked += 1
+                if not ok and not detail:
+                    detail = f"first failure: {case}"
+            return CheckResult(name, not detail, checked, detail)
+        _CHECKS.append(check)
+        return check
+    return register
+
+
+@_suite("lucas-vs-sign-bit")
+def check_lucas(b):
     for n in range(b["lucas_n"]):
-        for i in range(b["lucas_i"] + 1):
-            checked += 1
-            if lucas_sign(n, i) != sign_bit(n, i):
-                failures.append((n, i))
-    return _done("lucas-vs-sign-bit", failures, checked)
+        for i in range(b["lucas_n"].bit_length()):
+            yield (n, i), lucas_sign(n, i) == sign_bit(n, i)
 
 
 def _blade_product_by_sorting(a: int, b: int, metric: Metric):
@@ -100,10 +123,10 @@ def _blade_product_by_sorting(a: int, b: int, metric: Metric):
     return sign, mask
 
 
-def check_blade_sign_vs_normal_order(b) -> CheckResult:
+@_suite("blade-sign-vs-normal-order")
+def check_blade_sign_vs_normal_order(b):
     # every metric up to n = 4, block and interleaved ones beyond
-    failures, checked = [], 0
-    for n in range(b["sign_n"] + 1):
+    for n in range(b["assoc_n"] + 1):
         if n <= 4:
             metrics = [Metric(s) for s in itertools.product((1, -1), repeat=n)]
         else:
@@ -113,15 +136,13 @@ def check_blade_sign_vs_normal_order(b) -> CheckResult:
         for metric in metrics:
             for x in range(1 << n):
                 for y in range(1 << n):
-                    checked += 1
-                    if (blade_product(x, y, metric)
-                            != _blade_product_by_sorting(x, y, metric)):
-                        failures.append((metric.squares, x, y))
-    return _done("blade-sign-vs-normal-order", failures, checked)
+                    yield ((metric.squares, x, y),
+                           blade_product(x, y, metric)
+                           == _blade_product_by_sorting(x, y, metric))
 
 
-def check_blade_associativity(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("blade-associativity")
+def check_blade_associativity(b):
     n = b["assoc_n"]
     metric = Metric.interleaved(n // 2) if n % 2 == 0 else Metric.block(n, 0)
     dim = 1 << n
@@ -129,30 +150,25 @@ def check_blade_associativity(b) -> CheckResult:
         for y in range(dim):
             s1, xy = blade_product(x, y, metric)
             for z in range(dim):
-                checked += 1
                 s2, xyz = blade_product(xy, z, metric)
                 s3, yz = blade_product(y, z, metric)
                 s4, xyz2 = blade_product(x, yz, metric)
-                if (s1 * s2, xyz) != (s3 * s4, xyz2):
-                    failures.append((x, y, z))
+                yield (x, y, z), (s1 * s2, xyz) == (s3 * s4, xyz2)
     rng = random.Random(7)
     for _ in range(500):  # randomized spot checks at larger n
         nn = rng.randint(1, 12)
-        metric = Metric.block(rng.randint(0, nn), 0)
-        metric = Metric.block(metric.k, nn - metric.k)
+        k = rng.randint(0, nn)
+        metric = Metric.block(k, nn - k)
         x, y, z = (rng.randrange(1 << nn) for _ in range(3))
-        checked += 1
         s1, xy = blade_product(x, y, metric)
         s2, xyz = blade_product(xy, z, metric)
         s3, yz = blade_product(y, z, metric)
         s4, xyz2 = blade_product(x, yz, metric)
-        if (s1 * s2, xyz) != (s3 * s4, xyz2):
-            failures.append((nn, x, y, z))
-    return _done("blade-associativity", failures, checked)
+        yield (nn, x, y, z), (s1 * s2, xyz) == (s3 * s4, xyz2)
 
 
-def check_witt_relations(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("witt-relations")
+def check_witt_relations(b):
     for m in range(1, b["m"] + 1):
         p, q = witt_basis(m)
         metric = p[0].metric
@@ -163,127 +179,98 @@ def check_witt_relations(b) -> CheckResult:
                 anti_pp = mv_mul(p[i], p[j]) + mv_mul(p[j], p[i])
                 anti_qq = mv_mul(q[i], q[j]) + mv_mul(q[j], q[i])
                 anti_pq = mv_mul(p[i], q[j]) + mv_mul(q[j], p[i])
-                want = one if i == j else zero
-                checked += 3
-                if anti_pp != zero:
-                    failures.append(("pp", m, i, j))
-                if anti_qq != zero:
-                    failures.append(("qq", m, i, j))
-                if anti_pq != want:
-                    failures.append(("pq", m, i, j))
-    return _done("witt-relations", failures, checked)
+                yield ("pp", m, i, j), anti_pp == zero
+                yield ("qq", m, i, j), anti_qq == zero
+                yield ("pq", m, i, j), anti_pq == (one if i == j else zero)
 
 
-def check_omega_squared(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("omega-squared-formula")
+def check_omega_squared(b):
     for k in range(b["kl"] + 1):
         for l in range(b["kl"] + 1):
-            checked += 1
             oracle = omega_squared_oracle(Metric.block(k, l))
             closed = omega_squared(k, l)
             via_bit = sign_bit((k - l) % 8, 1)
-            if not (oracle == closed == via_bit):
-                failures.append((k, l))
-    return _done("omega-squared-formula", failures, checked)
+            yield (k, l), oracle == closed == via_bit
 
 
-def check_center(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("center-vs-parity")
+def check_center(b):
     for k in range(b["center_kl"] + 1):
         for l in range(b["center_kl"] + 1):
-            checked += 1
-            if center_check(Metric.block(k, l)) != ((k + l) % 2 == 1):
-                failures.append((k, l))
-    return _done("center-vs-parity", failures, checked)
+            yield ((k, l),
+                   center_check(Metric.block(k, l)) == ((k + l) % 2 == 1))
 
 
-def check_tau(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("tau-squares-and-duals")
+def check_tau(b):
     for k in range(b["kl"] + 1):
         for l in range(b["kl"] + 1):
             if (k + l) % 2:
                 continue
-            checked += 1
-            ok = (tau_squared_oracle(k, l) == tau_squared(k, l)
-                  and omega_tau_squared_oracle(k, l) == omega_tau_squared(k, l)
-                  and dual_automorphism_check(k, l))
-            if not ok:
-                failures.append((k, l))
-    return _done("tau-squares-and-duals", failures, checked)
+            yield (k, l), (
+                tau_squared_oracle(k, l) == tau_squared(k, l)
+                and omega_tau_squared_oracle(k, l) == omega_tau_squared(k, l)
+                and dual_automorphism_check(k, l))
 
 
-def check_table(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("classification-table")
+def check_table(b):
     for (n, nu), want in TABLE_N_NU.items():
-        checked += 1
         k, l = (n + nu) // 2, (n - nu) // 2
-        if algebra_name(classify(k, l)) != want:
-            failures.append((n, nu))
-    return _done("classification-table", failures, checked)
+        yield (n, nu), algebra_name(classify(k, l)) == want
 
 
-def check_dimension_identity(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("dimension-identity")
+def check_dimension_identity(b):
     dim = {"R": 1, "C": 2, "H": 4}
     for k in range(17):
         for l in range(17):
-            checked += 1
             c = classify(k, l)
             total = c.matrix_size ** 2 * dim[c.base] * (2 if c.doubled else 1)
-            if total != 1 << (k + l):
-                failures.append((k, l))
-    return _done("dimension-identity", failures, checked)
+            yield (k, l), total == 1 << (k + l)
 
 
-def check_n_recovery(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("n-bit-recovery")
+def check_n_recovery(b):
     for k in range(b["kl"] + 1):
         for l in range(b["kl"] + 1):
             if (k + l) % 2:
                 continue
-            checked += 1
             got = recover_n_bits((k - l) % 8, tau_squared(k, l),
                                  omega_tau_squared(k, l))
-            if got != (k + l) % 8:
-                failures.append((k, l))
-    return _done("n-bit-recovery", failures, checked)
+            yield (k, l), got == (k + l) % 8
 
 
-def check_varlamov(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("varlamov-bit-forms")
+def check_varlamov(b):
     for k in range(b["kl"] + 1):
         for l in range(b["kl"] + 1):
             if (k + l) % 2:
                 continue
-            checked += 1
             a, bb, c = varlamov_bits(k, l)
             n8, nu8 = (k + l) % 8, (k - l) % 8
-            ok = (bb == sign_bit(nu8, 2) * sign_bit(n8, 2)
-                  and a == sign_bit(n8, 1) * bb
-                  and c == sign_bit(nu8, 1))
-            if not ok:
-                failures.append((k, l))
-    return _done("varlamov-bit-forms", failures, checked)
+            yield (k, l), (bb == sign_bit(nu8, 2) * sign_bit(n8, 2)
+                           and a == sign_bit(n8, 1) * bb
+                           and c == sign_bit(nu8, 1))
 
 
-def check_eigenvectors(b) -> CheckResult:
+@_suite("volume-eigenvectors")
+def check_eigenvectors(b):
     # signatures() reads the index bits; the eigenvalues come letter by
     # letter from the blade oracle
-    failures, checked = [], 0
     for m in range(1, b["m"] + 1):
         for row in range(1 << m):
             for col in range(1 << m):
                 e = efb_element(row, col, m)
                 _, _, chi = signatures(e)
-                checked += 1
-                if omega_eigen_check(e) != (chi.h_hat, chi.h_hat * chi.g_hat):
-                    failures.append((m, row, col))
-    return _done("volume-eigenvectors", failures, checked)
+                yield ((m, row, col), omega_eigen_check(e)
+                       == (chi.h_hat, chi.h_hat * chi.g_hat))
 
 
-def check_commutators(b) -> CheckResult:
+@_suite("slot-commutator-action")
+def check_commutators(b):
     # [q_i, p_i] acts as h_i from the left and h_i g_i from the right
-    failures, checked = [], 0
     for m in range(1, b["m"] + 1):
         p, q = witt_basis(m)
         comms = [mv_mul(q[i], p[i]) - mv_mul(p[i], q[i]) for i in range(m)]
@@ -293,239 +280,178 @@ def check_commutators(b) -> CheckResult:
                 h, g, _ = signatures(e)
                 psi = word_multivector(e)
                 for i in range(m):
-                    checked += 2
-                    if mv_mul(comms[i], psi) != h[i] * psi:
-                        failures.append(("left", m, row, col, i))
-                    if mv_mul(psi, comms[i]) != h[i] * g[i] * psi:
-                        failures.append(("right", m, row, col, i))
-    return _done("slot-commutator-action", failures, checked)
+                    yield (("left", m, row, col, i),
+                           mv_mul(comms[i], psi) == h[i] * psi)
+                    yield (("right", m, row, col, i),
+                           mv_mul(psi, comms[i]) == h[i] * g[i] * psi)
 
 
-def check_sign_vs_word_oracle(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("sign-vs-word-oracle")
+def check_sign_vs_word_oracle(b):
     for m in range(1, b["m"] + 1):
         dim = 1 << m
         for a in range(dim):
             for x in range(dim):
                 for d in range(dim):
-                    checked += 1
                     sign, elem = word_product_oracle(a, x, x, d, m)
-                    if (elem is None or sign != sign_s(a, x, d, m)
-                            or (elem.index.row, elem.index.col) != (a, d)):
-                        failures.append((m, a, x, d))
+                    yield (m, a, x, d), (
+                        elem is not None and sign == sign_s(a, x, d, m)
+                        and (elem.index.row, elem.index.col) == (a, d))
         rng = random.Random(11)
         for _ in range(50):  # mismatched middle index annihilates
             a, x, c, d = (rng.randrange(dim) for _ in range(4))
             if x == c:
                 continue
-            checked += 1
-            if word_product_oracle(a, x, c, d, m) != (0, None):
-                failures.append((m, a, x, c, d))
-    return _done("sign-vs-word-oracle", failures, checked)
+            yield ((m, a, x, c, d),
+                   word_product_oracle(a, x, c, d, m) == (0, None))
 
 
-def check_sign_vs_blade_oracle(b) -> CheckResult:
-    failures, checked = [], 0
-    for m in range(1, b["m_small"] + 1):
+@_suite("sign-vs-blade-oracle")
+def check_sign_vs_blade_oracle(b):
+    for m in range(1, b["m"]):
         dim = 1 << m
         for a in range(dim):
             for x in range(dim):
                 for d in range(dim):
-                    checked += 1
                     lhs = mv_mul(word_multivector(efb_element(a, x, m)),
                                  word_multivector(efb_element(x, d, m)))
-                    rhs = sign_s(a, x, d, m) * word_multivector(efb_element(a, d, m))
-                    if lhs != rhs:
-                        failures.append((m, a, x, d))
-    return _done("sign-vs-blade-oracle", failures, checked)
+                    rhs = (sign_s(a, x, d, m)
+                           * word_multivector(efb_element(a, d, m)))
+                    yield (m, a, x, d), lhs == rhs
 
 
-def check_cocycle(b) -> CheckResult:
-    failures, checked = [], 0
-    for m in range(1, b["m_small"] + 1):
+@_suite("sign-cocycle")
+def check_cocycle(b):
+    for m in range(1, b["m"]):
         dim = 1 << m
         for a in range(dim):
             for x in range(dim):
                 for d in range(dim):
                     for e in range(dim):
-                        checked += 1
-                        if (sign_s(a, x, d, m) * sign_s(a, d, e, m)
-                                != sign_s(x, d, e, m) * sign_s(a, x, e, m)):
-                            failures.append((m, a, x, d, e))
-    return _done("sign-cocycle", failures, checked)
+                        yield (m, a, x, d, e), (
+                            sign_s(a, x, d, m) * sign_s(a, d, e, m)
+                            == sign_s(x, d, e, m) * sign_s(a, x, e, m))
 
 
-def check_matrix_units(b) -> CheckResult:
-    failures, checked = [], 0
-    for m in range(1, b["m_small"] + 1):
+@_suite("matrix-units")
+def check_matrix_units(b):
+    # E_ax E_cd is E_ad when x == c and zero otherwise
+    for m in range(1, b["m"]):
         dim = 1 << m
         for a in range(dim):
             for x in range(dim):
                 for c in range(dim):
                     for d in range(dim):
-                        checked += 1
-                        lhs = (normalization_sign(a, x, m)
-                               * normalization_sign(c, d, m)
-                               * sign_s(a, x, d, m)) if x == c else 0
-                        rhs = normalization_sign(a, d, m) if x == c else 0
-                        if lhs != rhs:
-                            failures.append((m, a, x, c, d))
+                        yield (m, a, x, c, d), x != c or (
+                            normalization_sign(a, x, m)
+                            * normalization_sign(c, d, m)
+                            * sign_s(a, x, d, m)
+                            == normalization_sign(a, d, m))
     for (a, col), want in CL22_TABLE.items():
-        checked += 1
         e = efb_element(a, col, 2)
         sign = normalization_sign(a, col, 2)
         got = ("-" if sign < 0 else "") + e.word_str()
-        if got != want:
-            failures.append(("table", a, col))
-    return _done("matrix-units", failures, checked)
+        yield ("table", a, col), got == want
 
 
-def check_identity_omega_expansion(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("identity-omega-expansion")
+def check_identity_omega_expansion(b):
     for m in range(1, b["m"] + 1):
         metric = Metric.interleaved(m)
         one = Multivector.scalar(metric, 1)
         w = Multivector.from_blade(metric, volume_element(metric))
-        checked += 2
-        if blades_to_efb(one, m) != EFBMultivector.identity(m):
-            failures.append(("one", m))
-        if blades_to_efb(w, m) != EFBMultivector.volume(m):
-            failures.append(("volume", m))
+        yield ("one", m), blades_to_efb(one, m) == EFBMultivector.identity(m)
+        yield ("volume", m), blades_to_efb(w, m) == EFBMultivector.volume(m)
         # the expansions written as anticommutator / commutator products
         p, q = witt_basis(m)
         prod_anti = Multivector.scalar(metric, 1)
         prod_comm = Multivector.scalar(metric, 1)
         for i in range(m):
-            prod_anti = mv_mul(prod_anti, mv_mul(q[i], p[i]) + mv_mul(p[i], q[i]))
-            prod_comm = mv_mul(prod_comm, mv_mul(q[i], p[i]) - mv_mul(p[i], q[i]))
-        checked += 2
-        if prod_anti != one:
-            failures.append(("anti", m))
-        if prod_comm != w:
-            failures.append(("comm", m))
-    return _done("identity-omega-expansion", failures, checked)
+            qp, pq = mv_mul(q[i], p[i]), mv_mul(p[i], q[i])
+            prod_anti = mv_mul(prod_anti, qp + pq)
+            prod_comm = mv_mul(prod_comm, qp - pq)
+        yield ("anti", m), prod_anti == one
+        yield ("comm", m), prod_comm == w
 
 
-def check_direct_sum_support(b) -> CheckResult:
+@_suite("blade-coset-support")
+def check_direct_sum_support(b):
     # a blade touches exactly one column coset: col = row XOR parity mask
-    failures, checked = [], 0
-    for m in range(1, b["m_small"] + 1):
+    for m in range(1, b["m"]):
         metric = Metric.interleaved(m)
         for mask in range(1 << (2 * m)):
             gpar = 0
             for slot in range(1, m + 1):
-                ones = ((mask >> (2 * slot - 2)) & 1) ^ ((mask >> (2 * slot - 1)) & 1)
-                gpar |= ones << (m - slot)
+                ones = (mask >> (2 * slot - 2)) ^ (mask >> (2 * slot - 1))
+                gpar |= (ones & 1) << (m - slot)
             x = blades_to_efb(Multivector.from_blade(metric, mask), m)
-            checked += 1
-            if any(col != row ^ gpar for row, col, _ in x.nonzero()):
-                failures.append((m, mask))
-    return _done("blade-coset-support", failures, checked)
+            yield (m, mask), all(col == row ^ gpar
+                                 for row, col, _ in x.nonzero())
 
 
-def check_conversion_vs_word_oracle(b) -> CheckResult:
+@_suite("conversion-vs-word-oracle")
+def check_conversion_vs_word_oracle(b):
     # each matrix unit against its letter-by-letter word, both directions
-    failures, checked = [], 0
-    for m in range(1, b["m_small"] + 1):
+    for m in range(1, b["m"]):
         dim = 1 << m
         for a in range(dim):
             for col in range(dim):
                 unit = EFBMultivector(m, {(a, col): 1})
                 word = (normalization_sign(a, col, m)
                         * word_multivector(efb_element(a, col, m)))
-                checked += 1
-                if efb_to_blades(unit) != word or blades_to_efb(word, m) != unit:
-                    failures.append((m, a, col))
-    return _done("conversion-vs-word-oracle", failures, checked)
+                yield (m, a, col), (efb_to_blades(unit) == word
+                                    and blades_to_efb(word, m) == unit)
 
 
-def check_roundtrip(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("conversion-roundtrip")
+def check_roundtrip(b):
     rng = random.Random(23)
     for m in range(1, b["m"] + 1):
         metric = Metric.interleaved(m)
         for _ in range(b["pairs"]):
             x = random_multivector(metric, rng)
-            checked += 1
-            if efb_to_blades(blades_to_efb(x, m)) != x:
-                failures.append((m, str(x)))
-    return _done("conversion-roundtrip", failures, checked)
+            yield (m, str(x)), efb_to_blades(blades_to_efb(x, m)) == x
 
 
-def check_oracle_equivalence(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("product-oracle-equivalence")
+def check_oracle_equivalence(b):
     rng = random.Random(29)
     for m in range(1, b["m"] + 1):
         metric = Metric.interleaved(m)
         for _ in range(b["pairs"]):
             x = random_multivector(metric, rng)
             y = random_multivector(metric, rng)
-            checked += 1
             fast = efb_product(blades_to_efb(x, m), blades_to_efb(y, m))
-            if fast != blades_to_efb(mv_mul(x, y), m):
-                failures.append((m, str(x), str(y)))
-    return _done("product-oracle-equivalence", failures, checked)
+            yield ((m, str(x), str(y)),
+                   fast == blades_to_efb(mv_mul(x, y), m))
 
 
-def check_involution_consistency(b) -> CheckResult:
+@_suite("involution-vs-parity")
+def check_involution_consistency(b):
     # grade involution negates exactly the odd-parity words: the g bits
     # of the index against the letter-by-letter blade expansion
-    failures, checked = [], 0
-    for m in range(1, b["m_small"] + 1):
+    for m in range(1, b["m"]):
         for row in range(1 << m):
             for col in range(1 << m):
                 e = efb_element(row, col, m)
                 _, _, chi = signatures(e)
                 psi = word_multivector(e)
-                checked += 1
-                if grade_involution(psi) != chi.g_hat * psi:
-                    failures.append((m, row, col))
-    return _done("involution-vs-parity", failures, checked)
+                yield (m, row, col), grade_involution(psi) == chi.g_hat * psi
 
 
-def check_op_ratio(b) -> CheckResult:
-    failures, checked = [], 0
+@_suite("dense-op-ratio")
+def check_op_ratio(b):
     rng = random.Random(31)
-    for m in range(1, b["dense_m"] + 1):
+    for m in range(1, b["m"] + 1):
         metric = Metric.interleaved(m)
         reset_op_counters()
         mv_mul(dense_blade_multivector(metric, rng),
                dense_blade_multivector(metric, rng))
-        efb_product(dense_efb_multivector(m, rng), dense_efb_multivector(m, rng))
+        efb_product(dense_efb_multivector(m, rng),
+                    dense_efb_multivector(m, rng))
         counts = op_counters()
-        checked += 1
-        if counts.blade_pairs != counts.efb_triples << m:
-            failures.append((m, counts))
+        yield (m, counts), counts.blade_pairs == counts.efb_triples << m
     reset_op_counters()
-    return _done("dense-op-ratio", failures, checked)
-
-
-_CHECKS = [
-    check_lucas,
-    check_blade_sign_vs_normal_order,
-    check_blade_associativity,
-    check_witt_relations,
-    check_omega_squared,
-    check_center,
-    check_tau,
-    check_table,
-    check_dimension_identity,
-    check_n_recovery,
-    check_varlamov,
-    check_eigenvectors,
-    check_commutators,
-    check_sign_vs_word_oracle,
-    check_sign_vs_blade_oracle,
-    check_cocycle,
-    check_matrix_units,
-    check_identity_omega_expansion,
-    check_direct_sum_support,
-    check_conversion_vs_word_oracle,
-    check_roundtrip,
-    check_oracle_equivalence,
-    check_involution_consistency,
-    check_op_ratio,
-]
 
 
 def run_suite(level: str = "quick") -> list[CheckResult]:

@@ -187,6 +187,6 @@ def test_scalar_coercion():
 
 def test_blade_sign_vs_normal_order():
     # every metric for n <= 4, block and interleaved metrics for n = 5, 6
-    result = check_blade_sign_vs_normal_order({"sign_n": 6})
+    result = check_blade_sign_vs_normal_order({"assoc_n": 6})
     assert result.passed, result.detail
     assert result.checked == sum(8 ** n for n in range(5)) + 6 * 4 ** 5 + 8 * 4 ** 6

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cliffbits
-from cliffbits import Multivector
+from cliffbits import Metric, Multivector, ParseError, verify
 from cliffbits.cli import bench_results, main
 
 
@@ -157,6 +157,30 @@ def test_mul_m_range(capsys, monkeypatch, m, engine):
     assert err == f"mul: m must be between 1 and 8, got {m}\n"
 
 
+@pytest.mark.parametrize("coeff", ["1/2^20000", "7" * 5000,
+                                   "1/2^" + "9" * 5000],
+                         ids=["exponent", "numerator", "exponent-digits"])
+def test_mul_huge_coefficient(capsys, coeff):
+    code, out, err = run(capsys, "mul", "1", f"{coeff} g1", "g2")
+    assert (code, out) == (2, "")
+    assert err.startswith("mul: ")
+    assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
+
+def test_parse_rejects_huge_exponent():
+    # rejected while parsing, before anything prints 2^(10^11)
+    with pytest.raises(ParseError):
+        Multivector.parse("1/2^100000000000 g1", Metric.interleaved(1))
+
+
+def test_mul_coefficient_at_bound(capsys):
+    top = (1 << 2048) - 1  # 2048 bits, over 2^2048 written both ways
+    code, out, err = run(capsys, "mul", "1", f"{top}/2^2048 g1",
+                         f"-{top}/{1 << 2048} g2")
+    assert (code, err) == (0, "")
+    assert out == f"-{top * top}/{1 << 4096} g1 g2\n"
+
+
 def test_closed_pipe_exits_without_traceback():
     env = dict(os.environ,
                PYTHONPATH=str(Path(cliffbits.__file__).resolve().parents[1]))
@@ -178,9 +202,28 @@ def test_mul_json(capsys):
 
 
 def test_verify_quick(capsys):
-    code, out, _ = run(capsys, "verify", "--level", "quick")
-    assert code == 0
-    assert "FAIL" not in out
+    # suite names, order, case counts and marks, byte for byte
+    golden = Path(__file__).parent / "data" / "verify_quick.txt"
+    code, out, err = run(capsys, "verify", "--level", "quick")
+    assert (code, err) == (0, "")
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def test_verify_reports_first_failure(capsys, monkeypatch):
+    # a closed form wrong at one (n, i) fails its own suite and no other
+    real = verify.lucas_sign
+
+    def planted(n, i):
+        return -real(n, i) if (n, i) == (5, 1) else real(n, i)
+    monkeypatch.setattr(verify, "lucas_sign", planted)
+    code, out, _ = run(capsys, "verify")
+    lines = out.splitlines()
+    assert code == 1
+    assert [ln for ln in lines if "FAIL" in ln] == [lines[0]]
+    assert lines[0].startswith("FAIL lucas-vs-sign-bit")
+    assert lines[0].endswith("(first failure: (5, 1))")
+    assert len(lines) == 24
+    assert all(ln.startswith("ok") for ln in lines[1:])
 
 
 def test_verify_json(capsys):

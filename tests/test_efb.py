@@ -271,7 +271,7 @@ def test_normalized_units_via_blade_oracle():
 
 
 def test_conversions_vs_word_oracle():
-    result = verify.check_conversion_vs_word_oracle({"m_small": 4})
+    result = verify.check_conversion_vs_word_oracle({"m": 5})
     assert result.passed, result.detail
     assert result.checked == 4 + 16 + 64 + 256
 
