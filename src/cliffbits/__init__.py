@@ -13,7 +13,10 @@ Two product engines share one algebra:
   (``walsh_hadamard``), one per stored coset.
 
 A dense product costs 16^m coefficient pairs in the blade engine but
-only 8^m triples in the fast one, a factor of exactly 2^m.
+only 8^m triples in the fast one, a factor of exactly 2^m.  Both
+engines and both changes of basis sum integer numerators over one
+shared power-of-two exponent and build a DyadicRational once per
+output coefficient.
 
 The classification half of the package names the matrix algebra of any
 Cl(k, l) from three mod-8 residues, and can run the other way, turning

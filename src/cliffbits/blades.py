@@ -16,7 +16,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .bits import parity_above
-from .dyadic import DyadicRational
+from .dyadic import DyadicRational, _clip, _scale_in, _scale_out
 from .instrument import counters
 
 # A blade is a bitmask of generator indices.
@@ -244,9 +244,8 @@ class Multivector:
             raise ParseError("empty multivector text")
         if s[0] not in "+-":
             s = "+ " + s
+        # s opens with a sign, so chunks[0] is empty
         chunks = re.split(r"([+-])", s)
-        if chunks[0].strip():
-            raise ParseError(f"unexpected leading text {chunks[0]!r}")
         it = iter(chunks[1:])
         acc: dict[int, DyadicRational] = {}
         for sgn, body in zip(it, it):
@@ -260,16 +259,20 @@ class Multivector:
             for tok in tokens:
                 gm = re.fullmatch(r"g([1-9]\d*)", tok)
                 if gm:
-                    idx = int(gm.group(1))
-                    if idx > metric.n:
-                        raise ParseError(
-                            f"generator g{idx} outside an algebra with n={metric.n}")
-                    s2, mask = blade_product(mask, 1 << (idx - 1), metric)
+                    # an index with more digits than n is out of range
+                    # without int() of it
+                    digits = gm.group(1)
+                    if (len(digits) > len(str(metric.n))
+                            or int(digits) > metric.n):
+                        raise ParseError(f"generator {_clip(tok)} outside an "
+                                         f"algebra with n={metric.n}")
+                    s2, mask = blade_product(mask, 1 << (int(digits) - 1),
+                                             metric)
                     sign *= s2
                     gens_seen = True
                     continue
                 if coeff is not None or gens_seen:
-                    raise ParseError(f"unexpected token {tok!r}")
+                    raise ParseError(f"unexpected token {_clip(tok)!r}")
                 try:
                     coeff = DyadicRational.parse(tok)
                 except ValueError as exc:
@@ -317,22 +320,30 @@ def mv_scale(x: Multivector, c) -> Multivector:
 
 
 def mv_mul(x: Multivector, y: Multivector) -> Multivector:
-    """Exact product; the blade-pair count goes to the op counters."""
+    """Exact product; the blade-pair count goes to the op counters.
+
+    Runs on integer numerators over 2^(ex + ey) and reduces each output
+    coefficient once.
+    """
     _check_same_metric(x, y)
     neg = x.metric.neg
-    acc: dict[int, DyadicRational] = {}
-    yitems = list(y._terms.items())
-    for amask, acoef in x._terms.items():
+    xs, ex = _scale_in(list(x._terms.values()))
+    ys, ey = _scale_in(list(y._terms.values()))
+    yitems = list(zip(y._terms, ys))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for amask, acoef in zip(x._terms, xs):
         row = parity_above(amask) ^ (amask & neg)  # blade_product's sign row
         for bmask, bcoef in yitems:
-            c = acoef * bcoef
-            if (bmask & row).bit_count() & 1:
-                c = -c
             key = amask ^ bmask
-            prev = acc.get(key)
-            acc[key] = c if prev is None else prev + c
-    counters.blade_pairs += len(x._terms) * len(yitems)
-    return Multivector._raw(x.metric, {m: c for m, c in acc.items() if c})
+            if (bmask & row).bit_count() & 1:
+                acc[key] = get(key, 0) - acoef * bcoef
+            else:
+                acc[key] = get(key, 0) + acoef * bcoef
+    counters.blade_pairs += len(xs) * len(ys)
+    coeffs = _scale_out(acc.values(), ex + ey)
+    return Multivector._raw(
+        x.metric, {k: c for k, c in zip(acc, coeffs) if c})
 
 
 def grade_involution(x: Multivector) -> Multivector:

@@ -4,6 +4,12 @@ The null-vector constructions introduce denominators that are powers of
 two and nothing else, so the coefficient ring of the exact kernel is
 closed under +, -, * and equality can be structural.  Instances are
 treated as immutable.
+
+The product engines and the conversions do not compute on instances:
+_scale_in writes an operand's coefficients as plain integer numerators
+over its largest exponent, the inner loop runs on those integers (a
+product adds the two exponents, the inverse Fock-basis transform adds
+m for its 2^-m), and _scale_out reduces each output numerator once.
 """
 
 from __future__ import annotations
@@ -43,6 +49,26 @@ def _reduced(numerator: int, exponent: int) -> "DyadicRational":
     return out
 
 
+def _scale_in(values) -> tuple[list[int], int]:
+    """(numerators, e) with values[i] == numerators[i] / 2^e, e the
+    largest exponent among the int and DyadicRational values."""
+    e = max((v.exponent for v in values if type(v) is DyadicRational),
+            default=0)
+    return [v.numerator << (e - v.exponent) if type(v) is DyadicRational
+            else v << e for v in values], e
+
+
+def _scale_out(numerators, e: int) -> list:
+    """Each numerator / 2^e as a reduced DyadicRational; a zero stays 0."""
+    return [_reduced(n, e) if n else 0 for n in numerators]
+
+
+def _clip(text: str) -> str:
+    """text, or its first 40 characters and an ellipsis when longer: an
+    error message quotes a bad token of any size in bounded space."""
+    return text if len(text) <= 40 else text[:40] + "\u2026"
+
+
 class DyadicRational:
     """numerator / 2**exponent in reduced form.
 
@@ -70,7 +96,7 @@ class DyadicRational:
         """
         m = _COEFF_RE.match(text.strip())
         if not m:
-            raise ValueError(f"not a dyadic coefficient: {text!r}")
+            raise ValueError(f"not a dyadic coefficient: {_clip(text)!r}")
         sign, num_text, exp_text, den_text = m.groups()
         num = _int(num_text)
         if num.bit_length() > MAX_BITS:
@@ -82,7 +108,8 @@ class DyadicRational:
         elif den_text is not None:
             den = _int(den_text)
             if den <= 0 or den & (den - 1):
-                raise ValueError(f"denominator must be a power of 2: {text!r}")
+                raise ValueError(
+                    f"denominator must be a power of 2: {_clip(text)!r}")
             exponent = den.bit_length() - 1
         if exponent > MAX_BITS:
             raise ValueError(f"coefficient denominator above 2^{MAX_BITS}")

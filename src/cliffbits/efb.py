@@ -22,6 +22,13 @@ Its entries there, normalization included, are the Walsh function
 coeff * (-1)^(popcount(b1 & g) + popcount(a & i)) with
 i = b1 ^ parity_above(g), so each change of basis is one Walsh-Hadamard
 transform per stored coset.
+
+Coefficients are int or DyadicRational.  The product and both
+conversions scale each operand on entry to integer numerators over its
+largest exponent (dyadic._scale_in), run their loops and transforms on
+plain ints, and reduce each output entry once (dyadic._scale_out).  A
+product adds the two exponents; efb_to_blades adds m, which is where
+the 2^-m of the inverse transform goes.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import NamedTuple
 from .bits import parity_above, walsh_hadamard
 from .blades import (Metric, MetricError, Multivector, mv_mul,
                      volume_element)
-from .dyadic import DyadicRational
+from .dyadic import DyadicRational, _scale_in, _scale_out
 from .instrument import counters
 
 # slot content keyed by (h bit, g bit): h bit 0 means the first letter
@@ -41,6 +48,11 @@ _SLOT_CODE = {(0, 0): "qp", (0, 1): "q", (1, 0): "pq", (1, 1): "p"}
 
 # largest m an EFBMultivector is built for: 4^m entries when dense
 MAX_M = 8
+
+
+def _check_m(m: int) -> None:
+    if not 1 <= m <= MAX_M:
+        raise ValueError(f"m must be between 1 and {MAX_M}, got {m}")
 
 
 def sig_label(bits: int, m: int) -> str:
@@ -210,22 +222,23 @@ class EFBMultivector:
     equality is a dict comparison.  Coset g times coset h lands in coset
     g ^ h.  nonzero() yields entries in coset order, then by row.
 
-    Coefficients may be scalars from any commutative ring (int,
-    DyadicRational, Fraction, float); the exact suites use dyadics.
-    Treated as immutable.
+    Coefficients are int or DyadicRational; scaling by any other scalar
+    returns NotImplemented.  Treated as immutable.
     """
 
     __slots__ = ("m", "_cosets")
 
     def __init__(self, m: int, entries=None):
-        if not 1 <= m <= MAX_M:
-            raise ValueError(f"m must be between 1 and {MAX_M}, got {m}")
+        _check_m(m)
         dim = 1 << m
         cosets: dict[int, list] = {}
         if entries:
             for (a, b), coeff in dict(entries).items():
                 if not (0 <= a < dim and 0 <= b < dim):
                     raise ValueError(f"entry ({a}, {b}) out of range for m={m}")
+                if not isinstance(coeff, (int, DyadicRational)):
+                    raise TypeError(
+                        "coefficients must be int or DyadicRational")
                 if coeff:
                     cosets.setdefault(a ^ b, [0] * dim)[a] = coeff
         self.m = m
@@ -237,6 +250,21 @@ class EFBMultivector:
         x = cls(m)
         x._cosets = {g: v for g, v in cosets.items() if any(v)}
         return x
+
+    @classmethod
+    def _from_ints(cls, m: int, cosets: dict, e: int) -> "EFBMultivector":
+        """Adopt integer coset lists over 2^e, reducing each entry once."""
+        x = cls(m)
+        x._cosets = {g: _scale_out(v, e) for g, v in cosets.items() if any(v)}
+        return x
+
+    def _scaled_cosets(self) -> tuple[list, int]:
+        """([(g, integer coset list)], e): the entries over 2^e."""
+        keys = list(self._cosets)
+        flat, e = _scale_in([c for g in keys for c in self._cosets[g]])
+        dim = self.dim
+        return [(g, flat[i * dim:(i + 1) * dim])
+                for i, g in enumerate(keys)], e
 
     @classmethod
     def zeros(cls, m: int) -> "EFBMultivector":
@@ -299,10 +327,14 @@ class EFBMultivector:
     def __mul__(self, other):
         if isinstance(other, EFBMultivector):
             return efb_product(self, other)
-        return self._map(lambda v: v * other)
+        if isinstance(other, (int, DyadicRational)):
+            return self._map(lambda v: v * other)
+        return NotImplemented
 
     def __rmul__(self, other):
-        return self._map(lambda v: other * v)
+        if isinstance(other, (int, DyadicRational)):
+            return self._map(lambda v: other * v)
+        return NotImplemented
 
     def __repr__(self):
         nnz = sum(1 for _ in self.nonzero())
@@ -313,8 +345,8 @@ def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
     """Plain matrix product in the matrix-unit basis, graded by coset.
 
     Entry (a, a ^ g) of x meets row a ^ g of y, so coset g times coset h
-    is out[g ^ h][a] += x[g][a] * y[h][a ^ g], with no sign.  Exact
-    whenever the coefficients are exact; the executed triple count goes
+    is out[g ^ h][a] += x[g][a] * y[h][a ^ g], with no sign, summed on
+    integer numerators over 2^(ex + ey).  The executed triple count goes
     to the op counters (8^m on dense operands).
     """
     if not isinstance(x, EFBMultivector) or not isinstance(y, EFBMultivector):
@@ -323,10 +355,11 @@ def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
         raise ValueError("operands have different m")
     m = x.m
     dim = 1 << m
-    ycosets = y._cosets.items()
+    xcosets, ex = x._scaled_cosets()
+    ycosets, ey = y._scaled_cosets()
     out: dict[int, list] = {}
     triples = 0
-    for g, xv in x._cosets.items():
+    for g, xv in xcosets:
         xs = [(a, a ^ g, xi) for a, xi in enumerate(xv) if xi]
         for h, yv in ycosets:
             ov = out.setdefault(g ^ h, [0] * dim)
@@ -338,7 +371,7 @@ def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
                 else:
                     triples -= 1
     counters.efb_triples += triples
-    return EFBMultivector._from_cosets(m, out)
+    return EFBMultivector._from_ints(m, out, ex + ey)
 
 
 def _slot_masks(mask: int, m: int) -> tuple[int, int]:
@@ -363,15 +396,18 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     """Change of basis from blades; requires the interleaved Cl(m,m) metric."""
     if x.metric != Metric.interleaved(m):
         raise MetricError(f"multivector is not over interleaved Cl({m},{m})")
-    out = EFBMultivector(m)
-    for mask, coeff in x.terms.items():
+    _check_m(m)
+    dim = 1 << m
+    coeffs, e = _scale_in(list(x._terms.values()))
+    cosets: dict[int, list] = {}
+    for mask, coeff in zip(x._terms, coeffs):
         b0, b1 = _slot_masks(mask, m)
         g = b0 ^ b1
-        v = out._cosets.setdefault(g, [0] * out.dim)
+        v = cosets.setdefault(g, [0] * dim)
         v[b1 ^ parity_above(g)] = -coeff if (b1 & g).bit_count() & 1 else coeff
-    for v in out._cosets.values():
+    for v in cosets.values():
         walsh_hadamard(v)  # invertible, so a touched coset stays nonzero
-    return out
+    return EFBMultivector._from_ints(m, cosets, e)
 
 
 def word_multivector(e: EFBElement) -> Multivector:
@@ -385,20 +421,20 @@ def word_multivector(e: EFBElement) -> Multivector:
 
 
 def efb_to_blades(x: EFBMultivector) -> Multivector:
-    """Inverse change of basis, for int or DyadicRational coefficients."""
+    """Inverse change of basis: the transform's 2^-m joins the exponent."""
     m = x.m
-    scale = DyadicRational(1, m)
-    terms: dict[int, DyadicRational] = {}
-    for g, v in x._cosets.items():
-        v = v[:]
+    terms: dict[int, int] = {}
+    cosets, e = x._scaled_cosets()
+    for g, v in cosets:
         walsh_hadamard(v)  # its own inverse up to the factor 2^m
         above = parity_above(g)
         for i, coeff in enumerate(v):
             if coeff:
                 b1 = i ^ above
-                sign = -scale if (b1 & g).bit_count() & 1 else scale
-                terms[_blade_mask(b1 ^ g, b1, m)] = sign * coeff
-    return Multivector._raw(Metric.interleaved(m), terms)
+                terms[_blade_mask(b1 ^ g, b1, m)] = (
+                    -coeff if (b1 & g).bit_count() & 1 else coeff)
+    return Multivector._raw(Metric.interleaved(m), dict(
+        zip(terms, _scale_out(terms.values(), e + m))))
 
 
 def normalization_sign(a: int, b: int, m: int) -> int:

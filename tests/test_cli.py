@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cliffbits
-from cliffbits import Metric, Multivector, ParseError, verify
+from cliffbits import Metric, Multivector, ParseError, cli, verify
 from cliffbits.cli import bench_results, main
 
 
@@ -167,6 +167,32 @@ def test_mul_huge_coefficient(capsys, coeff):
     assert "set_int_max_str_digits" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("left, message", [
+    ("7" * 100000 + "x g1", "not a dyadic coefficient: '" + "7" * 40),
+    ("0" * 50000 + "3/6 g1", "denominator must be a power of 2: '0000"),
+    ("g1 " + "y" * 50000, "unexpected token '" + "y" * 40),
+    ("z" * 50000 + " g1", "not a dyadic coefficient: '" + "z" * 40),
+    ("g" + "9" * 50000, "generator g" + "9" * 39),
+], ids=["coefficient", "denominator", "after-generator", "leading",
+        "generator-index"])
+def test_long_bad_token_message_is_bounded(capsys, left, message):
+    code, out, err = run(capsys, "mul", "1", left, "g2")
+    assert (code, out) == (2, "")
+    assert err.startswith("mul: " + message) and "\u2026" in err
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("left, err", [
+    ("1/3 g1", "mul: denominator must be a power of 2: '1/3'\n"),
+    ("2/4/8", "mul: not a dyadic coefficient: '2/4/8'\n"),
+    ("g1 2", "mul: unexpected token '2'\n"),
+    ("g3", "mul: generator g3 outside an algebra with n=2\n"),
+    ("3 " + "7" * 40, "mul: unexpected token '" + "7" * 40 + "'\n"),
+])
+def test_short_bad_token_message_unchanged(capsys, left, err):
+    assert run(capsys, "mul", "1", left, "g2") == (2, "", err)
+
+
 def test_parse_rejects_huge_exponent():
     # rejected while parsing, before anything prints 2^(10^11)
     with pytest.raises(ParseError):
@@ -250,6 +276,18 @@ def test_bench_range(capsys):
     assert code == 2
     with pytest.raises(ValueError):
         bench_results(0)
+
+
+def test_bench_m_max_bound(capsys, monkeypatch):
+    # 7 is refused before any operand is drawn: 16^7 blade pairs
+    def refuse(*args):
+        raise AssertionError("bench drew operands for an out-of-range m-max")
+    monkeypatch.setattr(cli, "dense_blade_multivector", refuse)
+    code, out, err = run(capsys, "bench", "7")
+    assert (code, out) == (2, "")
+    assert err == "bench: m-max must be between 1 and 6, got 7\n"
+    with pytest.raises(ValueError):
+        bench_results(7)
 
 
 def test_mul_matches_golden_output(capsys):

@@ -1,16 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from cliffbits import (DyadicRational, EFBMultivector, Metric, MetricError,
-                       Multivector, blades_to_efb, efb_element, efb_product,
-                       efb_to_blades, matrix_unit_normalization, mv_mul,
-                       normal_order, normalization_sign, omega_eigen_check,
-                       op_counters, reset_op_counters, sig_label, sign_s,
-                       signatures, volume_element, witt_basis,
-                       word_multivector, word_product_oracle)
+                       Multivector, blade_product, blades_to_efb,
+                       efb_element, efb_product, efb_to_blades,
+                       matrix_unit_normalization, mv_mul, normal_order,
+                       normalization_sign, omega_eigen_check, op_counters,
+                       reset_op_counters, sig_label, sign_s, signatures,
+                       volume_element, witt_basis, word_multivector,
+                       word_product_oracle)
 from cliffbits import verify
+from cliffbits.dyadic import MAX_BITS
 from cliffbits.sampling import dense_blade_multivector, dense_efb_multivector
 
 from conftest import multivectors
@@ -223,14 +226,33 @@ def test_efb_linear_ops():
     assert (3 * x).entry(2, 2) == 3
 
 
-def test_efb_generic_scalars():
-    # entries need not be dyadic; any commutative coefficients work
-    x = EFBMultivector.zeros(1)
-    y = EFBMultivector.zeros(1)
-    x = x + complex(0, 1) * EFBMultivector.identity(1)
-    y = y + complex(0, 1) * EFBMultivector.identity(1)
-    z = efb_product(x, y)
-    assert z.entry(0, 0) == complex(-1, 0)
+_OTHER_SCALARS = [complex(0, 1), Fraction(1, 3), 0.5, "1"]
+
+
+def test_efb_rejects_other_coefficients():
+    # the loops scale entries to integers, exact only for these two types
+    assert EFBMultivector(1, {(0, 1): 2, (1, 0): DyadicRational(1, 3)})
+    for s in _OTHER_SCALARS:
+        with pytest.raises(TypeError):
+            EFBMultivector(1, {(0, 0): s})
+
+
+def test_efb_mul_rejects_other_scalars():
+    x = EFBMultivector.identity(1)
+    assert (x * DyadicRational(1, 1)).entry(1, 1) == DyadicRational(1, 1)
+    for s in _OTHER_SCALARS:
+        assert x.__mul__(s) is NotImplemented
+        with pytest.raises(TypeError):
+            x * s
+
+
+def test_efb_rmul_rejects_other_scalars():
+    x = EFBMultivector.identity(1)
+    assert (DyadicRational(-3, 2) * x).entry(0, 0) == DyadicRational(-3, 2)
+    for s in _OTHER_SCALARS:
+        assert x.__rmul__(s) is NotImplemented
+        with pytest.raises(TypeError):
+            s * x
 
 
 def test_normalization_m2_frozen():
@@ -335,3 +357,78 @@ def test_dense_operands_share_coefficient_type():
     assert len(list(x.nonzero())) == 16
     assert all(type(c) is DyadicRational for _, _, c in x.nonzero())
     assert all(type(c) is DyadicRational for c in y.terms.values())
+
+
+# -- the scaled-integer loops against a Fraction reference ------------------
+
+I2 = Metric.interleaved(2)
+
+
+def _fraction(c) -> Fraction:
+    return Fraction(c.numerator, 1 << c.exponent)
+
+
+def _fraction_product(x: Multivector, y: Multivector) -> dict:
+    """x * y over Fraction, straight from blade_product."""
+    acc: dict[int, Fraction] = {}
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            sign, k = blade_product(a, b, x.metric)
+            acc[k] = acc.get(k, 0) + sign * _fraction(ca) * _fraction(cb)
+    return {k: v for k, v in acc.items() if v}
+
+
+def _assert_canonical(coeffs):
+    for c in coeffs:
+        assert type(c) is DyadicRational and c.numerator != 0
+        assert c.exponent == 0 or c.numerator & 1
+
+
+@st.composite
+def _scaled_operands(draw):
+    """Odd numerators up to MAX_BITS bits; either every exponent is 0, or
+    the exponents include both 0 and MAX_BITS."""
+    masks = draw(st.lists(st.integers(0, 15), min_size=2, max_size=6,
+                          unique=True))
+    top = (1 << MAX_BITS) - 1
+    int_only = draw(st.booleans())
+    terms = {}
+    for i, mask in enumerate(masks):
+        e = 0 if int_only or i == 0 else (
+            MAX_BITS if i == 1 else draw(st.integers(0, MAX_BITS)))
+        terms[mask] = DyadicRational(draw(st.integers(-top, top)) | 1, e)
+    return Multivector(I2, terms)
+
+
+def _one_plus_g1(coeff, sign):
+    return Multivector(I2, {0: coeff, 0b0001: sign * coeff})
+
+
+@given(_scaled_operands(), _scaled_operands())
+@example(_one_plus_g1(DyadicRational(3, MAX_BITS), 1),
+         _one_plus_g1(DyadicRational(5), -1))  # (1 + g1)(1 - g1) = 0
+@example(_one_plus_g1(DyadicRational(1, MAX_BITS), 1),
+         _one_plus_g1(DyadicRational(1), -1)
+         + Multivector.generator(I2, 2))  # blades 0 and g1 cancel
+@settings(max_examples=60)
+def test_products_match_fraction_reference(x, y):
+    want = _fraction_product(x, y)
+    ex, ey = blades_to_efb(x, 2), blades_to_efb(y, 2)
+    ez = efb_product(ex, ey)
+    for efb in (ex, ey, ez):
+        _assert_canonical(c for _, _, c in efb.nonzero())
+    for z in (mv_mul(x, y), efb_to_blades(ez)):
+        assert {k: _fraction(c) for k, c in z.terms.items()} == want
+        _assert_canonical(z.terms.values())
+
+
+def test_efb_product_of_int_entries():
+    rng = random.Random(5)
+    dim = 8
+    xe, ye = ({(a, b): rng.randint(-3, 3) for a in range(dim)
+               for b in range(dim)} for _ in range(2))
+    z = efb_product(EFBMultivector(3, xe), EFBMultivector(3, ye))
+    for a in range(dim):
+        for d in range(dim):
+            assert z.entry(a, d) == sum(xe[a, b] * ye[b, d]
+                                        for b in range(dim))
