@@ -7,16 +7,18 @@ Two product engines share one algebra:
   built from the one primitive ``parity_above``;
 * a fast engine for the neutral signatures Cl(m, m), where the algebra
   is a matrix of normalized matrix units stored by column coset
-  g = row ^ col; coset g times coset h lands in coset g ^ h, so the
-  product is an XOR-graded sweep with no sign at all, and the changes
-  of basis to and from blades are Walsh-Hadamard transforms
+  g = row ^ col, as integer numerators over one power of two; the
+  product is a plain matrix product with no sign at all, run as an
+  XOR-graded coset sweep or, on dense narrow operands, as big-int
+  multiplies of rows packed into the binary digits of one int, and the
+  changes of basis to and from blades are Walsh-Hadamard transforms
   (``walsh_hadamard``), one per stored coset.
 
 A dense product costs 16^m coefficient pairs in the blade engine but
 only 8^m triples in the fast one, a factor of exactly 2^m.  Both
-engines and both changes of basis sum integer numerators over one
-shared power-of-two exponent and build a DyadicRational once per
-output coefficient.
+engines sum integer numerators over one shared power-of-two exponent
+and build a DyadicRational once per output coefficient, where a blade
+multivector is returned.
 
 The classification half of the package names the matrix algebra of any
 Cl(k, l) from three mod-8 residues, and can run the other way, turning

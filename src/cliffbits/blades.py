@@ -213,18 +213,24 @@ class Multivector:
         parts = []
         for mask in sorted(self._terms, key=lambda m: (m.bit_count(), m)):
             c = self._terms[mask]
-            neg = c.numerator < 0
-            mag = abs(c)
-            if mask == 0:
-                body = str(mag)
+            num, e = c.numerator, c.exponent
+            mag = str(-num if num < 0 else num)
+            if e:
+                mag = f"{mag}/{1 << e}"
+            if mask:
+                names = []
+                while mask:  # the set bits, lowest first
+                    low = mask & -mask
+                    names.append(f"g{low.bit_length()}")
+                    mask ^= low
+                gens = " ".join(names)
+                body = gens if mag == "1" else f"{mag} {gens}"
             else:
-                gens = " ".join(f"g{i + 1}" for i in range(self.metric.n)
-                                if (mask >> i) & 1)
-                body = gens if mag == _ONE else f"{mag} {gens}"
+                body = mag
             if not parts:
-                parts.append(f"-{body}" if neg else body)
+                parts.append(f"-{body}" if num < 0 else body)
             else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
+                parts.append(f"- {body}" if num < 0 else f"+ {body}")
         return " ".join(parts)
 
     def __repr__(self):

@@ -170,7 +170,12 @@ def recover_signature_partial(is_central: bool, base: str,
 
 
 def classification_record(k: int, l: int) -> dict:
-    """JSON-ready record; tau-dependent fields are None for odd n."""
+    """JSON-ready record; tau-dependent fields are None for odd n.
+
+    matrix_size is a power of two and matrix_size_log2 its exponent,
+    which prints at any n; str() of matrix_size is refused by Python
+    past its integer-to-string digit limit (n of about 28,570).
+    """
     sig = SignatureKL(k, l)
     cls = classify(k, l)
     even = sig.n % 2 == 0
@@ -184,6 +189,7 @@ def classification_record(k: int, l: int) -> dict:
         "nu_mod8": sig.nu_mod8,
         "base": cls.base,
         "matrix_size": cls.matrix_size,
+        "matrix_size_log2": cls.matrix_size.bit_length() - 1,
         "doubled": cls.doubled,
         "central": cls.is_central,
         "simple": cls.is_simple,

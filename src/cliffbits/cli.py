@@ -132,7 +132,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         payload = [
             {"name": r.name, "passed": r.passed, "checked": r.checked,
-             "detail": r.detail}
+             "detail": r.detail, "seconds": round(r.seconds, 4)}
             for r in results
         ]
         print(json.dumps({"level": args.level, "results": payload}, indent=2))

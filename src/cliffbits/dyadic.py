@@ -5,11 +5,15 @@ two and nothing else, so the coefficient ring of the exact kernel is
 closed under +, -, * and equality can be structural.  Instances are
 treated as immutable.
 
-The product engines and the conversions do not compute on instances:
-_scale_in writes an operand's coefficients as plain integer numerators
-over its largest exponent, the inner loop runs on those integers (a
-product adds the two exponents, the inverse Fock-basis transform adds
-m for its 2^-m), and _scale_out reduces each output numerator once.
+The product engines and the conversions do not compute on instances.
+_scale_in writes coefficients as plain integer numerators over their
+largest exponent, and _scale_out reduces each output numerator once.
+Both run only at the blade boundary: mv_mul scales its two operands in
+and its product out; on the Fock-basis side, blades_to_efb and the
+EFBMultivector constructor scale in, and efb_to_blades scales out.  In
+between, the Fock-basis stages pass integer numerators over one shared
+exponent to each other (a product adds the two exponents, the inverse
+transform adds m for its 2^-m).
 """
 
 from __future__ import annotations

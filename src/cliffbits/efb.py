@@ -15,31 +15,47 @@ one factor of 2^m cheaper than blade-pair convolution on dense operands.
 The matrix is stored by column coset: the entries (a, a ^ g) for one
 g = row ^ col, the per-slot letter-count parity of the word.  Coset g
 times coset h lands in coset g ^ h, just as blade a times blade b lands
-at a ^ b, so the product is an XOR-graded sweep over pairs of stored
-cosets.  A blade lies in one coset, g = b0 ^ b1, where the masks b0 and
-b1 (slot 1 on top) hold the presence bits of g_{2s-1} and of g_{2s}.
+at a ^ b.  A blade lies in one coset, g = b0 ^ b1, where the masks b0
+and b1 (slot 1 on top) hold the presence bits of g_{2s-1} and of g_{2s};
+the Morton de-interleave of the bit-reversed blade mask gives them.
 Its entries there, normalization included, are the Walsh function
 coeff * (-1)^(popcount(b1 & g) + popcount(a & i)) with
 i = b1 ^ parity_above(g), so each change of basis is one Walsh-Hadamard
 transform per stored coset.
 
-Coefficients are int or DyadicRational.  The product and both
-conversions scale each operand on entry to integer numerators over its
-largest exponent (dyadic._scale_in), run their loops and transforms on
-plain ints, and reduce each output entry once (dyadic._scale_out).  A
-product adds the two exponents; efb_to_blades adds m, which is where
-the 2^-m of the inverse transform goes.
+An EFBMultivector holds plain-int numerators over one shared
+denominator 2^_e, in canonical form, and the three stages pass those
+ints to each other.  Coefficients become numerators only where they
+enter (dyadic._scale_in, in blades_to_efb and the constructor), and
+reduced DyadicRationals only where they leave (entry, nonzero, and
+dyadic._scale_out in efb_to_blades).  efb_product adds the two
+exponents; efb_to_blades adds m, which is where the 2^-m of the
+inverse transform goes.
+
+efb_product has two kernels with equal results and triple counts.  The
+coset sweep runs out[g ^ h][a] += x[g][a] * y[h][a ^ g] over pairs of
+stored cosets, one interpreted multiply-add per triple.  The packed
+kernel writes each row of y into the binary digits of one int
+(Kronecker substitution), so a row of the product is one sum of
+big-int multiplies, run in C.  It pays for every lane of a row of y,
+stored or not, and for lanes twice as wide as the coefficients, so it
+loses on sparse or wide operands; efb_product takes it only when y
+stores at least a quarter plus W/1024 of the cosets, W being the lane
+width in bits (_packed_width).  The rule reads the operands alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
-from .bits import parity_above, walsh_hadamard
+from .bits import (deinterleave, interleave, parity_above, reverse_bits,
+                   walsh_hadamard)
 from .blades import (Metric, MetricError, Multivector, mv_mul,
                      volume_element)
-from .dyadic import DyadicRational, _scale_in, _scale_out
+from .dyadic import DyadicRational, _reduced, _scale_in, _scale_out
 from .instrument import counters
 
 # slot content keyed by (h bit, g bit): h bit 0 means the first letter
@@ -211,22 +227,42 @@ def sign_s(a: int, b: int, d: int, m: int) -> int:
     return -1 if ((a ^ b) & parity_above(b ^ d)).bit_count() & 1 else 1
 
 
+def _canonical(cosets: dict, e: int) -> tuple[dict, int]:
+    """(cosets, e) with the all-zero cosets dropped and e lowered while
+    every numerator is even: the one form equal matrices share."""
+    cosets = {g: v for g, v in cosets.items() if any(v)}
+    if not cosets or not e:
+        return cosets, 0
+    low = 0
+    for v in cosets.values():
+        low |= reduce(or_, v)
+        if low & 1:
+            return cosets, e
+    shift = min(e, (low & -low).bit_length() - 1)
+    if shift:
+        cosets = {g: [n >> shift for n in v] for g, v in cosets.items()}
+    return cosets, e - shift
+
+
 class EFBMultivector:
     """A 2^m x 2^m coefficient matrix over the normalized matrix units,
-    stored by column coset.
+    stored by column coset as integer numerators over one 2^_e.
 
     Entry (a, b) is the coefficient of normalization_sign(a, b) *
     word(a, b); only the conversions to and from blades know that sign,
-    which is +1 on the diagonal.  _cosets[g][a] holds entry (a, a ^ g),
-    and a coset is absent exactly when all its entries are zero, so
-    equality is a dict comparison.  Coset g times coset h lands in coset
-    g ^ h.  nonzero() yields entries in coset order, then by row.
+    which is +1 on the diagonal.  _cosets[g][a] is the numerator of
+    entry (a, a ^ g).  The form is canonical: a coset is absent exactly
+    when all its entries are zero, and _e is 0 or some numerator is odd,
+    so equality compares (m, _e, _cosets).  Coset g times coset h lands
+    in coset g ^ h.  entry() and nonzero() give each nonzero entry as a
+    reduced DyadicRational; nonzero() yields them in coset order, then
+    by row.
 
     Coefficients are int or DyadicRational; scaling by any other scalar
     returns NotImplemented.  Treated as immutable.
     """
 
-    __slots__ = ("m", "_cosets")
+    __slots__ = ("m", "_e", "_cosets")
 
     def __init__(self, m: int, entries=None):
         _check_m(m)
@@ -241,30 +277,19 @@ class EFBMultivector:
                         "coefficients must be int or DyadicRational")
                 if coeff:
                     cosets.setdefault(a ^ b, [0] * dim)[a] = coeff
+        # scaled in coset order, the order the kernels read them in
+        flat, e = _scale_in([c for v in cosets.values() for c in v])
         self.m = m
-        self._cosets = cosets
-
-    @classmethod
-    def _from_cosets(cls, m: int, cosets: dict) -> "EFBMultivector":
-        """Adopt the coset lists, dropping the all-zero ones."""
-        x = cls(m)
-        x._cosets = {g: v for g, v in cosets.items() if any(v)}
-        return x
+        self._cosets, self._e = _canonical(
+            {g: flat[i * dim:(i + 1) * dim] for i, g in enumerate(cosets)}, e)
 
     @classmethod
     def _from_ints(cls, m: int, cosets: dict, e: int) -> "EFBMultivector":
-        """Adopt integer coset lists over 2^e, reducing each entry once."""
-        x = cls(m)
-        x._cosets = {g: _scale_out(v, e) for g, v in cosets.items() if any(v)}
+        """Adopt integer coset lists over 2^e, in canonical form."""
+        x = object.__new__(cls)
+        x.m = m
+        x._cosets, x._e = _canonical(cosets, e)
         return x
-
-    def _scaled_cosets(self) -> tuple[list, int]:
-        """([(g, integer coset list)], e): the entries over 2^e."""
-        keys = list(self._cosets)
-        flat, e = _scale_in([c for g in keys for c in self._cosets[g]])
-        dim = self.dim
-        return [(g, flat[i * dim:(i + 1) * dim])
-                for i, g in enumerate(keys)], e
 
     @classmethod
     def zeros(cls, m: int) -> "EFBMultivector":
@@ -273,13 +298,15 @@ class EFBMultivector:
     @classmethod
     def identity(cls, m: int) -> "EFBMultivector":
         """Expansion of the scalar 1: +1 on the whole diagonal."""
-        return cls._from_cosets(m, {0: [1] * (1 << m)})
+        _check_m(m)
+        return cls._from_ints(m, {0: [1] * (1 << m)}, 0)
 
     @classmethod
     def volume(cls, m: int) -> "EFBMultivector":
         """Expansion of the volume element: (-1)^popcount(a) at (a, a)."""
-        return cls._from_cosets(m, {0: [-1 if a.bit_count() & 1 else 1
-                                        for a in range(1 << m)]})
+        _check_m(m)
+        return cls._from_ints(m, {0: [-1 if a.bit_count() & 1 else 1
+                                      for a in range(1 << m)]}, 0)
 
     @property
     def dim(self) -> int:
@@ -287,34 +314,40 @@ class EFBMultivector:
 
     def entry(self, a: int, b: int):
         v = self._cosets.get(a ^ b)
-        return v[a] if v else 0
+        n = v[a] if v else 0
+        return _reduced(n, self._e) if n else 0
 
     def nonzero(self):
+        e = self._e
         for g in sorted(self._cosets):
-            for a, coeff in enumerate(self._cosets[g]):
-                if coeff:
-                    yield a, a ^ g, coeff
+            for a, n in enumerate(self._cosets[g]):
+                if n:
+                    yield a, a ^ g, _reduced(n, e)
 
     def __eq__(self, other):
         if not isinstance(other, EFBMultivector):
             return NotImplemented
-        return self.m == other.m and self._cosets == other._cosets
+        return (self.m, self._e, self._cosets) == (
+            other.m, other._e, other._cosets)
 
     __hash__ = None
 
-    def _map(self, f):
-        return EFBMultivector._from_cosets(
-            self.m, {g: [f(v) if v else v for v in vs]
-                     for g, vs in self._cosets.items()})
+    def _scaled(self, numerator: int, exponent: int) -> "EFBMultivector":
+        return EFBMultivector._from_ints(
+            self.m, {g: [n * numerator for n in v]
+                     for g, v in self._cosets.items()}, self._e + exponent)
 
     def __add__(self, other):
         if not isinstance(other, EFBMultivector) or other.m != self.m:
             return NotImplemented
+        e = max(self._e, other._e)
+        sa, sb = e - self._e, e - other._e
         zeros = [0] * self.dim
-        return EFBMultivector._from_cosets(self.m, {
-            g: [va + vb for va, vb in zip(self._cosets.get(g, zeros),
-                                          other._cosets.get(g, zeros))]
-            for g in self._cosets.keys() | other._cosets.keys()})
+        return EFBMultivector._from_ints(self.m, {
+            g: [(na << sa) + (nb << sb)
+                for na, nb in zip(self._cosets.get(g, zeros),
+                                  other._cosets.get(g, zeros))]
+            for g in self._cosets.keys() | other._cosets.keys()}, e)
 
     def __sub__(self, other):
         if not isinstance(other, EFBMultivector) or other.m != self.m:
@@ -322,18 +355,20 @@ class EFBMultivector:
         return self + -other
 
     def __neg__(self):
-        return self._map(lambda v: -v)
+        return self._scaled(-1, 0)
 
     def __mul__(self, other):
         if isinstance(other, EFBMultivector):
             return efb_product(self, other)
-        if isinstance(other, (int, DyadicRational)):
-            return self._map(lambda v: v * other)
+        if isinstance(other, int):
+            return self._scaled(other, 0)
+        if isinstance(other, DyadicRational):
+            return self._scaled(other.numerator, other.exponent)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, DyadicRational)):
-            return self._map(lambda v: other * v)
+            return self * other  # scalars commute with the matrix
         return NotImplemented
 
     def __repr__(self):
@@ -342,26 +377,55 @@ class EFBMultivector:
 
 
 def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
-    """Plain matrix product in the matrix-unit basis, graded by coset.
+    """Plain matrix product in the matrix-unit basis.
 
-    Entry (a, a ^ g) of x meets row a ^ g of y, so coset g times coset h
-    is out[g ^ h][a] += x[g][a] * y[h][a ^ g], with no sign, summed on
-    integer numerators over 2^(ex + ey).  The executed triple count goes
-    to the op counters (8^m on dense operands).
+    Both kernels sum integer numerators over 2^(ex + ey) and agree
+    entry for entry; _packed_width picks one from the operands alone.
+    The triple count, executed by the sweep and computed by the packed
+    kernel, goes to the op counters (8^m on dense operands).
     """
     if not isinstance(x, EFBMultivector) or not isinstance(y, EFBMultivector):
         raise TypeError("efb_product needs two EFBMultivector operands")
     if x.m != y.m:
         raise ValueError("operands have different m")
-    m = x.m
-    dim = 1 << m
-    xcosets, ex = x._scaled_cosets()
-    ycosets, ey = y._scaled_cosets()
+    width = _packed_width(x, y)
+    out, triples = _packed(x, y, width) if width else _sweep(x, y)
+    counters.efb_triples += triples
+    return EFBMultivector._from_ints(x.m, out, x._e + y._e)
+
+
+def _packed_width(x: EFBMultivector, y: EFBMultivector) -> int:
+    """The packed kernel's lane width when it is the faster kernel, else 0.
+
+    Per nonzero of x, the packed kernel multiplies against a whole row
+    of y, 2^m lanes of W bits, stored or not; the sweep runs one
+    interpreted multiply-add per coset y stores.  Wider coefficients
+    cost both kernels alike, so the sweep's interpreter overhead weighs
+    less as W grows.  The packed kernel therefore runs only when y
+    stores at least a quarter plus W/1024 of the cosets, which rules out
+    lanes above 768 bits; measured crossovers at m = 5 and 6 lie below
+    that line.
+    """
+    stored, dim = len(y._cosets), x.dim
+    if 4 * stored < dim:  # implied below; spares a sparse y the width scan
+        return 0
+    width = _lane_width(x, y)
+    return width if 1024 * stored >= dim * (256 + width) else 0
+
+
+def _sweep(x: EFBMultivector, y: EFBMultivector) -> tuple[dict, int]:
+    """(output cosets, triples) by the XOR-graded coset sweep.
+
+    Entry (a, a ^ g) of x meets row a ^ g of y, so coset g times coset h
+    is out[g ^ h][a] += x[g][a] * y[h][a ^ g], with no sign.  Every
+    executed multiply counts as a triple.
+    """
+    dim = x.dim
     out: dict[int, list] = {}
     triples = 0
-    for g, xv in xcosets:
+    for g, xv in x._cosets.items():
         xs = [(a, a ^ g, xi) for a, xi in enumerate(xv) if xi]
-        for h, yv in ycosets:
+        for h, yv in y._cosets.items():
             ov = out.setdefault(g ^ h, [0] * dim)
             triples += len(xs)  # a zero of y takes one back below
             for a, b, xi in xs:
@@ -370,26 +434,90 @@ def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
                     ov[a] += xi * zeta
                 else:
                     triples -= 1
-    counters.efb_triples += triples
-    return EFBMultivector._from_ints(m, out, ex + ey)
+    return out, triples
 
 
-def _slot_masks(mask: int, m: int) -> tuple[int, int]:
-    """(b0, b1): the presence bits of g_{2s-1} and of g_{2s}, slot 1 on top."""
-    b0 = b1 = 0
-    for i in range(0, 2 * m, 2):
-        b0 = (b0 << 1) | ((mask >> i) & 1)
-        b1 = (b1 << 1) | ((mask >> (i + 1)) & 1)
-    return b0, b1
+def _bits(x: EFBMultivector) -> int:
+    """Bit length of the largest numerator magnitude of x."""
+    return max((max(max(v), -min(v)).bit_length()
+                for v in x._cosets.values()), default=0)
 
 
-def _blade_mask(b0: int, b1: int, m: int) -> int:
-    """Inverse of _slot_masks."""
-    mask = 0
-    for _ in range(m):
-        mask = (mask << 2) | ((b1 & 1) << 1) | (b0 & 1)
-        b0, b1 = b0 >> 1, b1 >> 1
-    return mask
+def _lane_width(x: EFBMultivector, y: EFBMultivector) -> int:
+    """Bits, a whole number of bytes, that hold any entry of x * y plus
+    half the lane: |entry| < 2^(bits(x) + bits(y) + m)."""
+    return (_bits(x) + _bits(y) + x.m + 8) >> 3 << 3
+
+
+def _packed(x: EFBMultivector, y: EFBMultivector,
+            width: int) -> tuple[dict, int]:
+    """(output cosets, triples) by Kronecker substitution.
+
+    Row b of y becomes the single int R_b = sum_d y[b][d] * 2^(width*d),
+    so row a of the product is the int sum_b x[a][b] * R_b: one big-int
+    multiply-add per nonzero of x.  Every entry of the product has
+    magnitude below 2^(width - 1), so adding half of each lane turns
+    that sum into width-bit digits, read back with one to_bytes per row.
+    Only the lanes of the cosets g ^ h that x and y can reach are read.
+    The triple count is computed, not executed: sum over b of
+    nnz(column b of x) * nnz(row b of y).
+    """
+    dim, size = x.dim, width >> 3
+    half = 1 << (width - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * dim, "little")
+    lanes = [[half] * dim for _ in range(dim)]
+    row_nnz = [0] * dim
+    for h, yv in y._cosets.items():
+        for b, n in enumerate(yv):
+            if n:
+                lanes[b][b ^ h] += n
+                row_nnz[b] += 1
+    rows = [int.from_bytes(b"".join(v.to_bytes(size, "little") for v in lane),
+                           "little") - bias if k else 0
+            for lane, k in zip(lanes, row_nnz)]
+    out = {g ^ h: [0] * dim for g in x._cosets for h in y._cosets}
+    targets = list(out.items())
+    xitems = list(x._cosets.items())
+    triples = 0
+    for a in range(dim):
+        acc = 0
+        for g, xv in xitems:
+            xi = xv[a]
+            if xi:
+                acc += xi * rows[a ^ g]
+                triples += row_nnz[a ^ g]
+        if acc:
+            digits = (acc + bias).to_bytes(size * dim, "little")
+            for k, ov in targets:
+                d = (a ^ k) * size
+                ov[a] = int.from_bytes(digits[d:d + size], "little") - half
+    return out, triples
+
+
+def _slot_tables(m: int) -> tuple[list, list, list, list]:
+    """The blade mask <-> slot mask maps at one m, as lookups over m bits.
+
+    b0 and b1 hold the presence bits of g_{2s-1} and of g_{2s}, slot 1
+    on top.  Reversing the 2m-bit blade mask puts slot 1 on top and
+    swaps the two kinds of generator, so its Morton halves are (b1, b0).
+    Both maps are XOR-linear, so a 2m-bit mask is split as its low and
+    high m bits (lo, hi: b1 | g << 8, with g = b0 ^ b1) and joined from
+    b1 and b0 alone (from_b1, from_b0).
+    """
+    n, dim = 2 * m, 1 << m
+
+    def split(mask: int) -> int:
+        b1, b0 = deinterleave(reverse_bits(mask, n))
+        return b1 | (b0 ^ b1) << 8
+
+    return ([split(k) for k in range(dim)],
+            [split(k << m) for k in range(dim)],
+            [reverse_bits(interleave(b, 0), n) for b in range(dim)],
+            [reverse_bits(interleave(0, b), n) for b in range(dim)])
+
+
+# 4 * 2^m ints per m, 2040 in all
+_SLOTS = [None] + [_slot_tables(m) for m in range(1, MAX_M + 1)]
 
 
 def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
@@ -397,14 +525,19 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     if x.metric != Metric.interleaved(m):
         raise MetricError(f"multivector is not over interleaved Cl({m},{m})")
     _check_m(m)
-    dim = 1 << m
+    dim, low = 1 << m, (1 << m) - 1
+    lo, hi, _, _ = _SLOTS[m]
     coeffs, e = _scale_in(list(x._terms.values()))
     cosets: dict[int, list] = {}
+    above: dict[int, int] = {}
     for mask, coeff in zip(x._terms, coeffs):
-        b0, b1 = _slot_masks(mask, m)
-        g = b0 ^ b1
-        v = cosets.setdefault(g, [0] * dim)
-        v[b1 ^ parity_above(g)] = -coeff if (b1 & g).bit_count() & 1 else coeff
+        t = lo[mask & low] ^ hi[mask >> m]
+        b1, g = t & 0xFF, t >> 8
+        v = cosets.get(g)
+        if v is None:
+            v = cosets[g] = [0] * dim
+            above[g] = parity_above(g)
+        v[b1 ^ above[g]] = -coeff if (b1 & g).bit_count() & 1 else coeff
     for v in cosets.values():
         walsh_hadamard(v)  # invertible, so a touched coset stays nonzero
     return EFBMultivector._from_ints(m, cosets, e)
@@ -423,18 +556,19 @@ def word_multivector(e: EFBElement) -> Multivector:
 def efb_to_blades(x: EFBMultivector) -> Multivector:
     """Inverse change of basis: the transform's 2^-m joins the exponent."""
     m = x.m
+    _, _, from_b1, from_b0 = _SLOTS[m]
     terms: dict[int, int] = {}
-    cosets, e = x._scaled_cosets()
-    for g, v in cosets:
+    for g, v in x._cosets.items():
+        v = v.copy()
         walsh_hadamard(v)  # its own inverse up to the factor 2^m
         above = parity_above(g)
         for i, coeff in enumerate(v):
             if coeff:
                 b1 = i ^ above
-                terms[_blade_mask(b1 ^ g, b1, m)] = (
+                terms[from_b1[b1] ^ from_b0[b1 ^ g]] = (
                     -coeff if (b1 & g).bit_count() & 1 else coeff)
     return Multivector._raw(Metric.interleaved(m), dict(
-        zip(terms, _scale_out(terms.values(), e + m))))
+        zip(terms, _scale_out(terms.values(), x._e + m))))
 
 
 def normalization_sign(a: int, b: int, m: int) -> int:

@@ -3,9 +3,10 @@
 A suite is a generator that yields one ``(case, ok)`` pair per case it
 checks; ``@_suite(name)`` turns it into a ``check_*(bounds)`` function
 that returns a ``CheckResult`` (its name, whether it passed, how many
-cases it covered and the first failing case) and registers it, in
-definition order, for ``run_suite``.  The CLI aggregates the results
-and sets the exit code; the test suite runs the same checks.
+cases it covered, the first failing case and its wall seconds) and
+registers it, in definition order, for ``run_suite``.  The CLI
+aggregates the results and sets the exit code; the test suite runs the
+same checks.
 
 Each level sets six bounds: ``lucas_n`` (n below it, i up to
 ``lucas_n.bit_length() - 1``), ``assoc_n`` (the exhaustive blade
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import time
 from dataclasses import dataclass
 
 from .bits import lucas_sign, sign_bit
@@ -63,6 +65,7 @@ class CheckResult:
     passed: bool
     checked: int
     detail: str = ""
+    seconds: float = 0.0  # wall time of the suite, cases included
 
 
 _BOUNDS = {
@@ -77,18 +80,21 @@ _CHECKS = []
 def _suite(name: str):
     """Turn a generator of (case, ok) pairs into a registered check.
 
-    The check counts every case and reports the first one that is not
-    ok; the suites run in the order they are defined.
+    The check counts every case, reports the first one that is not ok
+    and times the whole suite; the suites run in the order they are
+    defined.
     """
     def register(cases):
         @functools.wraps(cases)
         def check(b) -> CheckResult:
             checked, detail = 0, ""
+            start = time.perf_counter()
             for case, ok in cases(b):
                 checked += 1
                 if not ok and not detail:
                     detail = f"first failure: {case}"
-            return CheckResult(name, not detail, checked, detail)
+            return CheckResult(name, not detail, checked, detail,
+                               time.perf_counter() - start)
         _CHECKS.append(check)
         return check
     return register

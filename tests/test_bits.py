@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from cliffbits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
                        neg_mod8, parity_above, sign_bit, sign_to_bit,
                        walsh_hadamard)
+from cliffbits.bits import deinterleave, interleave, reverse_bits
 
 
 def test_bit_extraction():
@@ -89,3 +90,21 @@ def test_walsh_hadamard_needs_power_of_two():
     for n in (0, 3, 6, 12):
         with pytest.raises(ValueError):
             walsh_hadamard([1] * n)
+
+
+def test_reverse_bits_matches_loop():
+    for k in range(17):
+        for x in range(1 << min(k, 12)):
+            want = sum(((x >> i) & 1) << (k - 1 - i) for i in range(k))
+            assert reverse_bits(x, k) == want
+    assert reverse_bits(0xFFFF, 16) == 0xFFFF
+    assert reverse_bits(0b0001, 4) == 0b1000
+
+
+def test_morton_halves_match_loop():
+    # every 16-bit mask: bit 2i to bit i of even, bit 2i + 1 to odd
+    for x in range(1 << 16):
+        even = sum(((x >> (2 * i)) & 1) << i for i in range(8))
+        odd = sum(((x >> (2 * i + 1)) & 1) << i for i in range(8))
+        assert deinterleave(x) == (even, odd)
+        assert interleave(even, odd) == x

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cliffbits import (AutomorphismBits, algebra_name, classification_record,
@@ -126,6 +128,7 @@ def test_recover_rejects_odd_dimension_inputs():
 def test_classification_record_schema():
     rec = classification_record(2, 2)
     assert rec["base"] == "R" and rec["matrix_size"] == 4
+    assert rec["matrix_size_log2"] == 2
     assert rec["tau_sq"] == -1 and rec["omega_tau_sq"] == -1
     assert rec["cube"] == [0, 0, 0]
     assert rec["varlamov"] == [-1, -1, 1]
@@ -158,3 +161,16 @@ def test_classify_huge_n_in_closed_form():
     c = classify(10**6, 0)
     assert c.base == "R" and not c.doubled
     assert c.matrix_size == 1 << 500_000
+
+
+def test_record_exponent_at_huge_n():
+    # the exponent prints where matrix_size itself would not
+    rec = classification_record(10**6, 0)
+    assert rec["matrix_size_log2"] == 500_000
+    assert rec["matrix_size"] == 1 << rec["matrix_size_log2"]
+    rest = {k: v for k, v in rec.items() if k != "matrix_size"}
+    assert json.loads(json.dumps(rest))["matrix_size_log2"] == 500_000
+    for k in range(9):
+        for l in range(9):
+            rec = classification_record(k, l)
+            assert rec["matrix_size"] == 1 << rec["matrix_size_log2"]

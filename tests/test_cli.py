@@ -28,10 +28,11 @@ def test_classify_json_roundtrip(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["base"] == "R" and rec["matrix_size"] == 4
+    assert rec["matrix_size_log2"] == 2
     assert set(rec) == {"k", "l", "n", "nu", "n_mod8", "nu_mod8", "base",
-                        "matrix_size", "doubled", "central", "simple",
-                        "omega_sq", "tau_sq", "omega_tau_sq", "cube",
-                        "varlamov"}
+                        "matrix_size", "matrix_size_log2", "doubled",
+                        "central", "simple", "omega_sq", "tau_sq",
+                        "omega_tau_sq", "cube", "varlamov"}
 
 
 def test_classify_odd_n_nulls(capsys):
@@ -258,6 +259,9 @@ def test_verify_json(capsys):
     assert code == 0
     assert all(r["passed"] for r in rec["results"])
     assert len(rec["results"]) >= 20
+    # one wall time per suite, the runner's, next to the pinned fields
+    assert all(type(r["seconds"]) is float and r["seconds"] >= 0
+               for r in rec["results"])
 
 
 def test_bench_counts_exact(capsys):

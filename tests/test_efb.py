@@ -12,9 +12,10 @@ from cliffbits import (DyadicRational, EFBMultivector, Metric, MetricError,
                        reset_op_counters, sig_label, sign_s, signatures,
                        volume_element, witt_basis, word_multivector,
                        word_product_oracle)
-from cliffbits import verify
+from cliffbits import efb, verify
 from cliffbits.dyadic import MAX_BITS
-from cliffbits.sampling import dense_blade_multivector, dense_efb_multivector
+from cliffbits.sampling import (dense_blade_multivector,
+                                dense_efb_multivector, random_multivector)
 
 from conftest import multivectors
 
@@ -404,16 +405,25 @@ def _one_plus_g1(coeff, sign):
     return Multivector(I2, {0: coeff, 0b0001: sign * coeff})
 
 
+def _dense_dyadic(m: int, seed: int) -> Multivector:
+    rng = random.Random(seed)
+    return Multivector(Metric.interleaved(m), {
+        mask: DyadicRational(rng.randint(-1023, 1023) | 1, rng.randint(0, 4))
+        for mask in range(1 << (2 * m))})
+
+
 @given(_scaled_operands(), _scaled_operands())
 @example(_one_plus_g1(DyadicRational(3, MAX_BITS), 1),
          _one_plus_g1(DyadicRational(5), -1))  # (1 + g1)(1 - g1) = 0
 @example(_one_plus_g1(DyadicRational(1, MAX_BITS), 1),
          _one_plus_g1(DyadicRational(1), -1)
          + Multivector.generator(I2, 2))  # blades 0 and g1 cancel
+@example(_dense_dyadic(3, 1), _dense_dyadic(3, 2))  # the packed kernel
 @settings(max_examples=60)
 def test_products_match_fraction_reference(x, y):
     want = _fraction_product(x, y)
-    ex, ey = blades_to_efb(x, 2), blades_to_efb(y, 2)
+    m = x.metric.n // 2
+    ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
     ez = efb_product(ex, ey)
     for efb in (ex, ey, ez):
         _assert_canonical(c for _, _, c in efb.nonzero())
@@ -432,3 +442,145 @@ def test_efb_product_of_int_entries():
         for d in range(dim):
             assert z.entry(a, d) == sum(xe[a, b] * ye[b, d]
                                         for b in range(dim))
+
+
+# -- the two product kernels ------------------------------------------------
+
+def _slot_masks_by_bits(mask: int, m: int) -> tuple[int, int]:
+    """(b0, b1): bit 2s-2 and bit 2s-1 of the mask at bit m - s."""
+    b0 = sum(((mask >> (2 * s - 2)) & 1) << (m - s) for s in range(1, m + 1))
+    b1 = sum(((mask >> (2 * s - 1)) & 1) << (m - s) for s in range(1, m + 1))
+    return b0, b1
+
+
+def test_slot_tables_match_per_bit_reference():
+    rng = random.Random(17)
+    for m in range(1, efb.MAX_M + 1):
+        lo, hi, from_b1, from_b0 = efb._SLOTS[m]
+        masks = (range(1 << (2 * m)) if m <= 4
+                 else [rng.randrange(1 << (2 * m)) for _ in range(500)])
+        for mask in masks:
+            b0, b1 = _slot_masks_by_bits(mask, m)
+            assert lo[mask & ((1 << m) - 1)] ^ hi[mask >> m] == (
+                b1 | (b0 ^ b1) << 8)
+            assert from_b1[b1] ^ from_b0[b0] == mask
+
+
+def _kernel_outputs(x, y):
+    """(product, triples) from each kernel, sweep first."""
+    width = efb._lane_width(x, y)
+    runs = (efb._sweep(x, y), efb._packed(x, y, width))
+    return [(EFBMultivector._from_ints(x.m, out, x._e + y._e), triples)
+            for out, triples in runs]
+
+
+def _assert_kernels_agree(x, y):
+    (zs, ts), (zp, tp) = _kernel_outputs(x, y)
+    assert (zs._e, zs._cosets, ts) == (zp._e, zp._cosets, tp)
+    return zs, ts
+
+
+def _random_efb(m, rng, fill, bits):
+    dim = 1 << m
+    return EFBMultivector(m, {
+        (a, b): DyadicRational(rng.randint(-(1 << bits), 1 << bits),
+                               rng.randint(0, 3))
+        for a in range(dim) for b in range(dim) if rng.random() < fill})
+
+
+def test_kernels_agree_on_random_operands():
+    rng = random.Random(41)
+    for m in range(1, 7):
+        metric = Metric.interleaved(m)
+        for fill in (1.0, 0.5, 0.05):
+            x = _random_efb(m, rng, fill, rng.choice((1, 12, 40)))
+            y = _random_efb(m, rng, fill, rng.choice((1, 12, 40)))
+            _assert_kernels_agree(x, y)
+        for _ in range(3):  # sparse blade sums: a few cosets each
+            x, y = (blades_to_efb(random_multivector(metric, rng), m)
+                    for _ in range(2))
+            z, _ = _assert_kernels_agree(x, y)
+            assert z == blades_to_efb(mv_mul(efb_to_blades(x),
+                                             efb_to_blades(y)), m)
+
+
+@pytest.mark.parametrize("m, k, width", [
+    (3, 2, 8), (4, 2, 16),        # 2k + m + 1 = 8 fills a byte, 9 spills
+    (3, 6, 16), (2, 7, 24),       # 16 and 17
+    (3, 382, 768), (3, 383, 776),  # either side of the dense bound
+    (3, 510, 1024), (4, 510, 1032),
+])
+def test_kernels_agree_at_full_lanes(m, k, width, monkeypatch):
+    # x[a][b] = s_a t_b c and y[b][d] = t_b u_d c with c = 2^k - 1, so
+    # every product entry is s_a u_d 2^m c^2, the largest a lane holds
+    rng = random.Random(m * 1000 + k)
+    dim, c = 1 << m, (1 << k) - 1
+    s, t, u = ([rng.choice((-1, 1)) for _ in range(dim)] for _ in range(3))
+    x = EFBMultivector(m, {(a, b): s[a] * t[b] * c
+                           for a in range(dim) for b in range(dim)})
+    y = EFBMultivector(m, {(b, d): t[b] * u[d] * c
+                           for b in range(dim) for d in range(dim)})
+    assert efb._lane_width(x, y) == width
+    z, triples = _assert_kernels_agree(x, y)
+    assert triples == 8 ** m
+    assert z == EFBMultivector(m, {(a, d): s[a] * u[d] * dim * c * c
+                                   for a in range(dim) for d in range(dim)})
+    # dense: the packed kernel needs 1/4 + width/1024 <= 1
+    monkeypatch.setattr(efb, "_sweep" if width <= 768 else "_packed",
+                        _refuse)
+    assert efb_product(x, y) == z
+
+
+def _refuse(*args):
+    raise AssertionError("efb_product ran the kernel it should not pick")
+
+
+def test_dense_narrow_operands_take_packed_kernel(monkeypatch):
+    rng = random.Random(43)
+    x, y = dense_efb_multivector(4, rng), dense_efb_multivector(4, rng)
+    want = _kernel_outputs(x, y)[0][0]
+    monkeypatch.setattr(efb, "_sweep", _refuse)
+    reset_op_counters()
+    assert efb_product(x, y) == want
+    assert op_counters().efb_triples == 8 ** 4
+    reset_op_counters()
+
+
+def test_single_blades_take_sweep_m8(monkeypatch):
+    metric = Metric.interleaved(8)
+    x = blades_to_efb(Multivector.generator(metric, 1), 8)
+    y = blades_to_efb(Multivector.generator(metric, 16), 8)
+    monkeypatch.setattr(efb, "_packed", _refuse)
+    assert efb_product(x, y) == blades_to_efb(
+        mv_mul(Multivector.generator(metric, 1),
+               Multivector.generator(metric, 16)), 8)
+
+
+def test_wide_dense_operand_takes_sweep(monkeypatch):
+    # one 1/2^2048 term scales every numerator past the lane bound
+    metric = Metric.interleaved(3)
+    x = (dense_blade_multivector(metric, random.Random(47))
+         + Multivector.scalar(metric, DyadicRational(1, MAX_BITS)))
+    ex = blades_to_efb(x, 3)
+    assert len(ex._cosets) == 8
+    monkeypatch.setattr(efb, "_packed", _refuse)
+    assert efb_to_blades(efb_product(ex, ex)) == mv_mul(x, x)
+
+
+@pytest.mark.parametrize("stored, refused", [
+    (5, "_sweep"), (4, "_packed"),    # 16-bit lanes
+    (12, "_sweep"), (11, "_packed"),  # 512-bit lanes
+])
+def test_stored_cosets_of_y_pick_kernel(stored, refused, monkeypatch):
+    # m = 4: the packed kernel needs y to store 16 * (1/4 + width/1024)
+    # cosets: 4.25 at 16-bit lanes, 12 at 512-bit ones
+    rng = random.Random(53)
+    top = 9 if stored < 8 else (1 << 253) - 1
+    x = EFBMultivector(4, {(a, b): rng.randint(1, top)
+                           for a in range(16) for b in range(16)})
+    y = EFBMultivector(4, {(a, a ^ g): rng.randint(1, top)
+                           for g in range(stored) for a in range(16)})
+    assert efb._lane_width(x, y) == (16 if stored < 8 else 512)
+    want = _kernel_outputs(x, y)[0][0]
+    monkeypatch.setattr(efb, refused, _refuse)
+    assert efb_product(x, y) == want
