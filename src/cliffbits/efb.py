@@ -399,12 +399,11 @@ def _packed_width(x: EFBMultivector, y: EFBMultivector) -> int:
 
     Per nonzero of x, the packed kernel multiplies against a whole row
     of y, 2^m lanes of W bits, stored or not; the sweep runs one
-    interpreted multiply-add per coset y stores.  Wider coefficients
-    cost both kernels alike, so the sweep's interpreter overhead weighs
-    less as W grows.  The packed kernel therefore runs only when y
-    stores at least a quarter plus W/1024 of the cosets, which rules out
-    lanes above 768 bits; measured crossovers at m = 5 and 6 lie below
-    that line.
+    interpreted multiply-add per coset y stores.  The sweep's
+    interpreter overhead weighs less as W grows, so the packed kernel
+    runs only when y stores at least 1/4 + W/1024 of the cosets, which
+    rules out lanes above 768 bits.  The measured crossovers at m = 5
+    and 6 lie below that line.
     """
     stored, dim = len(y._cosets), x.dim
     if 4 * stored < dim:  # implied below; spares a sparse y the width scan
