@@ -15,10 +15,11 @@ Two product engines share one algebra:
   (``walsh_hadamard``), one per stored coset.
 
 A dense product costs 16^m coefficient pairs in the blade engine but
-only 8^m triples in the fast one, a factor of exactly 2^m.  Both
-engines sum integer numerators over one shared power-of-two exponent
-and build a DyadicRational once per output coefficient, where a blade
-multivector is returned.
+only 8^m triples in the fast one, a factor of exactly 2^m.  A blade
+multivector and a Fock-basis matrix keep their coefficients in one
+format, integer numerators over one shared power of two in canonical
+form, so products and conversions hand plain ints to each other and
+a DyadicRational is built only where a coefficient is read out.
 
 The classification half of the package names the matrix algebra of any
 Cl(k, l) from three mod-8 residues, and can run the other way, turning

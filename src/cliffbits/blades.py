@@ -2,10 +2,11 @@
 
 This is the ground-truth layer.  Blades are bitmasks (bit i set means
 generator g{i+1} is a factor, factors ordered by increasing index),
-multivectors are sparse blade -> DyadicRational maps, and every product
-sign is the GF(2) bilinear form of blade_product.  The fast engine is
-checked against this module, and this module against the explicit
-transposition counting of the blade-sign-vs-normal-order verify suite.
+multivectors are sparse blade -> numerator maps over one shared 2^e,
+and every product sign is the GF(2) bilinear form of blade_product.
+The fast engine is checked against this module, and this module
+against the explicit transposition counting of the
+blade-sign-vs-normal-order verify suite.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .bits import parity_above
-from .dyadic import DyadicRational, _clip, _scale_in, _scale_out
+from .dyadic import (DyadicRational, _clip, _common_shift, _reduced,
+                     _scale_in, _shift)
 from .instrument import counters
 
 # A blade is a bitmask of generator indices.
 Blade = int
-
-_ZERO = DyadicRational(0)
-_ONE = DyadicRational(1)
 
 
 class MetricError(ValueError):
@@ -97,37 +96,40 @@ def blade_product(a: Blade, b: Blade, metric: Metric) -> tuple[int, Blade]:
 class Multivector:
     """Finitely supported map from blades to dyadic coefficients.
 
-    Treated as immutable; all arithmetic returns new instances.
+    Stored as plain-int numerators over one shared denominator 2^_e:
+    _nums[mask] / 2^_e is the coefficient of the blade.  The form is
+    canonical: no numerator is zero, and _e is 0 or some numerator is
+    odd, so equality compares (metric, _e, _nums).  terms and
+    coefficient() give reduced DyadicRationals.  Coefficients are int or
+    DyadicRational.  Treated as immutable; all arithmetic returns new
+    instances.
     """
 
-    __slots__ = ("metric", "_terms")
+    __slots__ = ("metric", "_e", "_nums")
 
     def __init__(self, metric: Metric, terms=None):
-        clean: dict[int, DyadicRational] = {}
+        terms = dict(terms) if terms else {}
         n = metric.n
-        if terms:
-            for mask, coeff in dict(terms).items():
-                if mask < 0 or mask >> n:
-                    raise MetricError(f"blade {mask:#x} out of range for n={n}")
-                if isinstance(coeff, int):
-                    coeff = DyadicRational(coeff)
-                elif not isinstance(coeff, DyadicRational):
-                    raise TypeError("coefficients must be int or DyadicRational")
-                if coeff:
-                    clean[mask] = coeff
+        for mask, coeff in terms.items():
+            if mask < 0 or mask >> n:
+                raise MetricError(f"blade {mask:#x} out of range for n={n}")
+            if not isinstance(coeff, (int, DyadicRational)):
+                raise TypeError("coefficients must be int or DyadicRational")
+        nums, e = _scale_in(list(terms.values()))
         self.metric = metric
-        self._terms = clean
+        self._nums, self._e = _canonical(dict(zip(terms, nums)), e)
 
     @classmethod
-    def _raw(cls, metric: Metric, terms: dict) -> "Multivector":
+    def _raw(cls, metric: Metric, nums: dict, e: int) -> "Multivector":
+        """Adopt integer numerators over 2^e, in canonical form."""
         mv = object.__new__(cls)
         mv.metric = metric
-        mv._terms = terms
+        mv._nums, mv._e = _canonical(nums, e)
         return mv
 
     @classmethod
     def zero(cls, metric: Metric) -> "Multivector":
-        return cls._raw(metric, {})
+        return cls._raw(metric, {}, 0)
 
     @classmethod
     def scalar(cls, metric: Metric, value) -> "Multivector":
@@ -142,14 +144,15 @@ class Multivector:
         """The generator g_i, 1-indexed."""
         if not 1 <= i <= metric.n:
             raise ValueError(f"generator index {i} outside 1..{metric.n}")
-        return cls._raw(metric, {1 << (i - 1): _ONE})
+        return cls._raw(metric, {1 << (i - 1): 1}, 0)
 
     @property
     def terms(self):
-        return MappingProxyType(self._terms)
+        return MappingProxyType({mask: _reduced(n, self._e)
+                                 for mask, n in self._nums.items()})
 
     def coefficient(self, mask: Blade) -> DyadicRational:
-        return self._terms.get(mask, _ZERO)
+        return _reduced(self._nums.get(mask, 0), self._e)
 
     def _coerce(self, other):
         if isinstance(other, (int, DyadicRational)):
@@ -181,7 +184,7 @@ class Multivector:
         return mv_sub(other, self)
 
     def __neg__(self):
-        return Multivector._raw(self.metric, {m: -c for m, c in self._terms.items()})
+        return mv_scale(self, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, DyadicRational)):
@@ -200,7 +203,8 @@ class Multivector:
             other = Multivector.scalar(self.metric, other)
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.metric == other.metric and self._terms == other._terms
+        return (self.metric, self._e, self._nums) == (
+            other.metric, other._e, other._nums)
 
     __hash__ = None  # mutable-looking container; equality only
 
@@ -208,15 +212,16 @@ class Multivector:
         return grade_involution(self)
 
     def __str__(self):
-        if not self._terms:
+        if not self._nums:
             return "0"
         parts = []
-        for mask in sorted(self._terms, key=lambda m: (m.bit_count(), m)):
-            c = self._terms[mask]
-            num, e = c.numerator, c.exponent
-            mag = str(-num if num < 0 else num)
-            if e:
-                mag = f"{mag}/{1 << e}"
+        nums, top = self._nums, self._e
+        for mask in sorted(nums, key=lambda m: (m.bit_count(), m)):
+            num = nums[mask]
+            shift = _shift(num, top)  # each term in lowest terms
+            mag = str((-num if num < 0 else num) >> shift)
+            if shift < top:
+                mag = f"{mag}/{1 << (top - shift)}"
             if mask:
                 names = []
                 while mask:  # the set bits, lowest first
@@ -253,7 +258,7 @@ class Multivector:
         # s opens with a sign, so chunks[0] is empty
         chunks = re.split(r"([+-])", s)
         it = iter(chunks[1:])
-        acc: dict[int, DyadicRational] = {}
+        acc: dict = {}
         for sgn, body in zip(it, it):
             tokens = body.split()
             if not tokens:
@@ -283,16 +288,12 @@ class Multivector:
                     coeff = DyadicRational.parse(tok)
                 except ValueError as exc:
                     raise ParseError(str(exc)) from None
-            value = coeff if coeff is not None else _ONE
+            value = coeff if coeff is not None else 1
             if sign < 0:
                 value = -value
             prev = acc.get(mask)
-            total = value if prev is None else prev + value
-            if total:
-                acc[mask] = total
-            elif prev is not None:
-                del acc[mask]
-        return cls._raw(metric, acc)
+            acc[mask] = value if prev is None else prev + value
+        return cls(metric, acc)
 
 
 def _check_same_metric(x: Multivector, y: Multivector):
@@ -300,17 +301,24 @@ def _check_same_metric(x: Multivector, y: Multivector):
         raise MetricError("operands over different metrics")
 
 
+def _canonical(nums: dict, e: int) -> tuple[dict, int]:
+    """(nums, e) with the zero numerators dropped and e lowered while
+    every numerator is even: the one form equal multivectors share."""
+    nums = {mask: n for mask, n in nums.items() if n}
+    shift = _common_shift(nums.values(), e)
+    if shift:
+        nums = {mask: n >> shift for mask, n in nums.items()}
+    return nums, e - shift
+
+
 def mv_add(x: Multivector, y: Multivector) -> Multivector:
     _check_same_metric(x, y)
-    acc = dict(x._terms)
-    for mask, c in y._terms.items():
-        prev = acc.get(mask)
-        total = c if prev is None else prev + c
-        if total:
-            acc[mask] = total
-        elif prev is not None:
-            del acc[mask]
-    return Multivector._raw(x.metric, acc)
+    e = max(x._e, y._e)
+    sx, sy = e - x._e, e - y._e
+    acc = {mask: n << sx for mask, n in x._nums.items()}
+    for mask, n in y._nums.items():
+        acc[mask] = acc.get(mask, 0) + (n << sy)
+    return Multivector._raw(x.metric, acc, e)
 
 
 def mv_sub(x: Multivector, y: Multivector) -> Multivector:
@@ -318,27 +326,22 @@ def mv_sub(x: Multivector, y: Multivector) -> Multivector:
 
 
 def mv_scale(x: Multivector, c) -> Multivector:
-    if isinstance(c, int):
-        c = DyadicRational(c)
-    if not c:
-        return Multivector.zero(x.metric)
-    return Multivector._raw(x.metric, {m: v * c for m, v in x._terms.items()})
+    num, e = (c, 0) if isinstance(c, int) else (c.numerator, c.exponent)
+    return Multivector._raw(
+        x.metric, {mask: n * num for mask, n in x._nums.items()}, x._e + e)
 
 
 def mv_mul(x: Multivector, y: Multivector) -> Multivector:
     """Exact product; the blade-pair count goes to the op counters.
 
-    Runs on integer numerators over 2^(ex + ey) and reduces each output
-    coefficient once.
+    Sums integer numerators over 2^(ex + ey).
     """
     _check_same_metric(x, y)
     neg = x.metric.neg
-    xs, ex = _scale_in(list(x._terms.values()))
-    ys, ey = _scale_in(list(y._terms.values()))
-    yitems = list(zip(y._terms, ys))
+    yitems = list(y._nums.items())
     acc: dict[int, int] = {}
     get = acc.get
-    for amask, acoef in zip(x._terms, xs):
+    for amask, acoef in x._nums.items():
         row = parity_above(amask) ^ (amask & neg)  # blade_product's sign row
         for bmask, bcoef in yitems:
             key = amask ^ bmask
@@ -346,17 +349,16 @@ def mv_mul(x: Multivector, y: Multivector) -> Multivector:
                 acc[key] = get(key, 0) - acoef * bcoef
             else:
                 acc[key] = get(key, 0) + acoef * bcoef
-    counters.blade_pairs += len(xs) * len(ys)
-    coeffs = _scale_out(acc.values(), ex + ey)
-    return Multivector._raw(
-        x.metric, {k: c for k, c in zip(acc, coeffs) if c})
+    counters.blade_pairs += len(x._nums) * len(yitems)
+    return Multivector._raw(x.metric, acc, x._e + y._e)
 
 
 def grade_involution(x: Multivector) -> Multivector:
     """Flip the sign of every odd-grade coefficient."""
     return Multivector._raw(
         x.metric,
-        {m: (-c if m.bit_count() & 1 else c) for m, c in x._terms.items()})
+        {m: (-n if m.bit_count() & 1 else n) for m, n in x._nums.items()},
+        x._e)
 
 
 def volume_element(metric: Metric) -> Blade:

@@ -101,14 +101,21 @@ def omega_tau_squared(k: int, l: int) -> int:
     return -s if k & 1 else s
 
 
+def _matrix_size_log2(k: int, l: int) -> int:
+    """The exponent of Cl(k,l)'s matrix size, without building 2^n."""
+    sig = SignatureKL(k, l)
+    base, doubled = division_algebra(sig.nu)
+    # 2^n = size^2 * dim(base) * (2 if doubled), so the exponent halves
+    return (sig.n - _LOG2_BASE_DIM[base] - doubled) // 2
+
+
 def classify(k: int, l: int) -> AlgebraClass:
     """Full isomorphism class of Cl(k,l) from the closed forms."""
     sig = SignatureKL(k, l)
     base, doubled = division_algebra(sig.nu)
-    # 2^n = size^2 * dim(base) * (2 if doubled), so the exponent halves
     return AlgebraClass(
         base=base,
-        matrix_size=1 << ((sig.n - _LOG2_BASE_DIM[base] - doubled) // 2),
+        matrix_size=1 << _matrix_size_log2(k, l),
         doubled=doubled,
         is_central=sig.n % 2 == 0,
         is_simple=not doubled,

@@ -21,8 +21,9 @@ import sys
 import time
 
 from .blades import Metric, Multivector, ParseError, mv_mul
-from .classify import (algebra_name, classification_record, classify,
-                       cube_record, render_cube)
+from .classify import (_matrix_size_log2, algebra_name,
+                       classification_record, classify, cube_record,
+                       render_cube)
 from .efb import (MAX_M, blades_to_efb, efb_product, efb_to_blades,
                   sig_label, table_entries)
 from .instrument import op_counters, reset_op_counters
@@ -35,15 +36,17 @@ def _ascii_default() -> bool:
 
 
 def _cmd_classify(args) -> int:
-    c = classify(args.k, args.l)
+    log2 = _matrix_size_log2(args.k, args.l)
     # str() of an int refuses more digits than this limit; older 3.10
-    # patch releases have no limit and no function to read it
+    # patch releases have no limit and no function to read it.  2^log2
+    # has more digits than the limit exactly when 2^log2 >= 10^limit.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and c.matrix_size >= 10 ** limit:
-        print(f"classify: matrix size 2^{c.matrix_size.bit_length() - 1} "
+    if limit and log2 >= (10 ** limit - 1).bit_length():
+        print(f"classify: matrix size 2^{log2} "
               f"has more than {limit} digits, too many to print",
               file=sys.stderr)
         return 2
+    c = classify(args.k, args.l)
     record = classification_record(args.k, args.l)
     if args.json:
         print(json.dumps(record, indent=2))

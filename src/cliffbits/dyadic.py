@@ -5,15 +5,15 @@ two and nothing else, so the coefficient ring of the exact kernel is
 closed under +, -, * and equality can be structural.  Instances are
 treated as immutable.
 
-The product engines and the conversions do not compute on instances.
-_scale_in writes coefficients as plain integer numerators over their
-largest exponent, and _scale_out reduces each output numerator once.
-Both run only at the blade boundary: mv_mul scales its two operands in
-and its product out; on the Fock-basis side, blades_to_efb and the
-EFBMultivector constructor scale in, and efb_to_blades scales out.  In
-between, the Fock-basis stages pass integer numerators over one shared
-exponent to each other (a product adds the two exponents, the inverse
-transform adds m for its 2^-m).
+Both multivector types store plain-int numerators over one shared
+exponent instead of instances.  _scale_in writes the coefficients a
+constructor is given over their largest exponent.  _shift is the one
+reduction rule: lower the exponent while every numerator is even.  A
+DyadicRational and each rendered term apply it to one numerator, and
+the canonical forms of a Multivector and of an EFBMultivector apply it,
+through _common_shift, to all their numerators at once.  Products add
+exponents and the inverse Fock-basis transform adds m for its 2^-m, so
+instances are built only where a coefficient leaves.
 """
 
 from __future__ import annotations
@@ -37,14 +37,29 @@ def _int(digits: str) -> int:
     return int(digits) if len(digits) <= _MAX_DIGITS else _TOO_LONG
 
 
+def _shift(low: int, e: int) -> int:
+    """The largest s <= e with 2^s dividing low: numerators over 2^e
+    whose bitwise OR is low reduce together to n >> s over 2^(e - s).
+    For low = 0 s is e, as zero is 0 over 2^0."""
+    return min(e, (low & -low).bit_length() - 1) if low else e
+
+
+def _common_shift(numerators, e: int) -> int:
+    """_shift of the bitwise OR of the numerators; stops at the first odd
+    one.  The exponent rule of both multivector canonical forms."""
+    low = 0
+    if e:
+        for n in numerators:
+            low |= n
+            if low & 1:
+                return 0
+    return _shift(low, e)
+
+
 def _reduced(numerator: int, exponent: int) -> "DyadicRational":
     # internal fast path: arguments already known to be ints, exponent >= 0
-    if numerator == 0:
-        exponent = 0
-    elif exponent and not numerator & 1:
-        shift = (numerator & -numerator).bit_length() - 1
-        if shift > exponent:
-            shift = exponent
+    if exponent and not numerator & 1:
+        shift = _shift(numerator, exponent)
         numerator >>= shift
         exponent -= shift
     out = object.__new__(DyadicRational)
@@ -60,11 +75,6 @@ def _scale_in(values) -> tuple[list[int], int]:
             default=0)
     return [v.numerator << (e - v.exponent) if type(v) is DyadicRational
             else v << e for v in values], e
-
-
-def _scale_out(numerators, e: int) -> list:
-    """Each numerator / 2^e as a reduced DyadicRational; a zero stays 0."""
-    return [_reduced(n, e) if n else 0 for n in numerators]
 
 
 def _clip(text: str) -> str:

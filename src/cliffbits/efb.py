@@ -24,13 +24,12 @@ i = b1 ^ parity_above(g), so each change of basis is one Walsh-Hadamard
 transform per stored coset.
 
 An EFBMultivector holds plain-int numerators over one shared
-denominator 2^_e, in canonical form, and the three stages pass those
-ints to each other.  Coefficients become numerators only where they
-enter (dyadic._scale_in, in blades_to_efb and the constructor), and
-reduced DyadicRationals only where they leave (entry, nonzero, and
-dyadic._scale_out in efb_to_blades).  efb_product adds the two
-exponents; efb_to_blades adds m, which is where the 2^-m of the
-inverse transform goes.
+denominator 2^_e, in canonical form, as a Multivector does, so the
+conversions and the product hand those ints to each other unchanged:
+blades_to_efb keeps the blade exponent, efb_product adds the two
+exponents, and efb_to_blades adds m, which is where the 2^-m of the
+inverse transform goes.  Reduced DyadicRationals are built only where a
+coefficient leaves (entry, nonzero).
 
 efb_product has two kernels with equal results and triple counts.  The
 coset sweep runs out[g ^ h][a] += x[g][a] * y[h][a ^ g] over pairs of
@@ -47,7 +46,7 @@ width in bits (_packed_width).  The rule reads the operands alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 from typing import NamedTuple
 
@@ -55,7 +54,7 @@ from .bits import (deinterleave, interleave, parity_above, reverse_bits,
                    walsh_hadamard)
 from .blades import (Metric, MetricError, Multivector, mv_mul,
                      volume_element)
-from .dyadic import DyadicRational, _reduced, _scale_in, _scale_out
+from .dyadic import DyadicRational, _common_shift, _reduced, _scale_in
 from .instrument import counters
 
 # slot content keyed by (h bit, g bit): h bit 0 means the first letter
@@ -231,14 +230,7 @@ def _canonical(cosets: dict, e: int) -> tuple[dict, int]:
     """(cosets, e) with the all-zero cosets dropped and e lowered while
     every numerator is even: the one form equal matrices share."""
     cosets = {g: v for g, v in cosets.items() if any(v)}
-    if not cosets or not e:
-        return cosets, 0
-    low = 0
-    for v in cosets.values():
-        low |= reduce(or_, v)
-        if low & 1:
-            return cosets, e
-    shift = min(e, (low & -low).bit_length() - 1)
+    shift = _common_shift(map(partial(reduce, or_), cosets.values()), e)
     if shift:
         cosets = {g: [n >> shift for n in v] for g, v in cosets.items()}
     return cosets, e - shift
@@ -526,10 +518,9 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     _check_m(m)
     dim, low = 1 << m, (1 << m) - 1
     lo, hi, _, _ = _SLOTS[m]
-    coeffs, e = _scale_in(list(x._terms.values()))
     cosets: dict[int, list] = {}
     above: dict[int, int] = {}
-    for mask, coeff in zip(x._terms, coeffs):
+    for mask, coeff in x._nums.items():
         t = lo[mask & low] ^ hi[mask >> m]
         b1, g = t & 0xFF, t >> 8
         v = cosets.get(g)
@@ -539,7 +530,7 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
         v[b1 ^ above[g]] = -coeff if (b1 & g).bit_count() & 1 else coeff
     for v in cosets.values():
         walsh_hadamard(v)  # invertible, so a touched coset stays nonzero
-    return EFBMultivector._from_ints(m, cosets, e)
+    return EFBMultivector._from_ints(m, cosets, x._e)
 
 
 def word_multivector(e: EFBElement) -> Multivector:
@@ -566,8 +557,7 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
                 b1 = i ^ above
                 terms[from_b1[b1] ^ from_b0[b1 ^ g]] = (
                     -coeff if (b1 & g).bit_count() & 1 else coeff)
-    return Multivector._raw(Metric.interleaved(m), dict(
-        zip(terms, _scale_out(terms.values(), x._e + m))))
+    return Multivector._raw(Metric.interleaved(m), terms, x._e + m)
 
 
 def normalization_sign(a: int, b: int, m: int) -> int:
@@ -577,6 +567,8 @@ def normalization_sign(a: int, b: int, m: int) -> int:
     rows counts the crossings of the h bits against the word's own odd
     slots earlier in slot order: the sign_s form on (a, a^b).
     """
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
     dim = 1 << m
     if not (0 <= a < dim and 0 <= b < dim):
         raise ValueError(f"index out of range for m={m}")
@@ -585,6 +577,7 @@ def normalization_sign(a: int, b: int, m: int) -> int:
 
 def matrix_unit_normalization(m: int) -> dict:
     """All normalization signs, keyed by EFBIndex."""
+    _check_m(m)
     dim = 1 << m
     return {EFBIndex(a, b, m): normalization_sign(a, b, m)
             for a in range(dim) for b in range(dim)}
@@ -613,6 +606,7 @@ def _eigen(product: Multivector, psi: Multivector) -> int:
 
 def table_entries(m: int):
     """The signed-word table: (row, col, sign, word string) in row order."""
+    _check_m(m)
     dim = 1 << m
     out = []
     for a in range(dim):

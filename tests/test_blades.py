@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from cliffbits import (DyadicRational, Metric, MetricError, Multivector,
                        ParseError, blade_product, center_check,
@@ -183,6 +185,60 @@ def test_scalar_coercion():
     assert x + 1 == Multivector.parse("1 + g1", E22)
     assert DyadicRational(1, 1) * x == Multivector.parse("1/2 g1", E22)
     assert x - 1 == Multivector.parse("g1 - 1", E22)
+
+
+# -- the stored form: integer numerators over one canonical 2^e -------------
+
+I1 = Metric.interleaved(1)  # four blades, so independent draws often agree
+_HALF = DyadicRational(1, 1)
+_Z = Multivector(I1, {0b01: DyadicRational(3, 4), 0b11: -5})
+
+# (mask, (numerator, exponent, padding)): the value numerator / 2^exponent
+# written over an exponent inflated by the padding
+_terms = st.dictionaries(st.integers(0, 3), st.tuples(
+    st.integers(-2, 2), st.integers(0, 2), st.integers(0, 3)), max_size=3)
+
+
+def _build(terms: dict, route: str) -> Multivector:
+    """A multivector equal to the terms (zero for "times-zero")."""
+    x = Multivector(I1, {mask: DyadicRational(n << pad, e + pad)
+                         for mask, (n, e, pad) in terms.items()})
+    if route == "parse":
+        # unreduced fractions, each term in two halves, and a cancelling pair
+        text = " ".join(
+            f"{'-' if n < 0 else '+'} {abs(n) << pad}/{2 << (e + pad)} "
+            + " ".join(f"g{i + 1}" for i in range(2) if mask >> i & 1)
+            for mask, (n, e, pad) in terms.items() for _ in range(2))
+        return Multivector.parse(text + " + 3/8 g1 g2 - 3/8 g1 g2", I1)
+    return {"init": lambda: x,
+            "add-sub": lambda: (x + _Z) - _Z,
+            "halves": lambda: x * _HALF + _HALF * x,
+            "scale-back": lambda: x * 4 * DyadicRational(1, 2),
+            "plus-zero": lambda: x + _Z * 0 + (_Z - _Z),
+            "times-zero": lambda: x * 0}[route]()
+
+
+_ROUTES = ["init", "parse", "add-sub", "halves", "scale-back", "plus-zero",
+           "times-zero"]
+
+
+@given(_terms, _terms, st.sampled_from(_ROUTES), st.sampled_from(_ROUTES),
+       st.booleans())
+def test_stored_form_is_canonical(t1, t2, r1, r2, same_terms):
+    if same_terms:
+        t2 = t1
+    built = []
+    for terms, route in ((t1, r1), (t2, r2)):
+        x = _build(terms, route)
+        assert all(x._nums.values())
+        assert x._e == 0 or any(n & 1 for n in x._nums.values())
+        want = {} if route == "times-zero" else {
+            mask: Fraction(n, 1 << e) for mask, (n, e, _) in terms.items() if n}
+        assert {mask: Fraction(c.numerator, 1 << c.exponent)
+                for mask, c in x.terms.items()} == want
+        built.append((x, want))
+    (x, fx), (y, fy) = built
+    assert (x == y) == (fx == fy)
 
 
 def test_blade_sign_vs_normal_order():

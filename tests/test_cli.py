@@ -81,6 +81,20 @@ def test_classify_too_large_to_print(capsys, default_digit_limit):
     assert code == 2 and "2^14285" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-string digit limit in this interpreter")
+def test_classify_refuses_huge_n_from_the_exponent(capsys, monkeypatch,
+                                                   default_digit_limit):
+    # 2^500000000000 takes about 62 GB; the refusal must not build it
+    def refuse(k, l):
+        raise AssertionError("classify ran on an unprintable size")
+    monkeypatch.setattr(cli, "classify", refuse)
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, "classify", "1000000000000", "0", *extra)
+        assert (code, out) == (2, "")
+        assert "2^500000000000" in err and "too many to print" in err
+
+
 def test_cube_ascii_flag(capsys):
     code, out, _ = run(capsys, "cube", "--ascii")
     assert code == 0

@@ -12,7 +12,7 @@ from cliffbits import (DyadicRational, EFBMultivector, Metric, MetricError,
                        reset_op_counters, sig_label, sign_s, signatures,
                        volume_element, witt_basis, word_multivector,
                        word_product_oracle)
-from cliffbits import efb, verify
+from cliffbits import blades, dyadic, efb, verify
 from cliffbits.dyadic import MAX_BITS
 from cliffbits.sampling import (dense_blade_multivector,
                                 dense_efb_multivector, random_multivector)
@@ -309,6 +309,20 @@ def test_m_bound():
         blades_to_efb(Multivector.scalar(Metric.interleaved(9), 1), 9)
 
 
+@pytest.mark.parametrize("m", [0, 9])
+def test_oracle_tables_bound_m(m):
+    # 4^9 entries would still build in seconds; 4^30 would not finish
+    for table in (efb.table_entries, matrix_unit_normalization):
+        with pytest.raises(ValueError,
+                           match=f"m must be between 1 and 8, got {m}"):
+            table(m)
+
+
+def test_normalization_sign_rejects_nonpositive_m():
+    with pytest.raises(ValueError, match="m must be positive, got -1"):
+        normalization_sign(0, 0, -1)
+
+
 def test_zero_entry_stores_no_coset():
     assert EFBMultivector(2, {(0, 1): 0}) == EFBMultivector.zeros(2)
     assert list(EFBMultivector(2, {(0, 1): 0}).nonzero()) == []
@@ -430,6 +444,31 @@ def test_products_match_fraction_reference(x, y):
     for z in (mv_mul(x, y), efb_to_blades(ez)):
         assert {k: _fraction(c) for k, c in z.terms.items()} == want
         _assert_canonical(z.terms.values())
+
+
+def test_engines_build_no_dyadic_rationals(monkeypatch):
+    # both engines and both conversions stay on integer numerators; only
+    # terms, coefficient, entry and nonzero build DyadicRationals
+    sparse = Multivector(Metric.interleaved(3), {
+        0b000001: DyadicRational(3, 5), 0b101000: DyadicRational(-7, 2)})
+    pairs = [(_dense_dyadic(3, 3), _dense_dyadic(3, 4)), (sparse, sparse)]
+
+    def both(x, y):
+        return [mv_mul(x, y), efb_to_blades(efb_product(blades_to_efb(x, 3),
+                                                        blades_to_efb(y, 3)))]
+    want = [both(x, y) for x, y in pairs]
+
+    def refuse(*args):
+        raise AssertionError("DyadicRational built inside an engine")
+    for module in (dyadic, blades, efb):
+        monkeypatch.setattr(module, "_reduced", refuse, raising=False)
+    for module in (blades, efb):
+        monkeypatch.setattr(module, "_scale_in", refuse)
+    monkeypatch.setattr(DyadicRational, "__init__", refuse)
+    got = [both(x, y) for x, y in pairs]
+    monkeypatch.undo()
+    assert got == want
+    assert all(a == b for a, b in want)
 
 
 def test_efb_product_of_int_entries():
