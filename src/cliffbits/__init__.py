@@ -19,7 +19,9 @@ only 8^m triples in the fast one, a factor of exactly 2^m.  A blade
 multivector and a Fock-basis matrix keep their coefficients in one
 format, integer numerators over one shared power of two in canonical
 form, so products and conversions hand plain ints to each other and
-a DyadicRational is built only where a coefficient is read out.
+a DyadicRational is built only where a coefficient is read out.  The
+dyadic module holds the one reader and the one writer of coefficient
+text, so parsing a multivector builds no DyadicRational either.
 
 The classification half of the package names the matrix algebra of any
 Cl(k, l) from three mod-8 residues, and can run the other way, turning

@@ -4,6 +4,10 @@ This is the ground-truth layer.  Blades are bitmasks (bit i set means
 generator g{i+1} is a factor, factors ordered by increasing index),
 multivectors are sparse blade -> numerator maps over one shared 2^e,
 and every product sign is the GF(2) bilinear form of blade_product.
+Multivector.parse reads each coefficient with dyadic's one reader into
+a numerator and an exponent, scales the terms once to the largest
+exponent and adopts the sums, and str writes each term with dyadic's
+one writer.
 The fast engine is checked against this module, and this module
 against the explicit transposition counting of the
 blade-sign-vs-normal-order verify suite.
@@ -17,12 +21,15 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .bits import parity_above
-from .dyadic import (DyadicRational, _clip, _common_shift, _reduced,
-                     _scale_in, _shift)
+from .dyadic import (DyadicRational, _clip, _common_shift, _pair, _parse,
+                     _reduced, _scale_in, _text)
 from .instrument import counters
 
 # A blade is a bitmask of generator indices.
 Blade = int
+
+_SIGN_RE = re.compile(r"([+-])")
+_GENERATOR_RE = re.compile(r"g([1-9]\d*)")
 
 
 class MetricError(ValueError):
@@ -110,18 +117,17 @@ class Multivector:
     def __init__(self, metric: Metric, terms=None):
         terms = dict(terms) if terms else {}
         n = metric.n
-        for mask, coeff in terms.items():
+        for mask in terms:
             if mask < 0 or mask >> n:
                 raise MetricError(f"blade {mask:#x} out of range for n={n}")
-            if not isinstance(coeff, (int, DyadicRational)):
-                raise TypeError("coefficients must be int or DyadicRational")
-        nums, e = _scale_in(list(terms.values()))
+        nums, e = _scale_in(terms.values())
         self.metric = metric
         self._nums, self._e = _canonical(dict(zip(terms, nums)), e)
 
     @classmethod
     def _raw(cls, metric: Metric, nums: dict, e: int) -> "Multivector":
-        """Adopt integer numerators over 2^e, in canonical form."""
+        """Adopt integer numerators over 2^e, in canonical form.  Takes
+        ownership of nums: the caller hands in a dict it no longer uses."""
         mv = object.__new__(cls)
         mv.metric = metric
         mv._nums, mv._e = _canonical(nums, e)
@@ -187,16 +193,14 @@ class Multivector:
         return mv_scale(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, DyadicRational)):
-            return mv_scale(self, other)
         if isinstance(other, Multivector):
             return mv_mul(self, other)
-        return NotImplemented
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, DyadicRational)):
-            return mv_scale(self, other)
-        return NotImplemented
+        if _pair(other) is None:
+            return NotImplemented
+        return mv_scale(self, other)
 
     def __eq__(self, other):
         if isinstance(other, (int, DyadicRational)):
@@ -218,10 +222,7 @@ class Multivector:
         nums, top = self._nums, self._e
         for mask in sorted(nums, key=lambda m: (m.bit_count(), m)):
             num = nums[mask]
-            shift = _shift(num, top)  # each term in lowest terms
-            mag = str((-num if num < 0 else num) >> shift)
-            if shift < top:
-                mag = f"{mag}/{1 << (top - shift)}"
+            mag = _text(abs(num), top)  # each term in lowest terms
             if mask:
                 names = []
                 while mask:  # the set bits, lowest first
@@ -256,44 +257,48 @@ class Multivector:
         if s[0] not in "+-":
             s = "+ " + s
         # s opens with a sign, so chunks[0] is empty
-        chunks = re.split(r"([+-])", s)
+        chunks = _SIGN_RE.split(s)
         it = iter(chunks[1:])
-        acc: dict = {}
+        n = metric.n
+        width = len(str(n))
+        terms = []  # (mask, signed numerator, exponent) per term
         for sgn, body in zip(it, it):
             tokens = body.split()
             if not tokens:
                 raise ParseError("sign without a term")
             sign = 1 if sgn == "+" else -1
-            coeff = None
+            num, e = 1, 0
+            coeff_seen = gens_seen = False
             mask = 0
-            gens_seen = False
             for tok in tokens:
-                gm = re.fullmatch(r"g([1-9]\d*)", tok)
+                gm = _GENERATOR_RE.fullmatch(tok)
                 if gm:
                     # an index with more digits than n is out of range
                     # without int() of it
                     digits = gm.group(1)
-                    if (len(digits) > len(str(metric.n))
-                            or int(digits) > metric.n):
+                    if len(digits) > width or int(digits) > n:
                         raise ParseError(f"generator {_clip(tok)} outside an "
-                                         f"algebra with n={metric.n}")
+                                         f"algebra with n={n}")
                     s2, mask = blade_product(mask, 1 << (int(digits) - 1),
                                              metric)
                     sign *= s2
                     gens_seen = True
                     continue
-                if coeff is not None or gens_seen:
+                # a coefficient comes first: after a generator, even one
+                # that contracted the mask back to 0, it is an error
+                if coeff_seen or gens_seen:
                     raise ParseError(f"unexpected token {_clip(tok)!r}")
                 try:
-                    coeff = DyadicRational.parse(tok)
+                    num, e = _parse(tok)
                 except ValueError as exc:
                     raise ParseError(str(exc)) from None
-            value = coeff if coeff is not None else 1
-            if sign < 0:
-                value = -value
-            prev = acc.get(mask)
-            acc[mask] = value if prev is None else prev + value
-        return cls(metric, acc)
+                coeff_seen = True
+            terms.append((mask, num if sign > 0 else -num, e))
+        top = max(e for _, _, e in terms)
+        acc: dict[int, int] = {}
+        for mask, num, e in terms:
+            acc[mask] = acc.get(mask, 0) + (num << (top - e))
+        return cls._raw(metric, acc, top)
 
 
 def _check_same_metric(x: Multivector, y: Multivector):
@@ -304,7 +309,8 @@ def _check_same_metric(x: Multivector, y: Multivector):
 def _canonical(nums: dict, e: int) -> tuple[dict, int]:
     """(nums, e) with the zero numerators dropped and e lowered while
     every numerator is even: the one form equal multivectors share."""
-    nums = {mask: n for mask, n in nums.items() if n}
+    if not all(nums.values()):
+        nums = {mask: n for mask, n in nums.items() if n}
     shift = _common_shift(nums.values(), e)
     if shift:
         nums = {mask: n >> shift for mask, n in nums.items()}
@@ -326,7 +332,7 @@ def mv_sub(x: Multivector, y: Multivector) -> Multivector:
 
 
 def mv_scale(x: Multivector, c) -> Multivector:
-    num, e = (c, 0) if isinstance(c, int) else (c.numerator, c.exponent)
+    num, e = _pair(c)
     return Multivector._raw(
         x.metric, {mask: n * num for mask, n in x._nums.items()}, x._e + e)
 

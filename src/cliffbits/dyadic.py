@@ -5,10 +5,16 @@ two and nothing else, so the coefficient ring of the exact kernel is
 closed under +, -, * and equality can be structural.  Instances are
 treated as immutable.
 
+A dyadic coefficient is the pair (numerator, exponent), and this module
+is the one place that turns coefficients into such pairs and back.
+_parse reads the text '3', '-5/8' or '7/2^4' into a pair, _pair unpacks
+an int or a DyadicRational, _scale_in writes a constructor's values
+over their largest exponent and is the one place that rejects any other
+coefficient type, and _text writes a pair back as 'n' or 'n/2^e'.
 Both multivector types store plain-int numerators over one shared
-exponent instead of instances.  _scale_in writes the coefficients a
-constructor is given over their largest exponent.  _shift is the one
-reduction rule: lower the exponent while every numerator is even.  A
+exponent instead of instances, and Multivector.parse goes from text to
+those numerators without building one.  _shift is the one reduction
+rule: lower the exponent while every numerator is even.  A
 DyadicRational and each rendered term apply it to one numerator, and
 the canonical forms of a Multivector and of an EFBMultivector apply it,
 through _common_shift, to all their numerators at once.  Products add
@@ -68,19 +74,72 @@ def _reduced(numerator: int, exponent: int) -> "DyadicRational":
     return out
 
 
+def _pair(c):
+    """(numerator, exponent) of an int or a DyadicRational, else None."""
+    if isinstance(c, DyadicRational):
+        return c.numerator, c.exponent
+    if isinstance(c, int):
+        return c, 0
+    return None
+
+
 def _scale_in(values) -> tuple[list[int], int]:
     """(numerators, e) with values[i] == numerators[i] / 2^e, e the
-    largest exponent among the int and DyadicRational values."""
-    e = max((v.exponent for v in values if type(v) is DyadicRational),
-            default=0)
-    return [v.numerator << (e - v.exponent) if type(v) is DyadicRational
-            else v << e for v in values], e
+    largest exponent among the values, which must be int or
+    DyadicRational."""
+    pairs = [_pair(v) for v in values]
+    if None in pairs:
+        raise TypeError("coefficients must be int or DyadicRational")
+    e = max((x for _, x in pairs), default=0)
+    return [n << (e - x) for n, x in pairs], e
 
 
 def _clip(text: str) -> str:
     """text, or its first 40 characters and an ellipsis when longer: an
     error message quotes a bad token of any size in bounded space."""
     return text if len(text) <= 40 else text[:40] + "\u2026"
+
+
+def _parse(text: str) -> tuple[int, int]:
+    """(numerator, exponent) of '3', '-5/8' or '7/2^4', not reduced; the
+    denominator must be a power of 2.
+
+    The numerator may have at most MAX_BITS bits and the denominator
+    may be at most 2^MAX_BITS.
+    """
+    m = _COEFF_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"not a dyadic coefficient: {_clip(text)!r}")
+    sign, num_text, exp_text, den_text = m.groups()
+    num = _int(num_text)
+    if num.bit_length() > MAX_BITS:
+        raise ValueError(f"coefficient numerator longer than {MAX_BITS} bits")
+    exponent = 0
+    if exp_text is not None:
+        exponent = _int(exp_text)
+    elif den_text is not None:
+        den = _int(den_text)
+        if den <= 0 or den & (den - 1):
+            raise ValueError(
+                f"denominator must be a power of 2: {_clip(text)!r}")
+        exponent = den.bit_length() - 1
+    if exponent > MAX_BITS:
+        raise ValueError(f"coefficient denominator above 2^{MAX_BITS}")
+    return (-num if sign == "-" else num), exponent
+
+
+def _text(numerator: int, exponent: int) -> str:
+    """numerator / 2^exponent in lowest terms, as 'n' or 'n/2^e' with the
+    power of two written out: _text(6, 3) is '3/4'."""
+    shift = _shift(numerator, exponent)
+    if shift == exponent:
+        return str(numerator >> shift)
+    return f"{numerator >> shift}/{1 << (exponent - shift)}"
+
+
+def _sum(n1: int, e1: int, n2: int, e2: int) -> "DyadicRational":
+    e = max(e1, e2)
+    return _reduced((n1 << (e - e1)) + (n2 << (e - e2)), e)
 
 
 class DyadicRational:
@@ -108,63 +167,33 @@ class DyadicRational:
         The numerator may have at most MAX_BITS bits and the denominator
         may be at most 2^MAX_BITS.
         """
-        m = _COEFF_RE.match(text.strip())
-        if not m:
-            raise ValueError(f"not a dyadic coefficient: {_clip(text)!r}")
-        sign, num_text, exp_text, den_text = m.groups()
-        num = _int(num_text)
-        if num.bit_length() > MAX_BITS:
-            raise ValueError(
-                f"coefficient numerator longer than {MAX_BITS} bits")
-        exponent = 0
-        if exp_text is not None:
-            exponent = _int(exp_text)
-        elif den_text is not None:
-            den = _int(den_text)
-            if den <= 0 or den & (den - 1):
-                raise ValueError(
-                    f"denominator must be a power of 2: {_clip(text)!r}")
-            exponent = den.bit_length() - 1
-        if exponent > MAX_BITS:
-            raise ValueError(f"coefficient denominator above 2^{MAX_BITS}")
-        return cls(-num if sign == "-" else num, exponent)
+        return _reduced(*_parse(text))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            onum, oexp = other, 0
-        elif isinstance(other, DyadicRational):
-            onum, oexp = other.numerator, other.exponent
-        else:
+        pair = _pair(other)
+        if pair is None:
             return NotImplemented
-        e = self.exponent
-        if e == oexp:
-            return _reduced(self.numerator + onum, e)
-        if e < oexp:
-            return _reduced((self.numerator << (oexp - e)) + onum, oexp)
-        return _reduced(self.numerator + (onum << (e - oexp)), e)
+        return _sum(self.numerator, self.exponent, *pair)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = DyadicRational(other)
-        elif not isinstance(other, DyadicRational):
+        pair = _pair(other)
+        if pair is None:
             return NotImplemented
-        return self + _reduced(-other.numerator, other.exponent)
+        return _sum(self.numerator, self.exponent, -pair[0], pair[1])
 
     def __rsub__(self, other):
-        if isinstance(other, int):
-            return DyadicRational(other) + _reduced(-self.numerator, self.exponent)
-        return NotImplemented
+        pair = _pair(other)
+        if pair is None:
+            return NotImplemented
+        return _sum(-self.numerator, self.exponent, *pair)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            onum, oexp = other, 0
-        elif isinstance(other, DyadicRational):
-            onum, oexp = other.numerator, other.exponent
-        else:
+        pair = _pair(other)
+        if pair is None:
             return NotImplemented
-        return _reduced(self.numerator * onum, self.exponent + oexp)
+        return _reduced(self.numerator * pair[0], self.exponent + pair[1])
 
     __rmul__ = __mul__
 
@@ -178,12 +207,10 @@ class DyadicRational:
         return self.numerator != 0
 
     def __eq__(self, other):
-        if isinstance(other, DyadicRational):
-            return (self.numerator == other.numerator
-                    and self.exponent == other.exponent)
-        if isinstance(other, int):
-            return self.exponent == 0 and self.numerator == other
-        return NotImplemented
+        pair = _pair(other)
+        if pair is None:
+            return NotImplemented
+        return (self.numerator, self.exponent) == pair  # both reduced
 
     def __hash__(self):
         # ints with exponent 0 must hash like plain ints
@@ -192,9 +219,7 @@ class DyadicRational:
         return hash((self.numerator, self.exponent))
 
     def __str__(self):
-        if self.exponent == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/{1 << self.exponent}"
+        return _text(self.numerator, self.exponent)
 
     def __repr__(self):
         return f"DyadicRational({self.numerator}, {self.exponent})"

@@ -54,7 +54,7 @@ from .bits import (deinterleave, interleave, parity_above, reverse_bits,
                    walsh_hadamard)
 from .blades import (Metric, MetricError, Multivector, mv_mul,
                      volume_element)
-from .dyadic import DyadicRational, _common_shift, _reduced, _scale_in
+from .dyadic import DyadicRational, _common_shift, _pair, _reduced, _scale_in
 from .instrument import counters
 
 # slot content keyed by (h bit, g bit): h bit 0 means the first letter
@@ -84,8 +84,7 @@ class EFBIndex:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
+        _check_m(self.m)
         dim = 1 << self.m
         if not (0 <= self.row < dim and 0 <= self.col < dim):
             raise ValueError(f"index out of range for m={self.m}")
@@ -144,8 +143,7 @@ def signatures(e: EFBElement):
 
 def witt_basis(m: int):
     """The null vectors ([p_1..p_m], [q_1..q_m]) over interleaved Cl(m,m)."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _check_m(m)
     metric = Metric.interleaved(m)
     half = DyadicRational(1, 1)
     p, q = [], []
@@ -220,8 +218,7 @@ def sign_s(a: int, b: int, d: int, m: int) -> int:
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    dim = 1 << m
-    if not (0 <= a < dim and 0 <= b < dim and 0 <= d < dim):
+    if a < 0 or b < 0 or d < 0 or a >> m or b >> m or d >> m:
         raise ValueError(f"index out of range for m={m}")
     return -1 if ((a ^ b) & parity_above(b ^ d)).bit_count() & 1 else 1
 
@@ -264,11 +261,7 @@ class EFBMultivector:
             for (a, b), coeff in dict(entries).items():
                 if not (0 <= a < dim and 0 <= b < dim):
                     raise ValueError(f"entry ({a}, {b}) out of range for m={m}")
-                if not isinstance(coeff, (int, DyadicRational)):
-                    raise TypeError(
-                        "coefficients must be int or DyadicRational")
-                if coeff:
-                    cosets.setdefault(a ^ b, [0] * dim)[a] = coeff
+                cosets.setdefault(a ^ b, [0] * dim)[a] = coeff
         # scaled in coset order, the order the kernels read them in
         flat, e = _scale_in([c for v in cosets.values() for c in v])
         self.m = m
@@ -352,16 +345,13 @@ class EFBMultivector:
     def __mul__(self, other):
         if isinstance(other, EFBMultivector):
             return efb_product(self, other)
-        if isinstance(other, int):
-            return self._scaled(other, 0)
-        if isinstance(other, DyadicRational):
-            return self._scaled(other.numerator, other.exponent)
-        return NotImplemented
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, DyadicRational)):
-            return self * other  # scalars commute with the matrix
-        return NotImplemented
+        pair = _pair(other)  # scalars commute with the matrix
+        if pair is None:
+            return NotImplemented
+        return self._scaled(*pair)
 
     def __repr__(self):
         nnz = sum(1 for _ in self.nonzero())
@@ -569,8 +559,7 @@ def normalization_sign(a: int, b: int, m: int) -> int:
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    dim = 1 << m
-    if not (0 <= a < dim and 0 <= b < dim):
+    if a < 0 or b < 0 or a >> m or b >> m:
         raise ValueError(f"index out of range for m={m}")
     return -1 if (a & parity_above(a ^ b)).bit_count() & 1 else 1
 

@@ -9,15 +9,14 @@ from .dyadic import DyadicRational
 from .efb import EFBMultivector
 
 
-def random_multivector(metric: Metric, rng: random.Random,
-                       max_terms: int = 6, max_num: int = 32,
-                       max_exp: int = 4) -> Multivector:
-    """Sparse random element with dyadic coefficients."""
+def random_multivector(metric: Metric, rng: random.Random) -> Multivector:
+    """Sparse random element: 1 to 6 draws of a blade and a coefficient
+    n/2^e with |n| <= 32 and 0 <= e <= 4."""
     dim = 1 << metric.n
     terms: dict[int, DyadicRational] = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 6)):
         mask = rng.randrange(dim)
-        c = DyadicRational(rng.randint(-max_num, max_num), rng.randint(0, max_exp))
+        c = DyadicRational(rng.randint(-32, 32), rng.randint(0, 4))
         terms[mask] = terms.get(mask, DyadicRational(0)) + c
     return Multivector(metric, terms)
 

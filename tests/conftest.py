@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -12,6 +13,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+# scalars that are neither int nor DyadicRational: both multivector types
+# reject them as coefficients and as factors
+OTHER_SCALARS = [complex(0, 1), Fraction(1, 3), 0.5, "1"]
 
 
 @st.composite

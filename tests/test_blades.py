@@ -8,10 +8,10 @@ from cliffbits import (DyadicRational, Metric, MetricError, Multivector,
                        dual_automorphism_check, grade_involution, mv_mul,
                        omega_squared_oracle, tau_blade, tau_squared_oracle,
                        volume_element)
-
+from cliffbits import blades, dyadic
 from cliffbits.verify import check_blade_sign_vs_normal_order
 
-from conftest import multivectors
+from conftest import OTHER_SCALARS, multivectors
 
 E22 = Metric.block(2, 2)
 I2 = Metric.interleaved(2)
@@ -155,9 +155,88 @@ def test_parse_canonicalizes_generator_order():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("g0", "g5", "1/3 g1", "g1 2", "", "+", "2 2", "g1g2"):
+    # "g1 g1 2": a coefficient after generators that contract to the
+    # scalar blade is still a coefficient after a generator
+    for bad in ("g0", "g5", "1/3 g1", "g1 2", "g1 g1 2", "", "+", "2 2",
+                "g1g2"):
         with pytest.raises(ParseError):
             Multivector.parse(bad, E22)
+
+
+# a coefficient as (numerator, exponent, padding, form): "int" writes the
+# numerator alone, "over" and "power" write (numerator << padding) over
+# 2^(exponent + padding) as a number or as 2^k, so padding > 0 makes an
+# unreduced fraction; None is a term without a coefficient
+_coeff_parts = st.one_of(st.none(), st.tuples(
+    st.integers(0, 40), st.integers(0, 5), st.integers(0, 2),
+    st.sampled_from(["int", "over", "power"])))
+# (sign, coefficient, generator indices in any order, with repeats)
+_text_terms = st.lists(st.tuples(st.sampled_from("+-"), _coeff_parts,
+                                 st.lists(st.integers(1, 4), max_size=5)),
+                       min_size=1, max_size=6)
+
+
+def _coeff_text(parts) -> str:
+    num, e, pad, form = parts
+    if form == "int":
+        return str(num)
+    if form == "over":
+        return f"{num << pad}/{1 << (e + pad)}"
+    return f"{num << pad}/2^{e + pad}"
+
+
+@given(_text_terms)
+def test_parse_equals_object_route(terms):
+    # the reference reads each term through DyadicRational.parse and
+    # blade_product and sums DyadicRationals into the constructor
+    text, acc = "", {}
+    for i, (sign, parts, gens) in enumerate(terms):
+        if parts is None and not gens:
+            parts = (1, 0, 0, "int")
+        body = " ".join(([_coeff_text(parts)] if parts else [])
+                        + [f"g{g}" for g in gens])
+        # the first term's sign joins its coefficient, as in "-5/8 g1"
+        lead = f" {sign} " if i else ("-" if sign == "-" else "")
+        text += lead + body
+        c = DyadicRational.parse(_coeff_text(parts)) if parts else 1
+        mask, s = 0, 1 if sign == "+" else -1
+        for g in gens:
+            s2, mask = blade_product(mask, 1 << (g - 1), E22)
+            s *= s2
+        acc[mask] = acc.get(mask, 0) + s * c
+    x = Multivector.parse(text, E22)
+    assert x == Multivector(E22, acc)
+    assert str(x) == str(Multivector(E22, acc))
+
+
+def test_parse_builds_no_dyadic_rationals(monkeypatch):
+    # parse goes from text to integer numerators: no DyadicRational and
+    # no rescaling by the constructor's _scale_in
+    text = "-5/8 g2 g1 + 7/2^4 g3 g3 - 6/8 + g4 - 3 g1 g2 + 0 g2"
+    want = Multivector.parse(text, E22)
+
+    def refuse(*args):
+        raise AssertionError("parse built a DyadicRational")
+    for module in (dyadic, blades):
+        monkeypatch.setattr(module, "_reduced", refuse)
+        monkeypatch.setattr(module, "_scale_in", refuse)
+    monkeypatch.setattr(DyadicRational, "__init__", refuse)
+    got = Multivector.parse(text, E22)
+    monkeypatch.undo()
+    assert got == want
+    assert str(got) == "-19/16 + g4 - 19/8 g1 g2"
+
+
+def test_multivector_rejects_other_coefficients():
+    x = Multivector.scalar(E22, 1)
+    for s in OTHER_SCALARS:
+        with pytest.raises(TypeError):
+            Multivector(E22, {0: s})
+        for op in (x.__mul__, x.__rmul__, x.__add__):
+            assert op(s) is NotImplemented
+        for op in (lambda: x * s, lambda: s * x, lambda: x + s):
+            with pytest.raises(TypeError):
+                op()
 
 
 @given(multivectors(E22))

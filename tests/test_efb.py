@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +21,7 @@ from cliffbits.dyadic import MAX_BITS
 from cliffbits.sampling import (dense_blade_multivector,
                                 dense_efb_multivector, random_multivector)
 
-from conftest import multivectors
+from conftest import OTHER_SCALARS, multivectors
 
 
 def test_sig_label():
@@ -227,13 +231,10 @@ def test_efb_linear_ops():
     assert (3 * x).entry(2, 2) == 3
 
 
-_OTHER_SCALARS = [complex(0, 1), Fraction(1, 3), 0.5, "1"]
-
-
 def test_efb_rejects_other_coefficients():
     # the loops scale entries to integers, exact only for these two types
     assert EFBMultivector(1, {(0, 1): 2, (1, 0): DyadicRational(1, 3)})
-    for s in _OTHER_SCALARS:
+    for s in OTHER_SCALARS:
         with pytest.raises(TypeError):
             EFBMultivector(1, {(0, 0): s})
 
@@ -241,7 +242,7 @@ def test_efb_rejects_other_coefficients():
 def test_efb_mul_rejects_other_scalars():
     x = EFBMultivector.identity(1)
     assert (x * DyadicRational(1, 1)).entry(1, 1) == DyadicRational(1, 1)
-    for s in _OTHER_SCALARS:
+    for s in OTHER_SCALARS:
         assert x.__mul__(s) is NotImplemented
         with pytest.raises(TypeError):
             x * s
@@ -250,7 +251,7 @@ def test_efb_mul_rejects_other_scalars():
 def test_efb_rmul_rejects_other_scalars():
     x = EFBMultivector.identity(1)
     assert (DyadicRational(-3, 2) * x).entry(0, 0) == DyadicRational(-3, 2)
-    for s in _OTHER_SCALARS:
+    for s in OTHER_SCALARS:
         assert x.__rmul__(s) is NotImplemented
         with pytest.raises(TypeError):
             s * x
@@ -321,6 +322,30 @@ def test_oracle_tables_bound_m(m):
 def test_normalization_sign_rejects_nonpositive_m():
     with pytest.raises(ValueError, match="m must be positive, got -1"):
         normalization_sign(0, 0, -1)
+
+
+@pytest.mark.parametrize("call, want", [
+    ("sign_s(1, 2, 0, 10**12)", "-1"),
+    ("normalization_sign(1, 3, 10**12)", "-1"),
+    ("efb_element(0, 0, 10**12)",
+     "ValueError: m must be between 1 and 8, got 1000000000000"),
+    ("witt_basis(10**7)", "ValueError: m must be between 1 and 8, got 10000000"),
+], ids=["sign_s", "normalization_sign", "efb_element", "witt_basis"])
+def test_huge_m_allocates_nothing(call, want):
+    # the child caps its address space at 1.5 GB, so a call that builds
+    # 2^m or O(m) of anything dies with MemoryError instead of answering
+    pytest.importorskip("resource")
+    limit = 1_500_000_000
+    code = (f"import resource; resource.setrlimit(resource.RLIMIT_AS, "
+            f"({limit}, {limit}))\n"
+            "from cliffbits import *\n"
+            f"try:\n    print({call})\n"
+            "except ValueError as exc:\n    print('ValueError:', exc)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(efb.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout.strip()) == (0, want), proc.stderr
 
 
 def test_zero_entry_stores_no_coset():
