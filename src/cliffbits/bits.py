@@ -5,8 +5,8 @@ s = 1 - 2*b.  The mod-8 periodicity formulas are all statements about
 the three least significant bits of an integer, extracted here.  Every
 product sign is a GF(2) bilinear form built on parity_above, and every
 change-of-basis sign is a Walsh function applied by walsh_hadamard.
-reverse_bits, deinterleave and interleave re-index blade masks in a few
-mask-and-shift steps each.
+Every re-indexing of blade masks is XOR-linear, so xor_span tabulates
+it from the images of the single bits.
 """
 
 from __future__ import annotations
@@ -60,40 +60,16 @@ def parity_above(x: int) -> int:
     return p
 
 
-def reverse_bits(x: int, k: int) -> int:
-    """The k low bits of x in reverse order, for 0 <= x < 2^k, k <= 16.
+def xor_span(images) -> list:
+    """Lookup of the GF(2)-linear map that sends bit k to images[k]:
+    entry x is the XOR of images[k] over the set bits k of x.
 
-    Four mask-and-shift swaps reverse 16 bits, and the shift drops the
-    16 - k low bits, which were the zero bits above x.
+    Each image doubles the table, so 2^len(images) XORs in all.
     """
-    x = ((x & 0x5555) << 1) | ((x >> 1) & 0x5555)
-    x = ((x & 0x3333) << 2) | ((x >> 2) & 0x3333)
-    x = ((x & 0x0F0F) << 4) | ((x >> 4) & 0x0F0F)
-    x = ((x & 0x00FF) << 8) | (x >> 8)
-    return x >> (16 - k)
-
-
-def deinterleave(x: int) -> tuple[int, int]:
-    """(even, odd) for 0 <= x < 2^16: bit 2i of x is bit i of even, and
-    bit 2i + 1 of x is bit i of odd.
-
-    Both halves are compacted at once, the odd bits parked 16 places up,
-    in three mask-and-shift steps: a Morton de-interleave.
-    """
-    x = (x & 0x5555) | ((x & 0xAAAA) << 15)
-    x = (x | (x >> 1)) & 0x33333333
-    x = (x | (x >> 2)) & 0x0F0F0F0F
-    x = (x | (x >> 4)) & 0x00FF00FF
-    return x & 0xFF, x >> 16
-
-
-def interleave(even: int, odd: int) -> int:
-    """Inverse of deinterleave, for 0 <= even, odd < 2^8."""
-    x = even | (odd << 16)
-    x = (x | (x << 4)) & 0x0F0F0F0F
-    x = (x | (x << 2)) & 0x33333333
-    x = (x | (x << 1)) & 0x55555555
-    return (x & 0xFFFF) | (x >> 15)
+    t = [0]
+    for img in images:
+        t += [v ^ img for v in t]
+    return t
 
 
 def walsh_hadamard(v: list) -> None:

@@ -169,11 +169,22 @@ class Multivector:
             return other
         return None
 
+    def _scaled(self, numerator: int, exponent: int) -> "Multivector":
+        return Multivector._raw(
+            self.metric,
+            {mask: n * numerator for mask, n in self._nums.items()},
+            self._e + exponent)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return mv_add(self, other)
+        e = max(self._e, other._e)
+        sx, sy = e - self._e, e - other._e
+        acc = {mask: n << sx for mask, n in self._nums.items()}
+        for mask, n in other._nums.items():
+            acc[mask] = acc.get(mask, 0) + (n << sy)
+        return Multivector._raw(self.metric, acc, e)
 
     __radd__ = __add__
 
@@ -181,16 +192,16 @@ class Multivector:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return mv_sub(self, other)
+        return self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return mv_sub(other, self)
+        return other + -self
 
     def __neg__(self):
-        return mv_scale(self, -1)
+        return self._scaled(-1, 0)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -198,9 +209,10 @@ class Multivector:
         return self.__rmul__(other)
 
     def __rmul__(self, other):
-        if _pair(other) is None:
+        pair = _pair(other)  # scalars commute with every blade
+        if pair is None:
             return NotImplemented
-        return mv_scale(self, other)
+        return self._scaled(*pair)
 
     def __eq__(self, other):
         if isinstance(other, (int, DyadicRational)):
@@ -301,11 +313,6 @@ class Multivector:
         return cls._raw(metric, acc, top)
 
 
-def _check_same_metric(x: Multivector, y: Multivector):
-    if x.metric != y.metric:
-        raise MetricError("operands over different metrics")
-
-
 def _canonical(nums: dict, e: int) -> tuple[dict, int]:
     """(nums, e) with the zero numerators dropped and e lowered while
     every numerator is even: the one form equal multivectors share."""
@@ -317,32 +324,13 @@ def _canonical(nums: dict, e: int) -> tuple[dict, int]:
     return nums, e - shift
 
 
-def mv_add(x: Multivector, y: Multivector) -> Multivector:
-    _check_same_metric(x, y)
-    e = max(x._e, y._e)
-    sx, sy = e - x._e, e - y._e
-    acc = {mask: n << sx for mask, n in x._nums.items()}
-    for mask, n in y._nums.items():
-        acc[mask] = acc.get(mask, 0) + (n << sy)
-    return Multivector._raw(x.metric, acc, e)
-
-
-def mv_sub(x: Multivector, y: Multivector) -> Multivector:
-    return mv_add(x, -y)
-
-
-def mv_scale(x: Multivector, c) -> Multivector:
-    num, e = _pair(c)
-    return Multivector._raw(
-        x.metric, {mask: n * num for mask, n in x._nums.items()}, x._e + e)
-
-
 def mv_mul(x: Multivector, y: Multivector) -> Multivector:
     """Exact product; the blade-pair count goes to the op counters.
 
     Sums integer numerators over 2^(ex + ey).
     """
-    _check_same_metric(x, y)
+    if x.metric != y.metric:
+        raise MetricError("operands over different metrics")
     neg = x.metric.neg
     yitems = list(y._nums.items())
     acc: dict[int, int] = {}

@@ -12,16 +12,17 @@ normalization_sign, the words become honest matrix units whose product
 has no sign at all, so the Clifford product is a plain matrix product:
 one factor of 2^m cheaper than blade-pair convolution on dense operands.
 
-The matrix is stored by column coset: the entries (a, a ^ g) for one
-g = row ^ col, the per-slot letter-count parity of the word.  Coset g
-times coset h lands in coset g ^ h, just as blade a times blade b lands
-at a ^ b.  A blade lies in one coset, g = b0 ^ b1, where the masks b0
-and b1 (slot 1 on top) hold the presence bits of g_{2s-1} and of g_{2s};
-the Morton de-interleave of the bit-reversed blade mask gives them.
-Its entries there, normalization included, are the Walsh function
-coeff * (-1)^(popcount(b1 & g) + popcount(a & i)) with
-i = b1 ^ parity_above(g), so each change of basis is one Walsh-Hadamard
-transform per stored coset.
+The matrix is stored by column coset: the entries (b ^ g, b) for one
+g = row ^ col, the per-slot letter-count parity of the word, indexed by
+column b.  Coset g times coset h lands in coset g ^ h, just as blade a
+times blade b lands at a ^ b.  A blade lies in one coset, g = b0 ^ b1,
+where the masks b0 and b1 (slot 1 on top) hold the presence bits of
+g_{2s-1} and of g_{2s}.  Its entries there, normalization included,
+form one Walsh function of the column times one sign per coset:
+coeff * (-1)^C(popcount(g), 2) * (-1)^popcount(b & i), with
+i = b1 ^ parity_above(g).  So each change of basis is one table lookup
+per blade and one Walsh-Hadamard transform per stored coset.  Both
+blade <-> (i, g) maps are XOR-linear, tabulated per m by xor_span.
 
 An EFBMultivector holds plain-int numerators over one shared
 denominator 2^_e, in canonical form, as a Multivector does, so the
@@ -32,7 +33,7 @@ inverse transform goes.  Reduced DyadicRationals are built only where a
 coefficient leaves (entry, nonzero).
 
 efb_product has two kernels with equal results and triple counts.  The
-coset sweep runs out[g ^ h][a] += x[g][a] * y[h][a ^ g] over pairs of
+coset sweep runs out[g ^ h][d] += x[g][d ^ h] * y[h][d] over pairs of
 stored cosets, one interpreted multiply-add per triple.  The packed
 kernel writes each row of y into the binary digits of one int
 (Kronecker substitution), so a row of the product is one sum of
@@ -50,8 +51,7 @@ from functools import partial, reduce
 from operator import or_
 from typing import NamedTuple
 
-from .bits import (deinterleave, interleave, parity_above, reverse_bits,
-                   walsh_hadamard)
+from .bits import parity_above, walsh_hadamard, xor_span
 from .blades import (Metric, MetricError, Multivector, mv_mul,
                      volume_element)
 from .dyadic import DyadicRational, _common_shift, _pair, _reduced, _scale_in
@@ -239,13 +239,15 @@ class EFBMultivector:
 
     Entry (a, b) is the coefficient of normalization_sign(a, b) *
     word(a, b); only the conversions to and from blades know that sign,
-    which is +1 on the diagonal.  _cosets[g][a] is the numerator of
-    entry (a, a ^ g).  The form is canonical: a coset is absent exactly
-    when all its entries are zero, and _e is 0 or some numerator is odd,
-    so equality compares (m, _e, _cosets).  Coset g times coset h lands
-    in coset g ^ h.  entry() and nonzero() give each nonzero entry as a
-    reduced DyadicRational; nonzero() yields them in coset order, then
-    by row.
+    which is +1 on the diagonal.  _cosets[g][b] is the numerator of
+    entry (b ^ g, b): each coset is stored by column, so the image of
+    one blade is one Walsh function of the column index times one sign,
+    (-1)^C(popcount(g), 2).  The form is canonical: a coset is absent
+    exactly when all its entries are zero, and _e is 0 or some numerator
+    is odd, so equality compares (m, _e, _cosets).  Coset g times coset h
+    lands in coset g ^ h.  entry() and nonzero() give each nonzero entry
+    as a reduced DyadicRational; nonzero() yields them in coset order,
+    then by row.
 
     Coefficients are int or DyadicRational; scaling by any other scalar
     returns NotImplemented.  Treated as immutable.
@@ -261,7 +263,7 @@ class EFBMultivector:
             for (a, b), coeff in dict(entries).items():
                 if not (0 <= a < dim and 0 <= b < dim):
                     raise ValueError(f"entry ({a}, {b}) out of range for m={m}")
-                cosets.setdefault(a ^ b, [0] * dim)[a] = coeff
+                cosets.setdefault(a ^ b, [0] * dim)[b] = coeff
         # scaled in coset order, the order the kernels read them in
         flat, e = _scale_in([c for v in cosets.values() for c in v])
         self.m = m
@@ -299,13 +301,15 @@ class EFBMultivector:
 
     def entry(self, a: int, b: int):
         v = self._cosets.get(a ^ b)
-        n = v[a] if v else 0
+        n = v[b] if v else 0
         return _reduced(n, self._e) if n else 0
 
     def nonzero(self):
         e = self._e
         for g in sorted(self._cosets):
-            for a, n in enumerate(self._cosets[g]):
+            v = self._cosets[g]
+            for a in range(self.dim):
+                n = v[a ^ g]
                 if n:
                     yield a, a ^ g, _reduced(n, e)
 
@@ -397,22 +401,23 @@ def _packed_width(x: EFBMultivector, y: EFBMultivector) -> int:
 def _sweep(x: EFBMultivector, y: EFBMultivector) -> tuple[dict, int]:
     """(output cosets, triples) by the XOR-graded coset sweep.
 
-    Entry (a, a ^ g) of x meets row a ^ g of y, so coset g times coset h
-    is out[g ^ h][a] += x[g][a] * y[h][a ^ g], with no sign.  Every
-    executed multiply counts as a triple.
+    Entry (d ^ h, d) of y meets column d ^ h of x, so coset g times
+    coset h is out[g ^ h][d] += x[g][d ^ h] * y[h][d], with no sign.
+    Every executed multiply counts as a triple.
     """
     dim = x.dim
+    ys = [(h, [(d, d ^ h, zeta) for d, zeta in enumerate(yv) if zeta])
+          for h, yv in y._cosets.items()]
     out: dict[int, list] = {}
     triples = 0
     for g, xv in x._cosets.items():
-        xs = [(a, a ^ g, xi) for a, xi in enumerate(xv) if xi]
-        for h, yv in y._cosets.items():
+        for h, ynz in ys:
             ov = out.setdefault(g ^ h, [0] * dim)
-            triples += len(xs)  # a zero of y takes one back below
-            for a, b, xi in xs:
-                zeta = yv[b]
-                if zeta:
-                    ov[a] += xi * zeta
+            triples += len(ynz)  # a zero of x takes one back below
+            for d, b, zeta in ynz:
+                xi = xv[b]
+                if xi:
+                    ov[d] += xi * zeta
                 else:
                     triples -= 1
     return out, triples
@@ -449,10 +454,10 @@ def _packed(x: EFBMultivector, y: EFBMultivector,
     lanes = [[half] * dim for _ in range(dim)]
     row_nnz = [0] * dim
     for h, yv in y._cosets.items():
-        for b, n in enumerate(yv):
+        for d, n in enumerate(yv):
             if n:
-                lanes[b][b ^ h] += n
-                row_nnz[b] += 1
+                lanes[d ^ h][d] += n
+                row_nnz[d ^ h] += 1
     rows = [int.from_bytes(b"".join(v.to_bytes(size, "little") for v in lane),
                            "little") - bias if k else 0
             for lane, k in zip(lanes, row_nnz)]
@@ -463,38 +468,41 @@ def _packed(x: EFBMultivector, y: EFBMultivector,
     for a in range(dim):
         acc = 0
         for g, xv in xitems:
-            xi = xv[a]
+            b = a ^ g  # entry (a, b) of x sits at column b of coset g
+            xi = xv[b]
             if xi:
-                acc += xi * rows[a ^ g]
-                triples += row_nnz[a ^ g]
+                acc += xi * rows[b]
+                triples += row_nnz[b]
         if acc:
             digits = (acc + bias).to_bytes(size * dim, "little")
             for k, ov in targets:
-                d = (a ^ k) * size
-                ov[a] = int.from_bytes(digits[d:d + size], "little") - half
+                d = a ^ k
+                ov[d] = int.from_bytes(digits[d * size:(d + 1) * size],
+                                       "little") - half
     return out, triples
 
 
 def _slot_tables(m: int) -> tuple[list, list, list, list]:
-    """The blade mask <-> slot mask maps at one m, as lookups over m bits.
+    """The blade mask <-> (i, g) maps at one m, as lookups over m bits.
 
     b0 and b1 hold the presence bits of g_{2s-1} and of g_{2s}, slot 1
-    on top.  Reversing the 2m-bit blade mask puts slot 1 on top and
-    swaps the two kinds of generator, so its Morton halves are (b1, b0).
-    Both maps are XOR-linear, so a 2m-bit mask is split as its low and
-    high m bits (lo, hi: b1 | g << 8, with g = b0 ^ b1) and joined from
-    b1 and b0 alone (from_b1, from_b0).
+    on top; a blade lies in coset g = b0 ^ b1 at Walsh index
+    i = b1 ^ parity_above(g).  parity_above is XOR-linear, so both maps
+    are, and xor_span tabulates each from the images of the single bits.
+    A 2m-bit mask splits as lo[low m bits] ^ hi[high m bits], read as
+    i | g << 8, and joins back as join_i[i] ^ join_g[g].
     """
-    n, dim = 2 * m, 1 << m
+    def split(j: int) -> int:  # generator g_{j+1} lies in slot j // 2 + 1
+        g = 1 << (m - 1 - j // 2)
+        return ((j & 1) * g ^ parity_above(g)) | g << 8
 
-    def split(mask: int) -> int:
-        b1, b0 = deinterleave(reverse_bits(mask, n))
-        return b1 | (b0 ^ b1) << 8
-
-    return ([split(k) for k in range(dim)],
-            [split(k << m) for k in range(dim)],
-            [reverse_bits(interleave(b, 0), n) for b in range(dim)],
-            [reverse_bits(interleave(0, b), n) for b in range(dim)])
+    # i sets both generators of its slots; g sets g_{2s-1} of its slots
+    # and undoes the parity_above(g) part of i
+    join_i = xor_span([3 << 2 * (m - 1 - p) for p in range(m)])
+    join_g = xor_span([1 << 2 * (m - 1 - p) ^ join_i[parity_above(1 << p)]
+                       for p in range(m)])
+    return (xor_span(map(split, range(m))),
+            xor_span(map(split, range(m, 2 * m))), join_i, join_g)
 
 
 # 4 * 2^m ints per m, 2040 in all
@@ -502,22 +510,24 @@ _SLOTS = [None] + [_slot_tables(m) for m in range(1, MAX_M + 1)]
 
 
 def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
-    """Change of basis from blades; requires the interleaved Cl(m,m) metric."""
+    """Change of basis from blades; requires the interleaved Cl(m,m) metric.
+
+    Each blade writes its signed numerator at its Walsh index, and one
+    transform per touched coset spreads it over the columns.
+    """
     if x.metric != Metric.interleaved(m):
         raise MetricError(f"multivector is not over interleaved Cl({m},{m})")
     _check_m(m)
     dim, low = 1 << m, (1 << m) - 1
     lo, hi, _, _ = _SLOTS[m]
     cosets: dict[int, list] = {}
-    above: dict[int, int] = {}
-    for mask, coeff in x._nums.items():
+    for mask, n in x._nums.items():
         t = lo[mask & low] ^ hi[mask >> m]
-        b1, g = t & 0xFF, t >> 8
+        g = t >> 8
         v = cosets.get(g)
         if v is None:
             v = cosets[g] = [0] * dim
-            above[g] = parity_above(g)
-        v[b1 ^ above[g]] = -coeff if (b1 & g).bit_count() & 1 else coeff
+        v[t & 0xFF] = -n if g.bit_count() & 2 else n  # (-1)^C(popcount g, 2)
     for v in cosets.values():
         walsh_hadamard(v)  # invertible, so a touched coset stays nonzero
     return EFBMultivector._from_ints(m, cosets, x._e)
@@ -536,17 +546,15 @@ def word_multivector(e: EFBElement) -> Multivector:
 def efb_to_blades(x: EFBMultivector) -> Multivector:
     """Inverse change of basis: the transform's 2^-m joins the exponent."""
     m = x.m
-    _, _, from_b1, from_b0 = _SLOTS[m]
+    _, _, join_i, join_g = _SLOTS[m]
     terms: dict[int, int] = {}
     for g, v in x._cosets.items():
         v = v.copy()
         walsh_hadamard(v)  # its own inverse up to the factor 2^m
-        above = parity_above(g)
-        for i, coeff in enumerate(v):
-            if coeff:
-                b1 = i ^ above
-                terms[from_b1[b1] ^ from_b0[b1 ^ g]] = (
-                    -coeff if (b1 & g).bit_count() & 1 else coeff)
+        base, flip = join_g[g], g.bit_count() & 2
+        for i, n in enumerate(v):
+            if n:
+                terms[join_i[i] ^ base] = -n if flip else n
     return Multivector._raw(Metric.interleaved(m), terms, x._e + m)
 
 

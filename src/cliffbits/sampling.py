@@ -32,8 +32,8 @@ def dense_blade_multivector(metric: Metric, rng: random.Random) -> Multivector:
 
 
 def dense_efb_multivector(m: int, rng: random.Random) -> EFBMultivector:
-    """Every matrix entry a nonzero integer, as a DyadicRational like the
-    coefficients of the blade operands."""
+    """Every matrix entry a nonzero integer, drawn as the coefficients of
+    dense_blade_multivector are."""
     dim = 1 << m
-    return EFBMultivector(m, {(a, b): DyadicRational(_nonzero_int(rng))
+    return EFBMultivector(m, {(a, b): _nonzero_int(rng)
                               for a in range(dim) for b in range(dim)})

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cliffbits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
                        neg_mod8, parity_above, sign_bit, sign_to_bit,
                        walsh_hadamard)
-from cliffbits.bits import deinterleave, interleave, reverse_bits
+from cliffbits.bits import xor_span
 
 
 def test_bit_extraction():
@@ -92,19 +94,17 @@ def test_walsh_hadamard_needs_power_of_two():
             walsh_hadamard([1] * n)
 
 
-def test_reverse_bits_matches_loop():
-    for k in range(17):
-        for x in range(1 << min(k, 12)):
-            want = sum(((x >> i) & 1) << (k - 1 - i) for i in range(k))
-            assert reverse_bits(x, k) == want
-    assert reverse_bits(0xFFFF, 16) == 0xFFFF
-    assert reverse_bits(0b0001, 4) == 0b1000
-
-
-def test_morton_halves_match_loop():
-    # every 16-bit mask: bit 2i to bit i of even, bit 2i + 1 to odd
-    for x in range(1 << 16):
-        even = sum(((x >> (2 * i)) & 1) << i for i in range(8))
-        odd = sum(((x >> (2 * i + 1)) & 1) << i for i in range(8))
-        assert deinterleave(x) == (even, odd)
-        assert interleave(even, odd) == x
+def test_xor_span_matches_loop():
+    # entry x is the XOR of the images of the set bits of x
+    rng = random.Random(3)
+    for k in range(10):
+        images = [rng.randrange(1 << 16) for _ in range(k)]
+        table = xor_span(images)
+        assert len(table) == 1 << k
+        for x in range(1 << k):
+            want = 0
+            for j in range(k):
+                if (x >> j) & 1:
+                    want ^= images[j]
+            assert table[x] == want
+    assert xor_span([5, 5]) == [0, 5, 5, 0]

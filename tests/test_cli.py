@@ -308,6 +308,23 @@ def test_bench_m_max_bound(capsys, monkeypatch):
         bench_results(7)
 
 
+def test_tables_match_golden_output(capsys, monkeypatch):
+    # efb-table m = 1..4, cube and classify k, l = 0..7, text and --json,
+    # exit code, stdout and stderr byte for byte
+    monkeypatch.delenv("CLIFFBITS_ASCII", raising=False)
+    golden = Path(__file__).parent / "data" / "cli_tables.json"
+    cases = json.loads(golden.read_text(encoding="utf-8"))
+    assert len(cases) == 145
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for case in cases:
+        argv = case["argv"]
+        # n = 28568..28570 straddle the default limit of 4300 digits
+        if argv[0] == "classify" and int(argv[1]) > 7 and limit != 4300:
+            continue
+        want = case["code"], case["stdout"], case["stderr"]
+        assert run(capsys, *argv) == want, argv
+
+
 def test_mul_matches_golden_output(capsys):
     # mul stdout for m = 1..6, each engine, text and --json, byte for byte
     golden = Path(__file__).parent / "data" / "cli_golden.json"

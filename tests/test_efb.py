@@ -17,6 +17,7 @@ from cliffbits import (DyadicRational, EFBMultivector, Metric, MetricError,
                        volume_element, witt_basis, word_multivector,
                        word_product_oracle)
 from cliffbits import blades, dyadic, efb, verify
+from cliffbits.bits import half_pochhammer_sign, parity_above
 from cliffbits.dyadic import MAX_BITS
 from cliffbits.sampling import (dense_blade_multivector,
                                 dense_efb_multivector, random_multivector)
@@ -517,17 +518,41 @@ def _slot_masks_by_bits(mask: int, m: int) -> tuple[int, int]:
     return b0, b1
 
 
+def _walsh_index_by_bits(mask: int, m: int) -> tuple[int, int]:
+    """(i, g): the blade's coset g = b0 ^ b1 and its Walsh index
+    i = b1 ^ parity_above(g) there."""
+    b0, b1 = _slot_masks_by_bits(mask, m)
+    g = b0 ^ b1
+    return b1 ^ parity_above(g), g
+
+
 def test_slot_tables_match_per_bit_reference():
     rng = random.Random(17)
     for m in range(1, efb.MAX_M + 1):
-        lo, hi, from_b1, from_b0 = efb._SLOTS[m]
+        lo, hi, join_i, join_g = efb._SLOTS[m]
         masks = (range(1 << (2 * m)) if m <= 4
                  else [rng.randrange(1 << (2 * m)) for _ in range(500)])
         for mask in masks:
-            b0, b1 = _slot_masks_by_bits(mask, m)
-            assert lo[mask & ((1 << m) - 1)] ^ hi[mask >> m] == (
-                b1 | (b0 ^ b1) << 8)
-            assert from_b1[b1] ^ from_b0[b0] == mask
+            i, g = _walsh_index_by_bits(mask, m)
+            assert lo[mask & ((1 << m) - 1)] ^ hi[mask >> m] == i | g << 8
+            assert join_i[i] ^ join_g[g] == mask
+
+
+def test_blade_images_are_walsh_functions():
+    # a blade's image fills its coset g: entry (b ^ g, b) is the Walsh
+    # function (-1)^popcount(b & i) of the column times (-1)^C(|g|, 2)
+    rng = random.Random(19)
+    for m in range(1, efb.MAX_M + 1):
+        metric, dim = Metric.interleaved(m), 1 << m
+        masks = (range(1 << (2 * m)) if m <= 4
+                 else [rng.randrange(1 << (2 * m)) for _ in range(20)])
+        for mask in masks:
+            i, g = _walsh_index_by_bits(mask, m)
+            sign = half_pochhammer_sign(g.bit_count())
+            x = blades_to_efb(Multivector.from_blade(metric, mask), m)
+            assert list(x.nonzero()) == [
+                (b ^ g, b, -sign if (b & i).bit_count() & 1 else sign)
+                for b in sorted(range(dim), key=lambda b: b ^ g)]
 
 
 def _kernel_outputs(x, y):
@@ -618,6 +643,18 @@ def test_single_blades_take_sweep_m8(monkeypatch):
     assert efb_product(x, y) == blades_to_efb(
         mv_mul(Multivector.generator(metric, 1),
                Multivector.generator(metric, 16)), 8)
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_engines_agree_at_top_m(m):
+    # sparse random operands: each converts back to itself, and the
+    # Fock-basis product equals the blade product
+    metric, rng = Metric.interleaved(m), random.Random(m)
+    for _ in range(20):
+        x, y = (random_multivector(metric, rng) for _ in range(2))
+        ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
+        assert efb_to_blades(ex) == x and efb_to_blades(ey) == y
+        assert efb_to_blades(efb_product(ex, ey)) == mv_mul(x, y)
 
 
 def test_wide_dense_operand_takes_sweep(monkeypatch):
