@@ -11,8 +11,8 @@ Two product engines share one algebra:
   product is a plain matrix product with no sign at all, run as an
   XOR-graded coset sweep or, on dense narrow operands, as big-int
   multiplies of rows packed into the binary digits of one int, and the
-  changes of basis to and from blades are Walsh-Hadamard transforms
-  (``walsh_hadamard``), one per stored coset.
+  changes of basis to and from blades are Walsh-Hadamard transforms,
+  one per operand over all of its stored cosets (``bits.walsh_batch``).
 
 A dense product costs 16^m coefficient pairs in the blade engine but
 only 8^m triples in the fast one, a factor of exactly 2^m.  A blade

@@ -4,7 +4,8 @@ A bit b in {0, 1} and a sign s in {+1, -1} are interchangeable through
 s = 1 - 2*b.  The mod-8 periodicity formulas are all statements about
 the three least significant bits of an integer, extracted here.  Every
 product sign is a GF(2) bilinear form built on parity_above, and every
-change-of-basis sign is a Walsh function applied by walsh_hadamard.
+change-of-basis sign is a Walsh function applied by walsh_batch, one
+transform over a whole batch of vectors (walsh_hadamard is one vector).
 Every re-indexing of blade masks is XOR-linear, so xor_span tabulates
 it from the images of the single bits.
 """
@@ -12,6 +13,8 @@ it from the images of the single bits.
 from __future__ import annotations
 
 import math
+from itertools import chain
+from operator import add, sub
 
 # A sign-valued bit: +1 or -1.
 SignBit = int
@@ -72,18 +75,30 @@ def xor_span(images) -> list:
     return t
 
 
+def walsh_batch(vectors, k: int) -> list:
+    """The Walsh-Hadamard transform of each vector of length 2^k:
+    out[c][a] = sum_i vectors[c][i] * (-1)^popcount(a & i).
+
+    The vectors are laid end to end and transformed together in the
+    constant-geometry form (Pease, 1968): k whole-list stages, each
+    taking the even and odd positions to their sums and then their
+    differences.  A stage moves the lowest index bit to the top, so
+    after k of them entry a of vector c sits at a * len(vectors) + c.
+    """
+    flat = list(chain.from_iterable(vectors))
+    count = len(flat) >> k
+    for _ in range(k):
+        even, odd = flat[0::2], flat[1::2]
+        flat = [*map(add, even, odd), *map(sub, even, odd)]
+    return [flat[c::count] for c in range(count)]
+
+
 def walsh_hadamard(v: list) -> None:
     """In place, v[a] <- sum_i v[i] * (-1)^popcount(a & i); len(v) = 2^k."""
     n = len(v)
     if not n or n & (n - 1):
         raise ValueError(f"length must be a power of 2, got {n}")
-    h = 1
-    while h < n:
-        for start in range(0, n, 2 * h):
-            for j in range(start, start + h):
-                x, y = v[j], v[j + h]
-                v[j], v[j + h] = x + y, x - y
-        h <<= 1
+    v[:] = walsh_batch([v], n.bit_length() - 1)[0]
 
 
 def lucas_sign(n: int, i: int) -> SignBit:

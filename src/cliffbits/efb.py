@@ -21,8 +21,9 @@ g_{2s-1} and of g_{2s}.  Its entries there, normalization included,
 form one Walsh function of the column times one sign per coset:
 coeff * (-1)^C(popcount(g), 2) * (-1)^popcount(b & i), with
 i = b1 ^ parity_above(g).  So each change of basis is one table lookup
-per blade and one Walsh-Hadamard transform per stored coset.  Both
-blade <-> (i, g) maps are XOR-linear, tabulated per m by xor_span.
+per blade and one Walsh-Hadamard transform per operand, run by
+walsh_batch over all of its stored cosets at once.  Both blade <-> (i, g)
+maps are XOR-linear, tabulated per m by xor_span.
 
 An EFBMultivector holds plain-int numerators over one shared
 denominator 2^_e, in canonical form, as a Multivector does, so the
@@ -51,7 +52,7 @@ from functools import partial, reduce
 from operator import or_
 from typing import NamedTuple
 
-from .bits import parity_above, walsh_hadamard, xor_span
+from .bits import parity_above, walsh_batch, xor_span
 from .blades import (Metric, MetricError, Multivector, mv_mul,
                      volume_element)
 from .dyadic import DyadicRational, _common_shift, _pair, _reduced, _scale_in
@@ -513,11 +514,11 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     """Change of basis from blades; requires the interleaved Cl(m,m) metric.
 
     Each blade writes its signed numerator at its Walsh index, and one
-    transform per touched coset spreads it over the columns.
+    transform per operand spreads every touched coset over the columns.
     """
+    _check_m(m)
     if x.metric != Metric.interleaved(m):
         raise MetricError(f"multivector is not over interleaved Cl({m},{m})")
-    _check_m(m)
     dim, low = 1 << m, (1 << m) - 1
     lo, hi, _, _ = _SLOTS[m]
     cosets: dict[int, list] = {}
@@ -528,8 +529,8 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
         if v is None:
             v = cosets[g] = [0] * dim
         v[t & 0xFF] = -n if g.bit_count() & 2 else n  # (-1)^C(popcount g, 2)
-    for v in cosets.values():
-        walsh_hadamard(v)  # invertible, so a touched coset stays nonzero
+    # invertible, so a touched coset stays nonzero
+    cosets = dict(zip(cosets, walsh_batch(cosets.values(), m)))
     return EFBMultivector._from_ints(m, cosets, x._e)
 
 
@@ -548,9 +549,8 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
     m = x.m
     _, _, join_i, join_g = _SLOTS[m]
     terms: dict[int, int] = {}
-    for g, v in x._cosets.items():
-        v = v.copy()
-        walsh_hadamard(v)  # its own inverse up to the factor 2^m
+    # the transform is its own inverse up to the factor 2^m
+    for g, v in zip(x._cosets, walsh_batch(x._cosets.values(), m)):
         base, flip = join_g[g], g.bit_count() & 2
         for i, n in enumerate(v):
             if n:

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from cliffbits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
                        neg_mod8, parity_above, sign_bit, sign_to_bit,
                        walsh_hadamard)
-from cliffbits.bits import xor_span
+from cliffbits.bits import walsh_batch, xor_span
 
 
 def test_bit_extraction():
@@ -86,6 +86,23 @@ def test_walsh_hadamard_matches_double_sum():
         assert got == want
         walsh_hadamard(got)
         assert got == [n * x for x in v]
+
+
+def test_walsh_batch_matches_double_sum():
+    # counts 3 and 5 are not powers of two; entries reach +-2^2048
+    big = 1 << 2048
+    for k in range(9):
+        n = 1 << k
+        for count in range(6):
+            vs = [[(7 * i * i - 5 * i + 3 * c) % 23 - 11 for i in range(n)]
+                  for c in range(count)]
+            for c, v in enumerate(vs):
+                v[c % n] = big if c & 1 else -big
+            want = [[sum(v[i] * (-1) ** bin(a & i).count("1")
+                         for i in range(n)) for a in range(n)] for v in vs]
+            got = walsh_batch(vs, k)
+            assert got == want
+            assert walsh_batch(got, k) == [[n * x for x in v] for v in vs]
 
 
 def test_walsh_hadamard_needs_power_of_two():

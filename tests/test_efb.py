@@ -180,6 +180,14 @@ def test_identity_and_volume_expansion():
         assert blades_to_efb(w, m) == EFBMultivector.volume(m)
 
 
+def test_zero_operand_converts_to_zero():
+    # no stored coset: the transform runs over an empty batch
+    for m in range(1, 9):
+        zero = Multivector.zero(Metric.interleaved(m))
+        assert blades_to_efb(zero, m) == EFBMultivector.zeros(m)
+        assert efb_to_blades(EFBMultivector.zeros(m)) == zero
+
+
 def test_identity_entries():
     x = EFBMultivector.identity(2)
     assert x.entry(0, 0) == 1 and x.entry(3, 3) == 1
@@ -331,7 +339,10 @@ def test_normalization_sign_rejects_nonpositive_m():
     ("efb_element(0, 0, 10**12)",
      "ValueError: m must be between 1 and 8, got 1000000000000"),
     ("witt_basis(10**7)", "ValueError: m must be between 1 and 8, got 10000000"),
-], ids=["sign_s", "normalization_sign", "efb_element", "witt_basis"])
+    ("blades_to_efb(Multivector.scalar(Metric.interleaved(1), 1), 10**9)",
+     "ValueError: m must be between 1 and 8, got 1000000000"),
+], ids=["sign_s", "normalization_sign", "efb_element", "witt_basis",
+        "blades_to_efb"])
 def test_huge_m_allocates_nothing(call, want):
     # the child caps its address space at 1.5 GB, so a call that builds
     # 2^m or O(m) of anything dies with MemoryError instead of answering
