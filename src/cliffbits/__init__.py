@@ -13,6 +13,9 @@ Two product engines share one algebra:
   multiplies of rows packed into the binary digits of one int, and the
   changes of basis to and from blades are Walsh-Hadamard transforms,
   one per operand over all of its stored cosets (``bits.walsh_batch``).
+  ``efb`` holds that engine alone; the basis words behind the matrix
+  units, their signs and the oracles they are checked with live in
+  ``words``.
 
 A dense product costs 16^m coefficient pairs in the blade engine but
 only 8^m triples in the fast one, a factor of exactly 2^m.  A blade
@@ -43,14 +46,14 @@ from .classify import (AlgebraClass, AutomorphismBits, SignatureKL,
                        recover_signature_partial, render_cube, tau_squared,
                        varlamov_bits)
 from .dyadic import DyadicRational
-from .efb import (ChiralityRecord, EFBElement, EFBIndex, EFBMultivector,
-                  blades_to_efb, efb_element, efb_product, efb_to_blades,
-                  matrix_unit_normalization, normal_order, normalization_sign,
-                  omega_eigen_check, sig_label, sign_s, signatures,
-                  table_entries, witt_basis, word_multivector,
-                  word_product_oracle)
+from .efb import EFBMultivector, blades_to_efb, efb_product, efb_to_blades
 from .instrument import OpCounts, op_counters, reset_op_counters
 from .verify import CheckResult, run_suite
+from .words import (ChiralityRecord, EFBElement, EFBIndex, efb_element,
+                    matrix_unit_normalization, normal_order,
+                    normalization_sign, omega_eigen_check, sig_label, sign_s,
+                    signatures, table_entries, witt_basis, word_multivector,
+                    word_product_oracle)
 
 __version__ = "0.1.0"
 

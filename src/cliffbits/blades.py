@@ -31,6 +31,15 @@ Blade = int
 _SIGN_RE = re.compile(r"([+-])")
 _GENERATOR_RE = re.compile(r"g([1-9]\d*)")
 
+# most generators block and interleaved build: one tuple entry each, and
+# verify --level full builds no more than 32
+MAX_N = 4096
+
+
+def _check_n(n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}, got {n}")
+
 
 class MetricError(ValueError):
     """Operands do not live in the same algebra."""
@@ -55,6 +64,7 @@ class Metric:
         """First k generators square to +1, the remaining l to -1."""
         if k < 0 or l < 0:
             raise ValueError("k and l must be non-negative")
+        _check_n(k + l)
         return cls((1,) * k + (-1,) * l)
 
     @classmethod
@@ -62,6 +72,7 @@ class Metric:
         """Neutral layout: odd positions square to +1, even positions to -1."""
         if m < 0:
             raise ValueError("m must be non-negative")
+        _check_n(2 * m)
         return cls((1, -1) * m)
 
     @property

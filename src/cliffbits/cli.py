@@ -20,15 +20,15 @@ import os
 import sys
 import time
 
-from .blades import Metric, Multivector, ParseError, mv_mul
+from .blades import Metric, Multivector, mv_mul
 from .classify import (_matrix_size_log2, algebra_name,
                        classification_record, classify, cube_record,
                        render_cube)
-from .efb import (MAX_M, blades_to_efb, efb_product, efb_to_blades,
-                  sig_label, table_entries)
+from .efb import _check_m, blades_to_efb, efb_product, efb_to_blades
 from .instrument import op_counters, reset_op_counters
 from .sampling import dense_blade_multivector, dense_efb_multivector
 from .verify import run_suite
+from .words import sig_label, table_entries
 
 
 def _ascii_default() -> bool:
@@ -99,17 +99,10 @@ def _cmd_efb_table(args) -> int:
 
 
 def _cmd_mul(args) -> int:
-    if not 1 <= args.m <= MAX_M:
-        print(f"mul: m must be between 1 and {MAX_M}, got {args.m}",
-              file=sys.stderr)
-        return 2
+    _check_m(args.m)
     metric = Metric.interleaved(args.m)
-    try:
-        x = Multivector.parse(args.left, metric)
-        y = Multivector.parse(args.right, metric)
-    except ParseError as exc:
-        print(f"mul: {exc}", file=sys.stderr)
-        return 2
+    x = Multivector.parse(args.left, metric)
+    y = Multivector.parse(args.right, metric)
     results = {}
     if args.engine in ("blade", "both"):
         results["blade"] = str(mv_mul(x, y))
@@ -165,7 +158,7 @@ def bench_results(m_max: int) -> list[dict]:
     """
     if not 1 <= m_max <= BENCH_M_MAX:
         raise ValueError(
-            f"m_max must be between 1 and {BENCH_M_MAX}, got {m_max}")
+            f"m-max must be between 1 and {BENCH_M_MAX}, got {m_max}")
     import random
     rng = random.Random(BENCH_SEED)
     rows = []
@@ -203,10 +196,6 @@ def bench_results(m_max: int) -> list[dict]:
 
 
 def _cmd_bench(args) -> int:
-    if not 1 <= args.m_max <= BENCH_M_MAX:
-        print(f"bench: m-max must be between 1 and {BENCH_M_MAX}, "
-              f"got {args.m_max}", file=sys.stderr)
-        return 2
     rows = bench_results(args.m_max)
     if args.json:
         print(json.dumps(rows, indent=2))

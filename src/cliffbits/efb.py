@@ -1,16 +1,10 @@
 """Extended Fock basis engine for the neutral algebras Cl(m, m).
 
-Basis words over the null vectors p_i = (g_{2i-1} + g_{2i})/2 and
-q_i = (g_{2i-1} - g_{2i})/2 take one block per slot i, each block one of
-q_i p_i, p_i q_i, p_i, q_i.  Two m-bit signatures classify a word:
-h (first letter per slot: q -> +, p -> -) and g (letter-count parity per
-slot: even -> +).  Rows are indexed by h, columns by the entrywise
-product h o g, with slot 1 in the most significant bit and bit values
-0 <-> + and 1 <-> -.  In this indexing word(a,b) * word(b,d) is
-sign_s(a,b,d) * word(a,d), a GF(2) bilinear sign.  Scaled by
-normalization_sign, the words become honest matrix units whose product
-has no sign at all, so the Clifford product is a plain matrix product:
-one factor of 2^m cheaper than blade-pair convolution on dense operands.
+The algebra is a 2^m x 2^m matrix over normalized matrix units: the
+basis words of the words module, each scaled by its normalization_sign,
+with row h and column h o g.  Their product has no sign at all, so the
+Clifford product is a plain matrix product: one factor of 2^m cheaper
+than blade-pair convolution on dense operands.
 
 The matrix is stored by column coset: the entries (b ^ g, b) for one
 g = row ^ col, the per-slot letter-count parity of the word, indexed by
@@ -47,20 +41,13 @@ width in bits (_packed_width).  The rule reads the operands alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from operator import or_
-from typing import NamedTuple
 
 from .bits import parity_above, walsh_batch, xor_span
-from .blades import (Metric, MetricError, Multivector, mv_mul,
-                     volume_element)
-from .dyadic import DyadicRational, _common_shift, _pair, _reduced, _scale_in
+from .blades import Metric, MetricError, Multivector
+from .dyadic import _common_shift, _pair, _reduced, _scale_in
 from .instrument import counters
-
-# slot content keyed by (h bit, g bit): h bit 0 means the first letter
-# is q, g bit 0 means an even letter count
-_SLOT_CODE = {(0, 0): "qp", (0, 1): "q", (1, 0): "pq", (1, 1): "p"}
 
 # largest m an EFBMultivector is built for: 4^m entries when dense
 MAX_M = 8
@@ -69,159 +56,6 @@ MAX_M = 8
 def _check_m(m: int) -> None:
     if not 1 <= m <= MAX_M:
         raise ValueError(f"m must be between 1 and {MAX_M}, got {m}")
-
-
-def sig_label(bits: int, m: int) -> str:
-    """Render an index as its sign string, slot 1 first: 2 -> '-+' for m=2."""
-    return "".join("-" if (bits >> (m - s)) & 1 else "+" for s in range(1, m + 1))
-
-
-@dataclass(frozen=True)
-class EFBIndex:
-    """(row, col) address of a basis word: row = h, col = h o g."""
-
-    row: int
-    col: int
-    m: int
-
-    def __post_init__(self):
-        _check_m(self.m)
-        dim = 1 << self.m
-        if not (0 <= self.row < dim and 0 <= self.col < dim):
-            raise ValueError(f"index out of range for m={self.m}")
-
-    @property
-    def row_label(self) -> str:
-        return sig_label(self.row, self.m)
-
-    @property
-    def col_label(self) -> str:
-        return sig_label(self.col, self.m)
-
-
-@dataclass(frozen=True)
-class EFBElement:
-    """A basis word: its index and the per-slot letter blocks."""
-
-    index: EFBIndex
-    word: tuple[str, ...]
-
-    def word_str(self) -> str:
-        return " ".join("".join(f"{ch}{i}" for ch in code)
-                        for i, code in enumerate(self.word, 1))
-
-
-class ChiralityRecord(NamedTuple):
-    """Products of the per-slot signs: the two volume-element eigenvalues."""
-
-    h_hat: int
-    g_hat: int
-
-
-def efb_element(row: int, col: int, m: int) -> EFBElement:
-    """The basis word sitting at (row, col)."""
-    idx = EFBIndex(row, col, m)
-    word = []
-    for slot in range(1, m + 1):
-        pos = m - slot
-        hb = (row >> pos) & 1
-        gb = hb ^ ((col >> pos) & 1)  # g = h * (h o g)
-        word.append(_SLOT_CODE[(hb, gb)])
-    return EFBElement(idx, tuple(word))
-
-
-def signatures(e: EFBElement):
-    """Per-slot h and g sign tuples plus their products, read off the
-    index: h is row and g is row ^ col, slot 1 in the top bit."""
-    m, h = e.index.m, e.index.row
-    g = h ^ e.index.col
-    slots = range(m - 1, -1, -1)  # bit positions, slot 1 first
-    return (tuple(1 - 2 * ((h >> i) & 1) for i in slots),
-            tuple(1 - 2 * ((g >> i) & 1) for i in slots),
-            ChiralityRecord(1 - 2 * (h.bit_count() & 1),
-                            1 - 2 * (g.bit_count() & 1)))
-
-
-def witt_basis(m: int):
-    """The null vectors ([p_1..p_m], [q_1..q_m]) over interleaved Cl(m,m)."""
-    _check_m(m)
-    metric = Metric.interleaved(m)
-    half = DyadicRational(1, 1)
-    p, q = [], []
-    for i in range(1, m + 1):
-        plus, minus = 1 << (2 * i - 2), 1 << (2 * i - 1)
-        p.append(Multivector(metric, {plus: half, minus: half}))
-        q.append(Multivector(metric, {plus: half, minus: -half}))
-    return p, q
-
-
-def normal_order(letters):
-    """Normal-order a word over the null letters.
-
-    letters: sequence of (slot, 'p' or 'q') pairs.  Sorts by slot with a
-    sign flip per transposition of distinct-slot letters (they all
-    anticommute), then reduces each slot string with pp = qq = 0 and
-    pqp = p, qpq = q.  Returns (sign, {slot: string}) or (0, None) when
-    the word is annihilated.
-    """
-    arr = list(letters)
-    sign = 1
-    for i in range(1, len(arr)):  # stable insertion sort, counting inversions
-        j = i
-        while j and arr[j - 1][0] > arr[j][0]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-    slots: dict[int, str] = {}
-    for slot, ch in arr:
-        slots[slot] = slots.get(slot, "") + ch
-    reduced: dict[int, str] = {}
-    for slot, s in slots.items():
-        if "pp" in s or "qq" in s:
-            return 0, None
-        # an alternating string keeps its first letter and length parity
-        reduced[slot] = s if len(s) <= 2 else (s[0] if len(s) & 1 else s[:2])
-    return sign, reduced
-
-
-def _word_letters(e: EFBElement):
-    return [(slot, ch) for slot, code in enumerate(e.word, 1) for ch in code]
-
-
-def word_product_oracle(a: int, b: int, c: int, d: int, m: int):
-    """Product of two basis words by explicit normal ordering.
-
-    Returns (sign, EFBElement); the element is None and the sign 0 when
-    the product vanishes (which happens exactly when b != c).
-    """
-    letters = _word_letters(efb_element(a, b, m)) + _word_letters(efb_element(c, d, m))
-    sign, slots = normal_order(letters)
-    if slots is None:
-        return 0, None
-    row = col = 0
-    for slot in range(1, m + 1):
-        s = slots[slot]
-        hb = 0 if s[0] == "q" else 1
-        gb = len(s) & 1
-        pos = m - slot
-        row |= hb << pos
-        col |= (hb ^ gb) << pos
-    return sign, efb_element(row, col, m)
-
-
-def sign_s(a: int, b: int, d: int, m: int) -> int:
-    """The sign in word(a,b) * word(b,d) = s * word(a,d).
-
-    Each odd slot of the first word crosses the odd slots of the second
-    word that come before it in slot order (higher bits):
-    (-1)^popcount((a^b) & parity_above(b^d)).  A word-coordinate oracle:
-    efb_product works on matrix units and needs no sign.
-    """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if a < 0 or b < 0 or d < 0 or a >> m or b >> m or d >> m:
-        raise ValueError(f"index out of range for m={m}")
-    return -1 if ((a ^ b) & parity_above(b ^ d)).bit_count() & 1 else 1
 
 
 def _canonical(cosets: dict, e: int) -> tuple[dict, int]:
@@ -534,16 +368,6 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     return EFBMultivector._from_ints(m, cosets, x._e)
 
 
-def word_multivector(e: EFBElement) -> Multivector:
-    """Blade expansion of a basis word, letter by letter: the oracle."""
-    p, q = witt_basis(e.index.m)
-    out = Multivector.scalar(p[0].metric, 1)
-    for slot, code in enumerate(e.word):
-        for ch in code:
-            out = mv_mul(out, (q if ch == "q" else p)[slot])
-    return out
-
-
 def efb_to_blades(x: EFBMultivector) -> Multivector:
     """Inverse change of basis: the transform's 2^-m joins the exponent."""
     m = x.m
@@ -556,58 +380,3 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
             if n:
                 terms[join_i[i] ^ base] = -n if flip else n
     return Multivector._raw(Metric.interleaved(m), terms, x._e + m)
-
-
-def normalization_sign(a: int, b: int, m: int) -> int:
-    """Sign turning the basis word at (a, b) into an honest matrix unit.
-
-    Anchored at row 0, whose words all carry +; the sign for the other
-    rows counts the crossings of the h bits against the word's own odd
-    slots earlier in slot order: the sign_s form on (a, a^b).
-    """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if a < 0 or b < 0 or a >> m or b >> m:
-        raise ValueError(f"index out of range for m={m}")
-    return -1 if (a & parity_above(a ^ b)).bit_count() & 1 else 1
-
-
-def matrix_unit_normalization(m: int) -> dict:
-    """All normalization signs, keyed by EFBIndex."""
-    _check_m(m)
-    dim = 1 << m
-    return {EFBIndex(a, b, m): normalization_sign(a, b, m)
-            for a in range(dim) for b in range(dim)}
-
-
-def omega_eigen_check(e: EFBElement) -> tuple[int, int]:
-    """Eigenvalues of the volume element acting on a basis word.
-
-    Computed via the blade oracle; returns (right, left) where
-    w * word = right * word and word * w = left * word.
-    """
-    m = e.index.m
-    metric = Metric.interleaved(m)
-    w = Multivector.from_blade(metric, volume_element(metric))
-    psi = word_multivector(e)
-    return _eigen(mv_mul(w, psi), psi), _eigen(mv_mul(psi, w), psi)
-
-
-def _eigen(product: Multivector, psi: Multivector) -> int:
-    if product == psi:
-        return 1
-    if product == -psi:
-        return -1
-    raise ArithmeticError("word is not an eigenvector")  # cannot happen
-
-
-def table_entries(m: int):
-    """The signed-word table: (row, col, sign, word string) in row order."""
-    _check_m(m)
-    dim = 1 << m
-    out = []
-    for a in range(dim):
-        for b in range(dim):
-            e = efb_element(a, b, m)
-            out.append((a, b, normalization_sign(a, b, m), e.word_str()))
-    return out

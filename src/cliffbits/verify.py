@@ -31,13 +31,13 @@ from .blades import (Metric, Multivector, blade_product, center_check,
 from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
-from .efb import (EFBMultivector, blades_to_efb, efb_element, efb_product,
-                  efb_to_blades, normalization_sign, omega_eigen_check,
-                  sign_s, signatures, witt_basis, word_multivector,
-                  word_product_oracle)
+from .efb import EFBMultivector, blades_to_efb, efb_product, efb_to_blades
 from .instrument import op_counters, reset_op_counters
 from .sampling import dense_blade_multivector, dense_efb_multivector, \
     random_multivector
+from .words import (efb_element, normalization_sign, omega_eigen_check,
+                    sign_s, signatures, witt_basis, word_multivector,
+                    word_product_oracle)
 
 # the populated cells of the (n, nu) classification table, 0 <= n <= 7
 TABLE_N_NU = {

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cliffbits
 from cliffbits import (DyadicRational, EFBMultivector, Metric, MetricError,
                        Multivector, blade_product, blades_to_efb,
                        efb_element, efb_product, efb_to_blades,
@@ -16,7 +17,7 @@ from cliffbits import (DyadicRational, EFBMultivector, Metric, MetricError,
                        reset_op_counters, sig_label, sign_s, signatures,
                        volume_element, witt_basis, word_multivector,
                        word_product_oracle)
-from cliffbits import blades, dyadic, efb, verify
+from cliffbits import blades, dyadic, efb, verify, words
 from cliffbits.bits import half_pochhammer_sign, parity_above
 from cliffbits.dyadic import MAX_BITS
 from cliffbits.sampling import (dense_blade_multivector,
@@ -136,10 +137,24 @@ def test_sign_cocycle_m3():
 
 
 def test_sign_validates_range():
-    with pytest.raises(ValueError):
-        sign_s(4, 0, 0, 2)
-    with pytest.raises(ValueError):
-        sign_s(0, 0, 0, 0)
+    # sign_s, normalization_sign and EFBIndex share one index check;
+    # efb_element bounds m first, through the engine's _check_m
+    out_of_range = "index out of range for m=2"
+    cases = [
+        (sign_s, (-1, 0, 0, 2), out_of_range),
+        (sign_s, (0, 4, 0, 2), out_of_range),
+        (sign_s, (0, 0, 0, 0), "m must be positive, got 0"),
+        (normalization_sign, (0, -1, 2), out_of_range),
+        (normalization_sign, (4, 0, 2), out_of_range),
+        (normalization_sign, (0, 0, 0), "m must be positive, got 0"),
+        (efb_element, (-1, 0, 2), out_of_range),
+        (efb_element, (0, 4, 2), out_of_range),
+        (efb_element, (0, 0, 0), "m must be between 1 and 8, got 0"),
+    ]
+    for func, args, message in cases:
+        with pytest.raises(ValueError) as info:
+            func(*args)
+        assert str(info.value) == message, (func.__name__, args)
 
 
 def test_word_as_blades_m1():
@@ -322,10 +337,54 @@ def test_m_bound():
 @pytest.mark.parametrize("m", [0, 9])
 def test_oracle_tables_bound_m(m):
     # 4^9 entries would still build in seconds; 4^30 would not finish
-    for table in (efb.table_entries, matrix_unit_normalization):
+    for table in (words.table_entries, matrix_unit_normalization):
         with pytest.raises(ValueError,
                            match=f"m must be between 1 and 8, got {m}"):
             table(m)
+
+
+# the package exports exactly these names
+PUBLIC_NAMES = [
+    "AlgebraClass", "AutomorphismBits", "CheckResult", "ChiralityRecord",
+    "DyadicRational", "EFBElement", "EFBIndex", "EFBMultivector", "Metric",
+    "MetricError", "Multivector", "OpCounts", "ParseError", "SignatureKL",
+    "algebra_name", "bit", "bit_to_sign", "blade_product", "blades_to_efb",
+    "center_check", "classification_record", "classify", "cube_coordinates",
+    "cube_record", "division_algebra", "dual_automorphism_check",
+    "efb_element", "efb_product", "efb_to_blades", "grade_involution",
+    "half_pochhammer_sign", "lucas_sign", "matrix_unit_normalization",
+    "mv_mul", "neg_mod8", "normal_order", "normalization_sign",
+    "omega_eigen_check", "omega_squared", "omega_squared_oracle",
+    "omega_tau_squared", "omega_tau_squared_oracle", "op_counters",
+    "parity_above", "recover_n_bits", "recover_signature_partial",
+    "render_cube", "reset_op_counters", "run_suite", "sig_label", "sign_bit",
+    "sign_s", "sign_to_bit", "signatures", "table_entries", "tau_blade",
+    "tau_squared", "tau_squared_oracle", "varlamov_bits", "volume_element",
+    "walsh_hadamard", "witt_basis", "word_multivector", "word_product_oracle",
+]
+
+# the basis-word calculus: defined in words, absent from the efb engine
+WORD_NAMES = [
+    "_SLOT_CODE", "sig_label", "EFBIndex", "EFBElement", "ChiralityRecord",
+    "efb_element", "signatures", "witt_basis", "normal_order",
+    "_word_letters", "word_product_oracle", "sign_s", "word_multivector",
+    "normalization_sign", "matrix_unit_normalization", "omega_eigen_check",
+    "_eigen", "table_entries",
+]
+
+
+def test_public_namespace():
+    assert sorted(cliffbits.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(cliffbits, name), name
+
+
+def test_word_calculus_lives_in_words():
+    for name in WORD_NAMES:
+        assert not hasattr(efb, name), name
+        obj = getattr(words, name)
+        if callable(obj):
+            assert obj.__module__ == "cliffbits.words", name
 
 
 def test_normalization_sign_rejects_nonpositive_m():
@@ -341,8 +400,12 @@ def test_normalization_sign_rejects_nonpositive_m():
     ("witt_basis(10**7)", "ValueError: m must be between 1 and 8, got 10000000"),
     ("blades_to_efb(Multivector.scalar(Metric.interleaved(1), 1), 10**9)",
      "ValueError: m must be between 1 and 8, got 1000000000"),
+    ("Metric.interleaved(10**9)",
+     "ValueError: n must be at most 4096, got 2000000000"),
+    ("Metric.block(10**9, 0)",
+     "ValueError: n must be at most 4096, got 1000000000"),
 ], ids=["sign_s", "normalization_sign", "efb_element", "witt_basis",
-        "blades_to_efb"])
+        "blades_to_efb", "metric_interleaved", "metric_block"])
 def test_huge_m_allocates_nothing(call, want):
     # the child caps its address space at 1.5 GB, so a call that builds
     # 2^m or O(m) of anything dies with MemoryError instead of answering
