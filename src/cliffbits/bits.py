@@ -6,6 +6,8 @@ the three least significant bits of an integer, extracted here.  Every
 product sign is a GF(2) bilinear form built on parity_above, and every
 change-of-basis sign is a Walsh function applied by walsh_batch, one
 transform over a whole batch of vectors (walsh_hadamard is one vector).
+A vector with one nonzero transforms to one scaled Walsh function, which
+walsh_function writes without a transform and walsh_index recognizes.
 Every re-indexing of blade masks is XOR-linear, so xor_span tabulates
 it from the images of the single bits.
 """
@@ -87,10 +89,45 @@ def walsh_batch(vectors, k: int) -> list:
     """
     flat = list(chain.from_iterable(vectors))
     count = len(flat) >> k
+    if not count:
+        return []
     for _ in range(k):
         even, odd = flat[0::2], flat[1::2]
         flat = [*map(add, even, odd), *map(sub, even, odd)]
     return [flat[c::count] for c in range(count)]
+
+
+def walsh_function(c: int, i: int, k: int) -> list:
+    """c times the Walsh function W_i: entry a is c * (-1)^popcount(a & i),
+    for 0 <= a < 2^k.  Also the transform of c at index i alone.
+
+    k doublings of the list and of its negation, taking the negation
+    into the upper half where i has the bit: concatenation only.
+    """
+    w, nw = [c], [-c]
+    for j in range(k):
+        w, nw = (w + nw, nw + w) if i >> j & 1 else (w + w, nw + nw)
+    return w
+
+
+def walsh_index(v: list, k: int) -> int:
+    """The i with v == v[0] * W_i (see walsh_function), or -1 when v[0] is
+    0 or v is no multiple of a Walsh function; len(v) = 2^k.
+
+    Bit j of i is read from the sign of v[2^j] against v[0], so any
+    other v is refused after O(k) entries, most after one or two.
+    """
+    c = v[0]
+    if not c:
+        return -1
+    i = 0
+    for j in range(k):
+        x = v[1 << j]
+        if x != c:
+            if x != -c:
+                return -1
+            i |= 1 << j
+    return i if v == walsh_function(c, i, k) else -1
 
 
 def walsh_hadamard(v: list) -> None:

@@ -7,7 +7,11 @@ and every product sign is the GF(2) bilinear form of blade_product.
 Multivector.parse reads each coefficient with dyadic's one reader into
 a numerator and an exponent, scales the terms once to the largest
 exponent and adopts the sums, and str writes each term with dyadic's
-one writer.
+one writer.  A generator above every factor read so far joins the mask
+by OR, with no sign; only an out-of-order one calls blade_product, and
+str writes generators in increasing order, so parse(str(x)) never does.
+str joins the generator names of a mask from per-byte tables of 256
+prebuilt strings, one table per byte position, built on first use.
 The fast engine is checked against this module, and this module
 against the explicit transposition counting of the
 blade-sign-vs-normal-order verify suite.
@@ -247,12 +251,7 @@ class Multivector:
             num = nums[mask]
             mag = _text(abs(num), top)  # each term in lowest terms
             if mask:
-                names = []
-                while mask:  # the set bits, lowest first
-                    low = mask & -mask
-                    names.append(f"g{low.bit_length()}")
-                    mask ^= low
-                gens = " ".join(names)
+                gens = _generator_names(mask)
                 body = gens if mag == "1" else f"{mag} {gens}"
             else:
                 body = mag
@@ -299,12 +298,15 @@ class Multivector:
                     # an index with more digits than n is out of range
                     # without int() of it
                     digits = gm.group(1)
-                    if len(digits) > width or int(digits) > n:
+                    if len(digits) > width or (index := int(digits)) > n:
                         raise ParseError(f"generator {_clip(tok)} outside an "
                                          f"algebra with n={n}")
-                    s2, mask = blade_product(mask, 1 << (int(digits) - 1),
-                                             metric)
-                    sign *= s2
+                    gen = 1 << (index - 1)
+                    if gen > mask:  # above every factor so far: no sign
+                        mask |= gen
+                    else:
+                        s2, mask = blade_product(mask, gen, metric)
+                        sign *= s2
                     gens_seen = True
                     continue
                 # a coefficient comes first: after a generator, even one
@@ -322,6 +324,35 @@ class Multivector:
         for mask, num, e in terms:
             acc[mask] = acc.get(mask, 0) + (num << (top - e))
         return cls._raw(metric, acc, top)
+
+
+# _BYTE_NAMES[p][b]: the names of the generators whose bits in byte p of
+# a mask form b, lowest first; a table is built when p is first used
+_BYTE_NAMES: list = [None] * (MAX_N // 8)
+
+
+def _byte_names(p: int) -> list:
+    table = _BYTE_NAMES[p]
+    if table is None:
+        names = [f"g{8 * p + j + 1}" for j in range(8)]
+        table = _BYTE_NAMES[p] = [
+            " ".join(name for j, name in enumerate(names) if b >> j & 1)
+            for b in range(256)]
+    return table
+
+
+def _generator_names(mask: Blade) -> str:
+    """'g1 g3 g9' for the set bits of mask, lowest first, one table
+    lookup per nonzero byte."""
+    if mask < 256:
+        return _byte_names(0)[mask]
+    parts = []
+    while mask:
+        p = ((mask & -mask).bit_length() - 1) >> 3
+        b = mask >> 8 * p & 0xFF
+        parts.append(_byte_names(p)[b])
+        mask ^= b << 8 * p
+    return " ".join(parts)
 
 
 def _canonical(nums: dict, e: int) -> tuple[dict, int]:

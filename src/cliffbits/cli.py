@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 
@@ -26,7 +27,8 @@ from .classify import (_matrix_size_log2, algebra_name,
                        render_cube)
 from .efb import _check_m, blades_to_efb, efb_product, efb_to_blades
 from .instrument import op_counters, reset_op_counters
-from .sampling import dense_blade_multivector, dense_efb_multivector
+from .sampling import (dense_blade_multivector, dense_efb_multivector,
+                       random_multivector)
 from .verify import run_suite
 from .words import sig_label, table_entries
 
@@ -147,6 +149,39 @@ def _cmd_verify(args) -> int:
 BENCH_M_MAX = 6
 # the operands bench draws, so that any two runs time the same products
 BENCH_SEED = 20240914
+# the layers of one mul through the Fock-basis engine, in call order
+BENCH_LAYERS = ("parse", "blades_to_efb", "efb_product", "efb_to_blades",
+                "render")
+
+
+def _layer_seconds(x: Multivector, y: Multivector, m: int,
+                   repeats: int = 3) -> dict:
+    """Seconds per layer of `mul` on the text of x and y, best of repeats.
+
+    The clock reads around the library calls: parse of both texts, both
+    conversions in, the product, the conversion out and the render of
+    the product.
+    """
+    metric = Metric.interleaved(m)
+    left, right = str(x), str(y)
+    clock = time.perf_counter
+    best = [float("inf")] * len(BENCH_LAYERS)
+    for _ in range(repeats):
+        t0 = clock()
+        px = Multivector.parse(left, metric)
+        py = Multivector.parse(right, metric)
+        t1 = clock()
+        ex, ey = blades_to_efb(px, m), blades_to_efb(py, m)
+        t2 = clock()
+        ez = efb_product(ex, ey)
+        t3 = clock()
+        z = efb_to_blades(ez)
+        t4 = clock()
+        str(z)
+        t5 = clock()
+        best = list(map(min, best, (t1 - t0, t2 - t1, t3 - t2, t4 - t3,
+                                    t5 - t4)))
+    return {name: round(sec, 7) for name, sec in zip(BENCH_LAYERS, best)}
 
 
 def bench_results(m_max: int) -> list[dict]:
@@ -154,13 +189,17 @@ def bench_results(m_max: int) -> list[dict]:
 
     Operation counts are deterministic: a dense blade product touches
     16^m coefficient pairs while the fast engine touches 8^m triples,
-    a ratio of exactly 2^m.  Wall times ride along for context.
+    a ratio of exactly 2^m.  Wall times ride along for context, and
+    `layers` times each layer of `mul` (_layer_seconds) on the dense
+    blade pair and on one sparse random_multivector pair, drawn from
+    a second generator so the dense draws stay as they were.
     """
     if not 1 <= m_max <= BENCH_M_MAX:
         raise ValueError(
             f"m-max must be between 1 and {BENCH_M_MAX}, got {m_max}")
     import random
     rng = random.Random(BENCH_SEED)
+    sparse_rng = random.Random(BENCH_SEED + 1)
     rows = []
     for m in range(1, m_max + 1):
         metric = Metric.interleaved(m)
@@ -180,9 +219,13 @@ def bench_results(m_max: int) -> list[dict]:
         efb_product(ex, ey)
         efb_sec = time.perf_counter() - t0
         triples = op_counters().efb_triples
-        reset_op_counters()
 
         assert triples << m == pairs, (m, pairs, triples)
+        sx = random_multivector(metric, sparse_rng)
+        sy = random_multivector(metric, sparse_rng)
+        layers = {"dense": _layer_seconds(bx, by, m),
+                  "sparse": _layer_seconds(sx, sy, m, repeats=20)}
+        reset_op_counters()
         rows.append({
             "m": m,
             "blade_pairs": pairs,
@@ -191,6 +234,7 @@ def bench_results(m_max: int) -> list[dict]:
             "blade_seconds": round(blade_sec, 4),
             "efb_seconds": round(efb_sec, 4),
             "wall_ratio": round(blade_sec / efb_sec, 2) if efb_sec else None,
+            "layers": layers,
         })
     return rows
 
@@ -198,7 +242,9 @@ def bench_results(m_max: int) -> list[dict]:
 def _cmd_bench(args) -> int:
     rows = bench_results(args.m_max)
     if args.json:
-        print(json.dumps(rows, indent=2))
+        print(json.dumps({"seed": BENCH_SEED,
+                          "python": platform.python_version(),
+                          "cpus": os.cpu_count(), "rows": rows}, indent=2))
         return 0
     print(f"{'m':>2} {'blade pairs':>14} {'efb triples':>12} {'ratio':>7} "
           f"{'blade s':>9} {'efb s':>9}")

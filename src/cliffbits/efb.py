@@ -19,6 +19,16 @@ per blade and one Walsh-Hadamard transform per operand, run by
 walsh_batch over all of its stored cosets at once.  Both blade <-> (i, g)
 maps are XOR-linear, tabulated per m by xor_span.
 
+Each conversion has a second path, picked per coset from the data, with
+the same result.  blades_to_efb writes a coset that holds one blade,
+found by counting the zeros of the coset, as c * W_i by walsh_function,
+with no arithmetic.  efb_to_blades reads a coset that walsh_index finds
+equal to c * W_i as the one blade c * 2^m, with no transform; it looks
+at v[0] and the v[2^j] first, so a dense coset leaves after one or two
+entries.  Every other coset goes through the one walsh_batch call.
+Sparse operands, as mul sees them, are mostly one blade per coset, and
+so are products of such operands.
+
 An EFBMultivector holds plain-int numerators over one shared
 denominator 2^_e, in canonical form, as a Multivector does, so the
 conversions and the product hand those ints to each other unchanged:
@@ -42,9 +52,11 @@ width in bits (_packed_width).  The rule reads the operands alone.
 from __future__ import annotations
 
 from functools import partial, reduce
+from itertools import compress
 from operator import or_
 
-from .bits import parity_above, walsh_batch, xor_span
+from .bits import (parity_above, walsh_batch, walsh_function, walsh_index,
+                   xor_span)
 from .blades import Metric, MetricError, Multivector
 from .dyadic import _common_shift, _pair, _reduced, _scale_in
 from .instrument import counters
@@ -193,7 +205,8 @@ class EFBMultivector:
         return self._scaled(*pair)
 
     def __repr__(self):
-        nnz = sum(1 for _ in self.nonzero())
+        dim = self.dim
+        nnz = sum(dim - v.count(0) for v in self._cosets.values())
         return f"<EFBMultivector m={self.m} nnz={nnz}>"
 
 
@@ -342,16 +355,22 @@ def _slot_tables(m: int) -> tuple[list, list, list, list]:
 
 # 4 * 2^m ints per m, 2040 in all
 _SLOTS = [None] + [_slot_tables(m) for m in range(1, MAX_M + 1)]
+# the interleaved metric per m, built and validated once
+_METRICS = [None] + [Metric.interleaved(m) for m in range(1, MAX_M + 1)]
 
 
 def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     """Change of basis from blades; requires the interleaved Cl(m,m) metric.
 
-    Each blade writes its signed numerator at its Walsh index, and one
-    transform per operand spreads every touched coset over the columns.
+    Each blade writes its signed numerator at its Walsh index.  A coset
+    that holds one blade, c at index i, is c * W_i, written by
+    walsh_function with no arithmetic; one transform spreads every
+    other touched coset over the columns.  The count of zeros in each
+    coset picks its path.
     """
     _check_m(m)
-    if x.metric != Metric.interleaved(m):
+    metric = _METRICS[m]
+    if x.metric is not metric and x.metric != metric:
         raise MetricError(f"multivector is not over interleaved Cl({m},{m})")
     dim, low = 1 << m, (1 << m) - 1
     lo, hi, _, _ = _SLOTS[m]
@@ -363,20 +382,43 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
         if v is None:
             v = cosets[g] = [0] * dim
         v[t & 0xFF] = -n if g.bit_count() & 2 else n  # (-1)^C(popcount g, 2)
-    # invertible, so a touched coset stays nonzero
-    cosets = dict(zip(cosets, walsh_batch(cosets.values(), m)))
+    # the transform is invertible, so a touched coset stays nonzero on
+    # either path
+    batch = []
+    for g, v in cosets.items():
+        if v.count(0) == low:  # dim - 1 zeros: one blade
+            i = next(compress(range(dim), v))
+            cosets[g] = walsh_function(v[i], i, m)
+        else:
+            batch.append(g)
+    for g, w in zip(batch, walsh_batch([cosets[g] for g in batch], m)):
+        cosets[g] = w
     return EFBMultivector._from_ints(m, cosets, x._e)
 
 
 def efb_to_blades(x: EFBMultivector) -> Multivector:
-    """Inverse change of basis: the transform's 2^-m joins the exponent."""
-    m = x.m
+    """Inverse change of basis: the transform's 2^-m joins the exponent.
+
+    A coset equal to c * W_i, as walsh_index reads it off, is the one
+    blade c * 2^m at i.  One transform takes every other coset back,
+    and its nonzero entries are read out.  Terms come in coset order,
+    then by Walsh index, on both paths.
+    """
+    m, dim = x.m, x.dim
     _, _, join_i, join_g = _SLOTS[m]
-    terms: dict[int, int] = {}
+    cosets = x._cosets.items()
+    found = [walsh_index(v, m) for _, v in cosets]
     # the transform is its own inverse up to the factor 2^m
-    for g, v in zip(x._cosets, walsh_batch(x._cosets.values(), m)):
+    spread = iter(walsh_batch(
+        [v for (_, v), i in zip(cosets, found) if i < 0], m))
+    terms: dict[int, int] = {}
+    for (g, v), i in zip(cosets, found):
         base, flip = join_g[g], g.bit_count() & 2
-        for i, n in enumerate(v):
-            if n:
-                terms[join_i[i] ^ base] = -n if flip else n
-    return Multivector._raw(Metric.interleaved(m), terms, x._e + m)
+        if i >= 0:
+            n = v[0] << m
+            terms[join_i[i] ^ base] = -n if flip else n
+            continue
+        w = next(spread)
+        for i in compress(range(dim), w):
+            terms[join_i[i] ^ base] = -w[i] if flip else w[i]
+    return Multivector._raw(_METRICS[m], terms, x._e + m)

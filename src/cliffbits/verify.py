@@ -8,11 +8,16 @@ registers it, in definition order, for ``run_suite``.  The CLI
 aggregates the results and sets the exit code; the test suite runs the
 same checks.
 
-Each level sets six bounds: ``lucas_n`` (n below it, i up to
+Each level sets seven bounds: ``lucas_n`` (n below it, i up to
 ``lucas_n.bit_length() - 1``), ``assoc_n`` (the exhaustive blade
 checks), ``kl`` and ``center_kl`` (signatures), ``m`` (Fock-basis
-checks; the costlier ones stop at ``m - 1``) and ``pairs`` (random
-operands per m).
+checks; the costlier ones stop at ``m - 1``), ``pairs`` (random
+operands per m) and ``fast_m`` (the conversion fast paths, every blade
+up to it).
+
+batched_blades_to_efb and batched_efb_to_blades are the conversions
+with every coset through one walsh_batch call, kept as the oracle of
+the one-blade and one-Walsh-function fast paths of the efb module.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .bits import lucas_sign, sign_bit
+from .bits import lucas_sign, sign_bit, walsh_batch
 from .blades import (Metric, Multivector, blade_product, center_check,
                      dual_automorphism_check, grade_involution, mv_mul,
                      omega_squared_oracle, omega_tau_squared_oracle,
@@ -31,7 +36,8 @@ from .blades import (Metric, Multivector, blade_product, center_check,
 from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
-from .efb import EFBMultivector, blades_to_efb, efb_product, efb_to_blades
+from .efb import (_SLOTS, EFBMultivector, blades_to_efb, efb_product,
+                  efb_to_blades)
 from .instrument import op_counters, reset_op_counters
 from .sampling import dense_blade_multivector, dense_efb_multivector, \
     random_multivector
@@ -69,9 +75,10 @@ class CheckResult:
 
 
 _BOUNDS = {
-    "quick": dict(lucas_n=512, assoc_n=4, kl=8, center_kl=6, m=3, pairs=8),
+    "quick": dict(lucas_n=512, assoc_n=4, kl=8, center_kl=6, m=3, pairs=8,
+                  fast_m=4),
     "full": dict(lucas_n=4096, assoc_n=6, kl=16, center_kl=12, m=4,
-                 pairs=25),
+                 pairs=25, fast_m=6),
 }
 
 _CHECKS = []
@@ -458,6 +465,77 @@ def check_op_ratio(b):
         counts = op_counters()
         yield (m, counts), counts.blade_pairs == counts.efb_triples << m
     reset_op_counters()
+
+
+def batched_blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
+    """blades_to_efb with every touched coset through walsh_batch."""
+    dim = 1 << m
+    lo, hi, _, _ = _SLOTS[m]
+    cosets: dict[int, list] = {}
+    for mask, n in x._nums.items():
+        t = lo[mask & dim - 1] ^ hi[mask >> m]
+        g = t >> 8
+        cosets.setdefault(g, [0] * dim)[t & 0xFF] = (
+            -n if g.bit_count() & 2 else n)
+    return EFBMultivector._from_ints(
+        m, dict(zip(cosets, walsh_batch(cosets.values(), m))), x._e)
+
+
+def batched_efb_to_blades(x: EFBMultivector) -> Multivector:
+    """efb_to_blades with every stored coset through walsh_batch."""
+    m = x.m
+    _, _, join_i, join_g = _SLOTS[m]
+    terms: dict[int, int] = {}
+    for g, w in zip(x._cosets, walsh_batch(x._cosets.values(), m)):
+        for i, n in enumerate(w):
+            if n:
+                terms[join_i[i] ^ join_g[g]] = -n if g.bit_count() & 2 else n
+    return Multivector._raw(Metric.interleaved(m), terms, x._e + m)
+
+
+def _same_efb(x: EFBMultivector, y: EFBMultivector) -> bool:
+    """Equal values, exponent and coset order."""
+    return x == y and list(x._cosets) == list(y._cosets)
+
+
+def _same_blades(x: Multivector, y: Multivector) -> bool:
+    """Equal values, exponent and terms order."""
+    return x == y and list(x._nums) == list(y._nums)
+
+
+@_suite("conversion-fast-paths")
+def check_conversion_fast_paths(b):
+    # every blade takes both fast paths; one entry off takes the batched
+    # path back; random products mix the paths and meet the blade engine
+    rng = random.Random(37)
+    for m in range(1, b["fast_m"] + 1):
+        metric = Metric.interleaved(m)
+        for mask in range(1 << (2 * m)):
+            x = Multivector._raw(metric, {mask: rng.choice((-1, 1))
+                                          * (2 * rng.randrange(512) + 1)},
+                                 rng.randrange(5))
+            ex = blades_to_efb(x, m)
+            yield ("to-efb", m, mask), _same_efb(
+                ex, batched_blades_to_efb(x, m))
+            back = efb_to_blades(ex)
+            yield ("to-blades", m, mask), (
+                back == x and _same_blades(back, batched_efb_to_blades(ex)))
+            (g, v), = ex._cosets.items()
+            near = EFBMultivector._from_ints(m, {g: v[:-1] + [v[-1] + 1]},
+                                             ex._e)
+            yield ("near-walsh", m, mask), _same_blades(
+                efb_to_blades(near), batched_efb_to_blades(near))
+        for _ in range(b["pairs"]):
+            x = random_multivector(metric, rng)
+            y = random_multivector(metric, rng)
+            ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
+            ez = efb_product(ex, ey)
+            z = efb_to_blades(ez)
+            yield (m, str(x), str(y)), (
+                _same_efb(ex, batched_blades_to_efb(x, m))
+                and _same_efb(ey, batched_blades_to_efb(y, m))
+                and _same_blades(z, batched_efb_to_blades(ez))
+                and z == mv_mul(x, y))
 
 
 def run_suite(level: str = "quick") -> list[CheckResult]:

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from cliffbits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
                        neg_mod8, parity_above, sign_bit, sign_to_bit,
                        walsh_hadamard)
-from cliffbits.bits import walsh_batch, xor_span
+from cliffbits.bits import walsh_batch, walsh_function, walsh_index, xor_span
 
 
 def test_bit_extraction():
@@ -125,3 +125,28 @@ def test_xor_span_matches_loop():
                     want ^= images[j]
             assert table[x] == want
     assert xor_span([5, 5]) == [0, 5, 5, 0]
+
+
+def test_walsh_function_is_transform_of_one_entry():
+    rng = random.Random(67)
+    for k in range(0, 7):
+        for i in range(1 << k):
+            c = rng.choice((1, -1)) * rng.randint(1, 1 << 80)
+            delta = [0] * (1 << k)
+            delta[i] = c
+            assert walsh_function(c, i, k) == walsh_batch([delta], k)[0]
+
+
+def test_walsh_index_reads_back_walsh_functions():
+    rng = random.Random(71)
+    for k in range(0, 7):
+        for i in range(1 << k):
+            c = rng.choice((1, -1)) * rng.randint(1, 1 << 80)
+            assert walsh_index(walsh_function(c, i, k), k) == i
+        assert walsh_index([0] * (1 << k), k) == -1
+    for k in range(2, 7):
+        for _ in range(50):
+            v = [rng.randint(-3, 3) for _ in range(1 << k)]
+            spread = [a for a, n in enumerate(walsh_batch([v], k)[0]) if n]
+            assert walsh_index(v, k) == (spread[0] if len(spread) == 1
+                                         else -1)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from cliffbits import (DyadicRational, Metric, MetricError, Multivector,
                        omega_squared_oracle, tau_blade, tau_squared_oracle,
                        volume_element)
 from cliffbits import blades, dyadic
+from cliffbits.sampling import random_multivector
 from cliffbits.verify import check_blade_sign_vs_normal_order
 
 from conftest import OTHER_SCALARS, multivectors
@@ -325,3 +327,39 @@ def test_blade_sign_vs_normal_order():
     result = check_blade_sign_vs_normal_order({"assoc_n": 6})
     assert result.passed, result.detail
     assert result.checked == sum(8 ** n for n in range(5)) + 6 * 4 ** 5 + 8 * 4 ** 6
+
+
+def test_parse_of_str_calls_no_blade_product(monkeypatch):
+    # str writes generators in increasing order, so parse ORs each in
+    rng = random.Random(73)
+    cases = [(metric, random_multivector(metric, rng))
+             for metric in (E22, Metric.interleaved(3), Metric.interleaved(8))
+             for _ in range(40)]
+
+    def refuse(*args):
+        raise AssertionError("parse called blade_product")
+    monkeypatch.setattr(blades, "blade_product", refuse)
+    for metric, x in cases:
+        assert Multivector.parse(str(x), metric) == x
+    with pytest.raises(AssertionError, match="blade_product"):
+        Multivector.parse("g2 g1", E22)  # out of order: one swap
+
+
+def _names_by_bits(mask: int) -> str:
+    return " ".join(f"g{i + 1}" for i in range(mask.bit_length())
+                    if mask >> i & 1)
+
+
+def test_str_names_across_byte_boundaries():
+    big = Metric.block(4096, 0)
+    rng = random.Random(79)
+    masks = [0b1_1000_0000, 0b11 << 15, 1 << 4095, (1 << 4096) - 1,
+             1 << 8 | 1 << 4094, *(rng.getrandbits(4096) for _ in range(5)),
+             *(rng.getrandbits(24) for _ in range(50))]
+    for mask in masks:
+        x = Multivector.from_blade(big, mask, -3)
+        assert str(x) == f"-3 {_names_by_bits(mask)}"
+    assert str(Multivector.from_blade(big, 0b11 << 7)) == "g8 g9"
+    assert str(Multivector.from_blade(big, 0b11 << 15)) == "g16 g17"
+    assert str(Multivector.generator(big, 4096)) == "g4096"
+    assert len(blades._BYTE_NAMES) == blades.MAX_N // 8

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import cliffbits
-from cliffbits import Metric, Multivector, ParseError, cli, verify
+from cliffbits import (Metric, Multivector, ParseError, cli, op_counters,
+                       verify)
 from cliffbits.cli import bench_results, main
 
 
@@ -263,7 +265,7 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
     assert [ln for ln in lines if "FAIL" in ln] == [lines[0]]
     assert lines[0].startswith("FAIL lucas-vs-sign-bit")
     assert lines[0].endswith("(first failure: (5, 1))")
-    assert len(lines) == 24
+    assert len(lines) == 25
     assert all(ln.startswith("ok") for ln in lines[1:])
 
 
@@ -287,6 +289,43 @@ def test_bench_counts_exact(capsys):
     code, out, _ = run(capsys, "bench", "2")
     assert code == 0
     assert "ratio" in out
+
+
+def test_bench_layers(capsys):
+    layers = ("parse", "blades_to_efb", "efb_product", "efb_to_blades",
+              "render")
+    for r in bench_results(2):
+        assert set(r["layers"]) == {"dense", "sparse"}
+        for pair in r["layers"].values():
+            assert tuple(pair) == layers
+            assert all(type(s) is float and s >= 0 for s in pair.values())
+    code, out, _ = run(capsys, "bench", "1", "--json")
+    rec = json.loads(out)
+    assert code == 0
+    assert (rec["seed"], rec["python"], rec["cpus"]) == (
+        cli.BENCH_SEED, platform.python_version(), os.cpu_count())
+    assert [r["m"] for r in rec["rows"]] == [1]
+    assert rec["rows"][0]["blade_pairs"] == 16
+
+
+def test_bench_layers_leave_dense_draws(capsys, monkeypatch):
+    # the sparse pair has its own generator: the dense operands are the
+    # ones bench drew before it timed layers, and the counters end at 0
+    def drawn(layer_seconds):
+        seen = []
+
+        def record(metric, rng):
+            seen.append(str(draw(metric, rng)))
+            return Multivector.parse(seen[-1], metric)
+        monkeypatch.setattr(cli, "dense_blade_multivector", record)
+        monkeypatch.setattr(cli, "_layer_seconds", layer_seconds)
+        bench_results(3)
+        return seen
+    draw = cli.dense_blade_multivector
+    with_layers = drawn(cli._layer_seconds)
+    assert with_layers == drawn(lambda *args, **kw: {})
+    assert len(with_layers) == 6
+    assert op_counters() == (0, 0)
 
 
 def test_bench_range(capsys):

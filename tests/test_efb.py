@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,8 @@ from cliffbits import (DyadicRational, EFBMultivector, Metric, MetricError,
                        volume_element, witt_basis, word_multivector,
                        word_product_oracle)
 from cliffbits import blades, dyadic, efb, verify, words
-from cliffbits.bits import half_pochhammer_sign, parity_above
+from cliffbits.bits import (half_pochhammer_sign, parity_above,
+                            walsh_batch, walsh_function, walsh_index)
 from cliffbits.dyadic import MAX_BITS
 from cliffbits.sampling import (dense_blade_multivector,
                                 dense_efb_multivector, random_multivector)
@@ -759,3 +761,196 @@ def test_stored_cosets_of_y_pick_kernel(stored, refused, monkeypatch):
     want = _kernel_outputs(x, y)[0][0]
     monkeypatch.setattr(efb, refused, _refuse)
     assert efb_product(x, y) == want
+
+
+# -- conversion fast paths against the batched path -------------------------
+
+def _assert_same_conversions(x: Multivector, m: int):
+    """Both conversions of x equal the batched path on values, exponent,
+    coset order and terms order; returns x's image."""
+    ex = blades_to_efb(x, m)
+    ref = verify.batched_blades_to_efb(x, m)
+    assert (ex._e, list(ex._cosets.items())) == (
+        ref._e, list(ref._cosets.items()))
+    back = efb_to_blades(ex)
+    ref = verify.batched_efb_to_blades(ex)
+    assert (back._e, list(back._nums.items())) == (
+        ref._e, list(ref._nums.items()))
+    assert back == x
+    return ex
+
+
+def _assert_same_read_back(z: EFBMultivector):
+    got, ref = efb_to_blades(z), verify.batched_efb_to_blades(z)
+    assert (got._e, list(got._nums.items())) == (
+        ref._e, list(ref._nums.items()))
+    assert blades_to_efb(got, z.m) == z
+
+
+def test_fast_paths_every_blade_m4():
+    rng = random.Random(43)
+    for m in range(1, 5):
+        metric = Metric.interleaved(m)
+        for mask in range(1 << (2 * m)):
+            c = DyadicRational(rng.choice((-1, 1)) * rng.randint(1, 999),
+                               rng.randint(0, 4))
+            _assert_same_conversions(
+                Multivector.from_blade(metric, mask, c), m)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_fast_paths_random_operands(m):
+    rng = random.Random(47 + m)
+    metric = Metric.interleaved(m)
+    for _ in range(12):
+        x, y = random_multivector(metric, rng), random_multivector(metric, rng)
+        ex, ey = _assert_same_conversions(x, m), _assert_same_conversions(y, m)
+        z = efb_product(ex, ey)
+        _assert_same_read_back(z)
+        assert efb_to_blades(z) == mv_mul(x, y)
+
+
+def _cosets_of(m: int) -> dict:
+    """Coset g -> the blade masks that lie in it."""
+    lo, hi, _, _ = efb._SLOTS[m]
+    out: dict[int, list] = {}
+    for mask in range(1 << (2 * m)):
+        out.setdefault((lo[mask & ((1 << m) - 1)] ^ hi[mask >> m]) >> 8,
+                       []).append(mask)
+    return out
+
+
+def test_fast_paths_mixed_cosets():
+    # one-blade and many-blade cosets in one operand, in either order
+    rng = random.Random(53)
+    for m in (2, 3, 5):
+        metric = Metric.interleaved(m)
+        cosets = list(_cosets_of(m).values())
+        for _ in range(10):
+            masks = []
+            for blades_here in rng.sample(cosets, min(4, len(cosets))):
+                masks += rng.sample(blades_here, rng.choice((1, 1, 2, 3)))
+            x = Multivector(metric, {mask: rng.choice((-3, 1, 5))
+                                     for mask in masks})
+            ex, ey = (_assert_same_conversions(x, m),
+                      _assert_same_conversions(x * x, m))
+            _assert_same_read_back(efb_product(ex, ey))
+
+
+def test_fast_paths_cancelling_blades():
+    m = 3
+    metric = Metric.interleaved(m)
+    g1, g2, g3 = (Multivector.generator(metric, i) for i in (1, 2, 3))
+    one = Multivector.scalar(metric, 1)
+    for x, y in [(one + g1, one - g1),            # g1 g1 = 1: all cancels
+                 (g1 + g2, g1 + g2),              # g1 g2 + g2 g1 = 0
+                 (one + g1 + g3, one - g1 + g3)]:  # part cancels
+        ex, ey = _assert_same_conversions(x, m), _assert_same_conversions(y, m)
+        z = efb_product(ex, ey)
+        _assert_same_read_back(z)
+        assert efb_to_blades(z) == mv_mul(x, y)
+    zero = blades_to_efb(g1, m) - blades_to_efb(g1, m)
+    assert efb_to_blades(zero) == Multivector.zero(metric)
+
+
+def test_fast_paths_huge_numerators():
+    big = 1 << MAX_BITS
+    for m in (1, 4, 6):
+        metric = Metric.interleaved(m)
+        top = (1 << (2 * m)) - 1
+        for nums in ({1: big}, {2: -big}, {0: big - 1, top: -big},
+                     {1: big + 1, 2: -(big + 1), top: 3}):
+            for e in (0, MAX_BITS):
+                x = Multivector._raw(metric, dict(nums), e)
+                ex = _assert_same_conversions(x, m)
+                _assert_same_read_back(efb_product(ex, ex))
+
+
+def _near_walsh(m: int):
+    """Cosets a walsh_index misreading could take for one Walsh function."""
+    rng = random.Random(59 + m)
+    dim = 1 << m
+    for _ in range(6):
+        c = rng.choice((1, -1)) * rng.randint(1, 1 << 70)
+        i = rng.randrange(dim)
+        w = walsh_function(c, i, m)
+        for k in {0, dim - 1, rng.randrange(dim)}:  # one entry off
+            v = w[:]
+            v[k] += rng.choice((1, -1, c))
+            yield v
+        for j in range(m):  # one sign flipped at a power of two
+            v = w[:]
+            v[1 << j] = -v[1 << j]
+            yield v
+        yield [0] + w[1:]  # v[0] = 0
+        if dim > 2:  # v[1] = +-v[0] and a later mismatch
+            yield [c, rng.choice((c, -c)), 7 * c] + w[3:]
+        i2 = rng.choice([k for k in range(dim) if k != i])
+        yield list(map(add, w, walsh_function(c, i2, m)))  # two Walsh
+        yield list(map(add, w, walsh_function(-2 * c, i2, m)))
+
+
+def _walsh_index_by_transform(v, m):
+    """The one nonzero of the transform of v, or -1 when there is none
+    or more than one."""
+    spread = [k for k, n in enumerate(walsh_batch([v], m)[0]) if n]
+    return spread[0] if len(spread) == 1 else -1
+
+
+def test_read_back_refuses_near_walsh_cosets():
+    misses = total = 0
+    for m in range(1, 7):
+        for v in _near_walsh(m):
+            total += 1
+            # at m = 1 a flipped sign is the other Walsh function
+            want = _walsh_index_by_transform(v, m)
+            assert walsh_index(v, m) == want, v
+            misses += want < 0
+            for g in (0, (1 << m) - 1):
+                _assert_same_read_back(
+                    EFBMultivector._from_ints(m, {g: v, g ^ 1: v[::-1]}, 3))
+    assert misses >= 0.9 * total
+
+
+def test_fast_paths_keep_coset_and_term_order():
+    # operands whose blades come in descending order: the terms come out
+    # in coset order, then by Walsh index, exactly as the batched path
+    m = 3
+    metric = Metric.interleaved(m)
+    masks = sorted(range(1 << (2 * m)), reverse=True)[::7]
+    x = Multivector._raw(metric, {mask: k + 1 for k, mask in enumerate(masks)},
+                         0)
+    ex = _assert_same_conversions(x, m)
+    assert list(ex._cosets) != sorted(ex._cosets)
+
+
+def test_repr_counts_nonzero_entries():
+    rng = random.Random(61)
+    for x in (EFBMultivector.zeros(2), EFBMultivector.identity(3),
+              _random_efb(3, rng, 0.4, 5), dense_efb_multivector(4, rng)):
+        assert repr(x) == (f"<EFBMultivector m={x.m} "
+                           f"nnz={len(list(x.nonzero()))}>")
+
+
+def test_conversions_share_one_metric_per_m():
+    for m in (1, 4, 8):
+        equal = Metric.interleaved(m)
+        assert equal is not efb._METRICS[m] and equal == efb._METRICS[m]
+        x = Multivector.generator(equal, 2)
+        assert efb_to_blades(blades_to_efb(x, m)).metric is efb._METRICS[m]
+    with pytest.raises(MetricError):
+        blades_to_efb(Multivector.scalar(Metric.block(2, 2), 1), 2)
+
+
+def test_one_blade_cosets_skip_the_transform(monkeypatch):
+    # single blades in, one blade out: no coset reaches walsh_batch
+    def refuse(vectors, k):
+        assert not list(vectors), "a one-blade coset was transformed"
+        return []
+    metric = Metric.interleaved(6)
+    x = Multivector.from_blade(metric, 0b1011, DyadicRational(3, 2))
+    y = Multivector.from_blade(metric, 0b110000_000110, -5)
+    want = mv_mul(x, y)
+    monkeypatch.setattr(efb, "walsh_batch", refuse)
+    assert efb_to_blades(efb_product(blades_to_efb(x, 6),
+                                     blades_to_efb(y, 6))) == want
