@@ -18,8 +18,10 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 from .blades import Metric, Multivector, mv_mul
 from .classify import (_matrix_size_log2, algebra_name,
@@ -239,12 +241,32 @@ def bench_results(m_max: int) -> list[dict]:
     return rows
 
 
+def _commit() -> str | None:
+    """`git rev-parse HEAD` of the checkout this package is part of, or
+    None when there is no git, no checkout, or the package is not
+    tracked in it."""
+    here = Path(__file__).resolve()
+    out = None
+    for argv in (["ls-files", "--error-unmatch", here.name],
+                 ["rev-parse", "HEAD"]):
+        try:
+            proc = subprocess.run(["git", *argv], cwd=here.parent,
+                                  capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        if proc.returncode:
+            return None
+        out = proc.stdout.strip()
+    return out or None
+
+
 def _cmd_bench(args) -> int:
     rows = bench_results(args.m_max)
     if args.json:
         print(json.dumps({"seed": BENCH_SEED,
                           "python": platform.python_version(),
-                          "cpus": os.cpu_count(), "rows": rows}, indent=2))
+                          "cpus": os.cpu_count(), "commit": _commit(),
+                          "rows": rows}, indent=2))
         return 0
     print(f"{'m':>2} {'blade pairs':>14} {'efb triples':>12} {'ratio':>7} "
           f"{'blade s':>9} {'efb s':>9}")

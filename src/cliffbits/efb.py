@@ -19,15 +19,17 @@ per blade and one Walsh-Hadamard transform per operand, run by
 walsh_batch over all of its stored cosets at once.  Both blade <-> (i, g)
 maps are XOR-linear, tabulated per m by xor_span.
 
-Each conversion has a second path, picked per coset from the data, with
-the same result.  blades_to_efb writes a coset that holds one blade,
-found by counting the zeros of the coset, as c * W_i by walsh_function,
-with no arithmetic.  efb_to_blades reads a coset that walsh_index finds
-equal to c * W_i as the one blade c * 2^m, with no transform; it looks
-at v[0] and the v[2^j] first, so a dense coset leaves after one or two
-entries.  Every other coset goes through the one walsh_batch call.
-Sparse operands, as mul sees them, are mostly one blade per coset, and
-so are products of such operands.
+Each conversion has a second path, picked from the data, with the same
+result.  blades_to_efb gathers an operand that holds at least 3/8 of
+the 4^m blades through one per-m table of the blade at each (g, i), in
+C, and writes a sparser one blade by blade, where a coset that holds
+one blade, found by counting the zeros of the coset, is c * W_i by
+walsh_function, with no arithmetic.  efb_to_blades reads a coset that
+walsh_index finds equal to c * W_i as the one blade c * 2^m, with no
+transform; it looks at v[0] and the v[2^j] first, so a dense coset
+leaves after one or two entries.  Every other coset goes through the
+one walsh_batch call.  Sparse operands, as mul sees them, are mostly
+one blade per coset, and so are products of such operands.
 
 An EFBMultivector holds plain-int numerators over one shared
 denominator 2^_e, in canonical form, as a Multivector does, so the
@@ -37,23 +39,28 @@ exponents, and efb_to_blades adds m, which is where the 2^-m of the
 inverse transform goes.  Reduced DyadicRationals are built only where a
 coefficient leaves (entry, nonzero).
 
-efb_product has two kernels with equal results and triple counts.  The
-coset sweep runs out[g ^ h][d] += x[g][d ^ h] * y[h][d] over pairs of
-stored cosets, one interpreted multiply-add per triple.  The packed
-kernel writes each row of y into the binary digits of one int
-(Kronecker substitution), so a row of the product is one sum of
-big-int multiplies, run in C.  It pays for every lane of a row of y,
-stored or not, and for lanes twice as wide as the coefficients, so it
-loses on sparse or wide operands; efb_product takes it only when y
-stores at least a quarter plus W/1024 of the cosets, W being the lane
-width in bits (_packed_width).  The rule reads the operands alone.
+efb_product has two kernels with equal results, coset order and
+triple counts.  The coset sweep runs out[g ^ h][d] += x[g][d ^ h] *
+y[h][d] over pairs of stored cosets, one interpreted multiply-add per
+triple.  The packed kernel writes each row of y into the binary digits
+of one int (Kronecker substitution), so a row of the product is one
+C-level sum of big-int multiplies.  Entry (a, b) sits at position
+(a ^ b) * 2^m + b by cosets and a * 2^m + b by rows, so one itemgetter
+per m takes both operands to rows and the product back.  Lanes of 8,
+16, 32 or 64 bits move through one array call per operand; wider ones,
+one to_bytes per entry.  The packed kernel pays for all 4^m entries and for a
+2^m-lane multiply per entry of x, so it loses on sparse or wide
+operands; _packed_width weighs the sweep's (stored cosets of x) * nnz(y)
+multiply-adds against that cost, from both operands alone.
 """
 
 from __future__ import annotations
 
-from functools import partial, reduce
-from itertools import compress
-from operator import or_
+import sys
+from array import array
+from functools import cache, partial, reduce
+from itertools import chain, compress, repeat
+from operator import itemgetter, mul, neg, or_
 
 from .bits import (parity_above, walsh_batch, walsh_function, walsh_index,
                    xor_span)
@@ -63,6 +70,10 @@ from .instrument import counters
 
 # largest m an EFBMultivector is built for: 4^m entries when dense
 MAX_M = 8
+# the packed kernel's lanes: signed array typecodes by size in bytes,
+# 1, 2, 4 and 8, in the byte order arrays use
+_ARRAY_TYPES = {array(t).itemsize: t for t in "bhiq"}
+_ORDER = sys.byteorder
 
 
 def _check_m(m: int) -> None:
@@ -231,19 +242,24 @@ def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
 def _packed_width(x: EFBMultivector, y: EFBMultivector) -> int:
     """The packed kernel's lane width when it is the faster kernel, else 0.
 
-    Per nonzero of x, the packed kernel multiplies against a whole row
-    of y, 2^m lanes of W bits, stored or not; the sweep runs one
-    interpreted multiply-add per coset y stores.  The sweep's
-    interpreter overhead weighs less as W grows, so the packed kernel
-    runs only when y stores at least 1/4 + W/1024 of the cosets, which
-    rules out lanes above 768 bits.  The measured crossovers at m = 5
-    and 6 lie below that line.
+    Costs are counted in the sweep's interpreted multiply-adds, of which
+    it runs at most (stored cosets of x) * nnz(y).  The packed kernel
+    moves all 4^m entries of the operands and the product, about
+    m/2 + W/64 each at W-bit lanes; it multiplies a row of 2^m lanes,
+    about 2^m * W / 2048, per entry of a stored coset of x; and it costs
+    64 more per call.  The constants were fitted to a timing grid over
+    m = 2..8, the stored cosets of both operands and W = 16..712 bits,
+    recorded in ROADMAP.md.  An operand pair that fails on the moves at
+    m/2 alone skips the width scan.
     """
-    stored, dim = len(y._cosets), x.dim
-    if 4 * stored < dim:  # implied below; spares a sparse y the width scan
+    dim, stored = x.dim, len(x._cosets)
+    sweep = stored * sum(dim - v.count(0) for v in y._cosets.values())
+    moves = dim * dim * x.m // 2 + 64
+    if sweep < moves:
         return 0
     width = _lane_width(x, y)
-    return width if 1024 * stored >= dim * (256 + width) else 0
+    packed = moves + dim * dim * width * (32 + stored) // 2048
+    return width if sweep >= packed else 0
 
 
 def _sweep(x: EFBMultivector, y: EFBMultivector) -> tuple[dict, int]:
@@ -271,16 +287,46 @@ def _sweep(x: EFBMultivector, y: EFBMultivector) -> tuple[dict, int]:
     return out, triples
 
 
-def _bits(x: EFBMultivector) -> int:
-    """Bit length of the largest numerator magnitude of x."""
-    return max((max(max(v), -min(v)).bit_length()
-                for v in x._cosets.values()), default=0)
-
-
 def _lane_width(x: EFBMultivector, y: EFBMultivector) -> int:
-    """Bits, a whole number of bytes, that hold any entry of x * y plus
-    half the lane: |entry| < 2^(bits(x) + bits(y) + m)."""
-    return (_bits(x) + _bits(y) + x.m + 8) >> 3 << 3
+    """Bits that hold any entry of x * y as a signed lane, |entry| <
+    2^(bits(x) + bits(y) + m), bits being the bit length of the largest
+    numerator magnitude: 8, 16, 32 or 64, the lanes an array holds, or
+    past a word a whole number of bytes.  One C-level max and min pass
+    per operand reads the bits; each operand stores a coset."""
+    need = x.m + 8
+    for vs in (x._cosets.values(), y._cosets.values()):
+        need += max(max(map(max, vs)), -min(map(min, vs))).bit_length()
+    size = need >> 3
+    return 8 << (size - 1).bit_length() if size <= 8 else size << 3
+
+
+@cache
+def _transposer(m: int) -> itemgetter:
+    """The itemgetter that takes a flat coset-major list to row-major
+    order and back, built on first use.
+
+    Entry (a, b) sits at a * 2^m + b by rows and at (a ^ b) * 2^m + b by
+    cosets; the map between them is its own inverse.
+    """
+    low = (1 << m) - 1
+    return itemgetter(*[(p >> m ^ p & low) << m | p & low
+                        for p in range(1 << 2 * m)])
+
+
+def _lanes_in(values, size: int) -> bytes:
+    """values as size-byte two's-complement lanes laid end to end: one
+    array call up to a word, one to_bytes per value past it."""
+    if size in _ARRAY_TYPES:
+        return array(_ARRAY_TYPES[size], values).tobytes()
+    return b"".join(v.to_bytes(size, _ORDER, signed=True) for v in values)
+
+
+def _lanes_out(data: bytes, size: int) -> list:
+    """The signed values of the size-byte lanes of data."""
+    if size in _ARRAY_TYPES:
+        return memoryview(data).cast(_ARRAY_TYPES[size]).tolist()
+    return [int.from_bytes(data[i:i + size], _ORDER, signed=True)
+            for i in range(0, len(data), size)]
 
 
 def _packed(x: EFBMultivector, y: EFBMultivector,
@@ -288,45 +334,43 @@ def _packed(x: EFBMultivector, y: EFBMultivector,
     """(output cosets, triples) by Kronecker substitution.
 
     Row b of y becomes the single int R_b = sum_d y[b][d] * 2^(width*d),
-    so row a of the product is the int sum_b x[a][b] * R_b: one big-int
-    multiply-add per nonzero of x.  Every entry of the product has
-    magnitude below 2^(width - 1), so adding half of each lane turns
-    that sum into width-bit digits, read back with one to_bytes per row.
-    Only the lanes of the cosets g ^ h that x and y can reach are read.
-    The triple count is computed, not executed: sum over b of
-    nnz(column b of x) * nnz(row b of y).
+    so row a of the product is the int sum_b x[a][b] * R_b, one C-level
+    sum of big-int multiplies per row.  One transpose takes x and y to
+    row-major order and the product back.  Lanes move as bytes in
+    two's complement: with T holding 2^(width-1) in every lane,
+    (U ^ T) - T turns the unsigned int U of a row's bytes into R_b, and
+    the bytes of (acc + T) ^ T are the signed lanes of acc, since every
+    entry of the product has magnitude below 2^(width - 1).  The triple
+    count is computed, not executed: sum over b of nnz(column b of x)
+    * nnz(row b of y).
     """
     dim, size = x.dim, width >> 3
-    half = 1 << (width - 1)
-    bias = int.from_bytes(half.to_bytes(size, "little") * dim, "little")
-    lanes = [[half] * dim for _ in range(dim)]
-    row_nnz = [0] * dim
-    for h, yv in y._cosets.items():
-        for d, n in enumerate(yv):
-            if n:
-                lanes[d ^ h][d] += n
-                row_nnz[d ^ h] += 1
-    rows = [int.from_bytes(b"".join(v.to_bytes(size, "little") for v in lane),
-                           "little") - bias if k else 0
-            for lane, k in zip(lanes, row_nnz)]
-    out = {g ^ h: [0] * dim for g in x._cosets for h in y._cosets}
-    targets = list(out.items())
-    xitems = list(x._cosets.items())
-    triples = 0
-    for a in range(dim):
-        acc = 0
-        for g, xv in xitems:
-            b = a ^ g  # entry (a, b) of x sits at column b of coset g
-            xi = xv[b]
-            if xi:
-                acc += xi * rows[b]
-                triples += row_nnz[b]
-        if acc:
-            digits = (acc + bias).to_bytes(size * dim, "little")
-            for k, ov in targets:
-                d = a ^ k
-                ov[d] = int.from_bytes(digits[d * size:(d + 1) * size],
-                                       "little") - half
+    swap = _transposer(x.m)
+    zeros = [0] * dim
+    xc, yc = (list(chain.from_iterable(map(z._cosets.get, range(dim),
+                                           repeat(zeros))))
+              for z in (x, y))
+    xr, yr = swap(xc), swap(yc)
+    span = size * dim  # bytes per row
+    halves = int.from_bytes((1 << (width - 1)).to_bytes(size, _ORDER) * dim,
+                            _ORDER)  # T
+    packed = _lanes_in(yr, size)
+    rows = [(int.from_bytes(packed[i:i + span], _ORDER) ^ halves) - halves
+            for i in range(0, len(packed), span)]
+    data = b"".join(
+        ((sum(map(mul, xr[i:i + dim], rows)) + halves) ^ halves).to_bytes(
+            span, _ORDER)
+        for i in range(0, dim * dim, dim))
+    oc = swap(_lanes_out(data, size))
+    order: dict[int, None] = {}
+    for g in x._cosets:  # the sweep's order: g ^ h, g outer, h inner
+        order.update(dict.fromkeys(map(g.__xor__, y._cosets)))
+        if len(order) == dim:
+            break
+    out = {k: list(oc[k * dim:(k + 1) * dim]) for k in order}
+    triples = sum(map(mul, (dim - xc[b::dim].count(0) for b in range(dim)),
+                      (dim - yr[i:i + dim].count(0)
+                       for i in range(0, dim * dim, dim))))
     return out, triples
 
 
@@ -357,25 +401,52 @@ def _slot_tables(m: int) -> tuple[list, list, list, list]:
 _SLOTS = [None] + [_slot_tables(m) for m in range(1, MAX_M + 1)]
 # the interleaved metric per m, built and validated once
 _METRICS = [None] + [Metric.interleaved(m) for m in range(1, MAX_M + 1)]
+# blades_to_efb gathers an operand that holds at least this share of
+# the 4^m blades through _gather_tables, and loops over a sparser one
+_GATHER_SHARE = 3 / 8
+
+
+@cache
+def _gather_tables(m: int) -> tuple[list, list]:
+    """(coset of each blade mask, blade mask at each coset-major position
+    g * 2^m + i), built on first use: both maps are XOR-linear, so
+    xor_span tabulates them from the _SLOTS images of the single bits."""
+    lo, hi, join_i, join_g = _SLOTS[m]
+    bits = [1 << k for k in range(m)]
+    return (xor_span([lo[b] >> 8 for b in bits] + [hi[b] >> 8 for b in bits]),
+            xor_span([join_i[b] for b in bits] + [join_g[b] for b in bits]))
 
 
 def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     """Change of basis from blades; requires the interleaved Cl(m,m) metric.
 
-    Each blade writes its signed numerator at its Walsh index.  A coset
-    that holds one blade, c at index i, is c * W_i, written by
-    walsh_function with no arithmetic; one transform spreads every
-    other touched coset over the columns.  The count of zeros in each
-    coset picks its path.
+    Each blade writes its signed numerator at its Walsh index.  An
+    operand with at least _GATHER_SHARE of the 4^m blades is gathered
+    whole, coset by coset in the order its blades first reach them,
+    through _gather_tables.  In a sparser one, a coset that holds one
+    blade, c at index i, is c * W_i, written by walsh_function with no
+    arithmetic, and the count of zeros in each coset picks that path.
+    One transform spreads every other touched coset over the columns.
     """
     _check_m(m)
     metric = _METRICS[m]
     if x.metric is not metric and x.metric != metric:
         raise MetricError(f"multivector is not over interleaved Cl({m},{m})")
-    dim, low = 1 << m, (1 << m) - 1
+    nums = x._nums
+    dim = 1 << m
+    if len(nums) >= _GATHER_SHARE * dim * dim:
+        coset_of, blade_at = _gather_tables(m)
+        flat = list(map(nums.get, blade_at, repeat(0)))
+        order = dict.fromkeys(map(coset_of.__getitem__, nums))
+        # (-1)^C(popcount g, 2) on each stored coset
+        spans = [flat[g * dim:(g + 1) * dim] for g in order]
+        return EFBMultivector._from_ints(m, dict(zip(order, walsh_batch(
+            [map(neg, v) if g.bit_count() & 2 else v
+             for g, v in zip(order, spans)], m))), x._e)
+    low = dim - 1
     lo, hi, _, _ = _SLOTS[m]
     cosets: dict[int, list] = {}
-    for mask, n in x._nums.items():
+    for mask, n in nums.items():
         t = lo[mask & low] ^ hi[mask >> m]
         g = t >> 8
         v = cosets.get(g)

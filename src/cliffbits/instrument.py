@@ -4,7 +4,7 @@ The blade engine counts blade-pair multiplies, the Fock-basis engine
 counts (row, shared, col) triples with both factors nonzero; on dense
 operands over Cl(m,m) the two counts are 16^m and 8^m, so their ratio
 is exactly 2^m.  The coset sweep executes each triple it counts.  The
-packed kernel runs one big-int multiply per nonzero of x instead, so it
+packed kernel runs one big-int multiply per entry of x instead, so it
 computes the same count, sum over b of nnz(column b of x) * nnz(row b
 of y), without executing the triples.  Counting is always on: the
 increments are plain integer adds guarded by the GIL.

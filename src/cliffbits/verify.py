@@ -12,12 +12,14 @@ Each level sets seven bounds: ``lucas_n`` (n below it, i up to
 ``lucas_n.bit_length() - 1``), ``assoc_n`` (the exhaustive blade
 checks), ``kl`` and ``center_kl`` (signatures), ``m`` (Fock-basis
 checks; the costlier ones stop at ``m - 1``), ``pairs`` (random
-operands per m) and ``fast_m`` (the conversion fast paths, every blade
-up to it).
+operands per m) and ``fast_m`` (the fast paths: every blade through the
+conversions, and dense operands through the packed kernel and the
+dense gather, up to it).
 
 batched_blades_to_efb and batched_efb_to_blades are the conversions
 with every coset through one walsh_batch call, kept as the oracle of
-the one-blade and one-Walsh-function fast paths of the efb module.
+the one-blade, one-Walsh-function and dense-gather fast paths of the
+efb module; the coset sweep is the oracle of the packed kernel.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .blades import (Metric, Multivector, blade_product, center_check,
 from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
-from .efb import (_SLOTS, EFBMultivector, blades_to_efb, efb_product,
-                  efb_to_blades)
+from .efb import (_SLOTS, EFBMultivector, _lane_width, _packed, _sweep,
+                  blades_to_efb, efb_product, efb_to_blades)
 from .instrument import op_counters, reset_op_counters
 from .sampling import dense_blade_multivector, dense_efb_multivector, \
     random_multivector
@@ -536,6 +538,62 @@ def check_conversion_fast_paths(b):
                 and _same_efb(ey, batched_blades_to_efb(y, m))
                 and _same_blades(z, batched_efb_to_blades(ez))
                 and z == mv_mul(x, y))
+
+
+def _same_kernels(x: EFBMultivector, y: EFBMultivector) -> bool:
+    """The packed kernel equals the sweep on values, exponent, coset
+    order and triple count."""
+    (swept, ts), (packed, tp) = _sweep(x, y), _packed(x, y, _lane_width(x, y))
+    zs = EFBMultivector._from_ints(x.m, swept, x._e + y._e)
+    zp = EFBMultivector._from_ints(x.m, packed, x._e + y._e)
+    return ts == tp and _same_efb(zs, zp)
+
+
+def full_lanes(m: int, k: int, rng: random.Random, signs=None):
+    """(x, y, x * y) with x[a][b] = s_a t_b c and y[b][d] = t_b u_d c,
+    c = 2^k - 1: every entry of x * y is s_a u_d 2^m c^2, the largest
+    that 2k + m + 1 lane bits hold.  signs fixes s and u, and with them
+    the sign of every product entry; the t_b are random signs."""
+    dim, c = 1 << m, (1 << k) - 1
+    s, t, u = ([rng.choice((-1, 1)) for _ in range(dim)] for _ in range(3))
+    if signs:
+        s, u = [signs[0]] * dim, [signs[1]] * dim
+    return (EFBMultivector(m, {(a, b): s[a] * t[b] * c
+                               for a in range(dim) for b in range(dim)}),
+            EFBMultivector(m, {(b, d): t[b] * u[d] * c
+                               for b in range(dim) for d in range(dim)}),
+            EFBMultivector(m, {(a, d): s[a] * u[d] * dim * c * c
+                               for a in range(dim) for d in range(dim)}))
+
+
+@_suite("dense-fast-paths")
+def check_dense_fast_paths(b):
+    # the packed kernel against the sweep on dense operands, at the edge
+    # of one 64-bit lane and past it; the dense gather against the
+    # batched conversion
+    rng = random.Random(41)
+    for m in range(1, b["fast_m"] + 1):
+        dim = 1 << m
+        small = dense_efb_multivector(m, rng)
+        yield ("dense", m), _same_kernels(dense_efb_multivector(m, rng),
+                                          small)
+        # 200-bit entries take multiword lanes; entries of +-(2^63 - 1)
+        # fit an int64, but their products do not
+        for top in ((1 << 200) - 1, (1 << 63) - 1):
+            big = EFBMultivector(m, {(a, c): rng.choice((-top, top))
+                                     for a in range(dim)
+                                     for c in range(dim)})
+            yield (("wide", m, top.bit_length()),
+                   _same_kernels(big, small) and _same_kernels(small, big))
+        for need in (63, 64, 65):  # lane bits 2k + m + 1
+            if (need - m - 1) % 2 == 0:
+                x, y, z = full_lanes(m, (need - m - 1) // 2, rng)
+                yield ("lane-bits", m, need), (
+                    _lane_width(x, y) == (64 if need <= 64 else 72)
+                    and _same_kernels(x, y) and efb_product(x, y) == z)
+        blades = dense_blade_multivector(Metric.interleaved(m), rng)
+        yield ("gather", m), _same_efb(blades_to_efb(blades, m),
+                                       batched_blades_to_efb(blades, m))
 
 
 def run_suite(level: str = "quick") -> list[CheckResult]:

@@ -265,7 +265,7 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
     assert [ln for ln in lines if "FAIL" in ln] == [lines[0]]
     assert lines[0].startswith("FAIL lucas-vs-sign-bit")
     assert lines[0].endswith("(first failure: (5, 1))")
-    assert len(lines) == 25
+    assert len(lines) == 26
     assert all(ln.startswith("ok") for ln in lines[1:])
 
 
@@ -306,6 +306,41 @@ def test_bench_layers(capsys):
         cli.BENCH_SEED, platform.python_version(), os.cpu_count())
     assert [r["m"] for r in rec["rows"]] == [1]
     assert rec["rows"][0]["blade_pairs"] == 16
+    assert rec["commit"] is None or (
+        len(rec["commit"]) == 40
+        and set(rec["commit"]) <= set("0123456789abcdef"))
+
+
+@pytest.mark.parametrize("failure", [FileNotFoundError("git"),
+                                     subprocess.TimeoutExpired("git", 30),
+                                     "not a checkout"])
+def test_bench_commit_is_null_without_a_checkout(capsys, monkeypatch,
+                                                 failure):
+    # no git, a hung git, or a package outside any checkout: bench still
+    # writes its rows, with "commit": null
+    def git(argv, **kw):
+        if isinstance(failure, Exception):
+            raise failure
+        return subprocess.CompletedProcess(argv, 128, "", "fatal: " + failure)
+    monkeypatch.setattr(cli.subprocess, "run", git)
+    code, out, _ = run(capsys, "bench", "1", "--json")
+    rec = json.loads(out)
+    assert (code, rec["commit"], len(rec["rows"])) == (0, None, 1)
+
+
+def test_bench_commit_names_head_of_the_checkout():
+    # inside a git checkout the header carries HEAD; elsewhere it is null
+    here = Path(cli.__file__).resolve().parent
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=here,
+                              capture_output=True, text=True, timeout=30)
+        tracked = subprocess.run(
+            ["git", "ls-files", "--error-unmatch", "cli.py"], cwd=here,
+            capture_output=True, text=True, timeout=30).returncode == 0
+    except OSError:
+        pytest.skip("no git")
+    want = proc.stdout.strip() if proc.returncode == 0 and tracked else None
+    assert cli._commit() == want
 
 
 def test_bench_layers_leave_dense_draws(capsys, monkeypatch):

@@ -641,7 +641,8 @@ def _kernel_outputs(x, y):
 
 def _assert_kernels_agree(x, y):
     (zs, ts), (zp, tp) = _kernel_outputs(x, y)
-    assert (zs._e, zs._cosets, ts) == (zp._e, zp._cosets, tp)
+    assert (zs._e, list(zs._cosets.items()), ts) == (
+        zp._e, list(zp._cosets.items()), tp)
     return zs, ts
 
 
@@ -671,28 +672,23 @@ def test_kernels_agree_on_random_operands():
 
 @pytest.mark.parametrize("m, k, width", [
     (3, 2, 8), (4, 2, 16),        # 2k + m + 1 = 8 fills a byte, 9 spills
-    (3, 6, 16), (2, 7, 24),       # 16 and 17
-    (3, 382, 768), (3, 383, 776),  # either side of the dense bound
+    (3, 6, 16), (2, 7, 32),       # 16 and 17
+    (4, 289, 584), (4, 290, 592),  # either side of the dense line at m = 4
+    (3, 382, 768), (3, 383, 776),
     (3, 510, 1024), (4, 510, 1032),
 ])
 def test_kernels_agree_at_full_lanes(m, k, width, monkeypatch):
-    # x[a][b] = s_a t_b c and y[b][d] = t_b u_d c with c = 2^k - 1, so
     # every product entry is s_a u_d 2^m c^2, the largest a lane holds
-    rng = random.Random(m * 1000 + k)
-    dim, c = 1 << m, (1 << k) - 1
-    s, t, u = ([rng.choice((-1, 1)) for _ in range(dim)] for _ in range(3))
-    x = EFBMultivector(m, {(a, b): s[a] * t[b] * c
-                           for a in range(dim) for b in range(dim)})
-    y = EFBMultivector(m, {(b, d): t[b] * u[d] * c
-                           for b in range(dim) for d in range(dim)})
+    x, y, want = verify.full_lanes(m, k, random.Random(m * 1000 + k))
     assert efb._lane_width(x, y) == width
     z, triples = _assert_kernels_agree(x, y)
     assert triples == 8 ** m
-    assert z == EFBMultivector(m, {(a, d): s[a] * u[d] * dim * c * c
-                                   for a in range(dim) for d in range(dim)})
-    # dense: the packed kernel needs 1/4 + width/1024 <= 1
-    monkeypatch.setattr(efb, "_sweep" if width <= 768 else "_packed",
-                        _refuse)
+    assert z == want
+    # dense: the sweep's 8^m multiply-adds against the packed kernel's
+    # 4^m (m/2 + width (32 + 2^m) / 2048) + 64, which at m = 4 pass each
+    # other between 584- and 592-bit lanes
+    packed = (m, k) in {(3, 2), (4, 2), (3, 6), (4, 289)}
+    monkeypatch.setattr(efb, "_sweep" if packed else "_packed", _refuse)
     assert efb_product(x, y) == z
 
 
@@ -745,22 +741,200 @@ def test_wide_dense_operand_takes_sweep(monkeypatch):
 
 
 @pytest.mark.parametrize("stored, refused", [
-    (5, "_sweep"), (4, "_packed"),    # 16-bit lanes
-    (12, "_sweep"), (11, "_packed"),  # 512-bit lanes
+    (5, "_sweep"), (4, "_packed"),    # 88-bit lanes
+    (12, "_sweep"), (11, "_packed"),  # 408-bit lanes
 ])
 def test_stored_cosets_of_y_pick_kernel(stored, refused, monkeypatch):
-    # m = 4: the packed kernel needs y to store 16 * (1/4 + width/1024)
-    # cosets: 4.25 at 16-bit lanes, 12 at 512-bit ones
+    # m = 4, x dense: the sweep runs 256 * stored multiply-adds against
+    # 576 + 6 * width for the packed kernel, so y must store 4.31 cosets
+    # at 88-bit lanes and 11.81 at 408-bit ones
     rng = random.Random(53)
-    top = 9 if stored < 8 else (1 << 253) - 1
+    top = (1 << 38) - 1 if stored < 8 else (1 << 198) - 1
     x = EFBMultivector(4, {(a, b): rng.randint(1, top)
                            for a in range(16) for b in range(16)})
     y = EFBMultivector(4, {(a, a ^ g): rng.randint(1, top)
                            for g in range(stored) for a in range(16)})
-    assert efb._lane_width(x, y) == (16 if stored < 8 else 512)
+    assert efb._lane_width(x, y) == (88 if stored < 8 else 408)
     want = _kernel_outputs(x, y)[0][0]
     monkeypatch.setattr(efb, refused, _refuse)
     assert efb_product(x, y) == want
+
+
+@pytest.mark.parametrize("m, stored_x, stored_y, refused", [
+    (4, 1, 16, "_packed"), (6, 2, 64, "_packed"),  # y alone would pack
+    (5, 32, 4, "_sweep"), (6, 64, 4, "_sweep"),    # y alone would sweep
+])
+def test_both_operands_pick_kernel(m, stored_x, stored_y, refused,
+                                   monkeypatch):
+    # a sparse x with a coset-rich y takes the sweep, a dense x with a
+    # coset-poor y the packed kernel: both sides that a rule reading y
+    # alone gets wrong
+    rng = random.Random(m + stored_x)
+    dim = 1 << m
+    x, y = (EFBMultivector._from_ints(
+        m, {g: [rng.randint(-9, 9) or 1 for _ in range(dim)]
+            for g in rng.sample(range(dim), stored)}, 0)
+        for stored in (stored_x, stored_y))
+    want = _kernel_outputs(x, y)[0][0]
+    monkeypatch.setattr(efb, refused, _refuse)
+    assert efb_product(x, y) == want
+
+
+def test_dense_x_packs_a_sixteenth_of_y_m8(monkeypatch):
+    # a dense x times a y that stores 16 of 256 cosets, 10-bit entries:
+    # 2^20 multiply-adds for the sweep against 557,120 for the packed
+    # kernel, which the old rule on y alone left to the sweep
+    rng = random.Random(89)
+    m, dim = 8, 256
+    x, y = (EFBMultivector._from_ints(
+        m, {g: [rng.choice((-1, 1)) * rng.randint(512, 1023)
+                for _ in range(dim)] for g in cosets}, 0)
+        for cosets in (range(dim), rng.sample(range(dim), 16)))
+    assert efb._lane_width(x, y) == 32
+    swept, triples = efb._sweep(x, y)
+    want = EFBMultivector._from_ints(m, swept, 0)
+    monkeypatch.setattr(efb, "_sweep", _refuse)
+    reset_op_counters()
+    assert efb_product(x, y) == want
+    assert op_counters().efb_triples == triples == dim * 16 * dim
+    reset_op_counters()
+
+
+def test_transposer_matches_reference():
+    # position (a ^ b) * 2^m + b by cosets is a * 2^m + b by rows, and
+    # the same itemgetter takes the rows back
+    for m in range(1, 7):
+        dim = 1 << m
+        swap = efb._transposer(m)
+        rows = swap(list(range(dim * dim)))
+        assert rows == tuple((a ^ b) * dim + b
+                             for a in range(dim) for b in range(dim))
+        assert swap(list(rows)) == tuple(range(dim * dim))
+    rng = random.Random(67)
+    for m in (7, 8):
+        dim = 1 << m
+        rows = efb._transposer(m)(range(dim * dim))
+        for _ in range(500):
+            a, b = rng.randrange(dim), rng.randrange(dim)
+            assert rows[a * dim + b] == (a ^ b) * dim + b
+
+
+@pytest.mark.parametrize("m, k, width", [
+    (2, 30, 64), (1, 31, 64), (4, 29, 64),   # 2k + m + 1 = 63, 64, 63
+    (2, 31, 72), (3, 31, 72),                # 65, 66: past one word
+    (1, 63, 128), (5, 60, 128),
+])
+@pytest.mark.parametrize("signs", [(1, -1), (-1, 1), (1, 1)])
+def test_kernels_agree_at_the_word_edge(m, k, width, signs):
+    # every product entry at the most negative (or positive) value that
+    # the lane holds, on either side of one 64-bit word
+    x, y, want = verify.full_lanes(m, k, random.Random(m + k), signs)
+    assert efb._lane_width(x, y) == width
+    z, triples = _assert_kernels_agree(x, y)
+    assert (z, triples) == (want, 8 ** m)
+
+
+def test_kernels_agree_on_extreme_words():
+    # entries at +-(2^63 - 1) fit an int64 each, but their products
+    # need wider lanes
+    rng = random.Random(71)
+    top = (1 << 63) - 1
+    for m in (1, 3, 5):
+        dim = 1 << m
+        x = EFBMultivector(m, {(a, b): rng.choice((-top, top))
+                               for a in range(dim) for b in range(dim)})
+        y = dense_efb_multivector(m, rng)
+        assert efb._lane_width(x, y) > 64
+        _assert_kernels_agree(x, y)
+        _assert_kernels_agree(y, x)
+        _assert_kernels_agree(x, x)
+        assert efb_product(x, y) == EFBMultivector(m, {
+            (a, d): sum(x.entry(a, b) * y.entry(b, d) for b in range(dim))
+            for a in range(dim) for d in range(dim)})
+
+
+def test_packed_keeps_the_sweeps_coset_order():
+    # x stores its cosets out of sorted order and y stores few, so the
+    # product's cosets arrive out of sorted order, from several g of x
+    rng = random.Random(73)
+    m, dim = 4, 16
+    x = EFBMultivector._from_ints(m, {g: [rng.randint(-9, 9) or 1
+                                          for _ in range(dim)]
+                                      for g in (13, 6, 9, 2, 0)}, 0)
+    y = EFBMultivector._from_ints(m, {h: [rng.randint(-9, 9) or 1
+                                          for _ in range(dim)]
+                                      for h in (5, 3)}, 1)
+    z, _ = _assert_kernels_agree(x, y)
+    assert list(z._cosets) == list(dict.fromkeys(
+        g ^ h for g in x._cosets for h in y._cosets))
+    assert list(z._cosets) != sorted(z._cosets)
+
+
+def _blade_share(m, count, rng):
+    metric = Metric.interleaved(m)
+    masks = rng.sample(range(1 << 2 * m), count)
+    return Multivector(metric, {
+        mask: DyadicRational(rng.choice((-1, 1)) * rng.randint(1, 999),
+                             rng.randint(0, 4)) for mask in masks})
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_dense_gather_matches_the_loop(m, monkeypatch):
+    # just below, at and just above the gather share, and every blade:
+    # each path on the same operand
+    rng = random.Random(79 + m)
+    least = -(-3 * 4 ** m // 8)  # the fewest terms the gather takes
+    for count in {max(1, least - 1), least, min(4 ** m, least + 1), 4 ** m}:
+        x = _blade_share(m, count, rng)
+        runs = []
+        for share in (efb._GATHER_SHARE, 0, 2):  # as picked, gather, loop
+            monkeypatch.setattr(efb, "_GATHER_SHARE", share)
+            z = blades_to_efb(x, m)
+            runs.append((z._e, list(z._cosets.items())))
+        monkeypatch.undo()
+        assert runs[0] == runs[1] == runs[2]
+        ref = verify.batched_blades_to_efb(x, m)
+        assert runs[0] == (ref._e, list(ref._cosets.items()))
+
+
+def test_dense_gather_runs_from_the_share(monkeypatch):
+    rng = random.Random(83)
+    m = 3
+    least = 3 * 4 ** m // 8  # 24 of 64 blades
+    calls = []
+    real = efb._gather_tables
+    monkeypatch.setattr(efb, "_gather_tables",
+                        lambda m: calls.append(m) or real(m))
+    blades_to_efb(_blade_share(m, least - 1, rng), m)
+    assert calls == []
+    blades_to_efb(_blade_share(m, least, rng), m)
+    assert calls == [m]
+
+
+def test_per_m_tables_wait_for_first_use():
+    # import builds no transpose or gather table, a sparse product at
+    # m = 8 builds none either, and a dense one at m = 3 builds only m = 3
+    code = (
+        "import random\n"
+        "from cliffbits import efb, Metric, Multivector, blades_to_efb, "
+        "efb_product\n"
+        "from cliffbits.sampling import dense_blade_multivector\n"
+        "sizes = lambda: (efb._transposer.cache_info().currsize, "
+        "efb._gather_tables.cache_info().currsize)\n"
+        "print(sizes())\n"
+        "g = Multivector.generator(Metric.interleaved(8), 3)\n"
+        "efb_product(blades_to_efb(g, 8), blades_to_efb(g, 8))\n"
+        "print(sizes())\n"
+        "d = blades_to_efb(dense_blade_multivector(Metric.interleaved(3), "
+        "random.Random(1)), 3)\n"
+        "efb_product(d, d)\n"
+        "print(sizes(), efb._transposer(3) is efb._transposer(3))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(efb.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.stdout.split("\n") == ["(0, 0)", "(0, 0)", "(1, 1) True",
+                                        ""], proc.stderr
 
 
 # -- conversion fast paths against the batched path -------------------------
