@@ -33,7 +33,8 @@ from .instrument import counters
 Blade = int
 
 _SIGN_RE = re.compile(r"([+-])")
-_GENERATOR_RE = re.compile(r"g([1-9]\d*)")
+# ASCII digits only, as in dyadic._COEFF_RE
+_GENERATOR_RE = re.compile(r"g([1-9]\d*)", re.ASCII)
 
 # most generators block and interleaved build: one tuple entry each, and
 # verify --level full builds no more than 32

@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import re
 
-_COEFF_RE = re.compile(r"^([+-]?)0*(\d+)(?:/(?:2\^0*(\d+)|0*(\d+)))?$")
+# ASCII digits only: \d alone matches every Unicode digit, and int()
+# reads them
+_COEFF_RE = re.compile(r"^([+-]?)0*(\d+)(?:/(?:2\^0*(\d+)|0*(\d+)))?$",
+                       re.ASCII)
 
 # A parsed coefficient has at most MAX_BITS bits above and below the
 # point, so a product of two operands of up to 4^8 terms each still

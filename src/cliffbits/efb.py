@@ -22,36 +22,40 @@ maps are XOR-linear, tabulated per m by xor_span.
 Each conversion has a second path, picked from the data, with the same
 result.  blades_to_efb gathers an operand that holds at least 3/8 of
 the 4^m blades through one per-m table of the blade at each (g, i), in
-C, and writes a sparser one blade by blade, where a coset that holds
-one blade, found by counting the zeros of the coset, is c * W_i by
-walsh_function, with no arithmetic.  efb_to_blades reads a coset that
-walsh_index finds equal to c * W_i as the one blade c * 2^m, with no
-transform; it looks at v[0] and the v[2^j] first, so a dense coset
-leaves after one or two entries.  Every other coset goes through the
-one walsh_batch call.  Sparse operands, as mul sees them, are mostly
-one blade per coset, and so are products of such operands.
+C, and transforms all 2^m cosets.  It writes a sparser one blade by
+blade, where a coset that holds one blade, found by counting the zeros
+of the coset, is c * W_i by walsh_function, with no arithmetic.
+efb_to_blades reads a coset that walsh_index finds equal to c * W_i as
+the one blade c * 2^m, with no transform; it looks at v[0] and the
+v[2^j] first, so a dense coset leaves after one or two entries.  Every
+other coset goes through the one walsh_batch call.  Sparse operands, as
+mul sees them, are mostly one blade per coset, and so are products of
+such operands.
 
 An EFBMultivector holds plain-int numerators over one shared
-denominator 2^_e, in canonical form, as a Multivector does, so the
-conversions and the product hand those ints to each other unchanged:
-blades_to_efb keeps the blade exponent, efb_product adds the two
-exponents, and efb_to_blades adds m, which is where the 2^-m of the
+denominator 2^_e, in canonical form, as a Multivector does.  _canonical,
+which every EFBMultivector passes through, drops the all-zero cosets
+and stores the rest in ascending g, so no producer keeps an order of
+its own.  The conversions and the product hand those ints to each other
+unchanged: blades_to_efb keeps the blade exponent, efb_product adds the
+two exponents, and efb_to_blades adds m, which is where the 2^-m of the
 inverse transform goes.  Reduced DyadicRationals are built only where a
 coefficient leaves (entry, nonzero).
 
-efb_product has two kernels with equal results, coset order and
-triple counts.  The coset sweep runs out[g ^ h][d] += x[g][d ^ h] *
-y[h][d] over pairs of stored cosets, one interpreted multiply-add per
-triple.  The packed kernel writes each row of y into the binary digits
-of one int (Kronecker substitution), so a row of the product is one
-C-level sum of big-int multiplies.  Entry (a, b) sits at position
-(a ^ b) * 2^m + b by cosets and a * 2^m + b by rows, so one itemgetter
-per m takes both operands to rows and the product back.  Lanes of 8,
-16, 32 or 64 bits move through one array call per operand; wider ones,
-one to_bytes per entry.  The packed kernel pays for all 4^m entries and for a
-2^m-lane multiply per entry of x, so it loses on sparse or wide
-operands; _packed_width weighs the sweep's (stored cosets of x) * nnz(y)
-multiply-adds against that cost, from both operands alone.
+efb_product has two kernels with equal results and triple counts.  The
+coset sweep runs out[g ^ h][d] += x[g][d ^ h] * y[h][d] over pairs of
+stored cosets, one interpreted multiply-add per triple.  The packed
+kernel writes each row of y into the binary digits of one int
+(Kronecker substitution), so a row of the product is one C-level sum
+of big-int multiplies, and it emits all 2^m cosets.  Entry (a, b) sits
+at position (a ^ b) * 2^m + b by cosets and a * 2^m + b by rows, so one
+itemgetter per m takes both operands to rows and the product back.
+Lanes of 8, 16, 32 or 64 bits move through one array call per operand;
+wider ones, one to_bytes per entry.  The packed kernel pays for all 4^m
+entries and for a 2^m-lane multiply per entry of x, so it loses on
+sparse or wide operands; _packed_width weighs the sweep's (stored
+cosets of x) * nnz(y) multiply-adds against that cost, from both
+operands alone.
 """
 
 from __future__ import annotations
@@ -77,14 +81,22 @@ _ORDER = sys.byteorder
 
 
 def _check_m(m: int) -> None:
+    if not isinstance(m, int):
+        raise TypeError(f"m must be an int, got {m!r}")
     if not 1 <= m <= MAX_M:
         raise ValueError(f"m must be between 1 and {MAX_M}, got {m}")
 
 
+def _check_entry(m: int, a: int, b: int) -> None:
+    if not (0 <= a < 1 << m and 0 <= b < 1 << m):
+        raise ValueError(f"entry ({a}, {b}) out of range for m={m}")
+
+
 def _canonical(cosets: dict, e: int) -> tuple[dict, int]:
-    """(cosets, e) with the all-zero cosets dropped and e lowered while
-    every numerator is even: the one form equal matrices share."""
-    cosets = {g: v for g, v in cosets.items() if any(v)}
+    """(cosets, e) with the cosets in ascending g, the all-zero ones
+    dropped, and e lowered while every numerator is even: the one form
+    equal matrices share."""
+    cosets = {g: cosets[g] for g in sorted(cosets) if any(cosets[g])}
     shift = _common_shift(map(partial(reduce, or_), cosets.values()), e)
     if shift:
         cosets = {g: [n >> shift for n in v] for g, v in cosets.items()}
@@ -101,11 +113,12 @@ class EFBMultivector:
     entry (b ^ g, b): each coset is stored by column, so the image of
     one blade is one Walsh function of the column index times one sign,
     (-1)^C(popcount(g), 2).  The form is canonical: a coset is absent
-    exactly when all its entries are zero, and _e is 0 or some numerator
-    is odd, so equality compares (m, _e, _cosets).  Coset g times coset h
-    lands in coset g ^ h.  entry() and nonzero() give each nonzero entry
-    as a reduced DyadicRational; nonzero() yields them in coset order,
-    then by row.
+    exactly when all its entries are zero, the cosets are stored in
+    ascending g, and _e is 0 or some numerator is odd, so equality
+    compares (m, _e, _cosets).  Coset g times coset h lands in coset
+    g ^ h.  entry() and nonzero() give each nonzero entry as a reduced
+    DyadicRational; nonzero() yields them by ascending coset, then by
+    row.
 
     Coefficients are int or DyadicRational; scaling by any other scalar
     returns NotImplemented.  Treated as immutable.
@@ -119,10 +132,8 @@ class EFBMultivector:
         cosets: dict[int, list] = {}
         if entries:
             for (a, b), coeff in dict(entries).items():
-                if not (0 <= a < dim and 0 <= b < dim):
-                    raise ValueError(f"entry ({a}, {b}) out of range for m={m}")
+                _check_entry(m, a, b)
                 cosets.setdefault(a ^ b, [0] * dim)[b] = coeff
-        # scaled in coset order, the order the kernels read them in
         flat, e = _scale_in([c for v in cosets.values() for c in v])
         self.m = m
         self._cosets, self._e = _canonical(
@@ -158,14 +169,14 @@ class EFBMultivector:
         return 1 << self.m
 
     def entry(self, a: int, b: int):
+        _check_entry(self.m, a, b)
         v = self._cosets.get(a ^ b)
         n = v[b] if v else 0
         return _reduced(n, self._e) if n else 0
 
     def nonzero(self):
         e = self._e
-        for g in sorted(self._cosets):
-            v = self._cosets[g]
+        for g, v in self._cosets.items():
             for a in range(self.dim):
                 n = v[a ^ g]
                 if n:
@@ -362,12 +373,7 @@ def _packed(x: EFBMultivector, y: EFBMultivector,
             span, _ORDER)
         for i in range(0, dim * dim, dim))
     oc = swap(_lanes_out(data, size))
-    order: dict[int, None] = {}
-    for g in x._cosets:  # the sweep's order: g ^ h, g outer, h inner
-        order.update(dict.fromkeys(map(g.__xor__, y._cosets)))
-        if len(order) == dim:
-            break
-    out = {k: list(oc[k * dim:(k + 1) * dim]) for k in order}
+    out = {g: list(oc[g * dim:(g + 1) * dim]) for g in range(dim)}
     triples = sum(map(mul, (dim - xc[b::dim].count(0) for b in range(dim)),
                       (dim - yr[i:i + dim].count(0)
                        for i in range(0, dim * dim, dim))))
@@ -382,11 +388,12 @@ def _slot_tables(m: int) -> tuple[list, list, list, list]:
     i = b1 ^ parity_above(g).  parity_above is XOR-linear, so both maps
     are, and xor_span tabulates each from the images of the single bits.
     A 2m-bit mask splits as lo[low m bits] ^ hi[high m bits], read as
-    i | g << 8, and joins back as join_i[i] ^ join_g[g].
+    the coset-major position g * 2^m + i, and joins back as
+    join_i[i] ^ join_g[g].
     """
     def split(j: int) -> int:  # generator g_{j+1} lies in slot j // 2 + 1
         g = 1 << (m - 1 - j // 2)
-        return ((j & 1) * g ^ parity_above(g)) | g << 8
+        return g << m | (j & 1) * g ^ parity_above(g)
 
     # i sets both generators of its slots; g sets g_{2s-1} of its slots
     # and undoes the parity_above(g) part of i
@@ -402,19 +409,18 @@ _SLOTS = [None] + [_slot_tables(m) for m in range(1, MAX_M + 1)]
 # the interleaved metric per m, built and validated once
 _METRICS = [None] + [Metric.interleaved(m) for m in range(1, MAX_M + 1)]
 # blades_to_efb gathers an operand that holds at least this share of
-# the 4^m blades through _gather_tables, and loops over a sparser one
+# the 4^m blades through _blade_at, and loops over a sparser one
 _GATHER_SHARE = 3 / 8
 
 
 @cache
-def _gather_tables(m: int) -> tuple[list, list]:
-    """(coset of each blade mask, blade mask at each coset-major position
-    g * 2^m + i), built on first use: both maps are XOR-linear, so
-    xor_span tabulates them from the _SLOTS images of the single bits."""
-    lo, hi, join_i, join_g = _SLOTS[m]
+def _blade_at(m: int) -> list:
+    """The blade mask at each coset-major position g * 2^m + i, built on
+    first use: the map is XOR-linear, so xor_span tabulates it from the
+    _SLOTS images of the single bits."""
+    _, _, join_i, join_g = _SLOTS[m]
     bits = [1 << k for k in range(m)]
-    return (xor_span([lo[b] >> 8 for b in bits] + [hi[b] >> 8 for b in bits]),
-            xor_span([join_i[b] for b in bits] + [join_g[b] for b in bits]))
+    return xor_span([join_i[b] for b in bits] + [join_g[b] for b in bits])
 
 
 def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
@@ -422,11 +428,12 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
 
     Each blade writes its signed numerator at its Walsh index.  An
     operand with at least _GATHER_SHARE of the 4^m blades is gathered
-    whole, coset by coset in the order its blades first reach them,
-    through _gather_tables.  In a sparser one, a coset that holds one
-    blade, c at index i, is c * W_i, written by walsh_function with no
-    arithmetic, and the count of zeros in each coset picks that path.
-    One transform spreads every other touched coset over the columns.
+    whole through _blade_at, and all 2^m cosets go through one
+    transform; an untouched one comes out all zero and is dropped.  In
+    a sparser one, a coset that holds one blade, c at index i, is
+    c * W_i, written by walsh_function with no arithmetic, and the count
+    of zeros in each coset picks that path.  One transform spreads every
+    other touched coset over the columns.
     """
     _check_m(m)
     metric = _METRICS[m]
@@ -435,24 +442,22 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     nums = x._nums
     dim = 1 << m
     if len(nums) >= _GATHER_SHARE * dim * dim:
-        coset_of, blade_at = _gather_tables(m)
-        flat = list(map(nums.get, blade_at, repeat(0)))
-        order = dict.fromkeys(map(coset_of.__getitem__, nums))
-        # (-1)^C(popcount g, 2) on each stored coset
-        spans = [flat[g * dim:(g + 1) * dim] for g in order]
-        return EFBMultivector._from_ints(m, dict(zip(order, walsh_batch(
+        flat = list(map(nums.get, _blade_at(m), repeat(0)))
+        spans = [flat[g * dim:(g + 1) * dim] for g in range(dim)]
+        # (-1)^C(popcount g, 2) on each coset
+        return EFBMultivector._from_ints(m, dict(enumerate(walsh_batch(
             [map(neg, v) if g.bit_count() & 2 else v
-             for g, v in zip(order, spans)], m))), x._e)
+             for g, v in enumerate(spans)], m))), x._e)
     low = dim - 1
     lo, hi, _, _ = _SLOTS[m]
     cosets: dict[int, list] = {}
     for mask, n in nums.items():
         t = lo[mask & low] ^ hi[mask >> m]
-        g = t >> 8
+        g = t >> m
         v = cosets.get(g)
         if v is None:
             v = cosets[g] = [0] * dim
-        v[t & 0xFF] = -n if g.bit_count() & 2 else n  # (-1)^C(popcount g, 2)
+        v[t & low] = -n if g.bit_count() & 2 else n  # (-1)^C(popcount g, 2)
     # the transform is invertible, so a touched coset stays nonzero on
     # either path
     batch = []
@@ -472,8 +477,8 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
 
     A coset equal to c * W_i, as walsh_index reads it off, is the one
     blade c * 2^m at i.  One transform takes every other coset back,
-    and its nonzero entries are read out.  Terms come in coset order,
-    then by Walsh index, on both paths.
+    and its nonzero entries are read out.  Terms come by ascending
+    coset, then by Walsh index, on both paths.
     """
     m, dim = x.m, x.dim
     _, _, join_i, join_g = _SLOTS[m]

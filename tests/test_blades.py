@@ -159,8 +159,11 @@ def test_parse_canonicalizes_generator_order():
 def test_parse_rejects_garbage():
     # "g1 g1 2": a coefficient after generators that contract to the
     # scalar blade is still a coefficient after a generator
+    # digits are ASCII only: Arabic-Indic digits in a generator index or
+    # a coefficient are refused, however int() would read them
     for bad in ("g0", "g5", "1/3 g1", "g1 2", "g1 g1 2", "", "+", "2 2",
-                "g1g2"):
+                "g1g2", "g1\u0661", "g\u0661", "\u0663/\u0668 g1",
+                "\u0661 g1"):
         with pytest.raises(ParseError):
             Multivector.parse(bad, E22)
 

@@ -210,6 +210,17 @@ def test_short_bad_token_message_unchanged(capsys, left, err):
     assert run(capsys, "mul", "1", left, "g2") == (2, "", err)
 
 
+@pytest.mark.parametrize("m, left", [("8", "g1\u0661"), ("8", "g\u0661"),
+                                     ("1", "\u0663/\u0668 g1")],
+                         ids=["generator-index", "generator", "coefficient"])
+def test_mul_reads_ascii_digits_only(capsys, m, left):
+    # g1 followed by an Arabic-Indic one is not g11, nor an
+    # Arabic-Indic 3/8 a coefficient
+    token = left.split()[0]
+    assert run(capsys, "mul", m, left, "1") == (
+        2, "", f"mul: not a dyadic coefficient: {token!r}\n")
+
+
 def test_parse_rejects_huge_exponent():
     # rejected while parsing, before anything prints 2^(10^11)
     with pytest.raises(ParseError):

@@ -42,6 +42,9 @@ def test_parse_rejects_non_dyadic():
         DyadicRational.parse("1/0")
     with pytest.raises(ValueError):
         DyadicRational.parse("2/4/8")
+    for text in ("\u0663", "1/\u0668", "1/2^\u0663"):  # ASCII digits only
+        with pytest.raises(ValueError, match="not a dyadic coefficient"):
+            DyadicRational.parse(text)
 
 
 def test_str_uses_plain_denominator():

@@ -345,6 +345,28 @@ def test_oracle_tables_bound_m(m):
             table(m)
 
 
+@pytest.mark.parametrize("a, b", [(-1, -1), (5, 1), (4, 4), (0, -1)])
+def test_entry_out_of_range_is_refused(a, b):
+    # a negative index would wrap into the coset list, and one past the
+    # matrix would read 0 or raise a bare IndexError
+    message = rf"^entry \({a}, {b}\) out of range for m=2$"
+    with pytest.raises(ValueError, match=message):
+        EFBMultivector.identity(2).entry(a, b)
+    with pytest.raises(ValueError, match=message):
+        EFBMultivector(2, {(a, b): 1})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: blades_to_efb(Multivector.scalar(Metric.interleaved(2), 1), 2.0),
+    lambda: EFBMultivector(2.0),
+    lambda: EFBMultivector.identity(2.0),
+    lambda: efb_element(0, 0, 2.0),
+], ids=["blades_to_efb", "constructor", "identity", "efb_element"])
+def test_m_must_be_an_int(call):
+    with pytest.raises(TypeError, match=r"^m must be an int, got 2\.0$"):
+        call()
+
+
 # the package exports exactly these names
 PUBLIC_NAMES = [
     "AlgebraClass", "AutomorphismBits", "CheckResult", "ChiralityRecord",
@@ -449,7 +471,7 @@ def test_nonzero_yields_each_entry_once():
     want = {(a, b): c for (a, b), c in entries.items() if c}
     assert len(got) == len(want)
     assert {(a, b): c for a, b, c in got} == want
-    # coset order, then by row
+    # ascending coset, then by row
     assert got == sorted(got, key=lambda t: (t[0] ^ t[1], t[0]))
 
 
@@ -610,7 +632,7 @@ def test_slot_tables_match_per_bit_reference():
                  else [rng.randrange(1 << (2 * m)) for _ in range(500)])
         for mask in masks:
             i, g = _walsh_index_by_bits(mask, m)
-            assert lo[mask & ((1 << m) - 1)] ^ hi[mask >> m] == i | g << 8
+            assert lo[mask & ((1 << m) - 1)] ^ hi[mask >> m] == g << m | i
             assert join_i[i] ^ join_g[g] == mask
 
 
@@ -853,9 +875,10 @@ def test_kernels_agree_on_extreme_words():
             for a in range(dim) for d in range(dim)})
 
 
-def test_packed_keeps_the_sweeps_coset_order():
-    # x stores its cosets out of sorted order and y stores few, so the
-    # product's cosets arrive out of sorted order, from several g of x
+def test_kernels_give_ascending_cosets():
+    # x is given its cosets out of order and y stores few, so the sweep
+    # reaches the product's cosets out of order; both kernels' products
+    # store them in ascending g
     rng = random.Random(73)
     m, dim = 4, 16
     x = EFBMultivector._from_ints(m, {g: [rng.randint(-9, 9) or 1
@@ -864,10 +887,39 @@ def test_packed_keeps_the_sweeps_coset_order():
     y = EFBMultivector._from_ints(m, {h: [rng.randint(-9, 9) or 1
                                           for _ in range(dim)]
                                       for h in (5, 3)}, 1)
-    z, _ = _assert_kernels_agree(x, y)
-    assert list(z._cosets) == list(dict.fromkeys(
-        g ^ h for g in x._cosets for h in y._cosets))
-    assert list(z._cosets) != sorted(z._cosets)
+    assert list(x._cosets) == [0, 2, 6, 9, 13]
+    swept, _ = efb._sweep(x, y)
+    assert list(swept) != sorted(swept)
+    for z, _ in _kernel_outputs(x, y):
+        assert list(z._cosets) == sorted(
+            {g ^ h for g in x._cosets for h in y._cosets})
+    _assert_kernels_agree(x, y)
+
+
+def test_every_producer_stores_ascending_cosets(monkeypatch):
+    # every way to build an EFBMultivector, from entries, cosets and
+    # blades given in descending order
+    rng = random.Random(89)
+    m, dim = 3, 8
+    x = EFBMultivector(m, {(a, a ^ g): rng.choice((-3, 1, 5))
+                           for g in (7, 5, 2, 1) for a in range(dim)})
+    y = EFBMultivector._from_ints(m, {g: [rng.randint(-9, 9) or 1
+                                          for _ in range(dim)]
+                                      for g in (6, 4, 3, 0)}, 1)
+    masks = sorted(range(1 << (2 * m)), reverse=True)[::3]
+    blades = Multivector._raw(Metric.interleaved(m),
+                              {mask: k + 1 for k, mask in enumerate(masks)}, 0)
+    made = [x, y, x + y, y + x, x - y, -y, 3 * x, y * DyadicRational(1, 2),
+            EFBMultivector.identity(m), EFBMultivector.volume(m)]
+    for share in (0, 2):  # the dense gather, then the loop
+        monkeypatch.setattr(efb, "_GATHER_SHARE", share)
+        made.append(blades_to_efb(blades, m))
+    monkeypatch.undo()
+    for u, v in ((x, y), (y, x), (made[-1], y)):
+        made += [z for z, _ in _kernel_outputs(u, v)]
+    for z in made:
+        gs = list(z._cosets)
+        assert gs and all(g < h for g, h in zip(gs, gs[1:])), gs
 
 
 def _blade_share(m, count, rng):
@@ -902,8 +954,8 @@ def test_dense_gather_runs_from_the_share(monkeypatch):
     m = 3
     least = 3 * 4 ** m // 8  # 24 of 64 blades
     calls = []
-    real = efb._gather_tables
-    monkeypatch.setattr(efb, "_gather_tables",
+    real = efb._blade_at
+    monkeypatch.setattr(efb, "_blade_at",
                         lambda m: calls.append(m) or real(m))
     blades_to_efb(_blade_share(m, least - 1, rng), m)
     assert calls == []
@@ -920,7 +972,7 @@ def test_per_m_tables_wait_for_first_use():
         "efb_product\n"
         "from cliffbits.sampling import dense_blade_multivector\n"
         "sizes = lambda: (efb._transposer.cache_info().currsize, "
-        "efb._gather_tables.cache_info().currsize)\n"
+        "efb._blade_at.cache_info().currsize)\n"
         "print(sizes())\n"
         "g = Multivector.generator(Metric.interleaved(8), 3)\n"
         "efb_product(blades_to_efb(g, 8), blades_to_efb(g, 8))\n"
@@ -989,7 +1041,7 @@ def _cosets_of(m: int) -> dict:
     lo, hi, _, _ = efb._SLOTS[m]
     out: dict[int, list] = {}
     for mask in range(1 << (2 * m)):
-        out.setdefault((lo[mask & ((1 << m) - 1)] ^ hi[mask >> m]) >> 8,
+        out.setdefault((lo[mask & ((1 << m) - 1)] ^ hi[mask >> m]) >> m,
                        []).append(mask)
     return out
 
@@ -1086,16 +1138,25 @@ def test_read_back_refuses_near_walsh_cosets():
     assert misses >= 0.9 * total
 
 
-def test_fast_paths_keep_coset_and_term_order():
-    # operands whose blades come in descending order: the terms come out
-    # in coset order, then by Walsh index, exactly as the batched path
+def test_conversions_give_ascending_cosets(monkeypatch):
+    # blades given in descending order: both paths of blades_to_efb
+    # store the cosets in ascending g, and both paths of efb_to_blades
+    # give the terms by ascending coset, then by Walsh index
     m = 3
     metric = Metric.interleaved(m)
     masks = sorted(range(1 << (2 * m)), reverse=True)[::7]
     x = Multivector._raw(metric, {mask: k + 1 for k, mask in enumerate(masks)},
                          0)
-    ex = _assert_same_conversions(x, m)
-    assert list(ex._cosets) != sorted(ex._cosets)
+    images = []
+    for share in (0, 2):  # the dense gather, then the loop
+        monkeypatch.setattr(efb, "_GATHER_SHARE", share)
+        images.append(_assert_same_conversions(x, m))
+    monkeypatch.undo()
+    cosets = sorted({_walsh_index_by_bits(mask, m)[1] for mask in masks})
+    assert [list(ex._cosets) for ex in images] == [cosets, cosets]
+    by_coset = sorted(masks, key=lambda mask: _walsh_index_by_bits(
+        mask, m)[::-1])
+    assert list(efb_to_blades(images[0])._nums) == by_coset
 
 
 def test_repr_counts_nonzero_entries():
