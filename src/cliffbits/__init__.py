@@ -4,7 +4,10 @@ Two product engines share one algebra:
 
 * a blade engine for any real signature Cl(k, l), where basis blades are
   bitmasks and the product sign is a bilinear form over GF(2) on them,
-  built from the one primitive ``parity_above``;
+  built from the one primitive ``parity_above``; the product runs as a
+  loop over blade pairs or, on dense operands, as a Gray-code walk over
+  the blades of one operand that moves the other, packed into one int,
+  with a few mask-and-shift operations per step;
 * a fast engine for the neutral signatures Cl(m, m), where the algebra
   is a matrix of normalized matrix units stored by column coset
   g = row ^ col, as integer numerators over one power of two; the

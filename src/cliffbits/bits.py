@@ -10,11 +10,23 @@ A vector with one nonzero transforms to one scaled Walsh function, which
 walsh_function writes without a transform and walsh_index recognizes.
 Every re-indexing of blade masks is XOR-linear, so xor_span tabulates
 it from the images of the single bits.
+
+Both packed product kernels, efb's rows and the blade engine's Gray-code
+walk, lay signed integers end to end in one int as lanes of a fixed
+number of bytes (Kronecker substitution).  One codec here moves them:
+_lane_size picks the lane, _lanes_in and _lanes_out write and read the
+two's-complement bytes, and with T = _halves(size, count), (U ^ T) - T
+reads the int U of those bytes as the signed sum of its lanes and
+_signed_bytes(S, T, span) writes such a sum S back.  The lanes of a
+whole Walsh pattern, such as the lanes to negate or keep, are laid out
+by walsh_pattern, the doubling that walsh_function runs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from itertools import chain
 from operator import add, sub
 
@@ -97,17 +109,24 @@ def walsh_batch(vectors, k: int) -> list:
     return [flat[c::count] for c in range(count)]
 
 
+def walsh_pattern(even, odd, i: int, k: int):
+    """2^k copies of even or odd laid end to end, odd at the places a
+    with popcount(a & i) odd: lists or bytes alike.
+
+    k doublings of the pattern and of its complement, taking the
+    complement into the upper half where i has the bit: concatenation
+    only.
+    """
+    for j in range(k):
+        even, odd = (even + odd, odd + even) if i >> j & 1 else (
+            even + even, odd + odd)
+    return even
+
+
 def walsh_function(c: int, i: int, k: int) -> list:
     """c times the Walsh function W_i: entry a is c * (-1)^popcount(a & i),
-    for 0 <= a < 2^k.  Also the transform of c at index i alone.
-
-    k doublings of the list and of its negation, taking the negation
-    into the upper half where i has the bit: concatenation only.
-    """
-    w, nw = [c], [-c]
-    for j in range(k):
-        w, nw = (w + nw, nw + w) if i >> j & 1 else (w + w, nw + nw)
-    return w
+    for 0 <= a < 2^k.  Also the transform of c at index i alone."""
+    return walsh_pattern([c], [-c], i, k)
 
 
 def walsh_index(v: list, k: int) -> int:
@@ -136,6 +155,49 @@ def walsh_hadamard(v: list) -> None:
     if not n or n & (n - 1):
         raise ValueError(f"length must be a power of 2, got {n}")
     v[:] = walsh_batch([v], n.bit_length() - 1)[0]
+
+
+# signed array typecodes by lane size in bytes, 1, 2, 4 and 8, and the
+# byte order arrays use
+_ARRAY_TYPES = {array(t).itemsize: t for t in "bhiq"}
+_ORDER = sys.byteorder
+
+
+def _lane_size(bits: int) -> int:
+    """Bytes of a signed lane that holds bits bits, sign included: 1, 2,
+    4 or 8, the lanes an array holds, or past a word the fewest whole
+    bytes."""
+    size = (bits + 7) >> 3
+    return 1 << (size - 1).bit_length() if size <= 8 else size
+
+
+def _halves(size: int, count: int) -> int:
+    """T, the int with 2^(8 * size - 1) in each of count size-byte lanes."""
+    return int.from_bytes((1 << (8 * size - 1)).to_bytes(size, _ORDER)
+                          * count, _ORDER)
+
+
+def _signed_bytes(acc: int, halves: int, span: int) -> bytes:
+    """The span bytes of the two's-complement lanes of acc, a signed sum
+    of lanes times their place values, each lane of magnitude below
+    half its range: the bytes of (acc + T) ^ T."""
+    return ((acc + halves) ^ halves).to_bytes(span, _ORDER)
+
+
+def _lanes_in(values, size: int) -> bytes:
+    """values as size-byte two's-complement lanes laid end to end: one
+    array call up to a word, one to_bytes per value past it."""
+    if size in _ARRAY_TYPES:
+        return array(_ARRAY_TYPES[size], values).tobytes()
+    return b"".join(v.to_bytes(size, _ORDER, signed=True) for v in values)
+
+
+def _lanes_out(data: bytes, size: int) -> list:
+    """The signed values of the size-byte lanes of data."""
+    if size in _ARRAY_TYPES:
+        return memoryview(data).cast(_ARRAY_TYPES[size]).tolist()
+    return [int.from_bytes(data[i:i + size], _ORDER, signed=True)
+            for i in range(0, len(data), size)]
 
 
 def lucas_sign(n: int, i: int) -> SignBit:

@@ -12,6 +12,18 @@ by OR, with no sign; only an out-of-order one calls blade_product, and
 str writes generators in increasing order, so parse(str(x)) never does.
 str joins the generator names of a mask from per-byte tables of 256
 prebuilt strings, one table per byte position, built on first use.
+
+mv_mul has two kernels with equal results and pair counts.  The pair
+loop runs one interpreted multiply-add per blade pair; it takes sparse
+operands, and verify and the tests call it as the oracle of the other.
+The Gray-code walk packs y into one int of 2^n signed lanes (Kronecker
+substitution, through the lane codec of the bits module) and steps the
+blade a of x through a Gray code.  R is GF(2)-linear, so flipping bit
+k of a swaps 2^k-lane blocks of the packed int and negates the lanes c
+with popcount(c & R(e_k)) odd: a few mask-and-shift operations on the
+whole int, and one C-level multiply-add of x[a] per step.  It pays 2^n
+steps over all 2^n lanes, so it loses on sparse operands; _walk_width
+weighs len(x) * len(y) against that cost, from the operands alone.
 The fast engine is checked against this module, and this module
 against the explicit transposition counting of the
 blade-sign-vs-normal-order verify suite.
@@ -22,9 +34,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
 from types import MappingProxyType
 
-from .bits import parity_above
+from .bits import (_ORDER, _halves, _lane_size, _lanes_in, _lanes_out,
+                   _signed_bytes, parity_above, walsh_pattern)
 from .dyadic import (DyadicRational, _clip, _common_shift, _pair, _parse,
                      _reduced, _scale_in, _text)
 from .instrument import counters
@@ -35,6 +49,9 @@ Blade = int
 _SIGN_RE = re.compile(r"([+-])")
 # ASCII digits only, as in dyadic._COEFF_RE
 _GENERATOR_RE = re.compile(r"g([1-9]\d*)", re.ASCII)
+
+# mv_mul's kernel rule, in pair-loop multiply-adds (see _walk_width)
+_WALK, _WALK_SHIFT = 8, 10
 
 # most generators block and interleaved build: one tuple entry each, and
 # verify --level full builds no more than 32
@@ -370,10 +387,23 @@ def _canonical(nums: dict, e: int) -> tuple[dict, int]:
 def mv_mul(x: Multivector, y: Multivector) -> Multivector:
     """Exact product; the blade-pair count goes to the op counters.
 
-    Sums integer numerators over 2^(ex + ey).
+    Both kernels sum integer numerators over 2^(ex + ey) and agree term
+    for term; _walk_width picks one from the operands alone.  The pair
+    loop, which runs sparse operands, is the oracle of the Gray-code
+    walk, which runs dense ones.  The pair count, len(x) * len(y), is
+    16^m on dense operands over Cl(m, m) whichever kernel runs.
     """
     if x.metric != y.metric:
         raise MetricError("operands over different metrics")
+    width = _walk_width(x, y)
+    acc = _gray_walk(x, y, width) if width else _pair_loop(x, y)
+    counters.blade_pairs += len(x._nums) * len(y._nums)
+    return Multivector._raw(x.metric, acc, x._e + y._e)
+
+
+def _pair_loop(x: Multivector, y: Multivector) -> dict:
+    """Product numerators by one interpreted multiply-add per blade pair,
+    each signed by blade_product's row."""
     neg = x.metric.neg
     yitems = list(y._nums.items())
     acc: dict[int, int] = {}
@@ -386,8 +416,93 @@ def mv_mul(x: Multivector, y: Multivector) -> Multivector:
                 acc[key] = get(key, 0) - acoef * bcoef
             else:
                 acc[key] = get(key, 0) + acoef * bcoef
-    counters.blade_pairs += len(x._nums) * len(yitems)
-    return Multivector._raw(x.metric, acc, x._e + y._e)
+    return acc
+
+
+def _walk_width(x: Multivector, y: Multivector) -> int:
+    """The Gray-code walk's lane width when it is the faster kernel, else 0.
+
+    Costs are counted in the pair loop's multiply-adds, len(x) * len(y).
+    The walk takes 2^n steps, each worth about _WALK of them plus one
+    per 2^_WALK_SHIFT bits of its 2^n-lane int of W-bit lanes.  The
+    constants were fitted to a timing grid over n = 2..11, balanced and
+    lopsided operands and W = 8..616 bits, recorded in ROADMAP.md.  An
+    operand pair that fails at the narrowest lane, 8 bits, skips the
+    width scan.
+    """
+    pairs, steps = len(x._nums) * len(y._nums), 1 << x.metric.n
+
+    def walk(width: int) -> int:
+        return steps * (_WALK + (steps * width >> _WALK_SHIFT))
+    if pairs < walk(8):
+        return 0
+    width = _lane_width(x, y)
+    return width if pairs >= walk(width) else 0
+
+
+def _lane_width(x: Multivector, y: Multivector) -> int:
+    """Bits of the lane (bits._lane_size) that holds any term of x * y
+    signed, |term| < 2^(bits(x) + bits(y) + n), bits being the bit
+    length of the largest numerator magnitude."""
+    need = x.metric.n + 1
+    for nums in (x._nums.values(), y._nums.values()):
+        need += max(max(nums, default=0), -min(nums, default=0)).bit_length()
+    return _lane_size(need) << 3
+
+
+def _gray_walk(x: Multivector, y: Multivector, width: int) -> dict:
+    """Product numerators by a Gray-code walk over the blades a of x.
+
+    y is packed into one int, lane c holding, up to one overall sign,
+    the term that blade a sends to c: y[c ^ a] * (-1)^popcount((c ^ a)
+    & R(a)), R being blade_product's row.  Lanes hold v + 2^(width - 1)
+    for a signed v, so bitwise masks act on them lane by lane.  Step a
+    to a ^ e_k, k the lowest set bit of the step count: the 2^k-lane
+    blocks swap, the lanes c with popcount(c & r_k) odd are negated,
+    r_k = R(e_k), and the whole int flips sign when popcount(a & r_k)
+    is odd for the new a, a sign tracked as one bit.  R is GF(2)-linear,
+    so these signs compose to blade_product's.  x[a], signed, times the
+    packed int joins one accumulator; the offsets leave as T times the
+    sum of those coefficients, and the lanes through bits._signed_bytes.
+    """
+    n, neg = x.metric.n, x.metric.neg
+    size, count = width >> 3, 1 << n
+    zero, ones, one = bytes(size), b"\xff" * size, (1).to_bytes(size, _ORDER)
+    halves = _halves(size, count)  # T
+    # per bit k: the lanes with bit k clear, as all-ones lanes; the
+    # lanes to negate, as a 1 in each; the row r_k; the block shift
+    keep, low, rows = [], [], []
+    for k in range(n):
+        r = parity_above(1 << k) ^ (neg & 1 << k)
+        keep.append(int.from_bytes(walsh_pattern(ones, zero, 1 << k, n),
+                                   _ORDER))
+        low.append(int.from_bytes(walsh_pattern(zero, one, r, n), _ORDER))
+        rows.append(r)
+    flip = [(b << width) - b for b in low]  # all-ones in the negated lanes
+    shifts = [width << k for k in range(n)]
+    yget, xget = y._nums.get, x._nums.get
+    v = int.from_bytes(_lanes_in(map(yget, range(count), repeat(0)), size),
+                       _ORDER) ^ halves
+    total = xget(0, 0)
+    acc = total * v
+    a = sign = 0
+    for t in range(1, count):
+        k = (t & -t).bit_length() - 1
+        a ^= 1 << k
+        sign ^= (a & rows[k]).bit_count() & 1
+        s, mask = shifts[k], keep[k]
+        v = (v & mask) << s | (v >> s) & mask
+        if low[k]:  # r_0 is 0 when g1 squares to +1
+            v = (v ^ flip[k]) + low[k]
+        c = xget(a)
+        if c:
+            if sign:
+                c = -c
+            acc += c * v
+            total += c
+    lanes = _lanes_out(_signed_bytes(acc - total * halves, halves,
+                                     size * count), size)
+    return dict(zip(compress(range(count), lanes), compress(lanes, lanes)))
 
 
 def grade_involution(x: Multivector) -> Multivector:

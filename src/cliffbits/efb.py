@@ -50,44 +50,42 @@ kernel writes each row of y into the binary digits of one int
 of big-int multiplies, and it emits all 2^m cosets.  Entry (a, b) sits
 at position (a ^ b) * 2^m + b by cosets and a * 2^m + b by rows, so one
 itemgetter per m takes both operands to rows and the product back.
-Lanes of 8, 16, 32 or 64 bits move through one array call per operand;
-wider ones, one to_bytes per entry.  The packed kernel pays for all 4^m
-entries and for a 2^m-lane multiply per entry of x, so it loses on
-sparse or wide operands; _packed_width weighs the sweep's (stored
-cosets of x) * nnz(y) multiply-adds against that cost, from both
-operands alone.
+Lanes move through the lane codec of the bits module: one array call
+per operand for lanes of 8, 16, 32 or 64 bits, one to_bytes per entry
+for wider ones.  The packed kernel pays for all 4^m entries and for a
+2^m-lane multiply per entry of x, so it loses on sparse or wide
+operands; _packed_width weighs the sweep's (stored cosets of x) *
+nnz(y) multiply-adds against that cost, from both operands alone.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import cache, partial, reduce
 from itertools import chain, compress, repeat
 from operator import itemgetter, mul, neg, or_
 
-from .bits import (parity_above, walsh_batch, walsh_function, walsh_index,
-                   xor_span)
+from .bits import (_ORDER, _halves, _lane_size, _lanes_in, _lanes_out,
+                   _signed_bytes, parity_above, walsh_batch, walsh_function,
+                   walsh_index, xor_span)
 from .blades import Metric, MetricError, Multivector
 from .dyadic import _common_shift, _pair, _reduced, _scale_in
 from .instrument import counters
 
 # largest m an EFBMultivector is built for: 4^m entries when dense
 MAX_M = 8
-# the packed kernel's lanes: signed array typecodes by size in bytes,
-# 1, 2, 4 and 8, in the byte order arrays use
-_ARRAY_TYPES = {array(t).itemsize: t for t in "bhiq"}
-_ORDER = sys.byteorder
 
 
+# type(v) is int: a bool is an int, but no m and no index
 def _check_m(m: int) -> None:
-    if not isinstance(m, int):
+    if type(m) is not int:
         raise TypeError(f"m must be an int, got {m!r}")
     if not 1 <= m <= MAX_M:
         raise ValueError(f"m must be between 1 and {MAX_M}, got {m}")
 
 
 def _check_entry(m: int, a: int, b: int) -> None:
+    if type(a) is not int or type(b) is not int:
+        raise TypeError(f"entry indices must be ints, got ({a!r}, {b!r})")
     if not (0 <= a < 1 << m and 0 <= b < 1 << m):
         raise ValueError(f"entry ({a}, {b}) out of range for m={m}")
 
@@ -299,16 +297,14 @@ def _sweep(x: EFBMultivector, y: EFBMultivector) -> tuple[dict, int]:
 
 
 def _lane_width(x: EFBMultivector, y: EFBMultivector) -> int:
-    """Bits that hold any entry of x * y as a signed lane, |entry| <
-    2^(bits(x) + bits(y) + m), bits being the bit length of the largest
-    numerator magnitude: 8, 16, 32 or 64, the lanes an array holds, or
-    past a word a whole number of bytes.  One C-level max and min pass
-    per operand reads the bits; each operand stores a coset."""
-    need = x.m + 8
+    """Bits of the lane (bits._lane_size) that holds any entry of x * y
+    signed, |entry| < 2^(bits(x) + bits(y) + m), bits being the bit
+    length of the largest numerator magnitude.  One C-level max and min
+    pass per operand reads the bits; each operand stores a coset."""
+    need = x.m + 1
     for vs in (x._cosets.values(), y._cosets.values()):
         need += max(max(map(max, vs)), -min(map(min, vs))).bit_length()
-    size = need >> 3
-    return 8 << (size - 1).bit_length() if size <= 8 else size << 3
+    return _lane_size(need) << 3
 
 
 @cache
@@ -322,22 +318,6 @@ def _transposer(m: int) -> itemgetter:
     low = (1 << m) - 1
     return itemgetter(*[(p >> m ^ p & low) << m | p & low
                         for p in range(1 << 2 * m)])
-
-
-def _lanes_in(values, size: int) -> bytes:
-    """values as size-byte two's-complement lanes laid end to end: one
-    array call up to a word, one to_bytes per value past it."""
-    if size in _ARRAY_TYPES:
-        return array(_ARRAY_TYPES[size], values).tobytes()
-    return b"".join(v.to_bytes(size, _ORDER, signed=True) for v in values)
-
-
-def _lanes_out(data: bytes, size: int) -> list:
-    """The signed values of the size-byte lanes of data."""
-    if size in _ARRAY_TYPES:
-        return memoryview(data).cast(_ARRAY_TYPES[size]).tolist()
-    return [int.from_bytes(data[i:i + size], _ORDER, signed=True)
-            for i in range(0, len(data), size)]
 
 
 def _packed(x: EFBMultivector, y: EFBMultivector,
@@ -363,14 +343,12 @@ def _packed(x: EFBMultivector, y: EFBMultivector,
               for z in (x, y))
     xr, yr = swap(xc), swap(yc)
     span = size * dim  # bytes per row
-    halves = int.from_bytes((1 << (width - 1)).to_bytes(size, _ORDER) * dim,
-                            _ORDER)  # T
+    halves = _halves(size, dim)  # T
     packed = _lanes_in(yr, size)
     rows = [(int.from_bytes(packed[i:i + span], _ORDER) ^ halves) - halves
             for i in range(0, len(packed), span)]
     data = b"".join(
-        ((sum(map(mul, xr[i:i + dim], rows)) + halves) ^ halves).to_bytes(
-            span, _ORDER)
+        _signed_bytes(sum(map(mul, xr[i:i + dim], rows)), halves, span)
         for i in range(0, dim * dim, dim))
     oc = swap(_lanes_out(data, size))
     out = {g: list(oc[g * dim:(g + 1) * dim]) for g in range(dim)}

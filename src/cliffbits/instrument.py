@@ -6,8 +6,10 @@ operands over Cl(m,m) the two counts are 16^m and 8^m, so their ratio
 is exactly 2^m.  The coset sweep executes each triple it counts.  The
 packed kernel runs one big-int multiply per entry of x instead, so it
 computes the same count, sum over b of nnz(column b of x) * nnz(row b
-of y), without executing the triples.  Counting is always on: the
-increments are plain integer adds guarded by the GIL.
+of y), without executing the triples.  Likewise the blade engine's pair
+loop executes each pair, while its packed Gray-code walk computes the
+count, len(x) * len(y), without executing the pairs.  Counting is
+always on: the increments are plain integer adds guarded by the GIL.
 """
 
 from __future__ import annotations

@@ -8,18 +8,20 @@ registers it, in definition order, for ``run_suite``.  The CLI
 aggregates the results and sets the exit code; the test suite runs the
 same checks.
 
-Each level sets seven bounds: ``lucas_n`` (n below it, i up to
+Each level sets eight bounds: ``lucas_n`` (n below it, i up to
 ``lucas_n.bit_length() - 1``), ``assoc_n`` (the exhaustive blade
 checks), ``kl`` and ``center_kl`` (signatures), ``m`` (Fock-basis
 checks; the costlier ones stop at ``m - 1``), ``pairs`` (random
-operands per m) and ``fast_m`` (the fast paths: every blade through the
+operands per m), ``fast_m`` (the fast paths: every blade through the
 conversions, and dense operands through the packed kernel and the
-dense gather, up to it).
+dense gather, up to it) and ``walk_n`` (the blade engine's Gray-code
+walk, up to n generators).
 
 batched_blades_to_efb and batched_efb_to_blades are the conversions
 with every coset through one walsh_batch call, kept as the oracle of
 the one-blade, one-Walsh-function and dense-gather fast paths of the
-efb module; the coset sweep is the oracle of the packed kernel.
+efb module; the coset sweep is the oracle of the packed kernel, and the
+blade pair loop the oracle of the Gray-code walk.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ import time
 from dataclasses import dataclass
 
 from .bits import lucas_sign, sign_bit, walsh_batch
-from .blades import (Metric, Multivector, blade_product, center_check,
-                     dual_automorphism_check, grade_involution, mv_mul,
-                     omega_squared_oracle, omega_tau_squared_oracle,
-                     tau_squared_oracle, volume_element)
+from .blades import (Metric, Multivector, _gray_walk, _pair_loop,
+                     blade_product, center_check, dual_automorphism_check,
+                     grade_involution, mv_mul, omega_squared_oracle,
+                     omega_tau_squared_oracle, tau_squared_oracle,
+                     volume_element)
+from .blades import _lane_width as _blade_lane_width
 from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
@@ -78,9 +82,9 @@ class CheckResult:
 
 _BOUNDS = {
     "quick": dict(lucas_n=512, assoc_n=4, kl=8, center_kl=6, m=3, pairs=8,
-                  fast_m=4),
+                  fast_m=4, walk_n=8),
     "full": dict(lucas_n=4096, assoc_n=6, kl=16, center_kl=12, m=4,
-                 pairs=25, fast_m=6),
+                 pairs=25, fast_m=6, walk_n=10),
 }
 
 _CHECKS = []
@@ -588,6 +592,70 @@ def check_dense_fast_paths(b):
         blades = dense_blade_multivector(Metric.interleaved(m), rng)
         yield ("gather", m), (blades_to_efb(blades, m)
                               == batched_blades_to_efb(blades, m))
+
+
+def _same_walk(x: Multivector, y: Multivector) -> bool:
+    """The Gray-code walk equals the pair loop on values and exponent."""
+    e = x._e + y._e
+    walked = _gray_walk(x, y, _blade_lane_width(x, y))
+    return (Multivector._raw(x.metric, walked, e)
+            == Multivector._raw(x.metric, _pair_loop(x, y), e))
+
+
+def _walk_operand(metric: Metric, rng: random.Random, terms: int,
+                  top: int) -> Multivector:
+    """terms distinct blades, each with a numerator of magnitude at most
+    top, over a random 2^(0..3)."""
+    masks = rng.sample(range(1 << metric.n), terms)
+    return Multivector._raw(metric, {mask: rng.choice((-1, 1))
+                                     * rng.randint(1, top)
+                                     for mask in masks}, rng.randrange(4))
+
+
+@_suite("blade-kernels")
+def check_blade_kernels(b):
+    # the Gray-code walk against the pair loop: block, interleaved and
+    # mixed metrics at every density; lanes at the edge of one word and
+    # past it; zero and one-term operands
+    rng = random.Random(43)
+    for n in range(b["walk_n"] + 1):
+        dim = 1 << n
+        metrics = {"block": Metric.block(n // 2, n - n // 2),
+                   "mixed": Metric(tuple(rng.choice((1, -1))
+                                         for _ in range(n)))}
+        if n % 2 == 0:
+            metrics["interleaved"] = Metric.interleaved(n // 2)
+        for kind, metric in metrics.items():
+            for terms in (0, 1, dim // 4, dim):
+                x = _walk_operand(metric, rng, max(terms, 1), 1 << 40)
+                y = _walk_operand(metric, rng, terms, 9)
+                # 4^n pairs through the loop once, not twice, when dense
+                yield (kind, n, terms), _same_walk(x, y) and (
+                    terms == dim or _same_walk(y, x))
+        if n > 8:  # the lane edges below do not depend on n
+            continue
+        metric = metrics["mixed"]
+        # one blade of 2^2048 against a dense operand: multiword lanes
+        wide = Multivector._raw(metric, {rng.randrange(dim):
+                                         rng.choice((-1, 1)) << 2048}, 0)
+        dense = _walk_operand(metric, rng, dim, 9)
+        yield ("wide", n), _same_walk(wide, dense) and _same_walk(dense, wide)
+        for need in (63, 64, 65):  # lane bits n + 1 + 2k
+            if (need - n - 1) % 2 == 0:
+                # x_a = +-c, y_a = +-x_a a^2: every pair adds to the
+                # scalar, which is +-2^n c^2, the most the lanes hold
+                c = (1 << (need - n - 1) // 2) - 1
+                x = Multivector._raw(metric, {a: rng.choice((-c, c))
+                                              for a in range(dim)}, 0)
+                for s in (1, -1):
+                    y = Multivector._raw(metric, {
+                        a: s * blade_product(a, a, metric)[0] * v
+                        for a, v in x._nums.items()}, 0)
+                    walked = _gray_walk(x, y, _blade_lane_width(x, y))
+                    yield ("lane-bits", n, need, s), (
+                        _blade_lane_width(x, y) == (64 if need <= 64 else 72)
+                        and walked.get(0) == s * dim * c * c
+                        and _same_walk(x, y))
 
 
 def run_suite(level: str = "quick") -> list[CheckResult]:

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from cliffbits import (DyadicRational, Metric, MetricError, Multivector,
                        ParseError, blade_product, center_check,
                        dual_automorphism_check, grade_involution, mv_mul,
-                       omega_squared_oracle, tau_blade, tau_squared_oracle,
-                       volume_element)
+                       omega_squared_oracle, op_counters, reset_op_counters,
+                       tau_blade, tau_squared_oracle, volume_element)
 from cliffbits import blades, dyadic
 from cliffbits.sampling import random_multivector
 from cliffbits.verify import check_blade_sign_vs_normal_order
@@ -366,3 +366,84 @@ def test_str_names_across_byte_boundaries():
     assert str(Multivector.from_blade(big, 0b11 << 15)) == "g16 g17"
     assert str(Multivector.generator(big, 4096)) == "g4096"
     assert len(blades._BYTE_NAMES) == blades.MAX_N // 8
+
+
+# -- mv_mul's two kernels: the pair loop and the Gray-code walk -------------
+
+def _terms(metric: Metric, count: int, top: int, rng) -> Multivector:
+    masks = rng.sample(range(1 << metric.n), count)
+    return Multivector._raw(metric, {mask: rng.choice((-1, 1))
+                                     * rng.randint(1, top)
+                                     for mask in masks}, rng.randrange(3))
+
+
+def _kernel(monkeypatch, x, y) -> str:
+    """Which kernel mv_mul runs on x, y; the product must equal the
+    pair loop's either way."""
+    ran = []
+    for name in ("_pair_loop", "_gray_walk"):
+        real = getattr(blades, name)
+
+        def spy(*args, real=real, name=name):
+            ran.append(name)
+            return real(*args)
+        monkeypatch.setattr(blades, name, spy)
+    z = mv_mul(x, y)
+    monkeypatch.undo()
+    assert z == Multivector._raw(x.metric, blades._pair_loop(x, y),
+                                 x._e + y._e)
+    (kernel,) = ran
+    return kernel
+
+
+def test_dense_operands_take_the_walk(monkeypatch):
+    rng = random.Random(83)
+    for metric in (Metric.interleaved(4), Metric.block(3, 5),
+                   Metric.block(0, 9)):
+        dim = 1 << metric.n
+        x, y = _terms(metric, dim, 1023, rng), _terms(metric, dim, 9, rng)
+        assert _kernel(monkeypatch, x, y) == "_gray_walk"
+        # a quarter of the blades each, 4^n / 16 pairs, still walks
+        x, y = (_terms(metric, dim // 4, 9, rng) for _ in range(2))
+        assert _kernel(monkeypatch, x, y) == "_gray_walk"
+
+
+def test_sparse_operands_take_the_loop_before_any_bit_scan(monkeypatch):
+    # the first test weighs len(x) * len(y) against the walk at its
+    # narrowest lane; the bit scan never runs
+    def refuse(*args):
+        raise AssertionError("bit scan")
+    rng = random.Random(89)
+    for n in (0, 1, 4, 8, 12, 16):
+        metric = Metric.block(n // 2, n - n // 2)
+        for count in (0, 1, 6):
+            x = _terms(metric, min(count, 1 << n), 9, rng)
+            y = _terms(metric, min(6, 1 << n), 9, rng)
+            monkeypatch.setattr(blades, "_lane_width", refuse)
+            assert blades._walk_width(x, y) == 0
+            monkeypatch.undo()
+            assert _kernel(monkeypatch, x, y) == "_pair_loop"
+
+
+def test_wide_lanes_tip_the_rule_to_the_loop(monkeypatch):
+    # enough pairs to pass the first test, but 300-bit numerators make
+    # the walk's lanes too wide to pay
+    rng = random.Random(97)
+    metric = Metric.block(4, 4)
+    x, y = (_terms(metric, 128, 1 << 300, rng) for _ in range(2))
+    assert blades._lane_width(x, y) == 616
+    assert _kernel(monkeypatch, x, y) == "_pair_loop"
+    narrow = [_terms(metric, 128, 9, rng) for _ in range(2)]
+    assert _kernel(monkeypatch, *narrow) == "_gray_walk"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_dense_pair_counts_exactly_16_to_the_m(m):
+    # counted as len(x) * len(y) whichever kernel runs
+    rng = random.Random(101)
+    metric = Metric.interleaved(m)
+    x, y = (_terms(metric, 4 ** m, 9, rng) for _ in range(2))
+    reset_op_counters()
+    mv_mul(x, y)
+    assert op_counters().blade_pairs == 16 ** m
+    reset_op_counters()

@@ -356,6 +356,27 @@ def test_entry_out_of_range_is_refused(a, b):
         EFBMultivector(2, {(a, b): 1})
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1), (1, "1"), (True, 0)])
+def test_entry_index_must_be_an_int(a, b):
+    # a float index met the coset XOR and raised Python's own ^ error
+    message = rf"^entry indices must be ints, got \({a!r}, {b!r}\)$"
+    with pytest.raises(TypeError, match=message):
+        EFBMultivector.identity(2).entry(a, b)
+    with pytest.raises(TypeError, match=message):
+        EFBMultivector(2, {(a, b): 1})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: EFBMultivector(True),
+    lambda: EFBMultivector.identity(True),
+    lambda: blades_to_efb(Multivector.scalar(Metric.interleaved(1), 1), True),
+], ids=["constructor", "identity", "blades_to_efb"])
+def test_m_must_not_be_a_bool(call):
+    # True is an int equal to 1, and built an m=True matrix
+    with pytest.raises(TypeError, match=r"^m must be an int, got True$"):
+        call()
+
+
 @pytest.mark.parametrize("call", [
     lambda: blades_to_efb(Multivector.scalar(Metric.interleaved(2), 1), 2.0),
     lambda: EFBMultivector(2.0),
