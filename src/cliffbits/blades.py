@@ -17,13 +17,20 @@ mv_mul has two kernels with equal results and pair counts.  The pair
 loop runs one interpreted multiply-add per blade pair; it takes sparse
 operands, and verify and the tests call it as the oracle of the other.
 The Gray-code walk packs y into one int of 2^n signed lanes (Kronecker
-substitution, through the lane codec of the bits module) and steps the
-blade a of x through a Gray code.  R is GF(2)-linear, so flipping bit
-k of a swaps 2^k-lane blocks of the packed int and negates the lanes c
-with popcount(c & R(e_k)) odd: a few mask-and-shift operations on the
-whole int, and one C-level multiply-add of x[a] per step.  It pays 2^n
-steps over all 2^n lanes, so it loses on sparse operands; _walk_width
-weighs len(x) * len(y) against that cost, from the operands alone.
+substitution, through the lane codec of the bits module).  It splits
+a blade of x as l | h, l its low j = min(n // 2, 4) bits.  Every
+generator of l comes before every generator of h, so e_(l|h) = e_l e_h
+with no sign, and x y = sum_l e_l A_l, A_l = sum_h x[l | h] (e_h y).
+The walk steps h through a Gray code over the high bits.  R is
+GF(2)-linear, so flipping bit k of h swaps 2^k-lane blocks of the
+packed int and negates the lanes c with popcount(c & R(e_k)) odd: a
+few mask-and-shift operations on the whole int per step, and one
+C-level multiply-add per blade of x into the 2^j accumulators A_l.
+Horner's rule folds them with the same step, highest bit first:
+A_i += e_k A_(i + 2^k).  The walk pays 2^(n - j) + 2^j - 1 steps over
+all 2^n lanes, so it loses on sparse operands; _walk_width weighs
+len(x) * len(y) against that cost, from the operands alone.  The
+masks of a step are cached per (n, neg, lane size).
 The fast engine is checked against this module, and this module
 against the explicit transposition counting of the
 blade-sign-vs-normal-order verify suite.
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from types import MappingProxyType
 
@@ -51,7 +58,7 @@ _SIGN_RE = re.compile(r"([+-])")
 _GENERATOR_RE = re.compile(r"g([1-9]\d*)", re.ASCII)
 
 # mv_mul's kernel rule, in pair-loop multiply-adds (see _walk_width)
-_WALK, _WALK_SHIFT = 8, 10
+_WALK, _WALK_SHIFT = 6, 11
 
 # most generators block and interleaved build: one tuple entry each, and
 # verify --level full builds no more than 32
@@ -423,17 +430,19 @@ def _walk_width(x: Multivector, y: Multivector) -> int:
     """The Gray-code walk's lane width when it is the faster kernel, else 0.
 
     Costs are counted in the pair loop's multiply-adds, len(x) * len(y).
-    The walk takes 2^n steps, each worth about _WALK of them plus one
-    per 2^_WALK_SHIFT bits of its 2^n-lane int of W-bit lanes.  The
-    constants were fitted to a timing grid over n = 2..11, balanced and
-    lopsided operands and W = 8..616 bits, recorded in ROADMAP.md.  An
-    operand pair that fails at the narrowest lane, 8 bits, skips the
+    The walk's steps, folds and lane codec cost about _WALK per lane of
+    its 2^n-lane int of W-bit lanes, and each blade of x adds one
+    multiply-add of that int, worth one per 2^_WALK_SHIFT of its bits.
+    The constants were fitted to a timing grid over n = 2..11, balanced
+    and lopsided operands and W = 8..616 bits, recorded in ROADMAP.md.
+    An operand pair that fails at the narrowest lane, 8 bits, skips the
     width scan.
     """
-    pairs, steps = len(x._nums) * len(y._nums), 1 << x.metric.n
+    xs, lanes = len(x._nums), 1 << x.metric.n
+    pairs = xs * len(y._nums)
 
     def walk(width: int) -> int:
-        return steps * (_WALK + (steps * width >> _WALK_SHIFT))
+        return lanes * _WALK + (xs * lanes * width >> _WALK_SHIFT)
     if pairs < walk(8):
         return 0
     width = _lane_width(x, y)
@@ -450,58 +459,93 @@ def _lane_width(x: Multivector, y: Multivector) -> int:
     return _lane_size(need) << 3
 
 
-def _gray_walk(x: Multivector, y: Multivector, width: int) -> dict:
-    """Product numerators by a Gray-code walk over the blades a of x.
+def _block(n: int) -> int:
+    """j, the low generators whose blades the walk holds apart and folds
+    by Horner's rule: at most 4, so at most 16 accumulators."""
+    return min(n >> 1, 4)
 
+
+# _walk_masks keeps the masks of a few (n, neg, lane size) keys, and only
+# while one mask spans at most this many bytes (n = 11 at 8-byte lanes)
+_MASK_SPAN = 1 << 14
+
+
+@lru_cache(maxsize=8)
+def _walk_masks(n: int, neg: int, size: int) -> tuple:
+    """The masks of a walk over n generators with size-byte lanes, per
+    bit k: the lanes with bit k clear as all-ones lanes (keep), the
+    lanes to negate as a 1 in each (low) and as all-ones (flip), the row
+    r_k and the block shift; and T."""
+    width = size << 3
+    zero, ones, one = bytes(size), b"\xff" * size, (1).to_bytes(size, _ORDER)
+    rows = tuple(parity_above(1 << k) ^ (neg & 1 << k) for k in range(n))
+    keep = tuple(int.from_bytes(walsh_pattern(ones, zero, 1 << k, n), _ORDER)
+                 for k in range(n))
+    low = tuple(int.from_bytes(walsh_pattern(zero, one, r, n), _ORDER)
+                for r in rows)
+    flip = tuple((b << width) - b for b in low)
+    shifts = tuple(width << k for k in range(n))
+    return keep, low, flip, rows, shifts, _halves(size, 1 << n)
+
+
+def _gray_walk(x: Multivector, y: Multivector, width: int) -> dict:
+    """Product numerators by a Gray-code walk over the high bits of the
+    blades of x, the low j = _block(n) bits folded by Horner's rule.
+
+    Split a blade of x as l | h, l its low j bits.  Every generator of
+    l comes before every generator of h, so e_(l|h) = e_l e_h with no
+    sign, and x * y = sum_l e_l A_l with A_l = sum_h x[l | h] (e_h y).
     y is packed into one int, lane c holding, up to one overall sign,
-    the term that blade a sends to c: y[c ^ a] * (-1)^popcount((c ^ a)
-    & R(a)), R being blade_product's row.  Lanes hold v + 2^(width - 1)
-    for a signed v, so bitwise masks act on them lane by lane.  Step a
-    to a ^ e_k, k the lowest set bit of the step count: the 2^k-lane
-    blocks swap, the lanes c with popcount(c & r_k) odd are negated,
-    r_k = R(e_k), and the whole int flips sign when popcount(a & r_k)
-    is odd for the new a, a sign tracked as one bit.  R is GF(2)-linear,
-    so these signs compose to blade_product's.  x[a], signed, times the
-    packed int joins one accumulator; the offsets leave as T times the
-    sum of those coefficients, and the lanes through bits._signed_bytes.
+    the term that blade h sends to c: y[c ^ h] * (-1)^popcount((c ^ h)
+    & R(h)), R being blade_product's row.  Lanes hold v + 2^(width - 1)
+    for a signed v, so bitwise masks act on them lane by lane.  Step h
+    to h ^ e_k, k >= j, j plus the lowest set bit of the step count:
+    the 2^k-lane blocks swap, the lanes c with popcount(c & r_k) odd
+    are negated, r_k = R(e_k), and the whole int flips sign when
+    popcount(h & r_k) is odd for the new h, a sign tracked as one bit.
+    R is GF(2)-linear, so these signs compose to blade_product's.  The
+    packed int less T, negated when the sign bit is set, is e_h y, and
+    x[l | h] times it joins A_l.
+
+    The same step applied to S + T, less T, is (-1)^neg_k e_k S for a
+    signed sum S, so Horner's rule takes sum_l e_l A_l in 2^j - 1
+    steps, highest bit first: A_i += e_k A_(i + 2^k), k = j - 1 .. 0.
+    Every lane of every partial sum adds at most 2^n distinct terms of
+    the product, so the lane width of _lane_width holds it.  The lanes
+    leave through bits._signed_bytes.
     """
     n, neg = x.metric.n, x.metric.neg
-    size, count = width >> 3, 1 << n
-    zero, ones, one = bytes(size), b"\xff" * size, (1).to_bytes(size, _ORDER)
-    halves = _halves(size, count)  # T
-    # per bit k: the lanes with bit k clear, as all-ones lanes; the
-    # lanes to negate, as a 1 in each; the row r_k; the block shift
-    keep, low, rows = [], [], []
-    for k in range(n):
-        r = parity_above(1 << k) ^ (neg & 1 << k)
-        keep.append(int.from_bytes(walsh_pattern(ones, zero, 1 << k, n),
-                                   _ORDER))
-        low.append(int.from_bytes(walsh_pattern(zero, one, r, n), _ORDER))
-        rows.append(r)
-    flip = [(b << width) - b for b in low]  # all-ones in the negated lanes
-    shifts = [width << k for k in range(n)]
-    yget, xget = y._nums.get, x._nums.get
-    v = int.from_bytes(_lanes_in(map(yget, range(count), repeat(0)), size),
-                       _ORDER) ^ halves
-    total = xget(0, 0)
-    acc = total * v
-    a = sign = 0
-    for t in range(1, count):
-        k = (t & -t).bit_length() - 1
-        a ^= 1 << k
-        sign ^= (a & rows[k]).bit_count() & 1
+    size, count, j = width >> 3, 1 << n, _block(n)
+    masks = _walk_masks if size << n <= _MASK_SPAN else _walk_masks.__wrapped__
+    keep, low, flip, rows, shifts, halves = masks(n, neg, size)
+
+    def step(v: int, k: int) -> int:  # swap 2^k-lane blocks, negate lanes
         s, mask = shifts[k], keep[k]
         v = (v & mask) << s | (v >> s) & mask
-        if low[k]:  # r_0 is 0 when g1 squares to +1
-            v = (v ^ flip[k]) + low[k]
-        c = xget(a)
-        if c:
-            if sign:
-                c = -c
-            acc += c * v
-            total += c
-    lanes = _lanes_out(_signed_bytes(acc - total * halves, halves,
-                                     size * count), size)
+        # r_0 is 0 when g1 squares to +1
+        return (v ^ flip[k]) + low[k] if low[k] else v
+    xs = list(map(x._nums.get, range(count), repeat(0)))
+    v = int.from_bytes(_lanes_in(map(y._nums.get, range(count), repeat(0)),
+                                 size), _ORDER) ^ halves
+    block = 1 << j
+    signed = v - halves
+    acc = [c * signed for c in xs[:block]]
+    h = sign = 0
+    for t in range(1, count >> j):
+        k = j + (t & -t).bit_length() - 1
+        h ^= 1 << k
+        sign ^= (h & rows[k]).bit_count() & 1
+        v = step(v, k)
+        signed = halves - v if sign else v - halves
+        for l, c in enumerate(xs[h:h + block]):
+            if c:
+                acc[l] += c * signed
+    for k in reversed(range(j)):
+        half = 1 << k
+        for i in range(half):
+            v = step(acc[i + half] + halves, k)
+            acc[i] += halves - v if neg >> k & 1 else v - halves
+    lanes = _lanes_out(_signed_bytes(acc[0], halves, size * count), size)
     return dict(zip(compress(range(count), lanes), compress(lanes, lanes)))
 
 

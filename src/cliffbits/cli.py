@@ -186,15 +186,27 @@ def _layer_seconds(x: Multivector, y: Multivector, m: int,
     return {name: round(sec, 7) for name, sec in zip(BENCH_LAYERS, best)}
 
 
+def _best_seconds(product, x, y) -> float:
+    """Seconds of product(x, y), best of 3, as _layer_seconds times a
+    layer; the op counters hold the counts of one call."""
+    best = float("inf")
+    for _ in range(3):
+        reset_op_counters()
+        t0 = time.perf_counter()
+        product(x, y)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def bench_results(m_max: int) -> list[dict]:
     """Time dense products in both engines for m = 1 .. m_max.
 
     Operation counts are deterministic: a dense blade product touches
     16^m coefficient pairs while the fast engine touches 8^m triples,
-    a ratio of exactly 2^m.  Wall times ride along for context, and
-    `layers` times each layer of `mul` (_layer_seconds) on the dense
-    blade pair and on one sparse random_multivector pair, drawn from
-    a second generator so the dense draws stay as they were.
+    a ratio of exactly 2^m.  Wall times, best of 3, ride along for
+    context, and `layers` times each layer of `mul` (_layer_seconds) on
+    the dense blade pair and on one sparse random_multivector pair,
+    drawn from a second generator so the dense draws stay as they were.
     """
     if not 1 <= m_max <= BENCH_M_MAX:
         raise ValueError(
@@ -210,16 +222,9 @@ def bench_results(m_max: int) -> list[dict]:
         ex = dense_efb_multivector(m, rng)
         ey = dense_efb_multivector(m, rng)
 
-        reset_op_counters()
-        t0 = time.perf_counter()
-        mv_mul(bx, by)
-        blade_sec = time.perf_counter() - t0
+        blade_sec = _best_seconds(mv_mul, bx, by)
         pairs = op_counters().blade_pairs
-
-        reset_op_counters()
-        t0 = time.perf_counter()
-        efb_product(ex, ey)
-        efb_sec = time.perf_counter() - t0
+        efb_sec = _best_seconds(efb_product, ex, ey)
         triples = op_counters().efb_triples
 
         assert triples << m == pairs, (m, pairs, triples)
@@ -233,8 +238,8 @@ def bench_results(m_max: int) -> list[dict]:
             "blade_pairs": pairs,
             "efb_triples": triples,
             "count_ratio": pairs // triples,
-            "blade_seconds": round(blade_sec, 4),
-            "efb_seconds": round(efb_sec, 4),
+            "blade_seconds": round(blade_sec, 7),
+            "efb_seconds": round(efb_sec, 7),
             "wall_ratio": round(blade_sec / efb_sec, 2) if efb_sec else None,
             "layers": layers,
         })

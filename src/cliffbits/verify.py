@@ -615,8 +615,9 @@ def _walk_operand(metric: Metric, rng: random.Random, terms: int,
 @_suite("blade-kernels")
 def check_blade_kernels(b):
     # the Gray-code walk against the pair loop: block, interleaved and
-    # mixed metrics at every density; lanes at the edge of one word and
-    # past it; zero and one-term operands
+    # mixed metrics at every density and block size j = 0..4 (n = 8 has
+    # j = 4); lanes at the edge of one word and past it; zero and
+    # one-term operands
     rng = random.Random(43)
     for n in range(b["walk_n"] + 1):
         dim = 1 << n

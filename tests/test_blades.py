@@ -430,16 +430,29 @@ def test_wide_lanes_tip_the_rule_to_the_loop(monkeypatch):
     # the walk's lanes too wide to pay
     rng = random.Random(97)
     metric = Metric.block(4, 4)
-    x, y = (_terms(metric, 128, 1 << 300, rng) for _ in range(2))
+    x, y = (_terms(metric, 64, 1 << 300, rng) for _ in range(2))
     assert blades._lane_width(x, y) == 616
     assert _kernel(monkeypatch, x, y) == "_pair_loop"
-    narrow = [_terms(metric, 128, 9, rng) for _ in range(2)]
+    narrow = [_terms(metric, 64, 9, rng) for _ in range(2)]
     assert _kernel(monkeypatch, *narrow) == "_gray_walk"
+
+
+def test_the_rule_weighs_the_blades_of_x(monkeypatch):
+    # the walk pays one multiply-add of its packed int per blade of x, so
+    # the same 32 * 1024 pairs walk with x sparse and loop with x dense
+    rng = random.Random(99)
+    metric = Metric.interleaved(5)
+    sparse, dense = _terms(metric, 32, 1 << 40, rng), _terms(
+        metric, 1 << 10, 1 << 40, rng)
+    assert blades._lane_width(sparse, dense) == 96
+    assert _kernel(monkeypatch, sparse, dense) == "_gray_walk"
+    assert _kernel(monkeypatch, dense, sparse) == "_pair_loop"
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_dense_pair_counts_exactly_16_to_the_m(m):
-    # counted as len(x) * len(y) whichever kernel runs
+    # counted as len(x) * len(y) whichever kernel runs: the loop at
+    # m = 1, the walk with j = 2, 3, 4, 4 low generators at m = 2..5
     rng = random.Random(101)
     metric = Metric.interleaved(m)
     x, y = (_terms(metric, 4 ** m, 9, rng) for _ in range(2))
@@ -447,3 +460,92 @@ def test_dense_pair_counts_exactly_16_to_the_m(m):
     mv_mul(x, y)
     assert op_counters().blade_pairs == 16 ** m
     reset_op_counters()
+
+
+# -- the blocked walk: Gray steps over the high bits, Horner's rule below ---
+
+def _walked(x: Multivector, y: Multivector) -> Multivector:
+    return Multivector._raw(x.metric,
+                            blades._gray_walk(x, y, blades._lane_width(x, y)),
+                            x._e + y._e)
+
+
+def _looped(x: Multivector, y: Multivector) -> Multivector:
+    return Multivector._raw(x.metric, blades._pair_loop(x, y), x._e + y._e)
+
+
+def _metrics(n: int, rng) -> list:
+    metrics = [Metric.block(n // 2, n - n // 2),
+               Metric(tuple(rng.choice((1, -1)) for _ in range(n)))]
+    if n % 2 == 0:
+        metrics.append(Metric.interleaved(n // 2))
+    return metrics
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_blocked_walk_equals_the_pair_loop(n):
+    rng = random.Random(103 + n)
+    dim = 1 << n
+    for metric in _metrics(n, rng):
+        # dense against dense up to n = 8, where the pair loop stays quick
+        for count in {1, min(dim, 64), dim if n <= 8 else 64}:
+            x = _terms(metric, count, 1 << 40, rng)
+            y = _terms(metric, dim, 9, rng)
+            assert _walked(x, y) == _looped(x, y)
+            assert _walked(y, x) == _looped(y, x)
+
+
+def test_block_never_exceeds_four_low_generators():
+    assert [blades._block(n) for n in range(12)] == [
+        0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 4, 4]
+    assert max(map(blades._block, range(blades.MAX_N + 1))) == 4
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 10])
+def test_one_term_x_at_low_high_and_mixed_bits(n):
+    # the blade of x lies in the folded low bits, the walked high bits,
+    # or both
+    rng = random.Random(107)
+    j, dim = blades._block(n), 1 << n
+    low, high = (1 << j) - 1, dim - (1 << j)
+    for metric in _metrics(n, rng):
+        y = _terms(metric, dim, 1 << 20, rng)
+        for mask in (low, 1, high, 1 << n - 1, low | high, 1 | 1 << n - 1,
+                     rng.randrange(dim)):
+            x = Multivector._raw(metric, {mask: -5}, 0)
+            assert _walked(x, y) == _looped(x, y)
+
+
+@pytest.mark.parametrize("n", [4, 7, 9])
+def test_x_in_one_low_class(n):
+    # every blade of x has the same low bits l, so one accumulator fills
+    # and the fold carries it up through the others, all zero
+    rng = random.Random(109)
+    j, dim = blades._block(n), 1 << n
+    for metric in _metrics(n, rng):
+        y = _terms(metric, dim, 1 << 30, rng)
+        for l in range(1 << j):
+            x = Multivector._raw(metric, {
+                l | h: rng.choice((-1, 1)) * rng.randint(1, 1 << 30)
+                for h in range(0, dim, 1 << j)}, 0)
+            assert _walked(x, y) == _looped(x, y)
+
+
+def test_walk_masks_cached_equal_a_fresh_build_and_stay_bounded():
+    masks = blades._walk_masks
+    masks.cache_clear()
+    for n, neg, size in ((0, 0, 1), (3, 0b101, 8), (8, 0xAA, 8),
+                         (6, 0b111111, 9)):
+        assert masks(n, neg, size) == masks.__wrapped__(n, neg, size)
+        assert masks(n, neg, size) is masks(n, neg, size)
+    assert masks.cache_info().maxsize <= 8
+    # a walk whose masks span more than _MASK_SPAN bytes builds them
+    # afresh and leaves the cache as it was
+    metric = Metric.block(6, 6)
+    rng = random.Random(113)
+    x, y = (_terms(metric, 1 << 12, 1 << 20, rng) for _ in range(2))
+    width = blades._lane_width(x, y)
+    assert width << 12 >> 3 > blades._MASK_SPAN
+    before = masks.cache_info().currsize
+    blades._gray_walk(x, y, width)
+    assert masks.cache_info().currsize == before

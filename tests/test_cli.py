@@ -306,6 +306,10 @@ def test_bench_layers(capsys):
     layers = ("parse", "blades_to_efb", "efb_product", "efb_to_blades",
               "render")
     for r in bench_results(2):
+        # both products, best of 3, in seconds to 7 decimals
+        for key in ("blade_seconds", "efb_seconds"):
+            assert type(r[key]) is float and r[key] > 0
+            assert r[key] == round(r[key], 7)
         assert set(r["layers"]) == {"dense", "sparse"}
         for pair in r["layers"].values():
             assert tuple(pair) == layers
