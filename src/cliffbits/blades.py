@@ -40,14 +40,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import compress, repeat
 from types import MappingProxyType
 
 from .bits import (_ORDER, _halves, _lane_size, _lanes_in, _lanes_out,
                    _signed_bytes, parity_above, walsh_pattern)
-from .dyadic import (DyadicRational, _clip, _common_shift, _pair, _parse,
-                     _reduced, _scale_in, _text)
+from .dyadic import (DyadicRational, _Numerators, _clip, _common_shift,
+                     _pair, _parse, _reduced, _scale_in, _text)
 from .instrument import counters
 
 # A blade is a bitmask of generator indices.
@@ -140,7 +140,7 @@ def blade_product(a: Blade, b: Blade, metric: Metric) -> tuple[int, Blade]:
     return (-1 if (b & row).bit_count() & 1 else 1), a ^ b
 
 
-class Multivector:
+class Multivector(_Numerators):
     """Finitely supported map from blades to dyadic coefficients.
 
     Stored as plain-int numerators over one shared denominator 2^_e:
@@ -148,8 +148,10 @@ class Multivector:
     canonical: no numerator is zero, and _e is 0 or some numerator is
     odd, so equality compares (metric, _e, _nums).  terms and
     coefficient() give reduced DyadicRationals.  Coefficients are int or
-    DyadicRational.  Treated as immutable; all arithmetic returns new
-    instances.
+    DyadicRational, and such a scalar lifts to the grade-0 blade in +, -
+    and ==.  The operators that read no storage come from
+    dyadic._Numerators.  Treated as immutable; all arithmetic returns
+    new instances.
     """
 
     __slots__ = ("metric", "_e", "_nums")
@@ -200,14 +202,15 @@ class Multivector:
     def coefficient(self, mask: Blade) -> DyadicRational:
         return _reduced(self._nums.get(mask, 0), self._e)
 
-    def _coerce(self, other):
-        if isinstance(other, (int, DyadicRational)):
-            return Multivector.scalar(self.metric, other)
+    def _like(self, other):
         if isinstance(other, Multivector):
-            if other.metric != self.metric:
-                raise MetricError("operands over different metrics")
             return other
-        return None
+        pair = _pair(other)  # a scalar lifts to the grade-0 blade
+        return None if pair is None else Multivector._raw(
+            self.metric, {0: pair[0]}, pair[1])
+
+    def _key(self):
+        return self.metric, self._e, self._nums
 
     def _scaled(self, numerator: int, exponent: int) -> "Multivector":
         return Multivector._raw(
@@ -215,10 +218,15 @@ class Multivector:
             {mask: n * numerator for mask, n in self._nums.items()},
             self._e + exponent)
 
+    def _product(self, other):
+        return mv_mul(self, other)
+
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self._like(other)
         if other is None:
             return NotImplemented
+        if other.metric != self.metric:
+            raise MetricError("operands over different metrics")
         e = max(self._e, other._e)
         sx, sy = e - self._e, e - other._e
         acc = {mask: n << sx for mask, n in self._nums.items()}
@@ -228,41 +236,11 @@ class Multivector:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + -other
-
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = self._like(other)
         if other is None:
             return NotImplemented
         return other + -self
-
-    def __neg__(self):
-        return self._scaled(-1, 0)
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return mv_mul(self, other)
-        return self.__rmul__(other)
-
-    def __rmul__(self, other):
-        pair = _pair(other)  # scalars commute with every blade
-        if pair is None:
-            return NotImplemented
-        return self._scaled(*pair)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, DyadicRational)):
-            other = Multivector.scalar(self.metric, other)
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return (self.metric, self._e, self._nums) == (
-            other.metric, other._e, other._nums)
-
-    __hash__ = None  # mutable-looking container; equality only
 
     def grade_involution(self) -> "Multivector":
         return grade_involution(self)
@@ -351,19 +329,13 @@ class Multivector:
         return cls._raw(metric, acc, top)
 
 
-# _BYTE_NAMES[p][b]: the names of the generators whose bits in byte p of
-# a mask form b, lowest first; a table is built when p is first used
-_BYTE_NAMES: list = [None] * (MAX_N // 8)
-
-
+@cache
 def _byte_names(p: int) -> list:
-    table = _BYTE_NAMES[p]
-    if table is None:
-        names = [f"g{8 * p + j + 1}" for j in range(8)]
-        table = _BYTE_NAMES[p] = [
-            " ".join(name for j, name in enumerate(names) if b >> j & 1)
+    """_byte_names(p)[b]: the names of the generators whose bits in byte
+    p of a mask form b, lowest first, built when p is first used."""
+    names = [f"g{8 * p + j + 1}" for j in range(8)]
+    return [" ".join(name for j, name in enumerate(names) if b >> j & 1)
             for b in range(256)]
-    return table
 
 
 def _generator_names(mask: Blade) -> str:

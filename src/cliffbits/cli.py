@@ -109,16 +109,17 @@ def _cmd_mul(args) -> int:
     y = Multivector.parse(args.right, metric)
     results = {}
     if args.engine in ("blade", "both"):
-        results["blade"] = str(mv_mul(x, y))
+        results["blade"] = mv_mul(x, y)
     if args.engine in ("efb", "both"):
         fast = efb_product(blades_to_efb(x, args.m), blades_to_efb(y, args.m))
-        results["efb"] = str(efb_to_blades(fast))
+        results["efb"] = efb_to_blades(fast)
+    # canonical forms: equal values render to equal text
     if args.engine == "both" and results["blade"] != results["efb"]:
         print("mul: engines disagree", file=sys.stderr)
         print(f"  blade: {results['blade']}", file=sys.stderr)
         print(f"  efb:   {results['efb']}", file=sys.stderr)
         return 1
-    product = results.get("efb", results.get("blade"))
+    product = str(results.get("efb", results.get("blade")))
     if args.json:
         print(json.dumps({"m": args.m, "left": args.left, "right": args.right,
                           "engine": args.engine, "product": product}))

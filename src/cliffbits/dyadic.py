@@ -13,11 +13,14 @@ over their largest exponent and is the one place that rejects any other
 coefficient type, and _text writes a pair back as 'n' or 'n/2^e'.
 Both multivector types store plain-int numerators over one shared
 exponent instead of instances, and Multivector.parse goes from text to
-those numerators without building one.  _shift is the one reduction
-rule: lower the exponent while every numerator is even.  A
-DyadicRational and each rendered term apply it to one numerator, and
-the canonical forms of a Multivector and of an EFBMultivector apply it,
-through _common_shift, to all their numerators at once.  Products add
+those numerators without building one.  Their operators that read no
+storage (negation, scaling, product dispatch, subtraction, equality)
+live once, in _Numerators, and take a scalar through _pair alone.
+_shift is the one reduction rule: lower the exponent while every
+numerator is even.  A DyadicRational and each rendered term apply it
+to one numerator, and the canonical forms of a Multivector and of an
+EFBMultivector apply it, through _common_shift, to all their
+numerators at once.  Products add
 exponents and the inverse Fock-basis transform adds m for its 2^-m, so
 instances are built only where a coefficient leaves.
 """
@@ -226,3 +229,46 @@ class DyadicRational:
 
     def __repr__(self):
         return f"DyadicRational({self.numerator}, {self.exponent})"
+
+
+class _Numerators:
+    """The operators of the multivector types that read no storage.
+
+    A subclass stores plain-int numerators over one 2^e and defines
+    _scaled(numerator, exponent), __add__, _product(other) for an
+    operand of its own type, _key(), the canonical form that equality
+    compares, and _like(other): the operand as the subclass's own type,
+    a lifted scalar where the subclass allows one, or None.  A scalar
+    enters through _pair, so it is an int or a DyadicRational and
+    commutes with every element.
+    """
+
+    __slots__ = ()
+
+    def __neg__(self):
+        return self._scaled(-1, 0)
+
+    def __rmul__(self, other):
+        pair = _pair(other)
+        if pair is None:
+            return NotImplemented
+        return self._scaled(*pair)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        return self.__rmul__(other)
+
+    def __sub__(self, other):
+        other = self._like(other)
+        if other is None:
+            return NotImplemented
+        return self + -other
+
+    def __eq__(self, other):
+        other = self._like(other)
+        if other is None:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # mutable-looking containers; equality only

@@ -17,7 +17,7 @@ coeff * (-1)^C(popcount(g), 2) * (-1)^popcount(b & i), with
 i = b1 ^ parity_above(g).  So each change of basis is one table lookup
 per blade and one Walsh-Hadamard transform per operand, run by
 walsh_batch over all of its stored cosets at once.  Both blade <-> (i, g)
-maps are XOR-linear, tabulated per m by xor_span.
+maps are XOR-linear, tabulated per m by xor_span on first use.
 
 Each conversion has a second path, picked from the data, with the same
 result.  blades_to_efb gathers an operand that holds at least 3/8 of
@@ -68,7 +68,7 @@ from .bits import (_ORDER, _halves, _lane_size, _lanes_in, _lanes_out,
                    _signed_bytes, parity_above, walsh_batch, walsh_function,
                    walsh_index, xor_span)
 from .blades import Metric, MetricError, Multivector
-from .dyadic import _common_shift, _pair, _reduced, _scale_in
+from .dyadic import _Numerators, _common_shift, _reduced, _scale_in
 from .instrument import counters
 
 # largest m an EFBMultivector is built for: 4^m entries when dense
@@ -101,7 +101,7 @@ def _canonical(cosets: dict, e: int) -> tuple[dict, int]:
     return cosets, e - shift
 
 
-class EFBMultivector:
+class EFBMultivector(_Numerators):
     """A 2^m x 2^m coefficient matrix over the normalized matrix units,
     stored by column coset as integer numerators over one 2^_e.
 
@@ -119,7 +119,9 @@ class EFBMultivector:
     row.
 
     Coefficients are int or DyadicRational; scaling by any other scalar
-    returns NotImplemented.  Treated as immutable.
+    returns NotImplemented.  No scalar lifts to a matrix: + and - take
+    only an EFBMultivector of the same m.  The operators that read no
+    storage come from dyadic._Numerators.  Treated as immutable.
     """
 
     __slots__ = ("m", "_e", "_cosets")
@@ -180,21 +182,26 @@ class EFBMultivector:
                 if n:
                     yield a, a ^ g, _reduced(n, e)
 
-    def __eq__(self, other):
-        if not isinstance(other, EFBMultivector):
-            return NotImplemented
-        return (self.m, self._e, self._cosets) == (
-            other.m, other._e, other._cosets)
+    def _like(self, other):
+        # no scalar lifts, and another m is refused here, so that - as
+        # well as + returns NotImplemented
+        return (other if isinstance(other, EFBMultivector)
+                and other.m == self.m else None)
 
-    __hash__ = None
+    def _key(self):
+        return self.m, self._e, self._cosets
 
     def _scaled(self, numerator: int, exponent: int) -> "EFBMultivector":
         return EFBMultivector._from_ints(
             self.m, {g: [n * numerator for n in v]
                      for g, v in self._cosets.items()}, self._e + exponent)
 
+    def _product(self, other):
+        return efb_product(self, other)
+
     def __add__(self, other):
-        if not isinstance(other, EFBMultivector) or other.m != self.m:
+        other = self._like(other)
+        if other is None:
             return NotImplemented
         e = max(self._e, other._e)
         sa, sb = e - self._e, e - other._e
@@ -204,25 +211,6 @@ class EFBMultivector:
                 for na, nb in zip(self._cosets.get(g, zeros),
                                   other._cosets.get(g, zeros))]
             for g in self._cosets.keys() | other._cosets.keys()}, e)
-
-    def __sub__(self, other):
-        if not isinstance(other, EFBMultivector) or other.m != self.m:
-            return NotImplemented
-        return self + -other
-
-    def __neg__(self):
-        return self._scaled(-1, 0)
-
-    def __mul__(self, other):
-        if isinstance(other, EFBMultivector):
-            return efb_product(self, other)
-        return self.__rmul__(other)
-
-    def __rmul__(self, other):
-        pair = _pair(other)  # scalars commute with the matrix
-        if pair is None:
-            return NotImplemented
-        return self._scaled(*pair)
 
     def __repr__(self):
         dim = self.dim
@@ -358,8 +346,10 @@ def _packed(x: EFBMultivector, y: EFBMultivector,
     return out, triples
 
 
+@cache
 def _slot_tables(m: int) -> tuple[list, list, list, list]:
-    """The blade mask <-> (i, g) maps at one m, as lookups over m bits.
+    """The blade mask <-> (i, g) maps at one m, as lookups over m bits,
+    built on first use: 4 * 2^m ints.
 
     b0 and b1 hold the presence bits of g_{2s-1} and of g_{2s}, slot 1
     on top; a blade lies in coset g = b0 ^ b1 at Walsh index
@@ -382,10 +372,8 @@ def _slot_tables(m: int) -> tuple[list, list, list, list]:
             xor_span(map(split, range(m, 2 * m))), join_i, join_g)
 
 
-# 4 * 2^m ints per m, 2040 in all
-_SLOTS = [None] + [_slot_tables(m) for m in range(1, MAX_M + 1)]
-# the interleaved metric per m, built and validated once
-_METRICS = [None] + [Metric.interleaved(m) for m in range(1, MAX_M + 1)]
+# the interleaved metric per m, built and validated on first use
+_metric = cache(Metric.interleaved)
 # blades_to_efb gathers an operand that holds at least this share of
 # the 4^m blades through _blade_at, and loops over a sparser one
 _GATHER_SHARE = 3 / 8
@@ -395,8 +383,8 @@ _GATHER_SHARE = 3 / 8
 def _blade_at(m: int) -> list:
     """The blade mask at each coset-major position g * 2^m + i, built on
     first use: the map is XOR-linear, so xor_span tabulates it from the
-    _SLOTS images of the single bits."""
-    _, _, join_i, join_g = _SLOTS[m]
+    _slot_tables images of the single bits."""
+    _, _, join_i, join_g = _slot_tables(m)
     bits = [1 << k for k in range(m)]
     return xor_span([join_i[b] for b in bits] + [join_g[b] for b in bits])
 
@@ -414,7 +402,7 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     other touched coset over the columns.
     """
     _check_m(m)
-    metric = _METRICS[m]
+    metric = _metric(m)
     if x.metric is not metric and x.metric != metric:
         raise MetricError(f"multivector is not over interleaved Cl({m},{m})")
     nums = x._nums
@@ -427,7 +415,7 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
             [map(neg, v) if g.bit_count() & 2 else v
              for g, v in enumerate(spans)], m))), x._e)
     low = dim - 1
-    lo, hi, _, _ = _SLOTS[m]
+    lo, hi, _, _ = _slot_tables(m)
     cosets: dict[int, list] = {}
     for mask, n in nums.items():
         t = lo[mask & low] ^ hi[mask >> m]
@@ -459,7 +447,7 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
     coset, then by Walsh index, on both paths.
     """
     m, dim = x.m, x.dim
-    _, _, join_i, join_g = _SLOTS[m]
+    _, _, join_i, join_g = _slot_tables(m)
     cosets = x._cosets.items()
     found = [walsh_index(v, m) for _, v in cosets]
     # the transform is its own inverse up to the factor 2^m
@@ -475,4 +463,4 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
         w = next(spread)
         for i in compress(range(dim), w):
             terms[join_i[i] ^ base] = -w[i] if flip else w[i]
-    return Multivector._raw(_METRICS[m], terms, x._e + m)
+    return Multivector._raw(_metric(m), terms, x._e + m)

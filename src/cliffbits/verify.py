@@ -42,8 +42,8 @@ from .blades import _lane_width as _blade_lane_width
 from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
-from .efb import (_SLOTS, EFBMultivector, _lane_width, _packed, _sweep,
-                  blades_to_efb, efb_product, efb_to_blades)
+from .efb import (EFBMultivector, _lane_width, _packed, _slot_tables,
+                  _sweep, blades_to_efb, efb_product, efb_to_blades)
 from .instrument import op_counters, reset_op_counters
 from .sampling import dense_blade_multivector, dense_efb_multivector, \
     random_multivector
@@ -476,7 +476,7 @@ def check_op_ratio(b):
 def batched_blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     """blades_to_efb with every touched coset through walsh_batch."""
     dim = 1 << m
-    lo, hi, _, _ = _SLOTS[m]
+    lo, hi, _, _ = _slot_tables(m)
     cosets: dict[int, list] = {}
     for mask, n in x._nums.items():
         t = lo[mask & dim - 1] ^ hi[mask >> m]
@@ -490,7 +490,7 @@ def batched_blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
 def batched_efb_to_blades(x: EFBMultivector) -> Multivector:
     """efb_to_blades with every stored coset through walsh_batch."""
     m = x.m
-    _, _, join_i, join_g = _SLOTS[m]
+    _, _, join_i, join_g = _slot_tables(m)
     terms: dict[int, int] = {}
     for g, w in zip(x._cosets, walsh_batch(x._cosets.values(), m)):
         for i, n in enumerate(w):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -150,3 +151,12 @@ def test_walsh_index_reads_back_walsh_functions():
             spread = [a for a, n in enumerate(walsh_batch([v], k)[0]) if n]
             assert walsh_index(v, k) == (spread[0] if len(spread) == 1
                                          else -1)
+
+
+def test_negative_arguments_are_refused():
+    for make, message in (
+            (lambda: parity_above(-1), "x must be non-negative"),
+            (lambda: lucas_sign(-1, 0), "lucas_sign needs n >= 0 and i >= 0"),
+            (lambda: half_pochhammer_sign(-1), "n must be non-negative")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()

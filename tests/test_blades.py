@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,58 @@ def test_scalar_coercion():
     assert x - 1 == Multivector.parse("g1 - 1", E22)
 
 
+def test_scalars_on_the_left_and_in_equality():
+    x = Multivector.parse("1 + 2 g1 g2 - g3", E22)
+    assert str(1 - x) == "g3 - 2 g1 g2"
+    assert (x == 1) is False and Multivector.scalar(E22, 1) == 1
+    half = DyadicRational(1, 1)
+    assert (x == half) is False
+    assert Multivector.scalar(E22, half) == half
+    assert half == Multivector.scalar(E22, half)
+
+
+def test_other_operands_are_refused():
+    x = Multivector.parse("1 + g1", E22)
+    with pytest.raises(TypeError, match=re.escape(
+            "unsupported operand type(s) for -: 'Multivector' and 'str'")):
+        x - "a"
+    assert (x == "a") is False and x != "a"
+
+
+def test_operands_across_metrics():
+    x, y = Multivector.scalar(E22, 1), Multivector.scalar(I2, 1)
+    assert (x == y) is False and x != y
+    with pytest.raises(MetricError, match="^operands over different metrics$"):
+        x - y
+
+
+def test_grade_involution_method():
+    x = Multivector.parse("1 + 2 g1 g2 - g3 + g1 g2 g4", E22)
+    assert str(x.grade_involution()) == "1 + g3 + 2 g1 g2 - g1 g2 g4"
+    assert x.grade_involution() == grade_involution(x)
+
+
+def test_boundary_checks_name_the_bad_input():
+    n = E22.n
+    for make, message in (
+            (lambda: Metric((2,)), "generator squares must be +1 or -1"),
+            (lambda: Metric.block(-1, 2), "k and l must be non-negative"),
+            (lambda: Metric.interleaved(-1), "m must be non-negative"),
+            (lambda: tau_blade(-1, 0), "k and l must be non-negative"),
+            (lambda: Multivector.generator(E22, 0),
+             "generator index 0 outside 1..4"),
+            (lambda: Multivector.generator(E22, n + 1),
+             "generator index 5 outside 1..4")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+    for a, b in ((1 << n, 1), (1, 1 << n)):
+        with pytest.raises(MetricError, match="^blade out of range for n=4$"):
+            blade_product(a, b, E22)
+    with pytest.raises(MetricError,
+                       match="^blade 0x10 out of range for n=4$"):
+        Multivector(E22, {1 << n: 1})
+
+
 # -- the stored form: integer numerators over one canonical 2^e -------------
 
 I1 = Metric.interleaved(1)  # four blades, so independent draws often agree
@@ -365,7 +418,9 @@ def test_str_names_across_byte_boundaries():
     assert str(Multivector.from_blade(big, 0b11 << 7)) == "g8 g9"
     assert str(Multivector.from_blade(big, 0b11 << 15)) == "g16 g17"
     assert str(Multivector.generator(big, 4096)) == "g4096"
-    assert len(blades._BYTE_NAMES) == blades.MAX_N // 8
+    # one table per byte position, the last one that of g4089..g4096
+    assert blades._byte_names(blades.MAX_N // 8 - 1)[0x80] == "g4096"
+    assert blades._byte_names.cache_info().currsize <= blades.MAX_N // 8
 
 
 # -- mv_mul's two kernels: the pair loop and the Gray-code walk -------------

@@ -157,6 +157,19 @@ def test_mul_engines_agree(capsys):
     assert blade_out == efb_out == both_out
 
 
+def test_mul_engines_disagree(capsys, monkeypatch):
+    # both products are rendered to stderr, and nothing goes to stdout
+    real = cli.mv_mul
+    monkeypatch.setattr(cli, "mv_mul", lambda x, y: -real(x, y))
+    code, out, err = run(capsys, "mul", "2", "1/2 g1 g2 + 3", "g2 - 1",
+                         "--engine", "both")
+    assert (code, out) == (1, "")
+    assert err.split("\n") == [
+        "mul: engines disagree",
+        "  blade: 3 + 1/2 g1 - 3 g2 + 1/2 g1 g2",
+        "  efb:   -3 - 1/2 g1 + 3 g2 - 1/2 g1 g2", ""]
+
+
 def test_mul_parse_error(capsys):
     code, _, err = run(capsys, "mul", "2", "g9", "g1")
     assert code == 2 and "mul:" in err
@@ -278,6 +291,11 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
     assert lines[0].endswith("(first failure: (5, 1))")
     assert len(lines) == 27
     assert all(ln.startswith("ok") for ln in lines[1:])
+
+
+def test_run_suite_refuses_an_unknown_level():
+    with pytest.raises(ValueError, match="^unknown level 'medium'$"):
+        cliffbits.run_suite("medium")
 
 
 def test_verify_json(capsys):

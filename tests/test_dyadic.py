@@ -60,6 +60,24 @@ def test_int_interop():
     assert hash(DyadicRational(5, 0)) == hash(5)
 
 
+def test_rsub_abs_repr_hash():
+    d = DyadicRational(3, 2)
+    assert 1 - d == DyadicRational(1, 2)
+    assert abs(DyadicRational(-3, 2)) == d
+    assert repr(d) == "DyadicRational(3, 2)"
+    # equal values hash equal at a positive exponent, however built
+    assert hash(DyadicRational(6, 3)) == hash(d) == hash(
+        DyadicRational.parse("12/16")) == hash(1 - DyadicRational(1, 2))
+
+
+def test_constructor_refuses_bad_arguments():
+    with pytest.raises(TypeError,
+                       match="^numerator and exponent must be integers$"):
+        DyadicRational(1.5)
+    with pytest.raises(ValueError, match="^exponent must be non-negative$"):
+        DyadicRational(1, -1)
+
+
 @given(dyadics(), dyadics())
 def test_add_matches_fraction(a, b):
     assert as_fraction(a + b) == as_fraction(a) + as_fraction(b)

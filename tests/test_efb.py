@@ -1,9 +1,10 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,27 @@ def test_efb_mul_rejects_other_scalars():
         assert x.__mul__(s) is NotImplemented
         with pytest.raises(TypeError):
             x * s
+
+
+def test_efb_times_efb_is_the_product():
+    rng = random.Random(59)
+    x, y = _random_efb(3, rng, 0.4, 5), _random_efb(3, rng, 0.4, 5)
+    assert x * y == efb_product(x, y)
+
+
+def test_efb_operators_refuse_other_operands():
+    e, f = EFBMultivector.identity(2), EFBMultivector.identity(3)
+    assert (e == 1) is False and e != 1
+    assert (e == f) is False and e != f
+    for op, symbol in ((add, "+"), (sub, "-")):
+        for other, name in ((1, "int"), (f, "EFBMultivector")):
+            with pytest.raises(TypeError, match=re.escape(
+                    f"unsupported operand type(s) for {symbol}: "
+                    f"'EFBMultivector' and '{name}'")):
+                op(e, other)
+    with pytest.raises(TypeError,
+                       match="^efb_product needs two EFBMultivector operands$"):
+        efb_product(e, 3)
 
 
 def test_efb_rmul_rejects_other_scalars():
@@ -648,7 +670,7 @@ def _walsh_index_by_bits(mask: int, m: int) -> tuple[int, int]:
 def test_slot_tables_match_per_bit_reference():
     rng = random.Random(17)
     for m in range(1, efb.MAX_M + 1):
-        lo, hi, join_i, join_g = efb._SLOTS[m]
+        lo, hi, join_i, join_g = efb._slot_tables(m)
         masks = (range(1 << (2 * m)) if m <= 4
                  else [rng.randrange(1 << (2 * m)) for _ in range(500)])
         for mask in masks:
@@ -985,18 +1007,23 @@ def test_dense_gather_runs_from_the_share(monkeypatch):
 
 
 def test_per_m_tables_wait_for_first_use():
-    # import builds no transpose or gather table, a sparse product at
-    # m = 8 builds none either, and a dense one at m = 3 builds only m = 3
+    # import builds no transpose, gather, slot or metric table; a sparse
+    # product at m = 8 builds the slot table and the metric of m = 8
+    # alone, which a second call finds cached; and a dense one at m = 3
+    # adds the four tables of m = 3
     code = (
         "import random\n"
         "from cliffbits import efb, Metric, Multivector, blades_to_efb, "
         "efb_product\n"
         "from cliffbits.sampling import dense_blade_multivector\n"
-        "sizes = lambda: (efb._transposer.cache_info().currsize, "
-        "efb._blade_at.cache_info().currsize)\n"
+        "tables = (efb._transposer, efb._blade_at, efb._slot_tables, "
+        "efb._metric)\n"
+        "sizes = lambda: tuple(t.cache_info().currsize for t in tables)\n"
         "print(sizes())\n"
         "g = Multivector.generator(Metric.interleaved(8), 3)\n"
         "efb_product(blades_to_efb(g, 8), blades_to_efb(g, 8))\n"
+        "print(sizes())\n"
+        "efb._slot_tables(8), efb._metric(8)\n"
         "print(sizes())\n"
         "d = blades_to_efb(dense_blade_multivector(Metric.interleaved(3), "
         "random.Random(1)), 3)\n"
@@ -1006,8 +1033,9 @@ def test_per_m_tables_wait_for_first_use():
                PYTHONPATH=str(Path(efb.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
-    assert proc.stdout.split("\n") == ["(0, 0)", "(0, 0)", "(1, 1) True",
-                                        ""], proc.stderr
+    assert proc.stdout.split("\n") == [
+        "(0, 0, 0, 0)", "(0, 0, 1, 1)", "(0, 0, 1, 1)", "(1, 1, 2, 2) True",
+        ""], proc.stderr
 
 
 # -- conversion fast paths against the batched path -------------------------
@@ -1059,7 +1087,7 @@ def test_fast_paths_random_operands(m):
 
 def _cosets_of(m: int) -> dict:
     """Coset g -> the blade masks that lie in it."""
-    lo, hi, _, _ = efb._SLOTS[m]
+    lo, hi, _, _ = efb._slot_tables(m)
     out: dict[int, list] = {}
     for mask in range(1 << (2 * m)):
         out.setdefault((lo[mask & ((1 << m) - 1)] ^ hi[mask >> m]) >> m,
@@ -1191,9 +1219,9 @@ def test_repr_counts_nonzero_entries():
 def test_conversions_share_one_metric_per_m():
     for m in (1, 4, 8):
         equal = Metric.interleaved(m)
-        assert equal is not efb._METRICS[m] and equal == efb._METRICS[m]
+        assert equal is not efb._metric(m) and equal == efb._metric(m)
         x = Multivector.generator(equal, 2)
-        assert efb_to_blades(blades_to_efb(x, m)).metric is efb._METRICS[m]
+        assert efb_to_blades(blades_to_efb(x, m)).metric is efb._metric(m)
     with pytest.raises(MetricError):
         blades_to_efb(Multivector.scalar(Metric.block(2, 2), 1), 2)
 
