@@ -12,14 +12,20 @@ Every re-indexing of blade masks is XOR-linear, so xor_span tabulates
 it from the images of the single bits.
 
 Both packed product kernels, efb's rows and the blade engine's Gray-code
-walk, lay signed integers end to end in one int as lanes of a fixed
-number of bytes (Kronecker substitution).  One codec here moves them:
-_lane_size picks the lane, _lanes_in and _lanes_out write and read the
-two's-complement bytes, and with T = _halves(size, count), (U ^ T) - T
-reads the int U of those bytes as the signed sum of its lanes and
-_signed_bytes(S, T, span) writes such a sum S back.  The lanes of a
-whole Walsh pattern, such as the lanes to negate or keep, are laid out
-by walsh_pattern, the doubling that walsh_function runs.
+walk, lay signed integers end to end in one int as lanes of W bits
+(Kronecker substitution): a row of values v_c is the int
+sum_c v_c * 2^(W * c).  The lane layer here is all either kernel knows
+of that format.  _lane_width sizes the lanes from the operands, and
+_kernel_width weighs a packed kernel at that width against the loop it
+replaces.  _pack reads values into rows as two's-complement bytes, one
+array call for lanes up to a word, one to_bytes per value past it; with
+T = _halves(size, count), (U ^ T) - T turns the unsigned int U of a
+row's bytes into its signed sum, since every lane of U ^ T holds its
+value plus 2^(W - 1).  _unpack writes the bytes of (S + T) ^ T back as
+lanes, so a signed sum S comes out lane by lane as long as every lane
+has magnitude below 2^(W - 1).  _lane_pattern lays out the lanes of a
+whole Walsh pattern, such as the lanes to negate or keep, by the
+doubling that walsh_function runs.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from functools import lru_cache
 from itertools import chain
 from operator import add, sub
 
@@ -163,41 +170,73 @@ _ARRAY_TYPES = {array(t).itemsize: t for t in "bhiq"}
 _ORDER = sys.byteorder
 
 
-def _lane_size(bits: int) -> int:
-    """Bytes of a signed lane that holds bits bits, sign included: 1, 2,
-    4 or 8, the lanes an array holds, or past a word the fewest whole
-    bytes."""
-    size = (bits + 7) >> 3
-    return 1 << (size - 1).bit_length() if size <= 8 else size
-
-
+@lru_cache(maxsize=8)
 def _halves(size: int, count: int) -> int:
-    """T, the int with 2^(8 * size - 1) in each of count size-byte lanes."""
+    """T, the int with 2^(8 * size - 1) in each of count size-byte lanes,
+    kept for the few (size, count) keys in use: _pack and _unpack read it
+    on every call, and it is as long as one packed row."""
     return int.from_bytes((1 << (8 * size - 1)).to_bytes(size, _ORDER)
                           * count, _ORDER)
 
 
-def _signed_bytes(acc: int, halves: int, span: int) -> bytes:
-    """The span bytes of the two's-complement lanes of acc, a signed sum
-    of lanes times their place values, each lane of magnitude below
-    half its range: the bytes of (acc + T) ^ T."""
-    return ((acc + halves) ^ halves).to_bytes(span, _ORDER)
+def _lane_width(extra: int, *operands) -> int:
+    """Bits of a lane that holds, signed, a sum of up to 2^extra products
+    of one value from each operand: |sum| < 2^(extra + sum of bits),
+    bits being the bit length of an operand's largest magnitude.  Each
+    operand is a collection of rows, each row read by one C-level max
+    and one min; an empty row or operand counts as 0.  The lane is 1, 2,
+    4 or 8 bytes, the lanes an array holds, or past a word the fewest
+    whole bytes."""
+    need = extra + 1
+    for rows in operands:
+        need += max(max(map(max, filter(None, rows)), default=0),
+                    -min(map(min, filter(None, rows)), default=0)).bit_length()
+    size = (need + 7) >> 3
+    return (1 << (size - 1).bit_length() if size <= 8 else size) << 3
 
 
-def _lanes_in(values, size: int) -> bytes:
-    """values as size-byte two's-complement lanes laid end to end: one
-    array call up to a word, one to_bytes per value past it."""
-    if size in _ARRAY_TYPES:
-        return array(_ARRAY_TYPES[size], values).tobytes()
-    return b"".join(v.to_bytes(size, _ORDER, signed=True) for v in values)
+def _kernel_width(loop: int, fixed: int, slope: int, extra: int, *ops) -> int:
+    """The lane width W of a packed kernel when it is the faster one,
+    else 0.  The interpreted loop it replaces costs loop multiply-adds,
+    the packed kernel fixed + slope * W / 2048 of them.  A kernel that
+    loses even at the narrowest lane, 8 bits, returns 0 before
+    _lane_width reads the operands ops."""
+    if loop < fixed + (slope << 3 >> 11):
+        return 0
+    width = _lane_width(extra, *ops)
+    return width if loop >= fixed + (slope * width >> 11) else 0
 
 
-def _lanes_out(data: bytes, size: int) -> list:
-    """The signed values of the size-byte lanes of data."""
+def _pack(values, size: int, count: int) -> list:
+    """The signed int of each row of count size-byte lanes, the values
+    laid end to end: row r is sum_c values[r * count + c] * 2^(8 * size
+    * c), every value fitting its lane."""
+    data = (array(_ARRAY_TYPES[size], values).tobytes() if size in _ARRAY_TYPES
+            else b"".join(v.to_bytes(size, _ORDER, signed=True)
+                          for v in values))
+    span, halves = size * count, _halves(size, count)
+    return [(int.from_bytes(data[i:i + span], _ORDER) ^ halves) - halves
+            for i in range(0, len(data), span)]
+
+
+def _unpack(rows, size: int, count: int) -> list:
+    """The lane values of signed row ints, laid end to end: the inverse
+    of _pack, for rows whose lanes have magnitude below 2^(8 * size - 1)."""
+    span, halves = size * count, _halves(size, count)
+    data = b"".join(((r + halves) ^ halves).to_bytes(span, _ORDER)
+                    for r in rows)
     if size in _ARRAY_TYPES:
         return memoryview(data).cast(_ARRAY_TYPES[size]).tolist()
     return [int.from_bytes(data[i:i + size], _ORDER, signed=True)
             for i in range(0, len(data), size)]
+
+
+def _lane_pattern(even: int, odd: int, i: int, k: int, size: int) -> int:
+    """The int of 2^k size-byte lanes, lane a holding odd where
+    popcount(a & i) is odd and even elsewhere, both unsigned: walsh_pattern
+    on the lanes' bytes."""
+    lanes = even.to_bytes(size, _ORDER), odd.to_bytes(size, _ORDER)
+    return int.from_bytes(walsh_pattern(*lanes, i, k), _ORDER)
 
 
 def lucas_sign(n: int, i: int) -> SignBit:

@@ -16,8 +16,8 @@ prebuilt strings, one table per byte position, built on first use.
 mv_mul has two kernels with equal results and pair counts.  The pair
 loop runs one interpreted multiply-add per blade pair; it takes sparse
 operands, and verify and the tests call it as the oracle of the other.
-The Gray-code walk packs y into one int of 2^n signed lanes (Kronecker
-substitution, through the lane codec of the bits module).  It splits
+The Gray-code walk packs y into one int of 2^n signed lanes through
+the lane layer of the bits module (Kronecker substitution).  It splits
 a blade of x as l | h, l its low j = min(n // 2, 4) bits.  Every
 generator of l comes before every generator of h, so e_(l|h) = e_l e_h
 with no sign, and x y = sum_l e_l A_l, A_l = sum_h x[l | h] (e_h y).
@@ -29,7 +29,7 @@ C-level multiply-add per blade of x into the 2^j accumulators A_l.
 Horner's rule folds them with the same step, highest bit first:
 A_i += e_k A_(i + 2^k).  The walk pays 2^(n - j) + 2^j - 1 steps over
 all 2^n lanes, so it loses on sparse operands; _walk_width weighs
-len(x) * len(y) against that cost, from the operands alone.  The
+len(x) * len(y) against that cost by bits._kernel_width.  The
 masks of a step are cached per (n, neg, lane size).
 The fast engine is checked against this module, and this module
 against the explicit transposition counting of the
@@ -44,8 +44,8 @@ from functools import cache, cached_property, lru_cache
 from itertools import compress, repeat
 from types import MappingProxyType
 
-from .bits import (_ORDER, _halves, _lane_size, _lanes_in, _lanes_out,
-                   _signed_bytes, parity_above, walsh_pattern)
+from .bits import (_halves, _kernel_width, _lane_pattern, _pack, _unpack,
+                   parity_above)
 from .dyadic import (DyadicRational, _Numerators, _clip, _common_shift,
                      _pair, _parse, _reduced, _scale_in, _text)
 from .instrument import counters
@@ -57,8 +57,8 @@ _SIGN_RE = re.compile(r"([+-])")
 # ASCII digits only, as in dyadic._COEFF_RE
 _GENERATOR_RE = re.compile(r"g([1-9]\d*)", re.ASCII)
 
-# mv_mul's kernel rule, in pair-loop multiply-adds (see _walk_width)
-_WALK, _WALK_SHIFT = 6, 11
+# mv_mul's kernel rule, in pair-loop multiply-adds per lane (_walk_width)
+_WALK = 6
 
 # most generators block and interleaved build: one tuple entry each, and
 # verify --level full builds no more than 32
@@ -91,6 +91,8 @@ class Metric:
     @classmethod
     def block(cls, k: int, l: int) -> "Metric":
         """First k generators square to +1, the remaining l to -1."""
+        if type(k) is not int or type(l) is not int:
+            raise TypeError(f"k and l must be ints, got {k!r}, {l!r}")
         if k < 0 or l < 0:
             raise ValueError("k and l must be non-negative")
         _check_n(k + l)
@@ -99,6 +101,8 @@ class Metric:
     @classmethod
     def interleaved(cls, m: int) -> "Metric":
         """Neutral layout: odd positions square to +1, even positions to -1."""
+        if type(m) is not int:
+            raise TypeError(f"m must be an int, got {m!r}")
         if m < 0:
             raise ValueError("m must be non-negative")
         _check_n(2 * m)
@@ -160,6 +164,8 @@ class Multivector(_Numerators):
         terms = dict(terms) if terms else {}
         n = metric.n
         for mask in terms:
+            if type(mask) is not int:  # a bool is an int, but no blade
+                raise TypeError(f"blade masks must be ints, got {mask!r}")
             if mask < 0 or mask >> n:
                 raise MetricError(f"blade {mask:#x} out of range for n={n}")
         nums, e = _scale_in(terms.values())
@@ -190,6 +196,8 @@ class Multivector(_Numerators):
     @classmethod
     def generator(cls, metric: Metric, i: int) -> "Multivector":
         """The generator g_i, 1-indexed."""
+        if type(i) is not int:
+            raise TypeError(f"generator index must be an int, got {i!r}")
         if not 1 <= i <= metric.n:
             raise ValueError(f"generator index {i} outside 1..{metric.n}")
         return cls._raw(metric, {1 << (i - 1): 1}, 0)
@@ -399,36 +407,19 @@ def _pair_loop(x: Multivector, y: Multivector) -> dict:
 
 
 def _walk_width(x: Multivector, y: Multivector) -> int:
-    """The Gray-code walk's lane width when it is the faster kernel, else 0.
+    """The Gray-code walk's lane width when it is the faster kernel, else
+    0, by bits._kernel_width.
 
     Costs are counted in the pair loop's multiply-adds, len(x) * len(y).
     The walk's steps, folds and lane codec cost about _WALK per lane of
     its 2^n-lane int of W-bit lanes, and each blade of x adds one
-    multiply-add of that int, worth one per 2^_WALK_SHIFT of its bits.
-    The constants were fitted to a timing grid over n = 2..11, balanced
-    and lopsided operands and W = 8..616 bits, recorded in ROADMAP.md.
-    An operand pair that fails at the narrowest lane, 8 bits, skips the
-    width scan.
+    multiply-add of that int, worth W / 2048 per lane.  The constants
+    were fitted to a timing grid over n = 2..11, balanced and lopsided
+    operands and W = 8..616 bits, recorded in ROADMAP.md.
     """
-    xs, lanes = len(x._nums), 1 << x.metric.n
-    pairs = xs * len(y._nums)
-
-    def walk(width: int) -> int:
-        return lanes * _WALK + (xs * lanes * width >> _WALK_SHIFT)
-    if pairs < walk(8):
-        return 0
-    width = _lane_width(x, y)
-    return width if pairs >= walk(width) else 0
-
-
-def _lane_width(x: Multivector, y: Multivector) -> int:
-    """Bits of the lane (bits._lane_size) that holds any term of x * y
-    signed, |term| < 2^(bits(x) + bits(y) + n), bits being the bit
-    length of the largest numerator magnitude."""
-    need = x.metric.n + 1
-    for nums in (x._nums.values(), y._nums.values()):
-        need += max(max(nums, default=0), -min(nums, default=0)).bit_length()
-    return _lane_size(need) << 3
+    n, xs = x.metric.n, len(x._nums)
+    return _kernel_width(xs * len(y._nums), _WALK << n, xs << n, n,
+                         [x._nums.values()], [y._nums.values()])
 
 
 def _block(n: int) -> int:
@@ -446,18 +437,15 @@ _MASK_SPAN = 1 << 14
 def _walk_masks(n: int, neg: int, size: int) -> tuple:
     """The masks of a walk over n generators with size-byte lanes, per
     bit k: the lanes with bit k clear as all-ones lanes (keep), the
-    lanes to negate as a 1 in each (low) and as all-ones (flip), the row
-    r_k and the block shift; and T."""
+    lanes to negate as a 1 in each (low) and as all-ones (flip) and the
+    row r_k; and T."""
     width = size << 3
-    zero, ones, one = bytes(size), b"\xff" * size, (1).to_bytes(size, _ORDER)
     rows = tuple(parity_above(1 << k) ^ (neg & 1 << k) for k in range(n))
-    keep = tuple(int.from_bytes(walsh_pattern(ones, zero, 1 << k, n), _ORDER)
+    keep = tuple(_lane_pattern((1 << width) - 1, 0, 1 << k, n, size)
                  for k in range(n))
-    low = tuple(int.from_bytes(walsh_pattern(zero, one, r, n), _ORDER)
-                for r in rows)
+    low = tuple(_lane_pattern(0, 1, r, n, size) for r in rows)
     flip = tuple((b << width) - b for b in low)
-    shifts = tuple(width << k for k in range(n))
-    return keep, low, flip, rows, shifts, _halves(size, 1 << n)
+    return keep, low, flip, rows, _halves(size, 1 << n)
 
 
 def _gray_walk(x: Multivector, y: Multivector, width: int) -> dict:
@@ -469,8 +457,9 @@ def _gray_walk(x: Multivector, y: Multivector, width: int) -> dict:
     sign, and x * y = sum_l e_l A_l with A_l = sum_h x[l | h] (e_h y).
     y is packed into one int, lane c holding, up to one overall sign,
     the term that blade h sends to c: y[c ^ h] * (-1)^popcount((c ^ h)
-    & R(h)), R being blade_product's row.  Lanes hold v + 2^(width - 1)
-    for a signed v, so bitwise masks act on them lane by lane.  Step h
+    & R(h)), R being blade_product's row.  The walk keeps it as S + T,
+    T = bits._halves, so each lane holds its value plus 2^(width - 1)
+    and bitwise masks act on the lanes one by one.  Step h
     to h ^ e_k, k >= j, j plus the lowest set bit of the step count:
     the 2^k-lane blocks swap, the lanes c with popcount(c & r_k) odd
     are negated, r_k = R(e_k), and the whole int flips sign when
@@ -483,24 +472,22 @@ def _gray_walk(x: Multivector, y: Multivector, width: int) -> dict:
     signed sum S, so Horner's rule takes sum_l e_l A_l in 2^j - 1
     steps, highest bit first: A_i += e_k A_(i + 2^k), k = j - 1 .. 0.
     Every lane of every partial sum adds at most 2^n distinct terms of
-    the product, so the lane width of _lane_width holds it.  The lanes
-    leave through bits._signed_bytes.
+    the product, so a width from bits._lane_width with extra = n holds
+    it.
     """
     n, neg = x.metric.n, x.metric.neg
     size, count, j = width >> 3, 1 << n, _block(n)
     masks = _walk_masks if size << n <= _MASK_SPAN else _walk_masks.__wrapped__
-    keep, low, flip, rows, shifts, halves = masks(n, neg, size)
+    keep, low, flip, rows, halves = masks(n, neg, size)
 
     def step(v: int, k: int) -> int:  # swap 2^k-lane blocks, negate lanes
-        s, mask = shifts[k], keep[k]
+        s, mask = width << k, keep[k]
         v = (v & mask) << s | (v >> s) & mask
         # r_0 is 0 when g1 squares to +1
         return (v ^ flip[k]) + low[k] if low[k] else v
     xs = list(map(x._nums.get, range(count), repeat(0)))
-    v = int.from_bytes(_lanes_in(map(y._nums.get, range(count), repeat(0)),
-                                 size), _ORDER) ^ halves
-    block = 1 << j
-    signed = v - halves
+    signed, = _pack(map(y._nums.get, range(count), repeat(0)), size, count)
+    v, block = signed + halves, 1 << j
     acc = [c * signed for c in xs[:block]]
     h = sign = 0
     for t in range(1, count >> j):
@@ -517,7 +504,7 @@ def _gray_walk(x: Multivector, y: Multivector, width: int) -> dict:
         for i in range(half):
             v = step(acc[i + half] + halves, k)
             acc[i] += halves - v if neg >> k & 1 else v - halves
-    lanes = _lanes_out(_signed_bytes(acc[0], halves, size * count), size)
+    lanes = _unpack(acc[:1], size, count)
     return dict(zip(compress(range(count), lanes), compress(lanes, lanes)))
 
 

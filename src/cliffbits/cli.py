@@ -247,23 +247,23 @@ def bench_results(m_max: int) -> list[dict]:
     return rows
 
 
-def _commit() -> str | None:
-    """`git rev-parse HEAD` of the checkout this package is part of, or
-    None when there is no git, no checkout, or the package is not
-    tracked in it."""
+def _checkout() -> dict:
+    """The "commit" and "dirty" fields of the bench header: `git rev-parse
+    HEAD` of the checkout this package is part of, and whether `git
+    status --porcelain` lists tracked changes in it.  Both are None when
+    there is no git, no checkout, or the package is not tracked in it."""
     here = Path(__file__).resolve()
-    out = None
+    out = []
     for argv in (["ls-files", "--error-unmatch", here.name],
-                 ["rev-parse", "HEAD"]):
-        try:
-            proc = subprocess.run(["git", *argv], cwd=here.parent,
-                                  capture_output=True, text=True, timeout=30)
+                 ["rev-parse", "HEAD"],
+                 ["status", "--porcelain", "--untracked-files=no"]):
+        try:  # a git that fails raises CalledProcessError, a SubprocessError
+            out.append(subprocess.run(
+                ["git", *argv], cwd=here.parent, check=True,
+                capture_output=True, text=True, timeout=30).stdout.strip())
         except (OSError, subprocess.SubprocessError):
-            return None
-        if proc.returncode:
-            return None
-        out = proc.stdout.strip()
-    return out or None
+            return {"commit": None, "dirty": None}
+    return {"commit": out[1], "dirty": bool(out[2])}
 
 
 def _cmd_bench(args) -> int:
@@ -271,7 +271,7 @@ def _cmd_bench(args) -> int:
     if args.json:
         print(json.dumps({"seed": BENCH_SEED,
                           "python": platform.python_version(),
-                          "cpus": os.cpu_count(), "commit": _commit(),
+                          "cpus": os.cpu_count(), **_checkout(),
                           "rows": rows}, indent=2))
         return 0
     print(f"{'m':>2} {'blade pairs':>14} {'efb triples':>12} {'ratio':>7} "

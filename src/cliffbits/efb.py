@@ -45,17 +45,15 @@ coefficient leaves (entry, nonzero).
 efb_product has two kernels with equal results and triple counts.  The
 coset sweep runs out[g ^ h][d] += x[g][d ^ h] * y[h][d] over pairs of
 stored cosets, one interpreted multiply-add per triple.  The packed
-kernel writes each row of y into the binary digits of one int
-(Kronecker substitution), so a row of the product is one C-level sum
-of big-int multiplies, and it emits all 2^m cosets.  Entry (a, b) sits
-at position (a ^ b) * 2^m + b by cosets and a * 2^m + b by rows, so one
-itemgetter per m takes both operands to rows and the product back.
-Lanes move through the lane codec of the bits module: one array call
-per operand for lanes of 8, 16, 32 or 64 bits, one to_bytes per entry
-for wider ones.  The packed kernel pays for all 4^m entries and for a
-2^m-lane multiply per entry of x, so it loses on sparse or wide
-operands; _packed_width weighs the sweep's (stored cosets of x) *
-nnz(y) multiply-adds against that cost, from both operands alone.
+kernel writes each row of y into the binary digits of one int through
+the lane layer of the bits module (Kronecker substitution), so a row of
+the product is one C-level sum of big-int multiplies, and it emits all
+2^m cosets.  Entry (a, b) sits at position (a ^ b) * 2^m + b by cosets
+and a * 2^m + b by rows, so one itemgetter per m takes both operands to
+rows and the product back.  The packed kernel pays for all 4^m entries
+and for a 2^m-lane multiply per entry of x, so it loses on sparse or
+wide operands; _packed_width weighs the sweep's (stored cosets of x) *
+nnz(y) multiply-adds against that cost by bits._kernel_width.
 """
 
 from __future__ import annotations
@@ -64,9 +62,8 @@ from functools import cache, partial, reduce
 from itertools import chain, compress, repeat
 from operator import itemgetter, mul, neg, or_
 
-from .bits import (_ORDER, _halves, _lane_size, _lanes_in, _lanes_out,
-                   _signed_bytes, parity_above, walsh_batch, walsh_function,
-                   walsh_index, xor_span)
+from .bits import (_kernel_width, _pack, _unpack, parity_above, walsh_batch,
+                   walsh_function, walsh_index, xor_span)
 from .blades import Metric, MetricError, Multivector
 from .dyadic import _Numerators, _common_shift, _reduced, _scale_in
 from .instrument import counters
@@ -237,7 +234,8 @@ def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
 
 
 def _packed_width(x: EFBMultivector, y: EFBMultivector) -> int:
-    """The packed kernel's lane width when it is the faster kernel, else 0.
+    """The packed kernel's lane width when it is the faster kernel, else
+    0, by bits._kernel_width.
 
     Costs are counted in the sweep's interpreted multiply-adds, of which
     it runs at most (stored cosets of x) * nnz(y).  The packed kernel
@@ -246,17 +244,13 @@ def _packed_width(x: EFBMultivector, y: EFBMultivector) -> int:
     about 2^m * W / 2048, per entry of a stored coset of x; and it costs
     64 more per call.  The constants were fitted to a timing grid over
     m = 2..8, the stored cosets of both operands and W = 16..712 bits,
-    recorded in ROADMAP.md.  An operand pair that fails on the moves at
-    m/2 alone skips the width scan.
+    recorded in ROADMAP.md.
     """
     dim, stored = x.dim, len(x._cosets)
     sweep = stored * sum(dim - v.count(0) for v in y._cosets.values())
-    moves = dim * dim * x.m // 2 + 64
-    if sweep < moves:
-        return 0
-    width = _lane_width(x, y)
-    packed = moves + dim * dim * width * (32 + stored) // 2048
-    return width if sweep >= packed else 0
+    return _kernel_width(sweep, dim * dim * x.m // 2 + 64,
+                         dim * dim * (32 + stored), x.m,
+                         x._cosets.values(), y._cosets.values())
 
 
 def _sweep(x: EFBMultivector, y: EFBMultivector) -> tuple[dict, int]:
@@ -284,17 +278,6 @@ def _sweep(x: EFBMultivector, y: EFBMultivector) -> tuple[dict, int]:
     return out, triples
 
 
-def _lane_width(x: EFBMultivector, y: EFBMultivector) -> int:
-    """Bits of the lane (bits._lane_size) that holds any entry of x * y
-    signed, |entry| < 2^(bits(x) + bits(y) + m), bits being the bit
-    length of the largest numerator magnitude.  One C-level max and min
-    pass per operand reads the bits; each operand stores a coset."""
-    need = x.m + 1
-    for vs in (x._cosets.values(), y._cosets.values()):
-        need += max(max(map(max, vs)), -min(map(min, vs))).bit_length()
-    return _lane_size(need) << 3
-
-
 @cache
 def _transposer(m: int) -> itemgetter:
     """The itemgetter that takes a flat coset-major list to row-major
@@ -315,30 +298,21 @@ def _packed(x: EFBMultivector, y: EFBMultivector,
     Row b of y becomes the single int R_b = sum_d y[b][d] * 2^(width*d),
     so row a of the product is the int sum_b x[a][b] * R_b, one C-level
     sum of big-int multiplies per row.  One transpose takes x and y to
-    row-major order and the product back.  Lanes move as bytes in
-    two's complement: with T holding 2^(width-1) in every lane,
-    (U ^ T) - T turns the unsigned int U of a row's bytes into R_b, and
-    the bytes of (acc + T) ^ T are the signed lanes of acc, since every
-    entry of the product has magnitude below 2^(width - 1).  The triple
-    count is computed, not executed: sum over b of nnz(column b of x)
-    * nnz(row b of y).
+    row-major order and the product back.  Every entry of the product
+    has magnitude below 2^(width - 1), by bits._lane_width with
+    extra = m, so bits._unpack reads each one from its lane.  The
+    triple count is computed, not executed: sum over b of nnz(column b
+    of x) * nnz(row b of y).
     """
-    dim, size = x.dim, width >> 3
-    swap = _transposer(x.m)
+    dim, size, swap = x.dim, width >> 3, _transposer(x.m)
     zeros = [0] * dim
     xc, yc = (list(chain.from_iterable(map(z._cosets.get, range(dim),
                                            repeat(zeros))))
               for z in (x, y))
     xr, yr = swap(xc), swap(yc)
-    span = size * dim  # bytes per row
-    halves = _halves(size, dim)  # T
-    packed = _lanes_in(yr, size)
-    rows = [(int.from_bytes(packed[i:i + span], _ORDER) ^ halves) - halves
-            for i in range(0, len(packed), span)]
-    data = b"".join(
-        _signed_bytes(sum(map(mul, xr[i:i + dim], rows)), halves, span)
-        for i in range(0, dim * dim, dim))
-    oc = swap(_lanes_out(data, size))
+    rows = _pack(yr, size, dim)
+    oc = swap(_unpack((sum(map(mul, xr[i:i + dim], rows))
+                       for i in range(0, dim * dim, dim)), size, dim))
     out = {g: list(oc[g * dim:(g + 1) * dim]) for g in range(dim)}
     triples = sum(map(mul, (dim - xc[b::dim].count(0) for b in range(dim)),
                       (dim - yr[i:i + dim].count(0)

@@ -32,18 +32,17 @@ import random
 import time
 from dataclasses import dataclass
 
-from .bits import lucas_sign, sign_bit, walsh_batch
+from .bits import _lane_width, lucas_sign, sign_bit, walsh_batch
 from .blades import (Metric, Multivector, _gray_walk, _pair_loop,
                      blade_product, center_check, dual_automorphism_check,
                      grade_involution, mv_mul, omega_squared_oracle,
                      omega_tau_squared_oracle, tau_squared_oracle,
                      volume_element)
-from .blades import _lane_width as _blade_lane_width
 from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
-from .efb import (EFBMultivector, _lane_width, _packed, _slot_tables,
-                  _sweep, blades_to_efb, efb_product, efb_to_blades)
+from .efb import (EFBMultivector, _packed, _slot_tables, _sweep,
+                  blades_to_efb, efb_product, efb_to_blades)
 from .instrument import op_counters, reset_op_counters
 from .sampling import dense_blade_multivector, dense_efb_multivector, \
     random_multivector
@@ -538,10 +537,15 @@ def check_conversion_fast_paths(b):
                 and z == mv_mul(x, y))
 
 
+def _rows_width(x: EFBMultivector, y: EFBMultivector) -> int:
+    """The packed kernel's lane width for x * y, by the shared rule."""
+    return _lane_width(x.m, x._cosets.values(), y._cosets.values())
+
+
 def _same_kernels(x: EFBMultivector, y: EFBMultivector) -> bool:
     """The packed kernel equals the sweep on values, exponent and triple
     count."""
-    (swept, ts), (packed, tp) = _sweep(x, y), _packed(x, y, _lane_width(x, y))
+    (swept, ts), (packed, tp) = _sweep(x, y), _packed(x, y, _rows_width(x, y))
     zs = EFBMultivector._from_ints(x.m, swept, x._e + y._e)
     zp = EFBMultivector._from_ints(x.m, packed, x._e + y._e)
     return ts == tp and zs == zp
@@ -587,17 +591,22 @@ def check_dense_fast_paths(b):
             if (need - m - 1) % 2 == 0:
                 x, y, z = full_lanes(m, (need - m - 1) // 2, rng)
                 yield ("lane-bits", m, need), (
-                    _lane_width(x, y) == (64 if need <= 64 else 72)
+                    _rows_width(x, y) == (64 if need <= 64 else 72)
                     and _same_kernels(x, y) and efb_product(x, y) == z)
         blades = dense_blade_multivector(Metric.interleaved(m), rng)
         yield ("gather", m), (blades_to_efb(blades, m)
                               == batched_blades_to_efb(blades, m))
 
 
+def _walk_lanes(x: Multivector, y: Multivector) -> int:
+    """The Gray-code walk's lane width for x * y, by the shared rule."""
+    return _lane_width(x.metric.n, [x._nums.values()], [y._nums.values()])
+
+
 def _same_walk(x: Multivector, y: Multivector) -> bool:
     """The Gray-code walk equals the pair loop on values and exponent."""
     e = x._e + y._e
-    walked = _gray_walk(x, y, _blade_lane_width(x, y))
+    walked = _gray_walk(x, y, _walk_lanes(x, y))
     return (Multivector._raw(x.metric, walked, e)
             == Multivector._raw(x.metric, _pair_loop(x, y), e))
 
@@ -652,9 +661,9 @@ def check_blade_kernels(b):
                     y = Multivector._raw(metric, {
                         a: s * blade_product(a, a, metric)[0] * v
                         for a, v in x._nums.items()}, 0)
-                    walked = _gray_walk(x, y, _blade_lane_width(x, y))
+                    walked = _gray_walk(x, y, _walk_lanes(x, y))
                     yield ("lane-bits", n, need, s), (
-                        _blade_lane_width(x, y) == (64 if need <= 64 else 72)
+                        _walk_lanes(x, y) == (64 if need <= 64 else 72)
                         and walked.get(0) == s * dim * c * c
                         and _same_walk(x, y))
 

@@ -33,7 +33,11 @@ _SLOT_CODE = {(0, 0): "qp", (0, 1): "q", (1, 0): "pq", (1, 1): "p"}
 
 
 def _check_indices(m: int, *indices: int) -> None:
-    """Reject m < 1 and any index outside 0 .. 2^m - 1, building no 2^m."""
+    """Reject an m or index that is no int (a bool included, as in
+    efb._check_entry), m < 1 and any index outside 0 .. 2^m - 1,
+    building no 2^m."""
+    if any(type(i) is not int for i in (m, *indices)):
+        raise TypeError(f"m and indices must be ints, got {m!r}, {indices!r}")
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if any(i >> m for i in indices):  # -1 or less for a negative i

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from cliffbits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
                        neg_mod8, parity_above, sign_bit, sign_to_bit,
                        walsh_hadamard)
+from cliffbits import bits
 from cliffbits.bits import walsh_batch, walsh_function, walsh_index, xor_span
 
 
@@ -160,3 +161,52 @@ def test_negative_arguments_are_refused():
             (lambda: half_pochhammer_sign(-1), "n must be non-negative")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
+
+
+# -- the lane layer of both packed kernels ------------------------------------
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 9, 16])
+def test_pack_and_unpack_round_trip_at_the_lane_edges(size):
+    # 1, 2, 4 and 8 bytes go through an array, 9 and 16 through to_bytes
+    rng = random.Random(size)
+    half = 1 << (8 * size - 1)
+    for count in (1, 2, 8):
+        for rows in (2, 3):
+            values = [rng.choice((-half, half - 1, 0, -1,
+                                  rng.randrange(-half, half)))
+                      for _ in range(rows * count)]
+            values[:2] = -half, half - 1
+            packed = bits._pack(values, size, count)
+            assert packed == [
+                sum(v << (8 * size * c)
+                    for c, v in enumerate(values[r * count:(r + 1) * count]))
+                for r in range(rows)]
+            assert bits._unpack(packed, size, count) == values
+            assert bits._unpack(iter(packed), size, count) == values
+
+
+def test_lane_width_at_the_word_edge():
+    # 2^extra products of 31- and 31-bit magnitudes: 31 + 31 + extra + 1
+    # lane bits, so extra = 0, 1, 2 need 63, 64 and 65 bits
+    top = [[(1 << 31) - 1, -5]], [[-(1 << 31) + 1], [3]]
+    assert [bits._lane_width(extra, *top) for extra in (0, 1, 2)] == [
+        64, 64, 72]
+    # the min is read as well as the max: -64 has bit length 7, 63 has 6
+    assert bits._lane_width(0, [[63, 2]], [[1]]) == 8
+    assert bits._lane_width(0, [[-64, 2]], [[1]]) == 16
+    # empty rows and operands count 0
+    assert bits._lane_width(3, [[], {}.values()], []) == 8
+
+
+def test_kernel_width_returns_0_without_a_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bit scan")
+    monkeypatch.setattr(bits, "_lane_width", refuse)
+    # 100 + 2048 * 8 / 2048 = 108 at 8-bit lanes: a loop of 107 wins
+    assert bits._kernel_width(107, 100, 2048, 0, [[1]], [[1]]) == 0
+    monkeypatch.undo()
+    assert bits._kernel_width(108, 100, 2048, 0, [[1]], [[1]]) == 8
+    # 2^20 needs 2 * 21 + 1 = 43 bits, a 64-bit lane: 100 + 64 = 164
+    wide = [[1 << 20]]
+    assert bits._kernel_width(163, 100, 2048, 0, wide, wide) == 0
+    assert bits._kernel_width(164, 100, 2048, 0, wide, wide) == 64

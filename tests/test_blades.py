@@ -10,9 +10,9 @@ from cliffbits import (DyadicRational, Metric, MetricError, Multivector,
                        dual_automorphism_check, grade_involution, mv_mul,
                        omega_squared_oracle, op_counters, reset_op_counters,
                        tau_blade, tau_squared_oracle, volume_element)
-from cliffbits import blades, dyadic
+from cliffbits import bits, blades, dyadic
 from cliffbits.sampling import random_multivector
-from cliffbits.verify import check_blade_sign_vs_normal_order
+from cliffbits.verify import _walk_lanes, check_blade_sign_vs_normal_order
 
 from conftest import OTHER_SCALARS, multivectors
 
@@ -324,6 +324,29 @@ def test_boundary_checks_name_the_bad_input():
         Multivector(E22, {1 << n: 1})
 
 
+def test_constructors_refuse_non_int_masks_and_sizes():
+    # a float, str or bool mask, index or size is refused by name, not
+    # by the error of the first shift or comparison that meets it
+    for make, message in (
+            (lambda: Multivector(E22, {1.5: 1}),
+             "blade masks must be ints, got 1.5"),
+            (lambda: Multivector(E22, {"a": 1}),
+             "blade masks must be ints, got 'a'"),
+            (lambda: Multivector(E22, {True: 1}),
+             "blade masks must be ints, got True"),
+            (lambda: Multivector.from_blade(E22, 1.5),
+             "blade masks must be ints, got 1.5"),
+            (lambda: Multivector.generator(E22, 1.0),
+             "generator index must be an int, got 1.0"),
+            (lambda: Metric.block(1.5, 2),
+             "k and l must be ints, got 1.5, 2"),
+            (lambda: Metric.block(2, True),
+             "k and l must be ints, got 2, True"),
+            (lambda: Metric.interleaved(2.0), "m must be an int, got 2.0")):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            make()
+
+
 # -- the stored form: integer numerators over one canonical 2^e -------------
 
 I1 = Metric.interleaved(1)  # four blades, so independent draws often agree
@@ -474,7 +497,7 @@ def test_sparse_operands_take_the_loop_before_any_bit_scan(monkeypatch):
         for count in (0, 1, 6):
             x = _terms(metric, min(count, 1 << n), 9, rng)
             y = _terms(metric, min(6, 1 << n), 9, rng)
-            monkeypatch.setattr(blades, "_lane_width", refuse)
+            monkeypatch.setattr(bits, "_lane_width", refuse)
             assert blades._walk_width(x, y) == 0
             monkeypatch.undo()
             assert _kernel(monkeypatch, x, y) == "_pair_loop"
@@ -486,7 +509,7 @@ def test_wide_lanes_tip_the_rule_to_the_loop(monkeypatch):
     rng = random.Random(97)
     metric = Metric.block(4, 4)
     x, y = (_terms(metric, 64, 1 << 300, rng) for _ in range(2))
-    assert blades._lane_width(x, y) == 616
+    assert _walk_lanes(x, y) == 616
     assert _kernel(monkeypatch, x, y) == "_pair_loop"
     narrow = [_terms(metric, 64, 9, rng) for _ in range(2)]
     assert _kernel(monkeypatch, *narrow) == "_gray_walk"
@@ -499,7 +522,7 @@ def test_the_rule_weighs_the_blades_of_x(monkeypatch):
     metric = Metric.interleaved(5)
     sparse, dense = _terms(metric, 32, 1 << 40, rng), _terms(
         metric, 1 << 10, 1 << 40, rng)
-    assert blades._lane_width(sparse, dense) == 96
+    assert _walk_lanes(sparse, dense) == 96
     assert _kernel(monkeypatch, sparse, dense) == "_gray_walk"
     assert _kernel(monkeypatch, dense, sparse) == "_pair_loop"
 
@@ -521,7 +544,7 @@ def test_dense_pair_counts_exactly_16_to_the_m(m):
 
 def _walked(x: Multivector, y: Multivector) -> Multivector:
     return Multivector._raw(x.metric,
-                            blades._gray_walk(x, y, blades._lane_width(x, y)),
+                            blades._gray_walk(x, y, _walk_lanes(x, y)),
                             x._e + y._e)
 
 
@@ -599,7 +622,7 @@ def test_walk_masks_cached_equal_a_fresh_build_and_stay_bounded():
     metric = Metric.block(6, 6)
     rng = random.Random(113)
     x, y = (_terms(metric, 1 << 12, 1 << 20, rng) for _ in range(2))
-    width = blades._lane_width(x, y)
+    width = _walk_lanes(x, y)
     assert width << 12 >> 3 > blades._MASK_SPAN
     before = masks.cache_info().currsize
     blades._gray_walk(x, y, width)

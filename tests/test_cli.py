@@ -342,6 +342,9 @@ def test_bench_layers(capsys):
     assert rec["commit"] is None or (
         len(rec["commit"]) == 40
         and set(rec["commit"]) <= set("0123456789abcdef"))
+    # dirty is null exactly when commit is, and a bool otherwise
+    assert (rec["dirty"] is None if rec["commit"] is None
+            else type(rec["dirty"]) is bool)
 
 
 @pytest.mark.parametrize("failure", [FileNotFoundError("git"),
@@ -350,30 +353,64 @@ def test_bench_layers(capsys):
 def test_bench_commit_is_null_without_a_checkout(capsys, monkeypatch,
                                                  failure):
     # no git, a hung git, or a package outside any checkout: bench still
-    # writes its rows, with "commit": null
-    def git(argv, **kw):
+    # writes its rows, with "commit" and "dirty" null
+    def git(argv, check=False, **kw):
         if isinstance(failure, Exception):
             raise failure
-        return subprocess.CompletedProcess(argv, 128, "", "fatal: " + failure)
+        proc = subprocess.CompletedProcess(argv, 128, "", "fatal: " + failure)
+        if check:  # as subprocess.run does
+            proc.check_returncode()
+        return proc
     monkeypatch.setattr(cli.subprocess, "run", git)
     code, out, _ = run(capsys, "bench", "1", "--json")
     rec = json.loads(out)
-    assert (code, rec["commit"], len(rec["rows"])) == (0, None, 1)
+    assert (code, rec["commit"], rec["dirty"], len(rec["rows"])) == (
+        0, None, None, 1)
 
 
 def test_bench_commit_names_head_of_the_checkout():
-    # inside a git checkout the header carries HEAD; elsewhere it is null
+    # inside a git checkout the header carries HEAD and whether tracked
+    # files differ from it; elsewhere both are null
     here = Path(cli.__file__).resolve().parent
     try:
-        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=here,
-                              capture_output=True, text=True, timeout=30)
+        proc, status = (subprocess.run(["git", *argv], cwd=here,
+                                       capture_output=True, text=True,
+                                       timeout=30)
+                        for argv in (["rev-parse", "HEAD"],
+                                     ["status", "--porcelain",
+                                      "--untracked-files=no"]))
         tracked = subprocess.run(
             ["git", "ls-files", "--error-unmatch", "cli.py"], cwd=here,
             capture_output=True, text=True, timeout=30).returncode == 0
     except OSError:
         pytest.skip("no git")
-    want = proc.stdout.strip() if proc.returncode == 0 and tracked else None
-    assert cli._commit() == want
+    if proc.returncode == 0 and tracked:
+        want = {"commit": proc.stdout.strip(),
+                "dirty": bool(status.stdout.strip())}
+    else:
+        want = {"commit": None, "dirty": None}
+    assert cli._checkout() == want
+
+
+def test_bench_dirty_sees_a_tracked_change(tmp_path, monkeypatch):
+    # a stand-in cli.py in a fresh checkout: clean once committed,
+    # dirty once a tracked file changes, and untracked files do not count
+    def git(*argv):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *argv], cwd=tmp_path,
+                       check=True, capture_output=True, timeout=30)
+    try:
+        git("init", "-q")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("no git")
+    (tmp_path / "cli.py").write_text("x = 1\n")
+    git("add", "cli.py")
+    git("commit", "-q", "-m", "c")
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
+    (tmp_path / "untracked.txt").write_text("x")
+    assert cli._checkout()["dirty"] is False
+    (tmp_path / "cli.py").write_text("x = 2\n")
+    assert cli._checkout()["dirty"] is True
 
 
 def test_bench_layers_leave_dense_draws(capsys, monkeypatch):

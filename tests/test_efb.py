@@ -160,6 +160,29 @@ def test_sign_validates_range():
         assert str(info.value) == message, (func.__name__, args)
 
 
+def test_sign_refuses_non_int_indices():
+    # a float or bool index or m is refused as efb._check_entry refuses
+    # it, not with the error of the first shift that meets it
+    cases = [
+        (sign_s, (0.5, 0, 0, 2),
+         "m and indices must be ints, got 2, (0.5, 0, 0)"),
+        (sign_s, (0, 0, 0, 2.0),
+         "m and indices must be ints, got 2.0, (0, 0, 0)"),
+        (normalization_sign, (0, 1, 2.0),
+         "m and indices must be ints, got 2.0, (0, 1)"),
+        (normalization_sign, (0, False, 2),
+         "m and indices must be ints, got 2, (0, False)"),
+        (efb_element, (True, 0, 2),
+         "m and indices must be ints, got 2, (True, 0)"),
+        (efb_element, (0, 1.0, 2),
+         "m and indices must be ints, got 2, (0, 1.0)"),
+    ]
+    for func, args, message in cases:
+        with pytest.raises(TypeError) as info:
+            func(*args)
+        assert str(info.value) == message, (func.__name__, args)
+
+
 def test_word_as_blades_m1():
     # the four m = 1 words written out over the blade basis
     metric = Metric.interleaved(1)
@@ -698,7 +721,7 @@ def test_blade_images_are_walsh_functions():
 
 def _kernel_outputs(x, y):
     """(product, triples) from each kernel, sweep first."""
-    width = efb._lane_width(x, y)
+    width = verify._rows_width(x, y)
     runs = (efb._sweep(x, y), efb._packed(x, y, width))
     return [(EFBMultivector._from_ints(x.m, out, x._e + y._e), triples)
             for out, triples in runs]
@@ -745,7 +768,7 @@ def test_kernels_agree_on_random_operands():
 def test_kernels_agree_at_full_lanes(m, k, width, monkeypatch):
     # every product entry is s_a u_d 2^m c^2, the largest a lane holds
     x, y, want = verify.full_lanes(m, k, random.Random(m * 1000 + k))
-    assert efb._lane_width(x, y) == width
+    assert verify._rows_width(x, y) == width
     z, triples = _assert_kernels_agree(x, y)
     assert triples == 8 ** m
     assert z == want
@@ -819,7 +842,7 @@ def test_stored_cosets_of_y_pick_kernel(stored, refused, monkeypatch):
                            for a in range(16) for b in range(16)})
     y = EFBMultivector(4, {(a, a ^ g): rng.randint(1, top)
                            for g in range(stored) for a in range(16)})
-    assert efb._lane_width(x, y) == (88 if stored < 8 else 408)
+    assert verify._rows_width(x, y) == (88 if stored < 8 else 408)
     want = _kernel_outputs(x, y)[0][0]
     monkeypatch.setattr(efb, refused, _refuse)
     assert efb_product(x, y) == want
@@ -855,7 +878,7 @@ def test_dense_x_packs_a_sixteenth_of_y_m8(monkeypatch):
         m, {g: [rng.choice((-1, 1)) * rng.randint(512, 1023)
                 for _ in range(dim)] for g in cosets}, 0)
         for cosets in (range(dim), rng.sample(range(dim), 16)))
-    assert efb._lane_width(x, y) == 32
+    assert verify._rows_width(x, y) == 32
     swept, triples = efb._sweep(x, y)
     want = EFBMultivector._from_ints(m, swept, 0)
     monkeypatch.setattr(efb, "_sweep", _refuse)
@@ -894,7 +917,7 @@ def test_kernels_agree_at_the_word_edge(m, k, width, signs):
     # every product entry at the most negative (or positive) value that
     # the lane holds, on either side of one 64-bit word
     x, y, want = verify.full_lanes(m, k, random.Random(m + k), signs)
-    assert efb._lane_width(x, y) == width
+    assert verify._rows_width(x, y) == width
     z, triples = _assert_kernels_agree(x, y)
     assert (z, triples) == (want, 8 ** m)
 
@@ -909,7 +932,7 @@ def test_kernels_agree_on_extreme_words():
         x = EFBMultivector(m, {(a, b): rng.choice((-top, top))
                                for a in range(dim) for b in range(dim)})
         y = dense_efb_multivector(m, rng)
-        assert efb._lane_width(x, y) > 64
+        assert verify._rows_width(x, y) > 64
         _assert_kernels_agree(x, y)
         _assert_kernels_agree(y, x)
         _assert_kernels_agree(x, x)
