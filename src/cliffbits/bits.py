@@ -5,20 +5,31 @@ s = 1 - 2*b.  The mod-8 periodicity formulas are all statements about
 the three least significant bits of an integer, extracted here.  Every
 product sign is a GF(2) bilinear form built on parity_above, and every
 change-of-basis sign is a Walsh function applied by walsh_batch, one
-transform over a whole batch of vectors (walsh_hadamard is one vector).
-A vector with one nonzero transforms to one scaled Walsh function, which
-walsh_function writes without a transform and walsh_index recognizes.
-Every re-indexing of blade masks is XOR-linear, so xor_span tabulates
-it from the images of the single bits.
+transform over a whole batch of vectors laid end to end in one list
+(walsh_hadamard is one vector).  walsh_batch has two kernels with equal
+results, picked from the batch.  The list stages (_stages) run the k
+constant-geometry butterfly stages over all the entries, one int
+operation per entry and stage; they take every batch but a full one,
+and are the oracle of the other kernel.  The column kernel (_columns)
+takes a full batch, 2^k vectors of length 2^k with k >= _COLUMNS_K:
+it packs entry i of every vector into the lanes of row i and runs the
+same stages over the 2^k rows, k * 2^k big-int operations in place of
+k * 4^k int ones, and it can divide out the power of two that every
+entry of the result shares on the rows.  A vector with one nonzero
+transforms to one scaled Walsh function, which walsh_function writes
+without a transform and walsh_index recognizes.  Every re-indexing of
+blade masks is XOR-linear, so xor_span tabulates it from the images of
+the single bits.
 
-Both packed product kernels, efb's rows and the blade engine's Gray-code
-walk, lay signed integers end to end in one int as lanes of W bits
-(Kronecker substitution): a row of values v_c is the int
-sum_c v_c * 2^(W * c).  The lane layer here is all either kernel knows
-of that format.  _lane_width sizes the lanes from the operands, and
-_kernel_width weighs a packed kernel at that width against the loop it
-replaces.  _pack reads values into rows as two's-complement bytes, one
-array call for lanes up to a word, one to_bytes per value past it; with
+The packed kernels, efb's rows, the blade engine's Gray-code walk and
+the column kernel, lay signed integers end to end in one int as lanes
+of W bits (Kronecker substitution): a row of values v_c is the int
+sum_c v_c * 2^(W * c).  The lane layer here is all any kernel knows of
+that format.  _lane_width sizes the lanes from the operands, and
+_kernel_width weighs a packed product kernel at that width against the
+loop it replaces.  _pack reads values into rows as two's-complement
+bytes, one struct call for lanes up to a word, one to_bytes per value
+past it; with
 T = _halves(size, count), (U ^ T) - T turns the unsigned int U of a
 row's bytes into its signed sum, since every lane of U ^ T holds its
 value plus 2^(W - 1).  _unpack writes the bytes of (S + T) ^ T back as
@@ -33,9 +44,12 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
-from operator import add, sub
+from operator import add, or_, sub
+from struct import pack
+
+from .dyadic import _shift
 
 # A sign-valued bit: +1 or -1.
 SignBit = int
@@ -96,24 +110,70 @@ def xor_span(images) -> list:
     return t
 
 
-def walsh_batch(vectors, k: int) -> list:
-    """The Walsh-Hadamard transform of each vector of length 2^k:
-    out[c][a] = sum_i vectors[c][i] * (-1)^popcount(a & i).
+# the smallest k at which a full batch of 2^k vectors goes through the
+# column kernel: at k = 4 it takes about 1.2x the time of the list stages
+_COLUMNS_K = 5
 
-    The vectors are laid end to end and transformed together in the
-    constant-geometry form (Pease, 1968): k whole-list stages, each
-    taking the even and odd positions to their sums and then their
-    differences.  A stage moves the lowest index bit to the top, so
-    after k of them entry a of vector c sits at a * len(vectors) + c.
+
+def walsh_batch(flat: list, k: int) -> list:
+    """The Walsh-Hadamard transform of each vector of length 2^k in flat,
+    the vectors laid end to end: out[c][a] = sum_i flat[c * 2^k + i] *
+    (-1)^popcount(a & i).
+
+    A full batch, 2^k vectors with k >= _COLUMNS_K, goes through
+    _columns, any other through _stages; both leave entry a of vector c
+    at a * count + c.
     """
-    flat = list(chain.from_iterable(vectors))
     count = len(flat) >> k
     if not count:
         return []
+    full = count == 1 << k and k >= _COLUMNS_K
+    flat = _columns(flat, k)[0] if full else _stages(flat, k)
+    return [flat[c::count] for c in range(count)]
+
+
+def _stages(flat: list, k: int) -> list:
+    """The constant-geometry transform of the vectors of length 2^k laid
+    end to end in flat (Pease, 1968): k whole-list stages, each taking
+    the even and odd positions to their sums and then their
+    differences.  A stage moves the lowest index bit to the top, so
+    after k of them entry a of vector c sits at a * count + c."""
     for _ in range(k):
         even, odd = flat[0::2], flat[1::2]
         flat = [*map(add, even, odd), *map(sub, even, odd)]
-    return [flat[c::count] for c in range(count)]
+    return flat
+
+
+def _columns(flat: list, k: int, cap: int = 0) -> tuple[list, int]:
+    """(out, s): _stages of a full batch, 2^k vectors of length 2^k, run
+    on 2^k packed ints, and every entry of it divided by 2^s, s the
+    largest s <= cap with 2^s dividing them all (dyadic._shift).
+
+    Row i holds entry i of every vector, one lane per vector, so the k
+    stages run k * 2^(k - 1) big-int additions and as many subtractions
+    in place of k * 4^k int ones.  An entry of the transform sums 2^k
+    entries of its vector, so _lane_width with extra = k sizes the
+    lanes, and entry a of vector c comes out of lane c of row a, at
+    a * 2^k + c.  The two's-complement lanes of all rows, ORed and
+    folded onto the lowest lane, have the trailing zeros that every
+    entry shares; that lane is 0 only when every lane is, so the whole
+    folded int has them too.  2^s divides every lane, so each signed row
+    shifts exactly.
+    """
+    count = 1 << k
+    size = _lane_width(k, [flat]) >> 3
+    rows = _stages(_pack(chain.from_iterable(
+        flat[i::count] for i in range(count)), size, count), k)
+    shift = 0
+    if cap:
+        halves = _halves(size, count)
+        low = reduce(or_, [(r + halves) ^ halves for r in rows])
+        for fold in range(k):
+            low |= low >> (8 * size << fold)
+        shift = _shift(low, cap)
+        if shift:
+            rows = [r >> shift for r in rows]
+    return _unpack(rows, size, count), shift
 
 
 def walsh_pattern(even, odd, i: int, k: int):
@@ -161,11 +221,12 @@ def walsh_hadamard(v: list) -> None:
     n = len(v)
     if not n or n & (n - 1):
         raise ValueError(f"length must be a power of 2, got {n}")
-    v[:] = walsh_batch([v], n.bit_length() - 1)[0]
+    v[:] = walsh_batch(v, n.bit_length() - 1)[0]
 
 
-# signed array typecodes by lane size in bytes, 1, 2, 4 and 8, and the
-# byte order arrays use
+# signed native typecodes by lane size in bytes, 1, 2, 4 and 8, which
+# struct.pack writes and memoryview.cast reads alike, and their byte
+# order
 _ARRAY_TYPES = {array(t).itemsize: t for t in "bhiq"}
 _ORDER = sys.byteorder
 
@@ -185,7 +246,7 @@ def _lane_width(extra: int, *operands) -> int:
     bits being the bit length of an operand's largest magnitude.  Each
     operand is a collection of rows, each row read by one C-level max
     and one min; an empty row or operand counts as 0.  The lane is 1, 2,
-    4 or 8 bytes, the lanes an array holds, or past a word the fewest
+    4 or 8 bytes, the native ints struct packs, or past a word the fewest
     whole bytes."""
     need = extra + 1
     for rows in operands:
@@ -211,9 +272,11 @@ def _pack(values, size: int, count: int) -> list:
     """The signed int of each row of count size-byte lanes, the values
     laid end to end: row r is sum_c values[r * count + c] * 2^(8 * size
     * c), every value fitting its lane."""
-    data = (array(_ARRAY_TYPES[size], values).tobytes() if size in _ARRAY_TYPES
-            else b"".join(v.to_bytes(size, _ORDER, signed=True)
-                          for v in values))
+    if size in _ARRAY_TYPES:
+        values = tuple(values)
+        data = pack(f"{len(values)}{_ARRAY_TYPES[size]}", *values)
+    else:
+        data = b"".join(v.to_bytes(size, _ORDER, signed=True) for v in values)
     span, halves = size * count, _halves(size, count)
     return [(int.from_bytes(data[i:i + span], _ORDER) ^ halves) - halves
             for i in range(0, len(data), span)]

@@ -85,7 +85,11 @@ class Metric:
     squares: tuple[int, ...]
 
     def __post_init__(self):
-        if any(s not in (1, -1) for s in self.squares):
+        # type(s) is int: 1.0 and True equal 1, but are no squares
+        if not set(map(type, self.squares)) <= {int}:
+            bad = next(s for s in self.squares if type(s) is not int)
+            raise TypeError(f"generator squares must be ints, got {bad!r}")
+        if not set(self.squares) <= {1, -1}:
             raise ValueError("generator squares must be +1 or -1")
 
     @classmethod
@@ -176,9 +180,14 @@ class Multivector(_Numerators):
     def _raw(cls, metric: Metric, nums: dict, e: int) -> "Multivector":
         """Adopt integer numerators over 2^e, in canonical form.  Takes
         ownership of nums: the caller hands in a dict it no longer uses."""
+        return cls._adopt(metric, *_canonical(nums, e))
+
+    @classmethod
+    def _adopt(cls, metric: Metric, nums: dict, e: int) -> "Multivector":
+        """_raw of numerators already in canonical form."""
         mv = object.__new__(cls)
         mv.metric = metric
-        mv._nums, mv._e = _canonical(nums, e)
+        mv._nums, mv._e = nums, e
         return mv
 
     @classmethod

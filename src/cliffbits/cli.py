@@ -268,11 +268,20 @@ def _checkout() -> dict:
 
 def _cmd_bench(args) -> int:
     rows = bench_results(args.m_max)
+    if args.json or args.out:
+        record = json.dumps({"seed": BENCH_SEED,
+                             "python": platform.python_version(),
+                             "cpus": os.cpu_count(), **_checkout(),
+                             "rows": rows}, indent=2)
+    if args.out:
+        try:
+            Path(args.out).write_text(record + "\n")
+        except OSError as exc:
+            print(f"bench: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     if args.json:
-        print(json.dumps({"seed": BENCH_SEED,
-                          "python": platform.python_version(),
-                          "cpus": os.cpu_count(), **_checkout(),
-                          "rows": rows}, indent=2))
+        print(record)
         return 0
     print(f"{'m':>2} {'blade pairs':>14} {'efb triples':>12} {'ratio':>7} "
           f"{'blade s':>9} {'efb s':>9}")
@@ -328,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="m-max",
                    help=f"largest m to time (1..{BENCH_M_MAX})")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--out", metavar="PATH",
+                   help="also write the --json record to PATH")
     p.set_defaults(func=_cmd_bench)
 
     return parser

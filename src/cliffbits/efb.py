@@ -22,7 +22,8 @@ maps are XOR-linear, tabulated per m by xor_span on first use.
 Each conversion has a second path, picked from the data, with the same
 result.  blades_to_efb gathers an operand that holds at least 3/8 of
 the 4^m blades through one per-m table of the blade at each (g, i), in
-C, and transforms all 2^m cosets.  It writes a sparser one blade by
+C, and hands the gathered list, all 2^m cosets, to walsh_batch, whose
+column kernel takes it from m = 5 on.  It writes a sparser one blade by
 blade, where a coset that holds one blade, found by counting the zeros
 of the coset, is c * W_i by walsh_function, with no arithmetic.
 efb_to_blades reads a coset that walsh_index finds equal to c * W_i as
@@ -30,7 +31,12 @@ the one blade c * 2^m, with no transform; it looks at v[0] and the
 v[2^j] first, so a dense coset leaves after one or two entries.  Every
 other coset goes through the one walsh_batch call.  Sparse operands, as
 mul sees them, are mostly one blade per coset, and so are products of
-such operands.
+such operands.  When all 2^m cosets are stored, none of them one Walsh
+function, and m >= 5, the column kernel runs on all of them, lowers the
+exponent on its packed rows, and the terms are read out in C through
+the same table of blades (_dense_to_blades).  Below m = 5 sparse
+products often store every coset with no single Walsh function among
+them, and the loop is faster there.
 
 An EFBMultivector holds plain-int numerators over one shared
 denominator 2^_e, in canonical form, as a Multivector does.  _canonical,
@@ -62,8 +68,9 @@ from functools import cache, partial, reduce
 from itertools import chain, compress, repeat
 from operator import itemgetter, mul, neg, or_
 
-from .bits import (_kernel_width, _pack, _unpack, parity_above, walsh_batch,
-                   walsh_function, walsh_index, xor_span)
+from .bits import (_COLUMNS_K, _columns, _kernel_width, _pack, _unpack,
+                   parity_above, walsh_batch, walsh_function, walsh_index,
+                   xor_span)
 from .blades import Metric, MetricError, Multivector
 from .dyadic import _Numerators, _common_shift, _reduced, _scale_in
 from .instrument import counters
@@ -302,7 +309,8 @@ def _packed(x: EFBMultivector, y: EFBMultivector,
     has magnitude below 2^(width - 1), by bits._lane_width with
     extra = m, so bits._unpack reads each one from its lane.  The
     triple count is computed, not executed: sum over b of nnz(column b
-    of x) * nnz(row b of y).
+    of x) * nnz(row b of y), which is 2^m times the nnz of one operand
+    when the other has no zero entry.
     """
     dim, size, swap = x.dim, width >> 3, _transposer(x.m)
     zeros = [0] * dim
@@ -314,9 +322,13 @@ def _packed(x: EFBMultivector, y: EFBMultivector,
     oc = swap(_unpack((sum(map(mul, xr[i:i + dim], rows))
                        for i in range(0, dim * dim, dim)), size, dim))
     out = {g: list(oc[g * dim:(g + 1) * dim]) for g in range(dim)}
-    triples = sum(map(mul, (dim - xc[b::dim].count(0) for b in range(dim)),
-                      (dim - yr[i:i + dim].count(0)
-                       for i in range(0, dim * dim, dim))))
+    xz, yz = xc.count(0), yc.count(0)
+    if xz and yz:
+        triples = sum(map(mul, (dim - xc[b::dim].count(0) for b in range(dim)),
+                          (dim - yr[i:i + dim].count(0)
+                           for i in range(0, dim * dim, dim))))
+    else:  # every column of x or every row of y full: 2^m * nnz(other)
+        triples = dim * (dim * dim - xz - yz)
     return out, triples
 
 
@@ -383,11 +395,12 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     dim = 1 << m
     if len(nums) >= _GATHER_SHARE * dim * dim:
         flat = list(map(nums.get, _blade_at(m), repeat(0)))
-        spans = [flat[g * dim:(g + 1) * dim] for g in range(dim)]
-        # (-1)^C(popcount g, 2) on each coset
-        return EFBMultivector._from_ints(m, dict(enumerate(walsh_batch(
-            [map(neg, v) if g.bit_count() & 2 else v
-             for g, v in enumerate(spans)], m))), x._e)
+        for g in range(dim):  # (-1)^C(popcount g, 2) on each coset
+            if g.bit_count() & 2:
+                span = slice(g * dim, (g + 1) * dim)
+                flat[span] = map(neg, flat[span])
+        return EFBMultivector._from_ints(
+            m, dict(enumerate(walsh_batch(flat, m))), x._e)
     low = dim - 1
     lo, hi, _, _ = _slot_tables(m)
     cosets: dict[int, list] = {}
@@ -407,8 +420,8 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
             cosets[g] = walsh_function(v[i], i, m)
         else:
             batch.append(g)
-    for g, w in zip(batch, walsh_batch([cosets[g] for g in batch], m)):
-        cosets[g] = w
+    cosets.update(zip(batch, walsh_batch(
+        list(chain.from_iterable(map(cosets.get, batch))), m)))
     return EFBMultivector._from_ints(m, cosets, x._e)
 
 
@@ -417,16 +430,20 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
 
     A coset equal to c * W_i, as walsh_index reads it off, is the one
     blade c * 2^m at i.  One transform takes every other coset back,
-    and its nonzero entries are read out.  Terms come by ascending
-    coset, then by Walsh index, on both paths.
+    and its nonzero entries are read out.  With all 2^m cosets stored,
+    none of them c * W_i, and m >= bits._COLUMNS_K, _dense_to_blades
+    reads them out instead.  Terms come by ascending coset, then by
+    Walsh index, on every path.
     """
     m, dim = x.m, x.dim
-    _, _, join_i, join_g = _slot_tables(m)
     cosets = x._cosets.items()
     found = [walsh_index(v, m) for _, v in cosets]
+    if m >= _COLUMNS_K and len(found) == dim and max(found) < 0:
+        return _dense_to_blades(x)
+    _, _, join_i, join_g = _slot_tables(m)
     # the transform is its own inverse up to the factor 2^m
-    spread = iter(walsh_batch(
-        [v for (_, v), i in zip(cosets, found) if i < 0], m))
+    spread = iter(walsh_batch(list(chain.from_iterable(
+        v for (_, v), i in zip(cosets, found) if i < 0)), m))
     terms: dict[int, int] = {}
     for (g, v), i in zip(cosets, found):
         base, flip = join_g[g], g.bit_count() & 2
@@ -438,3 +455,25 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
         for i in compress(range(dim), w):
             terms[join_i[i] ^ base] = -w[i] if flip else w[i]
     return Multivector._raw(_metric(m), terms, x._e + m)
+
+
+def _dense_to_blades(x: EFBMultivector) -> Multivector:
+    """efb_to_blades of all 2^m cosets, m >= bits._COLUMNS_K: the column
+    kernel of walsh_batch lowers the exponent on its packed rows, and
+    every term is read out in C.
+
+    The coset signs go onto the transform's input.  The blade at
+    coset-major position g * 2^m + i is _blade_at(m)[g * 2^m + i], so
+    compress keeps the terms in the order of the other path, by
+    ascending coset, then by Walsh index.  The shift leaves some
+    numerator odd or the exponent 0, so the result is in canonical form.
+    """
+    m, dim, e = x.m, x.dim, x._e + x.m
+    out, shift = _columns(list(chain.from_iterable(
+        map(neg, v) if g.bit_count() & 2 else v
+        for g, v in x._cosets.items())), m, e)
+    # entry i of coset g sits at i * 2^m + g
+    w = list(chain.from_iterable(out[g::dim] for g in range(dim)))
+    return Multivector._adopt(_metric(m),
+                              dict(zip(compress(_blade_at(m), w),
+                                       compress(w, w))), e - shift)

@@ -8,31 +8,36 @@ registers it, in definition order, for ``run_suite``.  The CLI
 aggregates the results and sets the exit code; the test suite runs the
 same checks.
 
-Each level sets eight bounds: ``lucas_n`` (n below it, i up to
+Each level sets nine bounds: ``lucas_n`` (n below it, i up to
 ``lucas_n.bit_length() - 1``), ``assoc_n`` (the exhaustive blade
 checks), ``kl`` and ``center_kl`` (signatures), ``m`` (Fock-basis
 checks; the costlier ones stop at ``m - 1``), ``pairs`` (random
 operands per m), ``fast_m`` (the fast paths: every blade through the
 conversions, and dense operands through the packed kernel and the
-dense gather, up to it) and ``walk_n`` (the blade engine's Gray-code
-walk, up to n generators).
+dense gather, up to it), ``walk_n`` (the blade engine's Gray-code
+walk, up to n generators) and ``walsh_k`` (the column kernel of
+``walsh_batch``, on full batches of 2^k vectors up to it).
 
 batched_blades_to_efb and batched_efb_to_blades are the conversions
-with every coset through one walsh_batch call, kept as the oracle of
-the one-blade, one-Walsh-function and dense-gather fast paths of the
-efb module; the coset sweep is the oracle of the packed kernel, and the
-blade pair loop the oracle of the Gray-code walk.
+with every coset through the list stages of the bits module, kept as
+the oracle of the one-blade, one-Walsh-function and dense-gather fast
+paths and of the dense read-out of the efb module; the list stages are
+the oracle of the column kernel, the coset sweep the oracle of the
+packed kernel, and the blade pair loop the oracle of the Gray-code
+walk.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 import time
 from dataclasses import dataclass
 
-from .bits import _lane_width, lucas_sign, sign_bit, walsh_batch
+from .bits import (_COLUMNS_K, _columns, _lane_width, _stages, lucas_sign,
+                   sign_bit)
 from .blades import (Metric, Multivector, _gray_walk, _pair_loop,
                      blade_product, center_check, dual_automorphism_check,
                      grade_involution, mv_mul, omega_squared_oracle,
@@ -41,6 +46,7 @@ from .blades import (Metric, Multivector, _gray_walk, _pair_loop,
 from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
+from .dyadic import _shift
 from .efb import (EFBMultivector, _packed, _slot_tables, _sweep,
                   blades_to_efb, efb_product, efb_to_blades)
 from .instrument import op_counters, reset_op_counters
@@ -81,9 +87,9 @@ class CheckResult:
 
 _BOUNDS = {
     "quick": dict(lucas_n=512, assoc_n=4, kl=8, center_kl=6, m=3, pairs=8,
-                  fast_m=4, walk_n=8),
+                  fast_m=4, walk_n=8, walsh_k=6),
     "full": dict(lucas_n=4096, assoc_n=6, kl=16, center_kl=12, m=4,
-                 pairs=25, fast_m=6, walk_n=10),
+                 pairs=25, fast_m=6, walk_n=10, walsh_k=8),
 }
 
 _CHECKS = []
@@ -472,8 +478,17 @@ def check_op_ratio(b):
     reset_op_counters()
 
 
+def _staged(vectors, k: int) -> list:
+    """walsh_batch of the vectors by the list stages alone, whatever the
+    batch: the oracle of the column kernel."""
+    flat = list(itertools.chain.from_iterable(vectors))
+    count = len(flat) >> k
+    flat = _stages(flat, k)
+    return [flat[c::count] for c in range(count)]
+
+
 def batched_blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
-    """blades_to_efb with every touched coset through walsh_batch."""
+    """blades_to_efb with every touched coset through the list stages."""
     dim = 1 << m
     lo, hi, _, _ = _slot_tables(m)
     cosets: dict[int, list] = {}
@@ -483,15 +498,15 @@ def batched_blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
         cosets.setdefault(g, [0] * dim)[t & dim - 1] = (
             -n if g.bit_count() & 2 else n)
     return EFBMultivector._from_ints(
-        m, dict(zip(cosets, walsh_batch(cosets.values(), m))), x._e)
+        m, dict(zip(cosets, _staged(cosets.values(), m))), x._e)
 
 
 def batched_efb_to_blades(x: EFBMultivector) -> Multivector:
-    """efb_to_blades with every stored coset through walsh_batch."""
+    """efb_to_blades with every stored coset through the list stages."""
     m = x.m
     _, _, join_i, join_g = _slot_tables(m)
     terms: dict[int, int] = {}
-    for g, w in zip(x._cosets, walsh_batch(x._cosets.values(), m)):
+    for g, w in zip(x._cosets, _staged(x._cosets.values(), m)):
         for i, n in enumerate(w):
             if n:
                 terms[join_i[i] ^ join_g[g]] = -n if g.bit_count() & 2 else n
@@ -666,6 +681,58 @@ def check_blade_kernels(b):
                         _walk_lanes(x, y) == (64 if need <= 64 else 72)
                         and walked.get(0) == s * dim * c * c
                         and _same_walk(x, y))
+
+
+def _same_columns(flat: list, k: int, cap: int = 0) -> bool:
+    """The column kernel equals the list stages on a full batch, and the
+    exponent it lowers on its packed rows, by at most cap, equals
+    dyadic._shift of the OR of the staged entries."""
+    want = _stages(flat, k)
+    shift = _shift(functools.reduce(operator.or_, want), cap)
+    return _columns(flat, k, cap) == ([n >> shift for n in want], shift)
+
+
+@_suite("walsh-kernels")
+def check_walsh_kernels(b):
+    # full batches of 2^k vectors: constant vectors whose transform needs
+    # all the bits of an 8-, 32- or 64-bit lane or one more, random
+    # entries under the same bounds and far past a word, all-zero and
+    # one-nonzero vectors, and the exponent lowered on the packed rows
+    rng = random.Random(47)
+    for k in range(_COLUMNS_K, b["walsh_k"] + 1):
+        n, dim = 1 << 2 * k, 1 << k
+        for need, lane in ((8, 8), (9, 16), (32, 32), (33, 64), (64, 64),
+                           (65, 72)):
+            if need - k - 1 < 1:
+                continue
+            c = (1 << need - k - 1) - 1  # 2^k c needs `need` signed bits
+            for s in (1, -1):
+                flat = [s * c] * n
+                yield ("edge", k, need, s), (
+                    _lane_width(k, [flat]) == lane and _same_columns(flat, k))
+            yield ("random", k, need), _same_columns(
+                [rng.randint(-c, c) for _ in range(n)], k)
+        flat = [rng.randint(-(1 << 200), 1 << 200) for _ in range(n)]
+        yield ("wide", k), _same_columns(flat, k)
+        for v in rng.sample(range(dim), dim // 2):  # half the vectors zero
+            flat[v * dim:(v + 1) * dim] = [0] * dim
+        yield ("zero-vectors", k), _same_columns(flat, k)
+        yield ("all-zero", k), _same_columns([0] * n, k, 3)
+        flat = [0] * n
+        for v in range(dim):
+            flat[v * dim + rng.randrange(dim)] = rng.choice((-1, 1)) << 40
+        yield ("one-nonzero", k), _same_columns(flat, k)
+        # entries times 2^t: the shift is t plus what the transform adds,
+        # capped
+        for t, cap in ((0, 1), (3, 2), (3, 64), (9, 12)):
+            flat = [rng.randint(-999, 999) << t for _ in range(n)]
+            yield ("shift", k, t, cap), _same_columns(flat, k, cap)
+        # one vector alone holds an odd entry: the first lane, the middle
+        # one, or the last that the fold reaches
+        for v in (0, dim // 2, dim - 1):
+            flat = [rng.randint(-999, 999) << 6 for _ in range(n)]
+            flat[v * dim + rng.randrange(dim)] |= 1
+            yield ("shift-lane", k, v), _same_columns(flat, k, 64)
 
 
 def run_suite(level: str = "quick") -> list[CheckResult]:

@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
@@ -102,9 +103,10 @@ def test_walsh_batch_matches_double_sum():
                 v[c % n] = big if c & 1 else -big
             want = [[sum(v[i] * (-1) ** bin(a & i).count("1")
                          for i in range(n)) for a in range(n)] for v in vs]
-            got = walsh_batch(vs, k)
+            got = walsh_batch(list(chain.from_iterable(vs)), k)
             assert got == want
-            assert walsh_batch(got, k) == [[n * x for x in v] for v in vs]
+            assert walsh_batch(list(chain.from_iterable(got)), k) == [
+                [n * x for x in v] for v in vs]
 
 
 def test_walsh_hadamard_needs_power_of_two():
@@ -136,7 +138,7 @@ def test_walsh_function_is_transform_of_one_entry():
             c = rng.choice((1, -1)) * rng.randint(1, 1 << 80)
             delta = [0] * (1 << k)
             delta[i] = c
-            assert walsh_function(c, i, k) == walsh_batch([delta], k)[0]
+            assert walsh_function(c, i, k) == walsh_batch(delta, k)[0]
 
 
 def test_walsh_index_reads_back_walsh_functions():
@@ -149,7 +151,7 @@ def test_walsh_index_reads_back_walsh_functions():
     for k in range(2, 7):
         for _ in range(50):
             v = [rng.randint(-3, 3) for _ in range(1 << k)]
-            spread = [a for a, n in enumerate(walsh_batch([v], k)[0]) if n]
+            spread = [a for a, n in enumerate(walsh_batch(v, k)[0]) if n]
             assert walsh_index(v, k) == (spread[0] if len(spread) == 1
                                          else -1)
 
@@ -167,7 +169,8 @@ def test_negative_arguments_are_refused():
 
 @pytest.mark.parametrize("size", [1, 2, 4, 8, 9, 16])
 def test_pack_and_unpack_round_trip_at_the_lane_edges(size):
-    # 1, 2, 4 and 8 bytes go through an array, 9 and 16 through to_bytes
+    # 1, 2, 4 and 8 bytes go through one struct call, 9 and 16 through
+    # to_bytes
     rng = random.Random(size)
     half = 1 << (8 * size - 1)
     for count in (1, 2, 8):
@@ -210,3 +213,65 @@ def test_kernel_width_returns_0_without_a_scan(monkeypatch):
     wide = [[1 << 20]]
     assert bits._kernel_width(163, 100, 2048, 0, wide, wide) == 0
     assert bits._kernel_width(164, 100, 2048, 0, wide, wide) == 64
+
+
+# -- the two kernels of walsh_batch ------------------------------------------
+
+def _staged(flat, k):
+    count = len(flat) >> k
+    out = bits._stages(flat, k)
+    return [out[c::count] for c in range(count)]
+
+
+def test_full_batches_from_k5_take_the_column_kernel(monkeypatch):
+    rng = random.Random(83)
+    seen = []
+    columns = bits._columns
+    monkeypatch.setattr(bits, "_columns",
+                        lambda flat, k: seen.append(k) or columns(flat, k))
+    for k in (5, 6):
+        flat = [rng.randint(-(1 << 40), 1 << 40) for _ in range(1 << 2 * k)]
+        assert walsh_batch(flat, k) == _staged(flat, k)
+    assert seen == [5, 6]
+
+
+def test_other_batches_take_the_list_stages(monkeypatch):
+    # fewer or more vectors than 2^k at k >= 5, a full batch at k = 4,
+    # and one vector never reach the column kernel
+    def refuse(*args):
+        raise AssertionError("the column kernel ran")
+    monkeypatch.setattr(bits, "_columns", refuse)
+    rng = random.Random(89)
+    for k, count in ((5, 31), (5, 33), (5, 64), (6, 63), (4, 16), (8, 1),
+                     (5, 0)):
+        flat = [rng.randint(-99, 99) for _ in range(count << k)]
+        assert walsh_batch(flat, k) == _staged(flat, k)
+    v = [rng.randint(-99, 99) for _ in range(1 << 5)]
+    want = walsh_batch(v, 5)[0]
+    walsh_hadamard(v)
+    assert v == want
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_column_kernel_lowers_the_exponent_on_its_rows(k):
+    # the shift is the trailing zeros every staged entry shares, at most
+    # cap, and each entry comes out divided by 2^shift
+    rng = random.Random(97 + k)
+    n = 1 << 2 * k
+    for t, cap in ((0, 5), (4, 2), (4, 40), (7, 9)):
+        flat = [rng.randint(-(1 << 30), 1 << 30) << t for _ in range(n)]
+        want = bits._stages(flat, k)
+        low = 0
+        for x in want:
+            low |= x
+        shift = min(cap, (low & -low).bit_length() - 1)
+        assert bits._columns(flat, k, cap) == (
+            [x >> shift for x in want], shift)
+    # one vector alone has an odd entry, so its lane alone sets the
+    # shift to 0: every lane must reach the fold
+    for v in range(1 << k):
+        flat = [rng.randint(-99, 99) << 5 for _ in range(n)]
+        flat[v << k] |= 1
+        assert bits._columns(flat, k, 9) == (bits._stages(flat, k), 0)
+    assert bits._columns([0] * n, k, 3) == ([0] * n, 3)
+    assert bits._columns([1] * n, k) == (bits._stages([1] * n, k), 0)

@@ -347,6 +347,19 @@ def test_constructors_refuse_non_int_masks_and_sizes():
             make()
 
 
+def test_metric_refuses_float_and_bool_squares():
+    # 1.0 and True equal 1, so without a type check they built a metric
+    # equal to Metric((1, -1)) whose generators still multiplied
+    for squares, bad in (((1.0, -1.0), "1.0"), ((True, -1), "True"),
+                         ((1, -1.0), "-1.0"), ((1, False), "False")):
+        with pytest.raises(TypeError, match=re.escape(
+                f"generator squares must be ints, got {bad}")):
+            Metric(squares)
+    with pytest.raises(ValueError, match="generator squares must be"):
+        Metric((2,))
+    assert Metric((1, -1)) == Metric.interleaved(1)
+
+
 # -- the stored form: integer numerators over one canonical 2^e -------------
 
 I1 = Metric.interleaved(1)  # four blades, so independent draws often agree

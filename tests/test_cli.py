@@ -289,7 +289,7 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
     assert [ln for ln in lines if "FAIL" in ln] == [lines[0]]
     assert lines[0].startswith("FAIL lucas-vs-sign-bit")
     assert lines[0].endswith("(first failure: (5, 1))")
-    assert len(lines) == 27
+    assert len(lines) == 28
     assert all(ln.startswith("ok") for ln in lines[1:])
 
 
@@ -411,6 +411,29 @@ def test_bench_dirty_sees_a_tracked_change(tmp_path, monkeypatch):
     assert cli._checkout()["dirty"] is False
     (tmp_path / "cli.py").write_text("x = 2\n")
     assert cli._checkout()["dirty"] is True
+
+
+def test_bench_out_writes_the_json_record(capsys, tmp_path, monkeypatch):
+    # --out writes the record --json prints, and stdout stays the table
+    # or the record; an unwritable path exits 2 with a message
+    monkeypatch.setattr(cli, "_checkout",
+                        lambda: {"commit": None, "dirty": None})
+    path = tmp_path / "bench.json"
+    code, out, _ = run(capsys, "bench", "1", "--out", str(path))
+    assert code == 0 and "ratio" in out
+    rec = json.loads(path.read_text())
+    assert path.read_text().endswith("}\n")
+    assert (rec["seed"], rec["commit"], rec["dirty"]) == (
+        cli.BENCH_SEED, None, None)
+    assert [r["m"] for r in rec["rows"]] == [1]
+    code, out, _ = run(capsys, "bench", "1", "--json", "--out", str(path))
+    assert code == 0
+    assert json.loads(out).keys() == json.loads(path.read_text()).keys()
+    missing = tmp_path / "no" / "bench.json"
+    code, out, err = run(capsys, "bench", "1", "--out", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"bench: cannot write {missing}: ")
+    assert not missing.exists()
 
 
 def test_bench_layers_leave_dense_draws(capsys, monkeypatch):

@@ -1191,7 +1191,7 @@ def _near_walsh(m: int):
 def _walsh_index_by_transform(v, m):
     """The one nonzero of the transform of v, or -1 when there is none
     or more than one."""
-    spread = [k for k, n in enumerate(walsh_batch([v], m)[0]) if n]
+    spread = [k for k, n in enumerate(walsh_batch(v, m)[0]) if n]
     return spread[0] if len(spread) == 1 else -1
 
 
@@ -1261,3 +1261,74 @@ def test_one_blade_cosets_skip_the_transform(monkeypatch):
     monkeypatch.setattr(efb, "walsh_batch", refuse)
     assert efb_to_blades(efb_product(blades_to_efb(x, 6),
                                      blades_to_efb(y, 6))) == want
+
+
+# -- the dense read-out and the triple count ---------------------------------
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_dense_read_out_keeps_term_order(m, monkeypatch):
+    # all 2^m cosets, none of them one Walsh function: the read-out in C
+    # gives the terms, exponent and order of the list stages' read-out
+    rng = random.Random(101 + m)
+    taken = []
+    dense = efb._dense_to_blades
+    monkeypatch.setattr(efb, "_dense_to_blades",
+                        lambda z: taken.append(z.m) or dense(z))
+    x, y = _dense_dyadic(m, 2 * m), _dense_dyadic(m, 2 * m + 1)
+    ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
+    for z in (efb_product(ex, ey), ex,
+              efb_product(dense_efb_multivector(m, rng),
+                          dense_efb_multivector(m, rng))):
+        assert verify._same_blades(efb_to_blades(z),
+                                   verify.batched_efb_to_blades(z))
+    assert taken == [m] * 3
+    if m == 5:
+        assert efb_to_blades(efb_product(ex, ey)) == mv_mul(x, y)
+
+
+def test_sparse_products_skip_the_dense_read_out(monkeypatch):
+    # at m = 2 and 3 sparse products often store every coset with no
+    # single Walsh function among them; they and a dense m = 4 product
+    # keep the loop
+    def refuse(z):
+        raise AssertionError("dense read-out below m = 5")
+    monkeypatch.setattr(efb, "_dense_to_blades", refuse)
+    rng = random.Random(103)
+    full = 0
+    for m in (2, 3):
+        metric = Metric.interleaved(m)
+        for _ in range(150):
+            x, y = (random_multivector(metric, rng) for _ in range(2))
+            z = efb_product(blades_to_efb(x, m), blades_to_efb(y, m))
+            full += len(z._cosets) == 1 << m and all(
+                walsh_index(v, m) < 0 for v in z._cosets.values())
+            assert efb_to_blades(z) == mv_mul(x, y)
+    assert full >= 30
+    z = efb_product(dense_efb_multivector(4, rng),
+                    dense_efb_multivector(4, rng))
+    assert verify._same_blades(efb_to_blades(z),
+                               verify.batched_efb_to_blades(z))
+
+
+def _with_zero(x, g, b):
+    """x with entry b of coset g set to zero."""
+    cosets = {h: list(v) for h, v in x._cosets.items()}
+    cosets[g][b] = 0
+    return EFBMultivector._from_ints(x.m, cosets, x._e)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_packed_triples_equal_the_sweep(m):
+    # the count from nnz alone when one operand has no zero entry, the
+    # sum over columns otherwise: both equal the sweep's executed count
+    rng = random.Random(107 + m)
+    dense, other = (dense_efb_multivector(m, rng) for _ in range(2))
+    sparse = _random_efb(m, rng, 0.3, 12)
+    holed = _with_zero(other, 1, 2)
+    for x, y in ((dense, other), (dense, sparse), (sparse, dense),
+                 (holed, dense), (dense, holed), (holed, holed),
+                 (sparse, holed)):
+        (_, ts), (_, tp) = _kernel_outputs(x, y)
+        assert ts == tp
+    assert _kernel_outputs(dense, other)[1][1] == 8 ** m
+    assert _kernel_outputs(holed, dense)[1][1] == 8 ** m - (1 << m)
