@@ -4,12 +4,14 @@ This is the ground-truth layer.  Blades are bitmasks (bit i set means
 generator g{i+1} is a factor, factors ordered by increasing index),
 multivectors are sparse blade -> numerator maps over one shared 2^e,
 and every product sign is the GF(2) bilinear form of blade_product.
-Multivector.parse reads each coefficient with dyadic's one reader into
-a numerator and an exponent, scales the terms once to the largest
-exponent and adopts the sums, and str writes each term with dyadic's
-one writer.  A generator above every factor read so far joins the mask
-by OR, with no sign; only an out-of-order one calls blade_product, and
-str writes generators in increasing order, so parse(str(x)) never does.
+Multivector.parse looks each generator name up in a per-n table of
+bits; a term's coefficient can only be its first token, read with
+dyadic's one reader into a numerator and an exponent.  It scales the
+terms once to the largest exponent and adopts the sums, and str writes
+each term with dyadic's one writer.  A generator above every factor
+read so far joins the mask by OR, with no sign; only an out-of-order
+one calls blade_product, and str writes generators in increasing
+order, so parse(str(x)) never does.
 str joins the generator names of a mask from per-byte tables of 256
 prebuilt strings, one table per byte position, built on first use.
 
@@ -54,7 +56,9 @@ from .instrument import counters
 Blade = int
 
 _SIGN_RE = re.compile(r"([+-])")
-# ASCII digits only, as in dyadic._COEFF_RE
+# the shape of a generator name, which tells a generator outside the
+# algebra from any other stray token; ASCII digits only, as in
+# dyadic._COEFF_RE
 _GENERATOR_RE = re.compile(r"g([1-9]\d*)", re.ASCII)
 
 # mv_mul's kernel rule, in pair-loop multiply-adds per lane (_walk_width)
@@ -291,59 +295,58 @@ class Multivector(_Numerators):
         Terms are separated by + or -; a term is an optional dyadic
         coefficient followed by generator names g1..gn in any order
         (repeated or out-of-order generators are canonicalized with the
-        proper sign).
+        proper sign).  Each name is one lookup in _name_bits(n); the
+        first token of a term is its coefficient when it is neither a
+        name nor shaped like one, and every later token must be a name.
         """
         s = text.strip()
         if not s:
             raise ParseError("empty multivector text")
         if s[0] not in "+-":
             s = "+ " + s
-        # s opens with a sign, so chunks[0] is empty
-        chunks = _SIGN_RE.split(s)
-        it = iter(chunks[1:])
+        # s opens with a sign, so the first chunk is empty
+        it = iter(_SIGN_RE.split(s)[1:])
         n = metric.n
-        width = len(str(n))
+        # a metric built past MAX_N gets its own table, not a cached one
+        names = (_name_bits if n <= MAX_N else _name_bits.__wrapped__)(n)
         terms = []  # (mask, signed numerator, exponent) per term
         for sgn, body in zip(it, it):
             tokens = body.split()
             if not tokens:
                 raise ParseError("sign without a term")
             sign = 1 if sgn == "+" else -1
-            num, e = 1, 0
-            coeff_seen = gens_seen = False
-            mask = 0
-            for tok in tokens:
-                gm = _GENERATOR_RE.fullmatch(tok)
-                if gm:
-                    # an index with more digits than n is out of range
-                    # without int() of it
-                    digits = gm.group(1)
-                    if len(digits) > width or (index := int(digits)) > n:
-                        raise ParseError(f"generator {_clip(tok)} outside an "
-                                         f"algebra with n={n}")
-                    gen = 1 << (index - 1)
-                    if gen > mask:  # above every factor so far: no sign
-                        mask |= gen
-                    else:
-                        s2, mask = blade_product(mask, gen, metric)
-                        sign *= s2
-                    gens_seen = True
-                    continue
-                # a coefficient comes first: after a generator, even one
-                # that contracted the mask back to 0, it is an error
-                if coeff_seen or gens_seen:
-                    raise ParseError(f"unexpected token {_clip(tok)!r}")
+            num, e, mask = 1, 0, 0
+            if tokens[0] not in names and not _GENERATOR_RE.fullmatch(
+                    tokens[0]):
                 try:
-                    num, e = _parse(tok)
+                    num, e = _parse(tokens.pop(0))
                 except ValueError as exc:
                     raise ParseError(str(exc)) from None
-                coeff_seen = True
+            for tok in tokens:
+                gen = names.get(tok)
+                if gen is None:
+                    raise ParseError(
+                        f"generator {_clip(tok)} outside an algebra with "
+                        f"n={n}" if _GENERATOR_RE.fullmatch(tok) else
+                        f"unexpected token {_clip(tok)!r}")
+                if gen > mask:  # above every factor so far: no sign
+                    mask |= gen
+                else:
+                    s2, mask = blade_product(mask, gen, metric)
+                    sign *= s2
             terms.append((mask, num if sign > 0 else -num, e))
         top = max(e for _, _, e in terms)
         acc: dict[int, int] = {}
         for mask, num, e in terms:
             acc[mask] = acc.get(mask, 0) + (num << (top - e))
         return cls._raw(metric, acc, top)
+
+
+@lru_cache(maxsize=8)
+def _name_bits(n: int) -> dict:
+    """{'g1': 1, 'g2': 2, 'g3': 4, ...}: each generator name of an
+    algebra with n generators to its bit, kept for a few n <= MAX_N."""
+    return {f"g{i + 1}": 1 << i for i in range(n)}
 
 
 @cache

@@ -29,6 +29,10 @@ class SignatureKL:
     l: int
 
     def __post_init__(self):
+        # type() is int: 2.0 and True equal ints, but are no counts
+        if type(self.k) is not int or type(self.l) is not int:
+            raise TypeError(
+                f"k and l must be ints, got {self.k!r}, {self.l!r}")
         if self.k < 0 or self.l < 0:
             raise ValueError("k and l must be non-negative")
 

@@ -41,11 +41,13 @@ def _ascii_default() -> bool:
 
 def _cmd_classify(args) -> int:
     log2 = _matrix_size_log2(args.k, args.l)
-    # str() of an int refuses more digits than this limit; older 3.10
-    # patch releases have no limit and no function to read it.  2^log2
-    # has more digits than the limit exactly when 2^log2 >= 10^limit.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and log2 >= (10 ** limit - 1).bit_length():
+    # str() of an int refuses more digits than this limit.  Where it is
+    # 0 (no limit) or absent (3.10 before 3.10.7), Python's default of
+    # 4300 bounds the output instead: str() of 2^log2 takes time
+    # quadratic in its digits.  2^log2 has more digits than the limit
+    # exactly when 2^log2 >= 10^limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if log2 >= (10 ** limit - 1).bit_length():
         print(f"classify: matrix size 2^{log2} "
               f"has more than {limit} digits, too many to print",
               file=sys.stderr)

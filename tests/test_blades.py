@@ -11,7 +11,7 @@ from cliffbits import (DyadicRational, Metric, MetricError, Multivector,
                        omega_squared_oracle, op_counters, reset_op_counters,
                        tau_blade, tau_squared_oracle, volume_element)
 from cliffbits import bits, blades, dyadic
-from cliffbits.sampling import random_multivector
+from cliffbits.sampling import dense_blade_multivector, random_multivector
 from cliffbits.verify import _walk_lanes, check_blade_sign_vs_normal_order
 
 from conftest import OTHER_SCALARS, multivectors
@@ -167,6 +167,111 @@ def test_parse_rejects_garbage():
                 "\u0661 g1"):
         with pytest.raises(ParseError):
             Multivector.parse(bad, E22)
+
+
+def _reference_parse(text: str, metric: Metric) -> Multivector:
+    """The token loop Multivector.parse ran before its name table: each
+    token is matched as a generator, else read as a coefficient while no
+    coefficient or generator came before it.  Kept as the oracle of the
+    table path."""
+    s = text.strip()
+    if not s:
+        raise ParseError("empty multivector text")
+    if s[0] not in "+-":
+        s = "+ " + s
+    chunks = blades._SIGN_RE.split(s)
+    it = iter(chunks[1:])
+    n = metric.n
+    width = len(str(n))
+    terms = []
+    for sgn, body in zip(it, it):
+        tokens = body.split()
+        if not tokens:
+            raise ParseError("sign without a term")
+        sign = 1 if sgn == "+" else -1
+        num, e = 1, 0
+        coeff_seen = gens_seen = False
+        mask = 0
+        for tok in tokens:
+            gm = blades._GENERATOR_RE.fullmatch(tok)
+            if gm:
+                digits = gm.group(1)
+                if len(digits) > width or (index := int(digits)) > n:
+                    raise ParseError(f"generator {dyadic._clip(tok)} outside "
+                                     f"an algebra with n={n}")
+                gen = 1 << (index - 1)
+                if gen > mask:
+                    mask |= gen
+                else:
+                    s2, mask = blade_product(mask, gen, metric)
+                    sign *= s2
+                gens_seen = True
+                continue
+            if coeff_seen or gens_seen:
+                raise ParseError(f"unexpected token {dyadic._clip(tok)!r}")
+            try:
+                num, e = dyadic._parse(tok)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from None
+            coeff_seen = True
+        terms.append((mask, num if sign > 0 else -num, e))
+    top = max(e for _, _, e in terms)
+    acc: dict[int, int] = {}
+    for mask, num, e in terms:
+        acc[mask] = acc.get(mask, 0) + (num << (top - e))
+    return Multivector._raw(metric, acc, top)
+
+
+def _outcome(parse, text: str, metric: Metric):
+    try:
+        x = parse(text, metric)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    return x._e, x._nums
+
+
+# tokens where the two parsers could part: generator look-alikes (zero,
+# leading zero, out of range, 30 digits, run together, non-ASCII
+# digits), coefficients (non-dyadic, padded, past MAX_BITS) and bare
+# signs; separators include tabs and none at all
+_RISKY = ["g1", "g2", "g3", "g4", "g0", "g01", "g5", "g10", "g99",
+          "g" + "9" * 30, "g" + "1" * 30, "g", "g1g2", "2g1", "g-1",
+          "g\u0661", "\u0663", "g\uff11", "\uff12", "\u0663/\u0668",
+          "0", "3", "-5/8", "1/3", "7/2^4", "6/8", "1/2^99999", "1/2^0",
+          "2^4", "+", "-", "++", "x", "1.5"]
+_SEPARATORS = [" ", "\t", " + ", " - ", "+", "-", "  ", ""]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_RISKY),
+                          st.sampled_from(_SEPARATORS)), max_size=7),
+       st.sampled_from([Metric.block(0, 0), Metric.block(1, 0), E22,
+                        Metric.interleaved(5)]))
+@settings(max_examples=600)
+def test_parse_equals_the_reference_loop(tokens, metric):
+    text = "".join(tok + sep for tok, sep in tokens)
+    assert (_outcome(Multivector.parse, text, metric)
+            == _outcome(_reference_parse, text, metric))
+
+
+def test_name_bits_cached_equal_a_fresh_build_and_stay_bounded():
+    names = blades._name_bits
+    names.cache_clear()
+    for n in (0, 1, 4, 12, 4096):
+        assert names(n) == names.__wrapped__(n)
+        assert names(n) is names(n)
+    assert names(3) == {"g1": 1, "g2": 2, "g3": 4}
+    # one table per n, and no more than a few whatever n callers pass
+    for n in range(0, 4097, 128):
+        names(n)
+    assert names.cache_info().maxsize <= 8
+    assert names.cache_info().currsize <= 8
+    # a metric built directly past MAX_N parses with a table of its own
+    # and leaves the cache as it was
+    wide = Metric((1,) * (blades.MAX_N + 1))
+    before = names.cache_info()
+    x = Multivector.parse(f"3 g{blades.MAX_N + 1} g1", wide)
+    assert x == Multivector(wide, {1 | 1 << blades.MAX_N: -3})
+    assert names.cache_info() == before
 
 
 # a coefficient as (numerator, exponent, padding, form): "int" writes the
@@ -422,11 +527,14 @@ def test_blade_sign_vs_normal_order():
 
 
 def test_parse_of_str_calls_no_blade_product(monkeypatch):
-    # str writes generators in increasing order, so parse ORs each in
+    # str writes generators in increasing order, so parse ORs each in;
+    # sparse and dense operands over Cl(m, m), m = 1..8
     rng = random.Random(73)
+    neutral = list(map(Metric.interleaved, range(1, 9)))
     cases = [(metric, random_multivector(metric, rng))
-             for metric in (E22, Metric.interleaved(3), Metric.interleaved(8))
-             for _ in range(40)]
+             for metric in (E22, *neutral) for _ in range(40)]
+    cases += [(metric, dense_blade_multivector(metric, rng))
+              for metric in neutral]
 
     def refuse(*args):
         raise AssertionError("parse called blade_product")

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
-from cliffbits import (AutomorphismBits, algebra_name, classification_record,
-                       classify, cube_coordinates, cube_record,
-                       division_algebra, omega_squared, omega_tau_squared,
-                       recover_n_bits, recover_signature_partial, render_cube,
-                       tau_squared, varlamov_bits)
+from cliffbits import (AutomorphismBits, SignatureKL, algebra_name,
+                       classification_record, classify, cube_coordinates,
+                       cube_record, division_algebra, omega_squared,
+                       omega_tau_squared, recover_n_bits,
+                       recover_signature_partial, render_cube, tau_squared,
+                       varlamov_bits)
+from cliffbits.classify import _matrix_size_log2
 
 
 def test_division_algebra_wheel():
@@ -174,3 +176,12 @@ def test_record_exponent_at_huge_n():
         for l in range(9):
             rec = classification_record(k, l)
             assert rec["matrix_size"] == 1 << rec["matrix_size_log2"]
+
+
+def test_signatures_refuse_non_int_and_bool_counts():
+    # 2.0 and True equal ints, but a record of them would print as such
+    for k, l in ((2.0, 1), ("2", 1), (True, False), (1, 0.0), (None, 2)):
+        for f in (classify, classification_record, _matrix_size_log2,
+                  SignatureKL):
+            with pytest.raises(TypeError, match="k and l must be ints"):
+                f(k, l)

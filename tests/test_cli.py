@@ -97,6 +97,25 @@ def test_classify_refuses_huge_n_from_the_exponent(capsys, monkeypatch,
         assert "2^500000000000" in err and "too many to print" in err
 
 
+@pytest.mark.parametrize("unlimited", ["zero", "absent"])
+def test_classify_guard_without_a_digit_limit(capsys, monkeypatch,
+                                              unlimited):
+    # with no limit (0, or no function to read one) the guard falls back
+    # to Python's default of 4300 digits instead of printing 2^15000
+    if unlimited == "zero":
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0,
+                            raising=False)
+    else:
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    for n in ("30000", "1000000000000"):
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "classify", n, "0", *extra)
+            assert (code, out) == (2, "")
+            assert "more than 4300 digits, too many to print" in err
+    code, out, _ = run(capsys, "classify", "8", "0")
+    assert code == 0 and "R(16)" in out
+
+
 def test_cube_ascii_flag(capsys):
     code, out, _ = run(capsys, "cube", "--ascii")
     assert code == 0
