@@ -392,6 +392,8 @@ def mv_mul(x: Multivector, y: Multivector) -> Multivector:
     walk, which runs dense ones.  The pair count, len(x) * len(y), is
     16^m on dense operands over Cl(m, m) whichever kernel runs.
     """
+    if not isinstance(x, Multivector) or not isinstance(y, Multivector):
+        raise TypeError("mv_mul needs two Multivector operands")
     if x.metric != y.metric:
         raise MetricError("operands over different metrics")
     width = _walk_width(x, y)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bits import bit, sign_bit, sign_to_bit
+from .bits import bit, half_pochhammer_sign, sign_bit, sign_to_bit
 
 # base division algebra and doubling flag, indexed by nu mod 8
 _DIVISION = (
@@ -86,17 +86,16 @@ def cube_coordinates(nu: int) -> tuple[int, int, int]:
 
 
 def omega_squared(k: int, l: int) -> int:
-    """Volume-element square: (-1)^(nu(nu-1)/2), any signature."""
-    nu = k - l
-    return -1 if (nu * (nu - 1) // 2) & 1 else 1
+    """Volume-element square: (-1)^(nu(nu-1)/2), any signature; the
+    exponent has period 4 in nu, so nu mod 4 serves for negative nu."""
+    return half_pochhammer_sign((k - l) % 4)
 
 
 def tau_squared(k: int, l: int) -> int:
     """Square of the dual-automorphism element; even n only."""
     if (k + l) & 1:
         raise ValueError("tau is undefined for odd n = k + l")
-    t = k if k & 1 else l
-    return -1 if (t * (t - 1) // 2) & 1 else 1
+    return half_pochhammer_sign(k if k & 1 else l)
 
 
 def omega_tau_squared(k: int, l: int) -> int:

@@ -39,15 +39,25 @@ def _ascii_default() -> bool:
     return bool(os.environ.get("CLIFFBITS_ASCII"))
 
 
+def _too_many_digits(log2: int, limit: int) -> bool:
+    """Whether 2^log2 has more than limit digits, i.e. 2^log2 >= 10^limit.
+
+    8^limit < 10^limit < 16^limit, so 10^limit is built only when log2
+    lies between 3 * limit and 4 * limit, where printing 2^log2 costs
+    more than building it.
+    """
+    return log2 >= 3 * limit and (log2 >= 4 * limit
+                                  or log2 >= (10 ** limit - 1).bit_length())
+
+
 def _cmd_classify(args) -> int:
     log2 = _matrix_size_log2(args.k, args.l)
     # str() of an int refuses more digits than this limit.  Where it is
     # 0 (no limit) or absent (3.10 before 3.10.7), Python's default of
     # 4300 bounds the output instead: str() of 2^log2 takes time
-    # quadratic in its digits.  2^log2 has more digits than the limit
-    # exactly when 2^log2 >= 10^limit.
+    # quadratic in its digits.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    if log2 >= (10 ** limit - 1).bit_length():
+    if _too_many_digits(log2, limit):
         print(f"classify: matrix size 2^{log2} "
               f"has more than {limit} digits, too many to print",
               file=sys.stderr)

@@ -387,6 +387,8 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     of zeros in each coset picks that path.  One transform spreads every
     other touched coset over the columns.
     """
+    if not isinstance(x, Multivector):
+        raise TypeError("blades_to_efb needs a Multivector operand")
     _check_m(m)
     metric = _metric(m)
     if x.metric is not metric and x.metric != metric:
@@ -435,6 +437,8 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
     reads them out instead.  Terms come by ascending coset, then by
     Walsh index, on every path.
     """
+    if not isinstance(x, EFBMultivector):
+        raise TypeError("efb_to_blades needs an EFBMultivector operand")
     m, dim = x.m, x.dim
     cosets = x._cosets.items()
     found = [walsh_index(v, m) for _, v in cosets]

@@ -8,6 +8,14 @@ registers it, in definition order, for ``run_suite``.  The CLI
 aggregates the results and sets the exit code; the test suite runs the
 same checks.
 
+Most suites walk one of two binary case sets, and one case layer
+enumerates both: ``_signatures(bound, even)`` yields the signatures
+(k, l), k-major, whose low bits the classification reads, and
+``_indices(top, r)`` yields (m, i_1, ..., i_r) for every r-tuple of
+Fock-basis indices below 2^m, m = 1..top, the last index fastest.  The
+blade associativity checks, exhaustive and random, share one predicate,
+``_associates``.
+
 Each level sets nine bounds: ``lucas_n`` (n below it, i up to
 ``lucas_n.bit_length() - 1``), ``assoc_n`` (the exhaustive blade
 checks), ``kl`` and ``center_kl`` (signatures), ``m`` (Fock-basis
@@ -118,6 +126,22 @@ def _suite(name: str):
     return register
 
 
+def _signatures(bound: int, even: bool = False):
+    """(k, l) for k, l <= bound, k-major; only even n = k + l when even
+    is set."""
+    for k, l in itertools.product(range(bound + 1), repeat=2):
+        if not (even and (k + l) % 2):
+            yield k, l
+
+
+def _indices(top: int, r: int):
+    """(m, i_1, ..., i_r) for m = 1..top and every r-tuple of indices
+    below 2^m, the last index varying fastest."""
+    for m in range(1, top + 1):
+        for index in itertools.product(range(1 << m), repeat=r):
+            yield (m, *index)
+
+
 @_suite("lucas-vs-sign-bit")
 def check_lucas(b):
     for n in range(b["lucas_n"]):
@@ -158,37 +182,32 @@ def check_blade_sign_vs_normal_order(b):
             if n % 2 == 0:
                 metrics.append(Metric.interleaved(n // 2))
         for metric in metrics:
-            for x in range(1 << n):
-                for y in range(1 << n):
-                    yield ((metric.squares, x, y),
-                           blade_product(x, y, metric)
-                           == _blade_product_by_sorting(x, y, metric))
+            for x, y in itertools.product(range(1 << n), repeat=2):
+                yield ((metric.squares, x, y), blade_product(x, y, metric)
+                       == _blade_product_by_sorting(x, y, metric))
+
+
+def _associates(x: int, y: int, z: int, metric: Metric) -> bool:
+    """(xy)z == x(yz) for three blades, sign and mask."""
+    s1, xy = blade_product(x, y, metric)
+    s2, xyz = blade_product(xy, z, metric)
+    s3, yz = blade_product(y, z, metric)
+    s4, xyz2 = blade_product(x, yz, metric)
+    return (s1 * s2, xyz) == (s3 * s4, xyz2)
 
 
 @_suite("blade-associativity")
 def check_blade_associativity(b):
     n = b["assoc_n"]
     metric = Metric.interleaved(n // 2) if n % 2 == 0 else Metric.block(n, 0)
-    dim = 1 << n
-    for x in range(dim):
-        for y in range(dim):
-            s1, xy = blade_product(x, y, metric)
-            for z in range(dim):
-                s2, xyz = blade_product(xy, z, metric)
-                s3, yz = blade_product(y, z, metric)
-                s4, xyz2 = blade_product(x, yz, metric)
-                yield (x, y, z), (s1 * s2, xyz) == (s3 * s4, xyz2)
+    for case in itertools.product(range(1 << n), repeat=3):
+        yield case, _associates(*case, metric)
     rng = random.Random(7)
     for _ in range(500):  # randomized spot checks at larger n
         nn = rng.randint(1, 12)
         k = rng.randint(0, nn)
-        metric = Metric.block(k, nn - k)
         x, y, z = (rng.randrange(1 << nn) for _ in range(3))
-        s1, xy = blade_product(x, y, metric)
-        s2, xyz = blade_product(xy, z, metric)
-        s3, yz = blade_product(y, z, metric)
-        s4, xyz2 = blade_product(x, yz, metric)
-        yield (nn, x, y, z), (s1 * s2, xyz) == (s3 * s4, xyz2)
+        yield (nn, x, y, z), _associates(x, y, z, Metric.block(k, nn - k))
 
 
 @_suite("witt-relations")
@@ -210,32 +229,24 @@ def check_witt_relations(b):
 
 @_suite("omega-squared-formula")
 def check_omega_squared(b):
-    for k in range(b["kl"] + 1):
-        for l in range(b["kl"] + 1):
-            oracle = omega_squared_oracle(Metric.block(k, l))
-            closed = omega_squared(k, l)
-            via_bit = sign_bit((k - l) % 8, 1)
-            yield (k, l), oracle == closed == via_bit
+    for k, l in _signatures(b["kl"]):
+        yield (k, l), (omega_squared_oracle(Metric.block(k, l))
+                       == omega_squared(k, l) == sign_bit((k - l) % 8, 1))
 
 
 @_suite("center-vs-parity")
 def check_center(b):
-    for k in range(b["center_kl"] + 1):
-        for l in range(b["center_kl"] + 1):
-            yield ((k, l),
-                   center_check(Metric.block(k, l)) == ((k + l) % 2 == 1))
+    for k, l in _signatures(b["center_kl"]):
+        yield (k, l), center_check(Metric.block(k, l)) == ((k + l) % 2 == 1)
 
 
 @_suite("tau-squares-and-duals")
 def check_tau(b):
-    for k in range(b["kl"] + 1):
-        for l in range(b["kl"] + 1):
-            if (k + l) % 2:
-                continue
-            yield (k, l), (
-                tau_squared_oracle(k, l) == tau_squared(k, l)
-                and omega_tau_squared_oracle(k, l) == omega_tau_squared(k, l)
-                and dual_automorphism_check(k, l))
+    for k, l in _signatures(b["kl"], even=True):
+        yield (k, l), (
+            tau_squared_oracle(k, l) == tau_squared(k, l)
+            and omega_tau_squared_oracle(k, l) == omega_tau_squared(k, l)
+            and dual_automorphism_check(k, l))
 
 
 @_suite("classification-table")
@@ -248,48 +259,39 @@ def check_table(b):
 @_suite("dimension-identity")
 def check_dimension_identity(b):
     dim = {"R": 1, "C": 2, "H": 4}
-    for k in range(17):
-        for l in range(17):
-            c = classify(k, l)
-            total = c.matrix_size ** 2 * dim[c.base] * (2 if c.doubled else 1)
-            yield (k, l), total == 1 << (k + l)
+    for k, l in _signatures(16):
+        c = classify(k, l)
+        total = c.matrix_size ** 2 * dim[c.base] * (2 if c.doubled else 1)
+        yield (k, l), total == 1 << (k + l)
 
 
 @_suite("n-bit-recovery")
 def check_n_recovery(b):
-    for k in range(b["kl"] + 1):
-        for l in range(b["kl"] + 1):
-            if (k + l) % 2:
-                continue
-            got = recover_n_bits((k - l) % 8, tau_squared(k, l),
-                                 omega_tau_squared(k, l))
-            yield (k, l), got == (k + l) % 8
+    for k, l in _signatures(b["kl"], even=True):
+        got = recover_n_bits((k - l) % 8, tau_squared(k, l),
+                             omega_tau_squared(k, l))
+        yield (k, l), got == (k + l) % 8
 
 
 @_suite("varlamov-bit-forms")
 def check_varlamov(b):
-    for k in range(b["kl"] + 1):
-        for l in range(b["kl"] + 1):
-            if (k + l) % 2:
-                continue
-            a, bb, c = varlamov_bits(k, l)
-            n8, nu8 = (k + l) % 8, (k - l) % 8
-            yield (k, l), (bb == sign_bit(nu8, 2) * sign_bit(n8, 2)
-                           and a == sign_bit(n8, 1) * bb
-                           and c == sign_bit(nu8, 1))
+    for k, l in _signatures(b["kl"], even=True):
+        a, bb, c = varlamov_bits(k, l)
+        n8, nu8 = (k + l) % 8, (k - l) % 8
+        yield (k, l), (bb == sign_bit(nu8, 2) * sign_bit(n8, 2)
+                       and a == sign_bit(n8, 1) * bb
+                       and c == sign_bit(nu8, 1))
 
 
 @_suite("volume-eigenvectors")
 def check_eigenvectors(b):
     # signatures() reads the index bits; the eigenvalues come letter by
     # letter from the blade oracle
-    for m in range(1, b["m"] + 1):
-        for row in range(1 << m):
-            for col in range(1 << m):
-                e = efb_element(row, col, m)
-                _, _, chi = signatures(e)
-                yield ((m, row, col), omega_eigen_check(e)
-                       == (chi.h_hat, chi.h_hat * chi.g_hat))
+    for m, row, col in _indices(b["m"], 2):
+        e = efb_element(row, col, m)
+        _, _, chi = signatures(e)
+        yield (m, row, col), (omega_eigen_check(e)
+                              == (chi.h_hat, chi.h_hat * chi.g_hat))
 
 
 @_suite("slot-commutator-action")
@@ -314,13 +316,11 @@ def check_commutators(b):
 def check_sign_vs_word_oracle(b):
     for m in range(1, b["m"] + 1):
         dim = 1 << m
-        for a in range(dim):
-            for x in range(dim):
-                for d in range(dim):
-                    sign, elem = word_product_oracle(a, x, x, d, m)
-                    yield (m, a, x, d), (
-                        elem is not None and sign == sign_s(a, x, d, m)
-                        and (elem.index.row, elem.index.col) == (a, d))
+        for a, x, d in itertools.product(range(dim), repeat=3):
+            sign, elem = word_product_oracle(a, x, x, d, m)
+            yield (m, a, x, d), (
+                elem is not None and sign == sign_s(a, x, d, m)
+                and (elem.index.row, elem.index.col) == (a, d))
         rng = random.Random(11)
         for _ in range(50):  # mismatched middle index annihilates
             a, x, c, d = (rng.randrange(dim) for _ in range(4))
@@ -332,45 +332,27 @@ def check_sign_vs_word_oracle(b):
 
 @_suite("sign-vs-blade-oracle")
 def check_sign_vs_blade_oracle(b):
-    for m in range(1, b["m"]):
-        dim = 1 << m
-        for a in range(dim):
-            for x in range(dim):
-                for d in range(dim):
-                    lhs = mv_mul(word_multivector(efb_element(a, x, m)),
-                                 word_multivector(efb_element(x, d, m)))
-                    rhs = (sign_s(a, x, d, m)
-                           * word_multivector(efb_element(a, d, m)))
-                    yield (m, a, x, d), lhs == rhs
+    for m, a, x, d in _indices(b["m"] - 1, 3):
+        lhs = mv_mul(word_multivector(efb_element(a, x, m)),
+                     word_multivector(efb_element(x, d, m)))
+        rhs = sign_s(a, x, d, m) * word_multivector(efb_element(a, d, m))
+        yield (m, a, x, d), lhs == rhs
 
 
 @_suite("sign-cocycle")
 def check_cocycle(b):
-    for m in range(1, b["m"]):
-        dim = 1 << m
-        for a in range(dim):
-            for x in range(dim):
-                for d in range(dim):
-                    for e in range(dim):
-                        yield (m, a, x, d, e), (
-                            sign_s(a, x, d, m) * sign_s(a, d, e, m)
-                            == sign_s(x, d, e, m) * sign_s(a, x, e, m))
+    for m, a, x, d, e in _indices(b["m"] - 1, 4):
+        yield (m, a, x, d, e), (sign_s(a, x, d, m) * sign_s(a, d, e, m)
+                                == sign_s(x, d, e, m) * sign_s(a, x, e, m))
 
 
 @_suite("matrix-units")
 def check_matrix_units(b):
     # E_ax E_cd is E_ad when x == c and zero otherwise
-    for m in range(1, b["m"]):
-        dim = 1 << m
-        for a in range(dim):
-            for x in range(dim):
-                for c in range(dim):
-                    for d in range(dim):
-                        yield (m, a, x, c, d), x != c or (
-                            normalization_sign(a, x, m)
-                            * normalization_sign(c, d, m)
-                            * sign_s(a, x, d, m)
-                            == normalization_sign(a, d, m))
+    for m, a, x, c, d in _indices(b["m"] - 1, 4):
+        yield (m, a, x, c, d), x != c or (
+            normalization_sign(a, x, m) * normalization_sign(c, d, m)
+            * sign_s(a, x, d, m) == normalization_sign(a, d, m))
     for (a, col), want in CL22_TABLE.items():
         e = efb_element(a, col, 2)
         sign = normalization_sign(a, col, 2)
@@ -416,15 +398,12 @@ def check_direct_sum_support(b):
 @_suite("conversion-vs-word-oracle")
 def check_conversion_vs_word_oracle(b):
     # each matrix unit against its letter-by-letter word, both directions
-    for m in range(1, b["m"]):
-        dim = 1 << m
-        for a in range(dim):
-            for col in range(dim):
-                unit = EFBMultivector(m, {(a, col): 1})
-                word = (normalization_sign(a, col, m)
-                        * word_multivector(efb_element(a, col, m)))
-                yield (m, a, col), (efb_to_blades(unit) == word
-                                    and blades_to_efb(word, m) == unit)
+    for m, a, col in _indices(b["m"] - 1, 2):
+        unit = EFBMultivector(m, {(a, col): 1})
+        word = (normalization_sign(a, col, m)
+                * word_multivector(efb_element(a, col, m)))
+        yield (m, a, col), (efb_to_blades(unit) == word
+                            and blades_to_efb(word, m) == unit)
 
 
 @_suite("conversion-roundtrip")
@@ -454,13 +433,11 @@ def check_oracle_equivalence(b):
 def check_involution_consistency(b):
     # grade involution negates exactly the odd-parity words: the g bits
     # of the index against the letter-by-letter blade expansion
-    for m in range(1, b["m"]):
-        for row in range(1 << m):
-            for col in range(1 << m):
-                e = efb_element(row, col, m)
-                _, _, chi = signatures(e)
-                psi = word_multivector(e)
-                yield (m, row, col), grade_involution(psi) == chi.g_hat * psi
+    for m, row, col in _indices(b["m"] - 1, 2):
+        e = efb_element(row, col, m)
+        _, _, chi = signatures(e)
+        psi = word_multivector(e)
+        yield (m, row, col), grade_involution(psi) == chi.g_hat * psi
 
 
 @_suite("dense-op-ratio")

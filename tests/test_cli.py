@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,24 @@ def test_classify_refuses_huge_n_from_the_exponent(capsys, monkeypatch,
         code, out, err = run(capsys, "classify", "1000000000000", "0", *extra)
         assert (code, out) == (2, "")
         assert "2^500000000000" in err and "too many to print" in err
+
+
+def test_too_many_digits_equals_the_exact_power():
+    # the 3- and 4-bits-a-digit brackets decide without 10^limit
+    for limit in range(1, 60):
+        for log2 in range(5 * limit):
+            assert cli._too_many_digits(log2, limit) == (
+                1 << log2 >= 10 ** limit), (log2, limit)
+
+
+def test_classify_under_a_huge_digit_limit(capsys, monkeypatch):
+    # 10^(10^7) takes seconds to build; 2^4 needs none of it
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 10 ** 7,
+                        raising=False)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", "8", "0")
+    assert code == 0 and "R(16)" in out
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("unlimited", ["zero", "absent"])
@@ -310,6 +329,57 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
     assert lines[0].endswith("(first failure: (5, 1))")
     assert len(lines) == 28
     assert all(ln.startswith("ok") for ln in lines[1:])
+
+
+def test_verify_first_failures_of_planted_faults(monkeypatch):
+    # wrong at one case each: the suites that call them report the same
+    # first failing case as the hand-written loops did, and no other
+    # suite fails
+    blade, tau = verify.blade_product, verify.tau_squared
+    sign, norm = verify.sign_s, verify.normalization_sign
+
+    def planted_blade(a, b, metric):
+        s, mask = blade(a, b, metric)
+        return (-s if (a, b) == (5, 6) else s), mask
+
+    def planted_tau(k, l):
+        return -tau(k, l) if (k, l) == (3, 1) else tau(k, l)
+
+    def planted_sign(a, x, d, m):
+        flip = (m, a, x, d) == (2, 1, 0, 3)
+        return -sign(a, x, d, m) if flip else sign(a, x, d, m)
+
+    def planted_norm(a, col, m):
+        flip = (m, a, col) == (2, 3, 1)
+        return -norm(a, col, m) if flip else norm(a, col, m)
+    monkeypatch.setattr(verify, "blade_product", planted_blade)
+    monkeypatch.setattr(verify, "tau_squared", planted_tau)
+    monkeypatch.setattr(verify, "sign_s", planted_sign)
+    monkeypatch.setattr(verify, "normalization_sign", planted_norm)
+    failed = {r.name: r.detail for r in verify.run_suite("quick")
+              if not r.passed}
+    assert failed == {
+        name: f"first failure: {case}" for name, case in (
+            ("blade-sign-vs-normal-order", ((1, 1, 1), 5, 6)),
+            ("blade-associativity", (1, 4, 6)),
+            ("tau-squares-and-duals", (3, 1)),
+            ("n-bit-recovery", (3, 1)),
+            ("sign-vs-word-oracle", (2, 1, 0, 3)),
+            ("sign-vs-blade-oracle", (2, 1, 0, 3)),
+            ("sign-cocycle", (2, 0, 1, 0, 3)),
+            ("matrix-units", (2, 0, 3, 3, 1)),
+            ("conversion-vs-word-oracle", (2, 3, 1)))}
+
+
+def test_case_iterators_follow_the_nested_loops():
+    assert list(verify._signatures(2)) == [
+        (k, l) for k in range(3) for l in range(3)]
+    assert list(verify._signatures(3, even=True)) == [
+        (k, l) for k in range(4) for l in range(4) if (k + l) % 2 == 0]
+    assert list(verify._indices(2, 3)) == [
+        (m, a, x, d) for m in (1, 2) for a in range(1 << m)
+        for x in range(1 << m) for d in range(1 << m)]
+    assert list(verify._indices(0, 2)) == []
 
 
 def test_run_suite_refuses_an_unknown_level():

@@ -244,6 +244,24 @@ def test_blades_to_efb_needs_neutral_interleaved_metric():
         blades_to_efb(x, 2)
 
 
+def test_pipeline_refuses_other_operands():
+    # a string met an attribute lookup and raised Python's own message
+    x = Multivector.generator(Metric.interleaved(1), 1)
+    e = blades_to_efb(x, 1)
+    mul = "mv_mul needs two Multivector operands"
+    to_efb = "blades_to_efb needs a Multivector operand"
+    to_blades = "efb_to_blades needs an EFBMultivector operand"
+    for call, message in (
+            (lambda: mv_mul("a", "b"), mul), (lambda: mv_mul(x, "b"), mul),
+            (lambda: mv_mul(e, x), mul),
+            (lambda: blades_to_efb("g1", 1), to_efb),
+            (lambda: blades_to_efb(e, 1), to_efb),
+            (lambda: efb_to_blades("x"), to_blades),
+            (lambda: efb_to_blades(x), to_blades)):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 def test_single_blade_coset_support():
     # each blade lands in one diagonal coset: col = row XOR parity mask
     metric = Metric.interleaved(2)
