@@ -9,13 +9,21 @@ transform over a whole batch of vectors laid end to end in one list
 (walsh_hadamard is one vector).  walsh_batch has two kernels with equal
 results, picked from the batch.  The list stages (_stages) run the k
 constant-geometry butterfly stages over all the entries, one int
-operation per entry and stage; they take every batch but a full one,
-and are the oracle of the other kernel.  The column kernel (_columns)
-takes a full batch, 2^k vectors of length 2^k with k >= _COLUMNS_K:
+operation per entry and stage; they take every batch but a full one
+whose lanes fit a word, and are the oracle of the other kernel.  The
+column kernel (_columns) takes a full batch, 2^k vectors of length 2^k
+with k >= _COLUMNS_K, in lane order, entry i of every vector in turn,
+with a bound on the bit length of its entries that sizes the lanes:
 it packs entry i of every vector into the lanes of row i and runs the
 same stages over the 2^k rows, k * 2^k big-int operations in place of
-k * 4^k int ones, and it can divide out the power of two that every
-entry of the result shares on the rows.  A vector with one nonzero
+k * 4^k int ones.  It can negate any set of vectors as it packs (a
+lane-sign pattern, such as efb's coset signs) and divide out the power
+of two that every entry of the result shares on the rows.  walsh_batch
+reorders its vectors into lane order and takes the bound from one scan
+(_magnitude); efb's dense conversions gather in lane order and bring
+their own bound.  A batch whose lanes are wider than a 64-bit word
+(_fits_word) goes to the list stages instead: past a word _pack writes
+one to_bytes per value, and the stages are faster.  A vector with one nonzero
 transforms to one scaled Walsh function, which walsh_function writes
 without a transform and walsh_index recognizes.  Every re-indexing of
 blade masks is XOR-linear, so xor_span tabulates it from the images of
@@ -25,18 +33,20 @@ The packed kernels, efb's rows, the blade engine's Gray-code walk and
 the column kernel, lay signed integers end to end in one int as lanes
 of W bits (Kronecker substitution): a row of values v_c is the int
 sum_c v_c * 2^(W * c).  The lane layer here is all any kernel knows of
-that format.  _lane_width sizes the lanes from the operands, and
-_kernel_width weighs a packed product kernel at that width against the
-loop it replaces.  _pack reads values into rows as two's-complement
-bytes, one struct call for lanes up to a word, one to_bytes per value
-past it; with
-T = _halves(size, count), (U ^ T) - T turns the unsigned int U of a
-row's bytes into its signed sum, since every lane of U ^ T holds its
+that format.  _magnitude is its one bit scan, _width sizes a lane for
+a number of signed bits, _lane_width sizes the lanes from a scan of the
+operands, and _kernel_width weighs a packed product kernel at a width
+against the loop it replaces, asking for the width only when the kernel
+can win.  _pack reads values into rows as two's-complement bytes, one
+struct call for lanes up to a word, one to_bytes per value past it;
+with T = _halves(size, count), (U ^ T) - T turns the unsigned int U of
+a row's bytes into its signed sum, since every lane of U ^ T holds its
 value plus 2^(W - 1).  _unpack writes the bytes of (S + T) ^ T back as
 lanes, so a signed sum S comes out lane by lane as long as every lane
-has magnitude below 2^(W - 1).  _lane_pattern lays out the lanes of a
-whole Walsh pattern, such as the lanes to negate or keep, by the
-doubling that walsh_function runs.
+has magnitude below 2^(W - 1).  _pack negates chosen lanes in that
+offset form, by the XOR and increment of _negator.  _lane_pattern lays
+out the lanes of a whole Walsh pattern, such as the lanes to negate or
+keep, by the doubling that walsh_function runs.
 """
 
 from __future__ import annotations
@@ -111,24 +121,32 @@ def xor_span(images) -> list:
 
 
 # the smallest k at which a full batch of 2^k vectors goes through the
-# column kernel: at k = 4 it takes about 1.2x the time of the list stages
+# column kernel, in walsh_batch and in efb's dense conversions: at k = 4
+# it takes about 1.2x the time of the list stages
 _COLUMNS_K = 5
 
 
 def walsh_batch(flat: list, k: int) -> list:
     """The Walsh-Hadamard transform of each vector of length 2^k in flat,
     the vectors laid end to end: out[c][a] = sum_i flat[c * 2^k + i] *
-    (-1)^popcount(a & i).
+    (-1)^popcount(a & i).  len(flat) must be a multiple of 2^k.
 
     A full batch, 2^k vectors with k >= _COLUMNS_K, goes through
-    _columns, any other through _stages; both leave entry a of vector c
-    at a * count + c.
+    _columns when its lanes, sized by one scan of flat, fit a word; any
+    other batch goes through _stages.  Both leave entry a of vector c at
+    a * count + c.
     """
     count = len(flat) >> k
+    if count << k != len(flat):
+        raise ValueError(f"length {len(flat)} is not a multiple of 2^{k}")
     if not count:
         return []
-    full = count == 1 << k and k >= _COLUMNS_K
-    flat = _columns(flat, k)[0] if full else _stages(flat, k)
+    if count == 1 << k and k >= _COLUMNS_K and _fits_word(
+            bits := _magnitude([flat]), k):
+        flat = _columns(list(chain.from_iterable(
+            flat[i::count] for i in range(count))), k, bits)[0]
+    else:
+        flat = _stages(flat, k)
     return [flat[c::count] for c in range(count)]
 
 
@@ -144,26 +162,36 @@ def _stages(flat: list, k: int) -> list:
     return flat
 
 
-def _columns(flat: list, k: int, cap: int = 0) -> tuple[list, int]:
-    """(out, s): _stages of a full batch, 2^k vectors of length 2^k, run
-    on 2^k packed ints, and every entry of it divided by 2^s, s the
+def _fits_word(bits: int, k: int) -> bool:
+    """Whether _columns' lanes for a transform of 2^k-entry vectors whose
+    entries have at most bits bits fit one 64-bit word.  Past a word
+    _pack writes one to_bytes per value, and the list stages win."""
+    return bits + k < 64
+
+
+def _columns(rows: list, k: int, bits: int, neg: int = 0,
+             cap: int = 0) -> tuple[list, int]:
+    """(out, s): the transform of a full batch, 2^k vectors of length 2^k,
+    run on 2^k packed ints, and every entry of it divided by 2^s, s the
     largest s <= cap with 2^s dividing them all (dyadic._shift).
 
-    Row i holds entry i of every vector, one lane per vector, so the k
-    stages run k * 2^(k - 1) big-int additions and as many subtractions
-    in place of k * 4^k int ones.  An entry of the transform sums 2^k
-    entries of its vector, so _lane_width with extra = k sizes the
-    lanes, and entry a of vector c comes out of lane c of row a, at
-    a * 2^k + c.  The two's-complement lanes of all rows, ORed and
-    folded onto the lowest lane, have the trailing zeros that every
-    entry shares; that lane is 0 only when every lane is, so the whole
-    folded int has them too.  2^s divides every lane, so each signed row
-    shifts exactly.
+    rows is the batch in lane order, entry i of vector c at
+    i * 2^k + c, each entry of bit length at most bits; the vectors c
+    with bit c of neg set are negated first.  Row i holds entry i of
+    every vector, one lane per vector, so the k stages run
+    k * 2^(k - 1) big-int additions and as many subtractions in place of
+    k * 4^k int ones.  An entry of the transform sums 2^k entries of its
+    vector, so its lane holds bits + k + 1 signed bits, and entry a of
+    vector c comes out of lane c of row a, at a * 2^k + c.  The
+    negation is _pack's, in offset form.  The two's-complement lanes of
+    all rows, ORed and folded onto the lowest lane, have the trailing
+    zeros that every entry shares; that lane is 0 only when every lane
+    is, so the whole folded int has them too.  2^s divides every lane,
+    so each signed row shifts exactly.
     """
     count = 1 << k
-    size = _lane_width(k, [flat]) >> 3
-    rows = _stages(_pack(chain.from_iterable(
-        flat[i::count] for i in range(count)), size, count), k)
+    size = _width(bits + k + 1) >> 3
+    rows = _stages(_pack(rows, size, count, neg), k)
     shift = 0
     if cap:
         halves = _halves(size, count)
@@ -240,46 +268,69 @@ def _halves(size: int, count: int) -> int:
                           * count, _ORDER)
 
 
-def _lane_width(extra: int, *operands) -> int:
-    """Bits of a lane that holds, signed, a sum of up to 2^extra products
-    of one value from each operand: |sum| < 2^(extra + sum of bits),
-    bits being the bit length of an operand's largest magnitude.  Each
-    operand is a collection of rows, each row read by one C-level max
-    and one min; an empty row or operand counts as 0.  The lane is 1, 2,
-    4 or 8 bytes, the native ints struct packs, or past a word the fewest
-    whole bytes."""
-    need = extra + 1
-    for rows in operands:
-        need += max(max(map(max, filter(None, rows)), default=0),
-                    -min(map(min, filter(None, rows)), default=0)).bit_length()
+def _magnitude(rows) -> int:
+    """The bit length of the largest magnitude in a collection of rows:
+    one C-level max and one min per row, an empty row or collection
+    counting as 0.  The one bit scan of the lane layer."""
+    return max(max(map(max, filter(None, rows)), default=0),
+               -min(map(min, filter(None, rows)), default=0)).bit_length()
+
+
+def _width(need: int) -> int:
+    """The lane width for need signed bits: 1, 2, 4 or 8 bytes, the
+    native ints struct packs, or past a word the fewest whole bytes."""
     size = (need + 7) >> 3
     return (1 << (size - 1).bit_length() if size <= 8 else size) << 3
 
 
-def _kernel_width(loop: int, fixed: int, slope: int, extra: int, *ops) -> int:
+def _lane_width(extra: int, *operands) -> int:
+    """Bits of a lane that holds, signed, a sum of up to 2^extra products
+    of one value from each operand: |sum| < 2^(extra + sum of bits),
+    bits being the _magnitude of an operand, a collection of rows."""
+    return _width(extra + 1 + sum(map(_magnitude, operands)))
+
+
+def _kernel_width(loop: int, fixed: int, slope: int, width) -> int:
     """The lane width W of a packed kernel when it is the faster one,
     else 0.  The interpreted loop it replaces costs loop multiply-adds,
-    the packed kernel fixed + slope * W / 2048 of them.  A kernel that
-    loses even at the narrowest lane, 8 bits, returns 0 before
-    _lane_width reads the operands ops."""
+    the packed kernel fixed + slope * W / 2048 of them.  width() gives W;
+    a kernel that loses even at the narrowest lane, 8 bits, returns 0
+    before it is called, so no operand is scanned."""
     if loop < fixed + (slope << 3 >> 11):
         return 0
-    width = _lane_width(extra, *ops)
-    return width if loop >= fixed + (slope * width >> 11) else 0
+    lanes = width()
+    return lanes if loop >= fixed + (slope * lanes >> 11) else 0
 
 
-def _pack(values, size: int, count: int) -> list:
+def _pack(values, size: int, count: int, neg: int = 0) -> list:
     """The signed int of each row of count size-byte lanes, the values
     laid end to end: row r is sum_c values[r * count + c] * 2^(8 * size
-    * c), every value fitting its lane."""
+    * c), every value fitting its lane, and every lane c with bit c of
+    neg set negated (see _negator), its values above -2^(8 * size - 1)."""
     if size in _ARRAY_TYPES:
         values = tuple(values)
         data = pack(f"{len(values)}{_ARRAY_TYPES[size]}", *values)
     else:
         data = b"".join(v.to_bytes(size, _ORDER, signed=True) for v in values)
-    span, halves = size * count, _halves(size, count)
-    return [(int.from_bytes(data[i:i + span], _ORDER) ^ halves) - halves
+    span = size * count
+    mask, base = (_negator(size, count, neg) if neg
+                  else (_halves(size, count),) * 2)
+    return [(int.from_bytes(data[i:i + span], _ORDER) ^ mask) - base
             for i in range(0, len(data), span)]
+
+
+@lru_cache(maxsize=8)
+def _negator(size: int, count: int, neg: int) -> tuple[int, int]:
+    """(X, D) with (U ^ X) - D the signed row of the unsigned int U of a
+    row's bytes, the lanes c with bit c of neg set negated.  U ^ T holds
+    each lane's value v plus 2^(W - 1) (see the module docstring); a
+    lane's XOR with all ones and one more (L, a 1 in each negated lane)
+    turns that into -v plus 2^(W - 1), the negation _gray_walk's step
+    makes.  So X = T ^ (2^W - 1) * L and D = T - L."""
+    low = int.from_bytes(b"".join((neg >> c & 1).to_bytes(size, _ORDER)
+                                  for c in range(count)), _ORDER)
+    halves = _halves(size, count)
+    return halves ^ low * ((1 << 8 * size) - 1), halves - low
 
 
 def _unpack(rows, size: int, count: int) -> list:

@@ -46,8 +46,8 @@ from functools import cache, cached_property, lru_cache
 from itertools import compress, repeat
 from types import MappingProxyType
 
-from .bits import (_halves, _kernel_width, _lane_pattern, _pack, _unpack,
-                   parity_above)
+from .bits import (_halves, _kernel_width, _lane_pattern, _lane_width, _pack,
+                   _unpack, parity_above)
 from .dyadic import (DyadicRational, _Numerators, _clip, _common_shift,
                      _pair, _parse, _reduced, _scale_in, _text)
 from .instrument import counters
@@ -432,8 +432,9 @@ def _walk_width(x: Multivector, y: Multivector) -> int:
     operands and W = 8..616 bits, recorded in ROADMAP.md.
     """
     n, xs = x.metric.n, len(x._nums)
-    return _kernel_width(xs * len(y._nums), _WALK << n, xs << n, n,
-                         [x._nums.values()], [y._nums.values()])
+    return _kernel_width(xs * len(y._nums), _WALK << n, xs << n,
+                         lambda: _lane_width(n, [x._nums.values()],
+                                             [y._nums.values()]))
 
 
 def _block(n: int) -> int:

@@ -21,22 +21,26 @@ maps are XOR-linear, tabulated per m by xor_span on first use.
 
 Each conversion has a second path, picked from the data, with the same
 result.  blades_to_efb gathers an operand that holds at least 3/8 of
-the 4^m blades through one per-m table of the blade at each (g, i), in
-C, and hands the gathered list, all 2^m cosets, to walsh_batch, whose
-column kernel takes it from m = 5 on.  It writes a sparser one blade by
-blade, where a coset that holds one blade, found by counting the zeros
-of the coset, is c * W_i by walsh_function, with no arithmetic.
-efb_to_blades reads a coset that walsh_index finds equal to c * W_i as
-the one blade c * 2^m, with no transform; it looks at v[0] and the
-v[2^j] first, so a dense coset leaves after one or two entries.  Every
-other coset goes through the one walsh_batch call.  Sparse operands, as
-mul sees them, are mostly one blade per coset, and so are products of
-such operands.  When all 2^m cosets are stored, none of them one Walsh
-function, and m >= 5, the column kernel runs on all of them, lowers the
-exponent on its packed rows, and the terms are read out in C through
-the same table of blades (_dense_to_blades).  Below m = 5 sparse
-products often store every coset with no single Walsh function among
-them, and the loop is faster there.
+the 4^m blades through one per-m table of the blade at each (i, g), in
+C, already in the lane order of bits._columns, which negates the
+cosets of sign -1 as it packs them and transforms all 2^m at once.  Its
+lanes are sized from one scan of the blade numerators.  As in
+walsh_batch, below m = 5 or on lanes past a word the list stages run
+instead, the signs on the lists.  It writes
+a sparser operand blade by blade, where a coset that holds one blade,
+found by counting the zeros of the coset, is c * W_i by walsh_function,
+with no arithmetic.  efb_to_blades reads a coset that walsh_index finds
+equal to c * W_i as the one blade c * 2^m, with no transform; it looks
+at v[0] and the v[2^j] first, so a dense coset leaves after one or two
+entries.  Every other coset goes through the one walsh_batch call.
+Sparse operands, as mul sees them, are mostly one blade per coset, and
+so are products of such operands.  When all 2^m cosets are stored, none
+of them one Walsh function, m >= 5 and the lanes fit a word, the column
+kernel runs on all of them, read entry by entry across the cosets,
+lowers the exponent on its packed rows, and the terms are read out in C
+through the same table of blades (_dense_to_blades).  Below m = 5
+sparse products often store every coset with no single Walsh function
+among them, and the loop is faster there.
 
 An EFBMultivector holds plain-int numerators over one shared
 denominator 2^_e, in canonical form, as a Multivector does.  _canonical,
@@ -47,6 +51,21 @@ unchanged: blades_to_efb keeps the blade exponent, efb_product adds the
 two exponents, and efb_to_blades adds m, which is where the 2^-m of the
 inverse transform goes.  Reduced DyadicRationals are built only where a
 coefficient leaves (entry, nonzero).
+
+Lane widths travel with the matrix.  _bits bounds the bit length of
+every numerator, or is None, and only a producer that knows a bound
+without a scan sets it: the dense gather of blades_to_efb, B + m for
+blade numerators of B bits, since an entry sums 2^m of them, and
+efb_product, bx + by + m when both operands carry one; _from_ints
+lowers it by the canonical shift.  Every other producer, the sparse
+conversion among them, leaves None.  _bound() is read where a lane
+width is needed, by the packed product kernel (_lanes) and by the
+dense read-out, and only there scans a matrix whose _bits is None,
+once, keeping the result.  So the dense pipeline scans each blade
+operand once and no matrix.  The sparse paths gain no scan: the sparse
+conversion neither sets nor reads a bound, and a product reads its
+operands' bounds only where bits._kernel_width needs a width, the one
+place that scanned them before.
 
 efb_product has two kernels with equal results and triple counts.  The
 coset sweep runs out[g ^ h][d] += x[g][d ^ h] * y[h][d] over pairs of
@@ -68,9 +87,9 @@ from functools import cache, partial, reduce
 from itertools import chain, compress, repeat
 from operator import itemgetter, mul, neg, or_
 
-from .bits import (_COLUMNS_K, _columns, _kernel_width, _pack, _unpack,
-                   parity_above, walsh_batch, walsh_function, walsh_index,
-                   xor_span)
+from .bits import (_COLUMNS_K, _columns, _fits_word, _kernel_width,
+                   _magnitude, _pack, _stages, _unpack, _width, parity_above,
+                   walsh_batch, walsh_function, walsh_index, xor_span)
 from .blades import Metric, MetricError, Multivector
 from .dyadic import _Numerators, _common_shift, _reduced, _scale_in
 from .instrument import counters
@@ -117,8 +136,9 @@ class EFBMultivector(_Numerators):
     (-1)^C(popcount(g), 2).  The form is canonical: a coset is absent
     exactly when all its entries are zero, the cosets are stored in
     ascending g, and _e is 0 or some numerator is odd, so equality
-    compares (m, _e, _cosets).  Coset g times coset h lands in coset
-    g ^ h.  entry() and nonzero() give each nonzero entry as a reduced
+    compares (m, _e, _cosets); _bits, a bound on the bit length of every
+    numerator or None, plays no part in it.  Coset g times coset h lands
+    in coset g ^ h.  entry() and nonzero() give each nonzero entry as a reduced
     DyadicRational; nonzero() yields them by ascending coset, then by
     row.
 
@@ -128,7 +148,7 @@ class EFBMultivector(_Numerators):
     storage come from dyadic._Numerators.  Treated as immutable.
     """
 
-    __slots__ = ("m", "_e", "_cosets")
+    __slots__ = ("m", "_e", "_cosets", "_bits")
 
     def __init__(self, m: int, entries=None):
         _check_m(m)
@@ -142,14 +162,26 @@ class EFBMultivector(_Numerators):
         self.m = m
         self._cosets, self._e = _canonical(
             {g: flat[i * dim:(i + 1) * dim] for i, g in enumerate(cosets)}, e)
+        self._bits = None
 
     @classmethod
-    def _from_ints(cls, m: int, cosets: dict, e: int) -> "EFBMultivector":
-        """Adopt integer coset lists over 2^e, in canonical form."""
+    def _from_ints(cls, m: int, cosets: dict, e: int,
+                   bits: int | None = None) -> "EFBMultivector":
+        """Adopt integer coset lists over 2^e, in canonical form; bits,
+        when given, bounds the bit length of every numerator, and the
+        canonical shift lowers it."""
         x = object.__new__(cls)
         x.m = m
         x._cosets, x._e = _canonical(cosets, e)
+        x._bits = None if bits is None else max(bits - e + x._e, 0)
         return x
+
+    def _bound(self) -> int:
+        """_bits, or, when no producer set it, the bit length of the
+        largest numerator by one scan, kept in _bits."""
+        if self._bits is None:
+            self._bits = _magnitude(self._cosets.values())
+        return self._bits
 
     @classmethod
     def zeros(cls, m: int) -> "EFBMultivector":
@@ -237,7 +269,10 @@ def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
     width = _packed_width(x, y)
     out, triples = _packed(x, y, width) if width else _sweep(x, y)
     counters.efb_triples += triples
-    return EFBMultivector._from_ints(x.m, out, x._e + y._e)
+    # an entry sums 2^m products of entries of x and y
+    bits = (None if x._bits is None or y._bits is None
+            else x._bits + y._bits + x.m)
+    return EFBMultivector._from_ints(x.m, out, x._e + y._e, bits)
 
 
 def _packed_width(x: EFBMultivector, y: EFBMultivector) -> int:
@@ -256,8 +291,14 @@ def _packed_width(x: EFBMultivector, y: EFBMultivector) -> int:
     dim, stored = x.dim, len(x._cosets)
     sweep = stored * sum(dim - v.count(0) for v in y._cosets.values())
     return _kernel_width(sweep, dim * dim * x.m // 2 + 64,
-                         dim * dim * (32 + stored), x.m,
-                         x._cosets.values(), y._cosets.values())
+                         dim * dim * (32 + stored), partial(_lanes, x, y))
+
+
+def _lanes(x: EFBMultivector, y: EFBMultivector) -> int:
+    """The lane width for a sum of 2^m products of an entry of x and one
+    of y, from their _bound()s: bits._lane_width with extra = m, without
+    its scan where a producer set _bits."""
+    return _width(x.m + 1 + x._bound() + y._bound())
 
 
 def _sweep(x: EFBMultivector, y: EFBMultivector) -> tuple[dict, int]:
@@ -306,11 +347,10 @@ def _packed(x: EFBMultivector, y: EFBMultivector,
     so row a of the product is the int sum_b x[a][b] * R_b, one C-level
     sum of big-int multiplies per row.  One transpose takes x and y to
     row-major order and the product back.  Every entry of the product
-    has magnitude below 2^(width - 1), by bits._lane_width with
-    extra = m, so bits._unpack reads each one from its lane.  The
-    triple count is computed, not executed: sum over b of nnz(column b
-    of x) * nnz(row b of y), which is 2^m times the nnz of one operand
-    when the other has no zero entry.
+    has magnitude below 2^(width - 1), by _lanes, so bits._unpack reads
+    each one from its lane.  The triple count is computed, not executed:
+    sum over b of nnz(column b of x) * nnz(row b of y), which is 2^m
+    times the nnz of one operand when the other has no zero entry.
     """
     dim, size, swap = x.dim, width >> 3, _transposer(x.m)
     zeros = [0] * dim
@@ -366,13 +406,23 @@ _GATHER_SHARE = 3 / 8
 
 
 @cache
-def _blade_at(m: int) -> list:
-    """The blade mask at each coset-major position g * 2^m + i, built on
-    first use: the map is XOR-linear, so xor_span tabulates it from the
-    _slot_tables images of the single bits."""
+def _blade_at(m: int) -> tuple[list, list]:
+    """The blade mask at each coset-major position g * 2^m + i and at
+    each lane-order position i * 2^m + g, the order of bits._columns,
+    built on first use: the map is XOR-linear, so xor_span tabulates it
+    from the _slot_tables images of the single bits."""
     _, _, join_i, join_g = _slot_tables(m)
     bits = [1 << k for k in range(m)]
-    return xor_span([join_i[b] for b in bits] + [join_g[b] for b in bits])
+    by_coset = xor_span([join_i[b] for b in bits] + [join_g[b] for b in bits])
+    return by_coset, xor_span([join_g[b] for b in bits]
+                              + [join_i[b] for b in bits])
+
+
+@cache
+def _coset_signs(m: int) -> int:
+    """The cosets g with (-1)^C(popcount(g), 2) = -1, as the bits of one
+    int: the lanes bits._columns negates."""
+    return sum(1 << g for g in range(1 << m) if g.bit_count() & 2)
 
 
 def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
@@ -380,12 +430,15 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
 
     Each blade writes its signed numerator at its Walsh index.  An
     operand with at least _GATHER_SHARE of the 4^m blades is gathered
-    whole through _blade_at, and all 2^m cosets go through one
-    transform; an untouched one comes out all zero and is dropped.  In
-    a sparser one, a coset that holds one blade, c at index i, is
-    c * W_i, written by walsh_function with no arithmetic, and the count
-    of zeros in each coset picks that path.  One transform spreads every
-    other touched coset over the columns.
+    whole through _blade_at in lane order, and all 2^m cosets go through
+    one transform, bits._columns with the coset signs when m >=
+    bits._COLUMNS_K and its lanes, sized from one scan of the
+    numerators, fit a word, else the list stages; an untouched coset
+    comes out all zero and is dropped.  The result carries the bound
+    that scan gives.  In a sparser one, a coset that holds one blade, c
+    at index i, is c * W_i, written by walsh_function with no
+    arithmetic, and the count of zeros in each coset picks that path.
+    One transform spreads every other touched coset over the columns.
     """
     if not isinstance(x, Multivector):
         raise TypeError("blades_to_efb needs a Multivector operand")
@@ -396,13 +449,21 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     nums = x._nums
     dim = 1 << m
     if len(nums) >= _GATHER_SHARE * dim * dim:
-        flat = list(map(nums.get, _blade_at(m), repeat(0)))
-        for g in range(dim):  # (-1)^C(popcount g, 2) on each coset
-            if g.bit_count() & 2:
-                span = slice(g * dim, (g + 1) * dim)
-                flat[span] = map(neg, flat[span])
+        bits = _magnitude([nums.values()])
+        by_coset, by_lane = _blade_at(m)
+        if m >= _COLUMNS_K and _fits_word(bits, m):
+            out = _columns(list(map(nums.get, by_lane, repeat(0))), m, bits,
+                           _coset_signs(m))[0]
+        else:  # the list stages, the signs on the lists
+            out = list(map(nums.get, by_coset, repeat(0)))
+            for g in range(dim):  # (-1)^C(popcount g, 2) on each coset
+                if g.bit_count() & 2:
+                    span = slice(g * dim, (g + 1) * dim)
+                    out[span] = map(neg, out[span])
+            out = _stages(out, m)
+        # an entry sums 2^m blade numerators
         return EFBMultivector._from_ints(
-            m, dict(enumerate(walsh_batch(flat, m))), x._e)
+            m, {g: out[g::dim] for g in range(dim)}, x._e, bits + m)
     low = dim - 1
     lo, hi, _, _ = _slot_tables(m)
     cosets: dict[int, list] = {}
@@ -433,16 +494,18 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
     A coset equal to c * W_i, as walsh_index reads it off, is the one
     blade c * 2^m at i.  One transform takes every other coset back,
     and its nonzero entries are read out.  With all 2^m cosets stored,
-    none of them c * W_i, and m >= bits._COLUMNS_K, _dense_to_blades
-    reads them out instead.  Terms come by ascending coset, then by
-    Walsh index, on every path.
+    none of them c * W_i, m >= bits._COLUMNS_K and lanes of
+    _bound() + m + 1 bits that fit a word, _dense_to_blades reads them
+    out instead.  Terms come by ascending coset, then by Walsh index, on
+    every path.
     """
     if not isinstance(x, EFBMultivector):
         raise TypeError("efb_to_blades needs an EFBMultivector operand")
     m, dim = x.m, x.dim
     cosets = x._cosets.items()
     found = [walsh_index(v, m) for _, v in cosets]
-    if m >= _COLUMNS_K and len(found) == dim and max(found) < 0:
+    if (m >= _COLUMNS_K and len(found) == dim and max(found) < 0
+            and _fits_word(x._bound(), m)):
         return _dense_to_blades(x)
     _, _, join_i, join_g = _slot_tables(m)
     # the transform is its own inverse up to the factor 2^m
@@ -463,21 +526,21 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
 
 def _dense_to_blades(x: EFBMultivector) -> Multivector:
     """efb_to_blades of all 2^m cosets, m >= bits._COLUMNS_K: the column
-    kernel of walsh_batch lowers the exponent on its packed rows, and
-    every term is read out in C.
+    kernel, sized by _bound(), lowers the exponent on its packed rows,
+    and every term is read out in C.
 
-    The coset signs go onto the transform's input.  The blade at
-    coset-major position g * 2^m + i is _blade_at(m)[g * 2^m + i], so
-    compress keeps the terms in the order of the other path, by
+    zip reads entry i of every coset in turn, the kernel's lane order,
+    and the kernel negates the cosets of sign -1 as it packs.  The blade
+    at coset-major position g * 2^m + i is _blade_at(m)[0][g * 2^m + i],
+    so compress keeps the terms in the order of the other path, by
     ascending coset, then by Walsh index.  The shift leaves some
     numerator odd or the exponent 0, so the result is in canonical form.
     """
     m, dim, e = x.m, x.dim, x._e + x.m
-    out, shift = _columns(list(chain.from_iterable(
-        map(neg, v) if g.bit_count() & 2 else v
-        for g, v in x._cosets.items())), m, e)
+    out, shift = _columns(list(chain.from_iterable(zip(*x._cosets.values()))),
+                          m, x._bound(), _coset_signs(m), e)
     # entry i of coset g sits at i * 2^m + g
     w = list(chain.from_iterable(out[g::dim] for g in range(dim)))
     return Multivector._adopt(_metric(m),
-                              dict(zip(compress(_blade_at(m), w),
+                              dict(zip(compress(_blade_at(m)[0], w),
                                        compress(w, w))), e - shift)

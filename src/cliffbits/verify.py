@@ -44,8 +44,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from .bits import (_COLUMNS_K, _columns, _lane_width, _stages, lucas_sign,
-                   sign_bit)
+from .bits import (_COLUMNS_K, _columns, _lane_width, _magnitude, _stages,
+                   lucas_sign, sign_bit)
 from .blades import (Metric, Multivector, _gray_walk, _pair_loop,
                      blade_product, center_check, dual_automorphism_check,
                      grade_involution, mv_mul, omega_squared_oracle,
@@ -55,8 +55,9 @@ from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
 from .dyadic import _shift
-from .efb import (EFBMultivector, _packed, _slot_tables, _sweep,
-                  blades_to_efb, efb_product, efb_to_blades)
+from .efb import (EFBMultivector, _blade_at, _coset_signs, _packed,
+                  _slot_tables, _sweep, blades_to_efb, efb_product,
+                  efb_to_blades)
 from .instrument import op_counters, reset_op_counters
 from .sampling import dense_blade_multivector, dense_efb_multivector, \
     random_multivector
@@ -661,12 +662,17 @@ def check_blade_kernels(b):
 
 
 def _same_columns(flat: list, k: int, cap: int = 0) -> bool:
-    """The column kernel equals the list stages on a full batch, and the
-    exponent it lowers on its packed rows, by at most cap, equals
-    dyadic._shift of the OR of the staged entries."""
+    """The column kernel, given flat in lane order and sized by one scan
+    of it, equals the list stages on a full batch, and the exponent it
+    lowers on its packed rows, by at most cap, equals dyadic._shift of
+    the OR of the staged entries."""
     want = _stages(flat, k)
     shift = _shift(functools.reduce(operator.or_, want), cap)
-    return _columns(flat, k, cap) == ([n >> shift for n in want], shift)
+    count = 1 << k
+    rows = list(itertools.chain.from_iterable(
+        flat[i::count] for i in range(count)))
+    return _columns(rows, k, _magnitude([flat]), 0, cap) == (
+        [n >> shift for n in want], shift)
 
 
 @_suite("walsh-kernels")
@@ -710,6 +716,37 @@ def check_walsh_kernels(b):
             flat = [rng.randint(-999, 999) << 6 for _ in range(n)]
             flat[v * dim + rng.randrange(dim)] |= 1
             yield ("shift-lane", k, v), _same_columns(flat, k, 64)
+
+
+@_suite("lane-bounds")
+def check_lane_bounds(b):
+    # dense operands of 0 to 63 bits at each m, with a shift of 0 to 3:
+    # the column kernel, sized by the bound of one scan and negating the
+    # coset lanes, against the list stages with the signs on the lists;
+    # every bound the dense pipeline carries against the exact bit
+    # length, on both sides of the word edge, and on a product whose
+    # bound is exact (every entry c = 2^k - 1, so c^2 2^m over 2^2m);
+    # and the round trip
+    rng = random.Random(53)
+    for m, i in _indices(b["fast_m"], 1):
+        dim, signs, top = 1 << m, _coset_signs(m), 1 << (i << 6 >> m)
+        c = (2 << i % 8) - 1
+        flat = EFBMultivector._from_ints(m, {g: [c] * dim for g in range(dim)},
+                                         m, c.bit_length())
+        rows = [rng.randint(-top, top) << (i & 3) for _ in range(dim * dim)]
+        want = _stages(list(itertools.chain.from_iterable(
+            [-n for n in rows[g::dim]] if g.bit_count() & 2 else rows[g::dim]
+            for g in range(dim))), m)
+        shift = _shift(functools.reduce(operator.or_, want), 3)
+        x = Multivector._raw(Metric.interleaved(m),
+                             dict(zip(_blade_at(m)[1], rows)), i & 3)
+        ex = blades_to_efb(x, m)
+        made = ex, efb_product(ex, ex), efb_product(flat, flat)
+        yield (m, i), (
+            _columns(rows, m, _magnitude([rows]), signs, 3)
+            == ([n >> shift for n in want], shift)
+            and all(z._bits >= _magnitude(z._cosets.values()) for z in made)
+            and efb_to_blades(ex) == x)
 
 
 def run_suite(level: str = "quick") -> list[CheckResult]:

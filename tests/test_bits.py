@@ -1,5 +1,6 @@
 import random
 import re
+from functools import partial
 from itertools import chain
 
 import pytest
@@ -115,6 +116,15 @@ def test_walsh_hadamard_needs_power_of_two():
             walsh_hadamard([1] * n)
 
 
+def test_walsh_batch_refuses_a_partial_vector():
+    # a length that is no multiple of 2^k would leave a truncated vector
+    for flat, k in (([1, 2, 3], 1), ([1] * 33, 5), ([1] * 1025, 5), ([1], 2)):
+        with pytest.raises(ValueError, match=f"^length {len(flat)} is not a "
+                                             f"multiple of 2\\^{k}$"):
+            walsh_batch(flat, k)
+    assert walsh_batch([], 3) == []
+
+
 def test_xor_span_matches_loop():
     # entry x is the XOR of the images of the set bits of x
     rng = random.Random(3)
@@ -188,6 +198,22 @@ def test_pack_and_unpack_round_trip_at_the_lane_edges(size):
             assert bits._unpack(iter(packed), size, count) == values
 
 
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 9, 16])
+def test_pack_negates_the_lanes_of_neg(size):
+    # the lanes set in neg come out negated, up to magnitude 2^(W - 1) - 1
+    rng = random.Random(size + 16)
+    half = 1 << (8 * size - 1)
+    for count in (1, 2, 8):
+        for neg in {0, (1 << count) - 1, rng.randrange(1 << count)}:
+            values = [rng.choice((-half + 1, half - 1, 0, -1,
+                                  rng.randrange(-half + 1, half)))
+                      for _ in range(3 * count)]
+            flipped = [-v if neg >> (i % count) & 1 else v
+                       for i, v in enumerate(values)]
+            assert bits._pack(values, size, count, neg) == bits._pack(
+                flipped, size, count)
+
+
 def test_lane_width_at_the_word_edge():
     # 2^extra products of 31- and 31-bit magnitudes: 31 + 31 + extra + 1
     # lane bits, so extra = 0, 1, 2 need 63, 64 and 65 bits
@@ -201,18 +227,17 @@ def test_lane_width_at_the_word_edge():
     assert bits._lane_width(3, [[], {}.values()], []) == 8
 
 
-def test_kernel_width_returns_0_without_a_scan(monkeypatch):
-    def refuse(*args):
+def test_kernel_width_returns_0_without_a_scan():
+    def refuse():
         raise AssertionError("bit scan")
-    monkeypatch.setattr(bits, "_lane_width", refuse)
     # 100 + 2048 * 8 / 2048 = 108 at 8-bit lanes: a loop of 107 wins
-    assert bits._kernel_width(107, 100, 2048, 0, [[1]], [[1]]) == 0
-    monkeypatch.undo()
-    assert bits._kernel_width(108, 100, 2048, 0, [[1]], [[1]]) == 8
+    assert bits._kernel_width(107, 100, 2048, refuse) == 0
+    narrow = partial(bits._lane_width, 0, [[1]], [[1]])
+    assert bits._kernel_width(108, 100, 2048, narrow) == 8
     # 2^20 needs 2 * 21 + 1 = 43 bits, a 64-bit lane: 100 + 64 = 164
-    wide = [[1 << 20]]
-    assert bits._kernel_width(163, 100, 2048, 0, wide, wide) == 0
-    assert bits._kernel_width(164, 100, 2048, 0, wide, wide) == 64
+    wide = partial(bits._lane_width, 0, [[1 << 20]], [[1 << 20]])
+    assert bits._kernel_width(163, 100, 2048, wide) == 0
+    assert bits._kernel_width(164, 100, 2048, wide) == 64
 
 
 # -- the two kernels of walsh_batch ------------------------------------------
@@ -223,12 +248,25 @@ def _staged(flat, k):
     return [out[c::count] for c in range(count)]
 
 
+def _lane_order(flat, k):
+    """flat, vectors of length 2^k end to end, as _columns reads it:
+    entry i of every vector, then entry i + 1."""
+    count = len(flat) >> k
+    return list(chain.from_iterable(flat[i::count] for i in range(1 << k)))
+
+
+def _columns_of(flat, k, cap=0):
+    """bits._columns of vectors laid end to end, sized by one scan."""
+    return bits._columns(_lane_order(flat, k), k, bits._magnitude([flat]),
+                         0, cap)
+
+
 def test_full_batches_from_k5_take_the_column_kernel(monkeypatch):
     rng = random.Random(83)
     seen = []
     columns = bits._columns
-    monkeypatch.setattr(bits, "_columns",
-                        lambda flat, k: seen.append(k) or columns(flat, k))
+    monkeypatch.setattr(bits, "_columns", lambda rows, k, bound: (
+        seen.append(k) or columns(rows, k, bound)))
     for k in (5, 6):
         flat = [rng.randint(-(1 << 40), 1 << 40) for _ in range(1 << 2 * k)]
         assert walsh_batch(flat, k) == _staged(flat, k)
@@ -252,6 +290,27 @@ def test_other_batches_take_the_list_stages(monkeypatch):
     assert v == want
 
 
+def test_full_batches_past_a_word_take_the_list_stages(monkeypatch):
+    # 2^k entries of 63 - k bits fill a 64-bit lane; one bit more takes
+    # the list stages, which win there
+    def refuse(*args):
+        raise AssertionError("the column kernel ran")
+    rng = random.Random(91)
+    for k in (5, 6):
+        top = 1 << 63 - k
+        narrow = [rng.randrange(-top + 1, top) for _ in range(1 << 2 * k)]
+        wide = narrow[:-1] + [top]
+        assert bits._lane_width(k, [narrow]) == 64
+        assert bits._lane_width(k, [wide]) == 72
+        assert bits._fits_word(63 - k, k) and not bits._fits_word(64 - k, k)
+        want = _staged(wide, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(bits, "_columns", refuse)
+            assert walsh_batch(wide, k) == want
+            with pytest.raises(AssertionError, match="column kernel ran"):
+                walsh_batch(narrow, k)
+
+
 @pytest.mark.parametrize("k", [5, 6])
 def test_column_kernel_lowers_the_exponent_on_its_rows(k):
     # the shift is the trailing zeros every staged entry shares, at most
@@ -265,13 +324,13 @@ def test_column_kernel_lowers_the_exponent_on_its_rows(k):
         for x in want:
             low |= x
         shift = min(cap, (low & -low).bit_length() - 1)
-        assert bits._columns(flat, k, cap) == (
+        assert _columns_of(flat, k, cap) == (
             [x >> shift for x in want], shift)
     # one vector alone has an odd entry, so its lane alone sets the
     # shift to 0: every lane must reach the fold
     for v in range(1 << k):
         flat = [rng.randint(-99, 99) << 5 for _ in range(n)]
         flat[v << k] |= 1
-        assert bits._columns(flat, k, 9) == (bits._stages(flat, k), 0)
-    assert bits._columns([0] * n, k, 3) == ([0] * n, 3)
-    assert bits._columns([1] * n, k) == (bits._stages([1] * n, k), 0)
+        assert _columns_of(flat, k, 9) == (bits._stages(flat, k), 0)
+    assert _columns_of([0] * n, k, 3) == ([0] * n, 3)
+    assert _columns_of([1] * n, k) == (bits._stages([1] * n, k), 0)

@@ -10,7 +10,7 @@ from cliffbits import (DyadicRational, Metric, MetricError, Multivector,
                        dual_automorphism_check, grade_involution, mv_mul,
                        omega_squared_oracle, op_counters, reset_op_counters,
                        tau_blade, tau_squared_oracle, volume_element)
-from cliffbits import bits, blades, dyadic
+from cliffbits import blades, dyadic
 from cliffbits.sampling import dense_blade_multivector, random_multivector
 from cliffbits.verify import _walk_lanes, check_blade_sign_vs_normal_order
 
@@ -618,7 +618,7 @@ def test_sparse_operands_take_the_loop_before_any_bit_scan(monkeypatch):
         for count in (0, 1, 6):
             x = _terms(metric, min(count, 1 << n), 9, rng)
             y = _terms(metric, min(6, 1 << n), 9, rng)
-            monkeypatch.setattr(bits, "_lane_width", refuse)
+            monkeypatch.setattr(blades, "_lane_width", refuse)
             assert blades._walk_width(x, y) == 0
             monkeypatch.undo()
             assert _kernel(monkeypatch, x, y) == "_pair_loop"

@@ -1350,3 +1350,123 @@ def test_packed_triples_equal_the_sweep(m):
         assert ts == tp
     assert _kernel_outputs(dense, other)[1][1] == 8 ** m
     assert _kernel_outputs(holed, dense)[1][1] == 8 ** m - (1 << m)
+
+
+# -- lane bounds --------------------------------------------------------------
+
+def _exact_bits(z: EFBMultivector) -> int:
+    return max((abs(n).bit_length() for v in z._cosets.values() for n in v),
+               default=0)
+
+
+def _sound(z: EFBMultivector) -> EFBMultivector:
+    """z, once its bound, if any, is at least the exact bit length."""
+    assert z._bits is None or z._bits >= _exact_bits(z), (z._bits,
+                                                          _exact_bits(z))
+    return z
+
+
+def _sweep_width(x, y):
+    return 0
+
+
+@given(st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=1 << 32),
+       st.integers(min_value=1, max_value=MAX_BITS), st.booleans(),
+       st.booleans())
+@example(4, 1, MAX_BITS, True, True)  # dense, both kernels, past a word
+@example(5, 2, 58, True, True)  # 58 + 5 bits: the last narrow lane
+@example(6, 3, 96, True, False)
+@settings(max_examples=40)
+def test_every_bound_is_sound(m, seed, bits, dense_x, dense_y):
+    # every producer's _bits is None or at least the exact bit length:
+    # dense and sparse conversions, both kernels, a chained product and
+    # the linear operators; dense operands at m = 5, 6 stop at 96 bits
+    rng = random.Random(seed)
+    metric = Metric.interleaved(m)
+
+    def operand(dense):
+        top = (1 << (min(bits, 96) if dense and m >= 5 else bits)) - 1
+        terms = rng.randint(1, min(6, 4 ** m))
+        masks = (range(1 << 2 * m) if dense else
+                 rng.sample(range(1 << 2 * m), terms))
+        return Multivector._raw(metric, {mask: rng.randint(-top, top)
+                                         for mask in masks}, rng.randint(0, 4))
+
+    x, y = operand(dense_x), operand(dense_y)
+    ex, ey = _sound(blades_to_efb(x, m)), _sound(blades_to_efb(y, m))
+    assert efb_to_blades(ex) == x
+    # the sweep on two dense operands at m >= 5 is 8^m interpreted triples
+    for pick in (None, efb._lanes) + (
+            (_sweep_width,) if m < 5 or not dense_x or not dense_y else ()):
+        with pytest.MonkeyPatch.context() as patch:
+            if pick:
+                patch.setattr(efb, "_packed_width", pick)
+            ez = _sound(efb_product(ex, ey))
+            _sound(efb_product(ez, ex))
+    for z in (3 * ex, ex * DyadicRational(5, 2), ex + ey, ex - ey, -ex,
+              EFBMultivector.identity(m), EFBMultivector.volume(m)):
+        _sound(z)
+
+
+def _efb_dense_dyadic(m: int, rng: random.Random) -> Multivector:
+    """An operand as perfbench's dense-efb draws it: every blade, with
+    +-(1..1023) / 2^(0..4), and no zero entry in its Fock-basis image."""
+    while True:
+        x = Multivector(Metric.interleaved(m), {
+            mask: DyadicRational(rng.choice((-1, 1)) * rng.randint(1, 1023),
+                                 rng.randint(0, 4))
+            for mask in range(1 << 2 * m)})
+        if sum(1 for _ in blades_to_efb(x, m).nonzero()) == 4 ** m:
+            return x
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_dense_pipeline_takes_its_widths_from_the_bounds(m, monkeypatch):
+    # one scan per blade operand and none of a matrix, and the lane
+    # widths that the product and the read-out take from the bounds are
+    # the widths a scan gives: no inflation crosses a lane size
+    rng = random.Random(113 + m)
+    scan = efb._magnitude
+    for _ in range(3 if m == 5 else 2):
+        x, y = _efb_dense_dyadic(m, rng), _efb_dense_dyadic(m, rng)
+        scans = []
+        monkeypatch.setattr(efb, "_magnitude",
+                            lambda rows: scans.append(1) or scan(rows))
+        ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
+        ez = efb_product(ex, ey)
+        z = efb_to_blades(ez)
+        monkeypatch.undo()
+        assert len(scans) == 2
+        assert verify._same_blades(z, verify.batched_efb_to_blades(ez))
+        assert efb._lanes(ex, ey) == cliffbits.bits._lane_width(
+            m, ex._cosets.values(), ey._cosets.values())
+        assert cliffbits.bits._width(ez._bits + m + 1) == (
+            cliffbits.bits._lane_width(m, ez._cosets.values()))
+
+
+def test_wide_dense_operands_skip_the_column_kernel(monkeypatch):
+    # 100-bit blade numerators at m = 5: lanes past a word go to the
+    # list stages on the way in and to the loop on the way out
+    def refuse(*args):
+        raise AssertionError("the column kernel ran")
+    m = 5
+    rng = random.Random(127)
+    metric = Metric.interleaved(m)
+    x, y = (Multivector._raw(metric, {
+        mask: rng.choice((-1, 1)) * rng.randrange(1 << 99, 1 << 100)
+        for mask in range(1 << 2 * m)}, rng.randint(0, 3)) for _ in range(2))
+    monkeypatch.setattr(efb, "_columns", refuse)
+    monkeypatch.setattr(cliffbits.bits, "_columns", refuse)
+    ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
+    assert ex == verify.batched_blades_to_efb(x, m)
+    assert ey == verify.batched_blades_to_efb(y, m)
+    ez = efb_product(ex, ey)
+    assert len(ez._cosets) == 1 << m
+    assert not any(walsh_index(v, m) >= 0 for v in ez._cosets.values())
+    assert verify._same_blades(efb_to_blades(ez),
+                               verify.batched_efb_to_blades(ez))
+    assert efb_to_blades(ex) == x
+    # a narrow dense operand does reach the kernel
+    with pytest.raises(AssertionError, match="the column kernel ran"):
+        blades_to_efb(dense_blade_multivector(metric, rng), m)
