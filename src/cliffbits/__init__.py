@@ -13,9 +13,11 @@ Two product engines share one algebra:
   g = row ^ col, as integer numerators over one power of two; the
   product is a plain matrix product with no sign at all, run as an
   XOR-graded coset sweep or, on dense narrow operands, as big-int
-  multiplies of rows packed into the binary digits of one int, and the
-  changes of basis to and from blades are Walsh-Hadamard transforms,
-  one per operand over all of its stored cosets (``bits.walsh_batch``).
+  multiplies of columns packed into the binary digits of one int each,
+  and the changes of basis to and from blades are Walsh-Hadamard
+  transforms, one per operand over all of its stored cosets
+  (``bits.walsh_batch``); a dense matrix keeps its packed columns from
+  the conversion in through the product to the conversion out.
   ``efb`` holds that engine alone; the basis words behind the matrix
   units, their signs and the oracles they are checked with live in
   ``words``.

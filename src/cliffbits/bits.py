@@ -12,41 +12,48 @@ constant-geometry butterfly stages over all the entries, one int
 operation per entry and stage; they take every batch but a full one
 whose lanes fit a word, and are the oracle of the other kernel.  The
 column kernel (_columns) takes a full batch, 2^k vectors of length 2^k
-with k >= _COLUMNS_K, in lane order, entry i of every vector in turn,
-with a bound on the bit length of its entries that sizes the lanes:
-it packs entry i of every vector into the lanes of row i and runs the
-same stages over the 2^k rows, k * 2^k big-int operations in place of
-k * 4^k int ones.  It can negate any set of vectors as it packs (a
-lane-sign pattern, such as efb's coset signs) and divide out the power
-of two that every entry of the result shares on the rows.  walsh_batch
-reorders its vectors into lane order and takes the bound from one scan
-(_magnitude); efb's dense conversions gather in lane order and bring
-their own bound.  A batch whose lanes are wider than a 64-bit word
-(_fits_word) goes to the list stages instead: past a word _pack writes
-one to_bytes per value, and the stages are faster.  A vector with one nonzero
-transforms to one scaled Walsh function, which walsh_function writes
-without a transform and walsh_index recognizes.  Every re-indexing of
-blade masks is XOR-linear, so xor_span tabulates it from the images of
-the single bits.
+with k >= _COLUMNS_K, as 2^k packed rows: row i holds entry i of every
+vector, one lane per vector, and the same stages run over the rows,
+k * 2^k big-int operations in place of k * 4^k int ones.  It can divide
+out the power of two that every entry of the result shares on the rows
+(_lower).  The kernel neither packs nor unpacks: walsh_batch packs its
+vectors in lane order, with lanes sized by one scan (_magnitude), and
+unpacks the result; efb's dense gather packs blades already in lane
+order, negating a lane-sign pattern (its coset signs) as it packs, and
+keeps the rows as the columns of its matrix, which efb's dense read-out
+transforms back and unpacks.  A batch whose lanes are wider than a
+64-bit word (_fits_word) goes to the list stages instead: past a word
+_pack writes one to_bytes per value, and the stages are faster.  A
+vector with one nonzero transforms to one scaled Walsh function, which
+walsh_function writes without a transform and walsh_index recognizes.
+Every re-indexing of blade masks is XOR-linear, so xor_span tabulates
+it from the images of the single bits.
 
-The packed kernels, efb's rows, the blade engine's Gray-code walk and
+The packed kernels, efb's product, the blade engine's Gray-code walk and
 the column kernel, lay signed integers end to end in one int as lanes
 of W bits (Kronecker substitution): a row of values v_c is the int
 sum_c v_c * 2^(W * c).  The lane layer here is all any kernel knows of
 that format.  _magnitude is its one bit scan, _width sizes a lane for
 a number of signed bits, _lane_width sizes the lanes from a scan of the
-operands, and _kernel_width weighs a packed product kernel at a width
-against the loop it replaces, asking for the width only when the kernel
-can win.  _pack reads values into rows as two's-complement bytes, one
+operands (the oracle, in verify and the tests, of the bounds that the
+multivector types carry), and _kernel_width weighs a packed product
+kernel at a width against the loop it replaces, asking for the width
+only when the kernel can win.  _pack reads values into rows as two's-complement bytes, one
 struct call for lanes up to a word, one to_bytes per value past it;
 with T = _halves(size, count), (U ^ T) - T turns the unsigned int U of
 a row's bytes into its signed sum, since every lane of U ^ T holds its
 value plus 2^(W - 1).  _unpack writes the bytes of (S + T) ^ T back as
 lanes, so a signed sum S comes out lane by lane as long as every lane
-has magnitude below 2^(W - 1).  _pack negates chosen lanes in that
-offset form, by the XOR and increment of _negator.  _lane_pattern lays
-out the lanes of a whole Walsh pattern, such as the lanes to negate or
-keep, by the doubling that walsh_function runs.
+has magnitude below 2^(W - 1).  In that offset form S + T every lane is
+unsigned, so bitwise masks act on the lanes one by one: _pack and
+_negate negate chosen lanes by the XOR and increment of _negator,
+_zero_lanes flags the zero lanes of signed rows with no unpack, and
+_swap moves lane c to c ^ 2^j with one swap of 2^j-lane blocks.  Both
+engines move lanes with it: the blade engine's Gray-code walk steps by
+it, and efb's packed product permutes a column's lanes by XOR with a
+label, one _swap per set bit (_permute).  _lane_pattern lays out the
+lanes of a whole Walsh pattern, such as the lanes to negate or keep, by
+the doubling that walsh_function runs.
 """
 
 from __future__ import annotations
@@ -132,9 +139,9 @@ def walsh_batch(flat: list, k: int) -> list:
     (-1)^popcount(a & i).  len(flat) must be a multiple of 2^k.
 
     A full batch, 2^k vectors with k >= _COLUMNS_K, goes through
-    _columns when its lanes, sized by one scan of flat, fit a word; any
-    other batch goes through _stages.  Both leave entry a of vector c at
-    a * count + c.
+    _columns, packed and unpacked here, when its lanes, sized by one
+    scan of flat, fit a word; any other batch goes through _stages.
+    Both leave entry a of vector c at a * count + c.
     """
     count = len(flat) >> k
     if count << k != len(flat):
@@ -143,8 +150,10 @@ def walsh_batch(flat: list, k: int) -> list:
         return []
     if count == 1 << k and k >= _COLUMNS_K and _fits_word(
             bits := _magnitude([flat]), k):
-        flat = _columns(list(chain.from_iterable(
-            flat[i::count] for i in range(count))), k, bits)[0]
+        size = _width(bits + k + 1) >> 3
+        rows = _pack(chain.from_iterable(flat[i::count] for i in range(count)),
+                     size, count)
+        flat = _unpack(_columns(rows, k, size)[0], size, count)
     else:
         flat = _stages(flat, k)
     return [flat[c::count] for c in range(count)]
@@ -169,39 +178,39 @@ def _fits_word(bits: int, k: int) -> bool:
     return bits + k < 64
 
 
-def _columns(rows: list, k: int, bits: int, neg: int = 0,
-             cap: int = 0) -> tuple[list, int]:
+def _columns(rows: list, k: int, size: int, cap: int = 0) -> tuple[list, int]:
     """(out, s): the transform of a full batch, 2^k vectors of length 2^k,
-    run on 2^k packed ints, and every entry of it divided by 2^s, s the
-    largest s <= cap with 2^s dividing them all (dyadic._shift).
+    run on its 2^k packed rows of size-byte lanes, and every lane of it
+    divided by 2^s, s the largest s <= cap with 2^s dividing them all
+    (_lower).
 
-    rows is the batch in lane order, entry i of vector c at
-    i * 2^k + c, each entry of bit length at most bits; the vectors c
-    with bit c of neg set are negated first.  Row i holds entry i of
-    every vector, one lane per vector, so the k stages run
-    k * 2^(k - 1) big-int additions and as many subtractions in place of
-    k * 4^k int ones.  An entry of the transform sums 2^k entries of its
-    vector, so its lane holds bits + k + 1 signed bits, and entry a of
-    vector c comes out of lane c of row a, at a * 2^k + c.  The
-    negation is _pack's, in offset form.  The two's-complement lanes of
-    all rows, ORed and folded onto the lowest lane, have the trailing
-    zeros that every entry shares; that lane is 0 only when every lane
-    is, so the whole folded int has them too.  2^s divides every lane,
-    so each signed row shifts exactly.
+    Row i holds entry i of every vector, one lane per vector, so the k
+    stages run k * 2^(k - 1) big-int additions and as many subtractions
+    in place of k * 4^k int ones, and entry a of vector c comes out of
+    lane c of row a.  An entry of the transform sums 2^k entries of its
+    vector, so the lanes must hold bits + k + 1 signed bits for entries
+    of bits bits.
     """
-    count = 1 << k
-    size = _width(bits + k + 1) >> 3
-    rows = _stages(_pack(rows, size, count, neg), k)
-    shift = 0
-    if cap:
-        halves = _halves(size, count)
-        low = reduce(or_, [(r + halves) ^ halves for r in rows])
-        for fold in range(k):
-            low |= low >> (8 * size << fold)
-        shift = _shift(low, cap)
-        if shift:
-            rows = [r >> shift for r in rows]
-    return _unpack(rows, size, count), shift
+    return _lower(_stages(rows, k), size, k, cap)
+
+
+def _lower(rows: list, size: int, k: int, cap: int) -> tuple[list, int]:
+    """(rows >> s, s) for 2^k signed rows of 2^k size-byte lanes, s the
+    largest s <= cap with 2^s dividing every lane (dyadic._shift).
+
+    The two's-complement lanes of all rows, ORed and folded onto the
+    lowest lane, have the trailing zeros that every lane shares; that
+    lane is 0 only when every lane is, so the whole folded int has them
+    too.  2^s divides every lane, so each signed row shifts exactly.
+    """
+    if not cap:
+        return rows, 0
+    halves = _halves(size, 1 << k)
+    low = reduce(or_, [(r + halves) ^ halves for r in rows], 0)
+    for fold in range(k):
+        low |= low >> (8 * size << fold)
+    shift = _shift(low, cap)
+    return ([r >> shift for r in rows] if shift else rows), shift
 
 
 def walsh_pattern(even, odd, i: int, k: int):
@@ -337,8 +346,8 @@ def _unpack(rows, size: int, count: int) -> list:
     """The lane values of signed row ints, laid end to end: the inverse
     of _pack, for rows whose lanes have magnitude below 2^(8 * size - 1)."""
     span, halves = size * count, _halves(size, count)
-    data = b"".join(((r + halves) ^ halves).to_bytes(span, _ORDER)
-                    for r in rows)
+    data = b"".join([((r + halves) ^ halves).to_bytes(span, _ORDER)
+                     for r in rows])
     if size in _ARRAY_TYPES:
         return memoryview(data).cast(_ARRAY_TYPES[size]).tolist()
     return [int.from_bytes(data[i:i + size], _ORDER, signed=True)
@@ -351,6 +360,57 @@ def _lane_pattern(even: int, odd: int, i: int, k: int, size: int) -> int:
     on the lanes' bytes."""
     lanes = even.to_bytes(size, _ORDER), odd.to_bytes(size, _ORDER)
     return int.from_bytes(walsh_pattern(*lanes, i, k), _ORDER)
+
+
+def _negate(rows: list, size: int, count: int, neg: int) -> list:
+    """The signed rows with every lane c with bit c of neg set negated, in
+    offset form as _pack negates them: r + T is the row's bytes U XOR T,
+    so (U ^ X) - D of _negator is ((r + T) ^ T ^ X) - D."""
+    mask, base = _negator(size, count, neg)
+    halves = _halves(size, count)
+    flip = mask ^ halves
+    return [((r + halves) ^ flip) - base for r in rows]
+
+
+def _zero_lanes(rows, size: int, count: int) -> list:
+    """Per signed row, the int with the top bit of each of its zero lanes
+    set, with no unpack.  For the two's-complement lanes v of a row,
+    ((v & M) + M) | v has the top bit of a lane set exactly when the
+    lane is not 0, M = T - L holding 2^(W - 1) - 1 in each lane (L a 1
+    in each): the sum stays within its lane, so no carry crosses one."""
+    halves = _halves(size, count)
+    low = halves - (halves >> 8 * size - 1)
+    return [((v & low) + low | v) & halves ^ halves
+            for v in ((r + halves) ^ halves for r in rows)]
+
+
+@lru_cache(maxsize=8)
+def _keeps(size: int, k: int) -> tuple:
+    """Per bit j < k, the int of 2^k size-byte lanes that is all ones in
+    the lanes c with bit j of c clear: the masks of _swap, kept for the
+    few (size, k) keys in use."""
+    return tuple(_lane_pattern((1 << 8 * size) - 1, 0, 1 << j, k, size)
+                 for j in range(k))
+
+
+def _swap(v: int, j: int, size: int, keep: int) -> int:
+    """v with lane c moved to lane c ^ 2^j, its 2^j-lane blocks swapped in
+    pairs; keep is _keeps(size, k)[j], and the lanes of v must be
+    unsigned, as in offset form."""
+    s = size << 3 + j
+    return (v & keep) << s | (v >> s) & keep
+
+
+def _permute(v: int, t: int, size: int, keeps: tuple) -> int:
+    """v with lane c moved to lane c ^ t, lanes unsigned: one _swap per set
+    bit of t."""
+    j = 0
+    while t:
+        if t & 1:
+            v = _swap(v, j, size, keeps[j])
+        t >>= 1
+        j += 1
+    return v
 
 
 def lucas_sign(n: int, i: int) -> SignBit:

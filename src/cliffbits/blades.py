@@ -25,7 +25,8 @@ generator of l comes before every generator of h, so e_(l|h) = e_l e_h
 with no sign, and x y = sum_l e_l A_l, A_l = sum_h x[l | h] (e_h y).
 The walk steps h through a Gray code over the high bits.  R is
 GF(2)-linear, so flipping bit k of h swaps 2^k-lane blocks of the
-packed int and negates the lanes c with popcount(c & R(e_k)) odd: a
+packed int (bits._swap, the block swap the Fock-basis product permutes
+lanes with) and negates the lanes c with popcount(c & R(e_k)) odd: a
 few mask-and-shift operations on the whole int per step, and one
 C-level multiply-add per blade of x into the 2^j accumulators A_l.
 Horner's rule folds them with the same step, highest bit first:
@@ -36,6 +37,14 @@ masks of a step are cached per (n, neg, lane size).
 The fast engine is checked against this module, and this module
 against the explicit transposition counting of the
 blade-sign-vs-normal-order verify suite.
+
+A multivector carries _bits, a bound on the bit length of its
+numerators, where its producer knows one without a scan: scaling adds
+the bit length of the scalar's numerator, mv_mul adds its operands'
+bounds and n, and the Fock-basis read-out sets its own; the canonical
+shift lowers it.  Every other producer, parse included, leaves None,
+and _bound() scans such a multivector once where a lane width is
+needed, by _walk_width and by efb's dense gather.
 """
 
 from __future__ import annotations
@@ -46,8 +55,8 @@ from functools import cache, cached_property, lru_cache
 from itertools import compress, repeat
 from types import MappingProxyType
 
-from .bits import (_halves, _kernel_width, _lane_pattern, _lane_width, _pack,
-                   _unpack, parity_above)
+from .bits import (_halves, _keeps, _kernel_width, _lane_pattern, _magnitude,
+                   _pack, _swap, _unpack, _width, parity_above)
 from .dyadic import (DyadicRational, _Numerators, _clip, _common_shift,
                      _pair, _parse, _reduced, _scale_in, _text)
 from .instrument import counters
@@ -158,15 +167,16 @@ class Multivector(_Numerators):
     Stored as plain-int numerators over one shared denominator 2^_e:
     _nums[mask] / 2^_e is the coefficient of the blade.  The form is
     canonical: no numerator is zero, and _e is 0 or some numerator is
-    odd, so equality compares (metric, _e, _nums).  terms and
-    coefficient() give reduced DyadicRationals.  Coefficients are int or
-    DyadicRational, and such a scalar lifts to the grade-0 blade in +, -
-    and ==.  The operators that read no storage come from
+    odd, so equality compares (metric, _e, _nums); _bits, a bound on the
+    bit length of every numerator or None, plays no part in it.  terms
+    and coefficient() give reduced DyadicRationals.  Coefficients are
+    int or DyadicRational, and such a scalar lifts to the grade-0 blade
+    in +, - and ==.  The operators that read no storage come from
     dyadic._Numerators.  Treated as immutable; all arithmetic returns
     new instances.
     """
 
-    __slots__ = ("metric", "_e", "_nums")
+    __slots__ = ("metric", "_e", "_nums", "_bits")
 
     def __init__(self, metric: Metric, terms=None):
         terms = dict(terms) if terms else {}
@@ -179,20 +189,35 @@ class Multivector(_Numerators):
         nums, e = _scale_in(terms.values())
         self.metric = metric
         self._nums, self._e = _canonical(dict(zip(terms, nums)), e)
+        self._bits = None
 
     @classmethod
-    def _raw(cls, metric: Metric, nums: dict, e: int) -> "Multivector":
+    def _raw(cls, metric: Metric, nums: dict, e: int,
+             bits: int | None = None) -> "Multivector":
         """Adopt integer numerators over 2^e, in canonical form.  Takes
-        ownership of nums: the caller hands in a dict it no longer uses."""
-        return cls._adopt(metric, *_canonical(nums, e))
+        ownership of nums: the caller hands in a dict it no longer uses.
+        bits, when given, bounds the bit length of every numerator, and
+        the canonical shift lowers it."""
+        nums, low = _canonical(nums, e)
+        return cls._adopt(metric, nums, low,
+                          None if bits is None else max(bits - e + low, 0))
 
     @classmethod
-    def _adopt(cls, metric: Metric, nums: dict, e: int) -> "Multivector":
-        """_raw of numerators already in canonical form."""
+    def _adopt(cls, metric: Metric, nums: dict, e: int,
+               bits: int | None = None) -> "Multivector":
+        """_raw of numerators already in canonical form, bits already
+        lowered."""
         mv = object.__new__(cls)
         mv.metric = metric
-        mv._nums, mv._e = nums, e
+        mv._nums, mv._e, mv._bits = nums, e, bits
         return mv
+
+    def _bound(self) -> int:
+        """_bits, or, when no producer set it, the bit length of the
+        largest numerator by one scan, kept in _bits."""
+        if self._bits is None:
+            self._bits = _magnitude([self._nums.values()])
+        return self._bits
 
     @classmethod
     def zero(cls, metric: Metric) -> "Multivector":
@@ -234,10 +259,12 @@ class Multivector(_Numerators):
         return self.metric, self._e, self._nums
 
     def _scaled(self, numerator: int, exponent: int) -> "Multivector":
+        bits = self._bits
         return Multivector._raw(
             self.metric,
             {mask: n * numerator for mask, n in self._nums.items()},
-            self._e + exponent)
+            self._e + exponent,
+            None if bits is None else bits + abs(numerator).bit_length())
 
     def _product(self, other):
         return mv_mul(self, other)
@@ -399,7 +426,10 @@ def mv_mul(x: Multivector, y: Multivector) -> Multivector:
     width = _walk_width(x, y)
     acc = _gray_walk(x, y, width) if width else _pair_loop(x, y)
     counters.blade_pairs += len(x._nums) * len(y._nums)
-    return Multivector._raw(x.metric, acc, x._e + y._e)
+    # a term sums at most 2^n products of a numerator of x and one of y
+    bits = (None if x._bits is None or y._bits is None
+            else x._bits + y._bits + x.metric.n)
+    return Multivector._raw(x.metric, acc, x._e + y._e, bits)
 
 
 def _pair_loop(x: Multivector, y: Multivector) -> dict:
@@ -429,12 +459,13 @@ def _walk_width(x: Multivector, y: Multivector) -> int:
     its 2^n-lane int of W-bit lanes, and each blade of x adds one
     multiply-add of that int, worth W / 2048 per lane.  The constants
     were fitted to a timing grid over n = 2..11, balanced and lopsided
-    operands and W = 8..616 bits, recorded in ROADMAP.md.
+    operands and W = 8..616 bits, recorded in ROADMAP.md.  The width
+    is bits._lane_width's with extra = n, from the operands' _bound()s,
+    so an operand whose producer set _bits is not scanned.
     """
     n, xs = x.metric.n, len(x._nums)
     return _kernel_width(xs * len(y._nums), _WALK << n, xs << n,
-                         lambda: _lane_width(n, [x._nums.values()],
-                                             [y._nums.values()]))
+                         lambda: _width(n + 1 + x._bound() + y._bound()))
 
 
 def _block(n: int) -> int:
@@ -456,8 +487,8 @@ def _walk_masks(n: int, neg: int, size: int) -> tuple:
     row r_k; and T."""
     width = size << 3
     rows = tuple(parity_above(1 << k) ^ (neg & 1 << k) for k in range(n))
-    keep = tuple(_lane_pattern((1 << width) - 1, 0, 1 << k, n, size)
-                 for k in range(n))
+    # the walk caches its masks itself, within _MASK_SPAN
+    keep = _keeps.__wrapped__(size, n)
     low = tuple(_lane_pattern(0, 1, r, n, size) for r in rows)
     flip = tuple((b << width) - b for b in low)
     return keep, low, flip, rows, _halves(size, 1 << n)
@@ -496,8 +527,7 @@ def _gray_walk(x: Multivector, y: Multivector, width: int) -> dict:
     keep, low, flip, rows, halves = masks(n, neg, size)
 
     def step(v: int, k: int) -> int:  # swap 2^k-lane blocks, negate lanes
-        s, mask = width << k, keep[k]
-        v = (v & mask) << s | (v >> s) & mask
+        v = _swap(v, k, size, keep[k])
         # r_0 is 0 when g1 squares to +1
         return (v ^ flip[k]) + low[k] if low[k] else v
     xs = list(map(x._nums.get, range(count), repeat(0)))

@@ -20,8 +20,9 @@ _shift is the one reduction rule: lower the exponent while every
 numerator is even.  A DyadicRational and each rendered term apply it
 to one numerator, and the canonical forms of a Multivector and of an
 EFBMultivector apply it, through _common_shift, to all their
-numerators at once, and the column kernel of bits.walsh_batch applies
-it to the OR of the lanes of its packed rows.  Products add
+numerators at once, and bits._lower applies it to the OR of the lanes
+of packed rows: the columns a Fock-basis matrix keeps and the rows of
+the dense read-out.  Products add
 exponents and the inverse Fock-basis transform adds m for its 2^-m, so
 instances are built only where a coefficient leaves.
 """

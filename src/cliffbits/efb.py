@@ -22,29 +22,29 @@ maps are XOR-linear, tabulated per m by xor_span on first use.
 Each conversion has a second path, picked from the data, with the same
 result.  blades_to_efb gathers an operand that holds at least 3/8 of
 the 4^m blades through one per-m table of the blade at each (i, g), in
-C, already in the lane order of bits._columns, which negates the
-cosets of sign -1 as it packs them and transforms all 2^m at once.  Its
-lanes are sized from one scan of the blade numerators.  As in
-walsh_batch, below m = 5 or on lanes past a word the list stages run
-instead, the signs on the lists.  It writes
-a sparser operand blade by blade, where a coset that holds one blade,
-found by counting the zeros of the coset, is c * W_i by walsh_function,
-with no arithmetic.  efb_to_blades reads a coset that walsh_index finds
-equal to c * W_i as the one blade c * 2^m, with no transform; it looks
-at v[0] and the v[2^j] first, so a dense coset leaves after one or two
-entries.  Every other coset goes through the one walsh_batch call.
-Sparse operands, as mul sees them, are mostly one blade per coset, and
-so are products of such operands.  When all 2^m cosets are stored, none
-of them one Walsh function, m >= 5 and the lanes fit a word, the column
-kernel runs on all of them, read entry by entry across the cosets,
-lowers the exponent on its packed rows, and the terms are read out in C
-through the same table of blades (_dense_to_blades).  Below m = 5
-sparse products often store every coset with no single Walsh function
-among them, and the loop is faster there.
+C, already in the lane order of bits._columns: bits._pack negates the
+cosets of sign -1 as it packs them, and the column kernel transforms
+all 2^m at once.  Its lanes are sized from the operand's bound.  Below
+m = 3 (_KEEP_M) or on lanes past a word the list stages run instead,
+the signs on the lists.  It writes a sparser operand blade by blade,
+where a coset that holds one blade, found by counting the zeros of the
+coset, is c * W_i by walsh_function, with no arithmetic.  efb_to_blades
+reads a coset that walsh_index finds equal to c * W_i as the one blade
+c * 2^m, with no transform; it looks at v[0] and the v[2^j] first, so
+a dense coset leaves after one or two entries.  Every other coset goes
+through the one walsh_batch call.  Sparse operands, as mul sees them,
+are mostly one blade per coset, and so are products of such operands.
+From m = 5 on, at lanes that fit a word, a matrix that keeps packed
+columns, or that stores all 2^m cosets, none of them one Walsh
+function, is read out by the column kernel instead, which lowers the
+exponent on its packed rows, and the terms are read out in C through
+the same table of blades (_dense_to_blades).  Below m = 5 sparse
+products often store every coset with no single Walsh function among
+them, and the loop is faster there.
 
 An EFBMultivector holds plain-int numerators over one shared
 denominator 2^_e, in canonical form, as a Multivector does.  _canonical,
-which every EFBMultivector passes through, drops the all-zero cosets
+which every list producer passes through, drops the all-zero cosets
 and stores the rest in ascending g, so no producer keeps an order of
 its own.  The conversions and the product hand those ints to each other
 unchanged: blades_to_efb keeps the blade exponent, efb_product adds the
@@ -52,44 +52,70 @@ two exponents, and efb_to_blades adds m, which is where the 2^-m of the
 inverse transform goes.  Reduced DyadicRationals are built only where a
 coefficient leaves (entry, nonzero).
 
-Lane widths travel with the matrix.  _bits bounds the bit length of
-every numerator, or is None, and only a producer that knows a bound
-without a scan sets it: the dense gather of blades_to_efb, B + m for
-blade numerators of B bits, since an entry sums 2^m of them, and
-efb_product, bx + by + m when both operands carry one; _from_ints
-lowers it by the canonical shift.  Every other producer, the sparse
+Packed columns travel with the matrix.  Column b, packed by coset, is
+U_b = sum_g x_g[b] * 2^(W * g), one signed W-bit lane per coset, the
+form in which the column kernel leaves a transform.  The dense gather
+keeps the rows the kernel gives it, from m = 3 on, at lanes wide enough
+for the product of two such operands, up to a word; the packed product
+keeps its own.  Their exponent is lowered on the columns
+(bits._lower), as _canonical lowers it, and the canonical coset lists
+are built from the columns on the first read of _cosets and kept, so
+equality, entry, nonzero, the linear operators, the sweep and repr see
+the same lists whichever way the matrix was made.  The packed product
+reads the columns of x, and of y its entries in lane order, unpacked
+from its columns (_flat); the dense read-out negates the coset lanes
+of kept columns in offset form (bits._negate) and unpacks only the
+transformed rows.  So the dense pipeline packs each blade operand once
+and unpacks once, at the read-out.  A matrix held as lists alone is
+packed into the same form where a packed step needs it
+(_packed_cols), and kept columns too narrow for a step are packed
+again at its width.
+
+Lane widths travel with the matrix as well.  _bits bounds the bit
+length of every numerator, or is None, and only a producer that knows
+a bound without a scan sets it: the dense gather of blades_to_efb,
+B + m for blade numerators of B bits, since an entry sums 2^m of them,
+and efb_product, bx + by + m when both operands carry one; the
+canonical shift lowers it.  B is the blade operand's Multivector
+bound, which its own producers carry, so a scaled or multiplied
+operand is not scanned either.  Every other producer, the sparse
 conversion among them, leaves None.  _bound() is read where a lane
 width is needed, by the packed product kernel (_lanes) and by the
-dense read-out, and only there scans a matrix whose _bits is None,
-once, keeping the result.  So the dense pipeline scans each blade
-operand once and no matrix.  The sparse paths gain no scan: the sparse
+dense conversions, and only there scans a matrix whose _bits is None,
+once, keeping the result.  The sparse paths gain no scan: the sparse
 conversion neither sets nor reads a bound, and a product reads its
-operands' bounds only where bits._kernel_width needs a width, the one
-place that scanned them before.
+operands' bounds only where bits._kernel_width needs a width.
 
 efb_product has two kernels with equal results and triple counts.  The
 coset sweep runs out[g ^ h][d] += x[g][d ^ h] * y[h][d] over pairs of
 stored cosets, one interpreted multiply-add per triple.  The packed
-kernel writes each row of y into the binary digits of one int through
-the lane layer of the bits module (Kronecker substitution), so a row of
-the product is one C-level sum of big-int multiplies, and it emits all
-2^m cosets.  Entry (a, b) sits at position (a ^ b) * 2^m + b by cosets
-and a * 2^m + b by rows, so one itemgetter per m takes both operands to
-rows and the product back.  The packed kernel pays for all 4^m entries
-and for a 2^m-lane multiply per entry of x, so it loses on sparse or
-wide operands; _packed_width weighs the sweep's (stored cosets of x) *
-nnz(y) multiply-adds against that cost by bits._kernel_width.
+kernel runs in column form (Kronecker substitution): XOR by a label
+permutes the lanes of a packed column, so column b of x packed by row
+is P_b = pi_b(U_b), pi_t moving lane c to c ^ t by one block swap of
+the lane layer of the bits module per set bit of t (bits._permute, the
+swap that the blade engine's Gray-code walk steps with).  Column d of
+the product is then P_d(z) = sum_b y[b][d] * P_b, one C-level sum of
+big-int multiplies per column, and U_d(z) = pi_d(P_d(z)) is kept.  It
+emits all 2^m cosets, pays for all 4^m entries and for a 2^m-lane
+multiply per entry, so it loses on sparse or wide operands;
+_packed_width weighs the sweep's (stored cosets of x) * nnz(y)
+multiply-adds against that cost by bits._kernel_width.  The zeros of
+each operand are counted once: y's on its entries, x's as the zero
+lanes of its columns (bits._zero_lanes), which give its stored cosets
+and, when x has a zero, the triple count column by column.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial, reduce
 from itertools import chain, compress, repeat
-from operator import itemgetter, mul, neg, or_
+from operator import and_, itemgetter, mul, neg, or_
 
-from .bits import (_COLUMNS_K, _columns, _fits_word, _kernel_width,
-                   _magnitude, _pack, _stages, _unpack, _width, parity_above,
-                   walsh_batch, walsh_function, walsh_index, xor_span)
+from .bits import (_COLUMNS_K, _columns, _fits_word, _halves, _keeps,
+                   _kernel_width, _lower, _magnitude, _negate, _pack,
+                   _permute, _stages, _unpack, _width, _zero_lanes,
+                   parity_above, walsh_batch, walsh_function, walsh_index,
+                   xor_span)
 from .blades import Metric, MetricError, Multivector
 from .dyadic import _Numerators, _common_shift, _reduced, _scale_in
 from .instrument import counters
@@ -137,10 +163,12 @@ class EFBMultivector(_Numerators):
     exactly when all its entries are zero, the cosets are stored in
     ascending g, and _e is 0 or some numerator is odd, so equality
     compares (m, _e, _cosets); _bits, a bound on the bit length of every
-    numerator or None, plays no part in it.  Coset g times coset h lands
-    in coset g ^ h.  entry() and nonzero() give each nonzero entry as a reduced
-    DyadicRational; nonzero() yields them by ascending coset, then by
-    row.
+    numerator or None, plays no part in it, nor does _cols, the packed
+    columns (cols, lane size) that a packed producer keeps, or None.  A
+    matrix made from columns builds _cosets on its first read.  Coset g
+    times coset h lands in coset g ^ h.  entry() and nonzero() give each
+    nonzero entry as a reduced DyadicRational; nonzero() yields them by
+    ascending coset, then by row.
 
     Coefficients are int or DyadicRational; scaling by any other scalar
     returns NotImplemented.  No scalar lifts to a matrix: + and - take
@@ -148,7 +176,7 @@ class EFBMultivector(_Numerators):
     storage come from dyadic._Numerators.  Treated as immutable.
     """
 
-    __slots__ = ("m", "_e", "_cosets", "_bits")
+    __slots__ = ("m", "_e", "_lists", "_cols", "_bits")
 
     def __init__(self, m: int, entries=None):
         _check_m(m)
@@ -160,9 +188,9 @@ class EFBMultivector(_Numerators):
                 cosets.setdefault(a ^ b, [0] * dim)[b] = coeff
         flat, e = _scale_in([c for v in cosets.values() for c in v])
         self.m = m
-        self._cosets, self._e = _canonical(
+        self._lists, self._e = _canonical(
             {g: flat[i * dim:(i + 1) * dim] for i, g in enumerate(cosets)}, e)
-        self._bits = None
+        self._cols = self._bits = None
 
     @classmethod
     def _from_ints(cls, m: int, cosets: dict, e: int,
@@ -172,9 +200,52 @@ class EFBMultivector(_Numerators):
         canonical shift lowers it."""
         x = object.__new__(cls)
         x.m = m
-        x._cosets, x._e = _canonical(cosets, e)
+        x._lists, x._e = _canonical(cosets, e)
+        x._cols = None
         x._bits = None if bits is None else max(bits - e + x._e, 0)
         return x
+
+    @classmethod
+    def _from_columns(cls, m: int, cols: list, size: int, e: int,
+                      bits: int | None = None) -> "EFBMultivector":
+        """Adopt packed columns over 2^e: cols[b] = sum_g x_g[b] *
+        2^(8 * size * g), one signed size-byte lane per coset.  The
+        exponent is lowered on the columns, as _canonical lowers it
+        (bits._lower), and bits, when given, with it; the coset lists
+        wait for the first read of _cosets."""
+        cols, shift = _lower(cols, size, m, e)
+        x = object.__new__(cls)
+        x.m, x._e, x._lists, x._cols = m, e - shift, None, (cols, size)
+        x._bits = None if bits is None else max(bits - shift, 0)
+        return x
+
+    @property
+    def _cosets(self) -> dict:
+        """The canonical coset lists, built from the kept columns on first
+        read and kept."""
+        lists = self._lists
+        if lists is None:
+            dim, flat = self.dim, self._flat()
+            lists = self._lists = {g: v for g, v in enumerate(
+                flat[g::dim] for g in range(dim)) if any(v)}
+        return lists
+
+    def _flat(self) -> list:
+        """Entry b of coset g at b * 2^m + g for every coset, stored or
+        not: the kept columns unpacked, else the lists transposed."""
+        if self._cols is not None:
+            return _unpack(*self._cols, self.dim)
+        zeros = [0] * self.dim
+        return list(chain.from_iterable(zip(*map(
+            self._cosets.get, range(self.dim), repeat(zeros)))))
+
+    def _packed_cols(self, size: int) -> tuple[list, int]:
+        """(cols, s): the packed columns at lanes of s >= size bytes, the
+        kept ones when their lanes are that wide, else packed from
+        _flat() and kept."""
+        if self._cols is None or self._cols[1] < size:
+            self._cols = _pack(self._flat(), size, self.dim), size
+        return self._cols
 
     def _bound(self) -> int:
         """_bits, or, when no producer set it, the bit length of the
@@ -258,39 +329,60 @@ def efb_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
     """Plain matrix product in the matrix-unit basis.
 
     Both kernels sum integer numerators over 2^(ex + ey) and agree
-    entry for entry; _packed_width picks one from the operands alone.
-    The triple count, executed by the sweep and computed by the packed
-    kernel, goes to the op counters (8^m on dense operands).
+    entry for entry; _packed_width picks one from the operands alone,
+    from the zeros of each counted once.  The triple count, executed by
+    the sweep and computed for the packed kernel, goes to the op
+    counters (8^m on dense operands).  The packed kernel's product
+    keeps its columns.
     """
     if not isinstance(x, EFBMultivector) or not isinstance(y, EFBMultivector):
         raise TypeError("efb_product needs two EFBMultivector operands")
     if x.m != y.m:
         raise ValueError("operands have different m")
-    width = _packed_width(x, y)
-    out, triples = _packed(x, y, width) if width else _sweep(x, y)
-    counters.efb_triples += triples
+    m, dim, e = x.m, x.dim, x._e + y._e
+    # the zeros of each operand, counted once: y's on its entries in lane
+    # order when it keeps columns, as the packed kernel reads them, else
+    # on its lists; x's as the zero lanes of its kept columns, which give
+    # its stored cosets too, else on its lists
+    yf = y._flat() if y._cols else None
+    ynz = (dim * dim - yf.count(0) if yf else
+           sum(dim - v.count(0) for v in y._cosets.values()))
+    flags = _zero_lanes(*x._cols, dim) if x._cols else None
+    stored = (dim - reduce(and_, flags).bit_count() if flags
+              else len(x._cosets))
+    width = _packed_width(x, y, stored, ynz)
     # an entry sums 2^m products of entries of x and y
     bits = (None if x._bits is None or y._bits is None
-            else x._bits + y._bits + x.m)
-    return EFBMultivector._from_ints(x.m, out, x._e + y._e, bits)
+            else x._bits + y._bits + m)
+    if width:
+        yf = yf or y._flat()
+        z = EFBMultivector._from_columns(m, *_packed(x, yf, width), e, bits)
+        # x keeps columns now
+        flags = flags or _zero_lanes(*x._cols, dim)
+        counters.efb_triples += _triples(flags, yf) if any(flags) else (
+            dim * ynz)
+        return z
+    out, triples = _sweep(x, y)
+    counters.efb_triples += triples
+    return EFBMultivector._from_ints(m, out, e, bits)
 
 
-def _packed_width(x: EFBMultivector, y: EFBMultivector) -> int:
+def _packed_width(x: EFBMultivector, y: EFBMultivector, stored: int,
+                  nnz: int) -> int:
     """The packed kernel's lane width when it is the faster kernel, else
-    0, by bits._kernel_width.
+    0, by bits._kernel_width; stored is the number of stored cosets of
+    x and nnz the number of nonzero entries of y.
 
     Costs are counted in the sweep's interpreted multiply-adds, of which
-    it runs at most (stored cosets of x) * nnz(y).  The packed kernel
-    moves all 4^m entries of the operands and the product, about
-    m/2 + W/64 each at W-bit lanes; it multiplies a row of 2^m lanes,
-    about 2^m * W / 2048, per entry of a stored coset of x; and it costs
-    64 more per call.  The constants were fitted to a timing grid over
-    m = 2..8, the stored cosets of both operands and W = 16..712 bits,
-    recorded in ROADMAP.md.
+    it runs at most stored * nnz.  The packed kernel moves all 4^m
+    entries of the operands and the product, about m/2 + W/64 each at
+    W-bit lanes; it multiplies a column of 2^m lanes, about 2^m * W /
+    2048, per entry; and it costs 64 more per call.  The constants were
+    fitted to a timing grid over m = 2..8, the stored cosets of both
+    operands and W = 16..712 bits, recorded in ROADMAP.md.
     """
-    dim, stored = x.dim, len(x._cosets)
-    sweep = stored * sum(dim - v.count(0) for v in y._cosets.values())
-    return _kernel_width(sweep, dim * dim * x.m // 2 + 64,
+    dim = x.dim
+    return _kernel_width(stored * nnz, dim * dim * x.m // 2 + 64,
                          dim * dim * (32 + stored), partial(_lanes, x, y))
 
 
@@ -327,49 +419,51 @@ def _sweep(x: EFBMultivector, y: EFBMultivector) -> tuple[dict, int]:
 
 
 @cache
-def _transposer(m: int) -> itemgetter:
-    """The itemgetter that takes a flat coset-major list to row-major
-    order and back, built on first use.
+def _xor_getters(m: int) -> list:
+    """Per d < 2^m, the itemgetter that reads a list of 2^m at g ^ d for
+    g = 0 .. 2^m - 1, built on first use."""
+    dim = 1 << m
+    return [itemgetter(*[g ^ d for g in range(dim)]) for d in range(dim)]
 
-    Entry (a, b) sits at a * 2^m + b by rows and at (a ^ b) * 2^m + b by
-    cosets; the map between them is its own inverse.
+
+def _packed(x: EFBMultivector, yf: list, width: int) -> tuple[list, int]:
+    """(cols, size): the packed columns of x times y, y given by its
+    entries in lane order (EFBMultivector._flat), by Kronecker
+    substitution.
+
+    Column b of x, packed by coset, is U_b = sum_g x_g[b] * 2^(W * g);
+    packed by row it is P_b = sum_a x[a][b] * 2^(W * a), the same lanes
+    with lane c moved to c ^ b, since x[a][b] = x_(a ^ b)[b]: a
+    bits._permute, one block swap per set bit of b, on the unsigned
+    lanes U_b + T.  Column d of the product is then the C-level sum
+    P_d(z) = sum_b y[b][d] * P_b = sum_g y_g[d] * P_(g ^ d), and its
+    coset form U_d(z) is P_d(z) with lane c moved to c ^ d.  The lanes
+    are x's kept ones when at least width bits wide, else x is packed at
+    width.  Every entry of the product has magnitude below 2^(width -
+    1), by _lanes, so every lane holds its entry.
     """
-    low = (1 << m) - 1
-    return itemgetter(*[(p >> m ^ p & low) << m | p & low
-                        for p in range(1 << 2 * m)])
+    m, dim = x.m, x.dim
+    cols, size = x._packed_cols(width >> 3)
+    halves, keeps, xor = _halves(size, dim), _keeps(size, m), _xor_getters(m)
+    rows = [_permute(c + halves, b, size, keeps) - halves
+            for b, c in enumerate(cols)]
+    return [_permute(sum(map(mul, yf[d * dim:(d + 1) * dim], xor[d](rows)))
+                     + halves, d, size, keeps) - halves
+            for d in range(dim)], size
 
 
-def _packed(x: EFBMultivector, y: EFBMultivector,
-            width: int) -> tuple[dict, int]:
-    """(output cosets, triples) by Kronecker substitution.
-
-    Row b of y becomes the single int R_b = sum_d y[b][d] * 2^(width*d),
-    so row a of the product is the int sum_b x[a][b] * R_b, one C-level
-    sum of big-int multiplies per row.  One transpose takes x and y to
-    row-major order and the product back.  Every entry of the product
-    has magnitude below 2^(width - 1), by _lanes, so bits._unpack reads
-    each one from its lane.  The triple count is computed, not executed:
-    sum over b of nnz(column b of x) * nnz(row b of y), which is 2^m
-    times the nnz of one operand when the other has no zero entry.
-    """
-    dim, size, swap = x.dim, width >> 3, _transposer(x.m)
-    zeros = [0] * dim
-    xc, yc = (list(chain.from_iterable(map(z._cosets.get, range(dim),
-                                           repeat(zeros))))
-              for z in (x, y))
-    xr, yr = swap(xc), swap(yc)
-    rows = _pack(yr, size, dim)
-    oc = swap(_unpack((sum(map(mul, xr[i:i + dim], rows))
-                       for i in range(0, dim * dim, dim)), size, dim))
-    out = {g: list(oc[g * dim:(g + 1) * dim]) for g in range(dim)}
-    xz, yz = xc.count(0), yc.count(0)
-    if xz and yz:
-        triples = sum(map(mul, (dim - xc[b::dim].count(0) for b in range(dim)),
-                          (dim - yr[i:i + dim].count(0)
-                           for i in range(0, dim * dim, dim))))
-    else:  # every column of x or every row of y full: 2^m * nnz(other)
-        triples = dim * (dim * dim - xz - yz)
-    return out, triples
+def _triples(flags: list, yf: list) -> int:
+    """The packed kernel's triple count, computed, not executed: sum over
+    b of nnz(column b of x) * nnz(row b of y), x given by the zero-lane
+    flags of its columns (bits._zero_lanes) and y by its entries in lane
+    order, which is the sum over the nonzero y_g[d] of nnz(column g ^ d
+    of x).  efb_product takes 2^m * nnz(y) instead when x has no zero
+    entry."""
+    dim = len(flags)
+    xor = _xor_getters(dim.bit_length() - 1)
+    cx = [dim - f.bit_count() for f in flags]
+    return sum(sum(compress(xor[d](cx), yf[d * dim:(d + 1) * dim]))
+               for d in range(dim))
 
 
 @cache
@@ -403,6 +497,11 @@ _metric = cache(Metric.interleaved)
 # blades_to_efb gathers an operand that holds at least this share of
 # the 4^m blades through _blade_at, and loops over a sparser one
 _GATHER_SHARE = 3 / 8
+# the smallest m at which the dense gather keeps packed columns: below
+# it _packed_width sends every product of two dense operands to the
+# sweep, which reads lists (8^m multiply-adds against at least 4^m * m/2
+# + 64 for the packed kernel)
+_KEEP_M = 3
 
 
 @cache
@@ -421,7 +520,7 @@ def _blade_at(m: int) -> tuple[list, list]:
 @cache
 def _coset_signs(m: int) -> int:
     """The cosets g with (-1)^C(popcount(g), 2) = -1, as the bits of one
-    int: the lanes bits._columns negates."""
+    int: the lanes that bits._pack and bits._negate negate."""
     return sum(1 << g for g in range(1 << m) if g.bit_count() & 2)
 
 
@@ -431,11 +530,12 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     Each blade writes its signed numerator at its Walsh index.  An
     operand with at least _GATHER_SHARE of the 4^m blades is gathered
     whole through _blade_at in lane order, and all 2^m cosets go through
-    one transform, bits._columns with the coset signs when m >=
-    bits._COLUMNS_K and its lanes, sized from one scan of the
-    numerators, fit a word, else the list stages; an untouched coset
-    comes out all zero and is dropped.  The result carries the bound
-    that scan gives.  In a sparser one, a coset that holds one blade, c
+    one transform: from m = _KEEP_M on, when its lanes fit a word,
+    bits._columns on the blades packed with the coset signs, whose rows
+    the result keeps as its columns, else the list stages; an untouched
+    coset comes out all zero and is dropped.  The result carries the
+    bound x._bound() gives, which scans x only when no producer of x
+    set it.  In a sparser one, a coset that holds one blade, c
     at index i, is c * W_i, written by walsh_function with no
     arithmetic, and the count of zeros in each coset picks that path.
     One transform spreads every other touched coset over the columns.
@@ -449,11 +549,16 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     nums = x._nums
     dim = 1 << m
     if len(nums) >= _GATHER_SHARE * dim * dim:
-        bits = _magnitude([nums.values()])
+        bits = x._bound()
         by_coset, by_lane = _blade_at(m)
-        if m >= _COLUMNS_K and _fits_word(bits, m):
-            out = _columns(list(map(nums.get, by_lane, repeat(0))), m, bits,
-                           _coset_signs(m))[0]
+        if m >= _KEEP_M and _fits_word(bits, m):
+            # lanes that hold the product of two such operands as well,
+            # up to a word; an entry sums 2^m blade numerators
+            size = min(_width(2 * (bits + m) + m + 1), 64) >> 3
+            rows = _pack(map(nums.get, by_lane, repeat(0)), size, dim,
+                         _coset_signs(m))
+            return EFBMultivector._from_columns(
+                m, _columns(rows, m, size)[0], size, x._e, bits + m)
         else:  # the list stages, the signs on the lists
             out = list(map(nums.get, by_coset, repeat(0)))
             for g in range(dim):  # (-1)^C(popcount g, 2) on each coset
@@ -461,7 +566,6 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
                     span = slice(g * dim, (g + 1) * dim)
                     out[span] = map(neg, out[span])
             out = _stages(out, m)
-        # an entry sums 2^m blade numerators
         return EFBMultivector._from_ints(
             m, {g: out[g::dim] for g in range(dim)}, x._e, bits + m)
     low = dim - 1
@@ -493,20 +597,25 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
 
     A coset equal to c * W_i, as walsh_index reads it off, is the one
     blade c * 2^m at i.  One transform takes every other coset back,
-    and its nonzero entries are read out.  With all 2^m cosets stored,
-    none of them c * W_i, m >= bits._COLUMNS_K and lanes of
-    _bound() + m + 1 bits that fit a word, _dense_to_blades reads them
-    out instead.  Terms come by ascending coset, then by Walsh index, on
-    every path.
+    and its nonzero entries are read out.  From m = bits._COLUMNS_K on,
+    with lanes of _bound() + m + 1 bits that fit a word,
+    _dense_to_blades reads out a matrix that keeps columns, and one that
+    stores all 2^m cosets, none of them c * W_i, instead.  Terms come by
+    ascending coset, then by Walsh index, on every path.
     """
     if not isinstance(x, EFBMultivector):
         raise TypeError("efb_to_blades needs an EFBMultivector operand")
     m, dim = x.m, x.dim
-    cosets = x._cosets.items()
-    found = [walsh_index(v, m) for _, v in cosets]
-    if (m >= _COLUMNS_K and len(found) == dim and max(found) < 0
+    # kept columns go to the read-out whole, with no look at a coset
+    found = (None if x._cols else
+             [walsh_index(v, m) for v in x._cosets.values()])
+    if (m >= _COLUMNS_K and (found is None or len(found) == dim
+                             and max(found) < 0)
             and _fits_word(x._bound(), m)):
         return _dense_to_blades(x)
+    cosets = x._cosets.items()
+    if found is None:
+        found = [walsh_index(v, m) for _, v in cosets]
     _, _, join_i, join_g = _slot_tables(m)
     # the transform is its own inverse up to the factor 2^m
     spread = iter(walsh_batch(list(chain.from_iterable(
@@ -526,21 +635,31 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
 
 def _dense_to_blades(x: EFBMultivector) -> Multivector:
     """efb_to_blades of all 2^m cosets, m >= bits._COLUMNS_K: the column
-    kernel, sized by _bound(), lowers the exponent on its packed rows,
-    and every term is read out in C.
+    kernel runs on the packed columns, sized by _bound(), lowers the
+    exponent on them, and every term is read out in C.
 
-    zip reads entry i of every coset in turn, the kernel's lane order,
-    and the kernel negates the cosets of sign -1 as it packs.  The blade
-    at coset-major position g * 2^m + i is _blade_at(m)[0][g * 2^m + i],
-    so compress keeps the terms in the order of the other path, by
+    The lanes of the cosets of sign -1 are negated in offset form, by
+    bits._negate on kept columns wide enough for the transform, else as
+    _flat() is packed at that width; only the transformed rows are
+    unpacked.  Entry i of coset g comes out at i * 2^m + g; the blade at
+    coset-major position g * 2^m + i is _blade_at(m)[0][g * 2^m + i], so
+    compress keeps the terms in the order of the other path, by
     ascending coset, then by Walsh index.  The shift leaves some
-    numerator odd or the exponent 0, so the result is in canonical form.
+    numerator odd or the exponent 0, so the result is in canonical form,
+    and an entry sums 2^m numerators, which bounds it.
     """
     m, dim, e = x.m, x.dim, x._e + x.m
-    out, shift = _columns(list(chain.from_iterable(zip(*x._cosets.values()))),
-                          m, x._bound(), _coset_signs(m), e)
-    # entry i of coset g sits at i * 2^m + g
+    bits, signs = x._bound() + m, _coset_signs(m)
+    size = _width(bits + 1) >> 3
+    if x._cols and x._cols[1] >= size:
+        cols, size = x._cols
+        cols = _negate(cols, size, dim, signs)
+    else:  # lanes too narrow for the transform, or lists only
+        cols = _pack(x._flat(), size, dim, signs)
+    out, shift = _columns(cols, m, size, e)
+    out = _unpack(out, size, dim)
     w = list(chain.from_iterable(out[g::dim] for g in range(dim)))
     return Multivector._adopt(_metric(m),
                               dict(zip(compress(_blade_at(m)[0], w),
-                                       compress(w, w))), e - shift)
+                                       compress(w, w))), e - shift,
+                              max(bits - shift, 0))

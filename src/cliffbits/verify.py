@@ -32,7 +32,9 @@ the oracle of the one-blade, one-Walsh-function and dense-gather fast
 paths and of the dense read-out of the efb module; the list stages are
 the oracle of the column kernel, the coset sweep the oracle of the
 packed kernel, and the blade pair loop the oracle of the Gray-code
-walk.
+walk.  The packed columns that Fock-basis matrices keep are checked
+against the same matrices held as lists (packed-columns): the lists
+read off the columns, then the sweep and the list stages.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ import random
 import time
 from dataclasses import dataclass
 
-from .bits import (_COLUMNS_K, _columns, _lane_width, _magnitude, _stages,
-                   lucas_sign, sign_bit)
+from .bits import (_COLUMNS_K, _columns, _lane_width, _magnitude, _pack,
+                   _stages, _unpack, _width, _zero_lanes, lucas_sign,
+                   sign_bit)
 from .blades import (Metric, Multivector, _gray_walk, _pair_loop,
                      blade_product, center_check, dual_automorphism_check,
                      grade_involution, mv_mul, omega_squared_oracle,
@@ -56,7 +59,7 @@ from .classify import (algebra_name, classify, omega_squared,
                        varlamov_bits)
 from .dyadic import _shift
 from .efb import (EFBMultivector, _blade_at, _coset_signs, _packed,
-                  _slot_tables, _sweep, blades_to_efb, efb_product,
+                  _slot_tables, _sweep, _triples, blades_to_efb, efb_product,
                   efb_to_blades)
 from .instrument import op_counters, reset_op_counters
 from .sampling import dense_blade_multivector, dense_efb_multivector, \
@@ -535,13 +538,23 @@ def _rows_width(x: EFBMultivector, y: EFBMultivector) -> int:
     return _lane_width(x.m, x._cosets.values(), y._cosets.values())
 
 
+def packed_product(x: EFBMultivector, y: EFBMultivector,
+                   width: int) -> tuple[EFBMultivector, int]:
+    """(x * y, triples) by the packed kernel at width-bit lanes, the
+    triples counted column by column."""
+    yf = y._flat()
+    z = EFBMultivector._from_columns(x.m, *_packed(x, yf, width),
+                                     x._e + y._e)
+    return z, _triples(_zero_lanes(*x._cols, x.dim), yf)
+
+
 def _same_kernels(x: EFBMultivector, y: EFBMultivector) -> bool:
     """The packed kernel equals the sweep on values, exponent and triple
     count."""
-    (swept, ts), (packed, tp) = _sweep(x, y), _packed(x, y, _rows_width(x, y))
-    zs = EFBMultivector._from_ints(x.m, swept, x._e + y._e)
-    zp = EFBMultivector._from_ints(x.m, packed, x._e + y._e)
-    return ts == tp and zs == zp
+    swept, ts = _sweep(x, y)
+    zp, tp = packed_product(x, y, _rows_width(x, y))
+    return ts == tp and EFBMultivector._from_ints(
+        x.m, swept, x._e + y._e) == zp
 
 
 def full_lanes(m: int, k: int, rng: random.Random, signs=None):
@@ -661,6 +674,17 @@ def check_blade_kernels(b):
                         and _same_walk(x, y))
 
 
+def column_kernel(rows: list, k: int, bits: int, neg: int = 0,
+                  cap: int = 0) -> tuple[list, int]:
+    """bits._columns on a full batch given in lane order, entry i of
+    vector c at i * 2^k + c, each entry of at most bits bits: packed
+    with the vectors c with bit c of neg negated, transformed, lowered
+    by at most cap and unpacked."""
+    count, size = 1 << k, _width(bits + k + 1) >> 3
+    out, shift = _columns(_pack(rows, size, count, neg), k, size, cap)
+    return _unpack(out, size, count), shift
+
+
 def _same_columns(flat: list, k: int, cap: int = 0) -> bool:
     """The column kernel, given flat in lane order and sized by one scan
     of it, equals the list stages on a full batch, and the exponent it
@@ -671,7 +695,7 @@ def _same_columns(flat: list, k: int, cap: int = 0) -> bool:
     count = 1 << k
     rows = list(itertools.chain.from_iterable(
         flat[i::count] for i in range(count)))
-    return _columns(rows, k, _magnitude([flat]), 0, cap) == (
+    return column_kernel(rows, k, _magnitude([flat]), 0, cap) == (
         [n >> shift for n in want], shift)
 
 
@@ -743,10 +767,83 @@ def check_lane_bounds(b):
         ex = blades_to_efb(x, m)
         made = ex, efb_product(ex, ex), efb_product(flat, flat)
         yield (m, i), (
-            _columns(rows, m, _magnitude([rows]), signs, 3)
+            column_kernel(rows, m, _magnitude([rows]), signs, 3)
             == ([n >> shift for n in want], shift)
             and all(z._bits >= _magnitude(z._cosets.values()) for z in made)
             and efb_to_blades(ex) == x)
+
+
+def as_columns(z: EFBMultivector, size: int) -> EFBMultivector:
+    """z held as packed columns of size-byte lanes alone, as a dense
+    gather or a packed product keeps them."""
+    return EFBMultivector._from_columns(
+        z.m, _pack(z._flat(), size, z.dim), size, z._e, z._bound())
+
+
+def cancelled(z: EFBMultivector, g: int, b: int) -> EFBMultivector:
+    """z, which keeps columns, with entry b of coset g cancelled to 0: a
+    zero lane in column b."""
+    flat, size = z._flat(), z._cols[1]
+    flat[b * z.dim + g] = 0
+    return EFBMultivector._from_columns(z.m, _pack(flat, size, z.dim), size,
+                                        z._e, z._bits)
+
+
+def _same_as_lists(x: EFBMultivector, y: EFBMultivector) -> bool:
+    """x * y from the kept columns of x and y, its triple count and its
+    read-out equal the list path: the coset sweep on their lists, which
+    is read materialized, and the list stages."""
+    lists = [EFBMultivector._from_ints(z.m, dict(z._cosets), z._e)
+             for z in (x, y)]
+    swept, triples = _sweep(*lists)
+    want = EFBMultivector._from_ints(x.m, swept, x._e + y._e)
+    reset_op_counters()
+    z = efb_product(x, y)
+    counted = op_counters().efb_triples
+    reset_op_counters()
+    return (counted == triples and _same_blades(
+        efb_to_blades(z), batched_efb_to_blades(want)) and z == want)
+
+
+@_suite("packed-columns")
+def check_packed_columns(b):
+    # dense gathers, whose columns carry the coset signs, in both operand
+    # orders; odd blade numerators, whose image is even, so the exponent
+    # drops on the columns; a cancelled entry, a zero lane, in either
+    # operand; products whose entries fill lanes of 63, 64 and 65 bits,
+    # from columns of one word; and a product whose 32-bit columns are
+    # too narrow for its read-out: against the same matrices as lists
+    rng = random.Random(59)
+    for m, in _indices(max(b["fast_m"], _COLUMNS_K), 0):
+        if m < _COLUMNS_K:
+            continue
+        metric, dim = Metric.interleaved(m), 1 << m
+        x, y = (dense_blade_multivector(metric, rng) for _ in range(2))
+        ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
+        yield ("signs", m), (ex == batched_blades_to_efb(x, m)
+                             and _same_as_lists(ex, ey))
+        yield ("order", m), _same_as_lists(ey, ex)
+        odd = Multivector._raw(metric, {mask: 2 * n + 1 for mask, n in
+                                        x._nums.items()}, 2)
+        eo = blades_to_efb(odd, m)
+        yield ("shift", m), (eo == batched_blades_to_efb(odd, m)
+                             and _same_as_lists(eo, ey))
+        g, c = rng.randrange(dim), rng.randrange(dim)
+        yield ("zero-lane", m, g, c), (
+            _same_as_lists(cancelled(ex, g, c), ey)
+            and _same_as_lists(ex, cancelled(ey, c, g)))
+        for need in (63, 64, 65):  # lane bits 2k + m + 1
+            if (need - m - 1) % 2 == 0:
+                u, v, want = full_lanes(m, (need - m - 1) // 2, rng)
+                u, v = as_columns(u, 8), as_columns(v, 8)
+                yield ("lane-bits", m, need), (
+                    _same_as_lists(u, v) and efb_product(u, v) == want)
+        # every entry 2^m c^2 with one sign: the read-out's sums need
+        # 2k + 2m + 1 bits
+        k = (32 - m - 1) // 2
+        u, v, _ = full_lanes(m, k, rng, (1, 1))
+        yield ("read-out", m, k), _same_as_lists(as_columns(u, 4),
+                                                 as_columns(v, 4))
 
 
 def run_suite(level: str = "quick") -> list[CheckResult]:

@@ -11,6 +11,7 @@ from cliffbits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
                        walsh_hadamard)
 from cliffbits import bits
 from cliffbits.bits import walsh_batch, walsh_function, walsh_index, xor_span
+from cliffbits.verify import column_kernel
 
 
 def test_bit_extraction():
@@ -214,6 +215,53 @@ def test_pack_negates_the_lanes_of_neg(size):
                 flipped, size, count)
 
 
+@pytest.mark.parametrize("size", [1, 2, 8, 9])
+def test_negate_matches_the_negation_at_pack_time(size):
+    # bits._negate on packed rows equals _pack's negation of the lanes
+    rng = random.Random(size + 32)
+    half = 1 << (8 * size - 1)
+    for count in (1, 4, 8):
+        for neg in {0, (1 << count) - 1, rng.randrange(1 << count)}:
+            values = [rng.choice((-half + 1, half - 1, 0, -1,
+                                  rng.randrange(-half + 1, half)))
+                      for _ in range(2 * count)]
+            assert bits._negate(bits._pack(values, size, count), size,
+                                count, neg) == bits._pack(values, size,
+                                                          count, neg)
+
+
+@pytest.mark.parametrize("size", [1, 2, 8, 9])
+def test_zero_lanes_flags_exactly_the_zero_lanes(size):
+    # a 1 above a 0 and the most negative value, where a borrow or the
+    # sign bit could leak into a flag, and random lanes
+    rng = random.Random(size + 48)
+    half = 1 << (8 * size - 1)
+    count = 8
+    for values in ([0, 1, 0, -1, 1, 0, -half, 0],
+                   [1] * count, [0] * count, [-half + 1] + [0] * 7,
+                   [rng.choice((0, 1, -1, rng.randrange(-half, half)))
+                    for _ in range(count)]):
+        flags, = bits._zero_lanes(bits._pack(values, size, count), size,
+                                  count)
+        assert [flags >> 8 * size * (c + 1) - 1 & 1 for c in range(count)
+                ] == [int(v == 0) for v in values]
+        assert flags.bit_count() == values.count(0)
+
+
+def test_permute_moves_lane_c_to_lane_c_xor_t():
+    rng = random.Random(59)
+    for k, size in ((1, 1), (3, 2), (5, 8), (4, 9)):
+        count = 1 << k
+        half = 1 << (8 * size - 1)
+        values = [rng.randrange(-half, half) for _ in range(count)]
+        row, = bits._pack(values, size, count)
+        halves, keeps = bits._halves(size, count), bits._keeps(size, k)
+        for t in range(count):
+            moved = bits._permute(row + halves, t, size, keeps) - halves
+            assert bits._unpack([moved], size, count) == [
+                values[c ^ t] for c in range(count)]
+
+
 def test_lane_width_at_the_word_edge():
     # 2^extra products of 31- and 31-bit magnitudes: 31 + 31 + extra + 1
     # lane bits, so extra = 0, 1, 2 need 63, 64 and 65 bits
@@ -256,8 +304,9 @@ def _lane_order(flat, k):
 
 
 def _columns_of(flat, k, cap=0):
-    """bits._columns of vectors laid end to end, sized by one scan."""
-    return bits._columns(_lane_order(flat, k), k, bits._magnitude([flat]),
+    """bits._columns of vectors laid end to end, sized by one scan,
+    packed and unpacked by verify's adapter."""
+    return column_kernel(_lane_order(flat, k), k, bits._magnitude([flat]),
                          0, cap)
 
 
@@ -265,8 +314,8 @@ def test_full_batches_from_k5_take_the_column_kernel(monkeypatch):
     rng = random.Random(83)
     seen = []
     columns = bits._columns
-    monkeypatch.setattr(bits, "_columns", lambda rows, k, bound: (
-        seen.append(k) or columns(rows, k, bound)))
+    monkeypatch.setattr(bits, "_columns", lambda rows, k, size: (
+        seen.append(k) or columns(rows, k, size)))
     for k in (5, 6):
         flat = [rng.randint(-(1 << 40), 1 << 40) for _ in range(1 << 2 * k)]
         assert walsh_batch(flat, k) == _staged(flat, k)

@@ -618,10 +618,29 @@ def test_sparse_operands_take_the_loop_before_any_bit_scan(monkeypatch):
         for count in (0, 1, 6):
             x = _terms(metric, min(count, 1 << n), 9, rng)
             y = _terms(metric, min(6, 1 << n), 9, rng)
-            monkeypatch.setattr(blades, "_lane_width", refuse)
+            monkeypatch.setattr(blades, "_magnitude", refuse)
             assert blades._walk_width(x, y) == 0
             monkeypatch.undo()
             assert _kernel(monkeypatch, x, y) == "_pair_loop"
+
+
+def test_scaled_operands_walk_without_a_scan(monkeypatch):
+    # a scan bounds the first operand once; a scaled copy carries the
+    # bound, so the walk takes its width with no scan, and the product's
+    # bound covers its numerators
+    def refuse(*args):
+        raise AssertionError("bit scan")
+    rng = random.Random(91)
+    metric = Metric.interleaved(4)
+    x, y = (_terms(metric, 1 << 8, 1023, rng) for _ in range(2))
+    x._bound(), y._bound()
+    a, b = 15 * x, y * DyadicRational(-7, 3)
+    assert (a._bits, b._bits) == (x._bits + 4, y._bits + 3)
+    monkeypatch.setattr(blades, "_magnitude", refuse)
+    z = mv_mul(a, b)
+    monkeypatch.undo()
+    assert z == mv_mul(15 * x, y * DyadicRational(-7, 3))
+    assert z._bits >= max(abs(n).bit_length() for n in z._nums.values())
 
 
 def test_wide_lanes_tip_the_rule_to_the_loop(monkeypatch):

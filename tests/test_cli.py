@@ -327,7 +327,7 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
     assert [ln for ln in lines if "FAIL" in ln] == [lines[0]]
     assert lines[0].startswith("FAIL lucas-vs-sign-bit")
     assert lines[0].endswith("(first failure: (5, 1))")
-    assert len(lines) == 29
+    assert len(lines) == 30
     assert all(ln.startswith("ok") for ln in lines[1:])
 
 

@@ -739,10 +739,9 @@ def test_blade_images_are_walsh_functions():
 
 def _kernel_outputs(x, y):
     """(product, triples) from each kernel, sweep first."""
-    width = verify._rows_width(x, y)
-    runs = (efb._sweep(x, y), efb._packed(x, y, width))
-    return [(EFBMultivector._from_ints(x.m, out, x._e + y._e), triples)
-            for out, triples in runs]
+    swept, triples = efb._sweep(x, y)
+    return [(EFBMultivector._from_ints(x.m, swept, x._e + y._e), triples),
+            verify.packed_product(x, y, verify._rows_width(x, y))]
 
 
 def _assert_kernels_agree(x, y):
@@ -906,23 +905,24 @@ def test_dense_x_packs_a_sixteenth_of_y_m8(monkeypatch):
     reset_op_counters()
 
 
-def test_transposer_matches_reference():
-    # position (a ^ b) * 2^m + b by cosets is a * 2^m + b by rows, and
-    # the same itemgetter takes the rows back
+def test_column_permutations_move_coset_lanes_to_row_lanes():
+    # lane g of packed column b holds x_g[b] = x[g ^ b][b]; moving lane c
+    # to c ^ b packs the same column by row, and _xor_getters(m)[d] reads
+    # a list at g ^ d
+    rng = random.Random(67)
     for m in range(1, 7):
         dim = 1 << m
-        swap = efb._transposer(m)
-        rows = swap(list(range(dim * dim)))
-        assert rows == tuple((a ^ b) * dim + b
-                             for a in range(dim) for b in range(dim))
-        assert swap(list(rows)) == tuple(range(dim * dim))
-    rng = random.Random(67)
-    for m in (7, 8):
-        dim = 1 << m
-        rows = efb._transposer(m)(range(dim * dim))
-        for _ in range(500):
-            a, b = rng.randrange(dim), rng.randrange(dim)
-            assert rows[a * dim + b] == (a ^ b) * dim + b
+        x = dense_efb_multivector(m, rng)
+        size = 2
+        cols, _ = x._packed_cols(size)
+        halves, keeps = cliffbits.bits._halves(size, dim), (
+            cliffbits.bits._keeps(size, m))
+        for b, c in enumerate(cols):
+            row = cliffbits.bits._permute(c + halves, b, size, keeps) - halves
+            assert cliffbits.bits._unpack([row], size, dim) == [
+                x.entry(a, b) for a in range(dim)]
+        for d, get in enumerate(efb._xor_getters(m)):
+            assert get(list(range(dim))) == tuple(g ^ d for g in range(dim))
 
 
 @pytest.mark.parametrize("m, k, width", [
@@ -1048,7 +1048,7 @@ def test_dense_gather_runs_from_the_share(monkeypatch):
 
 
 def test_per_m_tables_wait_for_first_use():
-    # import builds no transpose, gather, slot or metric table; a sparse
+    # import builds no XOR reindexing, gather, slot or metric table; a sparse
     # product at m = 8 builds the slot table and the metric of m = 8
     # alone, which a second call finds cached; and a dense one at m = 3
     # adds the four tables of m = 3
@@ -1057,7 +1057,7 @@ def test_per_m_tables_wait_for_first_use():
         "from cliffbits import efb, Metric, Multivector, blades_to_efb, "
         "efb_product\n"
         "from cliffbits.sampling import dense_blade_multivector\n"
-        "tables = (efb._transposer, efb._blade_at, efb._slot_tables, "
+        "tables = (efb._xor_getters, efb._blade_at, efb._slot_tables, "
         "efb._metric)\n"
         "sizes = lambda: tuple(t.cache_info().currsize for t in tables)\n"
         "print(sizes())\n"
@@ -1069,7 +1069,7 @@ def test_per_m_tables_wait_for_first_use():
         "d = blades_to_efb(dense_blade_multivector(Metric.interleaved(3), "
         "random.Random(1)), 3)\n"
         "efb_product(d, d)\n"
-        "print(sizes(), efb._transposer(3) is efb._transposer(3))\n")
+        "print(sizes(), efb._xor_getters(3) is efb._xor_getters(3))\n")
     env = dict(os.environ,
                PYTHONPATH=str(Path(efb.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -1359,15 +1359,21 @@ def _exact_bits(z: EFBMultivector) -> int:
                default=0)
 
 
-def _sound(z: EFBMultivector) -> EFBMultivector:
-    """z, once its bound, if any, is at least the exact bit length."""
-    assert z._bits is None or z._bits >= _exact_bits(z), (z._bits,
-                                                          _exact_bits(z))
+def _sound(z):
+    """z, an EFBMultivector or a Multivector, once its bound, if any, is
+    at least the exact bit length."""
+    exact = (_exact_bits(z) if isinstance(z, EFBMultivector) else max(
+        (abs(n).bit_length() for n in z._nums.values()), default=0))
+    assert z._bits is None or z._bits >= exact, (z._bits, exact)
     return z
 
 
-def _sweep_width(x, y):
+def _sweep_width(x, y, stored, nnz):
     return 0
+
+
+def _scan_width(x, y, stored, nnz):
+    return efb._lanes(x, y)
 
 
 @given(st.integers(min_value=1, max_value=6),
@@ -1380,8 +1386,9 @@ def _sweep_width(x, y):
 @settings(max_examples=40)
 def test_every_bound_is_sound(m, seed, bits, dense_x, dense_y):
     # every producer's _bits is None or at least the exact bit length:
-    # dense and sparse conversions, both kernels, a chained product and
-    # the linear operators; dense operands at m = 5, 6 stop at 96 bits
+    # dense and sparse conversions both ways, both kernels, a chained
+    # product, the linear operators, and the blade engine's scaling and
+    # product; dense operands at m = 5, 6 stop at 96 bits
     rng = random.Random(seed)
     metric = Metric.interleaved(m)
 
@@ -1395,15 +1402,21 @@ def test_every_bound_is_sound(m, seed, bits, dense_x, dense_y):
 
     x, y = operand(dense_x), operand(dense_y)
     ex, ey = _sound(blades_to_efb(x, m)), _sound(blades_to_efb(y, m))
-    assert efb_to_blades(ex) == x
+    assert _sound(efb_to_blades(ex)) == x
+    x._bound(), y._bound()
+    for z in (3 * x, x * DyadicRational(-5, 2), -y, 0 * x):
+        _sound(z)
+    if m <= 4 or not dense_x or not dense_y:  # 16^m pairs when both dense
+        _sound(mv_mul(x, y))
     # the sweep on two dense operands at m >= 5 is 8^m interpreted triples
-    for pick in (None, efb._lanes) + (
+    for pick in (None, _scan_width) + (
             (_sweep_width,) if m < 5 or not dense_x or not dense_y else ()):
         with pytest.MonkeyPatch.context() as patch:
             if pick:
                 patch.setattr(efb, "_packed_width", pick)
             ez = _sound(efb_product(ex, ey))
             _sound(efb_product(ez, ex))
+            _sound(efb_to_blades(ez))
     for z in (3 * ex, ex * DyadicRational(5, 2), ex + ey, ex - ey, -ex,
               EFBMultivector.identity(m), EFBMultivector.volume(m)):
         _sound(z)
@@ -1423,26 +1436,98 @@ def _efb_dense_dyadic(m: int, rng: random.Random) -> Multivector:
 
 @pytest.mark.parametrize("m", [5, 6])
 def test_dense_pipeline_takes_its_widths_from_the_bounds(m, monkeypatch):
-    # one scan per blade operand and none of a matrix, and the lane
-    # widths that the product and the read-out take from the bounds are
-    # the widths a scan gives: no inflation crosses a lane size
+    # operands scaled by an odd dyadic, as perfbench's dense-efb scales
+    # its pool, carry their bound from the scaling: the pipeline scans
+    # no blade operand and no matrix, and the lane widths that the
+    # product and the read-out take from the bounds are the widths a
+    # scan gives: no inflation crosses a lane size
     rng = random.Random(113 + m)
     scan = efb._magnitude
     for _ in range(3 if m == 5 else 2):
-        x, y = _efb_dense_dyadic(m, rng), _efb_dense_dyadic(m, rng)
+        x, y = (_efb_dense_dyadic(m, rng) * DyadicRational(
+            rng.choice((-15, -3, 7, 13)), rng.randint(0, 3)) for _ in "xy")
         scans = []
-        monkeypatch.setattr(efb, "_magnitude",
-                            lambda rows: scans.append(1) or scan(rows))
+        for module in (efb, blades):
+            monkeypatch.setattr(module, "_magnitude",
+                                lambda rows: scans.append(1) or scan(rows))
         ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
         ez = efb_product(ex, ey)
         z = efb_to_blades(ez)
         monkeypatch.undo()
-        assert len(scans) == 2
+        assert scans == []
         assert verify._same_blades(z, verify.batched_efb_to_blades(ez))
         assert efb._lanes(ex, ey) == cliffbits.bits._lane_width(
             m, ex._cosets.values(), ey._cosets.values())
         assert cliffbits.bits._width(ez._bits + m + 1) == (
             cliffbits.bits._lane_width(m, ez._cosets.values()))
+
+
+# -- kept columns ------------------------------------------------------------
+
+def _with_lists(z: EFBMultivector) -> EFBMultivector:
+    """A matrix held as the coset lists of z alone."""
+    return EFBMultivector._from_ints(z.m, dict(z._cosets), z._e)
+
+
+def test_cancelled_entries_count_their_triples():
+    # one zero lane in x, in y or in both: the packed kernel's computed
+    # count and its product equal the sweep's on the same lists; a zero
+    # entry (a, b) of x meets the 2^m entries of row b of y
+    rng = random.Random(131)
+    m = 5
+    ex, ey = (blades_to_efb(_efb_dense_dyadic(m, rng), m) for _ in "xy")
+    hx, hy = verify.cancelled(ex, 3, 17), verify.cancelled(ey, 30, 0)
+    assert (hx.entry(3 ^ 17, 17), hy.entry(30, 0)) == (0, 0)
+    for x, y, lost in ((ex, ey, 0), (hx, ey, 32), (ex, hy, 32),
+                       (hx, hy, 64)):
+        assert x._cols and y._cols
+        swept, triples = efb._sweep(_with_lists(x), _with_lists(y))
+        reset_op_counters()
+        z = efb_product(x, y)
+        assert op_counters().efb_triples == triples == 8 ** m - lost
+        assert z == EFBMultivector._from_ints(m, swept, x._e + y._e)
+    reset_op_counters()
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_columns_too_narrow_for_the_read_out_are_packed_again(m):
+    # every product entry 2^m c^2 with one sign, on 32-bit columns: the
+    # read-out's sums need 2k + 2m + 1 bits, past the kept lanes
+    k = (32 - m - 1) // 2
+    u, v, want = verify.full_lanes(m, k, random.Random(m), (1, 1))
+    z = efb_product(verify.as_columns(u, 4), verify.as_columns(v, 4))
+    assert z._cols[1] == 4 and cliffbits.bits._width(z._bound() + m + 1) > 32
+    assert verify._same_blades(efb_to_blades(z),
+                               verify.batched_efb_to_blades(want))
+
+
+@given(st.integers(min_value=5, max_value=6),
+       st.integers(min_value=0, max_value=1 << 32),
+       st.integers(min_value=1, max_value=50), st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_kept_columns_equal_the_same_entries(m, seed, bits, read_first):
+    # a matrix that keeps columns equals the matrix built from its
+    # entries on ==, _key and nonzero() order, and its product and
+    # read-out are the same whether or not its lists were read first
+    rng = random.Random(seed)
+    metric = Metric.interleaved(m)
+    top = (1 << bits) - 1
+    x, y = (Multivector._raw(metric, {mask: rng.randint(-top, top)
+                                      for mask in range(1 << 2 * m)},
+                             rng.randint(0, 4)) for _ in range(2))
+    kept, other = blades_to_efb(x, m), blades_to_efb(x, m)
+    ey = blades_to_efb(y, m)
+    assert kept._lists is None and other._lists is None
+    built = EFBMultivector(m, {(a, b): c for a, b, c in other.nonzero()})
+    if read_first:
+        kept._cosets
+    assert kept._key() == built._key() and kept == built
+    assert list(kept.nonzero()) == list(built.nonzero())
+    fresh = blades_to_efb(x, m)
+    z, want = efb_product(fresh, ey), efb_product(built, ey)
+    assert z == want and list(z.nonzero()) == list(want.nonzero())
+    assert verify._same_blades(efb_to_blades(z), efb_to_blades(want))
+    assert verify._same_blades(efb_to_blades(kept), efb_to_blades(built))
 
 
 def test_wide_dense_operands_skip_the_column_kernel(monkeypatch):
