@@ -38,8 +38,19 @@ a number of signed bits, _lane_width sizes the lanes from a scan of the
 operands (the oracle, in verify and the tests, of the bounds that the
 multivector types carry), and _kernel_width weighs a packed product
 kernel at a width against the loop it replaces, asking for the width
-only when the kernel can win.  _pack reads values into rows as two's-complement bytes, one
-struct call for lanes up to a word, one to_bytes per value past it;
+only when the kernel can win.  _pack reads values into rows as
+two's-complement bytes at any whole-byte lane size: one struct call
+for the native sizes 1, 2, 4 and 8 bytes, one at the next native size
+cut down to 3, 5, 6 or 7 bytes per value by strided byte-slice
+deletions (_narrow), and one to_bytes per value past a word; _unpack
+reads them back the same ways, sign-extending 3- to 7-byte lanes by
+strided copies and one bytes.translate of their top bytes (_widen).
+Only the blade engine's Gray-code walk takes lanes of 3, 5, 6 or 7
+bytes (blades._walk_lane): it multiplies its one packed int 2^n times
+and packs and unpacks it once, so its narrower lanes outweigh the
+codec's cost from n = 6 on.  efb's product and the column kernel pack
+and unpack each value about as often as they multiply it, and keep the
+native sizes of _width.
 with T = _halves(size, count), (U ^ T) - T turns the unsigned int U of
 a row's bytes into its signed sum, since every lane of U ^ T holds its
 value plus 2^(W - 1).  _unpack writes the bytes of (S + T) ^ T back as
@@ -261,11 +272,20 @@ def walsh_hadamard(v: list) -> None:
     v[:] = walsh_batch(v, n.bit_length() - 1)[0]
 
 
-# signed native typecodes by lane size in bytes, 1, 2, 4 and 8, which
-# struct.pack writes and memoryview.cast reads alike, and their byte
-# order
+# signed native typecodes by size in bytes, 1, 2, 4 and 8, which
+# struct.pack writes and memoryview.cast reads alike; per lane size up
+# to a word, the native size that holds it and its typecode (3-byte
+# lanes go through 4 bytes, 5- to 7-byte ones through 8, see _narrow);
+# and the byte order
 _ARRAY_TYPES = {array(t).itemsize: t for t in "bhiq"}
+_NATIVE = {size: (wide, _ARRAY_TYPES[wide])
+           for size, wide in enumerate((1, 2, 4, 4, 8, 8, 8, 8), 1)}
 _ORDER = sys.byteorder
+_LITTLE = _ORDER == "little"
+# the sign-fill byte of a two's-complement value by its top byte, 0x00
+# below 0x80 and 0xFF from it on: one bytes.translate of the top bytes
+# gives _widen the fill of every value
+_SIGN_FILL = bytes(0 if b < 0x80 else 0xFF for b in range(256))
 
 
 @lru_cache(maxsize=8)
@@ -316,9 +336,12 @@ def _pack(values, size: int, count: int, neg: int = 0) -> list:
     laid end to end: row r is sum_c values[r * count + c] * 2^(8 * size
     * c), every value fitting its lane, and every lane c with bit c of
     neg set negated (see _negator), its values above -2^(8 * size - 1)."""
-    if size in _ARRAY_TYPES:
+    if size <= 8:
         values = tuple(values)
-        data = pack(f"{len(values)}{_ARRAY_TYPES[size]}", *values)
+        wide, code = _NATIVE[size]
+        data = pack(f"{len(values)}{code}", *values)
+        if wide != size:
+            data = _narrow(data, size, wide)
     else:
         data = b"".join(v.to_bytes(size, _ORDER, signed=True) for v in values)
     span = size * count
@@ -348,10 +371,39 @@ def _unpack(rows, size: int, count: int) -> list:
     span, halves = size * count, _halves(size, count)
     data = b"".join([((r + halves) ^ halves).to_bytes(span, _ORDER)
                      for r in rows])
-    if size in _ARRAY_TYPES:
-        return memoryview(data).cast(_ARRAY_TYPES[size]).tolist()
+    if size <= 8:
+        wide, code = _NATIVE[size]
+        if wide != size:
+            data = _widen(data, size, wide)
+        return memoryview(data).cast(code).tolist()
     return [int.from_bytes(data[i:i + size], _ORDER, signed=True)
             for i in range(0, len(data), size)]
+
+
+def _narrow(data: bytes, size: int, wide: int) -> bytearray:
+    """The wide-byte two's-complement values of data cut to their low size
+    bytes, size < wide: a value that fits size bytes keeps its value.
+    One strided byte-slice deletion per dropped byte, each taking from
+    every value the byte next to the kept ones."""
+    out, top = bytearray(data), size if _LITTLE else 0
+    for w in range(wide, size, -1):
+        del out[top::w]
+    return out
+
+
+def _widen(data: bytes, size: int, wide: int) -> bytearray:
+    """The size-byte two's-complement values of data sign-extended to wide
+    bytes, the inverse of _narrow: one strided copy per byte of a value,
+    and the fill bytes of every value from one bytes.translate of the
+    values' top bytes."""
+    out = bytearray(len(data) // size * wide)
+    skip = 0 if _LITTLE else wide - size
+    for b in range(size):
+        out[skip + b::wide] = data[b::size]
+    fill = data[size - 1 if _LITTLE else 0::size].translate(_SIGN_FILL)
+    for b in range(size, wide) if _LITTLE else range(skip):
+        out[b::wide] = fill
+    return out
 
 
 def _lane_pattern(even: int, odd: int, i: int, k: int, size: int) -> int:

@@ -32,8 +32,12 @@ C-level multiply-add per blade of x into the 2^j accumulators A_l.
 Horner's rule folds them with the same step, highest bit first:
 A_i += e_k A_(i + 2^k).  The walk pays 2^(n - j) + 2^j - 1 steps over
 all 2^n lanes, so it loses on sparse operands; _walk_width weighs
-len(x) * len(y) against that cost by bits._kernel_width.  The
-masks of a step are cached per (n, neg, lane size).
+len(x) * len(y) against that cost by bits._kernel_width.  From n = 6
+on its lanes take the fewest whole bytes that hold a term, 6 bytes and
+not 8 for a 43-bit one (_walk_lane): the walk multiplies its packed int
+once per blade of x and packs and unpacks it once, so there the
+narrower lanes save more than the byte codec of bits costs.  The masks
+of a step are cached per (n, neg, lane size).
 The fast engine is checked against this module, and this module
 against the explicit transposition counting of the
 blade-sign-vs-normal-order verify suite.
@@ -72,6 +76,10 @@ _GENERATOR_RE = re.compile(r"g([1-9]\d*)", re.ASCII)
 
 # mv_mul's kernel rule, in pair-loop multiply-adds per lane (_walk_width)
 _WALK = 6
+# the fewest generators at which the walk's lanes take the fewest whole
+# bytes, not the next native size (_walk_lane): below it the byte codec
+# costs more than the narrower multiply-adds save
+_WHOLE_BYTES_N = 6
 
 # most generators block and interleaved build: one tuple entry each, and
 # verify --level full builds no more than 32
@@ -460,12 +468,25 @@ def _walk_width(x: Multivector, y: Multivector) -> int:
     multiply-add of that int, worth W / 2048 per lane.  The constants
     were fitted to a timing grid over n = 2..11, balanced and lopsided
     operands and W = 8..616 bits, recorded in ROADMAP.md.  The width
-    is bits._lane_width's with extra = n, from the operands' _bound()s,
-    so an operand whose producer set _bits is not scanned.
+    is _walk_lane's for n + 1 + the operands' _bound()s, so an operand
+    whose producer set _bits is not scanned.
     """
     n, xs = x.metric.n, len(x._nums)
     return _kernel_width(xs * len(y._nums), _WALK << n, xs << n,
-                         lambda: _width(n + 1 + x._bound() + y._bound()))
+                         lambda: _walk_lane(n, n + 1 + x._bound()
+                                            + y._bound()))
+
+
+def _walk_lane(n: int, need: int) -> int:
+    """The walk's lane width for need signed bits over n generators: from
+    n = _WHOLE_BYTES_N on the fewest whole bytes, below it bits._width.
+
+    The walk multiplies its 2^n-lane int once per blade of x and packs
+    and unpacks it once, so a lane cut to whole bytes saves more than
+    the byte codec costs (bits._narrow, bits._widen), once 2^n lanes
+    outweigh that codec's fixed cost.  Past a word both are whole bytes.
+    """
+    return (need + 7) & -8 if n >= _WHOLE_BYTES_N else _width(need)
 
 
 def _block(n: int) -> int:
@@ -518,8 +539,8 @@ def _gray_walk(x: Multivector, y: Multivector, width: int) -> dict:
     signed sum S, so Horner's rule takes sum_l e_l A_l in 2^j - 1
     steps, highest bit first: A_i += e_k A_(i + 2^k), k = j - 1 .. 0.
     Every lane of every partial sum adds at most 2^n distinct terms of
-    the product, so a width from bits._lane_width with extra = n holds
-    it.
+    the product, so _walk_lane's width for n + 1 + the operands' bit
+    lengths holds it.
     """
     n, neg = x.metric.n, x.metric.neg
     size, count, j = width >> 3, 1 << n, _block(n)

@@ -15,6 +15,7 @@ disagree or stdout is closed early, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -278,12 +279,25 @@ def _checkout() -> dict:
     return {"commit": out[1], "dirty": bool(out[2])}
 
 
+def _source_sha256() -> str:
+    """The "source_sha256" field of the bench header: SHA-256 over this
+    package's modules, sorted by file name, each as its name, a NUL and
+    its bytes, the digest perfbench's metadata() writes for the same
+    tree.  It names the code measured whether or not the tree was
+    committed."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cmd_bench(args) -> int:
     rows = bench_results(args.m_max)
     if args.json or args.out:
         record = json.dumps({"seed": BENCH_SEED,
                              "python": platform.python_version(),
                              "cpus": os.cpu_count(), **_checkout(),
+                             "source_sha256": _source_sha256(),
                              "rows": rows}, indent=2)
     if args.out:
         try:

@@ -34,13 +34,14 @@ c * 2^m, with no transform; it looks at v[0] and the v[2^j] first, so
 a dense coset leaves after one or two entries.  Every other coset goes
 through the one walsh_batch call.  Sparse operands, as mul sees them,
 are mostly one blade per coset, and so are products of such operands.
-From m = 5 on, at lanes that fit a word, a matrix that keeps packed
-columns, or that stores all 2^m cosets, none of them one Walsh
-function, is read out by the column kernel instead, which lowers the
-exponent on its packed rows, and the terms are read out in C through
-the same table of blades (_dense_to_blades).  Below m = 5 sparse
-products often store every coset with no single Walsh function among
-them, and the loop is faster there.
+At lanes that fit a word, a matrix that keeps packed columns, from
+m = 3 (_KEEP_M) on, or that stores all 2^m cosets, none of them one
+Walsh function, from m = 5 on, is read out by the column kernel
+instead, which lowers the exponent on its packed rows, and the terms
+are read out in C through the same table of blades (_dense_to_blades).
+Kept columns skip the unpack that the lists would cost.  Below m = 5
+sparse products held as lists often store every coset with no single
+Walsh function among them, and the loop is faster there.
 
 An EFBMultivector holds plain-int numerators over one shared
 denominator 2^_e, in canonical form, as a Multivector does.  _canonical,
@@ -597,11 +598,11 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
 
     A coset equal to c * W_i, as walsh_index reads it off, is the one
     blade c * 2^m at i.  One transform takes every other coset back,
-    and its nonzero entries are read out.  From m = bits._COLUMNS_K on,
-    with lanes of _bound() + m + 1 bits that fit a word,
-    _dense_to_blades reads out a matrix that keeps columns, and one that
-    stores all 2^m cosets, none of them c * W_i, instead.  Terms come by
-    ascending coset, then by Walsh index, on every path.
+    and its nonzero entries are read out.  With lanes of _bound() + m +
+    1 bits that fit a word, _dense_to_blades reads out instead a matrix
+    that keeps columns, from m = _KEEP_M on, and one that stores all 2^m
+    cosets, none of them c * W_i, from m = bits._COLUMNS_K on.  Terms
+    come by ascending coset, then by Walsh index, on every path.
     """
     if not isinstance(x, EFBMultivector):
         raise TypeError("efb_to_blades needs an EFBMultivector operand")
@@ -609,8 +610,8 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
     # kept columns go to the read-out whole, with no look at a coset
     found = (None if x._cols else
              [walsh_index(v, m) for v in x._cosets.values()])
-    if (m >= _COLUMNS_K and (found is None or len(found) == dim
-                             and max(found) < 0)
+    if ((m >= _KEEP_M if found is None else
+         m >= _COLUMNS_K and len(found) == dim and max(found) < 0)
             and _fits_word(x._bound(), m)):
         return _dense_to_blades(x)
     cosets = x._cosets.items()
@@ -634,9 +635,9 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
 
 
 def _dense_to_blades(x: EFBMultivector) -> Multivector:
-    """efb_to_blades of all 2^m cosets, m >= bits._COLUMNS_K: the column
-    kernel runs on the packed columns, sized by _bound(), lowers the
-    exponent on them, and every term is read out in C.
+    """efb_to_blades of all 2^m cosets, m >= _KEEP_M: the column kernel
+    runs on the packed columns, sized by _bound(), lowers the exponent on
+    them, and every term is read out in C.
 
     The lanes of the cosets of sign -1 are negated in offset form, by
     bits._negate on kept columns wide enough for the transform, else as

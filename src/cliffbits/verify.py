@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from .bits import (_COLUMNS_K, _columns, _lane_width, _magnitude, _pack,
                    _stages, _unpack, _width, _zero_lanes, lucas_sign,
                    sign_bit)
-from .blades import (Metric, Multivector, _gray_walk, _pair_loop,
+from .blades import (Metric, Multivector, _gray_walk, _pair_loop, _walk_lane,
                      blade_product, center_check, dual_automorphism_check,
                      grade_involution, mv_mul, omega_squared_oracle,
                      omega_tau_squared_oracle, tau_squared_oracle,
@@ -605,8 +605,11 @@ def check_dense_fast_paths(b):
 
 
 def _walk_lanes(x: Multivector, y: Multivector) -> int:
-    """The Gray-code walk's lane width for x * y, by the shared rule."""
-    return _lane_width(x.metric.n, [x._nums.values()], [y._nums.values()])
+    """The Gray-code walk's lane width for x * y, by its rule, from a scan
+    of both operands."""
+    n = x.metric.n
+    return _walk_lane(n, n + 1 + _magnitude([x._nums.values()])
+                      + _magnitude([y._nums.values()]))
 
 
 def _same_walk(x: Multivector, y: Multivector) -> bool:

@@ -178,10 +178,11 @@ def test_negative_arguments_are_refused():
 
 # -- the lane layer of both packed kernels ------------------------------------
 
-@pytest.mark.parametrize("size", [1, 2, 4, 8, 9, 16])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
 def test_pack_and_unpack_round_trip_at_the_lane_edges(size):
-    # 1, 2, 4 and 8 bytes go through one struct call, 9 and 16 through
-    # to_bytes
+    # 1, 2, 4 and 8 bytes go through one struct call, 3, 5, 6 and 7
+    # through one at the next native size and the byte codec, 9 and 16
+    # through to_bytes
     rng = random.Random(size)
     half = 1 << (8 * size - 1)
     for count in (1, 2, 8):
@@ -199,7 +200,7 @@ def test_pack_and_unpack_round_trip_at_the_lane_edges(size):
             assert bits._unpack(iter(packed), size, count) == values
 
 
-@pytest.mark.parametrize("size", [1, 2, 4, 8, 9, 16])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
 def test_pack_negates_the_lanes_of_neg(size):
     # the lanes set in neg come out negated, up to magnitude 2^(W - 1) - 1
     rng = random.Random(size + 16)
@@ -215,7 +216,7 @@ def test_pack_negates_the_lanes_of_neg(size):
                 flipped, size, count)
 
 
-@pytest.mark.parametrize("size", [1, 2, 8, 9])
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 6, 7, 8, 9])
 def test_negate_matches_the_negation_at_pack_time(size):
     # bits._negate on packed rows equals _pack's negation of the lanes
     rng = random.Random(size + 32)
@@ -230,7 +231,7 @@ def test_negate_matches_the_negation_at_pack_time(size):
                                                           count, neg)
 
 
-@pytest.mark.parametrize("size", [1, 2, 8, 9])
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 6, 7, 8, 9])
 def test_zero_lanes_flags_exactly_the_zero_lanes(size):
     # a 1 above a 0 and the most negative value, where a borrow or the
     # sign bit could leak into a flag, and random lanes
@@ -250,7 +251,8 @@ def test_zero_lanes_flags_exactly_the_zero_lanes(size):
 
 def test_permute_moves_lane_c_to_lane_c_xor_t():
     rng = random.Random(59)
-    for k, size in ((1, 1), (3, 2), (5, 8), (4, 9)):
+    for k, size in ((1, 1), (3, 2), (2, 3), (3, 5), (5, 6), (4, 7), (5, 8),
+                    (4, 9)):
         count = 1 << k
         half = 1 << (8 * size - 1)
         values = [rng.randrange(-half, half) for _ in range(count)]

@@ -713,6 +713,41 @@ def test_blocked_walk_equals_the_pair_loop(n):
             assert _walked(y, x) == _looped(y, x)
 
 
+@pytest.mark.parametrize("k", range(2, 8))
+def test_walk_at_every_byte_edge(k):
+    # lane needs 8k - 1, 8k and 8k + 1 bits (n + 1 + 2b, so n = 6 or 7 by
+    # parity), where whole-byte lanes are 8k or 8k + 8 bits wide; x_a =
+    # +-c and y_a = +-x_a a^2 put every pair into the scalar, which is
+    # +-2^n c^2, the most the lanes hold, as in verify's lane-bits cases
+    rng = random.Random(117 + k)
+    for need in (8 * k - 1, 8 * k, 8 * k + 1):
+        n = 6 + (need & 1 == 0)
+        assert n >= blades._WHOLE_BYTES_N
+        metric = Metric(tuple(rng.choice((1, -1)) for _ in range(n)))
+        c = (1 << (need - n - 1) // 2) - 1
+        x = Multivector._raw(metric, {a: rng.choice((-c, c))
+                                      for a in range(1 << n)}, 0)
+        for s in (1, -1):
+            y = Multivector._raw(metric, {
+                a: s * blade_product(a, a, metric)[0] * v
+                for a, v in x._nums.items()}, 0)
+            assert _walk_lanes(x, y) == -(-need // 8) * 8
+            walked = blades._gray_walk(x, y, _walk_lanes(x, y))
+            assert walked[0] == s * c * c << n
+            assert _walked(x, y) == _looped(x, y)
+
+
+def test_walk_lanes_take_whole_bytes_from_the_cut_off():
+    # below _WHOLE_BYTES_N the native sizes 1, 2, 4 and 8 bytes, from it
+    # the fewest whole bytes; past a word both rules take whole bytes
+    cut = blades._WHOLE_BYTES_N
+    for need, native, whole in ((8, 8, 8), (9, 16, 16), (17, 32, 24),
+                                (33, 64, 40), (43, 64, 48), (57, 64, 64),
+                                (65, 72, 72), (611, 616, 616)):
+        assert blades._walk_lane(cut - 1, need) == native
+        assert blades._walk_lane(cut, need) == whole
+
+
 def test_block_never_exceeds_four_low_generators():
     assert [blades._block(n) for n in range(12)] == [
         0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 4, 4]

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -502,6 +503,19 @@ def test_bench_dirty_sees_a_tracked_change(tmp_path, monkeypatch):
     assert cli._checkout()["dirty"] is True
 
 
+def test_bench_source_digest_matches_perfbench():
+    # the header names the package source by the digest that perfbench's
+    # metadata() writes for the same tree, run in its own interpreter
+    root = Path(cli.__file__).resolve().parents[2]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, 'perfbench');"
+         " import run; print(run.metadata(0, 'w', 0)['source_sha256'])"],
+        cwd=root, capture_output=True, text=True, timeout=60, check=True)
+    digest = cli._source_sha256()
+    assert re.fullmatch("[0-9a-f]{64}", digest)
+    assert proc.stdout.strip() == digest
+
+
 def test_bench_out_writes_the_json_record(capsys, tmp_path, monkeypatch):
     # --out writes the record --json prints, and stdout stays the table
     # or the record; an unwritable path exits 2 with a message
@@ -512,8 +526,9 @@ def test_bench_out_writes_the_json_record(capsys, tmp_path, monkeypatch):
     assert code == 0 and "ratio" in out
     rec = json.loads(path.read_text())
     assert path.read_text().endswith("}\n")
-    assert (rec["seed"], rec["commit"], rec["dirty"]) == (
-        cli.BENCH_SEED, None, None)
+    assert (rec["seed"], rec["commit"], rec["dirty"],
+            rec["source_sha256"]) == (cli.BENCH_SEED, None, None,
+                                      cli._source_sha256())
     assert [r["m"] for r in rec["rows"]] == [1]
     code, out, _ = run(capsys, "bench", "1", "--json", "--out", str(path))
     assert code == 0

@@ -1305,27 +1305,39 @@ def test_dense_read_out_keeps_term_order(m, monkeypatch):
 
 
 def test_sparse_products_skip_the_dense_read_out(monkeypatch):
-    # at m = 2 and 3 sparse products often store every coset with no
-    # single Walsh function among them; they and a dense m = 4 product
-    # keep the loop
-    def refuse(z):
-        raise AssertionError("dense read-out below m = 5")
-    monkeypatch.setattr(efb, "_dense_to_blades", refuse)
+    # at m = 2 and 3 sparse products held as lists often store every
+    # coset with no single Walsh function among them; they keep the loop
+    # below m = 5, while a product that keeps packed columns, from
+    # m = _KEEP_M on, goes to the dense read-out with no unpack: the
+    # m = 3 products of the packed kernel and a dense m = 4 product
+    taken = []
+    dense = efb._dense_to_blades
+
+    def spy(z):
+        assert z._cols is not None, "lists to the dense read-out below m = 5"
+        taken.append(z.m)
+        return dense(z)
+    monkeypatch.setattr(efb, "_dense_to_blades", spy)
     rng = random.Random(103)
-    full = 0
+    full = kept = 0
     for m in (2, 3):
         metric = Metric.interleaved(m)
         for _ in range(150):
             x, y = (random_multivector(metric, rng) for _ in range(2))
             z = efb_product(blades_to_efb(x, m), blades_to_efb(y, m))
-            full += len(z._cosets) == 1 << m and all(
-                walsh_index(v, m) < 0 for v in z._cosets.values())
+            if z._cols is None:
+                full += len(z._cosets) == 1 << m and all(
+                    walsh_index(v, m) < 0 for v in z._cosets.values())
+            else:
+                kept += 1
             assert efb_to_blades(z) == mv_mul(x, y)
-    assert full >= 30
+    assert full >= 30 and kept >= 1 and taken == [3] * kept
     z = efb_product(dense_efb_multivector(4, rng),
                     dense_efb_multivector(4, rng))
+    assert z._cols is not None
     assert verify._same_blades(efb_to_blades(z),
                                verify.batched_efb_to_blades(z))
+    assert taken[kept:] == [4]
 
 
 def _with_zero(x, g, b):

@@ -1,5 +1,5 @@
-"""Time the Fock-basis pipeline of two checkouts layer by layer, in one
-interpreter, on the same operands.
+"""Time the Fock-basis pipeline and the blade engine of two checkouts
+layer by layer, in one interpreter, on the same operands.
 
     python tools/ab.py PARENT_DIR [--m-min 2] [--m-max 6] [--rounds 60]
                        [--seed 1]
@@ -18,11 +18,14 @@ kind both packages build the same operands from the same numbers:
 Each operand is converted once, untimed, as perfbench's dense draws
 are.  Each round scales both operands by a fresh odd dyadic, untimed,
 as perfbench scales its pool, then times blades_to_efb on both operands,
-efb_product and efb_to_blades, once in each package; the package that
-runs first alternates from round to round.  The output has one line per
-(m, pair, layer), the pipeline being the sum of the three layers in a
-round: the median microseconds of each side and their ratio, parent
-over this checkout, so above 1 this checkout is faster.
+efb_product and efb_to_blades, and then mv_mul on the same two operands,
+once in each package; the package that runs first alternates from round
+to round.  mv_mul on the dense pair is the call of the dense-blade
+workload, on the sparse pair that of cli-session.  The output has one
+line per (m, pair, layer), the pipeline being the sum of the three
+Fock-basis layers in a round: the median microseconds of each side and
+their ratio, parent over this checkout, so above 1 this checkout is
+faster.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ("blades_to_efb", "efb_product", "efb_to_blades", "pipeline")
+LAYERS = ("blades_to_efb", "efb_product", "efb_to_blades", "pipeline",
+          "mv_mul")
 _POOL = {"dense": 2, "sparse": 16}
 
 
@@ -75,7 +79,8 @@ def build(pkg, m: int, terms: dict):
 
 
 def pipeline(pkg, x, y, m: int) -> tuple:
-    """Seconds of each layer of one product and of their sum."""
+    """Seconds of each Fock-basis layer of one product, of their sum, and
+    of the product by mv_mul."""
     clock = time.perf_counter
     t0 = clock()
     ex, ey = pkg.blades_to_efb(x, m), pkg.blades_to_efb(y, m)
@@ -84,7 +89,9 @@ def pipeline(pkg, x, y, m: int) -> tuple:
     t2 = clock()
     pkg.efb_to_blades(ez)
     t3 = clock()
-    return t1 - t0, t2 - t1, t3 - t2, t3 - t0
+    pkg.mv_mul(x, y)
+    t4 = clock()
+    return t1 - t0, t2 - t1, t3 - t2, t3 - t0, t4 - t3
 
 
 def compare(parent, change, m: int, kind: str, rounds: int,
@@ -114,7 +121,8 @@ def compare(parent, change, m: int, kind: str, rounds: int,
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="A/B the Fock-basis pipeline against another checkout")
+        description="A/B the Fock-basis pipeline and mv_mul against "
+                    "another checkout")
     parser.add_argument("parent", type=Path, help="the other checkout")
     parser.add_argument("--m-min", type=int, default=2)
     parser.add_argument("--m-max", type=int, default=6)
