@@ -200,11 +200,11 @@ def _layer_seconds(x: Multivector, y: Multivector, m: int,
     return {name: round(sec, 7) for name, sec in zip(BENCH_LAYERS, best)}
 
 
-def _best_seconds(product, x, y) -> float:
-    """Seconds of product(x, y), best of 3, as _layer_seconds times a
-    layer; the op counters hold the counts of one call."""
+def _best_seconds(product, x, y, repeats: int = 3) -> float:
+    """Seconds of product(x, y), best of repeats, as _layer_seconds times
+    a layer; the op counters hold the counts of one call."""
     best = float("inf")
-    for _ in range(3):
+    for _ in range(repeats):
         reset_op_counters()
         t0 = time.perf_counter()
         product(x, y)
@@ -217,10 +217,11 @@ def bench_results(m_max: int) -> list[dict]:
 
     Operation counts are deterministic: a dense blade product touches
     16^m coefficient pairs while the fast engine touches 8^m triples,
-    a ratio of exactly 2^m.  Wall times, best of 3, ride along for
-    context, and `layers` times each layer of `mul` (_layer_seconds) on
-    the dense blade pair and on one sparse random_multivector pair,
-    drawn from a second generator so the dense draws stay as they were.
+    a ratio of exactly 2^m.  Wall times, best of 3, or of 20 at m <= 3,
+    ride along for context, and `layers` times each layer of `mul`
+    (_layer_seconds) on the dense blade pair, as often, and on one
+    sparse random_multivector pair, best of 20, drawn from a second
+    generator so the dense draws stay as they were.
     """
     if not 1 <= m_max <= BENCH_M_MAX:
         raise ValueError(
@@ -236,15 +237,18 @@ def bench_results(m_max: int) -> list[dict]:
         ex = dense_efb_multivector(m, rng)
         ey = dense_efb_multivector(m, rng)
 
-        blade_sec = _best_seconds(mv_mul, bx, by)
+        # a dense product at m <= 3 takes under 0.1 ms, and its best of 3
+        # swings with the host's speed from run to run
+        repeats = 20 if m <= 3 else 3
+        blade_sec = _best_seconds(mv_mul, bx, by, repeats)
         pairs = op_counters().blade_pairs
-        efb_sec = _best_seconds(efb_product, ex, ey)
+        efb_sec = _best_seconds(efb_product, ex, ey, repeats)
         triples = op_counters().efb_triples
 
         assert triples << m == pairs, (m, pairs, triples)
         sx = random_multivector(metric, sparse_rng)
         sy = random_multivector(metric, sparse_rng)
-        layers = {"dense": _layer_seconds(bx, by, m),
+        layers = {"dense": _layer_seconds(bx, by, m, repeats),
                   "sparse": _layer_seconds(sx, sy, m, repeats=20)}
         reset_op_counters()
         rows.append({

@@ -26,15 +26,25 @@ dense gather, up to it), ``walk_n`` (the blade engine's Gray-code
 walk, up to n generators) and ``walsh_k`` (the column kernel of
 ``walsh_batch``, on full batches of 2^k vectors up to it).
 
-batched_blades_to_efb and batched_efb_to_blades are the conversions
-with every coset through the list stages of the bits module, kept as
-the oracle of the one-blade, one-Walsh-function and dense-gather fast
-paths and of the dense read-out of the efb module; the list stages are
-the oracle of the column kernel, the coset sweep the oracle of the
-packed kernel, and the blade pair loop the oracle of the Gray-code
-walk.  The packed columns that Fock-basis matrices keep are checked
-against the same matrices held as lists (packed-columns): the lists
-read off the columns, then the sweep and the list stages.
+Each fast path is one entry of ``_PATHS``: a fast call and its
+oracle, two calls on the same arguments.  ``blades_to_efb`` and
+``efb_to_blades`` meet ``batched_blades_to_efb`` and
+``batched_efb_to_blades``, the conversions with every coset through the
+list stages of the bits module; the packed kernel meets the coset
+sweep, the Gray-code walk the blade pair loop, the column kernel the
+list stages, and ``efb_product`` on kept packed columns, with its
+read-out, the sweep on the lists read off them and the batched
+read-out.  One comparison, ``_agree(path, *args)``, runs both calls,
+each through ``_counted``, which resets the op counters around it, and
+compares the results by ``_terms``: value, exponent, term order and op
+count at once.  The fast-path suites draw their operands from one
+family: ``_blades`` (sparse or dense blade sums, or every numerator
++-c at a lane edge, with ``_mate`` for the partner whose product fills
+the scalar), ``_lane_edge`` (dense matrices whose product fills its
+lanes) and ``_held`` (a matrix held as packed columns alone, with or
+without a cancelled entry); and their lane-edge cases from one
+iterator, ``_edges``, with one expected-width rule, ``_LANES``.  A new
+fast path costs one entry and one case iterator.
 """
 
 from __future__ import annotations
@@ -58,10 +68,10 @@ from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
 from .dyadic import _shift
-from .efb import (EFBMultivector, _blade_at, _coset_signs, _packed,
+from .efb import (EFBMultivector, _blade_at, _coset_signs, _lanes, _packed,
                   _slot_tables, _sweep, _triples, blades_to_efb, efb_product,
                   efb_to_blades)
-from .instrument import op_counters, reset_op_counters
+from .instrument import counters, op_counters, reset_op_counters
 from .sampling import dense_blade_multivector, dense_efb_multivector, \
     random_multivector
 from .words import (efb_element, normalization_sign, omega_eigen_check,
@@ -444,24 +454,9 @@ def check_involution_consistency(b):
         yield (m, row, col), grade_involution(psi) == chi.g_hat * psi
 
 
-@_suite("dense-op-ratio")
-def check_op_ratio(b):
-    rng = random.Random(31)
-    for m in range(1, b["m"] + 1):
-        metric = Metric.interleaved(m)
-        reset_op_counters()
-        mv_mul(dense_blade_multivector(metric, rng),
-               dense_blade_multivector(metric, rng))
-        efb_product(dense_efb_multivector(m, rng),
-                    dense_efb_multivector(m, rng))
-        counts = op_counters()
-        yield (m, counts), counts.blade_pairs == counts.efb_triples << m
-    reset_op_counters()
-
-
 def _staged(vectors, k: int) -> list:
     """walsh_batch of the vectors by the list stages alone, whatever the
-    batch: the oracle of the column kernel."""
+    batch: the transform of the batched conversions."""
     flat = list(itertools.chain.from_iterable(vectors))
     count = len(flat) >> k
     flat = _stages(flat, k)
@@ -494,9 +489,208 @@ def batched_efb_to_blades(x: EFBMultivector) -> Multivector:
     return Multivector._raw(Metric.interleaved(m), terms, x._e + m)
 
 
-def _same_blades(x: Multivector, y: Multivector) -> bool:
-    """Equal values, exponent and terms order."""
-    return x == y and list(x._nums) == list(y._nums)
+def _rule_width(x, y) -> int:
+    """The lane width of the packed kernel of x * y by its rule, from the
+    operands' bounds: the Gray-code walk's for two multivectors, the
+    packed product's for two matrices."""
+    if isinstance(x, EFBMultivector):
+        return _lanes(x, y)
+    n = x.metric.n
+    return _walk_lane(n, n + 1 + x._bound() + y._bound())
+
+
+def _packed_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
+    """x * y by the packed kernel at its rule's lanes, the triples
+    computed column by column and counted as efb_product counts them."""
+    yf = y._flat()
+    z = EFBMultivector._from_columns(x.m, *_packed(x, yf, _rule_width(x, y)),
+                                     x._e + y._e)
+    counters.efb_triples += _triples(_zero_lanes(*x._cols, x.dim), yf)
+    return z
+
+
+def _swept(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
+    """x * y by the coset sweep on the lists, read off kept columns where
+    x or y keeps them, its triples counted as efb_product counts them:
+    the oracle of the packed kernel."""
+    out, triples = _sweep(x, y)
+    counters.efb_triples += triples
+    return EFBMultivector._from_ints(x.m, out, x._e + y._e)
+
+
+def _kept_product(x: EFBMultivector, y: EFBMultivector) -> tuple:
+    """(x * y, its read-out) by efb_product and efb_to_blades, on the
+    columns x and y keep."""
+    z = efb_product(x, y)
+    return z, efb_to_blades(z)
+
+
+def _list_product(x: EFBMultivector, y: EFBMultivector) -> tuple:
+    """The same by the sweep and the list stages: the oracle of kept
+    columns."""
+    z = _swept(x, y)
+    return z, batched_efb_to_blades(z)
+
+
+def _walked(x: Multivector, y: Multivector) -> Multivector:
+    """x * y by the Gray-code walk at its rule's lanes."""
+    return Multivector._raw(x.metric, _gray_walk(x, y, _rule_width(x, y)),
+                            x._e + y._e)
+
+
+def _looped(x: Multivector, y: Multivector) -> Multivector:
+    """x * y by the blade pair loop, its terms in mask order, the order
+    the walk reads its lanes out in: the oracle of the walk."""
+    return Multivector._raw(x.metric, dict(sorted(_pair_loop(x, y).items())),
+                            x._e + y._e)
+
+
+def _column_kernel(flat: list, k: int, neg: int = 0,
+                   cap: int = 0) -> tuple[list, int]:
+    """(out, shift): bits._columns on a full batch of 2^k vectors laid end
+    to end in flat, sized by one scan of it, packed with the vectors c
+    with bit c of neg negated, lowered by at most cap and unpacked;
+    entry a of vector c comes out at a * 2^k + c."""
+    count = 1 << k
+    size = _width(_magnitude([flat]) + k + 1) >> 3
+    rows = _pack(itertools.chain.from_iterable(
+        flat[i::count] for i in range(count)), size, count, neg)
+    out, shift = _columns(rows, k, size, cap)
+    return _unpack(out, size, count), shift
+
+
+def _column_stages(flat: list, k: int, neg: int = 0,
+                   cap: int = 0) -> tuple[list, int]:
+    """The same by the list stages, the signs on the lists, the shift
+    dyadic._shift of the OR of the staged entries: the oracle of the
+    column kernel."""
+    if neg:
+        flat = [-n if neg >> (i >> k) & 1 else n for i, n in enumerate(flat)]
+    out = _stages(flat, k)
+    shift = _shift(functools.reduce(operator.or_, out), cap)
+    return [n >> shift for n in out], shift
+
+
+# each fast path and its oracle, two calls on the same arguments whose
+# results _agree compares
+_PATHS = {
+    "to-efb": (blades_to_efb, batched_blades_to_efb),
+    "to-blades": (efb_to_blades, batched_efb_to_blades),
+    "packed": (_packed_product, _swept),
+    "walk": (_walked, _looped),
+    "columns": (_column_kernel, _column_stages),
+    "kept": (_kept_product, _list_product),
+}
+
+
+def _counted(call, *args) -> tuple:
+    """(call(*args), the op counts it added), the counters reset before
+    and after."""
+    reset_op_counters()
+    out = call(*args)
+    counts = op_counters()
+    reset_op_counters()
+    return out, counts
+
+
+def _terms(z):
+    """What _agree compares of a result: the exponent and the terms of a
+    multivector, or the exponent and the cosets of a matrix, each in
+    stored order; a tuple part by part, and anything else as it is.  A
+    canonical form is unique, so equal terms are equal values."""
+    if isinstance(z, tuple):
+        return tuple(map(_terms, z))
+    if isinstance(z, Multivector):
+        return z._e, list(z._nums.items())
+    if isinstance(z, EFBMultivector):
+        return z._e, list(z._cosets.items())
+    return z
+
+
+def _agree(path: str, *args) -> bool:
+    """Whether the fast call of path and its oracle, on the same args,
+    give the same values and exponents, the terms in the same order, and
+    the same op counts."""
+    fast, oracle = _PATHS[path]
+    return _terms(_counted(fast, *args)) == _terms(_counted(oracle, *args))
+
+
+# the lane that holds each lane need of the edge cases: a native size up
+# to a word, whole bytes past it
+_LANES = {8: 8, 9: 16, 32: 32, 33: 64, 63: 64, 64: 64, 65: 72}
+
+
+def _edges(extra: int, parts: int = 2, needs=(63, 64, 65)):
+    """(need, lane, c) for each lane need that a sum of 2^extra products
+    of parts factors of magnitude c = 2^b - 1, b >= 1, fills: need =
+    parts * b + extra + 1, the word's edge unless needs says otherwise."""
+    for need in needs:
+        b, odd = divmod(need - extra - 1, parts)
+        if b >= 1 and not odd:
+            yield need, _LANES[need], (1 << b) - 1
+
+
+def _blades(metric: Metric, rng: random.Random, terms: int, top: int,
+            low: int = 1) -> Multivector:
+    """terms distinct blades, each with a numerator of magnitude low to
+    top, over a random 2^(0..3): sparse or dense, and at a lane edge when
+    low is top."""
+    masks = rng.sample(range(1 << metric.n), terms)
+    return Multivector._raw(metric, {mask: rng.choice((-1, 1))
+                                     * rng.randint(low, top)
+                                     for mask in masks}, rng.randrange(4))
+
+
+def _mate(x: Multivector, s: int) -> Multivector:
+    """The y with y_a = s x_a a^2, a^2 the square of blade a: every blade
+    pair of x * y that meets at the scalar adds s x_a^2 to it, so on
+    _blades at a lane edge the scalar is s 2^n c^2, the most the lanes
+    hold."""
+    return Multivector._raw(x.metric, {
+        a: s * blade_product(a, a, x.metric)[0] * v
+        for a, v in x._nums.items()}, 0)
+
+
+def _lane_edge(m: int, c: int, rng: random.Random, signs=None) -> tuple:
+    """(x, y, x * y) with x[a][b] = s_a t_b c and y[b][d] = t_b u_d c:
+    every entry of x * y is s_a u_d 2^m c^2, for c = 2^b - 1 the largest
+    that 2b + m + 1 lane bits hold.  signs fixes s and u, and with them
+    the sign of every product entry; the t_b are random signs."""
+    dim = 1 << m
+    s, t, u = ([rng.choice((-1, 1)) for _ in range(dim)] for _ in range(3))
+    if signs:
+        s, u = [signs[0]] * dim, [signs[1]] * dim
+    return (EFBMultivector(m, {(a, b): s[a] * t[b] * c
+                               for a in range(dim) for b in range(dim)}),
+            EFBMultivector(m, {(b, d): t[b] * u[d] * c
+                               for b in range(dim) for d in range(dim)}),
+            EFBMultivector(m, {(a, d): s[a] * u[d] * dim * c * c
+                               for a in range(dim) for d in range(dim)}))
+
+
+def _held(z: EFBMultivector, size: int = 0, cancel=()) -> EFBMultivector:
+    """z held as packed columns of size-byte lanes alone, by default those
+    z keeps, as a dense gather or a packed product keeps them; cancel =
+    (g, b) sets entry b of coset g to 0, a zero lane in column b."""
+    flat, size = z._flat(), size or z._cols[1]
+    if cancel:
+        g, b = cancel
+        flat[b * z.dim + g] = 0
+    return EFBMultivector._from_columns(z.m, _pack(flat, size, z.dim), size,
+                                        z._e, z._bound())
+
+
+@_suite("dense-op-ratio")
+def check_op_ratio(b):
+    rng = random.Random(31)
+    for m in range(1, b["m"] + 1):
+        metric = Metric.interleaved(m)
+        _, counts = _counted(lambda: (
+            mv_mul(dense_blade_multivector(metric, rng),
+                   dense_blade_multivector(metric, rng)),
+            efb_product(dense_efb_multivector(m, rng),
+                        dense_efb_multivector(m, rng))))
+        yield (m, counts), counts.blade_pairs == counts.efb_triples << m
 
 
 @_suite("conversion-fast-paths")
@@ -511,67 +705,21 @@ def check_conversion_fast_paths(b):
                                           * (2 * rng.randrange(512) + 1)},
                                  rng.randrange(5))
             ex = blades_to_efb(x, m)
-            yield ("to-efb", m, mask), ex == batched_blades_to_efb(x, m)
-            back = efb_to_blades(ex)
-            yield ("to-blades", m, mask), (
-                back == x and _same_blades(back, batched_efb_to_blades(ex)))
+            yield ("to-efb", m, mask), _agree("to-efb", x, m)
+            yield ("to-blades", m, mask), (efb_to_blades(ex) == x
+                                           and _agree("to-blades", ex))
             (g, v), = ex._cosets.items()
             near = EFBMultivector._from_ints(m, {g: v[:-1] + [v[-1] + 1]},
                                              ex._e)
-            yield ("near-walsh", m, mask), _same_blades(
-                efb_to_blades(near), batched_efb_to_blades(near))
+            yield ("near-walsh", m, mask), _agree("to-blades", near)
         for _ in range(b["pairs"]):
             x = random_multivector(metric, rng)
             y = random_multivector(metric, rng)
-            ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
-            ez = efb_product(ex, ey)
-            z = efb_to_blades(ez)
+            ez = efb_product(blades_to_efb(x, m), blades_to_efb(y, m))
             yield (m, str(x), str(y)), (
-                ex == batched_blades_to_efb(x, m)
-                and ey == batched_blades_to_efb(y, m)
-                and _same_blades(z, batched_efb_to_blades(ez))
-                and z == mv_mul(x, y))
-
-
-def _rows_width(x: EFBMultivector, y: EFBMultivector) -> int:
-    """The packed kernel's lane width for x * y, by the shared rule."""
-    return _lane_width(x.m, x._cosets.values(), y._cosets.values())
-
-
-def packed_product(x: EFBMultivector, y: EFBMultivector,
-                   width: int) -> tuple[EFBMultivector, int]:
-    """(x * y, triples) by the packed kernel at width-bit lanes, the
-    triples counted column by column."""
-    yf = y._flat()
-    z = EFBMultivector._from_columns(x.m, *_packed(x, yf, width),
-                                     x._e + y._e)
-    return z, _triples(_zero_lanes(*x._cols, x.dim), yf)
-
-
-def _same_kernels(x: EFBMultivector, y: EFBMultivector) -> bool:
-    """The packed kernel equals the sweep on values, exponent and triple
-    count."""
-    swept, ts = _sweep(x, y)
-    zp, tp = packed_product(x, y, _rows_width(x, y))
-    return ts == tp and EFBMultivector._from_ints(
-        x.m, swept, x._e + y._e) == zp
-
-
-def full_lanes(m: int, k: int, rng: random.Random, signs=None):
-    """(x, y, x * y) with x[a][b] = s_a t_b c and y[b][d] = t_b u_d c,
-    c = 2^k - 1: every entry of x * y is s_a u_d 2^m c^2, the largest
-    that 2k + m + 1 lane bits hold.  signs fixes s and u, and with them
-    the sign of every product entry; the t_b are random signs."""
-    dim, c = 1 << m, (1 << k) - 1
-    s, t, u = ([rng.choice((-1, 1)) for _ in range(dim)] for _ in range(3))
-    if signs:
-        s, u = [signs[0]] * dim, [signs[1]] * dim
-    return (EFBMultivector(m, {(a, b): s[a] * t[b] * c
-                               for a in range(dim) for b in range(dim)}),
-            EFBMultivector(m, {(b, d): t[b] * u[d] * c
-                               for b in range(dim) for d in range(dim)}),
-            EFBMultivector(m, {(a, d): s[a] * u[d] * dim * c * c
-                               for a in range(dim) for d in range(dim)}))
+                _agree("to-efb", x, m) and _agree("to-efb", y, m)
+                and _agree("to-blades", ez)
+                and efb_to_blades(ez) == mv_mul(x, y))
 
 
 @_suite("dense-fast-paths")
@@ -581,53 +729,22 @@ def check_dense_fast_paths(b):
     # batched conversion
     rng = random.Random(41)
     for m in range(1, b["fast_m"] + 1):
-        dim = 1 << m
         small = dense_efb_multivector(m, rng)
-        yield ("dense", m), _same_kernels(dense_efb_multivector(m, rng),
-                                          small)
+        yield ("dense", m), _agree("packed", dense_efb_multivector(m, rng),
+                                   small)
         # 200-bit entries take multiword lanes; entries of +-(2^63 - 1)
         # fit an int64, but their products do not
         for top in ((1 << 200) - 1, (1 << 63) - 1):
-            big = EFBMultivector(m, {(a, c): rng.choice((-top, top))
-                                     for a in range(dim)
-                                     for c in range(dim)})
-            yield (("wide", m, top.bit_length()),
-                   _same_kernels(big, small) and _same_kernels(small, big))
-        for need in (63, 64, 65):  # lane bits 2k + m + 1
-            if (need - m - 1) % 2 == 0:
-                x, y, z = full_lanes(m, (need - m - 1) // 2, rng)
-                yield ("lane-bits", m, need), (
-                    _rows_width(x, y) == (64 if need <= 64 else 72)
-                    and _same_kernels(x, y) and efb_product(x, y) == z)
-        blades = dense_blade_multivector(Metric.interleaved(m), rng)
-        yield ("gather", m), (blades_to_efb(blades, m)
-                              == batched_blades_to_efb(blades, m))
-
-
-def _walk_lanes(x: Multivector, y: Multivector) -> int:
-    """The Gray-code walk's lane width for x * y, by its rule, from a scan
-    of both operands."""
-    n = x.metric.n
-    return _walk_lane(n, n + 1 + _magnitude([x._nums.values()])
-                      + _magnitude([y._nums.values()]))
-
-
-def _same_walk(x: Multivector, y: Multivector) -> bool:
-    """The Gray-code walk equals the pair loop on values and exponent."""
-    e = x._e + y._e
-    walked = _gray_walk(x, y, _walk_lanes(x, y))
-    return (Multivector._raw(x.metric, walked, e)
-            == Multivector._raw(x.metric, _pair_loop(x, y), e))
-
-
-def _walk_operand(metric: Metric, rng: random.Random, terms: int,
-                  top: int) -> Multivector:
-    """terms distinct blades, each with a numerator of magnitude at most
-    top, over a random 2^(0..3)."""
-    masks = rng.sample(range(1 << metric.n), terms)
-    return Multivector._raw(metric, {mask: rng.choice((-1, 1))
-                                     * rng.randint(1, top)
-                                     for mask in masks}, rng.randrange(4))
+            big, _, _ = _lane_edge(m, top, rng)
+            yield ("wide", m, top.bit_length()), (
+                _agree("packed", big, small) and _agree("packed", small, big))
+        for need, lane, c in _edges(m):
+            x, y, z = _lane_edge(m, c, rng)
+            yield ("lane-bits", m, need), (
+                _rule_width(x, y) == lane and _agree("packed", x, y)
+                and efb_product(x, y) == z)
+        yield ("gather", m), _agree(
+            "to-efb", dense_blade_multivector(Metric.interleaved(m), rng), m)
 
 
 @_suite("blade-kernels")
@@ -646,60 +763,27 @@ def check_blade_kernels(b):
             metrics["interleaved"] = Metric.interleaved(n // 2)
         for kind, metric in metrics.items():
             for terms in (0, 1, dim // 4, dim):
-                x = _walk_operand(metric, rng, max(terms, 1), 1 << 40)
-                y = _walk_operand(metric, rng, terms, 9)
+                x = _blades(metric, rng, max(terms, 1), 1 << 40)
+                y = _blades(metric, rng, terms, 9)
                 # 4^n pairs through the loop once, not twice, when dense
-                yield (kind, n, terms), _same_walk(x, y) and (
-                    terms == dim or _same_walk(y, x))
+                yield (kind, n, terms), _agree("walk", x, y) and (
+                    terms == dim or _agree("walk", y, x))
         if n > 8:  # the lane edges below do not depend on n
             continue
         metric = metrics["mixed"]
         # one blade of 2^2048 against a dense operand: multiword lanes
-        wide = Multivector._raw(metric, {rng.randrange(dim):
-                                         rng.choice((-1, 1)) << 2048}, 0)
-        dense = _walk_operand(metric, rng, dim, 9)
-        yield ("wide", n), _same_walk(wide, dense) and _same_walk(dense, wide)
-        for need in (63, 64, 65):  # lane bits n + 1 + 2k
-            if (need - n - 1) % 2 == 0:
-                # x_a = +-c, y_a = +-x_a a^2: every pair adds to the
-                # scalar, which is +-2^n c^2, the most the lanes hold
-                c = (1 << (need - n - 1) // 2) - 1
-                x = Multivector._raw(metric, {a: rng.choice((-c, c))
-                                              for a in range(dim)}, 0)
-                for s in (1, -1):
-                    y = Multivector._raw(metric, {
-                        a: s * blade_product(a, a, metric)[0] * v
-                        for a, v in x._nums.items()}, 0)
-                    walked = _gray_walk(x, y, _walk_lanes(x, y))
-                    yield ("lane-bits", n, need, s), (
-                        _walk_lanes(x, y) == (64 if need <= 64 else 72)
-                        and walked.get(0) == s * dim * c * c
-                        and _same_walk(x, y))
-
-
-def column_kernel(rows: list, k: int, bits: int, neg: int = 0,
-                  cap: int = 0) -> tuple[list, int]:
-    """bits._columns on a full batch given in lane order, entry i of
-    vector c at i * 2^k + c, each entry of at most bits bits: packed
-    with the vectors c with bit c of neg negated, transformed, lowered
-    by at most cap and unpacked."""
-    count, size = 1 << k, _width(bits + k + 1) >> 3
-    out, shift = _columns(_pack(rows, size, count, neg), k, size, cap)
-    return _unpack(out, size, count), shift
-
-
-def _same_columns(flat: list, k: int, cap: int = 0) -> bool:
-    """The column kernel, given flat in lane order and sized by one scan
-    of it, equals the list stages on a full batch, and the exponent it
-    lowers on its packed rows, by at most cap, equals dyadic._shift of
-    the OR of the staged entries."""
-    want = _stages(flat, k)
-    shift = _shift(functools.reduce(operator.or_, want), cap)
-    count = 1 << k
-    rows = list(itertools.chain.from_iterable(
-        flat[i::count] for i in range(count)))
-    return column_kernel(rows, k, _magnitude([flat]), 0, cap) == (
-        [n >> shift for n in want], shift)
+        wide = _blades(metric, rng, 1, 1 << 2048, 1 << 2048)
+        dense = _blades(metric, rng, dim, 9)
+        yield ("wide", n), (_agree("walk", wide, dense)
+                            and _agree("walk", dense, wide))
+        for need, lane, c in _edges(n):
+            x = _blades(metric, rng, dim, c, c)
+            for s in (1, -1):
+                y = _mate(x, s)
+                yield ("lane-bits", n, need, s), (
+                    _rule_width(x, y) == lane
+                    and _gray_walk(x, y, lane).get(0) == s * dim * c * c
+                    and _agree("walk", x, y))
 
 
 @_suite("walsh-kernels")
@@ -711,38 +795,35 @@ def check_walsh_kernels(b):
     rng = random.Random(47)
     for k in range(_COLUMNS_K, b["walsh_k"] + 1):
         n, dim = 1 << 2 * k, 1 << k
-        for need, lane in ((8, 8), (9, 16), (32, 32), (33, 64), (64, 64),
-                           (65, 72)):
-            if need - k - 1 < 1:
-                continue
-            c = (1 << need - k - 1) - 1  # 2^k c needs `need` signed bits
-            for s in (1, -1):
+        for need, lane, c in _edges(k, 1, (8, 9, 32, 33, 64, 65)):
+            for s in (1, -1):  # 2^k c needs `need` signed bits
                 flat = [s * c] * n
                 yield ("edge", k, need, s), (
-                    _lane_width(k, [flat]) == lane and _same_columns(flat, k))
-            yield ("random", k, need), _same_columns(
-                [rng.randint(-c, c) for _ in range(n)], k)
+                    _lane_width(k, [flat]) == lane
+                    and _agree("columns", flat, k))
+            yield ("random", k, need), _agree(
+                "columns", [rng.randint(-c, c) for _ in range(n)], k)
         flat = [rng.randint(-(1 << 200), 1 << 200) for _ in range(n)]
-        yield ("wide", k), _same_columns(flat, k)
+        yield ("wide", k), _agree("columns", flat, k)
         for v in rng.sample(range(dim), dim // 2):  # half the vectors zero
             flat[v * dim:(v + 1) * dim] = [0] * dim
-        yield ("zero-vectors", k), _same_columns(flat, k)
-        yield ("all-zero", k), _same_columns([0] * n, k, 3)
+        yield ("zero-vectors", k), _agree("columns", flat, k)
+        yield ("all-zero", k), _agree("columns", [0] * n, k, 0, 3)
         flat = [0] * n
         for v in range(dim):
             flat[v * dim + rng.randrange(dim)] = rng.choice((-1, 1)) << 40
-        yield ("one-nonzero", k), _same_columns(flat, k)
+        yield ("one-nonzero", k), _agree("columns", flat, k)
         # entries times 2^t: the shift is t plus what the transform adds,
         # capped
         for t, cap in ((0, 1), (3, 2), (3, 64), (9, 12)):
             flat = [rng.randint(-999, 999) << t for _ in range(n)]
-            yield ("shift", k, t, cap), _same_columns(flat, k, cap)
+            yield ("shift", k, t, cap), _agree("columns", flat, k, 0, cap)
         # one vector alone holds an odd entry: the first lane, the middle
         # one, or the last that the fold reaches
         for v in (0, dim // 2, dim - 1):
             flat = [rng.randint(-999, 999) << 6 for _ in range(n)]
             flat[v * dim + rng.randrange(dim)] |= 1
-            yield ("shift-lane", k, v), _same_columns(flat, k, 64)
+            yield ("shift-lane", k, v), _agree("columns", flat, k, 0, 64)
 
 
 @_suite("lane-bounds")
@@ -756,56 +837,20 @@ def check_lane_bounds(b):
     # and the round trip
     rng = random.Random(53)
     for m, i in _indices(b["fast_m"], 1):
-        dim, signs, top = 1 << m, _coset_signs(m), 1 << (i << 6 >> m)
+        dim, top = 1 << m, 1 << (i << 6 >> m)
         c = (2 << i % 8) - 1
         flat = EFBMultivector._from_ints(m, {g: [c] * dim for g in range(dim)},
                                          m, c.bit_length())
-        rows = [rng.randint(-top, top) << (i & 3) for _ in range(dim * dim)]
-        want = _stages(list(itertools.chain.from_iterable(
-            [-n for n in rows[g::dim]] if g.bit_count() & 2 else rows[g::dim]
-            for g in range(dim))), m)
-        shift = _shift(functools.reduce(operator.or_, want), 3)
+        # coset g, Walsh index a at g * 2^m + a
+        cosets = [rng.randint(-top, top) << (i & 3) for _ in range(dim * dim)]
         x = Multivector._raw(Metric.interleaved(m),
-                             dict(zip(_blade_at(m)[1], rows)), i & 3)
+                             dict(zip(_blade_at(m)[0], cosets)), i & 3)
         ex = blades_to_efb(x, m)
         made = ex, efb_product(ex, ex), efb_product(flat, flat)
         yield (m, i), (
-            column_kernel(rows, m, _magnitude([rows]), signs, 3)
-            == ([n >> shift for n in want], shift)
+            _agree("columns", cosets, m, _coset_signs(m), 3)
             and all(z._bits >= _magnitude(z._cosets.values()) for z in made)
             and efb_to_blades(ex) == x)
-
-
-def as_columns(z: EFBMultivector, size: int) -> EFBMultivector:
-    """z held as packed columns of size-byte lanes alone, as a dense
-    gather or a packed product keeps them."""
-    return EFBMultivector._from_columns(
-        z.m, _pack(z._flat(), size, z.dim), size, z._e, z._bound())
-
-
-def cancelled(z: EFBMultivector, g: int, b: int) -> EFBMultivector:
-    """z, which keeps columns, with entry b of coset g cancelled to 0: a
-    zero lane in column b."""
-    flat, size = z._flat(), z._cols[1]
-    flat[b * z.dim + g] = 0
-    return EFBMultivector._from_columns(z.m, _pack(flat, size, z.dim), size,
-                                        z._e, z._bits)
-
-
-def _same_as_lists(x: EFBMultivector, y: EFBMultivector) -> bool:
-    """x * y from the kept columns of x and y, its triple count and its
-    read-out equal the list path: the coset sweep on their lists, which
-    is read materialized, and the list stages."""
-    lists = [EFBMultivector._from_ints(z.m, dict(z._cosets), z._e)
-             for z in (x, y)]
-    swept, triples = _sweep(*lists)
-    want = EFBMultivector._from_ints(x.m, swept, x._e + y._e)
-    reset_op_counters()
-    z = efb_product(x, y)
-    counted = op_counters().efb_triples
-    reset_op_counters()
-    return (counted == triples and _same_blades(
-        efb_to_blades(z), batched_efb_to_blades(want)) and z == want)
 
 
 @_suite("packed-columns")
@@ -823,30 +868,26 @@ def check_packed_columns(b):
         metric, dim = Metric.interleaved(m), 1 << m
         x, y = (dense_blade_multivector(metric, rng) for _ in range(2))
         ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
-        yield ("signs", m), (ex == batched_blades_to_efb(x, m)
-                             and _same_as_lists(ex, ey))
-        yield ("order", m), _same_as_lists(ey, ex)
+        yield ("signs", m), _agree("to-efb", x, m) and _agree("kept", ex, ey)
+        yield ("order", m), _agree("kept", ey, ex)
         odd = Multivector._raw(metric, {mask: 2 * n + 1 for mask, n in
                                         x._nums.items()}, 2)
-        eo = blades_to_efb(odd, m)
-        yield ("shift", m), (eo == batched_blades_to_efb(odd, m)
-                             and _same_as_lists(eo, ey))
+        yield ("shift", m), (_agree("to-efb", odd, m)
+                             and _agree("kept", blades_to_efb(odd, m), ey))
         g, c = rng.randrange(dim), rng.randrange(dim)
         yield ("zero-lane", m, g, c), (
-            _same_as_lists(cancelled(ex, g, c), ey)
-            and _same_as_lists(ex, cancelled(ey, c, g)))
-        for need in (63, 64, 65):  # lane bits 2k + m + 1
-            if (need - m - 1) % 2 == 0:
-                u, v, want = full_lanes(m, (need - m - 1) // 2, rng)
-                u, v = as_columns(u, 8), as_columns(v, 8)
-                yield ("lane-bits", m, need), (
-                    _same_as_lists(u, v) and efb_product(u, v) == want)
+            _agree("kept", _held(ex, cancel=(g, c)), ey)
+            and _agree("kept", ex, _held(ey, cancel=(c, g))))
+        for need, _, top in _edges(m):
+            u, v, want = _lane_edge(m, top, rng)
+            u, v = _held(u, 8), _held(v, 8)
+            yield ("lane-bits", m, need), (
+                _agree("kept", u, v) and efb_product(u, v) == want)
         # every entry 2^m c^2 with one sign: the read-out's sums need
         # 2k + 2m + 1 bits
         k = (32 - m - 1) // 2
-        u, v, _ = full_lanes(m, k, rng, (1, 1))
-        yield ("read-out", m, k), _same_as_lists(as_columns(u, 4),
-                                                 as_columns(v, 4))
+        u, v, _ = _lane_edge(m, (1 << k) - 1, rng, (1, 1))
+        yield ("read-out", m, k), _agree("kept", _held(u, 4), _held(v, 4))
 
 
 def run_suite(level: str = "quick") -> list[CheckResult]:

@@ -11,7 +11,7 @@ from cliffbits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
                        walsh_hadamard)
 from cliffbits import bits
 from cliffbits.bits import walsh_batch, walsh_function, walsh_index, xor_span
-from cliffbits.verify import column_kernel
+from cliffbits.verify import _column_kernel
 
 
 def test_bit_extraction():
@@ -200,6 +200,23 @@ def test_pack_and_unpack_round_trip_at_the_lane_edges(size):
             assert bits._unpack(iter(packed), size, count) == values
 
 
+@given(st.data())
+def test_pack_and_unpack_round_trip_at_any_lane_size(data):
+    # 1 to 8 lanes of 1 to 9 bytes in 1 to 3 rows, every value drawn from
+    # its lane's whole signed range, so the top byte that _narrow keeps
+    # carries value bits, not only the sign fill
+    size, count, rows = (data.draw(st.integers(1, top)) for top in (9, 8, 3))
+    half = 1 << (8 * size - 1)
+    values = data.draw(st.lists(st.integers(-half, half - 1),
+                                min_size=rows * count, max_size=rows * count))
+    packed = bits._pack(values, size, count)
+    assert packed == [
+        sum(v << (8 * size * c)
+            for c, v in enumerate(values[r * count:(r + 1) * count]))
+        for r in range(rows)]
+    assert bits._unpack(packed, size, count) == values
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
 def test_pack_negates_the_lanes_of_neg(size):
     # the lanes set in neg come out negated, up to magnitude 2^(W - 1) - 1
@@ -298,20 +315,6 @@ def _staged(flat, k):
     return [out[c::count] for c in range(count)]
 
 
-def _lane_order(flat, k):
-    """flat, vectors of length 2^k end to end, as _columns reads it:
-    entry i of every vector, then entry i + 1."""
-    count = len(flat) >> k
-    return list(chain.from_iterable(flat[i::count] for i in range(1 << k)))
-
-
-def _columns_of(flat, k, cap=0):
-    """bits._columns of vectors laid end to end, sized by one scan,
-    packed and unpacked by verify's adapter."""
-    return column_kernel(_lane_order(flat, k), k, bits._magnitude([flat]),
-                         0, cap)
-
-
 def test_full_batches_from_k5_take_the_column_kernel(monkeypatch):
     rng = random.Random(83)
     seen = []
@@ -375,13 +378,13 @@ def test_column_kernel_lowers_the_exponent_on_its_rows(k):
         for x in want:
             low |= x
         shift = min(cap, (low & -low).bit_length() - 1)
-        assert _columns_of(flat, k, cap) == (
+        assert _column_kernel(flat, k, 0, cap) == (
             [x >> shift for x in want], shift)
     # one vector alone has an odd entry, so its lane alone sets the
     # shift to 0: every lane must reach the fold
     for v in range(1 << k):
         flat = [rng.randint(-99, 99) << 5 for _ in range(n)]
         flat[v << k] |= 1
-        assert _columns_of(flat, k, 9) == (bits._stages(flat, k), 0)
-    assert _columns_of([0] * n, k, 3) == ([0] * n, 3)
-    assert _columns_of([1] * n, k) == (bits._stages([1] * n, k), 0)
+        assert _column_kernel(flat, k, 0, 9) == (bits._stages(flat, k), 0)
+    assert _column_kernel([0] * n, k, 0, 3) == ([0] * n, 3)
+    assert _column_kernel([1] * n, k) == (bits._stages([1] * n, k), 0)

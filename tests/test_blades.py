@@ -12,7 +12,8 @@ from cliffbits import (DyadicRational, Metric, MetricError, Multivector,
                        tau_blade, tau_squared_oracle, volume_element)
 from cliffbits import blades, dyadic
 from cliffbits.sampling import dense_blade_multivector, random_multivector
-from cliffbits.verify import _walk_lanes, check_blade_sign_vs_normal_order
+from cliffbits.verify import (_blades, _mate, _rule_width,
+                              check_blade_sign_vs_normal_order)
 
 from conftest import OTHER_SCALARS, multivectors
 
@@ -649,7 +650,7 @@ def test_wide_lanes_tip_the_rule_to_the_loop(monkeypatch):
     rng = random.Random(97)
     metric = Metric.block(4, 4)
     x, y = (_terms(metric, 64, 1 << 300, rng) for _ in range(2))
-    assert _walk_lanes(x, y) == 616
+    assert _rule_width(x, y) == 616
     assert _kernel(monkeypatch, x, y) == "_pair_loop"
     narrow = [_terms(metric, 64, 9, rng) for _ in range(2)]
     assert _kernel(monkeypatch, *narrow) == "_gray_walk"
@@ -662,7 +663,7 @@ def test_the_rule_weighs_the_blades_of_x(monkeypatch):
     metric = Metric.interleaved(5)
     sparse, dense = _terms(metric, 32, 1 << 40, rng), _terms(
         metric, 1 << 10, 1 << 40, rng)
-    assert _walk_lanes(sparse, dense) == 96
+    assert _rule_width(sparse, dense) == 96
     assert _kernel(monkeypatch, sparse, dense) == "_gray_walk"
     assert _kernel(monkeypatch, dense, sparse) == "_pair_loop"
 
@@ -684,7 +685,7 @@ def test_dense_pair_counts_exactly_16_to_the_m(m):
 
 def _walked(x: Multivector, y: Multivector) -> Multivector:
     return Multivector._raw(x.metric,
-                            blades._gray_walk(x, y, _walk_lanes(x, y)),
+                            blades._gray_walk(x, y, _rule_width(x, y)),
                             x._e + y._e)
 
 
@@ -718,21 +719,18 @@ def test_walk_at_every_byte_edge(k):
     # lane needs 8k - 1, 8k and 8k + 1 bits (n + 1 + 2b, so n = 6 or 7 by
     # parity), where whole-byte lanes are 8k or 8k + 8 bits wide; x_a =
     # +-c and y_a = +-x_a a^2 put every pair into the scalar, which is
-    # +-2^n c^2, the most the lanes hold, as in verify's lane-bits cases
+    # +-2^n c^2, the most the lanes hold: verify's lane-bits operands
     rng = random.Random(117 + k)
     for need in (8 * k - 1, 8 * k, 8 * k + 1):
         n = 6 + (need & 1 == 0)
         assert n >= blades._WHOLE_BYTES_N
         metric = Metric(tuple(rng.choice((1, -1)) for _ in range(n)))
         c = (1 << (need - n - 1) // 2) - 1
-        x = Multivector._raw(metric, {a: rng.choice((-c, c))
-                                      for a in range(1 << n)}, 0)
+        x = _blades(metric, rng, 1 << n, c, c)
         for s in (1, -1):
-            y = Multivector._raw(metric, {
-                a: s * blade_product(a, a, metric)[0] * v
-                for a, v in x._nums.items()}, 0)
-            assert _walk_lanes(x, y) == -(-need // 8) * 8
-            walked = blades._gray_walk(x, y, _walk_lanes(x, y))
+            y = _mate(x, s)
+            assert _rule_width(x, y) == -(-need // 8) * 8
+            walked = blades._gray_walk(x, y, _rule_width(x, y))
             assert walked[0] == s * c * c << n
             assert _walked(x, y) == _looped(x, y)
 
@@ -797,7 +795,7 @@ def test_walk_masks_cached_equal_a_fresh_build_and_stay_bounded():
     metric = Metric.block(6, 6)
     rng = random.Random(113)
     x, y = (_terms(metric, 1 << 12, 1 << 20, rng) for _ in range(2))
-    width = _walk_lanes(x, y)
+    width = _rule_width(x, y)
     assert width << 12 >> 3 > blades._MASK_SPAN
     before = masks.cache_info().currsize
     blades._gray_walk(x, y, width)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -370,6 +371,74 @@ def test_verify_first_failures_of_planted_faults(monkeypatch):
             ("sign-cocycle", (2, 0, 1, 0, 3)),
             ("matrix-units", (2, 0, 3, 3, 1)),
             ("conversion-vs-word-oracle", (2, 3, 1)))}
+
+
+def test_verify_case_sequences_keep_their_pinned_hashes():
+    # SHA-256 of each suite's (case, ok) pairs at the quick bounds: every
+    # case, its order and its mark, in suite order; the names are those
+    # that test_verify_quick pins
+    data = Path(__file__).parent / "data"
+    names = [line.split()[1] for line in
+             (data / "verify_quick.txt").read_text("utf-8").splitlines()]
+    bounds = verify._BOUNDS["quick"]
+    got = [name + " " + hashlib.sha256(
+        repr(list(check.__wrapped__(bounds))).encode()).hexdigest()
+        for name, check in zip(names, verify._CHECKS, strict=True)]
+    assert got == (data / "verify_cases_quick.txt").read_text(
+        "utf-8").splitlines()
+
+
+def _top_step_negates_nothing(real):
+    """blades._walk_masks with no lane negated by the walk's top step."""
+    def planted(n, neg, size):
+        keep, low, flip, rows, halves = real.__wrapped__(n, neg, size)
+        return keep, low[:-1] + (0,), flip, rows, halves
+    planted.__wrapped__ = planted
+    return planted
+
+
+def _misread_index(real):
+    """walsh_index with bit 0 of every index from 2 on flipped."""
+    def planted(v, k):
+        i = real(v, k)
+        return i ^ 1 if i > 1 else i
+    return planted
+
+
+# one planted fault per fast-path suite: (suite, module.name, fault), the
+# fault built from the real function
+_PLANTED = [
+    ("conversion-fast-paths", "efb.walsh_index", _misread_index),
+    ("dense-fast-paths", "efb._permute",
+     lambda real: lambda v, t, size, keeps: real(v, t & ~1, size, keeps)),
+    ("blade-kernels", "blades._walk_masks", _top_step_negates_nothing),
+    ("walsh-kernels", "bits._lower",
+     lambda real: lambda rows, size, k, cap: real(rows, size, k, cap + 1)),
+    ("lane-bounds", "bits._negator",
+     lambda real: lambda size, count, neg: (
+         real(size, count, neg)[0], cliffbits.bits._halves(size, count))),
+    ("packed-columns", "efb._lower",
+     lambda real: lambda rows, size, k, cap: (rows, 0)),
+    ("packed-columns", "efb._triples",
+     lambda real: lambda flags, yf: real(flags, yf) + 1),
+]
+
+
+@pytest.mark.parametrize("suite, target, fault", _PLANTED,
+                         ids=[f"{s}-{t}" for s, t, _ in _PLANTED])
+def test_each_fast_path_suite_catches_a_planted_fault(monkeypatch, suite,
+                                                      target, fault):
+    # a wrong value planted in the fast path's own module, where the
+    # library looks it up, fails the suite that checks that path
+    module, name = target.split(".")
+    module = getattr(cliffbits, module)
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    check, = [c for c in verify._CHECKS
+              if c.__wrapped__.__name__ == "check_" + suite.replace("-", "_")]
+    result = check(verify._BOUNDS["quick"])
+    assert result.name == suite
+    assert result.passed is False
+    assert result.detail.startswith("first failure: ")
 
 
 def test_case_iterators_follow_the_nested_loops():

@@ -739,16 +739,15 @@ def test_blade_images_are_walsh_functions():
 
 def _kernel_outputs(x, y):
     """(product, triples) from each kernel, sweep first."""
-    swept, triples = efb._sweep(x, y)
-    return [(EFBMultivector._from_ints(x.m, swept, x._e + y._e), triples),
-            verify.packed_product(x, y, verify._rows_width(x, y))]
+    return [(z, counts.efb_triples) for z, counts in (
+        verify._counted(verify._swept, x, y),
+        verify._counted(verify._packed_product, x, y))]
 
 
 def _assert_kernels_agree(x, y):
-    (zs, ts), (zp, tp) = _kernel_outputs(x, y)
-    assert (zs._e, list(zs._cosets.items()), ts) == (
-        zp._e, list(zp._cosets.items()), tp)
-    return zs, ts
+    swept, packed = _kernel_outputs(x, y)
+    assert verify._terms(swept) == verify._terms(packed)
+    return swept
 
 
 def _random_efb(m, rng, fill, bits):
@@ -784,8 +783,9 @@ def test_kernels_agree_on_random_operands():
 ])
 def test_kernels_agree_at_full_lanes(m, k, width, monkeypatch):
     # every product entry is s_a u_d 2^m c^2, the largest a lane holds
-    x, y, want = verify.full_lanes(m, k, random.Random(m * 1000 + k))
-    assert verify._rows_width(x, y) == width
+    x, y, want = verify._lane_edge(m, (1 << k) - 1,
+                                   random.Random(m * 1000 + k))
+    assert verify._rule_width(x, y) == width
     z, triples = _assert_kernels_agree(x, y)
     assert triples == 8 ** m
     assert z == want
@@ -859,7 +859,7 @@ def test_stored_cosets_of_y_pick_kernel(stored, refused, monkeypatch):
                            for a in range(16) for b in range(16)})
     y = EFBMultivector(4, {(a, a ^ g): rng.randint(1, top)
                            for g in range(stored) for a in range(16)})
-    assert verify._rows_width(x, y) == (88 if stored < 8 else 408)
+    assert verify._rule_width(x, y) == (88 if stored < 8 else 408)
     want = _kernel_outputs(x, y)[0][0]
     monkeypatch.setattr(efb, refused, _refuse)
     assert efb_product(x, y) == want
@@ -895,7 +895,7 @@ def test_dense_x_packs_a_sixteenth_of_y_m8(monkeypatch):
         m, {g: [rng.choice((-1, 1)) * rng.randint(512, 1023)
                 for _ in range(dim)] for g in cosets}, 0)
         for cosets in (range(dim), rng.sample(range(dim), 16)))
-    assert verify._rows_width(x, y) == 32
+    assert verify._rule_width(x, y) == 32
     swept, triples = efb._sweep(x, y)
     want = EFBMultivector._from_ints(m, swept, 0)
     monkeypatch.setattr(efb, "_sweep", _refuse)
@@ -934,8 +934,9 @@ def test_column_permutations_move_coset_lanes_to_row_lanes():
 def test_kernels_agree_at_the_word_edge(m, k, width, signs):
     # every product entry at the most negative (or positive) value that
     # the lane holds, on either side of one 64-bit word
-    x, y, want = verify.full_lanes(m, k, random.Random(m + k), signs)
-    assert verify._rows_width(x, y) == width
+    x, y, want = verify._lane_edge(m, (1 << k) - 1, random.Random(m + k),
+                                   signs)
+    assert verify._rule_width(x, y) == width
     z, triples = _assert_kernels_agree(x, y)
     assert (z, triples) == (want, 8 ** m)
 
@@ -950,7 +951,7 @@ def test_kernels_agree_on_extreme_words():
         x = EFBMultivector(m, {(a, b): rng.choice((-top, top))
                                for a in range(dim) for b in range(dim)})
         y = dense_efb_multivector(m, rng)
-        assert verify._rows_width(x, y) > 64
+        assert verify._rule_width(x, y) > 64
         _assert_kernels_agree(x, y)
         _assert_kernels_agree(y, x)
         _assert_kernels_agree(x, x)
@@ -1025,12 +1026,10 @@ def test_dense_gather_matches_the_loop(m, monkeypatch):
         runs = []
         for share in (efb._GATHER_SHARE, 0, 2):  # as picked, gather, loop
             monkeypatch.setattr(efb, "_GATHER_SHARE", share)
-            z = blades_to_efb(x, m)
-            runs.append((z._e, list(z._cosets.items())))
+            runs.append(verify._terms(blades_to_efb(x, m)))
         monkeypatch.undo()
         assert runs[0] == runs[1] == runs[2]
-        ref = verify.batched_blades_to_efb(x, m)
-        assert runs[0] == (ref._e, list(ref._cosets.items()))
+        assert runs[0] == verify._terms(verify.batched_blades_to_efb(x, m))
 
 
 def test_dense_gather_runs_from_the_share(monkeypatch):
@@ -1084,23 +1083,16 @@ def test_per_m_tables_wait_for_first_use():
 def _assert_same_conversions(x: Multivector, m: int):
     """Both conversions of x equal the batched path on values, exponent,
     coset order and terms order; returns x's image."""
+    assert verify._agree("to-efb", x, m)
     ex = blades_to_efb(x, m)
-    ref = verify.batched_blades_to_efb(x, m)
-    assert (ex._e, list(ex._cosets.items())) == (
-        ref._e, list(ref._cosets.items()))
-    back = efb_to_blades(ex)
-    ref = verify.batched_efb_to_blades(ex)
-    assert (back._e, list(back._nums.items())) == (
-        ref._e, list(ref._nums.items()))
-    assert back == x
+    assert verify._agree("to-blades", ex)
+    assert efb_to_blades(ex) == x
     return ex
 
 
 def _assert_same_read_back(z: EFBMultivector):
-    got, ref = efb_to_blades(z), verify.batched_efb_to_blades(z)
-    assert (got._e, list(got._nums.items())) == (
-        ref._e, list(ref._nums.items()))
-    assert blades_to_efb(got, z.m) == z
+    assert verify._agree("to-blades", z)
+    assert blades_to_efb(efb_to_blades(z), z.m) == z
 
 
 def test_fast_paths_every_blade_m4():
@@ -1297,8 +1289,7 @@ def test_dense_read_out_keeps_term_order(m, monkeypatch):
     for z in (efb_product(ex, ey), ex,
               efb_product(dense_efb_multivector(m, rng),
                           dense_efb_multivector(m, rng))):
-        assert verify._same_blades(efb_to_blades(z),
-                                   verify.batched_efb_to_blades(z))
+        assert verify._agree("to-blades", z)
     assert taken == [m] * 3
     if m == 5:
         assert efb_to_blades(efb_product(ex, ey)) == mv_mul(x, y)
@@ -1335,8 +1326,7 @@ def test_sparse_products_skip_the_dense_read_out(monkeypatch):
     z = efb_product(dense_efb_multivector(4, rng),
                     dense_efb_multivector(4, rng))
     assert z._cols is not None
-    assert verify._same_blades(efb_to_blades(z),
-                               verify.batched_efb_to_blades(z))
+    assert verify._agree("to-blades", z)
     assert taken[kept:] == [4]
 
 
@@ -1467,7 +1457,8 @@ def test_dense_pipeline_takes_its_widths_from_the_bounds(m, monkeypatch):
         z = efb_to_blades(ez)
         monkeypatch.undo()
         assert scans == []
-        assert verify._same_blades(z, verify.batched_efb_to_blades(ez))
+        assert verify._terms(z) == verify._terms(
+            verify.batched_efb_to_blades(ez))
         assert efb._lanes(ex, ey) == cliffbits.bits._lane_width(
             m, ex._cosets.values(), ey._cosets.values())
         assert cliffbits.bits._width(ez._bits + m + 1) == (
@@ -1488,7 +1479,7 @@ def test_cancelled_entries_count_their_triples():
     rng = random.Random(131)
     m = 5
     ex, ey = (blades_to_efb(_efb_dense_dyadic(m, rng), m) for _ in "xy")
-    hx, hy = verify.cancelled(ex, 3, 17), verify.cancelled(ey, 30, 0)
+    hx, hy = verify._held(ex, cancel=(3, 17)), verify._held(ey, cancel=(30, 0))
     assert (hx.entry(3 ^ 17, 17), hy.entry(30, 0)) == (0, 0)
     for x, y, lost in ((ex, ey, 0), (hx, ey, 32), (ex, hy, 32),
                        (hx, hy, 64)):
@@ -1506,11 +1497,11 @@ def test_columns_too_narrow_for_the_read_out_are_packed_again(m):
     # every product entry 2^m c^2 with one sign, on 32-bit columns: the
     # read-out's sums need 2k + 2m + 1 bits, past the kept lanes
     k = (32 - m - 1) // 2
-    u, v, want = verify.full_lanes(m, k, random.Random(m), (1, 1))
-    z = efb_product(verify.as_columns(u, 4), verify.as_columns(v, 4))
+    u, v, want = verify._lane_edge(m, (1 << k) - 1, random.Random(m), (1, 1))
+    z = efb_product(verify._held(u, 4), verify._held(v, 4))
     assert z._cols[1] == 4 and cliffbits.bits._width(z._bound() + m + 1) > 32
-    assert verify._same_blades(efb_to_blades(z),
-                               verify.batched_efb_to_blades(want))
+    assert verify._terms(efb_to_blades(z)) == verify._terms(
+        verify.batched_efb_to_blades(want))
 
 
 @given(st.integers(min_value=5, max_value=6),
@@ -1538,8 +1529,10 @@ def test_kept_columns_equal_the_same_entries(m, seed, bits, read_first):
     fresh = blades_to_efb(x, m)
     z, want = efb_product(fresh, ey), efb_product(built, ey)
     assert z == want and list(z.nonzero()) == list(want.nonzero())
-    assert verify._same_blades(efb_to_blades(z), efb_to_blades(want))
-    assert verify._same_blades(efb_to_blades(kept), efb_to_blades(built))
+    assert verify._terms(efb_to_blades(z)) == verify._terms(
+        efb_to_blades(want))
+    assert verify._terms(efb_to_blades(kept)) == verify._terms(
+        efb_to_blades(built))
 
 
 def test_wide_dense_operands_skip_the_column_kernel(monkeypatch):
@@ -1556,13 +1549,11 @@ def test_wide_dense_operands_skip_the_column_kernel(monkeypatch):
     monkeypatch.setattr(efb, "_columns", refuse)
     monkeypatch.setattr(cliffbits.bits, "_columns", refuse)
     ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
-    assert ex == verify.batched_blades_to_efb(x, m)
-    assert ey == verify.batched_blades_to_efb(y, m)
+    assert verify._agree("to-efb", x, m) and verify._agree("to-efb", y, m)
     ez = efb_product(ex, ey)
     assert len(ez._cosets) == 1 << m
     assert not any(walsh_index(v, m) >= 0 for v in ez._cosets.values())
-    assert verify._same_blades(efb_to_blades(ez),
-                               verify.batched_efb_to_blades(ez))
+    assert verify._agree("to-blades", ez)
     assert efb_to_blades(ex) == x
     # a narrow dense operand does reach the kernel
     with pytest.raises(AssertionError, match="the column kernel ran"):
