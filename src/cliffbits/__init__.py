@@ -34,7 +34,12 @@ text, so parsing a multivector builds no DyadicRational either.
 The classification half of the package names the matrix algebra of any
 Cl(k, l) from three mod-8 residues, and can run the other way, turning
 measured squares of canonical elements back into bits of the signature.
+
+The oracle layer (``verify``) and the word calculus (``words``) load on
+the first access of one of their names, so a product imports neither.
 """
+
+from importlib import import_module
 
 from .bits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
                    neg_mod8, parity_above, sign_bit, sign_to_bit,
@@ -53,12 +58,28 @@ from .classify import (AlgebraClass, AutomorphismBits, SignatureKL,
 from .dyadic import DyadicRational
 from .efb import EFBMultivector, blades_to_efb, efb_product, efb_to_blades
 from .instrument import OpCounts, op_counters, reset_op_counters
-from .verify import CheckResult, run_suite
-from .words import (ChiralityRecord, EFBElement, EFBIndex, efb_element,
-                    matrix_unit_normalization, normal_order,
-                    normalization_sign, omega_eigen_check, sig_label, sign_s,
-                    signatures, table_entries, witt_basis, word_multivector,
-                    word_product_oracle)
+
+# the module of each name of the oracle layer and the word calculus: a
+# product needs neither, so each loads on the first access of one of its
+# names (PEP 562), and `import cliffbits` leaves both, and the samplers
+# that verify imports, unloaded
+_LAZY = {name: module for module, names in (
+    ("verify", ("CheckResult", "run_suite")),
+    ("words", ("ChiralityRecord", "EFBElement", "EFBIndex", "efb_element",
+               "matrix_unit_normalization", "normal_order",
+               "normalization_sign", "omega_eigen_check", "sig_label",
+               "sign_s", "signatures", "table_entries", "witt_basis",
+               "word_multivector", "word_product_oracle"))) for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__),
+                                      name)
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -2,8 +2,8 @@
 
 This is the ground-truth layer.  Blades are bitmasks (bit i set means
 generator g{i+1} is a factor, factors ordered by increasing index),
-multivectors are sparse blade -> numerator maps over one shared 2^e,
-and every product sign is the GF(2) bilinear form of blade_product.
+multivectors map blades to integer numerators over one shared 2^e, and
+every product sign is the GF(2) bilinear form of blade_product.
 Multivector.parse looks each generator name up in a per-n table of
 bits; a term's coefficient can only be its first token, read with
 dyadic's one reader into a numerator and an exponent.  It scales the
@@ -14,6 +14,29 @@ one calls blade_product, and str writes generators in increasing
 order, so parse(str(x)) never does.
 str joins the generator names of a mask from per-byte tables of 256
 prebuilt strings, one table per byte position, built on first use.
+
+A multivector has one of two storage forms, picked from its value
+alone by one rule, _listed: one that holds at least 3/8 of the 2^n
+blades (_LIST_SHARE) keeps its numerators as one list of length 2^n
+in mask order, zeros included, and a sparser one keeps a dict of its
+nonzero numerators by mask.  Either way it keeps its count of nonzero
+numerators, _nnz.  In the paper's terms a dense element is a vector
+indexed by the integers 0 .. 2^n - 1, its blades.  Every producer
+passes through the one canonical form (_canonical, which counts, picks
+the form and lowers the exponent) or adopts numerators already in it,
+so equal values have equal storage and equality stays structural.
+The fast paths read the list and build no dict: the Gray-code walk
+takes both operands' numerators from it (_vector, which builds the
+list of a dict form instead) and returns its lanes as the product's
+list; efb's dense gather reads it with one itemgetter in lane order,
+and efb's dense read-out writes it with one itemgetter into mask
+order.  Equality, scaling, sums of two lists, the grade involution,
+the canonical shift, _bound(), the pair count and str read the list
+as well; str walks it in a per-n grade order of the masks
+(_grade_order), built for list forms alone and kept for a few n.  The
+pair loop and efb's sparse conversion read the nonzeros of either form
+(_items); the dict of a list form is built from the list on the first
+read of _nums, by terms and coefficient, and kept.
 
 mv_mul has two kernels with equal results and pair counts.  The pair
 loop runs one interpreted multiply-add per blade pair; it takes sparse
@@ -32,7 +55,7 @@ C-level multiply-add per blade of x into the 2^j accumulators A_l.
 Horner's rule folds them with the same step, highest bit first:
 A_i += e_k A_(i + 2^k).  The walk pays 2^(n - j) + 2^j - 1 steps over
 all 2^n lanes, so it loses on sparse operands; _walk_width weighs
-len(x) * len(y) against that cost by bits._kernel_width.  From n = 6
+nnz(x) * nnz(y) against that cost by bits._kernel_width.  From n = 6
 on its lanes take the fewest whole bytes that hold a term, 6 bytes and
 not 8 for a 43-bit one (_walk_lane): the walk multiplies its packed int
 once per blade of x and packs and unpacks it once, so there the
@@ -57,6 +80,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import compress, repeat
+from operator import add, lshift, mul, rshift
 from types import MappingProxyType
 
 from .bits import (_halves, _keeps, _kernel_width, _lane_pattern, _magnitude,
@@ -173,10 +197,15 @@ class Multivector(_Numerators):
     """Finitely supported map from blades to dyadic coefficients.
 
     Stored as plain-int numerators over one shared denominator 2^_e:
-    _nums[mask] / 2^_e is the coefficient of the blade.  The form is
-    canonical: no numerator is zero, and _e is 0 or some numerator is
-    odd, so equality compares (metric, _e, _nums); _bits, a bound on the
-    bit length of every numerator or None, plays no part in it.  terms
+    _nums[mask] / 2^_e is the coefficient of the blade.  _vec, when the
+    value holds at least _LIST_SHARE of the 2^n blades, is the list of
+    all 2^n numerators in mask order, zeros included, and _nums is built
+    from it on first read and kept in _map; otherwise _vec is None and
+    _map is the dict of the nonzero numerators.  _nnz counts them.  The
+    form is canonical: no dict numerator is zero, the value picks the
+    storage, and _e is 0 or some numerator is odd, so equality compares
+    (metric, _e, the list or the dict); _bits, a bound on the bit length
+    of every numerator or None, plays no part in it.  terms
     and coefficient() give reduced DyadicRationals.  Coefficients are
     int or DyadicRational, and such a scalar lifts to the grade-0 blade
     in +, - and ==.  The operators that read no storage come from
@@ -184,7 +213,7 @@ class Multivector(_Numerators):
     new instances.
     """
 
-    __slots__ = ("metric", "_e", "_nums", "_bits")
+    __slots__ = ("metric", "_e", "_vec", "_map", "_nnz", "_bits")
 
     def __init__(self, metric: Metric, terms=None):
         terms = dict(terms) if terms else {}
@@ -195,36 +224,50 @@ class Multivector(_Numerators):
             if mask < 0 or mask >> n:
                 raise MetricError(f"blade {mask:#x} out of range for n={n}")
         nums, e = _scale_in(terms.values())
-        self.metric = metric
-        self._nums, self._e = _canonical(dict(zip(terms, nums)), e)
-        self._bits = None
+        nums, nnz, e = _canonical(dict(zip(terms, nums)), e, n)
+        self.metric, self._nnz, self._e, self._bits = metric, nnz, e, None
+        self._vec, self._map = ((nums, None) if type(nums) is list
+                                else (None, nums))
 
     @classmethod
-    def _raw(cls, metric: Metric, nums: dict, e: int,
+    def _raw(cls, metric: Metric, nums, e: int,
              bits: int | None = None) -> "Multivector":
-        """Adopt integer numerators over 2^e, in canonical form.  Takes
-        ownership of nums: the caller hands in a dict it no longer uses.
-        bits, when given, bounds the bit length of every numerator, and
-        the canonical shift lowers it."""
-        nums, low = _canonical(nums, e)
-        return cls._adopt(metric, nums, low,
+        """Adopt integer numerators over 2^e, a dict of masks or a list of
+        2^n in mask order, in canonical form and in the form _listed
+        picks.  Takes ownership of nums: the caller hands in a dict or a
+        list it no longer uses.  bits, when given, bounds the bit length
+        of every numerator, and the canonical shift lowers it."""
+        nums, nnz, low = _canonical(nums, e, metric.n)
+        return cls._adopt(metric, nums, nnz, low,
                           None if bits is None else max(bits - e + low, 0))
 
     @classmethod
-    def _adopt(cls, metric: Metric, nums: dict, e: int,
+    def _adopt(cls, metric: Metric, nums, nnz: int, e: int,
                bits: int | None = None) -> "Multivector":
-        """_raw of numerators already in canonical form, bits already
-        lowered."""
+        """_raw of numerators already in canonical form and in the form
+        _listed picks for their nonzero count nnz, bits already lowered: a
+        list is kept as _vec, a dict as _map."""
         mv = object.__new__(cls)
-        mv.metric = metric
-        mv._nums, mv._e, mv._bits = nums, e, bits
+        mv.metric, mv._nnz, mv._e, mv._bits = metric, nnz, e, bits
+        mv._vec, mv._map = (nums, None) if type(nums) is list else (None, nums)
         return mv
+
+    @property
+    def _nums(self) -> dict:
+        """The nonzero numerators by mask: the dict form's dict, or one
+        built from the list on first read, in mask order, and kept."""
+        nums = self._map
+        if nums is None:
+            nums = self._map = dict(_items(self))
+        return nums
 
     def _bound(self) -> int:
         """_bits, or, when no producer set it, the bit length of the
         largest numerator by one scan, kept in _bits."""
         if self._bits is None:
-            self._bits = _magnitude([self._nums.values()])
+            vec = self._vec
+            self._bits = _magnitude([self._map.values() if vec is None
+                                     else vec])
         return self._bits
 
     @classmethod
@@ -264,13 +307,15 @@ class Multivector(_Numerators):
             self.metric, {0: pair[0]}, pair[1])
 
     def _key(self):
-        return self.metric, self._e, self._nums
+        vec = self._vec
+        return self.metric, self._e, self._map if vec is None else vec
 
     def _scaled(self, numerator: int, exponent: int) -> "Multivector":
-        bits = self._bits
+        bits, vec = self._bits, self._vec
         return Multivector._raw(
             self.metric,
-            {mask: n * numerator for mask, n in self._nums.items()},
+            {mask: n * numerator for mask, n in self._map.items()}
+            if vec is None else list(map(mul, vec, repeat(numerator))),
             self._e + exponent,
             None if bits is None else bits + abs(numerator).bit_length())
 
@@ -284,10 +329,22 @@ class Multivector(_Numerators):
         if other.metric != self.metric:
             raise MetricError("operands over different metrics")
         e = max(self._e, other._e)
-        sx, sy = e - self._e, e - other._e
-        acc = {mask: n << sx for mask, n in self._nums.items()}
-        for mask, n in other._nums.items():
-            acc[mask] = acc.get(mask, 0) + (n << sy)
+        # a list form first, if there is one
+        a, b = (self, other) if other._vec is None else (other, self)
+        sa, sb = e - a._e, e - b._e
+        if a._vec is None:  # two dicts, in the order of self
+            acc = {mask: n << sa for mask, n in a._map.items()}
+            for mask, n in b._map.items():
+                acc[mask] = acc.get(mask, 0) + (n << sb)
+            return Multivector._raw(self.metric, acc, e)
+        xs = map(lshift, a._vec, repeat(sa)) if sa else a._vec
+        if b._vec is not None:
+            acc = list(map(add, xs, map(lshift, b._vec, repeat(sb))
+                           if sb else b._vec))
+        else:
+            acc = list(xs)
+            for mask, n in b._map.items():
+                acc[mask] += n << sb
         return Multivector._raw(self.metric, acc, e)
 
     __radd__ = __add__
@@ -302,23 +359,25 @@ class Multivector(_Numerators):
         return grade_involution(self)
 
     def __str__(self):
-        if not self._nums:
+        vec, top = self._vec, self._e
+        if not self._nnz:
             return "0"
+        if vec is None:
+            nums = self._map
+            masks = sorted(sorted(nums), key=int.bit_count)
+            terms = zip(map(_generator_names, masks),
+                        map(nums.__getitem__, masks))
+        else:  # the grade order of all 2^n masks, skipping the zeros
+            masks, names = _grade_order(self.metric.n)
+            values = list(map(vec.__getitem__, masks))
+            terms = zip(compress(names, values), compress(values, values))
         parts = []
-        nums, top = self._nums, self._e
-        for mask in sorted(nums, key=lambda m: (m.bit_count(), m)):
-            num = nums[mask]
+        for gens, num in terms:
             mag = _text(abs(num), top)  # each term in lowest terms
-            if mask:
-                gens = _generator_names(mask)
-                body = gens if mag == "1" else f"{mag} {gens}"
-            else:
-                body = mag
-            if not parts:
-                parts.append(f"-{body}" if num < 0 else body)
-            else:
-                parts.append(f"- {body}" if num < 0 else f"+ {body}")
-        return " ".join(parts)
+            body = (gens if mag == "1" else f"{mag} {gens}") if gens else mag
+            parts.append(f"- {body}" if num < 0 else f"+ {body}")
+        text = " ".join(parts)  # the first term takes its sign unspaced
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self):
         return f"<Multivector n={self.metric.n}: {self}>"
@@ -384,6 +443,15 @@ def _name_bits(n: int) -> dict:
     return {f"g{i + 1}": 1 << i for i in range(n)}
 
 
+@lru_cache(maxsize=8)
+def _grade_order(n: int) -> tuple:
+    """The 2^n masks by grade, then by mask, the order str writes terms
+    in, and their generator names: read by list forms alone, so built
+    only for an n that holds one, and kept for a few n."""
+    masks = sorted(range(1 << n), key=int.bit_count)
+    return masks, [_generator_names(mask) for mask in masks]
+
+
 @cache
 def _byte_names(p: int) -> list:
     """_byte_names(p)[b]: the names of the generators whose bits in byte
@@ -398,6 +466,9 @@ def _generator_names(mask: Blade) -> str:
     lookup per nonzero byte."""
     if mask < 256:
         return _byte_names(0)[mask]
+    if mask < 65536:  # two bytes, as every metric of mul has
+        low, high = _byte_names(0)[mask & 0xFF], _byte_names(1)[mask >> 8]
+        return f"{low} {high}" if low else high
     parts = []
     while mask:
         p = ((mask & -mask).bit_length() - 1) >> 3
@@ -407,15 +478,54 @@ def _generator_names(mask: Blade) -> str:
     return " ".join(parts)
 
 
-def _canonical(nums: dict, e: int) -> tuple[dict, int]:
-    """(nums, e) with the zero numerators dropped and e lowered while
-    every numerator is even: the one form equal multivectors share."""
-    if not all(nums.values()):
-        nums = {mask: n for mask, n in nums.items() if n}
-    shift = _common_shift(nums.values(), e)
+# the storage rule (_listed): a multivector that holds at least this
+# share of the 2^n blades keeps its numerators as one list in mask order
+_LIST_SHARE = 3 / 8
+
+
+def _listed(nnz: int, n: int) -> bool:
+    """Whether nnz nonzero numerators of n generators take the list form:
+    nnz >= _LIST_SHARE * 2^n, compared in integers, exact for every n."""
+    return nnz << 3 >= 3 << n
+
+
+def _canonical(nums, e: int, n: int) -> tuple:
+    """(nums, nnz, e) for numerators over 2^e, a dict of masks or a list of
+    2^n in mask order: nnz of them nonzero, stored in the form _listed
+    picks, the zeros dropped from a dict, and e lowered while every
+    numerator is even: the one form equal multivectors share."""
+    if type(nums) is list:
+        nnz = len(nums) - nums.count(0)
+        if not (listed := _listed(nnz, n)):
+            nums = dict(zip(compress(range(len(nums)), nums),
+                            compress(nums, nums)))
+    else:
+        if not all(nums.values()):
+            nums = {mask: v for mask, v in nums.items() if v}
+        if listed := _listed(nnz := len(nums), n):
+            nums = list(map(nums.get, range(1 << n), repeat(0)))
+    shift = _common_shift(nums if listed else nums.values(), e)
     if shift:
-        nums = {mask: n >> shift for mask, n in nums.items()}
-    return nums, e - shift
+        nums = (list(map(rshift, nums, repeat(shift))) if listed else
+                {mask: v >> shift for mask, v in nums.items()})
+    return nums, nnz, e - shift
+
+
+def _items(x: "Multivector"):
+    """The (mask, numerator) pairs of the nonzero numerators of x: the
+    dict's items, or the list's nonzeros in mask order, no dict built."""
+    vec = x._vec
+    if vec is None:
+        return x._map.items()
+    return zip(compress(range(len(vec)), vec), compress(vec, vec))
+
+
+def _vector(x: "Multivector") -> list:
+    """The numerators of x as one list of 2^n in mask order, zeros
+    included: a list form's own list, else one built from the dict."""
+    vec = x._vec
+    return vec if vec is not None else list(
+        map(x._map.get, range(1 << x.metric.n), repeat(0)))
 
 
 def mv_mul(x: Multivector, y: Multivector) -> Multivector:
@@ -424,7 +534,7 @@ def mv_mul(x: Multivector, y: Multivector) -> Multivector:
     Both kernels sum integer numerators over 2^(ex + ey) and agree term
     for term; _walk_width picks one from the operands alone.  The pair
     loop, which runs sparse operands, is the oracle of the Gray-code
-    walk, which runs dense ones.  The pair count, len(x) * len(y), is
+    walk, which runs dense ones.  The pair count, nnz(x) * nnz(y), is
     16^m on dense operands over Cl(m, m) whichever kernel runs.
     """
     if not isinstance(x, Multivector) or not isinstance(y, Multivector):
@@ -433,7 +543,7 @@ def mv_mul(x: Multivector, y: Multivector) -> Multivector:
         raise MetricError("operands over different metrics")
     width = _walk_width(x, y)
     acc = _gray_walk(x, y, width) if width else _pair_loop(x, y)
-    counters.blade_pairs += len(x._nums) * len(y._nums)
+    counters.blade_pairs += x._nnz * y._nnz
     # a term sums at most 2^n products of a numerator of x and one of y
     bits = (None if x._bits is None or y._bits is None
             else x._bits + y._bits + x.metric.n)
@@ -444,10 +554,10 @@ def _pair_loop(x: Multivector, y: Multivector) -> dict:
     """Product numerators by one interpreted multiply-add per blade pair,
     each signed by blade_product's row."""
     neg = x.metric.neg
-    yitems = list(y._nums.items())
+    yitems = list(_items(y))
     acc: dict[int, int] = {}
     get = acc.get
-    for amask, acoef in x._nums.items():
+    for amask, acoef in _items(x):
         row = parity_above(amask) ^ (amask & neg)  # blade_product's sign row
         for bmask, bcoef in yitems:
             key = amask ^ bmask
@@ -462,7 +572,7 @@ def _walk_width(x: Multivector, y: Multivector) -> int:
     """The Gray-code walk's lane width when it is the faster kernel, else
     0, by bits._kernel_width.
 
-    Costs are counted in the pair loop's multiply-adds, len(x) * len(y).
+    Costs are counted in the pair loop's multiply-adds, nnz(x) * nnz(y).
     The walk's steps, folds and lane codec cost about _WALK per lane of
     its 2^n-lane int of W-bit lanes, and each blade of x adds one
     multiply-add of that int, worth W / 2048 per lane.  The constants
@@ -471,8 +581,8 @@ def _walk_width(x: Multivector, y: Multivector) -> int:
     is _walk_lane's for n + 1 + the operands' _bound()s, so an operand
     whose producer set _bits is not scanned.
     """
-    n, xs = x.metric.n, len(x._nums)
-    return _kernel_width(xs * len(y._nums), _WALK << n, xs << n,
+    n, xs = x.metric.n, x._nnz
+    return _kernel_width(xs * y._nnz, _WALK << n, xs << n,
                          lambda: _walk_lane(n, n + 1 + x._bound()
                                             + y._bound()))
 
@@ -515,7 +625,7 @@ def _walk_masks(n: int, neg: int, size: int) -> tuple:
     return keep, low, flip, rows, _halves(size, 1 << n)
 
 
-def _gray_walk(x: Multivector, y: Multivector, width: int) -> dict:
+def _gray_walk(x: Multivector, y: Multivector, width: int) -> list:
     """Product numerators by a Gray-code walk over the high bits of the
     blades of x, the low j = _block(n) bits folded by Horner's rule.
 
@@ -551,8 +661,8 @@ def _gray_walk(x: Multivector, y: Multivector, width: int) -> dict:
         v = _swap(v, k, size, keep[k])
         # r_0 is 0 when g1 squares to +1
         return (v ^ flip[k]) + low[k] if low[k] else v
-    xs = list(map(x._nums.get, range(count), repeat(0)))
-    signed, = _pack(map(y._nums.get, range(count), repeat(0)), size, count)
+    xs = _vector(x)
+    signed, = _pack(_vector(y), size, count)
     v, block = signed + halves, 1 << j
     acc = [c * signed for c in xs[:block]]
     h = sign = 0
@@ -570,15 +680,17 @@ def _gray_walk(x: Multivector, y: Multivector, width: int) -> dict:
         for i in range(half):
             v = step(acc[i + half] + halves, k)
             acc[i] += halves - v if neg >> k & 1 else v - halves
-    lanes = _unpack(acc[:1], size, count)
-    return dict(zip(compress(range(count), lanes), compress(lanes, lanes)))
+    return _unpack(acc[:1], size, count)
 
 
 def grade_involution(x: Multivector) -> Multivector:
     """Flip the sign of every odd-grade coefficient."""
+    vec = x._vec
     return Multivector._raw(
         x.metric,
-        {m: (-n if m.bit_count() & 1 else n) for m, n in x._nums.items()},
+        {m: (-n if m.bit_count() & 1 else n) for m, n in x._map.items()}
+        if vec is None else
+        [-n if m.bit_count() & 1 else n for m, n in enumerate(vec)],
         x._e)
 
 

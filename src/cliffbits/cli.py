@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -30,10 +28,10 @@ from .classify import (_matrix_size_log2, algebra_name,
                        render_cube)
 from .efb import _check_m, blades_to_efb, efb_product, efb_to_blades
 from .instrument import op_counters, reset_op_counters
-from .sampling import (dense_blade_multivector, dense_efb_multivector,
-                       random_multivector)
-from .verify import run_suite
-from .words import sig_label, table_entries
+
+# the oracle layer, the word calculus, the samplers, subprocess and json
+# are imported by the commands that use them, so that a `mul` loads none
+# of them but json, and json only for --json
 
 
 def _ascii_default() -> bool:
@@ -66,6 +64,7 @@ def _cmd_classify(args) -> int:
     c = classify(args.k, args.l)
     record = classification_record(args.k, args.l)
     if args.json:
+        import json
         print(json.dumps(record, indent=2))
         return 0
     print(f"Cl({args.k},{args.l}) = {algebra_name(c)}")
@@ -83,6 +82,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_cube(args) -> int:
     if args.json:
+        import json
         print(json.dumps(cube_record(), indent=2))
         return 0
     print(render_cube(ascii_mode=args.ascii or _ascii_default()))
@@ -94,8 +94,10 @@ def _cmd_efb_table(args) -> int:
         print(f"efb-table: m must be between 1 and 4, got {args.m}",
               file=sys.stderr)
         return 2
+    from .words import sig_label, table_entries
     entries = table_entries(args.m)
     if args.json:
+        import json
         payload = [
             {"row": row, "col": col, "sign": sign, "word": word}
             for row, col, sign, word in entries
@@ -134,6 +136,7 @@ def _cmd_mul(args) -> int:
         return 1
     product = str(results.get("efb", results.get("blade")))
     if args.json:
+        import json
         print(json.dumps({"m": args.m, "left": args.left, "right": args.right,
                           "engine": args.engine, "product": product}))
     else:
@@ -142,8 +145,10 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
     results = run_suite(args.level)
     if args.json:
+        import json
         payload = [
             {"name": r.name, "passed": r.passed, "checked": r.checked,
              "detail": r.detail, "seconds": round(r.seconds, 4)}
@@ -227,6 +232,9 @@ def bench_results(m_max: int) -> list[dict]:
         raise ValueError(
             f"m-max must be between 1 and {BENCH_M_MAX}, got {m_max}")
     import random
+
+    from .sampling import (dense_blade_multivector, dense_efb_multivector,
+                           random_multivector)
     rng = random.Random(BENCH_SEED)
     sparse_rng = random.Random(BENCH_SEED + 1)
     rows = []
@@ -269,6 +277,7 @@ def _checkout() -> dict:
     HEAD` of the checkout this package is part of, and whether `git
     status --porcelain` lists tracked changes in it.  Both are None when
     there is no git, no checkout, or the package is not tracked in it."""
+    import subprocess
     here = Path(__file__).resolve()
     out = []
     for argv in (["ls-files", "--error-unmatch", here.name],
@@ -296,6 +305,7 @@ def _source_sha256() -> str:
 
 
 def _cmd_bench(args) -> int:
+    import json
     rows = bench_results(args.m_max)
     if args.json or args.out:
         record = json.dumps({"seed": BENCH_SEED,

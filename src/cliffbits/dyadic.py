@@ -55,7 +55,8 @@ def _shift(low: int, e: int) -> int:
     """The largest s <= e with 2^s dividing low: numerators over 2^e
     whose bitwise OR is low reduce together to n >> s over 2^(e - s).
     For low = 0 s is e, as zero is 0 over 2^0."""
-    return min(e, (low & -low).bit_length() - 1) if low else e
+    s = (low & -low).bit_length() - 1  # -1 for low = 0
+    return s if 0 <= s < e else e
 
 
 def _common_shift(numerators, e: int) -> int:
@@ -139,6 +140,8 @@ def _parse(text: str) -> tuple[int, int]:
 def _text(numerator: int, exponent: int) -> str:
     """numerator / 2^exponent in lowest terms, as 'n' or 'n/2^e' with the
     power of two written out: _text(6, 3) is '3/4'."""
+    if not exponent:  # in lowest terms already
+        return str(numerator)
     shift = _shift(numerator, exponent)
     if shift == exponent:
         return str(numerator >> shift)

@@ -21,10 +21,12 @@ maps are XOR-linear, tabulated per m by xor_span on first use.
 
 Each conversion has a second path, picked from the data, with the same
 result.  blades_to_efb gathers an operand that holds at least 3/8 of
-the 4^m blades through one per-m table of the blade at each (i, g), in
-C, already in the lane order of bits._columns: bits._pack negates the
-cosets of sign -1 as it packs them, and the column kernel transforms
-all 2^m at once.  Its lanes are sized from the operand's bound.  Below
+the 4^m blades, a Multivector in list form (its storage rule; the
+share is _GATHER_SHARE here), from its list of numerators in mask
+order, by one per-m itemgetter in C (_blade_at), already in the lane
+order of bits._columns: bits._pack negates the cosets of sign -1 as it
+packs them, and the column kernel transforms all 2^m at once.  Its
+lanes are sized from the operand's bound.  Below
 m = 3 (_KEEP_M) or on lanes past a word the list stages run instead,
 the signs on the lists.  It writes a sparser operand blade by blade,
 where a coset that holds one blade, found by counting the zeros of the
@@ -38,7 +40,11 @@ At lanes that fit a word, a matrix that keeps packed columns, from
 m = 3 (_KEEP_M) on, or that stores all 2^m cosets, none of them one
 Walsh function, from m = 5 on, is read out by the column kernel
 instead, which lowers the exponent on its packed rows, and the terms
-are read out in C through the same table of blades (_dense_to_blades).
+are read out in C (_dense_to_blades): a product that holds at least
+3/8 of the blades as the list of the blade engine's list form, one
+itemgetter taking the unpacked lanes into mask order, and a sparser
+one as the dict by coset, through the table of the blade at each
+coset-major position.
 Kept columns skip the unpack that the lists would cost.  Below m = 5
 sparse products held as lists often store every coset with no single
 Walsh function among them, and the loop is faster there.
@@ -117,7 +123,8 @@ from .bits import (_COLUMNS_K, _columns, _fits_word, _halves, _keeps,
                    _permute, _stages, _unpack, _width, _zero_lanes,
                    parity_above, walsh_batch, walsh_function, walsh_index,
                    xor_span)
-from .blades import Metric, MetricError, Multivector
+from .blades import (_LIST_SHARE, Metric, MetricError, Multivector,
+                     _items, _listed, _vector)
 from .dyadic import _Numerators, _common_shift, _reduced, _scale_in
 from .instrument import counters
 
@@ -496,8 +503,11 @@ def _slot_tables(m: int) -> tuple[list, list, list, list]:
 # the interleaved metric per m, built and validated on first use
 _metric = cache(Metric.interleaved)
 # blades_to_efb gathers an operand that holds at least this share of
-# the 4^m blades through _blade_at, and loops over a sparser one
-_GATHER_SHARE = 3 / 8
+# the 4^m blades from its list, and loops over a sparser one: the share
+# of the blade engine's storage rule, so the gather takes exactly the
+# list forms; at 0, or above 1, every operand takes one path, the
+# gather reading a dict form through the list blades._vector builds
+_GATHER_SHARE = _LIST_SHARE
 # the smallest m at which the dense gather keeps packed columns: below
 # it _packed_width sends every product of two dense operands to the
 # sweep, which reads lists (8^m multiply-adds against at least 4^m * m/2
@@ -506,16 +516,23 @@ _KEEP_M = 3
 
 
 @cache
-def _blade_at(m: int) -> tuple[list, list]:
-    """The blade mask at each coset-major position g * 2^m + i and at
-    each lane-order position i * 2^m + g, the order of bits._columns,
-    built on first use: the map is XOR-linear, so xor_span tabulates it
-    from the _slot_tables images of the single bits."""
+def _blade_at(m: int) -> tuple:
+    """The blade mask at each coset-major position g * 2^m + i, and three
+    itemgetters over lists of 4^m, built on first use: from a list in
+    mask order, its entries in coset-major order and in lane order,
+    i * 2^m + g, the order of bits._columns; and from a list in lane
+    order, its entries in mask order.  The map is XOR-linear, so
+    xor_span tabulates it from the _slot_tables images of the single
+    bits."""
     _, _, join_i, join_g = _slot_tables(m)
     bits = [1 << k for k in range(m)]
     by_coset = xor_span([join_i[b] for b in bits] + [join_g[b] for b in bits])
-    return by_coset, xor_span([join_g[b] for b in bits]
-                              + [join_i[b] for b in bits])
+    by_lane = xor_span([join_g[b] for b in bits] + [join_i[b] for b in bits])
+    to_lane = [0] * len(by_lane)
+    for p, mask in enumerate(by_lane):
+        to_lane[mask] = p
+    return (by_coset, itemgetter(*by_coset), itemgetter(*by_lane),
+            itemgetter(*to_lane))
 
 
 @cache
@@ -529,8 +546,9 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     """Change of basis from blades; requires the interleaved Cl(m,m) metric.
 
     Each blade writes its signed numerator at its Walsh index.  An
-    operand with at least _GATHER_SHARE of the 4^m blades is gathered
-    whole through _blade_at in lane order, and all 2^m cosets go through
+    operand with at least _GATHER_SHARE of the 4^m blades, which holds
+    them as a list, is gathered from the list (blades._vector) whole
+    through _blade_at's itemgetters, and all 2^m cosets go through
     one transform: from m = _KEEP_M on, when its lanes fit a word,
     bits._columns on the blades packed with the coset signs, whose rows
     the result keeps as its columns, else the list stages; an untouched
@@ -547,21 +565,19 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     metric = _metric(m)
     if x.metric is not metric and x.metric != metric:
         raise MetricError(f"multivector is not over interleaved Cl({m},{m})")
-    nums = x._nums
     dim = 1 << m
-    if len(nums) >= _GATHER_SHARE * dim * dim:
-        bits = x._bound()
-        by_coset, by_lane = _blade_at(m)
+    if x._nnz >= _GATHER_SHARE * dim * dim:
+        vec, bits = _vector(x), x._bound()
+        _, in_cosets, in_lanes, _ = _blade_at(m)
         if m >= _KEEP_M and _fits_word(bits, m):
             # lanes that hold the product of two such operands as well,
             # up to a word; an entry sums 2^m blade numerators
             size = min(_width(2 * (bits + m) + m + 1), 64) >> 3
-            rows = _pack(map(nums.get, by_lane, repeat(0)), size, dim,
-                         _coset_signs(m))
+            rows = _pack(in_lanes(vec), size, dim, _coset_signs(m))
             return EFBMultivector._from_columns(
                 m, _columns(rows, m, size)[0], size, x._e, bits + m)
         else:  # the list stages, the signs on the lists
-            out = list(map(nums.get, by_coset, repeat(0)))
+            out = list(in_cosets(vec))
             for g in range(dim):  # (-1)^C(popcount g, 2) on each coset
                 if g.bit_count() & 2:
                     span = slice(g * dim, (g + 1) * dim)
@@ -572,7 +588,7 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     low = dim - 1
     lo, hi, _, _ = _slot_tables(m)
     cosets: dict[int, list] = {}
-    for mask, n in nums.items():
+    for mask, n in _items(x):
         t = lo[mask & low] ^ hi[mask >> m]
         g = t >> m
         v = cosets.get(g)
@@ -642,12 +658,15 @@ def _dense_to_blades(x: EFBMultivector) -> Multivector:
     The lanes of the cosets of sign -1 are negated in offset form, by
     bits._negate on kept columns wide enough for the transform, else as
     _flat() is packed at that width; only the transformed rows are
-    unpacked.  Entry i of coset g comes out at i * 2^m + g; the blade at
-    coset-major position g * 2^m + i is _blade_at(m)[0][g * 2^m + i], so
-    compress keeps the terms in the order of the other path, by
-    ascending coset, then by Walsh index.  The shift leaves some
-    numerator odd or the exponent 0, so the result is in canonical form,
-    and an entry sums 2^m numerators, which bounds it.
+    unpacked.  Entry i of coset g comes out at i * 2^m + g.  When the
+    blade engine's storage rule lists the product, one itemgetter of
+    _blade_at takes those lanes into mask order, the list the result
+    adopts.  Otherwise the terms are the dict, by ascending coset, then
+    by Walsh index, of the other path: the blade at coset-major position
+    g * 2^m + i is _blade_at(m)[0][g * 2^m + i], and compress keeps the
+    nonzero ones.  The shift leaves some numerator odd or the exponent
+    0, so the result is in canonical form, and an entry sums 2^m
+    numerators, which bounds it.
     """
     m, dim, e = x.m, x.dim, x._e + x.m
     bits, signs = x._bound() + m, _coset_signs(m)
@@ -659,8 +678,12 @@ def _dense_to_blades(x: EFBMultivector) -> Multivector:
         cols = _pack(x._flat(), size, dim, signs)
     out, shift = _columns(cols, m, size, e)
     out = _unpack(out, size, dim)
-    w = list(chain.from_iterable(out[g::dim] for g in range(dim)))
-    return Multivector._adopt(_metric(m),
-                              dict(zip(compress(_blade_at(m)[0], w),
-                                       compress(w, w))), e - shift,
+    nnz = len(out) - out.count(0)
+    by_coset, _, _, in_masks = _blade_at(m)
+    if _listed(nnz, 2 * m):
+        nums = list(in_masks(out))
+    else:
+        w = list(chain.from_iterable(out[g::dim] for g in range(dim)))
+        nums = dict(zip(compress(by_coset, w), compress(w, w)))
+    return Multivector._adopt(_metric(m), nums, nnz, e - shift,
                               max(bits - shift, 0))

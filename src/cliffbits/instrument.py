@@ -8,7 +8,7 @@ packed kernel runs one big-int multiply per entry of x instead, so it
 computes the same count, sum over b of nnz(column b of x) * nnz(row b
 of y), without executing the triples.  Likewise the blade engine's pair
 loop executes each pair, while its packed Gray-code walk computes the
-count, len(x) * len(y), without executing the pairs.  Counting is
+count, nnz(x) * nnz(y), without executing the pairs.  Counting is
 always on: the increments are plain integer adds guarded by the GIL.
 """
 

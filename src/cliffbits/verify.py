@@ -18,13 +18,14 @@ blade associativity checks, exhaustive and random, share one predicate,
 
 Each level sets nine bounds: ``lucas_n`` (n below it, i up to
 ``lucas_n.bit_length() - 1``), ``assoc_n`` (the exhaustive blade
-checks), ``kl`` and ``center_kl`` (signatures), ``m`` (Fock-basis
-checks; the costlier ones stop at ``m - 1``), ``pairs`` (random
-operands per m), ``fast_m`` (the fast paths: every blade through the
-conversions, and dense operands through the packed kernel and the
-dense gather, up to it), ``walk_n`` (the blade engine's Gray-code
-walk, up to n generators) and ``walsh_k`` (the column kernel of
-``walsh_batch``, on full batches of 2^k vectors up to it).
+checks, and the storage rule up to n generators), ``kl`` and
+``center_kl`` (signatures), ``m`` (Fock-basis checks; the costlier ones
+stop at ``m - 1``), ``pairs`` (random operands per m), ``fast_m`` (the
+fast paths: every blade through the conversions, and dense operands
+through the packed kernel and the dense gather, up to it), ``walk_n``
+(the blade engine's Gray-code walk, up to n generators) and
+``walsh_k`` (the column kernel of ``walsh_batch``, on full batches of
+2^k vectors up to it).
 
 Each fast path is one entry of ``_PATHS``: a fast call and its
 oracle, two calls on the same arguments.  ``blades_to_efb`` and
@@ -34,17 +35,21 @@ list stages of the bits module; the packed kernel meets the coset
 sweep, the Gray-code walk the blade pair loop, the column kernel the
 list stages, and ``efb_product`` on kept packed columns, with its
 read-out, the sweep on the lists read off them and the batched
-read-out.  One comparison, ``_agree(path, *args)``, runs both calls,
-each through ``_counted``, which resets the op counters around it, and
-compares the results by ``_terms``: value, exponent, term order and op
-count at once.  The fast-path suites draw their operands from one
-family: ``_blades`` (sparse or dense blade sums, or every numerator
-+-c at a lane edge, with ``_mate`` for the partner whose product fills
-the scalar), ``_lane_edge`` (dense matrices whose product fills its
-lanes) and ``_held`` (a matrix held as packed columns alone, with or
-without a cancelled entry); and their lane-edge cases from one
-iterator, ``_edges``, with one expected-width rule, ``_LANES``.  A new
-fast path costs one entry and one case iterator.
+read-out.  Every producer of a blade multivector (``_PRODUCERS``)
+meets ``Multivector._raw`` of the same terms, so that each stores the
+value in the form the storage rule picks, a dict's terms compared in
+mask order (``_by_mask``).  One comparison, ``_agree(path, *args)``,
+runs both calls, each through ``_counted``, which resets the op
+counters around it, and compares the results by ``_terms``: value,
+exponent, term order and op count at once.  The fast-path suites draw
+their operands from one family: ``_blades`` (sparse or dense blade
+sums, or every numerator +-c at a lane edge, with ``_mate`` for the
+partner whose product fills the scalar), ``_lane_edge`` (dense
+matrices whose product fills its lanes) and ``_held`` (a matrix held
+as packed columns alone, with or without a cancelled entry); and their
+lane-edge cases from one iterator, ``_edges``, with one expected-width
+rule, ``_LANES``.  A new fast path costs one entry and one case
+iterator.
 """
 
 from __future__ import annotations
@@ -67,10 +72,10 @@ from .blades import (Metric, Multivector, _gray_walk, _pair_loop, _walk_lane,
 from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
-from .dyadic import _shift
-from .efb import (EFBMultivector, _blade_at, _coset_signs, _lanes, _packed,
-                  _slot_tables, _sweep, _triples, blades_to_efb, efb_product,
-                  efb_to_blades)
+from .dyadic import DyadicRational, _shift
+from .efb import (EFBMultivector, _blade_at, _coset_signs, _dense_to_blades,
+                  _lanes, _packed, _slot_tables, _sweep, _triples,
+                  blades_to_efb, efb_product, efb_to_blades)
 from .instrument import counters, op_counters, reset_op_counters
 from .sampling import dense_blade_multivector, dense_efb_multivector, \
     random_multivector
@@ -571,6 +576,59 @@ def _column_stages(flat: list, k: int, neg: int = 0,
     return [n >> shift for n in out], shift
 
 
+def _one(x: Multivector) -> Multivector:
+    return Multivector.scalar(x.metric, 1)
+
+
+# every producer of a blade multivector, each rebuilding x: the
+# constructor, parse, both mv_mul kernels (x * 1), both read-outs of the
+# batched image of x over interleaved Cl(m, m), the dense one adopting
+# its terms, the grade involution twice, scaling and sums
+_PRODUCERS = {
+    "init": lambda x: Multivector(x.metric, x.terms),
+    "parse": lambda x: Multivector.parse(str(x), x.metric),
+    "walk": lambda x: _walked(x, _one(x)),
+    "loop": lambda x: _looped(x, _one(x)),
+    "read-out": lambda x: efb_to_blades(
+        batched_blades_to_efb(x, x.metric.n // 2)),
+    "dense-read-out": lambda x: _dense_to_blades(
+        batched_blades_to_efb(x, x.metric.n // 2)),
+    "involution": lambda x: grade_involution(grade_involution(x)),
+    "scaled": lambda x: x * 2 * DyadicRational(1, 1),
+    "sum": lambda x: (x + x) * DyadicRational(1, 1),
+    "add-sub": lambda x: x + _one(x) - _one(x),
+}
+
+
+def _by_mask(z: Multivector) -> Multivector:
+    """z with a dict form's terms in mask order, the order of a list form,
+    and its storage kept: what the storage check compares, as producers
+    order their dicts as they go."""
+    return z if z._vec is not None else Multivector._adopt(
+        z.metric, dict(sorted(z._map.items())), z._nnz, z._e)
+
+
+def _produced(route: str, x: Multivector) -> Multivector:
+    """x rebuilt by the producer of route."""
+    return _by_mask(_PRODUCERS[route](x))
+
+
+def _reraw(route: str, x: Multivector) -> Multivector:
+    """x rebuilt by _raw of its terms: the oracle of every producer."""
+    return _by_mask(Multivector._raw(x.metric, dict(x._nums), x._e))
+
+
+def _ruled(z: Multivector) -> bool:
+    """Whether z is stored as the share, counted here, says: a list of
+    2^n, zeros included, exactly when at least 3/8 of the 2^n numerators
+    are nonzero, and its stored count of them."""
+    n, vec = z.metric.n, z._vec
+    nnz = len(z._map) if vec is None else len(vec) - vec.count(0)
+    if nnz << 3 < 3 << n:
+        return nnz == z._nnz and vec is None
+    return nnz == z._nnz and vec is not None and len(vec) == 1 << n
+
+
 # each fast path and its oracle, two calls on the same arguments whose
 # results _agree compares
 _PATHS = {
@@ -580,6 +638,7 @@ _PATHS = {
     "walk": (_walked, _looped),
     "columns": (_column_kernel, _column_stages),
     "kept": (_kept_product, _list_product),
+    "storage": (_produced, _reraw),
 }
 
 
@@ -601,7 +660,7 @@ def _terms(z):
     if isinstance(z, tuple):
         return tuple(map(_terms, z))
     if isinstance(z, Multivector):
-        return z._e, list(z._nums.items())
+        return z._e, (list(z._map.items()) if z._vec is None else z._vec)
     if isinstance(z, EFBMultivector):
         return z._e, list(z._cosets.items())
     return z
@@ -782,7 +841,7 @@ def check_blade_kernels(b):
                 y = _mate(x, s)
                 yield ("lane-bits", n, need, s), (
                     _rule_width(x, y) == lane
-                    and _gray_walk(x, y, lane).get(0) == s * dim * c * c
+                    and _gray_walk(x, y, lane)[0] == s * dim * c * c
                     and _agree("walk", x, y))
 
 
@@ -888,6 +947,31 @@ def check_packed_columns(b):
         k = (32 - m - 1) // 2
         u, v, _ = _lane_edge(m, (1 << k) - 1, rng, (1, 1))
         yield ("read-out", m, k), _agree("kept", _held(u, 4), _held(v, 4))
+
+
+def _shares(top: int):
+    """(n, nnz) for n = 1..top, nnz one below the list form's share of the
+    2^n blades, at it, and every blade."""
+    for n in range(1, top + 1):
+        least = (3 << n) + 7 >> 3  # ceil(3/8 * 2^n)
+        for nnz in sorted({least - 1, least, 1 << n}):
+            yield n, nnz
+
+
+@_suite("storage-rule")
+def check_storage_rule(b):
+    # every producer against _raw of the same terms, on both sides of the
+    # share and at every blade: the same terms, exponent and storage, and
+    # the storage the share picks; the read-outs over interleaved Cl(m, m)
+    rng = random.Random(61)
+    for n, nnz in _shares(b["assoc_n"]):
+        metric = (Metric.interleaved(n // 2) if n % 2 == 0
+                  else Metric.block(n // 2, n - n // 2))
+        x = _blades(metric, rng, nnz, 9)
+        for route, produce in _PRODUCERS.items():
+            if n % 2 == 0 or "read-out" not in route:
+                yield (route, n, nnz), (_agree("storage", route, x)
+                                        and _ruled(produce(x)))
 
 
 def run_suite(level: str = "quick") -> list[CheckResult]:

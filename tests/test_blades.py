@@ -10,7 +10,8 @@ from cliffbits import (DyadicRational, Metric, MetricError, Multivector,
                        dual_automorphism_check, grade_involution, mv_mul,
                        omega_squared_oracle, op_counters, reset_op_counters,
                        tau_blade, tau_squared_oracle, volume_element)
-from cliffbits import blades, dyadic
+from cliffbits import blades, dyadic, verify
+from cliffbits.efb import blades_to_efb, efb_product, efb_to_blades
 from cliffbits.sampling import dense_blade_multivector, random_multivector
 from cliffbits.verify import (_blades, _mate, _rule_width,
                               check_blade_sign_vs_normal_order)
@@ -570,13 +571,6 @@ def test_str_names_across_byte_boundaries():
 
 # -- mv_mul's two kernels: the pair loop and the Gray-code walk -------------
 
-def _terms(metric: Metric, count: int, top: int, rng) -> Multivector:
-    masks = rng.sample(range(1 << metric.n), count)
-    return Multivector._raw(metric, {mask: rng.choice((-1, 1))
-                                     * rng.randint(1, top)
-                                     for mask in masks}, rng.randrange(3))
-
-
 def _kernel(monkeypatch, x, y) -> str:
     """Which kernel mv_mul runs on x, y; the product must equal the
     pair loop's either way."""
@@ -601,10 +595,10 @@ def test_dense_operands_take_the_walk(monkeypatch):
     for metric in (Metric.interleaved(4), Metric.block(3, 5),
                    Metric.block(0, 9)):
         dim = 1 << metric.n
-        x, y = _terms(metric, dim, 1023, rng), _terms(metric, dim, 9, rng)
+        x, y = _blades(metric, rng, dim, 1023), _blades(metric, rng, dim, 9)
         assert _kernel(monkeypatch, x, y) == "_gray_walk"
         # a quarter of the blades each, 4^n / 16 pairs, still walks
-        x, y = (_terms(metric, dim // 4, 9, rng) for _ in range(2))
+        x, y = (_blades(metric, rng, dim // 4, 9) for _ in range(2))
         assert _kernel(monkeypatch, x, y) == "_gray_walk"
 
 
@@ -617,8 +611,8 @@ def test_sparse_operands_take_the_loop_before_any_bit_scan(monkeypatch):
     for n in (0, 1, 4, 8, 12, 16):
         metric = Metric.block(n // 2, n - n // 2)
         for count in (0, 1, 6):
-            x = _terms(metric, min(count, 1 << n), 9, rng)
-            y = _terms(metric, min(6, 1 << n), 9, rng)
+            x = _blades(metric, rng, min(count, 1 << n), 9)
+            y = _blades(metric, rng, min(6, 1 << n), 9)
             monkeypatch.setattr(blades, "_magnitude", refuse)
             assert blades._walk_width(x, y) == 0
             monkeypatch.undo()
@@ -633,7 +627,7 @@ def test_scaled_operands_walk_without_a_scan(monkeypatch):
         raise AssertionError("bit scan")
     rng = random.Random(91)
     metric = Metric.interleaved(4)
-    x, y = (_terms(metric, 1 << 8, 1023, rng) for _ in range(2))
+    x, y = (_blades(metric, rng, 1 << 8, 1023) for _ in range(2))
     x._bound(), y._bound()
     a, b = 15 * x, y * DyadicRational(-7, 3)
     assert (a._bits, b._bits) == (x._bits + 4, y._bits + 3)
@@ -649,10 +643,10 @@ def test_wide_lanes_tip_the_rule_to_the_loop(monkeypatch):
     # the walk's lanes too wide to pay
     rng = random.Random(97)
     metric = Metric.block(4, 4)
-    x, y = (_terms(metric, 64, 1 << 300, rng) for _ in range(2))
+    x, y = (_blades(metric, rng, 64, 1 << 300) for _ in range(2))
     assert _rule_width(x, y) == 616
     assert _kernel(monkeypatch, x, y) == "_pair_loop"
-    narrow = [_terms(metric, 64, 9, rng) for _ in range(2)]
+    narrow = [_blades(metric, rng, 64, 9) for _ in range(2)]
     assert _kernel(monkeypatch, *narrow) == "_gray_walk"
 
 
@@ -661,8 +655,8 @@ def test_the_rule_weighs_the_blades_of_x(monkeypatch):
     # the same 32 * 1024 pairs walk with x sparse and loop with x dense
     rng = random.Random(99)
     metric = Metric.interleaved(5)
-    sparse, dense = _terms(metric, 32, 1 << 40, rng), _terms(
-        metric, 1 << 10, 1 << 40, rng)
+    sparse, dense = (_blades(metric, rng, count, 1 << 40)
+                     for count in (32, 1 << 10))
     assert _rule_width(sparse, dense) == 96
     assert _kernel(monkeypatch, sparse, dense) == "_gray_walk"
     assert _kernel(monkeypatch, dense, sparse) == "_pair_loop"
@@ -674,7 +668,7 @@ def test_dense_pair_counts_exactly_16_to_the_m(m):
     # m = 1, the walk with j = 2, 3, 4, 4 low generators at m = 2..5
     rng = random.Random(101)
     metric = Metric.interleaved(m)
-    x, y = (_terms(metric, 4 ** m, 9, rng) for _ in range(2))
+    x, y = (_blades(metric, rng, 4 ** m, 9) for _ in range(2))
     reset_op_counters()
     mv_mul(x, y)
     assert op_counters().blade_pairs == 16 ** m
@@ -708,8 +702,8 @@ def test_blocked_walk_equals_the_pair_loop(n):
     for metric in _metrics(n, rng):
         # dense against dense up to n = 8, where the pair loop stays quick
         for count in {1, min(dim, 64), dim if n <= 8 else 64}:
-            x = _terms(metric, count, 1 << 40, rng)
-            y = _terms(metric, dim, 9, rng)
+            x = _blades(metric, rng, count, 1 << 40)
+            y = _blades(metric, rng, dim, 9)
             assert _walked(x, y) == _looped(x, y)
             assert _walked(y, x) == _looped(y, x)
 
@@ -760,7 +754,7 @@ def test_one_term_x_at_low_high_and_mixed_bits(n):
     j, dim = blades._block(n), 1 << n
     low, high = (1 << j) - 1, dim - (1 << j)
     for metric in _metrics(n, rng):
-        y = _terms(metric, dim, 1 << 20, rng)
+        y = _blades(metric, rng, dim, 1 << 20)
         for mask in (low, 1, high, 1 << n - 1, low | high, 1 | 1 << n - 1,
                      rng.randrange(dim)):
             x = Multivector._raw(metric, {mask: -5}, 0)
@@ -774,7 +768,7 @@ def test_x_in_one_low_class(n):
     rng = random.Random(109)
     j, dim = blades._block(n), 1 << n
     for metric in _metrics(n, rng):
-        y = _terms(metric, dim, 1 << 30, rng)
+        y = _blades(metric, rng, dim, 1 << 30)
         for l in range(1 << j):
             x = Multivector._raw(metric, {
                 l | h: rng.choice((-1, 1)) * rng.randint(1, 1 << 30)
@@ -794,9 +788,131 @@ def test_walk_masks_cached_equal_a_fresh_build_and_stay_bounded():
     # afresh and leaves the cache as it was
     metric = Metric.block(6, 6)
     rng = random.Random(113)
-    x, y = (_terms(metric, 1 << 12, 1 << 20, rng) for _ in range(2))
+    x, y = (_blades(metric, rng, 1 << 12, 1 << 20) for _ in range(2))
     width = _rule_width(x, y)
     assert width << 12 >> 3 > blades._MASK_SPAN
     before = masks.cache_info().currsize
     blades._gray_walk(x, y, width)
     assert masks.cache_info().currsize == before
+
+
+# -- the two storage forms: a dict of masks, or one list of 2^n -------------
+
+def test_the_share_picks_the_form():
+    # a list of 2^n, zeros included, from 3/8 of the blades on, and a
+    # dict below; the share is compared exactly at any n
+    rng = random.Random(127)
+    for n in range(9):
+        least = -(-3 * (1 << n) // 8)
+        for nnz in {max(least - 1, 0), least, 1 << n}:
+            x = _blades(Metric.block(n, 0), rng, nnz, 9)
+            assert x._nnz == nnz == len(x._nums)
+            if nnz >= least:
+                assert type(x._vec) is list and len(x._vec) == 1 << n
+            else:
+                assert x._vec is None and type(x._map) is dict
+    assert not blades._listed(1 << 62, blades.MAX_N)
+    assert Multivector.zero(I2)._vec is None
+    # one scalar is 1 of 2^n blades: a list at n = 0 and 1 only
+    assert [Multivector.scalar(Metric.block(n, 0), 3)._vec
+            for n in range(3)] == [[3], [3, 0], None]
+
+
+def _stored(terms: dict, n: int) -> Multivector:
+    metric = (Metric.interleaved(n // 2) if n % 2 == 0
+              else Metric.block(n // 2, n - n // 2))
+    return Multivector(metric, {mask: DyadicRational(c, e)
+                                for mask, (c, e) in terms.items()})
+
+
+_stored_terms = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.dictionaries(
+        st.integers(0, (1 << n) - 1),
+        st.tuples(st.integers(-9, 9).filter(bool), st.integers(0, 3)),
+        max_size=1 << n)))
+
+
+@given(_stored_terms, _stored_terms)
+@settings(max_examples=40)
+def test_one_value_has_one_storage(xt, yt):
+    # the value by every producer: the same _key() and storage type; and
+    # a first read of _nums changes no ==, str or product
+    (n, terms), (_, other) = xt, yt
+    x = _stored(terms, n)
+    y = _stored({mask & (1 << n) - 1: c for mask, c in other.items()}, n)
+    routes = [produce for route, produce in verify._PRODUCERS.items()
+              if n % 2 == 0 or "read-out" not in route]
+    for produce in routes:
+        z, read = produce(x), produce(x)
+        read._nums
+        assert z._key() == x._key() == read._key()
+        assert type(z._vec) is type(x._vec) is type(read._vec)
+        assert z == read and str(z) == str(read) == str(x)
+        assert verify._terms(mv_mul(z, y)) == verify._terms(mv_mul(read, y))
+        assert verify._terms(mv_mul(y, z)) == verify._terms(mv_mul(y, read))
+        if n % 2 == 0:
+            m = n // 2
+            assert verify._terms(efb_to_blades(efb_product(
+                blades_to_efb(z, m), blades_to_efb(y, m)))) == verify._terms(
+                efb_to_blades(efb_product(blades_to_efb(read, m),
+                                          blades_to_efb(y, m))))
+
+
+def test_list_forms_build_no_dict(monkeypatch):
+    # ==, scaling, the bound, the pair count, str, sums, the involution
+    # and the dense Fock-basis pipeline read the list; only a reader of
+    # _nums builds the dict, once
+    rng = random.Random(131)
+    metric = Metric.interleaved(4)
+    x, y = (_blades(metric, rng, 1 << 8, 1023) for _ in range(2))
+    built = []
+    real = Multivector._nums
+    monkeypatch.setattr(Multivector, "_nums", property(
+        lambda self: built.append(self) or real.fget(self)))
+    reset_op_counters()
+    z = mv_mul(x, y)
+    assert op_counters().blade_pairs == 1 << 16
+    reset_op_counters()
+    scaled = 3 * x * DyadicRational(1, 2)
+    assert x == x and x != y and z == mv_mul(x, y)
+    assert scaled._bound() and x._bound() and str(x) and str(z)
+    assert x + scaled - scaled == x and grade_involution(x) != x
+    out = efb_to_blades(efb_product(blades_to_efb(x, 4), blades_to_efb(y, 4)))
+    assert out == z and out._vec is not None
+    assert built == []
+    x._nums
+    x._nums
+    assert built == [x, x] and x._map is not None and x._map == x._nums
+
+
+def _text_by_terms(x: Multivector) -> str:
+    """str of x from its reduced terms, by grade, then by mask."""
+    text = ""
+    for mask, c in sorted(x.terms.items(),
+                          key=lambda t: (t[0].bit_count(), t[0])):
+        mag, gens = str(abs(c)), _names_by_bits(mask)
+        body = gens if mag == "1" and mask else " ".join(
+            filter(None, (mag, gens)))
+        sign = "-" if c.numerator < 0 else "+"
+        text += f" {sign} {body}" if text else body if sign == "+" else (
+            f"-{body}")
+    return text or "0"
+
+
+def test_grade_order_is_built_for_list_forms_alone():
+    # a sparse operand over 4096 generators renders with no 2^n table;
+    # the table of a list form is kept for a few n
+    order = blades._grade_order
+    order.cache_clear()
+    big = Metric.block(4096, 0)
+    assert str(Multivector.from_blade(big, 1 << 4095, 5)) == "5 g4096"
+    assert order.cache_info().currsize == 0
+    rng = random.Random(137)
+    for n in range(11):
+        for count in {1, 1 << n >> 2, 1 << n}:  # dicts and lists
+            x = _blades(Metric.block(n, 0), rng, count, 40)
+            assert str(x) == _text_by_terms(x)
+    assert order.cache_info().currsize <= order.cache_info().maxsize <= 8
+    masks, names = order(3)
+    assert masks == [0, 1, 2, 4, 3, 5, 6, 7]
+    assert names[4:] == ["g1 g2", "g1 g3", "g2 g3", "g1 g2 g3"]

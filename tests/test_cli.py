@@ -12,7 +12,7 @@ import pytest
 
 import cliffbits
 from cliffbits import (Metric, Multivector, ParseError, cli, op_counters,
-                       verify)
+                       sampling, verify)
 from cliffbits.cli import bench_results, main
 
 
@@ -329,7 +329,7 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
     assert [ln for ln in lines if "FAIL" in ln] == [lines[0]]
     assert lines[0].startswith("FAIL lucas-vs-sign-bit")
     assert lines[0].endswith("(first failure: (5, 1))")
-    assert len(lines) == 30
+    assert len(lines) == 31
     assert all(ln.startswith("ok") for ln in lines[1:])
 
 
@@ -421,6 +421,8 @@ _PLANTED = [
      lambda real: lambda rows, size, k, cap: (rows, 0)),
     ("packed-columns", "efb._triples",
      lambda real: lambda flags, yf: real(flags, yf) + 1),
+    ("storage-rule", "blades._listed",
+     lambda real: lambda nnz, n: real(nnz + 1, n)),
 ]
 
 
@@ -520,7 +522,7 @@ def test_bench_commit_is_null_without_a_checkout(capsys, monkeypatch,
         if check:  # as subprocess.run does
             proc.check_returncode()
         return proc
-    monkeypatch.setattr(cli.subprocess, "run", git)
+    monkeypatch.setattr(subprocess, "run", git)
     code, out, _ = run(capsys, "bench", "1", "--json")
     rec = json.loads(out)
     assert (code, rec["commit"], rec["dirty"], len(rec["rows"])) == (
@@ -618,15 +620,56 @@ def test_bench_layers_leave_dense_draws(capsys, monkeypatch):
         def record(metric, rng):
             seen.append(str(draw(metric, rng)))
             return Multivector.parse(seen[-1], metric)
-        monkeypatch.setattr(cli, "dense_blade_multivector", record)
+        monkeypatch.setattr(sampling, "dense_blade_multivector", record)
         monkeypatch.setattr(cli, "_layer_seconds", layer_seconds)
         bench_results(3)
         return seen
-    draw = cli.dense_blade_multivector
+    draw = sampling.dense_blade_multivector
     with_layers = drawn(cli._layer_seconds)
     assert with_layers == drawn(lambda *args, **kw: {})
     assert len(with_layers) == 6
     assert op_counters() == (0, 0)
+
+
+def test_a_sparse_mul_loads_no_oracle():
+    # import cliffbits.cli and a sparse mul, text and --json, load neither
+    # the oracle layer nor the word calculus nor the samplers, and
+    # subprocess not at all; the package's lazy names load them on first
+    # access, and the verify command loads the oracle
+    code = (
+        "import sys\n"
+        "import cliffbits.cli\n"
+        "names = ('cliffbits.verify', 'cliffbits.words', "
+        "'cliffbits.sampling', 'subprocess')\n"
+        "loaded = lambda: [n for n in names if n in sys.modules]\n"
+        "print(loaded())\n"
+        "for extra in ([], ['--json']):\n"
+        "    cliffbits.cli.main(['mul', '3', 'g1 g2 - 1/2', '3 g5', *extra])\n"
+        "print(loaded())\n"
+        "from cliffbits import run_suite, witt_basis\n"
+        "print(loaded())\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cliffbits.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.stdout.split("\n") == [
+        "[]", "-3/2 g5 + 3 g1 g2 g5",
+        '{"m": 3, "left": "g1 g2 - 1/2", "right": "3 g5", "engine": "both", '
+        '"product": "-3/2 g5 + 3 g1 g2 g5"}', "[]",
+        "['cliffbits.verify', 'cliffbits.words', 'cliffbits.sampling']",
+        ""], proc.stderr
+
+
+def test_lazy_names_resolve_as_before():
+    # every name of __all__ resolves, the lazy ones to the objects of
+    # their modules, and an unknown name raises AttributeError
+    from cliffbits import words
+    for name in cliffbits.__all__:
+        assert getattr(cliffbits, name) is not None, name
+    assert cliffbits.run_suite is verify.run_suite
+    assert cliffbits.witt_basis is words.witt_basis
+    with pytest.raises(AttributeError, match="no attribute 'nowhere'"):
+        cliffbits.nowhere
 
 
 def test_bench_range(capsys):
@@ -640,7 +683,7 @@ def test_bench_m_max_bound(capsys, monkeypatch):
     # 7 is refused before any operand is drawn: 16^7 blade pairs
     def refuse(*args):
         raise AssertionError("bench drew operands for an out-of-range m-max")
-    monkeypatch.setattr(cli, "dense_blade_multivector", refuse)
+    monkeypatch.setattr(sampling, "dense_blade_multivector", refuse)
     code, out, err = run(capsys, "bench", "7")
     assert (code, out) == (2, "")
     assert err == "bench: m-max must be between 1 and 6, got 7\n"

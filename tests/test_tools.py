@@ -49,10 +49,10 @@ def test_code_lines_prints_each_module_and_the_total(capsys):
 
 def test_ab_times_every_layer_of_both_pipelines(capsys):
     # this checkout against itself: one line per m, pair kind and layer,
-    # the Fock-basis layers and mv_mul, two positive medians and their
-    # ratio
-    assert ab.LAYERS == ("blades_to_efb", "efb_product", "efb_to_blades",
-                         "pipeline", "mv_mul")
+    # parse, the Fock-basis layers, mv_mul and render, two positive
+    # medians and their ratio
+    assert ab.LAYERS == ("parse", "blades_to_efb", "efb_product",
+                         "efb_to_blades", "pipeline", "mv_mul", "render")
     assert ab.main([str(TOOLS.parent), "--m-min", "2", "--m-max", "3",
                     "--rounds", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,5 +1,5 @@
-"""Time the Fock-basis pipeline and the blade engine of two checkouts
-layer by layer, in one interpreter, on the same operands.
+"""Time parse, the Fock-basis pipeline, the blade engine and render of
+two checkouts layer by layer, in one interpreter, on the same operands.
 
     python tools/ab.py PARENT_DIR [--m-min 2] [--m-max 6] [--rounds 60]
                        [--seed 1]
@@ -16,16 +16,17 @@ kind both packages build the same operands from the same numbers:
   cli-session workload draws them (a pool of 16 pairs).
 
 Each operand is converted once, untimed, as perfbench's dense draws
-are.  Each round scales both operands by a fresh odd dyadic, untimed,
-as perfbench scales its pool, then times blades_to_efb on both operands,
-efb_product and efb_to_blades, and then mv_mul on the same two operands,
-once in each package; the package that runs first alternates from round
-to round.  mv_mul on the dense pair is the call of the dense-blade
-workload, on the sparse pair that of cli-session.  The output has one
-line per (m, pair, layer), the pipeline being the sum of the three
-Fock-basis layers in a round: the median microseconds of each side and
-their ratio, parent over this checkout, so above 1 this checkout is
-faster.
+are.  Each round scales both operands by a fresh odd dyadic and writes
+them as text, untimed, as perfbench scales its pool, then times parse of
+both texts, blades_to_efb on both parsed operands, efb_product and
+efb_to_blades, mv_mul on the same two operands, and str of both
+products, once in each package: the layers of a `cliffbits mul`.  The
+package that runs first alternates from round to round.  mv_mul on the
+dense pair is the call of the dense-blade workload, on the sparse pair
+that of cli-session.  The output has one line per (m, pair, layer), the
+pipeline being the sum of the three Fock-basis layers in a round: the
+median microseconds of each side and their ratio, parent over this
+checkout, so above 1 this checkout is faster.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ("blades_to_efb", "efb_product", "efb_to_blades", "pipeline",
-          "mv_mul")
+LAYERS = ("parse", "blades_to_efb", "efb_product", "efb_to_blades",
+          "pipeline", "mv_mul", "render")
 _POOL = {"dense": 2, "sparse": 16}
 
 
@@ -78,20 +79,25 @@ def build(pkg, m: int, terms: dict):
         mask: pkg.DyadicRational(n, e) for mask, (n, e) in terms.items()})
 
 
-def pipeline(pkg, x, y, m: int) -> tuple:
-    """Seconds of each Fock-basis layer of one product, of their sum, and
-    of the product by mv_mul."""
+def pipeline(pkg, texts: tuple, m: int) -> tuple:
+    """Seconds of each layer of one product of the two operand texts, the
+    pipeline being the sum of the three Fock-basis layers."""
     clock = time.perf_counter
+    metric = pkg.Metric.interleaved(m)
     t0 = clock()
-    ex, ey = pkg.blades_to_efb(x, m), pkg.blades_to_efb(y, m)
+    x, y = (pkg.Multivector.parse(text, metric) for text in texts)
     t1 = clock()
-    ez = pkg.efb_product(ex, ey)
+    ex, ey = pkg.blades_to_efb(x, m), pkg.blades_to_efb(y, m)
     t2 = clock()
-    pkg.efb_to_blades(ez)
+    ez = pkg.efb_product(ex, ey)
     t3 = clock()
-    pkg.mv_mul(x, y)
+    fast = pkg.efb_to_blades(ez)
     t4 = clock()
-    return t1 - t0, t2 - t1, t3 - t2, t3 - t0, t4 - t3
+    slow = pkg.mv_mul(x, y)
+    t5 = clock()
+    str(slow), str(fast)
+    t6 = clock()
+    return t1 - t0, t2 - t1, t3 - t2, t4 - t3, t4 - t1, t5 - t4, t6 - t5
 
 
 def compare(parent, change, m: int, kind: str, rounds: int,
@@ -112,7 +118,7 @@ def compare(parent, change, m: int, kind: str, rounds: int,
         for pkg in order:
             x, y = sides[pkg][r % len(pool)]
             a, b = (pkg.DyadicRational(*s) for s in scales)
-            spent = pipeline(pkg, x * a, y * b, m)
+            spent = pipeline(pkg, (str(x * a), str(y * b)), m)
             if r:
                 times[pkg].append(spent)
     return [tuple(zip(*times[pkg]))[i] for i in range(len(LAYERS))
@@ -121,8 +127,8 @@ def compare(parent, change, m: int, kind: str, rounds: int,
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="A/B the Fock-basis pipeline and mv_mul against "
-                    "another checkout")
+        description="A/B parse, the Fock-basis pipeline, mv_mul and render "
+                    "against another checkout")
     parser.add_argument("parent", type=Path, help="the other checkout")
     parser.add_argument("--m-min", type=int, default=2)
     parser.add_argument("--m-max", type=int, default=6)
