@@ -16,16 +16,19 @@ with k >= _COLUMNS_K, as 2^k packed rows: row i holds entry i of every
 vector, one lane per vector, and the same stages run over the rows,
 k * 2^k big-int operations in place of k * 4^k int ones.  It can divide
 out the power of two that every entry of the result shares on the rows
-(_lower).  The kernel neither packs nor unpacks: walsh_batch packs its
-vectors in lane order, with lanes sized by one scan (_magnitude), and
-unpacks the result; efb's dense gather packs blades already in lane
-order, negating a lane-sign pattern (its coset signs) as it packs, and
-keeps the rows as the columns of its matrix, which efb's dense read-out
-transforms back and unpacks.  A batch whose lanes are wider than a
-64-bit word (_fits_word) goes to the list stages instead: past a word
-_pack writes one to_bytes per value, and the stages are faster.  A
-vector with one nonzero transforms to one scaled Walsh function, which
-walsh_function writes without a transform and walsh_index recognizes.
+(_lower), which, as dyadic._common_shift stops at the first odd
+numerator, stops at shift 0 when a lane of the first row is odd and
+only otherwise folds every row.  The kernel neither packs nor unpacks:
+walsh_batch packs its vectors in lane order, with lanes sized by one
+scan (_magnitude), and unpacks the result; efb's dense gather packs
+blades already in lane order, negating a lane-sign pattern (its coset
+signs) as it packs, and keeps the rows as the columns of its matrix,
+which efb's dense read-out transforms back and unpacks.  A batch whose
+lanes are wider than a 64-bit word (_fits_word) goes to the list stages
+instead: past a word _pack writes one to_bytes per value, and the
+stages are faster.  A vector with one nonzero transforms to one scaled
+Walsh function, which walsh_function writes without a transform and
+walsh_index recognizes.
 Every re-indexing of blade masks is XOR-linear, so xor_span tabulates
 it from the images of the single bits.
 
@@ -59,12 +62,15 @@ has magnitude below 2^(W - 1).  In that offset form S + T every lane is
 unsigned, so bitwise masks act on the lanes one by one: _pack and
 _negate negate chosen lanes by the XOR and increment of _negator,
 _zero_lanes flags the zero lanes of signed rows with no unpack, and
-_swap moves lane c to c ^ 2^j with one swap of 2^j-lane blocks.  Both
-engines move lanes with it: the blade engine's Gray-code walk steps by
-it, and efb's packed product permutes a column's lanes by XOR with a
-label, one _swap per set bit (_permute).  _lane_pattern lays out the
-lanes of a whole Walsh pattern, such as the lanes to negate or keep, by
-the doubling that walsh_function runs.
+_swap moves lane c to c ^ 2^j with one swap of 2^j-lane blocks, the
+one block-swap formula.  Both engines move lanes with it: the blade
+engine's Gray-code walk steps by it, and efb's packed product permutes
+a column's lanes by XOR with a label t (_permute), one _swap per set
+bit of t, from the plan of t: the (shift, keep) pairs of those bits,
+tabulated per lane size and k (_plans), so no bit of t is scanned at
+run time.  _lane_pattern lays out the lanes of a whole Walsh pattern,
+such as the lanes to negate or keep, by the doubling that
+walsh_function runs.
 """
 
 from __future__ import annotations
@@ -209,14 +215,22 @@ def _lower(rows: list, size: int, k: int, cap: int) -> tuple[list, int]:
     """(rows >> s, s) for 2^k signed rows of 2^k size-byte lanes, s the
     largest s <= cap with 2^s dividing every lane (dyadic._shift).
 
-    The two's-complement lanes of all rows, ORed and folded onto the
-    lowest lane, have the trailing zeros that every lane shares; that
-    lane is 0 only when every lane is, so the whole folded int has them
-    too.  2^s divides every lane, so each signed row shifts exactly.
+    s is 0 when a lane of the first row is odd, as dyadic._common_shift
+    stops at the first odd numerator.  The low bit of each lane is read
+    in offset form r + T, whose lanes differ from the two's-complement
+    ones (r + T) ^ T only in their top bits; the signed row itself will
+    not do, as a negative lane borrows from the low bit of the next.
+    Otherwise the two's-complement lanes of all rows, ORed and folded
+    onto the lowest lane, have the trailing zeros that every lane
+    shares; that lane is 0 only when every lane is, so the whole folded
+    int has them too.  2^s divides every lane, so each signed row shifts
+    exactly.
     """
     if not cap:
         return rows, 0
     halves = _halves(size, 1 << k)
+    if (rows[0] + halves) & halves >> 8 * size - 1:
+        return rows, 0
     low = reduce(or_, [(r + halves) ^ halves for r in rows], 0)
     for fold in range(k):
         low |= low >> (8 * size << fold)
@@ -445,23 +459,31 @@ def _keeps(size: int, k: int) -> tuple:
                  for j in range(k))
 
 
-def _swap(v: int, j: int, size: int, keep: int) -> int:
-    """v with lane c moved to lane c ^ 2^j, its 2^j-lane blocks swapped in
-    pairs; keep is _keeps(size, k)[j], and the lanes of v must be
-    unsigned, as in offset form."""
-    s = size << 3 + j
-    return (v & keep) << s | (v >> s) & keep
+@lru_cache(maxsize=8)
+def _plans(size: int, k: int) -> tuple:
+    """Per label t < 2^k, the plan of _permute by t: the (shift, keep)
+    pair of _swap for each set bit j of t, lowest first, shift = 8 * size
+    * 2^j and keep = _keeps(size, k)[j].  Each bit doubles the table, as
+    in xor_span; kept for the few (size, k) keys in use."""
+    plans = [()]
+    for j, keep in enumerate(_keeps(size, k)):
+        pair = size << 3 + j, keep
+        plans += [plan + (pair,) for plan in plans]
+    return tuple(plans)
 
 
-def _permute(v: int, t: int, size: int, keeps: tuple) -> int:
-    """v with lane c moved to lane c ^ t, lanes unsigned: one _swap per set
-    bit of t."""
-    j = 0
-    while t:
-        if t & 1:
-            v = _swap(v, j, size, keeps[j])
-        t >>= 1
-        j += 1
+def _swap(v: int, shift: int, keep: int) -> int:
+    """v with its blocks of shift bits swapped in pairs: at shift = 8 *
+    size * 2^j, lane c moved to lane c ^ 2^j.  keep is _keeps(size, k)[j],
+    and the lanes of v must be unsigned, as in offset form."""
+    return (v & keep) << shift | (v >> shift) & keep
+
+
+def _permute(v: int, plan: tuple) -> int:
+    """v with lane c moved to lane c ^ t, lanes unsigned, plan being
+    _plans(size, k)[t]: one _swap per set bit of t."""
+    for shift, keep in plan:
+        v = _swap(v, shift, keep)
     return v
 
 

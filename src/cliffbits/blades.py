@@ -658,7 +658,7 @@ def _gray_walk(x: Multivector, y: Multivector, width: int) -> list:
     keep, low, flip, rows, halves = masks(n, neg, size)
 
     def step(v: int, k: int) -> int:  # swap 2^k-lane blocks, negate lanes
-        v = _swap(v, k, size, keep[k])
+        v = _swap(v, size << 3 + k, keep[k])
         # r_0 is 0 when g1 squares to +1
         return (v ^ flip[k]) + low[k] if low[k] else v
     xs = _vector(x)

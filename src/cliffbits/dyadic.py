@@ -22,7 +22,8 @@ to one numerator, and the canonical forms of a Multivector and of an
 EFBMultivector apply it, through _common_shift, to all their
 numerators at once, and bits._lower applies it to the OR of the lanes
 of packed rows: the columns a Fock-basis matrix keeps and the rows of
-the dense read-out.  Products add
+the dense read-out.  Both stop at shift 0 on the first odd numerator,
+or odd lane of the first row.  Products add
 exponents and the inverse Fock-basis transform adds m for its 2^-m, so
 instances are built only where a coefficient leaves.
 """

@@ -100,7 +100,8 @@ kernel runs in column form (Kronecker substitution): XOR by a label
 permutes the lanes of a packed column, so column b of x packed by row
 is P_b = pi_b(U_b), pi_t moving lane c to c ^ t by one block swap of
 the lane layer of the bits module per set bit of t (bits._permute, the
-swap that the blade engine's Gray-code walk steps with).  Column d of
+swap that the blade engine's Gray-code walk steps with), read from the
+plan of t that bits._plans tabulates per lane size and m.  Column d of
 the product is then P_d(z) = sum_b y[b][d] * P_b, one C-level sum of
 big-int multiplies per column, and U_d(z) = pi_d(P_d(z)) is kept.  It
 emits all 2^m cosets, pays for all 4^m entries and for a 2^m-lane
@@ -118,9 +119,9 @@ from functools import cache, partial, reduce
 from itertools import chain, compress, repeat
 from operator import and_, itemgetter, mul, neg, or_
 
-from .bits import (_COLUMNS_K, _columns, _fits_word, _halves, _keeps,
+from .bits import (_COLUMNS_K, _columns, _fits_word, _halves,
                    _kernel_width, _lower, _magnitude, _negate, _pack,
-                   _permute, _stages, _unpack, _width, _zero_lanes,
+                   _permute, _plans, _stages, _unpack, _width, _zero_lanes,
                    parity_above, walsh_batch, walsh_function, walsh_index,
                    xor_span)
 from .blades import (_LIST_SHARE, Metric, MetricError, Multivector,
@@ -219,7 +220,8 @@ class EFBMultivector(_Numerators):
         """Adopt packed columns over 2^e: cols[b] = sum_g x_g[b] *
         2^(8 * size * g), one signed size-byte lane per coset.  The
         exponent is lowered on the columns, as _canonical lowers it
-        (bits._lower), and bits, when given, with it; the coset lists
+        (bits._lower, which stops at the first column when one of its
+        lanes is odd), and bits, when given, with it; the coset lists
         wait for the first read of _cosets."""
         cols, shift = _lower(cols, size, m, e)
         x = object.__new__(cls)
@@ -445,19 +447,21 @@ def _packed(x: EFBMultivector, yf: list, width: int) -> tuple[list, int]:
     bits._permute, one block swap per set bit of b, on the unsigned
     lanes U_b + T.  Column d of the product is then the C-level sum
     P_d(z) = sum_b y[b][d] * P_b = sum_g y_g[d] * P_(g ^ d), and its
-    coset form U_d(z) is P_d(z) with lane c moved to c ^ d.  The lanes
-    are x's kept ones when at least width bits wide, else x is packed at
-    width.  Every entry of the product has magnitude below 2^(width -
-    1), by _lanes, so every lane holds its entry.
+    coset form U_d(z) is P_d(z) with lane c moved to c ^ d.  Each
+    permute reads the plan of its label, bits._plans(size, m)[b] or
+    [d], so no bit of a label is scanned.  The lanes are x's kept ones
+    when at least width bits wide, else x is packed at width.  Every
+    entry of the product has magnitude below 2^(width - 1), by _lanes,
+    so every lane holds its entry.
     """
     m, dim = x.m, x.dim
     cols, size = x._packed_cols(width >> 3)
-    halves, keeps, xor = _halves(size, dim), _keeps(size, m), _xor_getters(m)
-    rows = [_permute(c + halves, b, size, keeps) - halves
-            for b, c in enumerate(cols)]
-    return [_permute(sum(map(mul, yf[d * dim:(d + 1) * dim], xor[d](rows)))
-                     + halves, d, size, keeps) - halves
-            for d in range(dim)], size
+    halves, plans, xor = _halves(size, dim), _plans(size, m), _xor_getters(m)
+    rows = [_permute(c + halves, plan) - halves
+            for c, plan in zip(cols, plans)]
+    return [_permute(sum(map(mul, yf[d * dim:(d + 1) * dim], get(rows)))
+                     + halves, plan) - halves
+            for d, (get, plan) in enumerate(zip(xor, plans))], size
 
 
 def _triples(flags: list, yf: list) -> int:

@@ -11,6 +11,7 @@ from cliffbits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
                        walsh_hadamard)
 from cliffbits import bits
 from cliffbits.bits import walsh_batch, walsh_function, walsh_index, xor_span
+from cliffbits.dyadic import _common_shift
 from cliffbits.verify import _column_kernel
 
 
@@ -274,9 +275,9 @@ def test_permute_moves_lane_c_to_lane_c_xor_t():
         half = 1 << (8 * size - 1)
         values = [rng.randrange(-half, half) for _ in range(count)]
         row, = bits._pack(values, size, count)
-        halves, keeps = bits._halves(size, count), bits._keeps(size, k)
+        halves, plans = bits._halves(size, count), bits._plans(size, k)
         for t in range(count):
-            moved = bits._permute(row + halves, t, size, keeps) - halves
+            moved = bits._permute(row + halves, plans[t]) - halves
             assert bits._unpack([moved], size, count) == [
                 values[c ^ t] for c in range(count)]
 
@@ -388,3 +389,34 @@ def test_column_kernel_lowers_the_exponent_on_its_rows(k):
         assert _column_kernel(flat, k, 0, 9) == (bits._stages(flat, k), 0)
     assert _column_kernel([0] * n, k, 0, 3) == ([0] * n, 3)
     assert _column_kernel([1] * n, k) == (bits._stages([1] * n, k), 0)
+
+
+@pytest.mark.parametrize("case", ["any", "borrow", "late odd", "zero",
+                                  "cap 0"])
+@given(st.data())
+def test_lower_equals_the_common_shift_of_its_lanes(case, data):
+    # 2^k rows of 2^k lanes of 1 to 9 bytes, every lane a multiple of 2^t:
+    # the shift is dyadic._common_shift of the unpacked lanes, and the rows
+    # come out as those lanes shifted by it, packed again.  "borrow" makes
+    # every lane even and every lane of the first row negative, so the
+    # signed row's bit at each lane edge above lane 0 is odd: an exit that
+    # reads the signed row, not its lanes, stops there.  "late odd" hides
+    # the one odd lane past the first row.
+    size = data.draw(st.integers(1, 9))
+    k = data.draw(st.integers(case in ("borrow", "late odd"), 3))
+    count, top = 1 << k, 8 * size - 1  # every lane's magnitude < 2^top
+    t = data.draw(st.integers(case in ("borrow", "late odd"), top - 1))
+    most = (1 << top - t) - 1
+    first = (-most, -1) if case == "borrow" else (-most, most)
+    values = [v << t for v in data.draw(st.lists(
+        st.integers(*first), min_size=count, max_size=count)) + data.draw(
+        st.lists(st.integers(-most, most), min_size=count * (count - 1),
+                 max_size=count * (count - 1)))]
+    if case == "late odd":
+        values[data.draw(st.integers(count, count * count - 1))] |= 1
+    elif case == "zero":
+        values = [0] * (count * count)
+    cap = 0 if case == "cap 0" else data.draw(st.integers(1, 8 * size + 1))
+    shift = _common_shift(values, cap)
+    assert bits._lower(bits._pack(values, size, count), size, k, cap) == (
+        bits._pack([v >> shift for v in values], size, count), shift)

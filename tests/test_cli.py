@@ -409,8 +409,9 @@ def _misread_index(real):
 # fault built from the real function
 _PLANTED = [
     ("conversion-fast-paths", "efb.walsh_index", _misread_index),
-    ("dense-fast-paths", "efb._permute",
-     lambda real: lambda v, t, size, keeps: real(v, t & ~1, size, keeps)),
+    ("dense-fast-paths", "efb._plans",
+     lambda real: lambda size, k: tuple(
+         real(size, k)[t & ~1] for t in range(1 << k))),
     ("blade-kernels", "blades._walk_masks", _top_step_negates_nothing),
     ("walsh-kernels", "bits._lower",
      lambda real: lambda rows, size, k, cap: real(rows, size, k, cap + 1)),
@@ -435,12 +436,35 @@ def test_each_fast_path_suite_catches_a_planted_fault(monkeypatch, suite,
     module, name = target.split(".")
     module = getattr(cliffbits, module)
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    _fails(suite)
+
+
+def _fails(suite: str) -> None:
+    """Run the suite at the quick level and check that it fails."""
     check, = [c for c in verify._CHECKS
               if c.__wrapped__.__name__ == "check_" + suite.replace("-", "_")]
     result = check(verify._BOUNDS["quick"])
     assert result.name == suite
     assert result.passed is False
     assert result.detail.startswith("first failure: ")
+
+
+def test_an_early_exit_on_the_signed_row_fails_its_suites(monkeypatch):
+    # bits._lower stopping at shift 0 when the signed first row, rather
+    # than its two's-complement lanes, has an odd bit at a lane's foot: a
+    # negative lane below an even one borrows from it, so both suites that
+    # lower packed rows must fail
+    real = cliffbits.bits._lower
+
+    def planted(rows, size, k, cap):
+        odd = cliffbits.bits._halves(size, 1 << k) >> 8 * size - 1
+        if cap and rows[0] & odd:
+            return rows, 0
+        return real(rows, size, k, cap)
+    monkeypatch.setattr(cliffbits.bits, "_lower", planted)
+    monkeypatch.setattr(cliffbits.efb, "_lower", planted)
+    for suite in ("walsh-kernels", "packed-columns"):
+        _fails(suite)
 
 
 def test_case_iterators_follow_the_nested_loops():

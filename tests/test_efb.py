@@ -915,10 +915,10 @@ def test_column_permutations_move_coset_lanes_to_row_lanes():
         x = dense_efb_multivector(m, rng)
         size = 2
         cols, _ = x._packed_cols(size)
-        halves, keeps = cliffbits.bits._halves(size, dim), (
-            cliffbits.bits._keeps(size, m))
+        halves, plans = cliffbits.bits._halves(size, dim), (
+            cliffbits.bits._plans(size, m))
         for b, c in enumerate(cols):
-            row = cliffbits.bits._permute(c + halves, b, size, keeps) - halves
+            row = cliffbits.bits._permute(c + halves, plans[b]) - halves
             assert cliffbits.bits._unpack([row], size, dim) == [
                 x.entry(a, b) for a in range(dim)]
         for d, get in enumerate(efb._xor_getters(m)):

@@ -1,4 +1,7 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -13,6 +16,7 @@ def _tool(name: str):
 
 code_lines = _tool("code_lines")
 ab = _tool("ab")
+pairs = _tool("pairs")
 
 SAMPLE = '''"""Module docstring,
 over two lines."""
@@ -68,3 +72,52 @@ def test_ab_times_every_layer_of_both_pipelines(capsys):
         # the medians are printed to 0.1 us, the ratio to 0.01
         want = float(old) / float(new)
         assert abs(float(ratio) - want) <= 0.05 * want + 0.005
+
+
+def test_pairs_alternates_the_sides_and_counts_the_pairs_won(
+        monkeypatch, capsys, tmp_path):
+    # a stubbed run: the change is faster in every pair but the second,
+    # and its RSS is always 1 MB higher
+    calls = []
+    ops = {(1, "parent"): 100.0, (1, "change"): 110.0,
+           (2, "parent"): 100.0, (2, "change"): 90.0,
+           (3, "parent"): 100.0, (3, "change"): 120.0}
+
+    def fake_run(cmd, cwd, capture_output, text, check):
+        assert cmd[:2] == [sys.executable, "perfbench/run.py"]
+        assert capture_output and text and check
+        args = dict(zip(cmd[2::2], cmd[3::2]))
+        assert args["--workload"] == "dense-efb"
+        assert (args["--seconds"], args["--trace"]) == ("2.0", "0")
+        side = "change" if cwd == pairs.ROOT else "parent"
+        seed = int(args["--seed"])
+        calls.append((seed, side))
+        rate = ops[seed - 6, side]
+        metrics = {"ops_per_s": rate, "latency_p50_ms": 1e3 / rate,
+                   "latency_p90_ms": 2e3 / rate, "setup_s": 0.5,
+                   "peak_rss_mb": 30.0 + (side == "change")}
+        out = {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+            name: {"value": v, "unit": "-"} for name, v in metrics.items()}}
+        return subprocess.CompletedProcess(cmd, 0, "# a comment\n"
+                                           + json.dumps(out) + "\n", "")
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    assert pairs.main([str(tmp_path), "--workload", "dense-efb", "--pairs",
+                       "3", "--seconds", "2", "--seed", "7"]) == 0
+    # one process at a time, the side that runs first alternating
+    assert calls == [(7, "parent"), (7, "change"), (8, "change"),
+                     (8, "parent"), (9, "parent"), (9, "change")]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"# parent {tmp_path}  change {pairs.ROOT}")
+    assert lines[1].split()[:5] == ["1", "7", "parent", "correct=True",
+                                    "failed=0"]
+    assert "ops_per_s=100" in lines[1] and "ops_per_s=110" in lines[2]
+    assert lines[7].split() == ["metric", "parent", "change", "ratio", "iqr",
+                                "won"]
+    table = {row[0]: row[1:] for row in map(str.split, lines[8:])}
+    assert list(table) == list(pairs.end_to_end())
+    # medians 100 and 110; lower latency is better, higher RSS is worse;
+    # the parent's runs are all equal, so its quartiles are too
+    assert table["ops_per_s"] == ["100", "110", "1.100", "0", "2/3"]
+    assert table["latency_p50_ms"][2:] == ["0.909", "0", "2/3"]
+    assert table["setup_s"] == ["0.5", "0.5", "1.000", "0", "0/3"]
+    assert table["peak_rss_mb"] == ["30", "31", "1.033", "0", "0/3"]
