@@ -6,29 +6,25 @@ the three least significant bits of an integer, extracted here.  Every
 product sign is a GF(2) bilinear form built on parity_above, and every
 change-of-basis sign is a Walsh function applied by walsh_batch, one
 transform over a whole batch of vectors laid end to end in one list
-(walsh_hadamard is one vector).  walsh_batch has two kernels with equal
-results, picked from the batch.  The list stages (_stages) run the k
-constant-geometry butterfly stages over all the entries, one int
-operation per entry and stage; they take every batch but a full one
-whose lanes fit a word, and are the oracle of the other kernel.  The
-column kernel (_columns) takes a full batch, 2^k vectors of length 2^k
-with k >= _COLUMNS_K, as 2^k packed rows: row i holds entry i of every
-vector, one lane per vector, and the same stages run over the rows,
-k * 2^k big-int operations in place of k * 4^k int ones.  It can divide
-out the power of two that every entry of the result shares on the rows
-(_lower), which, as dyadic._common_shift stops at the first odd
-numerator, stops at shift 0 when a lane of the first row is odd and
-only otherwise folds every row.  The kernel neither packs nor unpacks:
-walsh_batch packs its vectors in lane order, with lanes sized by one
-scan (_magnitude), and unpacks the result; efb's dense gather packs
+(walsh_hadamard is one vector).  walsh_batch runs the list stages
+(_stages): the k constant-geometry butterfly stages over all the
+entries, one int operation per entry and stage, on any batch.  The
+column kernel (_columns) is the other transform, and the list stages
+are its oracle.  It takes a full batch, 2^k vectors of length 2^k, as
+2^k packed rows: row i holds entry i of every vector, one lane per
+vector, and the same stages run over the rows, k * 2^k big-int
+operations in place of k * 4^k int ones.  It can divide out the power
+of two that every entry of the result shares on the rows (_lower),
+which, as dyadic._common_shift stops at the first odd numerator, stops
+at shift 0 when a lane of the first row is odd and only otherwise
+folds every row.  The kernel neither packs nor unpacks, and nothing
+here picks it: only efb's dense conversions, which decide when a batch
+is full and its lanes fit a word, run it.  The dense gather packs
 blades already in lane order, negating a lane-sign pattern (its coset
 signs) as it packs, and keeps the rows as the columns of its matrix,
-which efb's dense read-out transforms back and unpacks.  A batch whose
-lanes are wider than a 64-bit word (_fits_word) goes to the list stages
-instead: past a word _pack writes one to_bytes per value, and the
-stages are faster.  A vector with one nonzero transforms to one scaled
-Walsh function, which walsh_function writes without a transform and
-walsh_index recognizes.
+which the dense read-out transforms back and unpacks.  A vector with
+one nonzero transforms to one scaled Walsh function, which
+walsh_function writes without a transform and walsh_index recognizes.
 Every re-indexing of blade masks is XOR-linear, so xor_span tabulates
 it from the images of the single bits.
 
@@ -79,7 +75,6 @@ import math
 import sys
 from array import array
 from functools import lru_cache, reduce
-from itertools import chain
 from operator import add, or_, sub
 from struct import pack
 
@@ -144,35 +139,18 @@ def xor_span(images) -> list:
     return t
 
 
-# the smallest k at which a full batch of 2^k vectors goes through the
-# column kernel, in walsh_batch and in efb's dense conversions: at k = 4
-# it takes about 1.2x the time of the list stages
-_COLUMNS_K = 5
-
-
 def walsh_batch(flat: list, k: int) -> list:
     """The Walsh-Hadamard transform of each vector of length 2^k in flat,
     the vectors laid end to end: out[c][a] = sum_i flat[c * 2^k + i] *
     (-1)^popcount(a & i).  len(flat) must be a multiple of 2^k.
 
-    A full batch, 2^k vectors with k >= _COLUMNS_K, goes through
-    _columns, packed and unpacked here, when its lanes, sized by one
-    scan of flat, fit a word; any other batch goes through _stages.
-    Both leave entry a of vector c at a * count + c.
+    The list stages (_stages) leave entry a of vector c at a * count +
+    c, and each vector is read back by one slice.
     """
     count = len(flat) >> k
     if count << k != len(flat):
         raise ValueError(f"length {len(flat)} is not a multiple of 2^{k}")
-    if not count:
-        return []
-    if count == 1 << k and k >= _COLUMNS_K and _fits_word(
-            bits := _magnitude([flat]), k):
-        size = _width(bits + k + 1) >> 3
-        rows = _pack(chain.from_iterable(flat[i::count] for i in range(count)),
-                     size, count)
-        flat = _unpack(_columns(rows, k, size)[0], size, count)
-    else:
-        flat = _stages(flat, k)
+    flat = _stages(flat, k) if count else flat  # no vector, no stage
     return [flat[c::count] for c in range(count)]
 
 
@@ -186,13 +164,6 @@ def _stages(flat: list, k: int) -> list:
         even, odd = flat[0::2], flat[1::2]
         flat = [*map(add, even, odd), *map(sub, even, odd)]
     return flat
-
-
-def _fits_word(bits: int, k: int) -> bool:
-    """Whether _columns' lanes for a transform of 2^k-entry vectors whose
-    entries have at most bits bits fit one 64-bit word.  Past a word
-    _pack writes one to_bytes per value, and the list stages win."""
-    return bits + k < 64
 
 
 def _columns(rows: list, k: int, size: int, cap: int = 0) -> tuple[list, int]:

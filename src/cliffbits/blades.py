@@ -17,9 +17,9 @@ prebuilt strings, one table per byte position, built on first use.
 
 A multivector has one of two storage forms, picked from its value
 alone by one rule, _listed: one that holds at least 3/8 of the 2^n
-blades (_LIST_SHARE) keeps its numerators as one list of length 2^n
-in mask order, zeros included, and a sparser one keeps a dict of its
-nonzero numerators by mask.  Either way it keeps its count of nonzero
+blades keeps its numerators as one list of length 2^n in mask order,
+zeros included, and a sparser one keeps a dict of its nonzero
+numerators by mask.  Either way it keeps its count of nonzero
 numerators, _nnz.  In the paper's terms a dense element is a vector
 indexed by the integers 0 .. 2^n - 1, its blades.  Every producer
 passes through the one canonical form (_canonical, which counts, picks
@@ -34,9 +34,10 @@ order.  Equality, scaling, sums of two lists, the grade involution,
 the canonical shift, _bound(), the pair count and str read the list
 as well; str walks it in a per-n grade order of the masks
 (_grade_order), built for list forms alone and kept for a few n.  The
-pair loop and efb's sparse conversion read the nonzeros of either form
-(_items); the dict of a list form is built from the list on the first
-read of _nums, by terms and coefficient, and kept.
+pair loop reads the nonzeros of either form (_items), and efb's sparse
+conversion the dict of a dict form; the dict of a list form is built
+from the list on the first read of _nums, by terms and coefficient,
+and kept.
 
 mv_mul has two kernels with equal results and pair counts.  The pair
 loop runs one interpreted multiply-add per blade pair; it takes sparse
@@ -125,11 +126,14 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Metric:
-    """Diagonal metric: the square (+1 or -1) of each generator."""
+    """Diagonal metric: the square (+1 or -1) of each generator, kept as
+    a tuple whatever sequence gives them, so Metric([1, -1]) equals and
+    hashes as Metric((1, -1))."""
 
     squares: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "squares", tuple(self.squares))
         # type(s) is int: 1.0 and True equal 1, but are no squares
         if not set(map(type, self.squares)) <= {int}:
             bad = next(s for s in self.squares if type(s) is not int)
@@ -198,7 +202,7 @@ class Multivector(_Numerators):
 
     Stored as plain-int numerators over one shared denominator 2^_e:
     _nums[mask] / 2^_e is the coefficient of the blade.  _vec, when the
-    value holds at least _LIST_SHARE of the 2^n blades, is the list of
+    value holds at least 3/8 of the 2^n blades (_listed), is the list of
     all 2^n numerators in mask order, zeros included, and _nums is built
     from it on first read and kept in _map; otherwise _vec is None and
     _map is the dict of the nonzero numerators.  _nnz counts them.  The
@@ -393,6 +397,11 @@ class Multivector(_Numerators):
         first token of a term is its coefficient when it is neither a
         name nor shaped like one, and every later token must be a name.
         """
+        if not isinstance(text, str):
+            raise TypeError(f"text must be a str, got {type(text).__name__}")
+        if not isinstance(metric, Metric):
+            raise TypeError(
+                f"metric must be a Metric, got {type(metric).__name__}")
         s = text.strip()
         if not s:
             raise ParseError("empty multivector text")
@@ -478,14 +487,11 @@ def _generator_names(mask: Blade) -> str:
     return " ".join(parts)
 
 
-# the storage rule (_listed): a multivector that holds at least this
-# share of the 2^n blades keeps its numerators as one list in mask order
-_LIST_SHARE = 3 / 8
-
-
 def _listed(nnz: int, n: int) -> bool:
-    """Whether nnz nonzero numerators of n generators take the list form:
-    nnz >= _LIST_SHARE * 2^n, compared in integers, exact for every n."""
+    """The storage rule: whether nnz nonzero numerators of n generators
+    take the list form, one list in mask order, which they do when they
+    hold at least 3/8 of the 2^n blades, compared in integers, exact for
+    every n."""
     return nnz << 3 >= 3 << n
 
 

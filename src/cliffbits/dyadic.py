@@ -179,6 +179,8 @@ class DyadicRational:
         The numerator may have at most MAX_BITS bits and the denominator
         may be at most 2^MAX_BITS.
         """
+        if not isinstance(text, str):
+            raise TypeError(f"text must be a str, got {type(text).__name__}")
         return _reduced(*_parse(text))
 
     def __add__(self, other):

@@ -20,34 +20,42 @@ walsh_batch over all of its stored cosets at once.  Both blade <-> (i, g)
 maps are XOR-linear, tabulated per m by xor_span on first use.
 
 Each conversion has a second path, picked from the data, with the same
-result.  blades_to_efb gathers an operand that holds at least 3/8 of
-the 4^m blades, a Multivector in list form (its storage rule; the
-share is _GATHER_SHARE here), from its list of numerators in mask
-order, by one per-m itemgetter in C (_blade_at), already in the lane
-order of bits._columns: bits._pack negates the cosets of sign -1 as it
-packs them, and the column kernel transforms all 2^m at once.  Its
-lanes are sized from the operand's bound.  Below
-m = 3 (_KEEP_M) or on lanes past a word the list stages run instead,
-the signs on the lists.  It writes a sparser operand blade by blade,
-where a coset that holds one blade, found by counting the zeros of the
-coset, is c * W_i by walsh_function, with no arithmetic.  efb_to_blades
-reads a coset that walsh_index finds equal to c * W_i as the one blade
-c * 2^m, with no transform; it looks at v[0] and the v[2^j] first, so
-a dense coset leaves after one or two entries.  Every other coset goes
-through the one walsh_batch call.  Sparse operands, as mul sees them,
-are mostly one blade per coset, and so are products of such operands.
-At lanes that fit a word, a matrix that keeps packed columns, from
-m = 3 (_KEEP_M) on, or that stores all 2^m cosets, none of them one
-Walsh function, from m = 5 on, is read out by the column kernel
-instead, which lowers the exponent on its packed rows, and the terms
-are read out in C (_dense_to_blades): a product that holds at least
-3/8 of the blades as the list of the blade engine's list form, one
-itemgetter taking the unpacked lanes into mask order, and a sparser
-one as the dict by coset, through the table of the blade at each
-coset-major position.
-Kept columns skip the unpack that the lists would cost.  Below m = 5
-sparse products held as lists often store every coset with no single
-Walsh function among them, and the loop is faster there.
+result, and the two conversions alone pick the column kernel
+(bits._columns) for a full batch: walsh_batch runs the list stages on
+whatever batch it is given.  blades_to_efb gathers a Multivector in
+list form, which holds at least 3/8 of the 4^m blades (the blade
+engine's storage rule), from its list of numerators in mask order, by
+one per-m itemgetter in C (_blade_at), already in the lane order of
+bits._columns: bits._pack negates the cosets of sign -1 as it packs
+them, and the column kernel transforms all 2^m at once.  Its lanes are
+sized from the operand's bound.  Below m = 3 (_KEEP_M) or on lanes past
+a word the list stages run instead, the signs on the lists.  It writes
+a dict form blade by blade, where a coset that holds one blade, found
+by counting the zeros of the coset, is c * W_i by walsh_function, with
+no arithmetic; a dict form that leaves every one of the 2^m cosets
+with two or more blades, the only full batch this loop can build, goes
+on to the gather's column kernel (_gathered), its signed cosets read
+in lane order, when its lanes fit a word.
+efb_to_blades reads a coset that walsh_index finds equal to c * W_i as
+the one blade c * 2^m, with no transform; it looks at v[0] and the
+v[2^j] first, so a dense coset leaves after one or two entries.  Every
+other coset goes through the one walsh_batch call.  Sparse operands,
+as mul sees them, are mostly one blade per coset, and so are products
+of such operands.  At lanes that fit a word, a matrix that keeps packed
+columns, from m = 3 (_KEEP_M) on, or that stores all 2^m cosets, none
+of them one Walsh function, from m = 5 (_COLUMNS_K) on, is read out by
+the column kernel instead, which lowers the exponent on its packed
+rows, and the terms are read out in C (_dense_to_blades): a product
+that holds at least 3/8 of the blades as the list of the blade
+engine's list form, one itemgetter taking the unpacked lanes into mask
+order, and a sparser one as the dict by coset, through the table of
+the blade at each coset-major position.  From m = 5 on, a carried
+bound that misses a word is scanned once before that read-out is
+refused, as a product's bound bx + by + m can miss a word while its
+entries fit.  Kept columns skip the unpack that the lists would cost.
+Below m = 5 sparse products held as lists often store every coset
+with no single Walsh function among them, and the loop is faster
+there.
 
 An EFBMultivector holds plain-int numerators over one shared
 denominator 2^_e, in canonical form, as a Multivector does.  _canonical,
@@ -119,13 +127,11 @@ from functools import cache, partial, reduce
 from itertools import chain, compress, repeat
 from operator import and_, itemgetter, mul, neg, or_
 
-from .bits import (_COLUMNS_K, _columns, _fits_word, _halves,
-                   _kernel_width, _lower, _magnitude, _negate, _pack,
-                   _permute, _plans, _stages, _unpack, _width, _zero_lanes,
-                   parity_above, walsh_batch, walsh_function, walsh_index,
-                   xor_span)
-from .blades import (_LIST_SHARE, Metric, MetricError, Multivector,
-                     _items, _listed, _vector)
+from .bits import (_columns, _halves, _kernel_width, _lower, _magnitude,
+                   _negate, _pack, _permute, _plans, _stages, _unpack,
+                   _width, _zero_lanes, parity_above, walsh_batch,
+                   walsh_function, walsh_index, xor_span)
+from .blades import Metric, MetricError, Multivector, _listed
 from .dyadic import _Numerators, _common_shift, _reduced, _scale_in
 from .instrument import counters
 
@@ -506,12 +512,11 @@ def _slot_tables(m: int) -> tuple[list, list, list, list]:
 
 # the interleaved metric per m, built and validated on first use
 _metric = cache(Metric.interleaved)
-# blades_to_efb gathers an operand that holds at least this share of
-# the 4^m blades from its list, and loops over a sparser one: the share
-# of the blade engine's storage rule, so the gather takes exactly the
-# list forms; at 0, or above 1, every operand takes one path, the
-# gather reading a dict form through the list blades._vector builds
-_GATHER_SHARE = _LIST_SHARE
+# the smallest m at which the dense read-out takes a matrix of lists that
+# stores all 2^m cosets, none of them one Walsh function, and scans a
+# carried bound that misses a word: at m = 4 the column kernel takes
+# about 1.2x the time of the list stages
+_COLUMNS_K = 5
 # the smallest m at which the dense gather keeps packed columns: below
 # it _packed_width sends every product of two dense operands to the
 # sweep, which reads lists (8^m multiply-adds against at least 4^m * m/2
@@ -546,22 +551,32 @@ def _coset_signs(m: int) -> int:
     return sum(1 << g for g in range(1 << m) if g.bit_count() & 2)
 
 
+def _fits_word(bits: int, m: int) -> bool:
+    """Whether bits._columns' lanes for a transform of 2^m-entry cosets
+    whose entries have at most bits bits fit one 64-bit word.  Past a
+    word bits._pack writes one to_bytes per value, and the list stages
+    win."""
+    return bits + m < 64
+
+
 def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     """Change of basis from blades; requires the interleaved Cl(m,m) metric.
 
-    Each blade writes its signed numerator at its Walsh index.  An
-    operand with at least _GATHER_SHARE of the 4^m blades, which holds
-    them as a list, is gathered from the list (blades._vector) whole
-    through _blade_at's itemgetters, and all 2^m cosets go through
-    one transform: from m = _KEEP_M on, when its lanes fit a word,
-    bits._columns on the blades packed with the coset signs, whose rows
-    the result keeps as its columns, else the list stages; an untouched
-    coset comes out all zero and is dropped.  The result carries the
-    bound x._bound() gives, which scans x only when no producer of x
-    set it.  In a sparser one, a coset that holds one blade, c
-    at index i, is c * W_i, written by walsh_function with no
-    arithmetic, and the count of zeros in each coset picks that path.
-    One transform spreads every other touched coset over the columns.
+    Each blade writes its signed numerator at its Walsh index.  A dict
+    form goes blade by blade: a coset that holds one blade, c at index
+    i, is c * W_i, written by walsh_function with no arithmetic, and the
+    count of zeros in each coset picks that path; one transform spreads
+    every other touched coset over the columns.  A list form is gathered
+    whole from its list through _blade_at's itemgetters, and all 2^m
+    cosets go through one transform: from m = _KEEP_M on, when its
+    lanes fit a word, the column kernel (_gathered), whose rows the
+    result keeps as its columns, else the list stages; an untouched
+    coset comes out all zero and is dropped.  A dict form that leaves
+    all 2^m cosets with two or more blades, the one full batch the loop
+    can build, goes to _gathered as well, its signed cosets read in
+    lane order, when its lanes fit a word.  A gathered result carries
+    the bound x._bound() gives, which scans x only when no producer of
+    x set it.
     """
     if not isinstance(x, Multivector):
         raise TypeError("blades_to_efb needs a Multivector operand")
@@ -569,60 +584,79 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     metric = _metric(m)
     if x.metric is not metric and x.metric != metric:
         raise MetricError(f"multivector is not over interleaved Cl({m},{m})")
-    dim = 1 << m
-    if x._nnz >= _GATHER_SHARE * dim * dim:
-        vec, bits = _vector(x), x._bound()
-        _, in_cosets, in_lanes, _ = _blade_at(m)
-        if m >= _KEEP_M and _fits_word(bits, m):
-            # lanes that hold the product of two such operands as well,
-            # up to a word; an entry sums 2^m blade numerators
-            size = min(_width(2 * (bits + m) + m + 1), 64) >> 3
-            rows = _pack(in_lanes(vec), size, dim, _coset_signs(m))
-            return EFBMultivector._from_columns(
-                m, _columns(rows, m, size)[0], size, x._e, bits + m)
-        else:  # the list stages, the signs on the lists
-            out = list(in_cosets(vec))
-            for g in range(dim):  # (-1)^C(popcount g, 2) on each coset
-                if g.bit_count() & 2:
-                    span = slice(g * dim, (g + 1) * dim)
-                    out[span] = map(neg, out[span])
-            out = _stages(out, m)
-        return EFBMultivector._from_ints(
-            m, {g: out[g::dim] for g in range(dim)}, x._e, bits + m)
-    low = dim - 1
-    lo, hi, _, _ = _slot_tables(m)
-    cosets: dict[int, list] = {}
-    for mask, n in _items(x):
-        t = lo[mask & low] ^ hi[mask >> m]
-        g = t >> m
-        v = cosets.get(g)
-        if v is None:
-            v = cosets[g] = [0] * dim
-        v[t & low] = -n if g.bit_count() & 2 else n  # (-1)^C(popcount g, 2)
-    # the transform is invertible, so a touched coset stays nonzero on
-    # either path
-    batch = []
-    for g, v in cosets.items():
-        if v.count(0) == low:  # dim - 1 zeros: one blade
-            i = next(compress(range(dim), v))
-            cosets[g] = walsh_function(v[i], i, m)
-        else:
-            batch.append(g)
-    cosets.update(zip(batch, walsh_batch(
-        list(chain.from_iterable(map(cosets.get, batch))), m)))
-    return EFBMultivector._from_ints(m, cosets, x._e)
+    dim, vec = 1 << m, x._vec
+    if vec is None:
+        low = dim - 1
+        lo, hi, _, _ = _slot_tables(m)
+        cosets: dict[int, list] = {}
+        for mask, n in x._map.items():
+            t = lo[mask & low] ^ hi[mask >> m]
+            g = t >> m
+            v = cosets.get(g)
+            if v is None:
+                v = cosets[g] = [0] * dim
+            # (-1)^C(popcount g, 2)
+            v[t & low] = -n if g.bit_count() & 2 else n
+        # the transform is invertible, so a touched coset stays nonzero on
+        # either path
+        batch = []
+        for g, v in cosets.items():
+            if v.count(0) == low:  # dim - 1 zeros: one blade
+                i = next(compress(range(dim), v))
+                cosets[g] = walsh_function(v[i], i, m)
+            else:
+                batch.append(g)
+        if len(batch) < dim or not _fits_word(bits := x._bound(), m):
+            cosets.update(zip(batch, walsh_batch(
+                list(chain.from_iterable(map(cosets.get, batch))), m)))
+            return EFBMultivector._from_ints(m, cosets, x._e)
+        # every coset holds two blades or more: a dict form holds fewer
+        # than 3/8 of the 4^m blades, so m >= 3 = _KEEP_M, and the result
+        # keeps its columns
+        return _gathered(m, chain.from_iterable(zip(*map(
+            cosets.get, range(dim)))), 0, bits, x._e)
+    bits = x._bound()
+    _, in_cosets, in_lanes, _ = _blade_at(m)
+    if m >= _KEEP_M and _fits_word(bits, m):
+        return _gathered(m, in_lanes(vec), _coset_signs(m), bits, x._e)
+    out = list(in_cosets(vec))  # the list stages, the signs on the lists
+    for g in range(dim):  # (-1)^C(popcount g, 2) on each coset
+        if g.bit_count() & 2:
+            span = slice(g * dim, (g + 1) * dim)
+            out[span] = map(neg, out[span])
+    out = _stages(out, m)
+    return EFBMultivector._from_ints(
+        m, {g: out[g::dim] for g in range(dim)}, x._e, bits + m)
+
+
+def _gathered(m: int, lanes, signs: int, bits: int,
+              e: int) -> EFBMultivector:
+    """The image of blade numerators of at most bits bits over 2^e, given
+    in lane order, entry i of coset g at i * 2^m + g, by bits._columns on
+    the rows bits._pack makes of them, negating the cosets g with bit g
+    of signs set; the result keeps the rows as its columns.  Their lanes
+    hold the product of two such operands as well, up to a word, and an
+    entry sums 2^m numerators, which bounds it."""
+    size = min(_width(2 * (bits + m) + m + 1), 64) >> 3
+    rows = _pack(lanes, size, 1 << m, signs)
+    return EFBMultivector._from_columns(
+        m, _columns(rows, m, size)[0], size, e, bits + m)
 
 
 def efb_to_blades(x: EFBMultivector) -> Multivector:
     """Inverse change of basis: the transform's 2^-m joins the exponent.
 
     A coset equal to c * W_i, as walsh_index reads it off, is the one
-    blade c * 2^m at i.  One transform takes every other coset back,
-    and its nonzero entries are read out.  With lanes of _bound() + m +
-    1 bits that fit a word, _dense_to_blades reads out instead a matrix
+    blade c * 2^m at i.  One transform, the list stages of walsh_batch,
+    takes every other coset back, and its nonzero entries are read out.
+    With lanes of _bound() + m + 1 bits that fit a word,
+    _dense_to_blades reads out instead, by the column kernel, a matrix
     that keeps columns, from m = _KEEP_M on, and one that stores all 2^m
-    cosets, none of them c * W_i, from m = bits._COLUMNS_K on.  Terms
-    come by ascending coset, then by Walsh index, on every path.
+    cosets, none of them c * W_i, from m = _COLUMNS_K on.  From m =
+    _COLUMNS_K on, a carried bound that misses a word, as bx + by + m of
+    a product can while its entries fit, is replaced by one scan before
+    the read-out is refused.  Terms come by ascending coset, then by
+    Walsh index, on every path.
     """
     if not isinstance(x, EFBMultivector):
         raise TypeError("efb_to_blades needs an EFBMultivector operand")
@@ -630,10 +664,14 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
     # kept columns go to the read-out whole, with no look at a coset
     found = (None if x._cols else
              [walsh_index(v, m) for v in x._cosets.values()])
-    if ((m >= _KEEP_M if found is None else
-         m >= _COLUMNS_K and len(found) == dim and max(found) < 0)
-            and _fits_word(x._bound(), m)):
-        return _dense_to_blades(x)
+    if (m >= _KEEP_M if found is None else
+            m >= _COLUMNS_K and len(found) == dim and max(found) < 0):
+        if m >= _COLUMNS_K and not _fits_word(x._bits or 0, m):
+            # a carried bound can miss a word while the entries fit:
+            # _bound() scans them once and keeps the result
+            x._bits = None
+        if _fits_word(x._bound(), m):
+            return _dense_to_blades(x)
     cosets = x._cosets.items()
     if found is None:
         found = [walsh_index(v, m) for _, v in cosets]

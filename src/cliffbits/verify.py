@@ -24,8 +24,8 @@ stop at ``m - 1``), ``pairs`` (random operands per m), ``fast_m`` (the
 fast paths: every blade through the conversions, and dense operands
 through the packed kernel and the dense gather, up to it), ``walk_n``
 (the blade engine's Gray-code walk, up to n generators) and
-``walsh_k`` (the column kernel of ``walsh_batch``, on full batches of
-2^k vectors up to it).
+``walsh_k`` (the column kernel, which only efb's dense conversions
+run, on full batches of 2^k vectors up to it, from k = ``_COLUMNS_K``).
 
 Each fast path is one entry of ``_PATHS``: a fast call and its
 oracle, two calls on the same arguments.  ``blades_to_efb`` and
@@ -61,9 +61,9 @@ import random
 import time
 from dataclasses import dataclass
 
-from .bits import (_COLUMNS_K, _columns, _lane_width, _magnitude, _pack,
-                   _stages, _unpack, _width, _zero_lanes, lucas_sign,
-                   sign_bit)
+from .bits import (_columns, _lane_width, _magnitude, _pack, _stages,
+                   _unpack, _width, _zero_lanes, lucas_sign, sign_bit,
+                   walsh_batch)
 from .blades import (Metric, Multivector, _gray_walk, _pair_loop, _walk_lane,
                      blade_product, center_check, dual_automorphism_check,
                      grade_involution, mv_mul, omega_squared_oracle,
@@ -73,9 +73,9 @@ from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
 from .dyadic import DyadicRational, _shift
-from .efb import (EFBMultivector, _blade_at, _coset_signs, _dense_to_blades,
-                  _lanes, _packed, _slot_tables, _sweep, _triples,
-                  blades_to_efb, efb_product, efb_to_blades)
+from .efb import (_COLUMNS_K, EFBMultivector, _blade_at, _coset_signs,
+                  _dense_to_blades, _lanes, _packed, _slot_tables, _sweep,
+                  _triples, blades_to_efb, efb_product, efb_to_blades)
 from .instrument import counters, op_counters, reset_op_counters
 from .sampling import dense_blade_multivector, dense_efb_multivector, \
     random_multivector
@@ -460,12 +460,9 @@ def check_involution_consistency(b):
 
 
 def _staged(vectors, k: int) -> list:
-    """walsh_batch of the vectors by the list stages alone, whatever the
-    batch: the transform of the batched conversions."""
-    flat = list(itertools.chain.from_iterable(vectors))
-    count = len(flat) >> k
-    flat = _stages(flat, k)
-    return [flat[c::count] for c in range(count)]
+    """walsh_batch of the vectors, the list stages: the transform of the
+    batched conversions."""
+    return walsh_batch(list(itertools.chain.from_iterable(vectors)), k)
 
 
 def batched_blades_to_efb(x: Multivector, m: int) -> EFBMultivector:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from cliffbits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
                        neg_mod8, parity_above, sign_bit, sign_to_bit,
                        walsh_hadamard)
-from cliffbits import bits
+from cliffbits import bits, efb
 from cliffbits.bits import walsh_batch, walsh_function, walsh_index, xor_span
 from cliffbits.dyadic import _common_shift
 from cliffbits.verify import _column_kernel
@@ -308,7 +308,7 @@ def test_kernel_width_returns_0_without_a_scan():
     assert bits._kernel_width(164, 100, 2048, wide) == 64
 
 
-# -- the two kernels of walsh_batch ------------------------------------------
+# -- walsh_batch and the column kernel ---------------------------------------
 
 def _staged(flat, k):
     count = len(flat) >> k
@@ -316,28 +316,23 @@ def _staged(flat, k):
     return [out[c::count] for c in range(count)]
 
 
-def test_full_batches_from_k5_take_the_column_kernel(monkeypatch):
-    rng = random.Random(83)
-    seen = []
-    columns = bits._columns
-    monkeypatch.setattr(bits, "_columns", lambda rows, k, size: (
-        seen.append(k) or columns(rows, k, size)))
-    for k in (5, 6):
-        flat = [rng.randint(-(1 << 40), 1 << 40) for _ in range(1 << 2 * k)]
-        assert walsh_batch(flat, k) == _staged(flat, k)
-    assert seen == [5, 6]
+def _refuse(*args):
+    raise AssertionError("the column kernel ran")
 
 
 def test_other_batches_take_the_list_stages(monkeypatch):
-    # fewer or more vectors than 2^k at k >= 5, a full batch at k = 4,
-    # and one vector never reach the column kernel
-    def refuse(*args):
-        raise AssertionError("the column kernel ran")
-    monkeypatch.setattr(bits, "_columns", refuse)
+    # every batch takes the list stages: fewer or more vectors than 2^k
+    # at k >= 5, a full batch at k = 4, 5 and 6, and one vector never
+    # reach the column kernel, which only efb's dense conversions run
+    monkeypatch.setattr(bits, "_columns", _refuse)
     rng = random.Random(89)
     for k, count in ((5, 31), (5, 33), (5, 64), (6, 63), (4, 16), (8, 1),
                      (5, 0)):
         flat = [rng.randint(-99, 99) for _ in range(count << k)]
+        assert walsh_batch(flat, k) == _staged(flat, k)
+    rng = random.Random(83)
+    for k in (5, 6):
+        flat = [rng.randint(-(1 << 40), 1 << 40) for _ in range(1 << 2 * k)]
         assert walsh_batch(flat, k) == _staged(flat, k)
     v = [rng.randint(-99, 99) for _ in range(1 << 5)]
     want = walsh_batch(v, 5)[0]
@@ -346,24 +341,21 @@ def test_other_batches_take_the_list_stages(monkeypatch):
 
 
 def test_full_batches_past_a_word_take_the_list_stages(monkeypatch):
-    # 2^k entries of 63 - k bits fill a 64-bit lane; one bit more takes
-    # the list stages, which win there
-    def refuse(*args):
-        raise AssertionError("the column kernel ran")
+    # 2^k entries of 63 - k bits fill a 64-bit lane, where efb's dense
+    # conversions stop taking the column kernel (efb._fits_word); one bit
+    # more needs a 72-bit lane.  walsh_batch takes the list stages on
+    # both sides of the edge
     rng = random.Random(91)
+    monkeypatch.setattr(bits, "_columns", _refuse)
     for k in (5, 6):
         top = 1 << 63 - k
         narrow = [rng.randrange(-top + 1, top) for _ in range(1 << 2 * k)]
         wide = narrow[:-1] + [top]
         assert bits._lane_width(k, [narrow]) == 64
         assert bits._lane_width(k, [wide]) == 72
-        assert bits._fits_word(63 - k, k) and not bits._fits_word(64 - k, k)
-        want = _staged(wide, k)
-        with monkeypatch.context() as patch:
-            patch.setattr(bits, "_columns", refuse)
-            assert walsh_batch(wide, k) == want
-            with pytest.raises(AssertionError, match="column kernel ran"):
-                walsh_batch(narrow, k)
+        assert efb._fits_word(63 - k, k) and not efb._fits_word(64 - k, k)
+        assert walsh_batch(wide, k) == _staged(wide, k)
+        assert walsh_batch(narrow, k) == _staged(narrow, k)
 
 
 @pytest.mark.parametrize("k", [5, 6])

@@ -467,6 +467,34 @@ def test_metric_refuses_float_and_bool_squares():
     assert Metric((1, -1)) == Metric.interleaved(1)
 
 
+def test_metric_from_a_list_equals_and_hashes_as_the_tuple():
+    # squares given as a list are kept as a tuple: the metric is hashable,
+    # equal to the tuple spelling, and its operands meet the other's
+    listed, kept = Metric([1, -1, -1]), Metric((1, -1, -1))
+    assert listed == kept and hash(listed) == hash(kept)
+    assert listed.squares == (1, -1, -1)
+    assert len({listed, kept}) == 1
+    x = Multivector.parse("2 g1 + g2 g3", listed)
+    y = Multivector.parse("g1 g3 - 3", kept)
+    assert mv_mul(x, y) == mv_mul(Multivector.parse("2 g1 + g2 g3", kept), y)
+    assert x + y == y + x and x * y == mv_mul(x, y)
+    for m in (1, 3):
+        z = Multivector.parse("1/2 g1 g2 - g2", Metric([1, -1] * m))
+        assert efb_to_blades(blades_to_efb(z, m)) == z
+
+
+def test_parse_refuses_arguments_of_the_wrong_type():
+    # a clear TypeError naming the argument, not an AttributeError from
+    # inside the parser
+    with pytest.raises(TypeError, match="text must be a str, got int"):
+        Multivector.parse(5, E22)
+    with pytest.raises(TypeError,
+                       match="metric must be a Metric, got str"):
+        Multivector.parse("g1", "x")
+    with pytest.raises(TypeError, match="text must be a str, got NoneType"):
+        Multivector.parse(None, E22)
+
+
 # -- the stored form: integer numerators over one canonical 2^e -------------
 
 I1 = Metric.interleaved(1)  # four blades, so independent draws often agree

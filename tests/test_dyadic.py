@@ -47,6 +47,14 @@ def test_parse_rejects_non_dyadic():
             DyadicRational.parse(text)
 
 
+def test_parse_refuses_a_non_str():
+    # a clear TypeError naming the argument, not an AttributeError from
+    # inside the parser
+    for text in (5, None, b"3/4"):
+        with pytest.raises(TypeError, match="text must be a str, got "):
+            DyadicRational.parse(text)
+
+
 def test_str_uses_plain_denominator():
     assert str(DyadicRational(3, 2)) == "3/4"
     assert str(DyadicRational(-5, 0)) == "-5"

@@ -3,9 +3,11 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from operator import add, sub
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +22,7 @@ from cliffbits import (DyadicRational, EFBMultivector, Metric, MetricError,
                        volume_element, witt_basis, word_multivector,
                        word_product_oracle)
 from cliffbits import blades, dyadic, efb, verify, words
-from cliffbits.bits import (half_pochhammer_sign, parity_above,
+from cliffbits.bits import (_magnitude, half_pochhammer_sign, parity_above,
                             walsh_batch, walsh_function, walsh_index)
 from cliffbits.dyadic import MAX_BITS
 from cliffbits.sampling import (dense_blade_multivector,
@@ -981,7 +983,7 @@ def test_kernels_give_ascending_cosets():
     _assert_kernels_agree(x, y)
 
 
-def test_every_producer_stores_ascending_cosets(monkeypatch):
+def test_every_producer_stores_ascending_cosets():
     # every way to build an EFBMultivector, from entries, cosets and
     # blades given in descending order
     rng = random.Random(89)
@@ -994,12 +996,17 @@ def test_every_producer_stores_ascending_cosets(monkeypatch):
     masks = sorted(range(1 << (2 * m)), reverse=True)[::3]
     blades = Multivector._raw(Metric.interleaved(m),
                               {mask: k + 1 for k, mask in enumerate(masks)}, 0)
+    listed = Multivector._raw(Metric.interleaved(m), {
+        mask: k + 1 for k, mask in enumerate(
+            sorted(range(1 << (2 * m)), reverse=True)[::2])}, 0)
+    assert listed._vec is not None and blades._vec is None
+    assert not _fills_every_coset(blades, m)
     made = [x, y, x + y, y + x, x - y, -y, 3 * x, y * DyadicRational(1, 2),
             EFBMultivector.identity(m), EFBMultivector.volume(m)]
-    for share in (0, 2):  # the dense gather, then the loop
-        monkeypatch.setattr(efb, "_GATHER_SHARE", share)
-        made.append(blades_to_efb(blades, m))
-    monkeypatch.undo()
+    # the dense gather, from a list form and from a dict form that fills
+    # every coset twice, then the loop
+    for v in (listed, _covering(m, 2, rng), blades):
+        made.append(blades_to_efb(v, m))
     for u, v in ((x, y), (y, x), (made[-1], y)):
         made += [z for z, _ in _kernel_outputs(u, v)]
     for z in made:
@@ -1015,21 +1022,67 @@ def _blade_share(m, count, rng):
                              rng.randint(0, 4)) for mask in masks})
 
 
+def _covering(m, per, rng, single=False):
+    """A dict form over interleaved Cl(m, m) with per blades in every
+    coset, its blades in descending mask order, or with the last coset
+    left at a single blade."""
+    dim, by_coset = 1 << m, efb._blade_at(m)[0]
+    masks = sorted((by_coset[g * dim + i] for g in range(dim) for i in
+                    rng.sample(range(dim), 1 if single and g == dim - 1
+                               else per)), reverse=True)
+    return Multivector(Metric.interleaved(m), {
+        mask: DyadicRational(rng.choice((-1, 1)) * rng.randint(1, 999),
+                             rng.randint(0, 4)) for mask in masks})
+
+
+def _fills_every_coset(x, m):
+    """Whether the sparse loop of blades_to_efb would leave every one of
+    the 2^m cosets with two or more blades of x."""
+    held = Counter(_walsh_index_by_bits(mask, m)[1] for mask in x._nums)
+    return len(held) == 1 << m and min(held.values()) >= 2
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
-def test_dense_gather_matches_the_loop(m, monkeypatch):
-    # just below, at and just above the gather share, and every blade:
-    # each path on the same operand
+def test_dense_gather_matches_the_loop(m):
+    # just below, at and just above the list share, every blade, and from
+    # m = 3 on dict forms below it with two blades in every coset or with
+    # a coset left at one blade: each conversion, whichever path it
+    # takes, equals the batched one
     rng = random.Random(79 + m)
-    least = -(-3 * 4 ** m // 8)  # the fewest terms the gather takes
-    for count in {max(1, least - 1), least, min(4 ** m, least + 1), 4 ** m}:
-        x = _blade_share(m, count, rng)
-        runs = []
-        for share in (efb._GATHER_SHARE, 0, 2):  # as picked, gather, loop
-            monkeypatch.setattr(efb, "_GATHER_SHARE", share)
-            runs.append(verify._terms(blades_to_efb(x, m)))
-        monkeypatch.undo()
-        assert runs[0] == runs[1] == runs[2]
-        assert runs[0] == verify._terms(verify.batched_blades_to_efb(x, m))
+    least = -(-3 * 4 ** m // 8)  # the fewest terms of a list form
+    xs = [_blade_share(m, count, rng) for count in sorted(
+        {max(1, least - 1), least, min(4 ** m, least + 1), 4 ** m})]
+    if m >= 3:
+        xs += [_covering(m, 2, rng), _covering(m, 2, rng, single=True)]
+        assert [x._vec is None for x in xs[-2:]] == [True, True]
+    for x in xs:
+        assert verify._terms(blades_to_efb(x, m)) == verify._terms(
+            verify.batched_blades_to_efb(x, m))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_dict_forms_that_fill_every_coset_take_the_gather(m, monkeypatch):
+    # a dict form whose cosets all hold two blades is the one full batch
+    # the sparse loop can build: it goes on to the dense gather's column
+    # kernel, which keeps packed columns from m = 3 on; a coset left at
+    # one blade keeps it in the loop, and so do lanes past a word
+    rng = random.Random(131 + m)
+    calls = []
+    real = efb._gathered
+    full, single = _covering(m, 2, rng), _covering(m, 3, rng, single=True)
+    wide = Multivector._raw(full.metric, {
+        mask: n << 64 - m for mask, n in full._nums.items()}, 0)
+    assert _fills_every_coset(full, m) and not _fills_every_coset(single, m)
+    monkeypatch.setattr(efb, "_gathered",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    z = blades_to_efb(full, m)
+    assert calls == [m] and z._cols is not None
+    calls.clear()
+    assert blades_to_efb(single, m)._cols is None
+    assert blades_to_efb(wide, m)._cols is None and calls == []
+    monkeypatch.undo()
+    for x in (full, single, wide):
+        assert verify._agree("to-efb", x, m)
 
 
 def test_dense_gather_runs_from_the_share(monkeypatch):
@@ -1220,25 +1273,26 @@ def test_read_back_refuses_near_walsh_cosets():
     assert misses >= 0.9 * total
 
 
-def test_conversions_give_ascending_cosets(monkeypatch):
-    # blades given in descending order: both paths of blades_to_efb
-    # store the cosets in ascending g, and both paths of efb_to_blades
-    # give the terms by ascending coset, then by Walsh index
+def test_conversions_give_ascending_cosets():
+    # blades given in descending order: both paths of blades_to_efb, the
+    # loop and the dense gather of a dict form that fills every coset
+    # twice, store the cosets in ascending g, and both paths of
+    # efb_to_blades give the terms by ascending coset, then by Walsh index
     m = 3
     metric = Metric.interleaved(m)
-    masks = sorted(range(1 << (2 * m)), reverse=True)[::7]
-    x = Multivector._raw(metric, {mask: k + 1 for k, mask in enumerate(masks)},
-                         0)
-    images = []
-    for share in (0, 2):  # the dense gather, then the loop
-        monkeypatch.setattr(efb, "_GATHER_SHARE", share)
-        images.append(_assert_same_conversions(x, m))
-    monkeypatch.undo()
-    cosets = sorted({_walsh_index_by_bits(mask, m)[1] for mask in masks})
-    assert [list(ex._cosets) for ex in images] == [cosets, cosets]
-    by_coset = sorted(masks, key=lambda mask: _walsh_index_by_bits(
-        mask, m)[::-1])
-    assert list(efb_to_blades(images[0])._nums) == by_coset
+    sparse = sorted(range(1 << (2 * m)), reverse=True)[::7]
+    x = Multivector._raw(metric, {mask: k + 1 for k, mask in
+                                  enumerate(sparse)}, 0)
+    cover = _covering(m, 2, random.Random(7))
+    assert list(cover._nums) == sorted(cover._nums, reverse=True)
+    images = [_assert_same_conversions(v, m) for v in (x, cover)]
+    assert [ex._cols is None for ex in images] == [True, False]
+    for masks, ex in zip((sparse, cover._nums), images):
+        cosets = sorted({_walsh_index_by_bits(mask, m)[1] for mask in masks})
+        assert list(ex._cosets) == cosets
+        by_coset = sorted(masks, key=lambda mask: _walsh_index_by_bits(
+            mask, m)[::-1])
+        assert list(efb_to_blades(ex)._nums) == by_coset
 
 
 def test_repr_counts_nonzero_entries():
@@ -1558,3 +1612,84 @@ def test_wide_dense_operands_skip_the_column_kernel(monkeypatch):
     # a narrow dense operand does reach the kernel
     with pytest.raises(AssertionError, match="the column kernel ran"):
         blades_to_efb(dense_blade_multivector(metric, rng), m)
+
+
+def _routed(kind, m, rng, wide):
+    """One operand over interleaved Cl(m, m) of the kind: a few blades,
+    blades concentrated in 2 to 8 cosets, one to three blades in every
+    coset, every blade, or every blade with numerators of wide bits."""
+    dim, by_coset = 1 << m, efb._blade_at(m)[0]
+    if kind == "sparse":
+        masks = rng.sample(range(dim * dim), rng.randint(1, 6))
+    elif kind in ("concentrated", "every-coset"):
+        cosets = (rng.sample(range(dim), rng.randint(2, min(8, dim)))
+                  if kind == "concentrated" else range(dim))
+        least = rng.randint(1, 2)  # at 2 every coset holds two blades
+        masks = [by_coset[g * dim + i] for g in cosets for i in rng.sample(
+            range(dim), rng.randint(least, 3 if kind == "every-coset"
+                                    else dim))]
+    else:
+        masks = range(dim * dim)
+    bits = wide if kind == "wide" else rng.randint(1, 10)
+    return Multivector._raw(Metric.interleaved(m), {
+        mask: rng.choice((-1, 1)) * rng.randrange(1 << bits - 1, 1 << bits)
+        for mask in masks}, rng.randint(0, 3))
+
+
+_ROUTED = ("sparse", "concentrated", "every-coset", "dense", "wide")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_ROUTED), st.sampled_from(_ROUTED), st.integers(3, 6),
+       st.integers(20, 30), st.integers(0, 1 << 32))
+@example("wide", "wide", 5, 22, 0)  # a carried bound of 59 bits
+@example("every-coset", "wide", 6, 20, 1)
+def test_no_full_batch_that_fits_a_word_reaches_walsh_batch(kx, ky, m, wide,
+                                                            seed):
+    # the batches the column kernel took inside walsh_batch before the
+    # conversions owned it, 2^m vectors from m = _COLUMNS_K on whose
+    # entries fit a word, never reach walsh_batch: not from blades_to_efb,
+    # efb_product or efb_to_blades, on operands of any kind or products.
+    # At m = 5 numerators of 22 bits or more give a product whose carried
+    # bound misses a word, and up to about 24 bits its entries fit
+    real = efb.walsh_batch
+
+    def spy(flat, k):
+        full = len(flat) == 1 << 2 * k and k >= efb._COLUMNS_K
+        assert not (full and efb._fits_word(_magnitude([flat]), k)), (
+            f"a full batch that fits a word reached walsh_batch at k={k}")
+        return real(flat, k)
+    rng = random.Random(seed)
+    x, y = _routed(kx, m, rng, wide), _routed(ky, m, rng, wide)
+    with mock.patch.object(efb, "walsh_batch", spy):
+        ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
+        ez, z = efb_product(ex, ey), mv_mul(x, y)
+        assert efb_to_blades(ez) == z and blades_to_efb(z, m) == ez
+        assert efb_to_blades(ex) == x and efb_to_blades(ey) == y
+
+
+def test_a_carried_bound_past_a_word_is_scanned_before_the_read_out(
+        monkeypatch):
+    # dense m = 5 operands of 22-bit numerators carry 27 bits into the
+    # Fock basis and their product 27 + 27 + 5 = 59, which misses a word
+    # for a transform of 2^5 entries while the entries fit: one scan, kept
+    # in _bits, sends the product to the dense read-out.  At 30 bits the
+    # entries miss a word as well, and the loop reads the product out
+    m = 5
+    rng = random.Random(137)
+    metric = Metric.interleaved(m)
+    taken = []
+    dense = efb._dense_to_blades
+    monkeypatch.setattr(efb, "_dense_to_blades",
+                        lambda z: taken.append(z) or dense(z))
+    for b, carried, through in ((22, 59, True), (30, 75, False)):
+        x, y = (Multivector._raw(metric, {
+            mask: rng.choice((-1, 1)) * rng.randrange(1 << b - 1, 1 << b)
+            for mask in range(1 << 2 * m)}, 0) for _ in range(2))
+        ez = efb_product(blades_to_efb(x, m), blades_to_efb(y, m))
+        assert ez._bits == carried and not efb._fits_word(carried, m)
+        taken.clear()
+        assert efb_to_blades(ez) == mv_mul(x, y)
+        assert [z is ez for z in taken] == ([True] if through else [])
+        assert ez._bits == _magnitude(ez._cosets.values())
+        assert efb._fits_word(ez._bits, m) is through

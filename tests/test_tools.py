@@ -1,8 +1,13 @@
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import cliffbits
+from cliffbits import efb
+from cliffbits.bits import _magnitude
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -72,6 +77,37 @@ def test_ab_times_every_layer_of_both_pipelines(capsys):
         # the medians are printed to 0.1 us, the ratio to 0.01
         want = float(old) / float(new)
         assert abs(float(ratio) - want) <= 0.05 * want + 0.005
+
+
+def test_ab_cover_and_wide_pairs_reach_the_rerouted_inputs(capsys):
+    # cover: a dict form below the list share with two or more blades in
+    # every coset, none drawn below m = 3; wide: a product whose carried
+    # bound misses a word for its read-out while its entries fit
+    rng = random.Random(5)
+    for m in range(1, 8):
+        lo, hi, _, _ = efb._slot_tables(m)
+        assert [ab.coset(mask, m) for mask in range(1 << 2 * m)] == [
+            (lo[mask & (1 << m) - 1] ^ hi[mask >> m]) >> m
+            for mask in range(1 << 2 * m)]
+    for m in range(3, 7):
+        x = ab.build(cliffbits, m, ab.draw("cover", m, rng))
+        held = [0] * (1 << m)
+        for mask in x._nums:
+            held[ab.coset(mask, m)] += 1
+        assert x._vec is None and min(held) >= 2
+    for m in range(2, 8):
+        x, y = (ab.build(cliffbits, m, ab.draw("wide", m, rng))
+                for _ in range(2))
+        z = efb.efb_product(efb.blades_to_efb(x, m), efb.blades_to_efb(y, m))
+        assert not efb._fits_word(z._bits, m)
+        assert efb._fits_word(_magnitude(z._cosets.values()), m)
+    assert ab.main([str(TOOLS.parent), "--m-min", "2", "--m-max", "3",
+                    "--rounds", "2", "--kinds", "cover", "wide"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[:3] for row in rows] == [
+        [m, pair, layer] for m, pair in (("2", "wide"), ("3", "cover"),
+                                         ("3", "wide"))
+        for layer in ab.LAYERS]
 
 
 def test_pairs_alternates_the_sides_and_counts_the_pairs_won(

@@ -2,7 +2,7 @@
 two checkouts layer by layer, in one interpreter, on the same operands.
 
     python tools/ab.py PARENT_DIR [--m-min 2] [--m-max 6] [--rounds 60]
-                       [--seed 1]
+                       [--seed 1] [--kinds dense sparse [cover wide]]
 
 PARENT_DIR is another checkout of this repository, for example the
 parent commit unpacked by `git archive`.  Its src/cliffbits is loaded
@@ -13,11 +13,22 @@ kind both packages build the same operands from the same numbers:
 * dense: every blade, with +-(1..1023) / 2^(0..4), as perfbench's
   dense workloads draw them;
 * sparse: 1 to 6 draws of a blade and +-(0..32) / 2^(0..4), as the
-  cli-session workload draws them (a pool of 16 pairs).
+  cli-session workload draws them (a pool of 16 pairs);
+* cover: dict forms, below the blade engine's list share of 3/8, whose
+  blades fill every Fock coset at least twice, with the dense kind's
+  coefficients: the one full batch blades_to_efb's sparse loop can
+  build (from m = 3 on; none is drawn below);
+* wide: every blade, with integer numerators of exactly 32 - 2m bits,
+  so that the bound a product carries, bx + by + m with b = bits + m
+  for each operand, misses a 64-bit word for a transform of 2^m
+  entries while the product's entries fit one.
+
+--kinds picks the kinds, dense and sparse by default.
 
 Each operand is converted once, untimed, as perfbench's dense draws
 are.  Each round scales both operands by a fresh odd dyadic and writes
-them as text, untimed, as perfbench scales its pool, then times parse of
+them as text, untimed, as perfbench scales its pool (a wide pair by
++-2^-(0..3) alone, which keeps its numerators), then times parse of
 both texts, blades_to_efb on both parsed operands, efb_product and
 efb_to_blades, mv_mul on the same two operands, and str of both
 products, once in each package: the layers of a `cliffbits mul`.  The
@@ -42,7 +53,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("parse", "blades_to_efb", "efb_product", "efb_to_blades",
           "pipeline", "mv_mul", "render")
-_POOL = {"dense": 2, "sparse": 16}
+_POOL = {"dense": 2, "sparse": 16, "cover": 4, "wide": 2}
 
 
 def load(checkout: Path, name: str):
@@ -58,11 +69,31 @@ def load(checkout: Path, name: str):
     return module
 
 
+def coset(mask: int, m: int) -> int:
+    """The Fock coset g of a blade over interleaved Cl(m, m): bit m - s of
+    g is the XOR of the presence bits of generators 2s - 1 and 2s."""
+    return sum(((mask >> 2 * p ^ mask >> 2 * p + 1) & 1) << m - 1 - p
+               for p in range(m))
+
+
 def draw(kind: str, m: int, rng: random.Random) -> dict:
     """{mask: (numerator, exponent)} of one operand of the kind."""
-    if kind == "dense":
+    if kind in ("dense", "cover"):
+        masks = range(1 << 2 * m)
+        if kind == "cover":  # below the share: fewer than 3/8 * 2^m a coset
+            most = (3 << m) - 1 >> 3
+            by_coset = [[] for _ in range(1 << m)]
+            for mask in masks:
+                by_coset[coset(mask, m)].append(mask)
+            masks = [mask for held in by_coset
+                     for mask in rng.sample(held, rng.randint(2, most))]
         return {mask: (rng.choice((-1, 1)) * rng.randint(1, 1023),
-                       rng.randint(0, 4)) for mask in range(1 << 2 * m)}
+                       rng.randint(0, 4)) for mask in masks}
+    if kind == "wide":
+        bits = 32 - 2 * m
+        return {mask: (rng.choice((-1, 1))
+                       * rng.randrange(1 << bits - 1, 1 << bits), 0)
+                for mask in range(1 << 2 * m)}
     terms: dict = {}
     for _ in range(rng.randint(1, 6)):
         mask = rng.randrange(1 << 2 * m)
@@ -112,8 +143,11 @@ def compare(parent, change, m: int, kind: str, rounds: int,
             pkg.blades_to_efb(x, m)
     times = {parent: [], change: []}
     for r in range(rounds + 1):  # round 0 warms the caches of both
-        scales = [(rng.choice((-1, 1)) * (2 * rng.randint(0, 7) + 1),
-                   rng.randint(0, 3)) for _ in range(2)]
+        scales = []
+        for _ in range(2):  # a wide pair keeps its numerators
+            sign = rng.choice((-1, 1))
+            odd = 1 if kind == "wide" else 2 * rng.randint(0, 7) + 1
+            scales.append((sign * odd, rng.randint(0, 3)))
         order = (parent, change) if r % 2 else (change, parent)
         for pkg in order:
             x, y = sides[pkg][r % len(pool)]
@@ -134,6 +168,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--m-max", type=int, default=6)
     parser.add_argument("--rounds", type=int, default=60)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--kinds", nargs="+", choices=list(_POOL),
+                        default=["dense", "sparse"])
     args = parser.parse_args(argv)
     if not 1 <= args.m_min <= args.m_max <= 8 or args.rounds < 1:
         parser.error("need 1 <= m-min <= m-max <= 8 and rounds >= 1")
@@ -145,7 +181,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'m':>2} {'pair':<7}{'layer':<15}{'parent us':>11}"
           f"{'change us':>11}{'ratio':>7}")
     for m in range(args.m_min, args.m_max + 1):
-        for kind in _POOL:
+        for kind in args.kinds:
+            if kind == "cover" and m < 3:  # 2 blades a coset reach 3/8
+                continue
             runs = compare(parent, change, m, kind, args.rounds, rng)
             for i, layer in enumerate(LAYERS):
                 old, new = (statistics.median(t) * 1e6
