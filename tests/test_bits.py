@@ -9,9 +9,10 @@ from hypothesis import given, strategies as st
 from cliffbits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
                        neg_mod8, parity_above, sign_bit, sign_to_bit,
                        walsh_hadamard)
-from cliffbits import bits, efb
+from cliffbits import Metric, bits, efb
 from cliffbits.bits import walsh_batch, walsh_function, walsh_index, xor_span
 from cliffbits.dyadic import _common_shift
+from cliffbits.sampling import dense_blade_multivector
 from cliffbits.verify import _column_kernel
 
 
@@ -318,6 +319,24 @@ def _staged(flat, k):
 
 def _refuse(*args):
     raise AssertionError("the column kernel ran")
+
+
+def test_full_batches_from_k5_take_the_column_kernel(monkeypatch):
+    # from k = 5 on, a full batch takes the column kernel in efb's dense
+    # conversions, both ways, and the kernel's rows are walsh_batch's
+    # vectors
+    rng = random.Random(83)
+    seen = []
+    columns = bits._columns
+    monkeypatch.setattr(efb, "_columns", lambda rows, k, size, cap=0: (
+        seen.append(k) or columns(rows, k, size, cap)))
+    for k in (5, 6):
+        flat = [rng.randint(-(1 << 40), 1 << 40) for _ in range(1 << 2 * k)]
+        out = _column_kernel(flat, k)[0]
+        assert walsh_batch(flat, k) == [out[c::1 << k] for c in range(1 << k)]
+        x = dense_blade_multivector(Metric.interleaved(k), rng)
+        assert efb.efb_to_blades(efb.blades_to_efb(x, k)) == x
+    assert seen == [5, 5, 6, 6]
 
 
 def test_other_batches_take_the_list_stages(monkeypatch):
