@@ -72,7 +72,9 @@ the bit length of the scalar's numerator, mv_mul adds its operands'
 bounds and n, and the Fock-basis read-out sets its own; the canonical
 shift lowers it.  Every other producer, parse included, leaves None,
 and _bound() scans such a multivector once where a lane width is
-needed, by _walk_width and by efb's dense gather.
+needed, by _walk_width and by efb's dense gather.  From m = 5 on, efb's
+hand-off of a dict form that fills every coset replaces a carried bound
+that misses a word by that scan as well (efb._fits_columns).
 """
 
 from __future__ import annotations

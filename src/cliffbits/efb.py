@@ -35,7 +35,8 @@ by counting the zeros of the coset, is c * W_i by walsh_function, with
 no arithmetic; a dict form that leaves every one of the 2^m cosets
 with two or more blades, the only full batch this loop can build, goes
 on to the gather's column kernel (_gathered), its signed cosets read
-in lane order, when its lanes fit a word.
+in lane order, when its lanes fit a word, by a scan from m = 5 on
+where the bound the operand carries misses one.
 efb_to_blades reads a coset that walsh_index finds equal to c * W_i as
 the one blade c * 2^m, with no transform; it looks at v[0] and the
 v[2^j] first, so a dense coset leaves after one or two entries.  Every
@@ -93,13 +94,19 @@ B + m for blade numerators of B bits, since an entry sums 2^m of them,
 and efb_product, bx + by + m when both operands carry one; the
 canonical shift lowers it.  B is the blade operand's Multivector
 bound, which its own producers carry, so a scaled or multiplied
-operand is not scanned either.  Every other producer, the sparse
-conversion among them, leaves None.  _bound() is read where a lane
+operand is not scanned either.  The sparse conversion's loop leaves
+None, and so does every other producer.  _bound() is read where a lane
 width is needed, by the packed product kernel (_lanes) and by the
-dense conversions, and only there scans a matrix whose _bits is None,
-once, keeping the result.  The sparse paths gain no scan: the sparse
-conversion neither sets nor reads a bound, and a product reads its
-operands' bounds only where bits._kernel_width needs a width.
+dense conversions, the loop's hand-off of a full batch to _gathered
+among them, and only there scans an operand whose _bits is None, once,
+keeping the result.  A carried bound can miss a word while the entries
+fit, as bx + by + m of a product can: from m = _COLUMNS_K on, the
+hand-off and the dense read-out replace such a bound by one scan
+before they refuse the column kernel (_fits_columns), and keep the
+tighter bound in _bits, which changes no value.  The sparse paths gain
+no scan: a dict form that leaves a coset with fewer than two blades
+reads no bound, and a product reads its operands' bounds only where
+bits._kernel_width needs a width.
 
 efb_product has two kernels with equal results and triple counts.  The
 coset sweep runs out[g ^ h][d] += x[g][d ^ h] * y[h][d] over pairs of
@@ -513,9 +520,9 @@ def _slot_tables(m: int) -> tuple[list, list, list, list]:
 # the interleaved metric per m, built and validated on first use
 _metric = cache(Metric.interleaved)
 # the smallest m at which the dense read-out takes a matrix of lists that
-# stores all 2^m cosets, none of them one Walsh function, and scans a
-# carried bound that misses a word: at m = 4 the column kernel takes
-# about 1.2x the time of the list stages
+# stores all 2^m cosets, none of them one Walsh function, and at which
+# both dense conversions scan a carried bound that misses a word: at
+# m = 4 the column kernel takes about 1.2x the time of the list stages
 _COLUMNS_K = 5
 # the smallest m at which the dense gather keeps packed columns: below
 # it _packed_width sends every product of two dense operands to the
@@ -559,6 +566,17 @@ def _fits_word(bits: int, m: int) -> bool:
     return bits + m < 64
 
 
+def _fits_columns(x, m: int) -> bool:
+    """Whether the column kernel's lanes for the transform of x, a
+    Multivector or an EFBMultivector, fit a word, by x._bound(): from m
+    = _COLUMNS_K on, a carried bound that misses a word is first
+    dropped, so that _bound() scans x once and keeps the exact bit
+    length, which may fit."""
+    if m >= _COLUMNS_K and not _fits_word(x._bits or 0, m):
+        x._bits = None
+    return _fits_word(x._bound(), m)
+
+
 def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     """Change of basis from blades; requires the interleaved Cl(m,m) metric.
 
@@ -576,7 +594,8 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     can build, goes to _gathered as well, its signed cosets read in
     lane order, when its lanes fit a word.  A gathered result carries
     the bound x._bound() gives, which scans x only when no producer of
-    x set it.
+    x set it, or, for the dict form from m = _COLUMNS_K on, when the
+    bound it carries misses a word (_fits_columns).
     """
     if not isinstance(x, Multivector):
         raise TypeError("blades_to_efb needs a Multivector operand")
@@ -606,7 +625,7 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
                 cosets[g] = walsh_function(v[i], i, m)
             else:
                 batch.append(g)
-        if len(batch) < dim or not _fits_word(bits := x._bound(), m):
+        if len(batch) < dim or not _fits_columns(x, m):
             cosets.update(zip(batch, walsh_batch(
                 list(chain.from_iterable(map(cosets.get, batch))), m)))
             return EFBMultivector._from_ints(m, cosets, x._e)
@@ -614,7 +633,7 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
         # than 3/8 of the 4^m blades, so m >= 3 = _KEEP_M, and the result
         # keeps its columns
         return _gathered(m, chain.from_iterable(zip(*map(
-            cosets.get, range(dim)))), 0, bits, x._e)
+            cosets.get, range(dim)))), 0, x._bound(), x._e)
     bits = x._bound()
     _, in_cosets, in_lanes, _ = _blade_at(m)
     if m >= _KEEP_M and _fits_word(bits, m):
@@ -655,8 +674,8 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
     cosets, none of them c * W_i, from m = _COLUMNS_K on.  From m =
     _COLUMNS_K on, a carried bound that misses a word, as bx + by + m of
     a product can while its entries fit, is replaced by one scan before
-    the read-out is refused.  Terms come by ascending coset, then by
-    Walsh index, on every path.
+    the read-out is refused (_fits_columns).  Terms come by ascending
+    coset, then by Walsh index, on every path.
     """
     if not isinstance(x, EFBMultivector):
         raise TypeError("efb_to_blades needs an EFBMultivector operand")
@@ -664,14 +683,9 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
     # kept columns go to the read-out whole, with no look at a coset
     found = (None if x._cols else
              [walsh_index(v, m) for v in x._cosets.values()])
-    if (m >= _KEEP_M if found is None else
-            m >= _COLUMNS_K and len(found) == dim and max(found) < 0):
-        if m >= _COLUMNS_K and not _fits_word(x._bits or 0, m):
-            # a carried bound can miss a word while the entries fit:
-            # _bound() scans them once and keeps the result
-            x._bits = None
-        if _fits_word(x._bound(), m):
-            return _dense_to_blades(x)
+    if (m >= _KEEP_M if found is None else m >= _COLUMNS_K
+            and len(found) == dim and max(found) < 0) and _fits_columns(x, m):
+        return _dense_to_blades(x)
     cosets = x._cosets.items()
     if found is None:
         found = [walsh_index(v, m) for _, v in cosets]

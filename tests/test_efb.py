@@ -1065,13 +1065,17 @@ def test_dict_forms_that_fill_every_coset_take_the_gather(m, monkeypatch):
     # a dict form whose cosets all hold two blades is the one full batch
     # the sparse loop can build: it goes on to the dense gather's column
     # kernel, which keeps packed columns from m = 3 on; a coset left at
-    # one blade keeps it in the loop, and so do lanes past a word
+    # one blade keeps it in the loop, and so do lanes past a word.  The
+    # same numerators carrying a bound of 61 bits, which misses a word,
+    # are scanned from m = _COLUMNS_K on and gathered; below, the loop
+    # takes them without a scan
     rng = random.Random(131 + m)
     calls = []
     real = efb._gathered
     full, single = _covering(m, 2, rng), _covering(m, 3, rng, single=True)
     wide = Multivector._raw(full.metric, {
         mask: n << 64 - m for mask, n in full._nums.items()}, 0)
+    carried = Multivector._raw(full.metric, dict(full._nums), full._e, 61)
     assert _fills_every_coset(full, m) and not _fills_every_coset(single, m)
     monkeypatch.setattr(efb, "_gathered",
                         lambda *args: calls.append(args[0]) or real(*args))
@@ -1080,8 +1084,13 @@ def test_dict_forms_that_fill_every_coset_take_the_gather(m, monkeypatch):
     calls.clear()
     assert blades_to_efb(single, m)._cols is None
     assert blades_to_efb(wide, m)._cols is None and calls == []
+    scanned = m >= efb._COLUMNS_K
+    assert carried._bits == 61
+    assert (blades_to_efb(carried, m)._cols is not None) is scanned
+    assert calls == ([m] if scanned else [])
+    assert carried._bits == (full._bound() if scanned else 61)
     monkeypatch.undo()
-    for x in (full, single, wide):
+    for x in (full, single, wide, carried):
         assert verify._agree("to-efb", x, m)
 
 
@@ -1617,26 +1626,31 @@ def test_wide_dense_operands_skip_the_column_kernel(monkeypatch):
 def _routed(kind, m, rng, wide):
     """One operand over interleaved Cl(m, m) of the kind: a few blades,
     blades concentrated in 2 to 8 cosets, one to three blades in every
-    coset, every blade, or every blade with numerators of wide bits."""
+    coset, two or three in every coset under a carried bound of 61 bits
+    (a product's bound can miss a word while its numerators fit), every
+    blade, or every blade with numerators of wide bits."""
     dim, by_coset = 1 << m, efb._blade_at(m)[0]
     if kind == "sparse":
         masks = rng.sample(range(dim * dim), rng.randint(1, 6))
-    elif kind in ("concentrated", "every-coset"):
+    elif kind in ("concentrated", "every-coset", "carried"):
         cosets = (rng.sample(range(dim), rng.randint(2, min(8, dim)))
                   if kind == "concentrated" else range(dim))
-        least = rng.randint(1, 2)  # at 2 every coset holds two blades
+        # at 2 every coset holds two blades
+        least = 2 if kind == "carried" else rng.randint(1, 2)
         masks = [by_coset[g * dim + i] for g in cosets for i in rng.sample(
-            range(dim), rng.randint(least, 3 if kind == "every-coset"
-                                    else dim))]
+            range(dim), rng.randint(least, dim if kind == "concentrated"
+                                    else 3))]
     else:
         masks = range(dim * dim)
     bits = wide if kind == "wide" else rng.randint(1, 10)
     return Multivector._raw(Metric.interleaved(m), {
         mask: rng.choice((-1, 1)) * rng.randrange(1 << bits - 1, 1 << bits)
-        for mask in masks}, rng.randint(0, 3))
+        for mask in masks}, rng.randint(0, 3),
+        61 if kind == "carried" else None)
 
 
-_ROUTED = ("sparse", "concentrated", "every-coset", "dense", "wide")
+_ROUTED = ("sparse", "concentrated", "every-coset", "carried", "dense",
+           "wide")
 
 
 @settings(max_examples=100, deadline=None)
@@ -1644,6 +1658,7 @@ _ROUTED = ("sparse", "concentrated", "every-coset", "dense", "wide")
        st.integers(20, 30), st.integers(0, 1 << 32))
 @example("wide", "wide", 5, 22, 0)  # a carried bound of 59 bits
 @example("every-coset", "wide", 6, 20, 1)
+@example("carried", "sparse", 5, 20, 0)  # a carried bound of 61 bits
 def test_no_full_batch_that_fits_a_word_reaches_walsh_batch(kx, ky, m, wide,
                                                             seed):
     # the batches the column kernel took inside walsh_batch before the

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import cliffbits
@@ -59,7 +60,7 @@ def test_code_lines_prints_each_module_and_the_total(capsys):
 def test_ab_times_every_layer_of_both_pipelines(capsys):
     # this checkout against itself: one line per m, pair kind and layer,
     # parse, the Fock-basis layers, mv_mul and render, two positive
-    # medians and their ratio
+    # medians and their ratio; no cover pair is drawn below m = 3
     assert ab.LAYERS == ("parse", "blades_to_efb", "efb_product",
                          "efb_to_blades", "pipeline", "mv_mul", "render")
     assert ab.main([str(TOOLS.parent), "--m-min", "2", "--m-max", "3",
@@ -70,8 +71,10 @@ def test_ab_times_every_layer_of_both_pipelines(capsys):
                                 "change", "us", "ratio"]
     rows = [line.split() for line in lines[2:]]
     assert [row[:3] for row in rows] == [
-        [m, pair, layer] for m in ("2", "3") for pair in ("dense", "sparse")
-        for layer in ab.LAYERS]
+        [m, pair, layer] for m, pairs in (
+            ("2", ("dense", "sparse", "wide")),
+            ("3", ("dense", "sparse", "cover", "wide")))
+        for pair in pairs for layer in ab.LAYERS]
     for _, _, _, old, new, ratio in rows:
         assert float(old) > 0 and float(new) > 0
         # the medians are printed to 0.1 us, the ratio to 0.01
@@ -79,35 +82,24 @@ def test_ab_times_every_layer_of_both_pipelines(capsys):
         assert abs(float(ratio) - want) <= 0.05 * want + 0.005
 
 
-def test_ab_cover_and_wide_pairs_reach_the_rerouted_inputs(capsys):
+def test_ab_cover_and_wide_pairs_reach_the_rerouted_inputs():
     # cover: a dict form below the list share with two or more blades in
-    # every coset, none drawn below m = 3; wide: a product whose carried
-    # bound misses a word for its read-out while its entries fit
+    # every coset; wide: a product whose carried bound misses a word for
+    # its read-out while its entries fit
     rng = random.Random(5)
-    for m in range(1, 8):
-        lo, hi, _, _ = efb._slot_tables(m)
-        assert [ab.coset(mask, m) for mask in range(1 << 2 * m)] == [
-            (lo[mask & (1 << m) - 1] ^ hi[mask >> m]) >> m
-            for mask in range(1 << 2 * m)]
     for m in range(3, 7):
-        x = ab.build(cliffbits, m, ab.draw("cover", m, rng))
-        held = [0] * (1 << m)
-        for mask in x._nums:
-            held[ab.coset(mask, m)] += 1
-        assert x._vec is None and min(held) >= 2
+        x = ab.build(cliffbits, m, ab.draw(cliffbits, "cover", m, rng))
+        lo, hi, _, _ = efb._slot_tables(m)
+        held = Counter((lo[mask & (1 << m) - 1] ^ hi[mask >> m]) >> m
+                       for mask in x._nums)
+        assert x._vec is None and len(held) == 1 << m
+        assert min(held.values()) >= 2
     for m in range(2, 8):
-        x, y = (ab.build(cliffbits, m, ab.draw("wide", m, rng))
+        x, y = (ab.build(cliffbits, m, ab.draw(cliffbits, "wide", m, rng))
                 for _ in range(2))
         z = efb.efb_product(efb.blades_to_efb(x, m), efb.blades_to_efb(y, m))
         assert not efb._fits_word(z._bits, m)
         assert efb._fits_word(_magnitude(z._cosets.values()), m)
-    assert ab.main([str(TOOLS.parent), "--m-min", "2", "--m-max", "3",
-                    "--rounds", "2", "--kinds", "cover", "wide"]) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
-    assert [row[:3] for row in rows] == [
-        [m, pair, layer] for m, pair in (("2", "wide"), ("3", "cover"),
-                                         ("3", "wide"))
-        for layer in ab.LAYERS]
 
 
 def test_pairs_alternates_the_sides_and_counts_the_pairs_won(

@@ -2,7 +2,7 @@
 two checkouts layer by layer, in one interpreter, on the same operands.
 
     python tools/ab.py PARENT_DIR [--m-min 2] [--m-max 6] [--rounds 60]
-                       [--seed 1] [--kinds dense sparse [cover wide]]
+                       [--seed 1]
 
 PARENT_DIR is another checkout of this repository, for example the
 parent commit unpacked by `git archive`.  Its src/cliffbits is loaded
@@ -17,13 +17,12 @@ kind both packages build the same operands from the same numbers:
 * cover: dict forms, below the blade engine's list share of 3/8, whose
   blades fill every Fock coset at least twice, with the dense kind's
   coefficients: the one full batch blades_to_efb's sparse loop can
-  build (from m = 3 on; none is drawn below);
+  build (from m = 3 on; none is drawn below), its masks taken by
+  coset from this checkout's efb._blade_at;
 * wide: every blade, with integer numerators of exactly 32 - 2m bits,
   so that the bound a product carries, bx + by + m with b = bits + m
   for each operand, misses a 64-bit word for a transform of 2^m
   entries while the product's entries fit one.
-
---kinds picks the kinds, dense and sparse by default.
 
 Each operand is converted once, untimed, as perfbench's dense draws
 are.  Each round scales both operands by a fresh odd dyadic and writes
@@ -69,24 +68,16 @@ def load(checkout: Path, name: str):
     return module
 
 
-def coset(mask: int, m: int) -> int:
-    """The Fock coset g of a blade over interleaved Cl(m, m): bit m - s of
-    g is the XOR of the presence bits of generators 2s - 1 and 2s."""
-    return sum(((mask >> 2 * p ^ mask >> 2 * p + 1) & 1) << m - 1 - p
-               for p in range(m))
-
-
-def draw(kind: str, m: int, rng: random.Random) -> dict:
-    """{mask: (numerator, exponent)} of one operand of the kind."""
+def draw(pkg, kind: str, m: int, rng: random.Random) -> dict:
+    """{mask: (numerator, exponent)} of one operand of the kind; a cover
+    takes its masks from pkg's table of the blades by coset."""
     if kind in ("dense", "cover"):
         masks = range(1 << 2 * m)
         if kind == "cover":  # below the share: fewer than 3/8 * 2^m a coset
-            most = (3 << m) - 1 >> 3
-            by_coset = [[] for _ in range(1 << m)]
-            for mask in masks:
-                by_coset[coset(mask, m)].append(mask)
-            masks = [mask for held in by_coset
-                     for mask in rng.sample(held, rng.randint(2, most))]
+            dim, most = 1 << m, (3 << m) - 1 >> 3
+            by_coset = pkg.efb._blade_at(m)[0]  # g * 2^m + i, coset-major
+            masks = [by_coset[g * dim + i] for g in range(dim)
+                     for i in rng.sample(range(dim), rng.randint(2, most))]
         return {mask: (rng.choice((-1, 1)) * rng.randint(1, 1023),
                        rng.randint(0, 4)) for mask in masks}
     if kind == "wide":
@@ -134,7 +125,7 @@ def pipeline(pkg, texts: tuple, m: int) -> tuple:
 def compare(parent, change, m: int, kind: str, rounds: int,
             rng: random.Random) -> list:
     """Per layer, (parent seconds, change seconds) of each round."""
-    pool = [(draw(kind, m, rng), draw(kind, m, rng))
+    pool = [(draw(change, kind, m, rng), draw(change, kind, m, rng))
             for _ in range(_POOL[kind])]
     sides = {pkg: [(build(pkg, m, a), build(pkg, m, b)) for a, b in pool]
              for pkg in (parent, change)}
@@ -168,8 +159,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--m-max", type=int, default=6)
     parser.add_argument("--rounds", type=int, default=60)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--kinds", nargs="+", choices=list(_POOL),
-                        default=["dense", "sparse"])
     args = parser.parse_args(argv)
     if not 1 <= args.m_min <= args.m_max <= 8 or args.rounds < 1:
         parser.error("need 1 <= m-min <= m-max <= 8 and rounds >= 1")
@@ -181,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'m':>2} {'pair':<7}{'layer':<15}{'parent us':>11}"
           f"{'change us':>11}{'ratio':>7}")
     for m in range(args.m_min, args.m_max + 1):
-        for kind in args.kinds:
+        for kind in _POOL:
             if kind == "cover" and m < 3:  # 2 blades a coset reach 3/8
                 continue
             runs = compare(parent, change, m, kind, args.rounds, rng)
