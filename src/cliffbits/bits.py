@@ -32,12 +32,12 @@ The packed kernels, efb's product, the blade engine's Gray-code walk and
 the column kernel, lay signed integers end to end in one int as lanes
 of W bits (Kronecker substitution): a row of values v_c is the int
 sum_c v_c * 2^(W * c).  The lane layer here is all any kernel knows of
-that format.  _magnitude is its one bit scan, _width sizes a lane for
-a number of signed bits, _lane_width sizes the lanes from a scan of the
-operands (the oracle, in verify and the tests, of the bounds that the
-multivector types carry), and _kernel_width weighs a packed product
-kernel at a width against the loop it replaces, asking for the width
-only when the kernel can win.  _pack reads values into rows as
+that format.  _width sizes a lane for a number of signed bits,
+_lane_width sizes the lanes from a scan of the operands by
+dyadic._magnitude (the oracle, in verify and the tests, of the bounds
+that the multivector types carry), and _kernel_width weighs a packed
+product kernel at a width against the loop it replaces, asking for the
+width only when the kernel can win.  _pack reads values into rows as
 two's-complement bytes at any whole-byte lane size: one struct call
 for the native sizes 1, 2, 4 and 8 bytes, one at the next native size
 cut down to 3, 5, 6 or 7 bytes per value by strided byte-slice
@@ -78,7 +78,7 @@ from functools import lru_cache, reduce
 from operator import add, or_, sub
 from struct import pack
 
-from .dyadic import _shift
+from .dyadic import _magnitude, _shift
 
 # A sign-valued bit: +1 or -1.
 SignBit = int
@@ -280,14 +280,6 @@ def _halves(size: int, count: int) -> int:
     on every call, and it is as long as one packed row."""
     return int.from_bytes((1 << (8 * size - 1)).to_bytes(size, _ORDER)
                           * count, _ORDER)
-
-
-def _magnitude(rows) -> int:
-    """The bit length of the largest magnitude in a collection of rows:
-    one C-level max and one min per row, an empty row or collection
-    counting as 0.  The one bit scan of the lane layer."""
-    return max(max(map(max, filter(None, rows)), default=0),
-               -min(map(min, filter(None, rows)), default=0)).bit_length()
 
 
 def _width(need: int) -> int:

@@ -31,13 +31,13 @@ list of a dict form instead) and returns its lanes as the product's
 list; efb's dense gather reads it with one itemgetter in lane order,
 and efb's dense read-out writes it with one itemgetter into mask
 order.  Equality, scaling, sums of two lists, the grade involution,
-the canonical shift, _bound(), the pair count and str read the list
-as well; str walks it in a per-n grade order of the masks
-(_grade_order), built for list forms alone and kept for a few n.  The
-pair loop reads the nonzeros of either form (_items), and efb's sparse
-conversion the dict of a dict form; the dict of a list form is built
-from the list on the first read of _nums, by terms and coefficient,
-and kept.
+the canonical shift, the bound's scan (_rows), the pair count and str
+read the list as well; str walks it in a per-n grade order of the
+masks (_grade_order), built for list forms alone and kept for a few n.
+The pair loop reads the nonzeros of either form (_items), and efb's
+sparse conversion the dict of a dict form; the dict of a list form is
+built from the list on the first read of _nums, by terms and
+coefficient, and kept.
 
 mv_mul has two kernels with equal results and pair counts.  The pair
 loop runs one interpreted multiply-add per blade pair; it takes sparse
@@ -66,15 +66,9 @@ The fast engine is checked against this module, and this module
 against the explicit transposition counting of the
 blade-sign-vs-normal-order verify suite.
 
-A multivector carries _bits, a bound on the bit length of its
-numerators, where its producer knows one without a scan: scaling adds
-the bit length of the scalar's numerator, mv_mul adds its operands'
-bounds and n, and the Fock-basis read-out sets its own; the canonical
-shift lowers it.  Every other producer, parse included, leaves None,
-and _bound() scans such a multivector once where a lane width is
-needed, by _walk_width and by efb's dense gather.  From m = 5 on, efb's
-hand-off of a dict form that fills every coset replaces a carried bound
-that misses a word by that scan as well (efb._fits_columns).
+A multivector carries _bits, the bound on the bit length of its
+numerators that the dyadic module describes, and _walk_width and efb's
+conversions read it through _bound().
 """
 
 from __future__ import annotations
@@ -86,10 +80,10 @@ from itertools import compress, repeat
 from operator import add, lshift, mul, rshift
 from types import MappingProxyType
 
-from .bits import (_halves, _keeps, _kernel_width, _lane_pattern, _magnitude,
-                   _pack, _swap, _unpack, _width, parity_above)
+from .bits import (_halves, _keeps, _kernel_width, _lane_pattern, _pack,
+                   _swap, _unpack, _width, parity_above)
 from .dyadic import (DyadicRational, _Numerators, _clip, _common_shift,
-                     _pair, _parse, _reduced, _scale_in, _text)
+                     _converted, _pair, _parse, _reduced, _scale_in, _text)
 from .instrument import counters
 
 # A blade is a bitmask of generator indices.
@@ -135,7 +129,8 @@ class Metric:
     squares: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "squares", tuple(self.squares))
+        object.__setattr__(self, "squares", _converted(
+            tuple, self.squares, "squares", "a sequence of ints"))
         # type(s) is int: 1.0 and True equal 1, but are no squares
         if not set(map(type, self.squares)) <= {int}:
             bad = next(s for s in self.squares if type(s) is not int)
@@ -185,6 +180,11 @@ class Metric:
         return sum(1 << i for i, s in enumerate(self.squares) if s < 0)
 
 
+def _check_metric(metric) -> None:
+    if not isinstance(metric, Metric):
+        raise TypeError(f"metric must be a Metric, got {type(metric).__name__}")
+
+
 def blade_product(a: Blade, b: Blade, metric: Metric) -> tuple[int, Blade]:
     """Product of two basis blades as (sign, result mask).
 
@@ -219,10 +219,11 @@ class Multivector(_Numerators):
     new instances.
     """
 
-    __slots__ = ("metric", "_e", "_vec", "_map", "_nnz", "_bits")
+    __slots__ = ("metric", "_e", "_vec", "_map", "_nnz")
 
     def __init__(self, metric: Metric, terms=None):
-        terms = dict(terms) if terms else {}
+        _check_metric(metric)
+        terms = _converted(dict, terms or (), "terms", "a mapping")
         n = metric.n
         for mask in terms:
             if type(mask) is not int:  # a bool is an int, but no blade
@@ -267,14 +268,9 @@ class Multivector(_Numerators):
             nums = self._map = dict(_items(self))
         return nums
 
-    def _bound(self) -> int:
-        """_bits, or, when no producer set it, the bit length of the
-        largest numerator by one scan, kept in _bits."""
-        if self._bits is None:
-            vec = self._vec
-            self._bits = _magnitude([self._map.values() if vec is None
-                                     else vec])
-        return self._bits
+    def _rows(self) -> list:
+        vec = self._vec
+        return [self._map.values() if vec is None else vec]
 
     @classmethod
     def zero(cls, metric: Metric) -> "Multivector":
@@ -317,13 +313,12 @@ class Multivector(_Numerators):
         return self.metric, self._e, self._map if vec is None else vec
 
     def _scaled(self, numerator: int, exponent: int) -> "Multivector":
-        bits, vec = self._bits, self._vec
+        vec = self._vec
         return Multivector._raw(
             self.metric,
             {mask: n * numerator for mask, n in self._map.items()}
             if vec is None else list(map(mul, vec, repeat(numerator))),
-            self._e + exponent,
-            None if bits is None else bits + abs(numerator).bit_length())
+            self._e + exponent, self._scaled_bits(numerator))
 
     def _product(self, other):
         return mv_mul(self, other)
@@ -401,9 +396,7 @@ class Multivector(_Numerators):
         """
         if not isinstance(text, str):
             raise TypeError(f"text must be a str, got {type(text).__name__}")
-        if not isinstance(metric, Metric):
-            raise TypeError(
-                f"metric must be a Metric, got {type(metric).__name__}")
+        _check_metric(metric)
         s = text.strip()
         if not s:
             raise ParseError("empty multivector text")

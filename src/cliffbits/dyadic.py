@@ -10,7 +10,8 @@ is the one place that turns coefficients into such pairs and back.
 _parse reads the text '3', '-5/8' or '7/2^4' into a pair, _pair unpacks
 an int or a DyadicRational, _scale_in writes a constructor's values
 over their largest exponent and is the one place that rejects any other
-coefficient type, and _text writes a pair back as 'n' or 'n/2^e'.
+coefficient type (_converted names any other bad constructor
+argument), and _text writes a pair back as 'n' or 'n/2^e'.
 Both multivector types store plain-int numerators over one shared
 exponent instead of instances, and Multivector.parse goes from text to
 those numerators without building one.  Their operators that read no
@@ -26,6 +27,24 @@ the dense read-out.  Both stop at shift 0 on the first odd numerator,
 or odd lane of the first row.  Products add
 exponents and the inverse Fock-basis transform adds m for its 2^-m, so
 instances are built only where a coefficient leaves.
+
+_Numerators also owns the carried bound, _bits: a bound on the bit
+length of every numerator, or None.  It plays no part in equality, and
+the packed kernels take their lane widths from it.  A producer that
+knows a bound without a scan sets it: scaling adds the bit length of
+the scalar's numerator (_scaled_bits); mv_mul and efb_product add n or
+m to their operands' bounds when both carry one, as a term sums at most
+2^n or 2^m products; the gathers and the list stages of blades_to_efb
+add m to the blade operand's bound; and the dense read-out of
+efb_to_blades sets its own.  The canonical shift lowers it.  Every
+other producer, parse included, leaves None.  _bound() scans a
+multivector whose _bits is None once, by _magnitude over the rows of
+numerators its type supplies (_rows), and keeps the result; only a step
+that needs a lane width reads it.  A carried bound never understates,
+but it may overstate: bx + by + m of a product can miss a 64-bit word
+while its entries fit.  So from m = 5 on, efb._fits_columns, the one
+fit test of every column-kernel route, drops a bound that misses a
+word, and _bound() scans once.
 """
 
 from __future__ import annotations
@@ -72,6 +91,15 @@ def _common_shift(numerators, e: int) -> int:
     return _shift(low, e)
 
 
+def _magnitude(rows) -> int:
+    """The bit length of the largest magnitude in a collection of rows:
+    one C-level max and one min per row, an empty row or collection
+    counting as 0.  The one bit scan of numerators, read by _bound() and
+    by the lane widths of bits (_lane_width)."""
+    return max(max(map(max, filter(None, rows)), default=0),
+               -min(map(min, filter(None, rows)), default=0)).bit_length()
+
+
 def _reduced(numerator: int, exponent: int) -> "DyadicRational":
     # internal fast path: arguments already known to be ints, exponent >= 0
     if exponent and not numerator & 1:
@@ -102,6 +130,16 @@ def _scale_in(values) -> tuple[list[int], int]:
         raise TypeError("coefficients must be int or DyadicRational")
     e = max((x for _, x in pairs), default=0)
     return [n << (e - x) for n, x in pairs], e
+
+
+def _converted(kind, value, name: str, what: str):
+    """kind(value), or a TypeError that names the argument when value
+    does not convert: a constructor's squares, terms or entries."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise TypeError(f"{name} must be {what}, got "
+                        f"{type(value).__name__}") from None
 
 
 def _clip(text: str) -> str:
@@ -245,13 +283,28 @@ class _Numerators:
     A subclass stores plain-int numerators over one 2^e and defines
     _scaled(numerator, exponent), __add__, _product(other) for an
     operand of its own type, _key(), the canonical form that equality
-    compares, and _like(other): the operand as the subclass's own type,
-    a lifted scalar where the subclass allows one, or None.  A scalar
+    compares, _like(other): the operand as the subclass's own type, a
+    lifted scalar where the subclass allows one, or None, and _rows(),
+    its numerators as a collection of rows for _magnitude.  A scalar
     enters through _pair, so it is an int or a DyadicRational and
-    commutes with every element.
+    commutes with every element.  _bits is the carried bound (see the
+    module docstring).
     """
 
-    __slots__ = ()
+    __slots__ = ("_bits",)
+
+    def _bound(self) -> int:
+        """_bits, or, when no producer set it, the bit length of the
+        largest numerator by one scan, kept in _bits."""
+        if self._bits is None:
+            self._bits = _magnitude(self._rows())
+        return self._bits
+
+    def _scaled_bits(self, numerator: int) -> int | None:
+        """The carried bound of self times numerator, or None: a product
+        has at most the bit lengths of its factors added."""
+        bits = self._bits
+        return None if bits is None else bits + abs(numerator).bit_length()
 
     def __neg__(self):
         return self._scaled(-1, 0)

@@ -35,8 +35,7 @@ by counting the zeros of the coset, is c * W_i by walsh_function, with
 no arithmetic; a dict form that leaves every one of the 2^m cosets
 with two or more blades, the only full batch this loop can build, goes
 on to the gather's column kernel (_gathered), its signed cosets read
-in lane order, when its lanes fit a word, by a scan from m = 5 on
-where the bound the operand carries misses one.
+in lane order, when its lanes fit a word.
 efb_to_blades reads a coset that walsh_index finds equal to c * W_i as
 the one blade c * 2^m, with no transform; it looks at v[0] and the
 v[2^j] first, so a dense coset leaves after one or two entries.  Every
@@ -50,13 +49,12 @@ rows, and the terms are read out in C (_dense_to_blades): a product
 that holds at least 3/8 of the blades as the list of the blade
 engine's list form, one itemgetter taking the unpacked lanes into mask
 order, and a sparser one as the dict by coset, through the table of
-the blade at each coset-major position.  From m = 5 on, a carried
-bound that misses a word is scanned once before that read-out is
-refused, as a product's bound bx + by + m can miss a word while its
-entries fit.  Kept columns skip the unpack that the lists would cost.
-Below m = 5 sparse products held as lists often store every coset
-with no single Walsh function among them, and the loop is faster
-there.
+the blade at each coset-major position.  Kept columns skip the unpack
+that the lists would cost.  Below m = 5 sparse products held as lists
+often store every coset with no single Walsh function among them, and
+the loop is faster there.  All four routes to the column kernel, the
+list-form gather, the dict form's hand-off and the two read-outs,
+decide whether its lanes fit a word by one test, _fits_columns.
 
 An EFBMultivector holds plain-int numerators over one shared
 denominator 2^_e, in canonical form, as a Multivector does.  _canonical,
@@ -87,26 +85,13 @@ packed into the same form where a packed step needs it
 (_packed_cols), and kept columns too narrow for a step are packed
 again at its width.
 
-Lane widths travel with the matrix as well.  _bits bounds the bit
-length of every numerator, or is None, and only a producer that knows
-a bound without a scan sets it: the dense gather of blades_to_efb,
-B + m for blade numerators of B bits, since an entry sums 2^m of them,
-and efb_product, bx + by + m when both operands carry one; the
-canonical shift lowers it.  B is the blade operand's Multivector
-bound, which its own producers carry, so a scaled or multiplied
-operand is not scanned either.  The sparse conversion's loop leaves
-None, and so does every other producer.  _bound() is read where a lane
-width is needed, by the packed product kernel (_lanes) and by the
-dense conversions, the loop's hand-off of a full batch to _gathered
-among them, and only there scans an operand whose _bits is None, once,
-keeping the result.  A carried bound can miss a word while the entries
-fit, as bx + by + m of a product can: from m = _COLUMNS_K on, the
-hand-off and the dense read-out replace such a bound by one scan
-before they refuse the column kernel (_fits_columns), and keep the
-tighter bound in _bits, which changes no value.  The sparse paths gain
-no scan: a dict form that leaves a coset with fewer than two blades
-reads no bound, and a product reads its operands' bounds only where
-bits._kernel_width needs a width.
+Lane widths travel with the matrix as well, as the carried bound
+_bits that the dyadic module describes.  _bound() is read by the
+packed product kernel (_lanes) and by every column-kernel route,
+through _fits_columns.  The sparse paths gain no scan: a dict form
+that leaves a coset with fewer than two blades reads no bound, and a
+product reads its operands' bounds only where bits._kernel_width needs
+a width.
 
 efb_product has two kernels with equal results and triple counts.  The
 coset sweep runs out[g ^ h][d] += x[g][d ^ h] * y[h][d] over pairs of
@@ -134,12 +119,13 @@ from functools import cache, partial, reduce
 from itertools import chain, compress, repeat
 from operator import and_, itemgetter, mul, neg, or_
 
-from .bits import (_columns, _halves, _kernel_width, _lower, _magnitude,
-                   _negate, _pack, _permute, _plans, _stages, _unpack,
-                   _width, _zero_lanes, parity_above, walsh_batch,
-                   walsh_function, walsh_index, xor_span)
+from .bits import (_columns, _halves, _kernel_width, _lower, _negate, _pack,
+                   _permute, _plans, _stages, _unpack, _width, _zero_lanes,
+                   parity_above, walsh_batch, walsh_function, walsh_index,
+                   xor_span)
 from .blades import Metric, MetricError, Multivector, _listed
-from .dyadic import _Numerators, _common_shift, _reduced, _scale_in
+from .dyadic import (_Numerators, _common_shift, _converted, _reduced,
+                     _scale_in)
 from .instrument import counters
 
 # largest m an EFBMultivector is built for: 4^m entries when dense
@@ -198,16 +184,20 @@ class EFBMultivector(_Numerators):
     storage come from dyadic._Numerators.  Treated as immutable.
     """
 
-    __slots__ = ("m", "_e", "_lists", "_cols", "_bits")
+    __slots__ = ("m", "_e", "_lists", "_cols")
 
     def __init__(self, m: int, entries=None):
         _check_m(m)
         dim = 1 << m
         cosets: dict[int, list] = {}
-        if entries:
-            for (a, b), coeff in dict(entries).items():
-                _check_entry(m, a, b)
-                cosets.setdefault(a ^ b, [0] * dim)[b] = coeff
+        entries = _converted(dict, entries or (), "entries", "a mapping")
+        for key, coeff in entries.items():
+            if type(key) is not tuple or len(key) != 2:
+                raise TypeError(
+                    f"entry keys must be (row, column) pairs, got {key!r}")
+            a, b = key
+            _check_entry(m, a, b)
+            cosets.setdefault(a ^ b, [0] * dim)[b] = coeff
         flat, e = _scale_in([c for v in cosets.values() for c in v])
         self.m = m
         self._lists, self._e = _canonical(
@@ -270,12 +260,8 @@ class EFBMultivector(_Numerators):
             self._cols = _pack(self._flat(), size, self.dim), size
         return self._cols
 
-    def _bound(self) -> int:
-        """_bits, or, when no producer set it, the bit length of the
-        largest numerator by one scan, kept in _bits."""
-        if self._bits is None:
-            self._bits = _magnitude(self._cosets.values())
-        return self._bits
+    def _rows(self):
+        return self._cosets.values()
 
     @classmethod
     def zeros(cls, m: int) -> "EFBMultivector":
@@ -324,7 +310,8 @@ class EFBMultivector(_Numerators):
     def _scaled(self, numerator: int, exponent: int) -> "EFBMultivector":
         return EFBMultivector._from_ints(
             self.m, {g: [n * numerator for n in v]
-                     for g, v in self._cosets.items()}, self._e + exponent)
+                     for g, v in self._cosets.items()}, self._e + exponent,
+            self._scaled_bits(numerator))
 
     def _product(self, other):
         return efb_product(self, other)
@@ -521,8 +508,8 @@ def _slot_tables(m: int) -> tuple[list, list, list, list]:
 _metric = cache(Metric.interleaved)
 # the smallest m at which the dense read-out takes a matrix of lists that
 # stores all 2^m cosets, none of them one Walsh function, and at which
-# both dense conversions scan a carried bound that misses a word: at
-# m = 4 the column kernel takes about 1.2x the time of the list stages
+# _fits_columns scans a carried bound that misses a word: at m = 4 the
+# column kernel takes about 1.2x the time of the list stages
 _COLUMNS_K = 5
 # the smallest m at which the dense gather keeps packed columns: below
 # it _packed_width sends every product of two dense operands to the
@@ -568,10 +555,10 @@ def _fits_word(bits: int, m: int) -> bool:
 
 def _fits_columns(x, m: int) -> bool:
     """Whether the column kernel's lanes for the transform of x, a
-    Multivector or an EFBMultivector, fit a word, by x._bound(): from m
-    = _COLUMNS_K on, a carried bound that misses a word is first
-    dropped, so that _bound() scans x once and keeps the exact bit
-    length, which may fit."""
+    Multivector or an EFBMultivector, fit a word, by x._bound(): the one
+    fit test of every column-kernel route.  From m = _COLUMNS_K on, a
+    carried bound that misses a word is first dropped, so that _bound()
+    scans x once and keeps the exact bit length, which may fit."""
     if m >= _COLUMNS_K and not _fits_word(x._bits or 0, m):
         x._bits = None
     return _fits_word(x._bound(), m)
@@ -592,10 +579,8 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     coset comes out all zero and is dropped.  A dict form that leaves
     all 2^m cosets with two or more blades, the one full batch the loop
     can build, goes to _gathered as well, its signed cosets read in
-    lane order, when its lanes fit a word.  A gathered result carries
-    the bound x._bound() gives, which scans x only when no producer of
-    x set it, or, for the dict form from m = _COLUMNS_K on, when the
-    bound it carries misses a word (_fits_columns).
+    lane order.  Both gathers ask _fits_columns whether their lanes fit
+    a word.
     """
     if not isinstance(x, Multivector):
         raise TypeError("blades_to_efb needs a Multivector operand")
@@ -634,10 +619,9 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
         # keeps its columns
         return _gathered(m, chain.from_iterable(zip(*map(
             cosets.get, range(dim)))), 0, x._bound(), x._e)
-    bits = x._bound()
     _, in_cosets, in_lanes, _ = _blade_at(m)
-    if m >= _KEEP_M and _fits_word(bits, m):
-        return _gathered(m, in_lanes(vec), _coset_signs(m), bits, x._e)
+    if m >= _KEEP_M and _fits_columns(x, m):
+        return _gathered(m, in_lanes(vec), _coset_signs(m), x._bound(), x._e)
     out = list(in_cosets(vec))  # the list stages, the signs on the lists
     for g in range(dim):  # (-1)^C(popcount g, 2) on each coset
         if g.bit_count() & 2:
@@ -645,7 +629,7 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
             out[span] = map(neg, out[span])
     out = _stages(out, m)
     return EFBMultivector._from_ints(
-        m, {g: out[g::dim] for g in range(dim)}, x._e, bits + m)
+        m, {g: out[g::dim] for g in range(dim)}, x._e, x._bound() + m)
 
 
 def _gathered(m: int, lanes, signs: int, bits: int,
@@ -671,11 +655,9 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
     With lanes of _bound() + m + 1 bits that fit a word,
     _dense_to_blades reads out instead, by the column kernel, a matrix
     that keeps columns, from m = _KEEP_M on, and one that stores all 2^m
-    cosets, none of them c * W_i, from m = _COLUMNS_K on.  From m =
-    _COLUMNS_K on, a carried bound that misses a word, as bx + by + m of
-    a product can while its entries fit, is replaced by one scan before
-    the read-out is refused (_fits_columns).  Terms come by ascending
-    coset, then by Walsh index, on every path.
+    cosets, none of them c * W_i, from m = _COLUMNS_K on, when
+    _fits_columns says so.  Terms come by ascending coset, then by Walsh
+    index, on every path.
     """
     if not isinstance(x, EFBMultivector):
         raise TypeError("efb_to_blades needs an EFBMultivector operand")

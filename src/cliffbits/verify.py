@@ -61,9 +61,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from .bits import (_columns, _lane_width, _magnitude, _pack, _stages,
-                   _unpack, _width, _zero_lanes, lucas_sign, sign_bit,
-                   walsh_batch)
+from .bits import (_columns, _lane_width, _pack, _stages, _unpack, _width,
+                   _zero_lanes, lucas_sign, sign_bit, walsh_batch)
 from .blades import (Metric, Multivector, _gray_walk, _pair_loop, _walk_lane,
                      blade_product, center_check, dual_automorphism_check,
                      grade_involution, mv_mul, omega_squared_oracle,
@@ -72,7 +71,7 @@ from .blades import (Metric, Multivector, _gray_walk, _pair_loop, _walk_lane,
 from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
-from .dyadic import DyadicRational, _shift
+from .dyadic import DyadicRational, _magnitude, _shift
 from .efb import (_COLUMNS_K, EFBMultivector, _blade_at, _coset_signs,
                   _dense_to_blades, _lanes, _packed, _slot_tables, _sweep,
                   _triples, blades_to_efb, efb_product, efb_to_blades)

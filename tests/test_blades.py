@@ -11,7 +11,8 @@ from cliffbits import (DyadicRational, Metric, MetricError, Multivector,
                        omega_squared_oracle, op_counters, reset_op_counters,
                        tau_blade, tau_squared_oracle, volume_element)
 from cliffbits import blades, dyadic, verify
-from cliffbits.efb import blades_to_efb, efb_product, efb_to_blades
+from cliffbits.efb import (EFBMultivector, blades_to_efb, efb_product,
+                          efb_to_blades)
 from cliffbits.sampling import dense_blade_multivector, random_multivector
 from cliffbits.verify import (_blades, _mate, _rule_width,
                               check_blade_sign_vs_normal_order)
@@ -495,6 +496,24 @@ def test_parse_refuses_arguments_of_the_wrong_type():
         Multivector.parse(None, E22)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Metric(5), "squares must be a sequence of ints, got int"),
+    (lambda: Metric(None), "squares must be a sequence of ints, got NoneType"),
+    (lambda: Multivector(Metric.interleaved(1), 5),
+     "terms must be a mapping, got int"),
+    (lambda: Multivector(5, {}), "metric must be a Metric, got int"),
+    (lambda: EFBMultivector(2, 5), "entries must be a mapping, got int"),
+    (lambda: EFBMultivector(2, {0: 1}),
+     re.escape("entry keys must be (row, column) pairs, got 0")),
+], ids=["metric-int", "metric-none", "multivector-terms",
+        "multivector-metric", "efb-entries", "efb-key"])
+def test_constructors_name_a_bad_argument(build, message):
+    # a TypeError that names the argument, as parse raises, not one from
+    # inside Python about an int that is not iterable or has no n
+    with pytest.raises(TypeError, match=message):
+        build()
+
+
 # -- the stored form: integer numerators over one canonical 2^e -------------
 
 I1 = Metric.interleaved(1)  # four blades, so independent draws often agree
@@ -641,7 +660,7 @@ def test_sparse_operands_take_the_loop_before_any_bit_scan(monkeypatch):
         for count in (0, 1, 6):
             x = _blades(metric, rng, min(count, 1 << n), 9)
             y = _blades(metric, rng, min(6, 1 << n), 9)
-            monkeypatch.setattr(blades, "_magnitude", refuse)
+            monkeypatch.setattr(dyadic, "_magnitude", refuse)
             assert blades._walk_width(x, y) == 0
             monkeypatch.undo()
             assert _kernel(monkeypatch, x, y) == "_pair_loop"
@@ -659,7 +678,7 @@ def test_scaled_operands_walk_without_a_scan(monkeypatch):
     x._bound(), y._bound()
     a, b = 15 * x, y * DyadicRational(-7, 3)
     assert (a._bits, b._bits) == (x._bits + 4, y._bits + 3)
-    monkeypatch.setattr(blades, "_magnitude", refuse)
+    monkeypatch.setattr(dyadic, "_magnitude", refuse)
     z = mv_mul(a, b)
     monkeypatch.undo()
     assert z == mv_mul(15 * x, y * DyadicRational(-7, 3))

@@ -1094,6 +1094,35 @@ def test_dict_forms_that_fill_every_coset_take_the_gather(m, monkeypatch):
         assert verify._agree("to-efb", x, m)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_list_forms_carrying_a_bound_past_a_word_take_the_gather(
+        m, monkeypatch):
+    # a list form whose numerators fit a word while it carries a bound of
+    # 61 bits, which misses one, as a product's bound can: from m =
+    # _COLUMNS_K on the gather asks _fits_columns, which scans it once,
+    # and takes the column kernel; below, the list stages take it with
+    # no scan
+    rng = random.Random(149 + m)
+    x = Multivector._raw(Metric.interleaved(m), [
+        rng.choice((-1, 1)) * rng.randint(1, 1 << 20)
+        for _ in range(4 ** m)], 0, 61)
+    assert x._vec is not None and x._bits == 61
+    calls, scans = [], []
+    gathered, scan = efb._gathered, dyadic._magnitude
+    monkeypatch.setattr(efb, "_gathered",
+                        lambda *args: calls.append(args[0]) or gathered(*args))
+    monkeypatch.setattr(dyadic, "_magnitude",
+                        lambda rows: scans.append(1) or scan(rows))
+    z = blades_to_efb(x, m)
+    monkeypatch.undo()
+    scanned = m >= efb._COLUMNS_K
+    assert calls == ([m] if scanned else []) and len(scans) == scanned
+    assert x._bits == (scan(x._rows()) if scanned else 61)
+    assert (z._cols is not None) is scanned
+    assert verify._terms(z) == verify._terms(
+        verify.batched_blades_to_efb(x, m))
+
+
 def test_dense_gather_runs_from_the_share(monkeypatch):
     rng = random.Random(83)
     m = 3
@@ -1487,6 +1516,85 @@ def test_every_bound_is_sound(m, seed, bits, dense_x, dense_y):
         _sound(z)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.sampled_from(["sparse", "dense", "edge"]),
+       st.integers(1, 70), st.integers(0, 1 << 32))
+@example(5, "dense", 25, 0)  # a product's carried bound misses a word
+@example(4, "edge", 29, 1)  # 2 * 29 + 4 + 1 bits: a product fills a word
+@example(3, "sparse", 70, 2)
+def test_no_carried_bound_understates(m, kind, bits, seed):
+    # a bound below the bit length of a numerator would overflow a lane
+    # with no error: every producer that sets _bits is _sound, on sparse,
+    # dense and lane-edge operands on both sides of the word edge: blade
+    # scaling, both mv_mul kernels, the list-form and dict-form gathers,
+    # the list stages of blades_to_efb, the packed product, the sweep,
+    # chained products, the dense read-out and EFB scaling
+    rng = random.Random(seed)
+    metric, dim, top = Metric.interleaved(m), 1 << m, (1 << bits) - 1
+    low = top if kind == "edge" else 1
+    terms = rng.randint(1, min(6, 4 ** m)) if kind == "sparse" else 4 ** m
+    x = verify._blades(metric, rng, terms, top, low)
+    y = (verify._mate(x, rng.choice((-1, 1))) if kind == "edge" else
+         verify._blades(metric, rng, terms, top, low))
+    by_coset = efb._blade_at(m)[0]
+    cover = Multivector._raw(metric, {  # two blades in every coset
+        by_coset[g * dim + i]: rng.choice((-1, 1)) * rng.randint(low, top)
+        for g in range(dim) for i in rng.sample(range(dim), 2)}, 0)
+    ax, ay, _ = verify._lane_edge(m, top, rng)
+    for z in (x, y, cover, ax, ay):
+        z._bound()
+    made = [3 * x, x * DyadicRational(-5, 2)]
+    for walk in (False, True):  # the pair loop runs 16^m pairs when dense
+        if walk or m < 5 or kind == "sparse":
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(blades, "_walk_width", verify._rule_width
+                              if walk else lambda x, y: 0)
+                made.append(mv_mul(x, y))
+    ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
+    gathered = blades_to_efb(cover, m)
+    if m >= 3:  # a dict form there: the hand-off when its lanes fit
+        assert (gathered._cols is not None) is efb._fits_word(cover._bits, m)
+    made += [ex, ey, gathered, blades_to_efb(made[-1], m)]
+    with pytest.MonkeyPatch.context() as patch:  # the list stages
+        patch.setattr(efb, "_fits_columns", lambda z, m: False)
+        made += [blades_to_efb(x, m), blades_to_efb(cover, m)]
+    for a, b in ((ex, ey), (ax, ay)):
+        for pick in (_sweep_width, _scan_width):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(efb, "_packed_width", pick)
+                z = efb_product(a, b)
+                made += [z, efb_product(z, a)]
+    made += [3 * ax, ex * DyadicRational(5, 2), -ey]
+    for z in [z for z in made if isinstance(z, EFBMultivector)]:
+        read = efb._dense_to_blades(z)
+        assert read == efb_to_blades(z)
+        made.append(read)
+    for z in made:
+        _sound(z)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_scaled_matrices_read_out_without_a_scan(m, monkeypatch):
+    # EFB scaling carries the bound as blade scaling does, adding the
+    # bit length of the scalar's numerator, so the read-out of a scaled
+    # matrix whose bound fits a word takes its lanes from that bound
+    rng = random.Random(157 + m)
+    x = dense_blade_multivector(Metric.interleaved(m), rng)
+    z = blades_to_efb(x, m)
+    scaled = [3 * z, z * DyadicRational(-5, 2)]
+    assert scaled[0]._bits == z._bits + 2 and scaled[1]._bits is not None
+    scans = []
+    scan = dyadic._magnitude
+    monkeypatch.setattr(dyadic, "_magnitude",
+                        lambda rows: scans.append(1) or scan(rows))
+    out = [efb_to_blades(w) for w in scaled]
+    monkeypatch.undo()
+    assert scans == []
+    assert out == [3 * efb_to_blades(z), efb_to_blades(z) * DyadicRational(
+        -5, 2)]
+    assert out[0] == 3 * x
+
+
 def _efb_dense_dyadic(m: int, rng: random.Random) -> Multivector:
     """An operand as perfbench's dense-efb draws it: every blade, with
     +-(1..1023) / 2^(0..4), and no zero entry in its Fock-basis image."""
@@ -1507,14 +1615,13 @@ def test_dense_pipeline_takes_its_widths_from_the_bounds(m, monkeypatch):
     # product and the read-out take from the bounds are the widths a
     # scan gives: no inflation crosses a lane size
     rng = random.Random(113 + m)
-    scan = efb._magnitude
+    scan = dyadic._magnitude
     for _ in range(3 if m == 5 else 2):
         x, y = (_efb_dense_dyadic(m, rng) * DyadicRational(
             rng.choice((-15, -3, 7, 13)), rng.randint(0, 3)) for _ in "xy")
         scans = []
-        for module in (efb, blades):
-            monkeypatch.setattr(module, "_magnitude",
-                                lambda rows: scans.append(1) or scan(rows))
+        monkeypatch.setattr(dyadic, "_magnitude",
+                            lambda rows: scans.append(1) or scan(rows))
         ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
         ez = efb_product(ex, ey)
         z = efb_to_blades(ez)

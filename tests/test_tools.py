@@ -57,6 +57,32 @@ def test_code_lines_prints_each_module_and_the_total(capsys):
     assert sum(int(n) for n, _ in rows[:-1]) == int(rows[-1][0])
 
 
+def test_code_lines_against_a_parent_prints_each_difference(
+        monkeypatch, capsys, tmp_path):
+    # two small trees: a module only in the parent, one in both, one only
+    # here; each row is parent, here and their difference, then the totals
+    def tree(root, modules):
+        src = root / "src" / "cliffbits"
+        src.mkdir(parents=True)
+        for name, source in modules.items():
+            (src / name).write_text(source, encoding="utf-8")
+        return src
+    tree(tmp_path / "parent", {"gone.py": "x = 1\ny = 2\n",
+                               "kept.py": SAMPLE})
+    here = tree(tmp_path / "here", {"kept.py": SAMPLE + "z = 3\n",
+                                    "new.py": '"""Doc."""\nw = 4\n'})
+    monkeypatch.setattr(code_lines, "SRC", here)
+    assert code_lines.main(["--parent", str(tmp_path / "parent")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"# parent {tmp_path / 'parent'}"
+    assert [line.split() for line in lines[1:]] == [
+        ["parent", "here", "diff", "module"],
+        ["2", "0", "-2", "gone.py"],
+        ["6", "7", "+1", "kept.py"],
+        ["0", "1", "+1", "new.py"],
+        ["8", "8", "+0", "total"]]
+
+
 def test_ab_times_every_layer_of_both_pipelines(capsys):
     # this checkout against itself: one line per m, pair kind and layer,
     # parse, the Fock-basis layers, mv_mul and render, two positive
