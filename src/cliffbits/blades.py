@@ -4,14 +4,20 @@ This is the ground-truth layer.  Blades are bitmasks (bit i set means
 generator g{i+1} is a factor, factors ordered by increasing index),
 multivectors map blades to integer numerators over one shared 2^e, and
 every product sign is the GF(2) bilinear form of blade_product.
-Multivector.parse looks each generator name up in a per-n table of
-bits; a term's coefficient can only be its first token, read with
-dyadic's one reader into a numerator and an exponent.  It scales the
-terms once to the largest exponent and adopts the sums, and str writes
-each term with dyadic's one writer.  A generator above every factor
-read so far joins the mask by OR, with no sign; only an out-of-order
-one calls blade_product, and str writes generators in increasing
-order, so parse(str(x)) never does.
+Multivector.parse reads the text str writes in one pass (_one_pass):
+it splits the terms once, reads each coefficient with dyadic's one
+reader into a numerator and an exponent, and takes each term's mask by
+strictly ascending lookups in a per-n table of bits or, for a text of
+at least the list share of terms, by one lookup of its whole run of
+names in a table kept with _grade_order(n).  Such text is canonical as
+written, so the pass scales the terms once to the largest exponent and
+adopts them.  Any other text goes to the term loop (_term_loop), the
+general reader and the pass's oracle: a term's coefficient can only be
+its first token, every later token is a name, and a generator above
+every factor read so far joins the mask by OR, with no sign; only an
+out-of-order one calls blade_product.  It scales the terms once and
+sums them into the canonical form.  str writes each term with dyadic's
+one writer.
 str joins the generator names of a mask from per-byte tables of 256
 prebuilt strings, one table per byte position, built on first use.
 
@@ -223,7 +229,8 @@ class Multivector(_Numerators):
 
     def __init__(self, metric: Metric, terms=None):
         _check_metric(metric)
-        terms = _converted(dict, terms or (), "terms", "a mapping")
+        terms = _converted(dict, () if terms is None else terms, "terms",
+                           "a mapping")
         n = metric.n
         for mask in terms:
             if type(mask) is not int:  # a bool is an int, but no blade
@@ -369,7 +376,7 @@ class Multivector(_Numerators):
             terms = zip(map(_generator_names, masks),
                         map(nums.__getitem__, masks))
         else:  # the grade order of all 2^n masks, skipping the zeros
-            masks, names = _grade_order(self.metric.n)
+            masks, names, _ = _grade_order(self.metric.n)
             values = list(map(vec.__getitem__, masks))
             terms = zip(compress(names, values), compress(values, values))
         parts = []
@@ -390,54 +397,155 @@ class Multivector(_Numerators):
         Terms are separated by + or -; a term is an optional dyadic
         coefficient followed by generator names g1..gn in any order
         (repeated or out-of-order generators are canonicalized with the
-        proper sign).  Each name is one lookup in _name_bits(n); the
-        first token of a term is its coefficient when it is neither a
-        name nor shaped like one, and every later token must be a name.
+        proper sign).  The text str writes is read in one pass
+        (_one_pass); any other text by the term loop (_term_loop), which
+        alone raises ParseError.
         """
         if not isinstance(text, str):
             raise TypeError(f"text must be a str, got {type(text).__name__}")
         _check_metric(metric)
-        s = text.strip()
-        if not s:
-            raise ParseError("empty multivector text")
-        if s[0] not in "+-":
-            s = "+ " + s
-        # s opens with a sign, so the first chunk is empty
-        it = iter(_SIGN_RE.split(s)[1:])
-        n = metric.n
-        # a metric built past MAX_N gets its own table, not a cached one
-        names = (_name_bits if n <= MAX_N else _name_bits.__wrapped__)(n)
-        terms = []  # (mask, signed numerator, exponent) per term
-        for sgn, body in zip(it, it):
-            tokens = body.split()
-            if not tokens:
-                raise ParseError("sign without a term")
-            sign = 1 if sgn == "+" else -1
-            num, e, mask = 1, 0, 0
-            if tokens[0] not in names and not _GENERATOR_RE.fullmatch(
-                    tokens[0]):
+        read = _one_pass(text, metric.n)
+        if read is None:
+            return cls._raw(metric, *_term_loop(text, metric))
+        return cls._adopt(metric, *read)
+
+
+def _names(n: int) -> dict:
+    """_name_bits(n), or for a metric built past MAX_N a table of its
+    own, so the cache keeps only tables of n <= MAX_N."""
+    return (_name_bits if n <= MAX_N else _name_bits.__wrapped__)(n)
+
+
+def _one_pass(text: str, n: int):
+    """(numerators, nonzero count, exponent) of text in the form str
+    writes, the numerators in canonical form and in the form _listed
+    picks, or None for any other text, which the term loop then reads.
+
+    That form is terms joined by ' + ' and ' - ', the first sign
+    unspaced and written only when '-'.  A term is a nonzero coefficient,
+    a run of names, or both, one space apart; a coefficient starts with
+    a digit and is read by dyadic._parse, and a run is strictly
+    ascending names one space apart.  No mask is written twice, and as
+    str writes each coefficient in lowest terms, some numerator over the
+    largest exponent is odd, so the numerators are canonical as they
+    are.  A text of at least the list share of terms (_listed) parses to
+    a list form, whose str builds _grade_order(n) anyway, so it takes
+    each mask by one lookup of the whole run in the table kept there; a
+    shorter text takes it by one lookup in _names(n) per name.  Whatever
+    the pass accepts, the term loop reads to the same value.
+    """
+    s = text.strip()
+    # a '-' after ' + ' would read as a ' - ', and two spaces run
+    # together leave a name or a coefficient empty
+    if " + -" in s or "  " in s:
+        return None
+    bodies = s.replace(" - ", " + -").split(" + ")
+    listed = _listed(len(bodies), n)
+    names = None if listed else _names(n)
+    # per term: its run of names (below the share its mask), its
+    # signed numerator and its exponent
+    runs, nums, exps = [], [], []
+    for body in bodies:
+        c, _, run = body.partition(" ")
+        negative = c[:1] == "-"
+        if negative:
+            c = c[1:]
+        head = c[:1]
+        if head.isdigit():
+            try:
+                num, e = _parse(c)
+            except ValueError:
+                return None
+        elif head == "g":  # no coefficient
+            num, e, run = 1, 0, body[negative:]
+        else:
+            return None
+        if names is not None:
+            mask = 0
+            if run:
                 try:
-                    num, e = _parse(tokens.pop(0))
-                except ValueError as exc:
-                    raise ParseError(str(exc)) from None
-            for tok in tokens:
-                gen = names.get(tok)
-                if gen is None:
-                    raise ParseError(
-                        f"generator {_clip(tok)} outside an algebra with "
-                        f"n={n}" if _GENERATOR_RE.fullmatch(tok) else
-                        f"unexpected token {_clip(tok)!r}")
-                if gen > mask:  # above every factor so far: no sign
-                    mask |= gen
-                else:
-                    s2, mask = blade_product(mask, gen, metric)
-                    sign *= s2
-            terms.append((mask, num if sign > 0 else -num, e))
-        top = max(e for _, _, e in terms)
-        acc: dict[int, int] = {}
-        for mask, num, e in terms:
-            acc[mask] = acc.get(mask, 0) + (num << (top - e))
-        return cls._raw(metric, acc, top)
+                    for name in run.split(" "):
+                        bit = names[name]
+                        if bit <= mask:  # out of order, or repeated
+                            return None
+                        mask |= bit
+                except KeyError:  # no name of this algebra
+                    return None
+            run = mask
+        runs.append(run)
+        nums.append(-num if negative else num)
+        exps.append(e)
+    top = max(exps)
+    if exps.count(top) < len(exps):
+        nums = [v << (top - e) for v, e in zip(nums, exps)]
+    # a zero, or numerators that are all even over the largest exponent
+    if 0 in nums or _common_shift(nums, top):
+        return None
+    if listed:
+        acc = [0] * (1 << n)
+        for mask, v in zip(map(_grade_order(n)[2].get, runs), nums):
+            if mask is None:
+                return None
+            acc[mask] = v
+        # every numerator is nonzero, so a mask written twice leaves one
+        # more zero
+        if acc.count(0) + len(runs) > len(acc):
+            return None
+    else:
+        acc = dict(zip(runs, nums))
+        if len(acc) < len(runs):
+            return None
+    return acc, len(runs), top
+
+
+def _term_loop(text: str, metric: Metric) -> tuple:
+    """(numerators by mask, exponent) of any text, token by token: the
+    general reader, and the oracle of _one_pass.
+
+    Each name is one lookup in _names(n); the first token of a term is
+    its coefficient when it is neither a name nor shaped like one, and
+    every later token must be a name.  A generator above every factor
+    read so far joins the mask by OR; any other calls blade_product.
+    """
+    s = text.strip()
+    if not s:
+        raise ParseError("empty multivector text")
+    if s[0] not in "+-":
+        s = "+ " + s
+    # s opens with a sign, so the first chunk is empty
+    it = iter(_SIGN_RE.split(s)[1:])
+    n = metric.n
+    names = _names(n)
+    terms = []  # (mask, signed numerator, exponent) per term
+    for sgn, body in zip(it, it):
+        tokens = body.split()
+        if not tokens:
+            raise ParseError("sign without a term")
+        sign = 1 if sgn == "+" else -1
+        num, e, mask = 1, 0, 0
+        if tokens[0] not in names and not _GENERATOR_RE.fullmatch(tokens[0]):
+            try:
+                num, e = _parse(tokens.pop(0))
+            except ValueError as exc:
+                raise ParseError(str(exc)) from None
+        for tok in tokens:
+            gen = names.get(tok)
+            if gen is None:
+                raise ParseError(
+                    f"generator {_clip(tok)} outside an algebra with "
+                    f"n={n}" if _GENERATOR_RE.fullmatch(tok) else
+                    f"unexpected token {_clip(tok)!r}")
+            if gen > mask:  # above every factor so far: no sign
+                mask |= gen
+            else:
+                s2, mask = blade_product(mask, gen, metric)
+                sign *= s2
+        terms.append((mask, num if sign > 0 else -num, e))
+    top = max(e for _, _, e in terms)
+    acc: dict[int, int] = {}
+    for mask, num, e in terms:
+        acc[mask] = acc.get(mask, 0) + (num << (top - e))
+    return acc, top
 
 
 @lru_cache(maxsize=8)
@@ -450,10 +558,13 @@ def _name_bits(n: int) -> dict:
 @lru_cache(maxsize=8)
 def _grade_order(n: int) -> tuple:
     """The 2^n masks by grade, then by mask, the order str writes terms
-    in, and their generator names: read by list forms alone, so built
-    only for an n that holds one, and kept for a few n."""
+    in, their generator names, and the table from each run of names back
+    to its mask that parse's one pass reads: read by list forms and by
+    texts that parse to them alone, so built only for an n that holds
+    one, and kept for a few n."""
     masks = sorted(range(1 << n), key=int.bit_count)
-    return masks, [_generator_names(mask) for mask in masks]
+    names = [_generator_names(mask) for mask in masks]
+    return masks, names, dict(zip(names, masks))
 
 
 @cache

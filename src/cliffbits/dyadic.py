@@ -7,14 +7,16 @@ treated as immutable.
 
 A dyadic coefficient is the pair (numerator, exponent), and this module
 is the one place that turns coefficients into such pairs and back.
-_parse reads the text '3', '-5/8' or '7/2^4' into a pair, _pair unpacks
-an int or a DyadicRational, _scale_in writes a constructor's values
-over their largest exponent and is the one place that rejects any other
-coefficient type (_converted names any other bad constructor
-argument), and _text writes a pair back as 'n' or 'n/2^e'.
-Both multivector types store plain-int numerators over one shared
-exponent instead of instances, and Multivector.parse goes from text to
-those numerators without building one.  Their operators that read no
+_parse reads the text '3', '-5/8' or '7/2^4' into a pair: the ASCII 'n'
+and 'n/d' that _text writes without its regex, every other text
+through it.  _pair unpacks an int or a DyadicRational, _scale_in writes
+a constructor's values over their largest exponent and is the one
+place that rejects any other coefficient type (_converted names any
+other bad constructor argument), and _text writes a pair back as 'n' or
+'n/d', d = 2^e written out.  Both multivector types store plain-int
+numerators over one shared exponent instead of instances, and
+Multivector.parse goes from text to those numerators without building
+one, each coefficient through _parse.  Their operators that read no
 storage (negation, scaling, product dispatch, subtraction, equality)
 live once, in _Numerators, and take a scalar through _pair alone.
 _shift is the one reduction rule: lower the exponent while every
@@ -153,8 +155,19 @@ def _parse(text: str) -> tuple[int, int]:
     denominator must be a power of 2.
 
     The numerator may have at most MAX_BITS bits and the denominator
-    may be at most 2^MAX_BITS.
+    may be at most 2^MAX_BITS.  ASCII 'n' and 'n/d' shorter than
+    _MAX_DIGITS, the text _text writes, with d a power of 2, are read
+    without the regex: fewer digits than 2^MAX_BITS has cannot pass
+    either bound.  Every other text takes the regex and its checks.
     """
+    num_text, slash, den_text = text.partition("/")
+    if (len(text) < _MAX_DIGITS and text.isascii() and num_text.isdigit()
+            and (den_text.isdigit() or not slash)):
+        if not slash:
+            return int(num_text), 0
+        den = int(den_text)
+        if den and not den & (den - 1):
+            return int(num_text), den.bit_length() - 1
     m = _COEFF_RE.match(text.strip())
     if not m:
         raise ValueError(f"not a dyadic coefficient: {_clip(text)!r}")

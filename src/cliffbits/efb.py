@@ -190,7 +190,8 @@ class EFBMultivector(_Numerators):
         _check_m(m)
         dim = 1 << m
         cosets: dict[int, list] = {}
-        entries = _converted(dict, entries or (), "entries", "a mapping")
+        entries = _converted(dict, () if entries is None else entries,
+                             "entries", "a mapping")
         for key, coeff in entries.items():
             if type(key) is not tuple or len(key) != 2:
                 raise TypeError(

@@ -35,7 +35,8 @@ list stages of the bits module; the packed kernel meets the coset
 sweep, the Gray-code walk the blade pair loop, the column kernel the
 list stages, and ``efb_product`` on kept packed columns, with its
 read-out, the sweep on the lists read off them and the batched
-read-out.  Every producer of a blade multivector (``_PRODUCERS``)
+read-out; parse, on the text str writes, meets the term loop alone
+(``_term_read``).  Every producer of a blade multivector (``_PRODUCERS``)
 meets ``Multivector._raw`` of the same terms, so that each stores the
 value in the form the storage rule picks, a dict's terms compared in
 mask order (``_by_mask``).  One comparison, ``_agree(path, *args)``,
@@ -63,11 +64,11 @@ from dataclasses import dataclass
 
 from .bits import (_columns, _lane_width, _pack, _stages, _unpack, _width,
                    _zero_lanes, lucas_sign, sign_bit, walsh_batch)
-from .blades import (Metric, Multivector, _gray_walk, _pair_loop, _walk_lane,
-                     blade_product, center_check, dual_automorphism_check,
-                     grade_involution, mv_mul, omega_squared_oracle,
-                     omega_tau_squared_oracle, tau_squared_oracle,
-                     volume_element)
+from .blades import (Metric, Multivector, _gray_walk, _one_pass, _pair_loop,
+                     _term_loop, _walk_lane, blade_product, center_check,
+                     dual_automorphism_check, grade_involution, mv_mul,
+                     omega_squared_oracle, omega_tau_squared_oracle,
+                     tau_squared_oracle, volume_element)
 from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
@@ -596,6 +597,11 @@ _PRODUCERS = {
 }
 
 
+def _term_read(text: str, metric: Metric) -> Multivector:
+    """text read by the term loop alone: the oracle of parse's one pass."""
+    return Multivector._raw(metric, *_term_loop(text, metric))
+
+
 def _by_mask(z: Multivector) -> Multivector:
     """z with a dict form's terms in mask order, the order of a list form,
     and its storage kept: what the storage check compares, as producers
@@ -635,6 +641,7 @@ _PATHS = {
     "columns": (_column_kernel, _column_stages),
     "kept": (_kept_product, _list_product),
     "storage": (_produced, _reraw),
+    "parse": (Multivector.parse, _term_read),
 }
 
 
@@ -968,6 +975,36 @@ def check_storage_rule(b):
             if n % 2 == 0 or "read-out" not in route:
                 yield (route, n, nnz), (_agree("storage", route, x)
                                         and _ruled(produce(x)))
+
+
+def _respaced(text: str) -> str:
+    """text with one space doubled, or a spaced sign put before a lone
+    term: the same value, outside the form str writes."""
+    if " " in text:
+        return text.replace(" ", "  ", 1)
+    return "- " + text[1:] if text[0] == "-" else "+ " + text
+
+
+@_suite("parse-one-pass")
+def check_parse_one_pass(b):
+    # the text str writes, on both sides of the share and at every blade,
+    # over a 2^(0..3) and over 1: parse's one pass reads it, by ascending
+    # name lookups below the share and by whole runs of names from it,
+    # and meets the term loop (zero, written '0', takes the loop); with
+    # one space doubled the pass refuses it and parse meets the term
+    # loop too
+    rng = random.Random(67)
+    for n, nnz in _shares(b["walk_n"]):
+        metric = (Metric.interleaved(n // 2) if n % 2 == 0
+                  else Metric.block(n // 2, n - n // 2))
+        for scaled in (True, False):
+            x = _blades(metric, rng, nnz, 1 << 40)
+            text = str(x if scaled else x * (1 << x._e))
+            odd = _respaced(text)
+            yield (n, nnz, scaled), (
+                (not nnz or _one_pass(text, n) is not None)
+                and _agree("parse", text, metric)
+                and _one_pass(odd, n) is None and _agree("parse", odd, metric))
 
 
 def run_suite(level: str = "quick") -> list[CheckResult]:

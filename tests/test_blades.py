@@ -505,13 +505,31 @@ def test_parse_refuses_arguments_of_the_wrong_type():
     (lambda: EFBMultivector(2, 5), "entries must be a mapping, got int"),
     (lambda: EFBMultivector(2, {0: 1}),
      re.escape("entry keys must be (row, column) pairs, got 0")),
+    # falsy arguments that are no mappings are refused too, not read as
+    # no terms
+    (lambda: Multivector(Metric.interleaved(1), 0),
+     "terms must be a mapping, got int"),
+    (lambda: Multivector(Metric.interleaved(1), False),
+     "terms must be a mapping, got bool"),
+    (lambda: Multivector(Metric.interleaved(1), 0.0),
+     "terms must be a mapping, got float"),
+    (lambda: EFBMultivector(2, 0), "entries must be a mapping, got int"),
 ], ids=["metric-int", "metric-none", "multivector-terms",
-        "multivector-metric", "efb-entries", "efb-key"])
+        "multivector-metric", "efb-entries", "efb-key", "multivector-zero",
+        "multivector-false", "multivector-float-zero", "efb-zero"])
 def test_constructors_name_a_bad_argument(build, message):
     # a TypeError that names the argument, as parse raises, not one from
     # inside Python about an int that is not iterable or has no n
     with pytest.raises(TypeError, match=message):
         build()
+
+
+def test_constructors_read_none_and_empty_terms_as_zero():
+    metric = Metric.interleaved(1)
+    for terms in (None, {}, (), []):
+        assert Multivector(metric, terms) == Multivector.zero(metric)
+        assert EFBMultivector(1, terms) == EFBMultivector(1)
+    assert Multivector(metric) == Multivector.zero(metric)
 
 
 # -- the stored form: integer numerators over one canonical 2^e -------------
@@ -592,6 +610,126 @@ def test_parse_of_str_calls_no_blade_product(monkeypatch):
         assert Multivector.parse(str(x), metric) == x
     with pytest.raises(AssertionError, match="blade_product"):
         Multivector.parse("g2 g1", E22)  # out of order: one swap
+
+
+# one change to the text str writes, each a function of the text and a
+# Random; a change that finds nothing to act on leaves the text as it was
+def _swap_names(text, rng):
+    runs = [i for i, term in enumerate(text.split(" + "))
+            if term.count(" g") + term.startswith("g") >= 2]
+    if not runs:
+        return text
+    terms = text.split(" + ")
+    i = rng.choice(runs)
+    words = terms[i].split(" ")
+    at = [j for j, w in enumerate(words) if w.startswith("g")]
+    a, b = rng.sample(at, 2)
+    words[a], words[b] = words[b], words[a]
+    terms[i] = " ".join(words)
+    return " + ".join(terms)
+
+
+def _repeat_name(text, rng):
+    words = text.split(" ")
+    at = [j for j, w in enumerate(words) if w.startswith("g")]
+    if not at:
+        return text
+    j = rng.choice(at)
+    return " ".join(words[:j + 1] + [words[j]] + words[j + 1:])
+
+
+def _at_space(text, rng, new):
+    at = [j for j, ch in enumerate(text) if ch == " "]
+    if not at:
+        return text
+    j = rng.choice(at)
+    return text[:j] + new + text[j + 1:]
+
+
+def _at_digit(text, rng, digit):
+    at = [j for j, ch in enumerate(text) if ch.isdigit()]
+    j = rng.choice(at)
+    return text[:j] + digit + text[j + 1:]
+
+
+def _coefficient(text, rng, write):
+    """text with one coefficient token, its sign kept, rewritten."""
+    words = text.split(" ")
+    at = [j for j, w in enumerate(words) if w.lstrip("-")[:1].isdigit()]
+    if not at:
+        return text
+    j = rng.choice(at)
+    sign, word = ("-", words[j][1:]) if words[j][0] == "-" else ("", words[j])
+    words[j] = sign + write(word, rng)
+    return " ".join(words)
+
+
+def _power_form(word, rng):
+    num, _, den = word.partition("/")
+    return f"{num}/2^{int(den or 1).bit_length() - 1}"
+
+
+_EDITS = {
+    "swap-names": _swap_names,
+    "repeat-name": _repeat_name,
+    "double-space": lambda t, r: _at_space(t, r, "  "),
+    "drop-space": lambda t, r: _at_space(t, r, ""),
+    "leading-plus": lambda t, r: "+" + t,
+    "arabic-digit": lambda t, r: _at_digit(t, r, "\u0663"),
+    "fullwidth-digit": lambda t, r: _at_digit(t, r, "\uff11"),
+    "power-of-two": lambda t, r: _coefficient(t, r, _power_form),
+    "leading-zero": lambda t, r: _coefficient(t, r, lambda w, _: "0" + w),
+    "long-numerator": lambda t, r: _coefficient(
+        t, r, lambda w, _: "7" * 4301),
+    "denominator-3": lambda t, r: _coefficient(
+        t, r, lambda w, _: w.partition("/")[0] + "/3"),
+}
+
+
+@given(st.integers(1, 6), st.sampled_from(["sparse", "share", "dense"]),
+       st.integers(0, 8), st.sampled_from(sorted(_EDITS)), st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_edits_read_as_the_reference(m, density, top, edit, rng):
+    # str(x) at m = 1..6, sparse (dict form), at the list share or dense
+    # (list forms), exponents up to 8, then one change: parse gives the
+    # reference's value, or its exception type and message
+    metric = Metric.interleaved(m)
+    dim = 1 << 2 * m
+    count = {"sparse": rng.randint(1, 6), "share": (3 * dim + 7) // 8,
+             "dense": dim}[density]
+    x = Multivector(metric, {
+        mask: DyadicRational(rng.choice((-1, 1)) * rng.randint(1, 999),
+                             rng.randint(0, top))
+        for mask in rng.sample(range(dim), min(count, dim))})
+    text = _EDITS[edit](str(x), rng)
+    assert (_outcome(Multivector.parse, text, metric)
+            == _outcome(_reference_parse, text, metric))
+
+
+def test_canonical_text_takes_the_one_pass(monkeypatch):
+    # dense canonical text at m = 5, integer and n/d coefficients, never
+    # enters the term loop; a 6-term text at m = 6 is read by name
+    # lookups and builds no run table
+    rng = random.Random(83)
+    dense = dense_blade_multivector(Metric.interleaved(5), rng)
+    sparse = Multivector(Metric.interleaved(6), {
+        mask: DyadicRational(rng.randint(-99, 99) | 1, rng.randint(0, 8))
+        for mask in rng.sample(range(1 << 12), 6)})
+
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"parse called {name}")
+        return call
+    monkeypatch.setattr(blades, "_term_loop", refuse("the term loop"))
+    for x in (dense, dense * DyadicRational(3, 5)):
+        assert x._vec is not None
+        assert Multivector.parse(str(x), x.metric) == x
+    monkeypatch.setattr(blades, "_grade_order", refuse("_grade_order"))
+    assert sparse._nnz == 6
+    assert Multivector.parse(str(sparse), sparse.metric) == sparse
+    # text outside the form takes the loop
+    with pytest.raises(AssertionError, match="the term loop"):
+        Multivector.parse("g2 g1", E22)
 
 
 def _names_by_bits(mask: int) -> str:
@@ -960,6 +1098,8 @@ def test_grade_order_is_built_for_list_forms_alone():
             x = _blades(Metric.block(n, 0), rng, count, 40)
             assert str(x) == _text_by_terms(x)
     assert order.cache_info().currsize <= order.cache_info().maxsize <= 8
-    masks, names = order(3)
+    masks, names, runs = order(3)
     assert masks == [0, 1, 2, 4, 3, 5, 6, 7]
     assert names[4:] == ["g1 g2", "g1 g3", "g2 g3", "g1 g2 g3"]
+    # parse's table of whole runs of names, kept with the order
+    assert runs == dict(zip(names, masks)) and runs["g1 g3"] == 5

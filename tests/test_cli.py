@@ -329,7 +329,7 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
     assert [ln for ln in lines if "FAIL" in ln] == [lines[0]]
     assert lines[0].startswith("FAIL lucas-vs-sign-bit")
     assert lines[0].endswith("(first failure: (5, 1))")
-    assert len(lines) == 31
+    assert len(lines) == 32
     assert all(ln.startswith("ok") for ln in lines[1:])
 
 
@@ -424,6 +424,9 @@ _PLANTED = [
      lambda real: lambda flags, yf: real(flags, yf) + 1),
     ("storage-rule", "blades._listed",
      lambda real: lambda nnz, n: real(nnz + 1, n)),
+    ("parse-one-pass", "blades._grade_order",
+     lambda real: lambda n: (*real(n)[:2], {
+         run: mask ^ 1 for run, mask in real(n)[2].items()})),
 ]
 
 

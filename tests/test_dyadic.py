@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from cliffbits import DyadicRational
+from cliffbits import DyadicRational, dyadic
 
 from conftest import dyadics
 
@@ -45,6 +45,65 @@ def test_parse_rejects_non_dyadic():
     for text in ("\u0663", "1/\u0668", "1/2^\u0663"):  # ASCII digits only
         with pytest.raises(ValueError, match="not a dyadic coefficient"):
             DyadicRational.parse(text)
+
+
+def _regex_parse(text: str) -> tuple[int, int]:
+    """dyadic._parse before its fast path: every text through the regex.
+    Kept as the oracle of the fast path."""
+    m = dyadic._COEFF_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"not a dyadic coefficient: {dyadic._clip(text)!r}")
+    sign, num_text, exp_text, den_text = m.groups()
+    num = dyadic._int(num_text)
+    if num.bit_length() > dyadic.MAX_BITS:
+        raise ValueError(
+            f"coefficient numerator longer than {dyadic.MAX_BITS} bits")
+    exponent = 0
+    if exp_text is not None:
+        exponent = dyadic._int(exp_text)
+    elif den_text is not None:
+        den = dyadic._int(den_text)
+        if den <= 0 or den & (den - 1):
+            raise ValueError(
+                f"denominator must be a power of 2: {dyadic._clip(text)!r}")
+        exponent = den.bit_length() - 1
+    if exponent > dyadic.MAX_BITS:
+        raise ValueError(
+            f"coefficient denominator above 2^{dyadic.MAX_BITS}")
+    return (-num if sign == "-" else num), exponent
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+# digit runs around the fast path's length limit: an in-bounds value has
+# fewer than _MAX_DIGITS digits, and a text of _MAX_DIGITS characters or
+# more takes the regex
+_DIGITS = st.one_of(
+    st.integers(0, 10 ** 6).map(str),
+    st.integers(0, 10 ** 6).map(lambda v: "00" + str(v)),
+    st.sampled_from([1 << 2047, 1 << 2048, (1 << 2048) - 1, 10 ** 616,
+                     10 ** 615 * 3, 10 ** 616 * 4]).map(str),
+    st.integers(dyadic._MAX_DIGITS - 3, dyadic._MAX_DIGITS + 1).map(
+        lambda k: "1" + "0" * (k - 1)),
+    st.just("7" * 4301),
+    st.sampled_from(["", "\u0663", "\uff11", "1_0", " 3", "3 ", "2^4",
+                     "2^2048", "2^2049"]))
+_DENOMINATORS = st.one_of(
+    st.integers(0, 2100).map(lambda e: str(1 << e)),
+    st.integers(0, 99).map(str),
+    _DIGITS)
+
+
+@given(st.sampled_from(["", "-", "+", " "]), _DIGITS,
+       st.one_of(st.none(), _DENOMINATORS))
+def test_parse_fast_path_equals_the_regex(sign, num, den):
+    text = sign + num + ("" if den is None else "/" + den)
+    assert _read(dyadic._parse, text) == _read(_regex_parse, text)
 
 
 def test_parse_refuses_a_non_str():

@@ -128,14 +128,31 @@ def test_ab_cover_and_wide_pairs_reach_the_rerouted_inputs():
         assert efb._fits_word(_magnitude(z._cosets.values()), m)
 
 
+def _checkout(root: Path, side: str) -> Path:
+    """A small tree with what a benchmark run reads, its side named in a
+    file, and bytecode that a test run would leave in src/."""
+    (root / "src" / "cliffbits" / "__pycache__").mkdir(parents=True)
+    (root / "src" / "cliffbits" / "side.txt").write_text(side, "utf-8")
+    (root / "src" / "cliffbits" / "__pycache__" / "blades.pyc").write_bytes(
+        b"stale")
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text("", "utf-8")
+    (root / "BENCHMARK.json").write_text(
+        (TOOLS.parent / "BENCHMARK.json").read_text("utf-8"), "utf-8")
+    return root
+
+
 def test_pairs_alternates_the_sides_and_counts_the_pairs_won(
         monkeypatch, capsys, tmp_path):
     # a stubbed run: the change is faster in every pair but the second,
-    # and its RSS is always 1 MB higher
-    calls = []
+    # sets up faster in every pair, and its RSS is always 4 MB higher
+    calls, copies = [], []
     ops = {(1, "parent"): 100.0, (1, "change"): 110.0,
            (2, "parent"): 100.0, (2, "change"): 90.0,
            (3, "parent"): 100.0, (3, "change"): 120.0}
+    parent = _checkout(tmp_path / "parent", "parent")
+    monkeypatch.setattr(pairs, "ROOT", _checkout(tmp_path / "change",
+                                                 "change"))
 
     def fake_run(cmd, cwd, capture_output, text, check):
         assert cmd[:2] == [sys.executable, "perfbench/run.py"]
@@ -143,35 +160,63 @@ def test_pairs_alternates_the_sides_and_counts_the_pairs_won(
         args = dict(zip(cmd[2::2], cmd[3::2]))
         assert args["--workload"] == "dense-efb"
         assert (args["--seconds"], args["--trace"]) == ("2.0", "0")
-        side = "change" if cwd == pairs.ROOT else "parent"
+        # each run from a new copy of src/, perfbench/ and BENCHMARK.json
+        # with no bytecode, outside both checkouts
+        cwd = Path(cwd)
+        assert tmp_path not in cwd.parents and cwd not in copies
+        assert sorted(p.name for p in cwd.iterdir()) == [
+            "BENCHMARK.json", "perfbench", "src"]
+        assert (cwd / "perfbench" / "run.py").is_file()
+        assert not list(cwd.rglob("__pycache__"))
+        copies.append(cwd)
+        side = (cwd / "src" / "cliffbits" / "side.txt").read_text("utf-8")
         seed = int(args["--seed"])
         calls.append((seed, side))
         rate = ops[seed - 6, side]
         metrics = {"ops_per_s": rate, "latency_p50_ms": 1e3 / rate,
-                   "latency_p90_ms": 2e3 / rate, "setup_s": 0.5,
-                   "peak_rss_mb": 30.0 + (side == "change")}
+                   "latency_p90_ms": 2e3 / rate,
+                   "setup_s": 0.5 - 0.1 * (side == "change"),
+                   "peak_rss_mb": 30.0 + 4 * (side == "change")}
         out = {"correct": True, "attempted": 10, "failed": 0, "metrics": {
             name: {"value": v, "unit": "-"} for name, v in metrics.items()}}
         return subprocess.CompletedProcess(cmd, 0, "# a comment\n"
                                            + json.dumps(out) + "\n", "")
     monkeypatch.setattr(pairs.subprocess, "run", fake_run)
-    assert pairs.main([str(tmp_path), "--workload", "dense-efb", "--pairs",
+    assert pairs.main([str(parent), "--workload", "dense-efb", "--pairs",
                        "3", "--seconds", "2", "--seed", "7"]) == 0
-    # one process at a time, the side that runs first alternating
+    # one process at a time, the side that runs first alternating; every
+    # copy is removed after its run
     assert calls == [(7, "parent"), (7, "change"), (8, "change"),
                      (8, "parent"), (9, "parent"), (9, "change")]
+    assert not any(copy.exists() for copy in copies)
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith(f"# parent {tmp_path}  change {pairs.ROOT}")
+    assert lines[0].startswith(f"# parent {parent}  change {pairs.ROOT}")
     assert lines[1].split()[:5] == ["1", "7", "parent", "correct=True",
                                     "failed=0"]
     assert "ops_per_s=100" in lines[1] and "ops_per_s=110" in lines[2]
     assert lines[7].split() == ["metric", "parent", "change", "ratio", "iqr",
-                                "won"]
+                                "won", "verdict"]
     table = {row[0]: row[1:] for row in map(str.split, lines[8:])}
     assert list(table) == list(pairs.end_to_end())
     # medians 100 and 110; lower latency is better, higher RSS is worse;
-    # the parent's runs are all equal, so its quartiles are too
-    assert table["ops_per_s"] == ["100", "110", "1.100", "0", "2/3"]
-    assert table["latency_p50_ms"][2:] == ["0.909", "0", "2/3"]
-    assert table["setup_s"] == ["0.5", "0.5", "1.000", "0", "0/3"]
-    assert table["peak_rss_mb"] == ["30", "31", "1.033", "0", "0/3"]
+    # the parent's runs are all equal, so its quartiles are too.  Two
+    # pairs in three is no gain; three in three by more than the
+    # quartile distance is; 34 MB against 30 is past RSS's 10% bound
+    assert table["ops_per_s"] == ["100", "110", "1.100", "0", "2/3", "-"]
+    assert table["latency_p50_ms"][2:] == ["0.909", "0", "2/3", "-"]
+    assert table["setup_s"] == ["0.5", "0.4", "0.800", "0", "3/3", "gain"]
+    assert table["peak_rss_mb"] == ["30", "34", "1.133", "0", "0/3", "worse"]
+
+
+def test_pairs_verdicts_follow_the_pairs_won_and_the_bound():
+    # nine pairs in ten is a gain only past the parent's quartile
+    # distance; a median worse by the bound itself is not yet worse
+    old = [10.0] * 4 + [12.0] + [10.0] * 5
+    new = [11.0] * 4 + [13.0] + [11.0] * 4 + [9.0]
+    assert pairs.compare(old, new, True, 0.1)[3:] == (9, "gain")
+    spread = [9.0, 9.0, 9.0, 10.0, 10.0, 10.0, 10.0, 11.0, 11.0, 11.0]
+    ahead = [v + 0.5 for v in spread[:9]] + [10.5]
+    assert pairs.compare(spread, ahead, True, 0.1)[2:] == (2.0, 9, "-")
+    assert pairs.compare(old, [9.0] * 10, True, 0.1)[4] == "-"
+    assert pairs.compare(old, [8.9] * 10, True, 0.1)[4] == "worse"
+    assert pairs.compare(old, [8.9] * 10, False, 0.1)[3:] == (10, "gain")
