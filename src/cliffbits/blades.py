@@ -4,20 +4,18 @@ This is the ground-truth layer.  Blades are bitmasks (bit i set means
 generator g{i+1} is a factor, factors ordered by increasing index),
 multivectors map blades to integer numerators over one shared 2^e, and
 every product sign is the GF(2) bilinear form of blade_product.
-Multivector.parse reads the text str writes in one pass (_one_pass):
-it splits the terms once, reads each coefficient with dyadic's one
-reader into a numerator and an exponent, and takes each term's mask by
-strictly ascending lookups in a per-n table of bits or, for a text of
-at least the list share of terms, by one lookup of its whole run of
-names in a table kept with _grade_order(n).  Such text is canonical as
-written, so the pass scales the terms once to the largest exponent and
-adopts them.  Any other text goes to the term loop (_term_loop), the
-general reader and the pass's oracle: a term's coefficient can only be
-its first token, every later token is a name, and a generator above
-every factor read so far joins the mask by OR, with no sign; only an
-out-of-order one calls blade_product.  It scales the terms once and
-sums them into the canonical form.  str writes each term with dyadic's
-one writer.
+Multivector.parse has one term reader, _terms.  It reads the text as
+str writes it, split once at ' + ' and ' - ', each coefficient by
+dyadic's one reader into a numerator and an exponent, and each term's
+mask by lookups in a per-n table of bits, a name below a factor read
+so far taking blade_product's sign, or, for a text of at least the
+list share of terms, by one lookup of its whole run of names in a
+table kept with _grade_order(n).  Terms read as canonical (no zero, no
+mask twice, some numerator odd over the largest exponent) are adopted
+once scaled to that exponent; any others are summed by mask.  Only if
+that read raises ParseError is the text split again at every sign, its
+words put one space apart, and read by the same reader.  str writes
+each term with dyadic's one writer.
 str joins the generator names of a mask from per-byte tables of 256
 prebuilt strings, one table per byte position, built on first use.
 
@@ -81,7 +79,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from itertools import compress, repeat
 from operator import add, lshift, mul, rshift
 from types import MappingProxyType
@@ -397,17 +395,39 @@ class Multivector(_Numerators):
         Terms are separated by + or -; a term is an optional dyadic
         coefficient followed by generator names g1..gn in any order
         (repeated or out-of-order generators are canonicalized with the
-        proper sign).  The text str writes is read in one pass
-        (_one_pass); any other text by the term loop (_term_loop), which
-        alone raises ParseError.
+        proper sign).  One term reader, _terms, reads the text as str
+        writes it, split once at ' + ' and ' - ' with its words one space
+        apart.  Only if that read raises ParseError is the text split at
+        every sign, the words of each term put one space apart, and read
+        again; that second read's error is the one raised.
         """
         if not isinstance(text, str):
             raise TypeError(f"text must be a str, got {type(text).__name__}")
         _check_metric(metric)
-        read = _one_pass(text, metric.n)
-        if read is None:
-            return cls._raw(metric, *_term_loop(text, metric))
-        return cls._adopt(metric, *read)
+        s = text.strip()
+        if not s:
+            raise ParseError("empty multivector text")
+        # a '-' after ' + ' would read as a ' - ', and two spaces run
+        # together leave a word empty
+        if " + -" not in s and "  " not in s:
+            try:
+                return cls._adopt(metric, *_terms(
+                    s.replace(" - ", " + -").split(" + "), metric))
+            except ParseError:
+                pass
+        if s[0] not in "+-":
+            s = "+ " + s
+        # s opens with a sign, so the first chunk is empty
+        it = iter(_SIGN_RE.split(s)[1:])
+        bodies = []
+        for sign, body in zip(it, it):
+            body = body.strip()
+            # the reader takes words one space apart: rejoin them only
+            # where two spaces, or a tab or other space, part them
+            if "  " in body or not body.isprintable():
+                body = " ".join(body.split())
+            bodies.append(body if sign == "+" else "-" + body)
+        return cls._adopt(metric, *_terms(bodies, metric))
 
 
 def _names(n: int) -> dict:
@@ -416,136 +436,92 @@ def _names(n: int) -> dict:
     return (_name_bits if n <= MAX_N else _name_bits.__wrapped__)(n)
 
 
-def _one_pass(text: str, n: int):
-    """(numerators, nonzero count, exponent) of text in the form str
-    writes, the numerators in canonical form and in the form _listed
-    picks, or None for any other text, which the term loop then reads.
+def _terms(bodies: list, metric: Metric) -> tuple:
+    """(numerators, nonzero count, exponent) of the terms in bodies, in
+    canonical form and in the form _listed picks: parse's term reader.
 
-    That form is terms joined by ' + ' and ' - ', the first sign
-    unspaced and written only when '-'.  A term is a nonzero coefficient,
-    a run of names, or both, one space apart; a coefficient starts with
-    a digit and is read by dyadic._parse, and a run is strictly
-    ascending names one space apart.  No mask is written twice, and as
-    str writes each coefficient in lowest terms, some numerator over the
-    largest exponent is odd, so the numerators are canonical as they
-    are.  A text of at least the list share of terms (_listed) parses to
-    a list form, whose str builds _grade_order(n) anyway, so it takes
-    each mask by one lookup of the whole run in the table kept there; a
-    shorter text takes it by one lookup in _names(n) per name.  Whatever
-    the pass accepts, the term loop reads to the same value.
+    A body is one term as str writes it: '-' first when it is negative,
+    then its words one space apart.  The first word is the coefficient,
+    read by dyadic._parse, unless it is a generator name or shaped like
+    one, and every later word must be a name of _names(n).  A name above
+    every factor read so far joins the mask by OR; any other calls
+    blade_product.  Bodies of at least the list share of terms take each
+    run of names by one lookup in the table kept with _grade_order(n),
+    read name by name only when the table lacks it.  Terms with distinct
+    masks and nonzero numerators, some odd over the largest exponent,
+    are canonical as read and are adopted; any others are summed by
+    mask and put in canonical form.  Any other body raises ParseError:
+    an empty one (a sign without a term), a bad coefficient, a word that
+    is no name, or a coefficient that dyadic._parse reads only past a
+    sign or a space, which the split at ' + ' and ' - ' alone leaves.
     """
-    s = text.strip()
-    # a '-' after ' + ' would read as a ' - ', and two spaces run
-    # together leave a name or a coefficient empty
-    if " + -" in s or "  " in s:
-        return None
-    bodies = s.replace(" - ", " + -").split(" + ")
+    n = metric.n
+    names = _names(n)
     listed = _listed(len(bodies), n)
-    names = None if listed else _names(n)
-    # per term: its run of names (below the share its mask), its
-    # signed numerator and its exponent
-    runs, nums, exps = [], [], []
+    table = _grade_order(n)[2] if listed else None
+    masks, nums, exps = [], [], []
     for body in bodies:
         c, _, run = body.partition(" ")
         negative = c[:1] == "-"
         if negative:
             c = c[1:]
-        head = c[:1]
-        if head.isdigit():
+        if c[:1].isdigit():
             try:
                 num, e = _parse(c)
-            except ValueError:
-                return None
-        elif head == "g":  # no coefficient
+            except ValueError as exc:
+                raise ParseError(str(exc)) from None
+        elif c in names or _GENERATOR_RE.fullmatch(c):
             num, e, run = 1, 0, body[negative:]
         else:
-            return None
-        if names is not None:
+            if not c:
+                raise ParseError("sign without a term")
+            try:
+                _parse(c)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from None
+            # read only past a sign or a space the first split left in it
+            raise ParseError(f"unexpected token {_clip(c)!r}")
+        mask = None if table is None else table.get(run)
+        if mask is None:
             mask = 0
             if run:
                 try:
                     for name in run.split(" "):
                         bit = names[name]
-                        if bit <= mask:  # out of order, or repeated
-                            return None
-                        mask |= bit
-                except KeyError:  # no name of this algebra
-                    return None
-            run = mask
-        runs.append(run)
+                        if bit > mask:  # above every factor so far: no sign
+                            mask |= bit
+                        else:
+                            sign, mask = blade_product(mask, bit, metric)
+                            negative ^= sign < 0
+                except KeyError:
+                    raise ParseError(
+                        f"generator {_clip(name)} outside an algebra with "
+                        f"n={n}" if _GENERATOR_RE.fullmatch(name) else
+                        f"unexpected token {_clip(name)!r}") from None
+        masks.append(mask)
         nums.append(-num if negative else num)
         exps.append(e)
     top = max(exps)
     if exps.count(top) < len(exps):
         nums = [v << (top - e) for v, e in zip(nums, exps)]
-    # a zero, or numerators that are all even over the largest exponent
-    if 0 in nums or _common_shift(nums, top):
-        return None
-    if listed:
-        acc = [0] * (1 << n)
-        for mask, v in zip(map(_grade_order(n)[2].get, runs), nums):
-            if mask is None:
-                return None
-            acc[mask] = v
-        # every numerator is nonzero, so a mask written twice leaves one
-        # more zero
-        if acc.count(0) + len(runs) > len(acc):
-            return None
-    else:
-        acc = dict(zip(runs, nums))
-        if len(acc) < len(runs):
-            return None
-    return acc, len(runs), top
-
-
-def _term_loop(text: str, metric: Metric) -> tuple:
-    """(numerators by mask, exponent) of any text, token by token: the
-    general reader, and the oracle of _one_pass.
-
-    Each name is one lookup in _names(n); the first token of a term is
-    its coefficient when it is neither a name nor shaped like one, and
-    every later token must be a name.  A generator above every factor
-    read so far joins the mask by OR; any other calls blade_product.
-    """
-    s = text.strip()
-    if not s:
-        raise ParseError("empty multivector text")
-    if s[0] not in "+-":
-        s = "+ " + s
-    # s opens with a sign, so the first chunk is empty
-    it = iter(_SIGN_RE.split(s)[1:])
-    n = metric.n
-    names = _names(n)
-    terms = []  # (mask, signed numerator, exponent) per term
-    for sgn, body in zip(it, it):
-        tokens = body.split()
-        if not tokens:
-            raise ParseError("sign without a term")
-        sign = 1 if sgn == "+" else -1
-        num, e, mask = 1, 0, 0
-        if tokens[0] not in names and not _GENERATOR_RE.fullmatch(tokens[0]):
-            try:
-                num, e = _parse(tokens.pop(0))
-            except ValueError as exc:
-                raise ParseError(str(exc)) from None
-        for tok in tokens:
-            gen = names.get(tok)
-            if gen is None:
-                raise ParseError(
-                    f"generator {_clip(tok)} outside an algebra with "
-                    f"n={n}" if _GENERATOR_RE.fullmatch(tok) else
-                    f"unexpected token {_clip(tok)!r}")
-            if gen > mask:  # above every factor so far: no sign
-                mask |= gen
-            else:
-                s2, mask = blade_product(mask, gen, metric)
-                sign *= s2
-        terms.append((mask, num if sign > 0 else -num, e))
-    top = max(e for _, _, e in terms)
-    acc: dict[int, int] = {}
-    for mask, num, e in terms:
-        acc[mask] = acc.get(mask, 0) + (num << (top - e))
-    return acc, top
+    count = len(nums)
+    # no zero, and some numerator odd over the largest exponent
+    if 0 not in nums and not _common_shift(nums, top):
+        if listed:
+            acc = [0] * (1 << n)
+            for mask, v in zip(masks, nums):
+                acc[mask] = v
+            # a mask written twice leaves one more zero
+            if acc.count(0) + count == len(acc):
+                return acc, count, top
+        else:
+            acc = dict(zip(masks, nums))
+            if len(acc) == count:
+                return acc, count, top
+    acc = {}
+    for mask, v in zip(masks, nums):
+        acc[mask] = acc.get(mask, 0) + v
+    return _canonical(acc, top, n)
 
 
 @lru_cache(maxsize=8)
@@ -559,7 +535,7 @@ def _name_bits(n: int) -> dict:
 def _grade_order(n: int) -> tuple:
     """The 2^n masks by grade, then by mask, the order str writes terms
     in, their generator names, and the table from each run of names back
-    to its mask that parse's one pass reads: read by list forms and by
+    to its mask that parse's term reader reads: read by list forms and by
     texts that parse to them alone, so built only for an n that holds
     one, and kept for a few n."""
     masks = sorted(range(1 << n), key=int.bit_count)
@@ -690,13 +666,19 @@ def _walk_width(x: Multivector, y: Multivector) -> int:
     multiply-add of that int, worth W / 2048 per lane.  The constants
     were fitted to a timing grid over n = 2..11, balanced and lopsided
     operands and W = 8..616 bits, recorded in ROADMAP.md.  The width
-    is _walk_lane's for n + 1 + the operands' _bound()s, so an operand
+    is _walk_lanes', asked only when the walk may win, so an operand
     whose producer set _bits is not scanned.
     """
     n, xs = x.metric.n, x._nnz
     return _kernel_width(xs * y._nnz, _WALK << n, xs << n,
-                         lambda: _walk_lane(n, n + 1 + x._bound()
-                                            + y._bound()))
+                         partial(_walk_lanes, x, y))
+
+
+def _walk_lanes(x: Multivector, y: Multivector) -> int:
+    """The walk's lane width for x * y: _walk_lane's for n + 1 + the
+    operands' _bound()s, the signed bits every lane of its sums needs."""
+    n = x.metric.n
+    return _walk_lane(n, n + 1 + x._bound() + y._bound())
 
 
 def _walk_lane(n: int, need: int) -> int:

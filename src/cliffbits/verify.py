@@ -35,8 +35,9 @@ list stages of the bits module; the packed kernel meets the coset
 sweep, the Gray-code walk the blade pair loop, the column kernel the
 list stages, and ``efb_product`` on kept packed columns, with its
 read-out, the sweep on the lists read off them and the batched
-read-out; parse, on the text str writes, meets the term loop alone
-(``_term_read``).  Every producer of a blade multivector (``_PRODUCERS``)
+read-out.  Parse meets the value its text was written from: its suite
+reads str of a known value, and the same text respaced, back to that
+value.  Every producer of a blade multivector (``_PRODUCERS``)
 meets ``Multivector._raw`` of the same terms, so that each stores the
 value in the form the storage rule picks, a dict's terms compared in
 mask order (``_by_mask``).  One comparison, ``_agree(path, *args)``,
@@ -64,8 +65,8 @@ from dataclasses import dataclass
 
 from .bits import (_columns, _lane_width, _pack, _stages, _unpack, _width,
                    _zero_lanes, lucas_sign, sign_bit, walsh_batch)
-from .blades import (Metric, Multivector, _gray_walk, _one_pass, _pair_loop,
-                     _term_loop, _walk_lane, blade_product, center_check,
+from .blades import (Metric, Multivector, _gray_walk, _pair_loop,
+                     _walk_lanes, blade_product, center_check,
                      dual_automorphism_check, grade_involution, mv_mul,
                      omega_squared_oracle, omega_tau_squared_oracle,
                      tau_squared_oracle, volume_element)
@@ -495,10 +496,7 @@ def _rule_width(x, y) -> int:
     """The lane width of the packed kernel of x * y by its rule, from the
     operands' bounds: the Gray-code walk's for two multivectors, the
     packed product's for two matrices."""
-    if isinstance(x, EFBMultivector):
-        return _lanes(x, y)
-    n = x.metric.n
-    return _walk_lane(n, n + 1 + x._bound() + y._bound())
+    return (_lanes if isinstance(x, EFBMultivector) else _walk_lanes)(x, y)
 
 
 def _packed_product(x: EFBMultivector, y: EFBMultivector) -> EFBMultivector:
@@ -597,11 +595,6 @@ _PRODUCERS = {
 }
 
 
-def _term_read(text: str, metric: Metric) -> Multivector:
-    """text read by the term loop alone: the oracle of parse's one pass."""
-    return Multivector._raw(metric, *_term_loop(text, metric))
-
-
 def _by_mask(z: Multivector) -> Multivector:
     """z with a dict form's terms in mask order, the order of a list form,
     and its storage kept: what the storage check compares, as producers
@@ -641,7 +634,6 @@ _PATHS = {
     "columns": (_column_kernel, _column_stages),
     "kept": (_kept_product, _list_product),
     "storage": (_produced, _reraw),
-    "parse": (Multivector.parse, _term_read),
 }
 
 
@@ -988,23 +980,23 @@ def _respaced(text: str) -> str:
 @_suite("parse-one-pass")
 def check_parse_one_pass(b):
     # the text str writes, on both sides of the share and at every blade,
-    # over a 2^(0..3) and over 1: parse's one pass reads it, by ascending
-    # name lookups below the share and by whole runs of names from it,
-    # and meets the term loop (zero, written '0', takes the loop); with
-    # one space doubled the pass refuses it and parse meets the term
-    # loop too
+    # over a 2^(0..3) and over 1, read by the split at ' + ' and ' - '
+    # (by whole runs of names from the share), and the same text with one
+    # space doubled, read by the split at every sign: both parse to the
+    # value the text was written from, its exponent, its storage form and
+    # its terms in mask order
     rng = random.Random(67)
     for n, nnz in _shares(b["walk_n"]):
         metric = (Metric.interleaved(n // 2) if n % 2 == 0
                   else Metric.block(n // 2, n - n // 2))
         for scaled in (True, False):
             x = _blades(metric, rng, nnz, 1 << 40)
-            text = str(x if scaled else x * (1 << x._e))
-            odd = _respaced(text)
-            yield (n, nnz, scaled), (
-                (not nnz or _one_pass(text, n) is not None)
-                and _agree("parse", text, metric)
-                and _one_pass(odd, n) is None and _agree("parse", odd, metric))
+            if not scaled:
+                x *= 1 << x._e
+            text, want = str(x), _terms(_by_mask(x))
+            yield (n, nnz, scaled), all(
+                _terms(_by_mask(Multivector.parse(t, metric))) == want
+                for t in (text, _respaced(text)))
 
 
 def run_suite(level: str = "quick") -> list[CheckResult]:

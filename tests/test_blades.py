@@ -165,9 +165,11 @@ def test_parse_rejects_garbage():
     # scalar blade is still a coefficient after a generator
     # digits are ASCII only: Arabic-Indic digits in a generator index or
     # a coefficient are refused, however int() would read them
+    # two signs with no term between them are refused, though the split
+    # at ' + ' and ' - ' leaves the second on a word dyadic reads
     for bad in ("g0", "g5", "1/3 g1", "g1 2", "g1 g1 2", "", "+", "2 2",
                 "g1g2", "g1\u0661", "g\u0661", "\u0663/\u0668 g1",
-                "\u0661 g1"):
+                "\u0661 g1", "g1 + +3", "3 - -4 g1", "--3", "g1 + \t-3 g2"):
         with pytest.raises(ParseError):
             Multivector.parse(bad, E22)
 
@@ -707,29 +709,39 @@ def test_one_pass_edits_read_as_the_reference(m, density, top, edit, rng):
 
 
 def test_canonical_text_takes_the_one_pass(monkeypatch):
-    # dense canonical text at m = 5, integer and n/d coefficients, never
-    # enters the term loop; a 6-term text at m = 6 is read by name
-    # lookups and builds no run table
+    # dense canonical text at m = 5, integer and n/d coefficients, is read
+    # by the split at ' + ' and ' - ' alone, never split at every sign; a
+    # 6-term text at m = 6 is read by name lookups and builds no run
+    # table; text the printed split reads but that is not canonical as
+    # written is summed by the same reader; text outside the printed form
+    # is read again, split at every sign
     rng = random.Random(83)
     dense = dense_blade_multivector(Metric.interleaved(5), rng)
     sparse = Multivector(Metric.interleaved(6), {
         mask: DyadicRational(rng.randint(-99, 99) | 1, rng.randint(0, 8))
         for mask in rng.sample(range(1 << 12), 6)})
 
-    def refuse(name):
-        def call(*args):
-            raise AssertionError(f"parse called {name}")
-        return call
-    monkeypatch.setattr(blades, "_term_loop", refuse("the term loop"))
+    class Spy:
+        def split(self, text):
+            raise AssertionError("parse split at every sign")
+
+    def refuse(*args):
+        raise AssertionError("parse called _grade_order")
+    monkeypatch.setattr(blades, "_SIGN_RE", Spy())
     for x in (dense, dense * DyadicRational(3, 5)):
         assert x._vec is not None
         assert Multivector.parse(str(x), x.metric) == x
-    monkeypatch.setattr(blades, "_grade_order", refuse("_grade_order"))
-    assert sparse._nnz == 6
-    assert Multivector.parse(str(sparse), sparse.metric) == sparse
-    # text outside the form takes the loop
-    with pytest.raises(AssertionError, match="the term loop"):
-        Multivector.parse("g2 g1", E22)
+    with monkeypatch.context() as patch:
+        patch.setattr(blades, "_grade_order", refuse)
+        assert sparse._nnz == 6
+        assert Multivector.parse(str(sparse), sparse.metric) == sparse
+    g1, g2 = (Multivector.generator(E22, i) for i in (1, 2))
+    for text, want in (("0", 0 * g1), ("g1 + g1", 2 * g1),
+                       ("g2 g1", -1 * g1 * g2), ("2 g1 - 2 g1", 0 * g1)):
+        assert Multivector.parse(text, E22) == want
+    for text in ("- 3 g1", "3  g1", "+ g1", "3\tg1", "g1+g2"):
+        with pytest.raises(AssertionError, match="split at every sign"):
+            Multivector.parse(text, E22)
 
 
 def _names_by_bits(mask: int) -> str:

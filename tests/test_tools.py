@@ -85,10 +85,12 @@ def test_code_lines_against_a_parent_prints_each_difference(
 
 def test_ab_times_every_layer_of_both_pipelines(capsys):
     # this checkout against itself: one line per m, pair kind and layer,
-    # parse, the Fock-basis layers, mv_mul and render, two positive
-    # medians and their ratio; no cover pair is drawn below m = 3
-    assert ab.LAYERS == ("parse", "blades_to_efb", "efb_product",
-                         "efb_to_blades", "pipeline", "mv_mul", "render")
+    # parse of the text str writes and of it respaced, the Fock-basis
+    # layers, mv_mul and render, two positive medians and their ratio; no
+    # cover pair is drawn below m = 3
+    assert ab.LAYERS == ("parse", "parse-odd", "blades_to_efb",
+                         "efb_product", "efb_to_blades", "pipeline",
+                         "mv_mul", "render")
     assert ab.main([str(TOOLS.parent), "--m-min", "2", "--m-max", "3",
                     "--rounds", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -30,7 +30,10 @@ them as text, untimed, as perfbench scales its pool (a wide pair by
 +-2^-(0..3) alone, which keeps its numerators), then times parse of
 both texts, blades_to_efb on both parsed operands, efb_product and
 efb_to_blades, mv_mul on the same two operands, and str of both
-products, once in each package: the layers of a `cliffbits mul`.  The
+products, once in each package: the layers of a `cliffbits mul`.  It
+also times parse-odd, parse of both texts with their first space
+doubled (verify's _respaced, untimed), text outside the form str
+writes, which parse reads again split at every sign.  The
 package that runs first alternates from round to round.  mv_mul on the
 dense pair is the call of the dense-blade workload, on the sparse pair
 that of cli-session.  The output has one line per (m, pair, layer), the
@@ -50,13 +53,14 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ("parse", "blades_to_efb", "efb_product", "efb_to_blades",
-          "pipeline", "mv_mul", "render")
+LAYERS = ("parse", "parse-odd", "blades_to_efb", "efb_product",
+          "efb_to_blades", "pipeline", "mv_mul", "render")
 _POOL = {"dense": 2, "sparse": 16, "cover": 4, "wide": 2}
 
 
 def load(checkout: Path, name: str):
-    """The cliffbits package of a checkout, imported as name."""
+    """The cliffbits package of a checkout, imported as name, with its
+    verify module, whose _respaced writes the parse-odd texts."""
     src = Path(checkout) / "src" / "cliffbits"
     spec = importlib.util.spec_from_file_location(
         name, src / "__init__.py", submodule_search_locations=[str(src)])
@@ -65,6 +69,7 @@ def load(checkout: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.verify")
     return module
 
 
@@ -103,23 +108,29 @@ def build(pkg, m: int, terms: dict):
 
 def pipeline(pkg, texts: tuple, m: int) -> tuple:
     """Seconds of each layer of one product of the two operand texts, the
-    pipeline being the sum of the three Fock-basis layers."""
+    pipeline being the sum of the three Fock-basis layers, and of
+    parse-odd."""
     clock = time.perf_counter
     metric = pkg.Metric.interleaved(m)
+    odd = [pkg.verify._respaced(text) for text in texts]
     t0 = clock()
     x, y = (pkg.Multivector.parse(text, metric) for text in texts)
     t1 = clock()
-    ex, ey = pkg.blades_to_efb(x, m), pkg.blades_to_efb(y, m)
+    for text in odd:
+        pkg.Multivector.parse(text, metric)
     t2 = clock()
-    ez = pkg.efb_product(ex, ey)
+    ex, ey = pkg.blades_to_efb(x, m), pkg.blades_to_efb(y, m)
     t3 = clock()
-    fast = pkg.efb_to_blades(ez)
+    ez = pkg.efb_product(ex, ey)
     t4 = clock()
-    slow = pkg.mv_mul(x, y)
+    fast = pkg.efb_to_blades(ez)
     t5 = clock()
-    str(slow), str(fast)
+    slow = pkg.mv_mul(x, y)
     t6 = clock()
-    return t1 - t0, t2 - t1, t3 - t2, t4 - t3, t4 - t1, t5 - t4, t6 - t5
+    str(slow), str(fast)
+    t7 = clock()
+    return (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t5 - t2, t6 - t5,
+            t7 - t6)
 
 
 def compare(parent, change, m: int, kind: str, rounds: int,
