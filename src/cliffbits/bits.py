@@ -150,7 +150,7 @@ def walsh_batch(flat: list, k: int) -> list:
     count = len(flat) >> k
     if count << k != len(flat):
         raise ValueError(f"length {len(flat)} is not a multiple of 2^{k}")
-    flat = _stages(flat, k) if count else flat  # no vector, no stage
+    flat = _stages(flat, k)
     return [flat[c::count] for c in range(count)]
 
 

@@ -78,6 +78,7 @@ conversions read it through _bound().
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 from itertools import compress, repeat
@@ -128,13 +129,15 @@ class ParseError(ValueError):
 class Metric:
     """Diagonal metric: the square (+1 or -1) of each generator, kept as
     a tuple whatever sequence gives them, so Metric([1, -1]) equals and
-    hashes as Metric((1, -1))."""
+    hashes as Metric((1, -1)).  A set or a mapping gives no order of the
+    generators and is refused.  block and interleaved return one cached
+    instance per signature; == compares any two metrics."""
 
     squares: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "squares", _converted(
-            tuple, self.squares, "squares", "a sequence of ints"))
+            _ordered, self.squares, "squares", "a sequence of ints"))
         # type(s) is int: 1.0 and True equal 1, but are no squares
         if not set(map(type, self.squares)) <= {int}:
             bad = next(s for s in self.squares if type(s) is not int)
@@ -150,7 +153,7 @@ class Metric:
         if k < 0 or l < 0:
             raise ValueError("k and l must be non-negative")
         _check_n(k + l)
-        return cls((1,) * k + (-1,) * l)
+        return _named(cls, k, l, False)
 
     @classmethod
     def interleaved(cls, m: int) -> "Metric":
@@ -160,7 +163,7 @@ class Metric:
         if m < 0:
             raise ValueError("m must be non-negative")
         _check_n(2 * m)
-        return cls((1, -1) * m)
+        return _named(cls, m, m, True)
 
     @property
     def n(self) -> int:
@@ -182,6 +185,24 @@ class Metric:
     def neg(self) -> int:
         """Mask of the generators squaring to -1."""
         return sum(1 << i for i, s in enumerate(self.squares) if s < 0)
+
+
+def _ordered(squares) -> tuple:
+    """tuple(squares), or a TypeError for a set or a mapping, which give
+    no order of the generators."""
+    if isinstance(squares, (Set, Mapping)):
+        raise TypeError("unordered squares")
+    return tuple(squares)
+
+
+# one instance per signature and layout, built and checked once, so that
+# the requests of one algebra share its metric and its neg; the bound
+# keeps a few signatures of at most MAX_N squares each
+@lru_cache(maxsize=16)
+def _named(cls, k: int, l: int, interleaved: bool) -> Metric:
+    """block(k, l), or interleaved(k) when interleaved is set, its
+    arguments already checked."""
+    return cls((1, -1) * k if interleaved else (1,) * k + (-1,) * l)
 
 
 def _check_metric(metric) -> None:
@@ -627,7 +648,7 @@ def mv_mul(x: Multivector, y: Multivector) -> Multivector:
     """
     if not isinstance(x, Multivector) or not isinstance(y, Multivector):
         raise TypeError("mv_mul needs two Multivector operands")
-    if x.metric != y.metric:
+    if x.metric is not y.metric and x.metric != y.metric:
         raise MetricError("operands over different metrics")
     width = _walk_width(x, y)
     acc = _gray_walk(x, y, width) if width else _pair_loop(x, y)

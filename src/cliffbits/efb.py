@@ -17,7 +17,10 @@ coeff * (-1)^C(popcount(g), 2) * (-1)^popcount(b & i), with
 i = b1 ^ parity_above(g).  So each change of basis is one table lookup
 per blade and one Walsh-Hadamard transform per operand, run by
 walsh_batch over all of its stored cosets at once.  Both blade <-> (i, g)
-maps are XOR-linear, tabulated per m by xor_span on first use.
+maps are XOR-linear, tabulated per m by xor_span on first use.  Both
+conversions take the metric of m from Metric.interleaved, which returns
+one cached instance per m: the check of an operand made over it is one
+identity test, and an equal metric built otherwise still passes by ==.
 
 Each conversion has a second path, picked from the data, with the same
 result, and the two conversions alone pick the column kernel
@@ -32,16 +35,18 @@ sized from the operand's bound.  Below m = 3 (_KEEP_M) or on lanes past
 a word the list stages run instead, the signs on the lists.  It writes
 a dict form blade by blade, where a coset that holds one blade, found
 by counting the zeros of the coset, is c * W_i by walsh_function, with
-no arithmetic; a dict form that leaves every one of the 2^m cosets
-with two or more blades, the only full batch this loop can build, goes
-on to the gather's column kernel (_gathered), its signed cosets read
-in lane order, when its lanes fit a word.
+no arithmetic, and an operand whose every coset holds one blade makes
+no walsh_batch call; a dict form that leaves every one of the 2^m
+cosets with two or more blades, the only full batch this loop can
+build, goes on to the gather's column kernel (_gathered), its signed
+cosets read in lane order, when its lanes fit a word.
 efb_to_blades reads a coset that walsh_index finds equal to c * W_i as
 the one blade c * 2^m, with no transform; it looks at v[0] and the
 v[2^j] first, so a dense coset leaves after one or two entries.  Every
-other coset goes through the one walsh_batch call.  Sparse operands,
-as mul sees them, are mostly one blade per coset, and so are products
-of such operands.  At lanes that fit a word, a matrix that keeps packed
+other coset goes through the one walsh_batch call, which a matrix of
+Walsh functions alone does not make.  Sparse operands, as mul sees
+them, are mostly one blade per coset, and so are products of such
+operands.  At lanes that fit a word, a matrix that keeps packed
 columns, from m = 3 (_KEEP_M) on, or that stores all 2^m cosets, none
 of them one Walsh function, from m = 5 (_COLUMNS_K) on, is read out by
 the column kernel instead, which lowers the exponent on its packed
@@ -505,8 +510,6 @@ def _slot_tables(m: int) -> tuple[list, list, list, list]:
             xor_span(map(split, range(m, 2 * m))), join_i, join_g)
 
 
-# the interleaved metric per m, built and validated on first use
-_metric = cache(Metric.interleaved)
 # the smallest m at which the dense read-out takes a matrix of lists that
 # stores all 2^m cosets, none of them one Walsh function, and at which
 # _fits_columns scans a carried bound that misses a word: at m = 4 the
@@ -572,10 +575,10 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     form goes blade by blade: a coset that holds one blade, c at index
     i, is c * W_i, written by walsh_function with no arithmetic, and the
     count of zeros in each coset picks that path; one transform spreads
-    every other touched coset over the columns.  A list form is gathered
-    whole from its list through _blade_at's itemgetters, and all 2^m
-    cosets go through one transform: from m = _KEEP_M on, when its
-    lanes fit a word, the column kernel (_gathered), whose rows the
+    every other touched coset, if any, over the columns.  A list form
+    is gathered whole from its list through _blade_at's itemgetters, and
+    all 2^m cosets go through one transform: from m = _KEEP_M on, when
+    its lanes fit a word, the column kernel (_gathered), whose rows the
     result keeps as its columns, else the list stages; an untouched
     coset comes out all zero and is dropped.  A dict form that leaves
     all 2^m cosets with two or more blades, the one full batch the loop
@@ -586,7 +589,7 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     if not isinstance(x, Multivector):
         raise TypeError("blades_to_efb needs a Multivector operand")
     _check_m(m)
-    metric = _metric(m)
+    metric = Metric.interleaved(m)
     if x.metric is not metric and x.metric != metric:
         raise MetricError(f"multivector is not over interleaved Cl({m},{m})")
     dim, vec = 1 << m, x._vec
@@ -612,8 +615,9 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
             else:
                 batch.append(g)
         if len(batch) < dim or not _fits_columns(x, m):
-            cosets.update(zip(batch, walsh_batch(
-                list(chain.from_iterable(map(cosets.get, batch))), m)))
+            if batch:
+                cosets.update(zip(batch, walsh_batch(
+                    list(chain.from_iterable(map(cosets.get, batch))), m)))
             return EFBMultivector._from_ints(m, cosets, x._e)
         # every coset holds two blades or more: a dict form holds fewer
         # than 3/8 of the 4^m blades, so m >= 3 = _KEEP_M, and the result
@@ -652,7 +656,8 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
 
     A coset equal to c * W_i, as walsh_index reads it off, is the one
     blade c * 2^m at i.  One transform, the list stages of walsh_batch,
-    takes every other coset back, and its nonzero entries are read out.
+    takes every other coset back, if any, and its nonzero entries are
+    read out.
     With lanes of _bound() + m + 1 bits that fit a word,
     _dense_to_blades reads out instead, by the column kernel, a matrix
     that keeps columns, from m = _KEEP_M on, and one that stores all 2^m
@@ -673,9 +678,11 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
     if found is None:
         found = [walsh_index(v, m) for _, v in cosets]
     _, _, join_i, join_g = _slot_tables(m)
-    # the transform is its own inverse up to the factor 2^m
-    spread = iter(walsh_batch(list(chain.from_iterable(
-        v for (_, v), i in zip(cosets, found) if i < 0)), m))
+    # the transform is its own inverse up to the factor 2^m; a matrix of
+    # Walsh functions alone leaves nothing to transform
+    if -1 in found:
+        spread = iter(walsh_batch(list(chain.from_iterable(
+            v for (_, v), i in zip(cosets, found) if i < 0)), m))
     terms: dict[int, int] = {}
     for (g, v), i in zip(cosets, found):
         base, flip = join_g[g], g.bit_count() & 2
@@ -686,7 +693,7 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
         w = next(spread)
         for i in compress(range(dim), w):
             terms[join_i[i] ^ base] = -w[i] if flip else w[i]
-    return Multivector._raw(_metric(m), terms, x._e + m)
+    return Multivector._raw(Metric.interleaved(m), terms, x._e + m)
 
 
 def _dense_to_blades(x: EFBMultivector) -> Multivector:
@@ -724,5 +731,5 @@ def _dense_to_blades(x: EFBMultivector) -> Multivector:
     else:
         w = list(chain.from_iterable(out[g::dim] for g in range(dim)))
         nums = dict(zip(compress(by_coset, w), compress(w, w)))
-    return Multivector._adopt(_metric(m), nums, nnz, e - shift,
+    return Multivector._adopt(Metric.interleaved(m), nums, nnz, e - shift,
                               max(bits - shift, 0))

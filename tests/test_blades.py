@@ -486,6 +486,29 @@ def test_metric_from_a_list_equals_and_hashes_as_the_tuple():
         assert efb_to_blades(blades_to_efb(z, m)) == z
 
 
+def test_named_metrics_are_one_cached_instance_per_signature():
+    # block and interleaved return one instance per signature, equal to
+    # the metric built directly, from a bounded cache; their arguments
+    # are checked before the lookup, so an unhashable one is named too
+    for make, direct in ((lambda: Metric.interleaved(3), Metric((1, -1) * 3)),
+                         (lambda: Metric.block(2, 1), Metric((1, 1, -1))),
+                         (lambda: Metric.block(0, 0), Metric(()))):
+        first = make()
+        assert make() is first and first == direct
+    assert Metric.interleaved(1) == Metric.block(1, 1)
+    assert blades._named.cache_info().maxsize is not None
+    for bad in (2.0, True, [2], {}, "2"):
+        for make, message in (
+                (lambda: Metric.interleaved(bad),
+                 f"m must be an int, got {bad!r}"),
+                (lambda: Metric.block(bad, 1),
+                 f"k and l must be ints, got {bad!r}, 1"),
+                (lambda: Metric.block(1, bad),
+                 f"k and l must be ints, got 1, {bad!r}")):
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                make()
+
+
 def test_parse_refuses_arguments_of_the_wrong_type():
     # a clear TypeError naming the argument, not an AttributeError from
     # inside the parser
@@ -501,6 +524,14 @@ def test_parse_refuses_arguments_of_the_wrong_type():
 @pytest.mark.parametrize("build, message", [
     (lambda: Metric(5), "squares must be a sequence of ints, got int"),
     (lambda: Metric(None), "squares must be a sequence of ints, got NoneType"),
+    # a set or a mapping gives no order of the generators: {-1, 1, 1}
+    # built Cl(1, 1) in hash order, and a dict gave its keys
+    (lambda: Metric({-1, 1, 1}),
+     "squares must be a sequence of ints, got set"),
+    (lambda: Metric(frozenset({1, -1})),
+     "squares must be a sequence of ints, got frozenset"),
+    (lambda: Metric({1: "a", -1: "b"}),
+     "squares must be a sequence of ints, got dict"),
     (lambda: Multivector(Metric.interleaved(1), 5),
      "terms must be a mapping, got int"),
     (lambda: Multivector(5, {}), "metric must be a Metric, got int"),
@@ -516,7 +547,8 @@ def test_parse_refuses_arguments_of_the_wrong_type():
     (lambda: Multivector(Metric.interleaved(1), 0.0),
      "terms must be a mapping, got float"),
     (lambda: EFBMultivector(2, 0), "entries must be a mapping, got int"),
-], ids=["metric-int", "metric-none", "multivector-terms",
+], ids=["metric-int", "metric-none", "metric-set", "metric-frozenset",
+        "metric-dict", "multivector-terms",
         "multivector-metric", "efb-entries", "efb-key", "multivector-zero",
         "multivector-false", "multivector-float-zero", "efb-zero"])
 def test_constructors_name_a_bad_argument(build, message):

@@ -1144,17 +1144,17 @@ def test_per_m_tables_wait_for_first_use():
     # adds the four tables of m = 3
     code = (
         "import random\n"
-        "from cliffbits import efb, Metric, Multivector, blades_to_efb, "
-        "efb_product\n"
+        "from cliffbits import blades, efb, Metric, Multivector, "
+        "blades_to_efb, efb_product\n"
         "from cliffbits.sampling import dense_blade_multivector\n"
         "tables = (efb._xor_getters, efb._blade_at, efb._slot_tables, "
-        "efb._metric)\n"
+        "blades._named)\n"
         "sizes = lambda: tuple(t.cache_info().currsize for t in tables)\n"
         "print(sizes())\n"
         "g = Multivector.generator(Metric.interleaved(8), 3)\n"
         "efb_product(blades_to_efb(g, 8), blades_to_efb(g, 8))\n"
         "print(sizes())\n"
-        "efb._slot_tables(8), efb._metric(8)\n"
+        "efb._slot_tables(8), Metric.interleaved(8)\n"
         "print(sizes())\n"
         "d = blades_to_efb(dense_blade_multivector(Metric.interleaved(3), "
         "random.Random(1)), 3)\n"
@@ -1342,27 +1342,50 @@ def test_repr_counts_nonzero_entries():
 
 
 def test_conversions_share_one_metric_per_m():
+    # both conversions take the one interleaved metric of m, the same
+    # object the caller's Metric.interleaved(m) returns; an equal metric
+    # built directly is accepted, and only == decides
     for m in (1, 4, 8):
-        equal = Metric.interleaved(m)
-        assert equal is not efb._metric(m) and equal == efb._metric(m)
-        x = Multivector.generator(equal, 2)
-        assert efb_to_blades(blades_to_efb(x, m)).metric is efb._metric(m)
+        named = Metric.interleaved(m)
+        direct = Metric((1, -1) * m)
+        assert direct is not named and direct == named
+        for metric in (named, direct):
+            x = Multivector.generator(metric, 2)
+            assert efb_to_blades(blades_to_efb(x, m)).metric is named
     with pytest.raises(MetricError):
         blades_to_efb(Multivector.scalar(Metric.block(2, 2), 1), 2)
 
 
 def test_one_blade_cosets_skip_the_transform(monkeypatch):
-    # single blades in, one blade out: no coset reaches walsh_batch
-    def refuse(vectors, k):
-        assert not list(vectors), "a one-blade coset was transformed"
-        return []
-    metric = Metric.interleaved(6)
-    x = Multivector.from_blade(metric, 0b1011, DyadicRational(3, 2))
-    y = Multivector.from_blade(metric, 0b110000_000110, -5)
-    want = mv_mul(x, y)
-    monkeypatch.setattr(efb, "walsh_batch", refuse)
-    assert efb_to_blades(efb_product(blades_to_efb(x, 6),
-                                     blades_to_efb(y, 6))) == want
+    # single blades in, one blade out: no coset reaches walsh_batch, and
+    # no empty batch is sent to it either, at any m; an operand with
+    # cosets of several blades sends exactly those cosets
+    batches = []
+
+    def spy(flat, k):
+        batches.append((list(flat), k))
+        return walsh_batch(flat, k)
+    monkeypatch.setattr(efb, "walsh_batch", spy)
+    for m in (4, 5, 6):
+        metric = Metric.interleaved(m)
+        x = Multivector.from_blade(metric, 0b1011, DyadicRational(3, 2))
+        y = Multivector.from_blade(metric, 0b11 << 2 * m - 2 | 0b110, -5)
+        assert efb_to_blades(efb_product(blades_to_efb(x, m),
+                                         blades_to_efb(y, m))) == mv_mul(x, y)
+        assert batches == [], f"a one-blade operand called walsh_batch at {m}"
+    m = 4
+    lo, hi, _, _ = efb._slot_tables(m)
+    coset = [(lo[mask & 15] ^ hi[mask >> m]) >> m for mask in range(256)]
+    # coset 0 holds the blades 0 and 0b11, another the blade 0b1 alone
+    x = Multivector(Metric.interleaved(m), {0: 3, 0b11: 5, 0b1: 7})
+    assert coset[0] == coset[0b11] == 0 != coset[0b1]
+    ex = blades_to_efb(x, m)
+    [(flat, k)] = batches
+    assert k == m and walsh_batch(flat, m) == [ex._cosets[0]]
+    # back again, the one Walsh function stays out of the batch
+    batches.clear()
+    assert efb_to_blades(ex) == x
+    assert batches == [(ex._cosets[0], m)]
 
 
 # -- the dense read-out and the triple count ---------------------------------

@@ -30,14 +30,16 @@ them as text, untimed, as perfbench scales its pool (a wide pair by
 +-2^-(0..3) alone, which keeps its numerators), then times parse of
 both texts, blades_to_efb on both parsed operands, efb_product and
 efb_to_blades, mv_mul on the same two operands, and str of both
-products, once in each package: the layers of a `cliffbits mul`.  It
-also times parse-odd, parse of both texts with their first space
-doubled (verify's _respaced, untimed), text outside the form str
-writes, which parse reads again split at every sign.  The
-package that runs first alternates from round to round.  mv_mul on the
-dense pair is the call of the dense-blade workload, on the sparse pair
-that of cli-session.  The output has one line per (m, pair, layer), the
-pipeline being the sum of the three Fock-basis layers in a round: the
+products: the layers of a `cliffbits mul`.  It also times parse-odd,
+parse of both texts with their first space doubled (verify's
+_respaced, untimed), text outside the form str writes, which parse
+reads again split at every sign.  Each package runs these layers
+CALLS times in a row in a round, from fresh parses each time, and a
+layer's time in the round is the median of its calls.  The package
+that runs first alternates from round to round.  mv_mul on the dense
+pair is the call of the dense-blade workload, on the sparse pair that
+of cli-session.  The output has one line per (m, pair, layer), the
+pipeline being the sum of the three Fock-basis layers of a call: the
 median microseconds of each side and their ratio, parent over this
 checkout, so above 1 this checkout is faster.
 """
@@ -56,6 +58,10 @@ ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("parse", "parse-odd", "blades_to_efb", "efb_product",
           "efb_to_blades", "pipeline", "mv_mul", "render")
 _POOL = {"dense": 2, "sparse": 16, "cover": 4, "wide": 2}
+# the products a round times per package: a layer's time in a round is
+# the median of its calls, which drops the call that a collection or
+# the host's other work lands on
+CALLS = 5
 
 
 def load(checkout: Path, name: str):
@@ -107,30 +113,35 @@ def build(pkg, m: int, terms: dict):
 
 
 def pipeline(pkg, texts: tuple, m: int) -> tuple:
-    """Seconds of each layer of one product of the two operand texts, the
+    """Seconds of each layer of a product of the two operand texts, the
     pipeline being the sum of the three Fock-basis layers, and of
-    parse-odd."""
+    parse-odd: per layer the median of CALLS products, each from fresh
+    parses of the texts, so that no call meets what an earlier one
+    cached on its operands."""
     clock = time.perf_counter
     metric = pkg.Metric.interleaved(m)
     odd = [pkg.verify._respaced(text) for text in texts]
-    t0 = clock()
-    x, y = (pkg.Multivector.parse(text, metric) for text in texts)
-    t1 = clock()
-    for text in odd:
-        pkg.Multivector.parse(text, metric)
-    t2 = clock()
-    ex, ey = pkg.blades_to_efb(x, m), pkg.blades_to_efb(y, m)
-    t3 = clock()
-    ez = pkg.efb_product(ex, ey)
-    t4 = clock()
-    fast = pkg.efb_to_blades(ez)
-    t5 = clock()
-    slow = pkg.mv_mul(x, y)
-    t6 = clock()
-    str(slow), str(fast)
-    t7 = clock()
-    return (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t5 - t2, t6 - t5,
-            t7 - t6)
+    spent = []
+    for _ in range(CALLS):
+        t0 = clock()
+        x, y = (pkg.Multivector.parse(text, metric) for text in texts)
+        t1 = clock()
+        for text in odd:
+            pkg.Multivector.parse(text, metric)
+        t2 = clock()
+        ex, ey = pkg.blades_to_efb(x, m), pkg.blades_to_efb(y, m)
+        t3 = clock()
+        ez = pkg.efb_product(ex, ey)
+        t4 = clock()
+        fast = pkg.efb_to_blades(ez)
+        t5 = clock()
+        slow = pkg.mv_mul(x, y)
+        t6 = clock()
+        str(slow), str(fast)
+        t7 = clock()
+        spent.append((t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t5 - t2,
+                      t6 - t5, t7 - t6))
+    return tuple(map(statistics.median, zip(*spent)))
 
 
 def compare(parent, change, m: int, kind: str, rounds: int,
