@@ -16,9 +16,10 @@ Two product engines share one algebra:
   multiplies of columns packed into the binary digits of one int each,
   and the changes of basis to and from blades are Walsh-Hadamard
   transforms, one per operand over all of its stored cosets, run by the
-  list stages of ``bits.walsh_batch`` or, on a full batch of cosets,
-  which only the conversions in ``efb`` pick, by the column kernel on
-  packed rows; a dense matrix keeps its packed columns from the
+  list stages of ``bits.walsh_batch`` or, for a blade operand in list
+  form and a matrix that keeps packed columns, which only the
+  conversions in ``efb`` pick, by the column kernel on packed rows; a
+  dense matrix keeps its packed columns from the
   conversion in through the product to the conversion out.
   ``efb`` holds that engine alone; the basis words behind the matrix
   units, their signs and the oracles they are checked with live in

@@ -18,8 +18,9 @@ of two that every entry of the result shares on the rows (_lower),
 which, as dyadic._common_shift stops at the first odd numerator, stops
 at shift 0 when a lane of the first row is odd and only otherwise
 folds every row.  The kernel neither packs nor unpacks, and nothing
-here picks it: only efb's dense conversions, which decide when a batch
-is full and its lanes fit a word, run it.  The dense gather packs
+here picks it: only efb's two conversions run it, the gather of a blade
+operand in list form and the read-out of a matrix that keeps packed
+columns, each when its lanes fit a word.  The dense gather packs
 blades already in lane order, negating a lane-sign pattern (its coset
 signs) as it packs, and keeps the rows as the columns of its matrix,
 which the dense read-out transforms back and unpacks.  A vector with

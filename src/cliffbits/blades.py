@@ -71,8 +71,10 @@ against the explicit transposition counting of the
 blade-sign-vs-normal-order verify suite.
 
 A multivector carries _bits, the bound on the bit length of its
-numerators that the dyadic module describes, and _walk_width and efb's
-conversions read it through _bound().
+numerators that the dyadic module describes.  _walk_width reads it
+through _bound(), and so does efb's blades_to_efb for a list form,
+whose gather runs the column kernel when its lanes fit a word; a dict
+form goes to the Fock basis without reading it.
 """
 
 from __future__ import annotations

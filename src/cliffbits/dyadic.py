@@ -36,7 +36,7 @@ the packed kernels take their lane widths from it.  A producer that
 knows a bound without a scan sets it: scaling adds the bit length of
 the scalar's numerator (_scaled_bits); mv_mul and efb_product add n or
 m to their operands' bounds when both carry one, as a term sums at most
-2^n or 2^m products; the gathers and the list stages of blades_to_efb
+2^n or 2^m products; the gather and the list stages of blades_to_efb
 add m to the blade operand's bound; and the dense read-out of
 efb_to_blades sets its own.  The canonical shift lowers it.  Every
 other producer, parse included, leaves None.  _bound() scans a
@@ -44,9 +44,8 @@ multivector whose _bits is None once, by _magnitude over the rows of
 numerators its type supplies (_rows), and keeps the result; only a step
 that needs a lane width reads it.  A carried bound never understates,
 but it may overstate: bx + by + m of a product can miss a 64-bit word
-while its entries fit.  So from m = 5 on, efb._fits_columns, the one
-fit test of every column-kernel route, drops a bound that misses a
-word, and _bound() scans once.
+while its entries fit, and then the product takes the path for lanes
+past a word.
 """
 
 from __future__ import annotations

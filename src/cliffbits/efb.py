@@ -22,44 +22,37 @@ conversions take the metric of m from Metric.interleaved, which returns
 one cached instance per m: the check of an operand made over it is one
 identity test, and an equal metric built otherwise still passes by ==.
 
-Each conversion has a second path, picked from the data, with the same
-result, and the two conversions alone pick the column kernel
-(bits._columns) for a full batch: walsh_batch runs the list stages on
-whatever batch it is given.  blades_to_efb gathers a Multivector in
-list form, which holds at least 3/8 of the 4^m blades (the blade
-engine's storage rule), from its list of numerators in mask order, by
-one per-m itemgetter in C (_blade_at), already in the lane order of
-bits._columns: bits._pack negates the cosets of sign -1 as it packs
-them, and the column kernel transforms all 2^m at once.  Its lanes are
-sized from the operand's bound.  Below m = 3 (_KEEP_M) or on lanes past
-a word the list stages run instead, the signs on the lists.  It writes
-a dict form blade by blade, where a coset that holds one blade, found
-by counting the zeros of the coset, is c * W_i by walsh_function, with
-no arithmetic, and an operand whose every coset holds one blade makes
-no walsh_batch call; a dict form that leaves every one of the 2^m
-cosets with two or more blades, the only full batch this loop can
-build, goes on to the gather's column kernel (_gathered), its signed
-cosets read in lane order, when its lanes fit a word.
+Each conversion has one more path, picked from the data, with the same
+result, and the two conversions alone run the column kernel
+(bits._columns): walsh_batch runs the list stages on whatever batch it
+is given.  blades_to_efb gathers a Multivector in list form, which
+holds at least 3/8 of the 4^m blades (the blade engine's storage rule),
+from its list of numerators in mask order, by one per-m itemgetter in C
+(_blade_at), already in the lane order of bits._columns: bits._pack
+negates the cosets of sign -1 as it packs them, and the column kernel
+transforms all 2^m at once.  Below m = 3 (_KEEP_M) or on
+lanes past a word the list stages run instead, the signs on the lists.
+It writes a dict form blade by blade, where a coset that holds one
+blade, found by counting the zeros of the coset, is c * W_i by
+walsh_function, with no arithmetic; every other touched coset goes
+through one walsh_batch call, which an operand whose every coset holds
+one blade does not make.
 efb_to_blades reads a coset that walsh_index finds equal to c * W_i as
 the one blade c * 2^m, with no transform; it looks at v[0] and the
 v[2^j] first, so a dense coset leaves after one or two entries.  Every
 other coset goes through the one walsh_batch call, which a matrix of
 Walsh functions alone does not make.  Sparse operands, as mul sees
 them, are mostly one blade per coset, and so are products of such
-operands.  At lanes that fit a word, a matrix that keeps packed
-columns, from m = 3 (_KEEP_M) on, or that stores all 2^m cosets, none
-of them one Walsh function, from m = 5 (_COLUMNS_K) on, is read out by
-the column kernel instead, which lowers the exponent on its packed
-rows, and the terms are read out in C (_dense_to_blades): a product
-that holds at least 3/8 of the blades as the list of the blade
-engine's list form, one itemgetter taking the unpacked lanes into mask
-order, and a sparser one as the dict by coset, through the table of
-the blade at each coset-major position.  Kept columns skip the unpack
-that the lists would cost.  Below m = 5 sparse products held as lists
-often store every coset with no single Walsh function among them, and
-the loop is faster there.  All four routes to the column kernel, the
-list-form gather, the dict form's hand-off and the two read-outs,
-decide whether its lanes fit a word by one test, _fits_columns.
+operands.  A matrix that keeps packed columns, as the gather and the
+packed product leave it, is read out by the column kernel instead when
+its lanes fit a word, which lowers the exponent on its packed rows, and
+the terms are read out in C (_dense_to_blades): a product that holds at
+least 3/8 of the blades as the list of the blade engine's list form,
+one itemgetter taking the unpacked lanes into mask order, and a sparser
+one as the dict by coset, through the table of the blade at each
+coset-major position.  So the column kernel runs only on data that the
+dense pipeline packs anyway, and both of its routes decide whether its
+lanes fit a word by _fits_word of the operand's _bound().
 
 An EFBMultivector holds plain-int numerators over one shared
 denominator 2^_e, in canonical form, as a Multivector does.  _canonical,
@@ -92,11 +85,10 @@ again at its width.
 
 Lane widths travel with the matrix as well, as the carried bound
 _bits that the dyadic module describes.  _bound() is read by the
-packed product kernel (_lanes) and by every column-kernel route,
-through _fits_columns.  The sparse paths gain no scan: a dict form
-that leaves a coset with fewer than two blades reads no bound, and a
-product reads its operands' bounds only where bits._kernel_width needs
-a width.
+packed product kernel (_lanes) and by the two column-kernel routes.
+The sparse paths gain no scan: neither a dict form nor the read-out of
+a matrix held as lists reads a bound, and a product reads its
+operands' bounds only where bits._kernel_width needs a width.
 
 efb_product has two kernels with equal results and triple counts.  The
 coset sweep runs out[g ^ h][d] += x[g][d ^ h] * y[h][d] over pairs of
@@ -510,11 +502,6 @@ def _slot_tables(m: int) -> tuple[list, list, list, list]:
             xor_span(map(split, range(m, 2 * m))), join_i, join_g)
 
 
-# the smallest m at which the dense read-out takes a matrix of lists that
-# stores all 2^m cosets, none of them one Walsh function, and at which
-# _fits_columns scans a carried bound that misses a word: at m = 4 the
-# column kernel takes about 1.2x the time of the list stages
-_COLUMNS_K = 5
 # the smallest m at which the dense gather keeps packed columns: below
 # it _packed_width sends every product of two dense operands to the
 # sweep, which reads lists (8^m multiply-adds against at least 4^m * m/2
@@ -553,19 +540,8 @@ def _fits_word(bits: int, m: int) -> bool:
     """Whether bits._columns' lanes for a transform of 2^m-entry cosets
     whose entries have at most bits bits fit one 64-bit word.  Past a
     word bits._pack writes one to_bytes per value, and the list stages
-    win."""
+    win.  Both column-kernel routes ask it of the operand's _bound()."""
     return bits + m < 64
-
-
-def _fits_columns(x, m: int) -> bool:
-    """Whether the column kernel's lanes for the transform of x, a
-    Multivector or an EFBMultivector, fit a word, by x._bound(): the one
-    fit test of every column-kernel route.  From m = _COLUMNS_K on, a
-    carried bound that misses a word is first dropped, so that _bound()
-    scans x once and keeps the exact bit length, which may fit."""
-    if m >= _COLUMNS_K and not _fits_word(x._bits or 0, m):
-        x._bits = None
-    return _fits_word(x._bound(), m)
 
 
 def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
@@ -575,16 +551,15 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
     form goes blade by blade: a coset that holds one blade, c at index
     i, is c * W_i, written by walsh_function with no arithmetic, and the
     count of zeros in each coset picks that path; one transform spreads
-    every other touched coset, if any, over the columns.  A list form
-    is gathered whole from its list through _blade_at's itemgetters, and
-    all 2^m cosets go through one transform: from m = _KEEP_M on, when
-    its lanes fit a word, the column kernel (_gathered), whose rows the
-    result keeps as its columns, else the list stages; an untouched
-    coset comes out all zero and is dropped.  A dict form that leaves
-    all 2^m cosets with two or more blades, the one full batch the loop
-    can build, goes to _gathered as well, its signed cosets read in
-    lane order.  Both gathers ask _fits_columns whether their lanes fit
-    a word.
+    every other touched coset, if any, over the columns by walsh_batch,
+    however many there are.  A list form is gathered whole from its list
+    through _blade_at's itemgetters, and all 2^m cosets go through one
+    transform: from m = _KEEP_M on, when _fits_word says that the lanes
+    for its _bound() fit a word, the column kernel, on the rows that
+    bits._pack makes of the numerators in lane order, entry i of coset g
+    at i * 2^m + g, negating the cosets of sign -1 (_coset_signs), and
+    the result keeps the transformed rows as its columns; else the list
+    stages.  An untouched coset comes out all zero and is dropped.
     """
     if not isinstance(x, Multivector):
         raise TypeError("blades_to_efb needs a Multivector operand")
@@ -614,19 +589,19 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
                 cosets[g] = walsh_function(v[i], i, m)
             else:
                 batch.append(g)
-        if len(batch) < dim or not _fits_columns(x, m):
-            if batch:
-                cosets.update(zip(batch, walsh_batch(
-                    list(chain.from_iterable(map(cosets.get, batch))), m)))
-            return EFBMultivector._from_ints(m, cosets, x._e)
-        # every coset holds two blades or more: a dict form holds fewer
-        # than 3/8 of the 4^m blades, so m >= 3 = _KEEP_M, and the result
-        # keeps its columns
-        return _gathered(m, chain.from_iterable(zip(*map(
-            cosets.get, range(dim)))), 0, x._bound(), x._e)
+        if batch:
+            cosets.update(zip(batch, walsh_batch(
+                list(chain.from_iterable(map(cosets.get, batch))), m)))
+        return EFBMultivector._from_ints(m, cosets, x._e)
     _, in_cosets, in_lanes, _ = _blade_at(m)
-    if m >= _KEEP_M and _fits_columns(x, m):
-        return _gathered(m, in_lanes(vec), _coset_signs(m), x._bound(), x._e)
+    bits = x._bound()
+    if m >= _KEEP_M and _fits_word(bits, m):
+        # lanes that hold the product of two such operands as well, up to
+        # a word; an entry sums 2^m numerators, which bounds it
+        size = min(_width(2 * (bits + m) + m + 1), 64) >> 3
+        rows = _pack(in_lanes(vec), size, dim, _coset_signs(m))
+        return EFBMultivector._from_columns(
+            m, _columns(rows, m, size)[0], size, x._e, bits + m)
     out = list(in_cosets(vec))  # the list stages, the signs on the lists
     for g in range(dim):  # (-1)^C(popcount g, 2) on each coset
         if g.bit_count() & 2:
@@ -634,21 +609,7 @@ def blades_to_efb(x: Multivector, m: int) -> EFBMultivector:
             out[span] = map(neg, out[span])
     out = _stages(out, m)
     return EFBMultivector._from_ints(
-        m, {g: out[g::dim] for g in range(dim)}, x._e, x._bound() + m)
-
-
-def _gathered(m: int, lanes, signs: int, bits: int,
-              e: int) -> EFBMultivector:
-    """The image of blade numerators of at most bits bits over 2^e, given
-    in lane order, entry i of coset g at i * 2^m + g, by bits._columns on
-    the rows bits._pack makes of them, negating the cosets g with bit g
-    of signs set; the result keeps the rows as its columns.  Their lanes
-    hold the product of two such operands as well, up to a word, and an
-    entry sums 2^m numerators, which bounds it."""
-    size = min(_width(2 * (bits + m) + m + 1), 64) >> 3
-    rows = _pack(lanes, size, 1 << m, signs)
-    return EFBMultivector._from_columns(
-        m, _columns(rows, m, size)[0], size, e, bits + m)
+        m, {g: out[g::dim] for g in range(dim)}, x._e, bits + m)
 
 
 def efb_to_blades(x: EFBMultivector) -> Multivector:
@@ -657,26 +618,19 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
     A coset equal to c * W_i, as walsh_index reads it off, is the one
     blade c * 2^m at i.  One transform, the list stages of walsh_batch,
     takes every other coset back, if any, and its nonzero entries are
-    read out.
-    With lanes of _bound() + m + 1 bits that fit a word,
-    _dense_to_blades reads out instead, by the column kernel, a matrix
-    that keeps columns, from m = _KEEP_M on, and one that stores all 2^m
-    cosets, none of them c * W_i, from m = _COLUMNS_K on, when
-    _fits_columns says so.  Terms come by ascending coset, then by Walsh
-    index, on every path.
+    read out.  A matrix that keeps columns is read out instead by
+    _dense_to_blades, through the column kernel, when _fits_word says
+    that the lanes for its _bound() fit a word.  Terms come by ascending
+    coset, then by Walsh index, on both paths.
     """
     if not isinstance(x, EFBMultivector):
         raise TypeError("efb_to_blades needs an EFBMultivector operand")
     m, dim = x.m, x.dim
     # kept columns go to the read-out whole, with no look at a coset
-    found = (None if x._cols else
-             [walsh_index(v, m) for v in x._cosets.values()])
-    if (m >= _KEEP_M if found is None else m >= _COLUMNS_K
-            and len(found) == dim and max(found) < 0) and _fits_columns(x, m):
+    if x._cols and _fits_word(x._bound(), m):
         return _dense_to_blades(x)
     cosets = x._cosets.items()
-    if found is None:
-        found = [walsh_index(v, m) for _, v in cosets]
+    found = [walsh_index(v, m) for _, v in cosets]
     _, _, join_i, join_g = _slot_tables(m)
     # the transform is its own inverse up to the factor 2^m; a matrix of
     # Walsh functions alone leaves nothing to transform
@@ -697,9 +651,10 @@ def efb_to_blades(x: EFBMultivector) -> Multivector:
 
 
 def _dense_to_blades(x: EFBMultivector) -> Multivector:
-    """efb_to_blades of all 2^m cosets, m >= _KEEP_M: the column kernel
-    runs on the packed columns, sized by _bound(), lowers the exponent on
-    them, and every term is read out in C.
+    """efb_to_blades of all 2^m cosets, which efb_to_blades takes for a
+    matrix that keeps columns: the column kernel runs on the packed
+    columns, sized by _bound(), lowers the exponent on them, and every
+    term is read out in C.
 
     The lanes of the cosets of sign -1 are negated in offset form, by
     bits._negate on kept columns wide enough for the transform, else as

@@ -74,9 +74,9 @@ from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
 from .dyadic import DyadicRational, _magnitude, _shift
-from .efb import (_COLUMNS_K, EFBMultivector, _blade_at, _coset_signs,
-                  _dense_to_blades, _lanes, _packed, _slot_tables, _sweep,
-                  _triples, blades_to_efb, efb_product, efb_to_blades)
+from .efb import (EFBMultivector, _blade_at, _coset_signs, _dense_to_blades,
+                  _lanes, _packed, _slot_tables, _sweep, _triples,
+                  blades_to_efb, efb_product, efb_to_blades)
 from .instrument import counters, op_counters, reset_op_counters
 from .sampling import dense_blade_multivector, dense_efb_multivector, \
     random_multivector
@@ -119,6 +119,10 @@ _BOUNDS = {
     "full": dict(lucas_n=4096, assoc_n=6, kl=16, center_kl=12, m=4,
                  pairs=25, fast_m=6, walk_n=10, walsh_k=8),
 }
+# the first k of the walsh-kernels suite and the first m of the
+# packed-columns suite: a bound of these suites alone, which no
+# conversion reads
+_COLUMNS_K = 5
 
 _CHECKS = []
 

@@ -7,7 +7,6 @@ from collections import Counter
 from fractions import Fraction
 from operator import add, sub
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1003,8 +1002,8 @@ def test_every_producer_stores_ascending_cosets():
     assert not _fills_every_coset(blades, m)
     made = [x, y, x + y, y + x, x - y, -y, 3 * x, y * DyadicRational(1, 2),
             EFBMultivector.identity(m), EFBMultivector.volume(m)]
-    # the dense gather, from a list form and from a dict form that fills
-    # every coset twice, then the loop
+    # the dense gather of a list form, then the loop on a dict form that
+    # fills every coset twice and on a sparser one
     for v in (listed, _covering(m, 2, rng), blades):
         made.append(blades_to_efb(v, m))
     for u, v in ((x, y), (y, x), (made[-1], y)):
@@ -1061,66 +1060,59 @@ def test_dense_gather_matches_the_loop(m):
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
-def test_dict_forms_that_fill_every_coset_take_the_gather(m, monkeypatch):
-    # a dict form whose cosets all hold two blades is the one full batch
-    # the sparse loop can build: it goes on to the dense gather's column
-    # kernel, which keeps packed columns from m = 3 on; a coset left at
-    # one blade keeps it in the loop, and so do lanes past a word.  The
-    # same numerators carrying a bound of 61 bits, which misses a word,
-    # are scanned from m = _COLUMNS_K on and gathered; below, the loop
-    # takes them without a scan
+def test_the_column_kernel_runs_on_packed_data_alone(m, monkeypatch):
+    # the column kernel runs for a list form's gather and for the read-out
+    # of the columns it keeps, and for nothing else: not for a dict form
+    # that fills every coset twice, a list form whose carried bound
+    # misses a word while its numerators fit, a product whose carried
+    # bound misses a word while its entries fit, nor a dense product by
+    # one blade, held as lists with no coset one Walsh function.  No fit
+    # test rescans a carried bound, and each operand still agrees with
+    # the batched conversions
     rng = random.Random(131 + m)
-    calls = []
-    real = efb._gathered
-    full, single = _covering(m, 2, rng), _covering(m, 3, rng, single=True)
-    wide = Multivector._raw(full.metric, {
-        mask: n << 64 - m for mask, n in full._nums.items()}, 0)
-    carried = Multivector._raw(full.metric, dict(full._nums), full._e, 61)
-    assert _fills_every_coset(full, m) and not _fills_every_coset(single, m)
-    monkeypatch.setattr(efb, "_gathered",
-                        lambda *args: calls.append(args[0]) or real(*args))
-    z = blades_to_efb(full, m)
-    assert calls == [m] and z._cols is not None
-    calls.clear()
-    assert blades_to_efb(single, m)._cols is None
-    assert blades_to_efb(wide, m)._cols is None and calls == []
-    scanned = m >= efb._COLUMNS_K
-    assert carried._bits == 61
-    assert (blades_to_efb(carried, m)._cols is not None) is scanned
-    assert calls == ([m] if scanned else [])
-    assert carried._bits == (full._bound() if scanned else 61)
-    monkeypatch.undo()
-    for x in (full, single, wide, carried):
-        assert verify._agree("to-efb", x, m)
+    metric, dim = Metric.interleaved(m), 1 << m
+    ran, real = [], efb._columns
+    monkeypatch.setattr(efb, "_columns",
+                        lambda *args: ran.append(args[1]) or real(*args))
 
-
-@pytest.mark.parametrize("m", [3, 4, 5, 6])
-def test_list_forms_carrying_a_bound_past_a_word_take_the_gather(
-        m, monkeypatch):
-    # a list form whose numerators fit a word while it carries a bound of
-    # 61 bits, which misses one, as a product's bound can: from m =
-    # _COLUMNS_K on the gather asks _fits_columns, which scans it once,
-    # and takes the column kernel; below, the list stages take it with
-    # no scan
-    rng = random.Random(149 + m)
-    x = Multivector._raw(Metric.interleaved(m), [
+    def kernel_runs(convert, *args):
+        ran.clear()
+        convert(*args)
+        return ran == [m]
+    listed = dense_blade_multivector(metric, rng)
+    ex = blades_to_efb(listed, m)
+    assert listed._vec is not None and ex._cols is not None
+    assert kernel_runs(blades_to_efb, listed, m) and kernel_runs(
+        efb_to_blades, ex)
+    cover = _covering(m, 2, rng)
+    assert _fills_every_coset(cover, m) and cover._vec is None
+    carried = Multivector._raw(metric, [
         rng.choice((-1, 1)) * rng.randint(1, 1 << 20)
         for _ in range(4 ** m)], 0, 61)
-    assert x._vec is not None and x._bits == 61
-    calls, scans = [], []
-    gathered, scan = efb._gathered, dyadic._magnitude
-    monkeypatch.setattr(efb, "_gathered",
-                        lambda *args: calls.append(args[0]) or gathered(*args))
-    monkeypatch.setattr(dyadic, "_magnitude",
-                        lambda rows: scans.append(1) or scan(rows))
-    z = blades_to_efb(x, m)
+    assert carried._vec is not None and not efb._fits_word(61, m)
+    # numerators of 32 - 2m bits: the product carries 64 - m bits
+    x, y = (Multivector._raw(metric, {
+        mask: rng.choice((-1, 1)) * rng.randrange(1 << 31 - 2 * m,
+                                                  1 << 32 - 2 * m)
+        for mask in range(dim * dim)}, 0) for _ in range(2))
+    wide = efb_product(blades_to_efb(x, m), blades_to_efb(y, m))
+    assert not efb._fits_word(wide._bits, m)
+    assert efb._fits_word(_magnitude(wide._cosets.values()), m)
+    one = blades_to_efb(Multivector._raw(metric, {
+        rng.randrange(dim * dim): rng.randint(1, 999)}, 0), m)
+    few = efb_product(ex, one)
+    assert few._cols is None and len(few._cosets) == dim
+    assert all(walsh_index(v, m) < 0 for v in few._cosets.values())
+    assert not kernel_runs(blades_to_efb, cover, m)
+    assert not kernel_runs(blades_to_efb, carried, m)
+    assert carried._bits == 61
+    for z in (wide, few):
+        bound = z._bits
+        assert not kernel_runs(efb_to_blades, z)
+        assert z._bits == bound
     monkeypatch.undo()
-    scanned = m >= efb._COLUMNS_K
-    assert calls == ([m] if scanned else []) and len(scans) == scanned
-    assert x._bits == (scan(x._rows()) if scanned else 61)
-    assert (z._cols is not None) is scanned
-    assert verify._terms(z) == verify._terms(
-        verify.batched_blades_to_efb(x, m))
+    assert all(verify._agree("to-efb", v, m) for v in (cover, carried))
+    assert all(verify._agree("to-blades", z) for z in (wide, few))
 
 
 def test_dense_gather_runs_from_the_share(monkeypatch):
@@ -1312,10 +1304,10 @@ def test_read_back_refuses_near_walsh_cosets():
 
 
 def test_conversions_give_ascending_cosets():
-    # blades given in descending order: both paths of blades_to_efb, the
-    # loop and the dense gather of a dict form that fills every coset
-    # twice, store the cosets in ascending g, and both paths of
-    # efb_to_blades give the terms by ascending coset, then by Walsh index
+    # blades given in descending order: the loop of blades_to_efb, on a
+    # sparse dict form and on one that fills every coset twice, stores
+    # the cosets in ascending g, and efb_to_blades gives the terms by
+    # ascending coset, then by Walsh index
     m = 3
     metric = Metric.interleaved(m)
     sparse = sorted(range(1 << (2 * m)), reverse=True)[::7]
@@ -1324,7 +1316,7 @@ def test_conversions_give_ascending_cosets():
     cover = _covering(m, 2, random.Random(7))
     assert list(cover._nums) == sorted(cover._nums, reverse=True)
     images = [_assert_same_conversions(v, m) for v in (x, cover)]
-    assert [ex._cols is None for ex in images] == [True, False]
+    assert [ex._cols is None for ex in images] == [True, True]
     for masks, ex in zip((sparse, cover._nums), images):
         cosets = sorted({_walsh_index_by_bits(mask, m)[1] for mask in masks})
         assert list(ex._cosets) == cosets
@@ -1412,15 +1404,15 @@ def test_dense_read_out_keeps_term_order(m, monkeypatch):
 
 def test_sparse_products_skip_the_dense_read_out(monkeypatch):
     # at m = 2 and 3 sparse products held as lists often store every
-    # coset with no single Walsh function among them; they keep the loop
-    # below m = 5, while a product that keeps packed columns, from
-    # m = _KEEP_M on, goes to the dense read-out with no unpack: the
-    # m = 3 products of the packed kernel and a dense m = 4 product
+    # coset with no single Walsh function among them; they keep the
+    # loop, while a product that keeps packed columns goes to the dense
+    # read-out with no unpack: the m = 3 products of the packed kernel
+    # and a dense m = 4 product
     taken = []
     dense = efb._dense_to_blades
 
     def spy(z):
-        assert z._cols is not None, "lists to the dense read-out below m = 5"
+        assert z._cols is not None, "lists to the dense read-out"
         taken.append(z.m)
         return dense(z)
     monkeypatch.setattr(efb, "_dense_to_blades", spy)
@@ -1549,8 +1541,8 @@ def test_no_carried_bound_understates(m, kind, bits, seed):
     # a bound below the bit length of a numerator would overflow a lane
     # with no error: every producer that sets _bits is _sound, on sparse,
     # dense and lane-edge operands on both sides of the word edge: blade
-    # scaling, both mv_mul kernels, the list-form and dict-form gathers,
-    # the list stages of blades_to_efb, the packed product, the sweep,
+    # scaling, both mv_mul kernels, the list-form gather, the dict-form
+    # loop, the list stages of blades_to_efb, the packed product, the sweep,
     # chained products, the dense read-out and EFB scaling
     rng = random.Random(seed)
     metric, dim, top = Metric.interleaved(m), 1 << m, (1 << bits) - 1
@@ -1574,13 +1566,12 @@ def test_no_carried_bound_understates(m, kind, bits, seed):
                               if walk else lambda x, y: 0)
                 made.append(mv_mul(x, y))
     ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
-    gathered = blades_to_efb(cover, m)
-    if m >= 3:  # a dict form there: the hand-off when its lanes fit
-        assert (gathered._cols is not None) is efb._fits_word(cover._bits, m)
-    made += [ex, ey, gathered, blades_to_efb(made[-1], m)]
+    looped = blades_to_efb(cover, m)
+    assert looped._cols is None  # a dict form takes the loop
+    made += [ex, ey, looped, blades_to_efb(made[-1], m)]
     with pytest.MonkeyPatch.context() as patch:  # the list stages
-        patch.setattr(efb, "_fits_columns", lambda z, m: False)
-        made += [blades_to_efb(x, m), blades_to_efb(cover, m)]
+        patch.setattr(efb, "_fits_word", lambda bits, m: False)
+        made.append(blades_to_efb(x, m))
     for a, b in ((ex, ey), (ax, ay)):
         for pick in (_sweep_width, _scan_width):
             with pytest.MonkeyPatch.context() as patch:
@@ -1751,90 +1742,3 @@ def test_wide_dense_operands_skip_the_column_kernel(monkeypatch):
     # a narrow dense operand does reach the kernel
     with pytest.raises(AssertionError, match="the column kernel ran"):
         blades_to_efb(dense_blade_multivector(metric, rng), m)
-
-
-def _routed(kind, m, rng, wide):
-    """One operand over interleaved Cl(m, m) of the kind: a few blades,
-    blades concentrated in 2 to 8 cosets, one to three blades in every
-    coset, two or three in every coset under a carried bound of 61 bits
-    (a product's bound can miss a word while its numerators fit), every
-    blade, or every blade with numerators of wide bits."""
-    dim, by_coset = 1 << m, efb._blade_at(m)[0]
-    if kind == "sparse":
-        masks = rng.sample(range(dim * dim), rng.randint(1, 6))
-    elif kind in ("concentrated", "every-coset", "carried"):
-        cosets = (rng.sample(range(dim), rng.randint(2, min(8, dim)))
-                  if kind == "concentrated" else range(dim))
-        # at 2 every coset holds two blades
-        least = 2 if kind == "carried" else rng.randint(1, 2)
-        masks = [by_coset[g * dim + i] for g in cosets for i in rng.sample(
-            range(dim), rng.randint(least, dim if kind == "concentrated"
-                                    else 3))]
-    else:
-        masks = range(dim * dim)
-    bits = wide if kind == "wide" else rng.randint(1, 10)
-    return Multivector._raw(Metric.interleaved(m), {
-        mask: rng.choice((-1, 1)) * rng.randrange(1 << bits - 1, 1 << bits)
-        for mask in masks}, rng.randint(0, 3),
-        61 if kind == "carried" else None)
-
-
-_ROUTED = ("sparse", "concentrated", "every-coset", "carried", "dense",
-           "wide")
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(_ROUTED), st.sampled_from(_ROUTED), st.integers(3, 6),
-       st.integers(20, 30), st.integers(0, 1 << 32))
-@example("wide", "wide", 5, 22, 0)  # a carried bound of 59 bits
-@example("every-coset", "wide", 6, 20, 1)
-@example("carried", "sparse", 5, 20, 0)  # a carried bound of 61 bits
-def test_no_full_batch_that_fits_a_word_reaches_walsh_batch(kx, ky, m, wide,
-                                                            seed):
-    # the batches the column kernel took inside walsh_batch before the
-    # conversions owned it, 2^m vectors from m = _COLUMNS_K on whose
-    # entries fit a word, never reach walsh_batch: not from blades_to_efb,
-    # efb_product or efb_to_blades, on operands of any kind or products.
-    # At m = 5 numerators of 22 bits or more give a product whose carried
-    # bound misses a word, and up to about 24 bits its entries fit
-    real = efb.walsh_batch
-
-    def spy(flat, k):
-        full = len(flat) == 1 << 2 * k and k >= efb._COLUMNS_K
-        assert not (full and efb._fits_word(_magnitude([flat]), k)), (
-            f"a full batch that fits a word reached walsh_batch at k={k}")
-        return real(flat, k)
-    rng = random.Random(seed)
-    x, y = _routed(kx, m, rng, wide), _routed(ky, m, rng, wide)
-    with mock.patch.object(efb, "walsh_batch", spy):
-        ex, ey = blades_to_efb(x, m), blades_to_efb(y, m)
-        ez, z = efb_product(ex, ey), mv_mul(x, y)
-        assert efb_to_blades(ez) == z and blades_to_efb(z, m) == ez
-        assert efb_to_blades(ex) == x and efb_to_blades(ey) == y
-
-
-def test_a_carried_bound_past_a_word_is_scanned_before_the_read_out(
-        monkeypatch):
-    # dense m = 5 operands of 22-bit numerators carry 27 bits into the
-    # Fock basis and their product 27 + 27 + 5 = 59, which misses a word
-    # for a transform of 2^5 entries while the entries fit: one scan, kept
-    # in _bits, sends the product to the dense read-out.  At 30 bits the
-    # entries miss a word as well, and the loop reads the product out
-    m = 5
-    rng = random.Random(137)
-    metric = Metric.interleaved(m)
-    taken = []
-    dense = efb._dense_to_blades
-    monkeypatch.setattr(efb, "_dense_to_blades",
-                        lambda z: taken.append(z) or dense(z))
-    for b, carried, through in ((22, 59, True), (30, 75, False)):
-        x, y = (Multivector._raw(metric, {
-            mask: rng.choice((-1, 1)) * rng.randrange(1 << b - 1, 1 << b)
-            for mask in range(1 << 2 * m)}, 0) for _ in range(2))
-        ez = efb_product(blades_to_efb(x, m), blades_to_efb(y, m))
-        assert ez._bits == carried and not efb._fits_word(carried, m)
-        taken.clear()
-        assert efb_to_blades(ez) == mv_mul(x, y)
-        assert [z is ez for z in taken] == ([True] if through else [])
-        assert ez._bits == _magnitude(ez._cosets.values())
-        assert efb._fits_word(ez._bits, m) is through

@@ -6,10 +6,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import cliffbits
-from cliffbits import efb
-from cliffbits.bits import _magnitude
-
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -86,8 +82,7 @@ def test_code_lines_against_a_parent_prints_each_difference(
 def test_ab_times_every_layer_of_both_pipelines(capsys):
     # this checkout against itself: one line per m, pair kind and layer,
     # parse of the text str writes and of it respaced, the Fock-basis
-    # layers, mv_mul and render, two positive medians and their ratio; no
-    # cover pair is drawn below m = 3
+    # layers, mv_mul and render, two positive medians and their ratio
     assert ab.LAYERS == ("parse", "parse-odd", "blades_to_efb",
                          "efb_product", "efb_to_blades", "pipeline",
                          "mv_mul", "render")
@@ -99,10 +94,8 @@ def test_ab_times_every_layer_of_both_pipelines(capsys):
                                 "change", "us", "ratio"]
     rows = [line.split() for line in lines[2:]]
     assert [row[:3] for row in rows] == [
-        [m, pair, layer] for m, pairs in (
-            ("2", ("dense", "sparse", "wide")),
-            ("3", ("dense", "sparse", "cover", "wide")))
-        for pair in pairs for layer in ab.LAYERS]
+        [m, pair, layer] for m in ("2", "3") for pair in ("dense", "sparse")
+        for layer in ab.LAYERS]
     for _, _, _, old, new, ratio in rows:
         assert float(old) > 0 and float(new) > 0
         # the medians are printed to 0.1 us, the ratio to 0.01
@@ -110,24 +103,52 @@ def test_ab_times_every_layer_of_both_pipelines(capsys):
         assert abs(float(ratio) - want) <= 0.05 * want + 0.005
 
 
-def test_ab_cover_and_wide_pairs_reach_the_rerouted_inputs():
-    # cover: a dict form below the list share with two or more blades in
-    # every coset; wide: a product whose carried bound misses a word for
-    # its read-out while its entries fit
-    rng = random.Random(5)
-    for m in range(3, 7):
-        x = ab.build(cliffbits, m, ab.draw(cliffbits, "cover", m, rng))
-        lo, hi, _, _ = efb._slot_tables(m)
-        held = Counter((lo[mask & (1 << m) - 1] ^ hi[mask >> m]) >> m
-                       for mask in x._nums)
-        assert x._vec is None and len(held) == 1 << m
-        assert min(held.values()) >= 2
-    for m in range(2, 8):
-        x, y = (ab.build(cliffbits, m, ab.draw(cliffbits, "wide", m, rng))
-                for _ in range(2))
-        z = efb.efb_product(efb.blades_to_efb(x, m), efb.blades_to_efb(y, m))
-        assert not efb._fits_word(z._bits, m)
-        assert efb._fits_word(_magnitude(z._cosets.values()), m)
+def test_ab_runs_each_pair_once_with_each_package_first(monkeypatch):
+    # stub packages and operands: in 2P timed rounds over a pool of P
+    # pairs, the (pair, package that runs first) of the rounds are every
+    # pair with each package once, and both packages time the same pair
+    # in a round
+    class Operand:
+        def __init__(self, index):
+            self.index = index
+
+        def __mul__(self, scalar):
+            return self
+
+        def __str__(self):
+            return str(self.index)
+
+    class Package:
+        def __init__(self, name):
+            self.name = name
+
+        def blades_to_efb(self, x, m):
+            return x
+
+        def DyadicRational(self, n, e):
+            return n
+    built = Counter()
+
+    def build(pkg, m, terms):
+        built[pkg.name] += 1
+        return Operand((built[pkg.name] - 1) // 2)
+    runs = []
+
+    def pipeline(pkg, texts, m):
+        runs.append((int(texts[0]), pkg.name))
+        return (1e-6,) * len(ab.LAYERS)
+    monkeypatch.setattr(ab, "build", build)
+    monkeypatch.setattr(ab, "pipeline", pipeline)
+    parent, change = Package("parent"), Package("change")
+    for kind, size in ab._POOL.items():
+        built.clear()
+        runs.clear()
+        ab.compare(parent, change, 2, kind, 2 * size, random.Random(3))
+        timed = runs[2:]  # round 0 warms both
+        assert [a[0] for a in timed[::2]] == [b[0] for b in timed[1::2]]
+        assert sorted(timed[::2]) == sorted(
+            (pair, name) for pair in range(size)
+            for name in ("parent", "change"))
 
 
 def _checkout(root: Path, side: str) -> Path:
@@ -202,11 +223,12 @@ def test_pairs_alternates_the_sides_and_counts_the_pairs_won(
     assert list(table) == list(pairs.end_to_end())
     # medians 100 and 110; lower latency is better, higher RSS is worse;
     # the parent's runs are all equal, so its quartiles are too.  Two
-    # pairs in three is no gain; three in three by more than the
-    # quartile distance is; 34 MB against 30 is past RSS's 10% bound
+    # pairs in three is no gain, and neither is three in three by more
+    # than the quartile distance, on fewer than ten pairs; 34 MB against
+    # 30 is past RSS's 10% bound
     assert table["ops_per_s"] == ["100", "110", "1.100", "0", "2/3", "-"]
     assert table["latency_p50_ms"][2:] == ["0.909", "0", "2/3", "-"]
-    assert table["setup_s"] == ["0.5", "0.4", "0.800", "0", "3/3", "gain"]
+    assert table["setup_s"] == ["0.5", "0.4", "0.800", "0", "3/3", "-"]
     assert table["peak_rss_mb"] == ["30", "34", "1.133", "0", "0/3", "worse"]
 
 
@@ -222,3 +244,25 @@ def test_pairs_verdicts_follow_the_pairs_won_and_the_bound():
     assert pairs.compare(old, [9.0] * 10, True, 0.1)[4] == "-"
     assert pairs.compare(old, [8.9] * 10, True, 0.1)[4] == "worse"
     assert pairs.compare(old, [8.9] * 10, False, 0.1)[3:] == (10, "gain")
+    # the same lead on nine pairs is no gain
+    assert pairs.compare(old[:9], new[:9], True, 0.1)[3:] == (9, "-")
+    assert pairs.compare(old[:9], [8.9] * 9, False, 0.1)[3:] == (9, "-")
+
+
+def test_pairs_runs_ten_pairs_by_default(monkeypatch, capsys, tmp_path):
+    # with no --pairs, ten pairs, twenty runs; a change ahead in every
+    # pair by more than the parent's quartile distance reads gain
+    runs = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = "change" if checkout == pairs.ROOT else "parent"
+        runs.append((seed, side))
+        value = 110.0 if side == "change" else 100.0 + seed % 3
+        return {"correct": True, "failed": 0, "metrics": {
+            name: {"value": value} for name in pairs.end_to_end()}}
+    monkeypatch.setattr(pairs, "run", fake_run)
+    assert pairs.main([str(tmp_path), "--workload", "dense-efb"]) == 0
+    assert len(runs) == 20 and {seed for seed, _ in runs} == set(range(1, 11))
+    table = {row[0]: row[1:] for row in map(
+        str.split, capsys.readouterr().out.splitlines()[21:])}
+    assert table["ops_per_s"][-2:] == ["10/10", "gain"]

@@ -13,35 +13,26 @@ kind both packages build the same operands from the same numbers:
 * dense: every blade, with +-(1..1023) / 2^(0..4), as perfbench's
   dense workloads draw them;
 * sparse: 1 to 6 draws of a blade and +-(0..32) / 2^(0..4), as the
-  cli-session workload draws them (a pool of 16 pairs);
-* cover: dict forms, below the blade engine's list share of 3/8, whose
-  blades fill every Fock coset at least twice, with the dense kind's
-  coefficients: the one full batch blades_to_efb's sparse loop can
-  build (from m = 3 on; none is drawn below), its masks taken by
-  coset from this checkout's efb._blade_at;
-* wide: every blade, with integer numerators of exactly 32 - 2m bits,
-  so that the bound a product carries, bx + by + m with b = bits + m
-  for each operand, misses a 64-bit word for a transform of 2^m
-  entries while the product's entries fit one.
+  cli-session workload draws them (a pool of 16 pairs).
 
 Each operand is converted once, untimed, as perfbench's dense draws
 are.  Each round scales both operands by a fresh odd dyadic and writes
-them as text, untimed, as perfbench scales its pool (a wide pair by
-+-2^-(0..3) alone, which keeps its numerators), then times parse of
+them as text, untimed, as perfbench scales its pool, then times parse of
 both texts, blades_to_efb on both parsed operands, efb_product and
 efb_to_blades, mv_mul on the same two operands, and str of both
 products: the layers of a `cliffbits mul`.  It also times parse-odd,
 parse of both texts with their first space doubled (verify's
 _respaced, untimed), text outside the form str writes, which parse
-reads again split at every sign.  Each package runs these layers
-CALLS times in a row in a round, from fresh parses each time, and a
-layer's time in the round is the median of its calls.  The package
-that runs first alternates from round to round.  mv_mul on the dense
-pair is the call of the dense-blade workload, on the sparse pair that
-of cli-session.  The output has one line per (m, pair, layer), the
-pipeline being the sum of the three Fock-basis layers of a call: the
-median microseconds of each side and their ratio, parent over this
-checkout, so above 1 this checkout is faster.
+reads again split at every sign.  Each package runs these layers once
+a round, from fresh parses.  Round r runs pair r mod P of a pool of P
+pairs, and the package that runs first changes after every P rounds,
+so that in 2P rounds each pair runs once with each package first.
+mv_mul on the dense pair is the call of the dense-blade workload, on
+the sparse pair that of cli-session.  The output has one line per (m,
+pair, layer), the pipeline being the sum of the three Fock-basis
+layers of a call: the median microseconds of each side over the
+rounds and their ratio, parent over this checkout, so above 1 this
+checkout is faster.
 """
 
 from __future__ import annotations
@@ -57,11 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("parse", "parse-odd", "blades_to_efb", "efb_product",
           "efb_to_blades", "pipeline", "mv_mul", "render")
-_POOL = {"dense": 2, "sparse": 16, "cover": 4, "wide": 2}
-# the products a round times per package: a layer's time in a round is
-# the median of its calls, which drops the call that a collection or
-# the host's other work lands on
-CALLS = 5
+_POOL = {"dense": 2, "sparse": 16}
 
 
 def load(checkout: Path, name: str):
@@ -79,23 +66,11 @@ def load(checkout: Path, name: str):
     return module
 
 
-def draw(pkg, kind: str, m: int, rng: random.Random) -> dict:
-    """{mask: (numerator, exponent)} of one operand of the kind; a cover
-    takes its masks from pkg's table of the blades by coset."""
-    if kind in ("dense", "cover"):
-        masks = range(1 << 2 * m)
-        if kind == "cover":  # below the share: fewer than 3/8 * 2^m a coset
-            dim, most = 1 << m, (3 << m) - 1 >> 3
-            by_coset = pkg.efb._blade_at(m)[0]  # g * 2^m + i, coset-major
-            masks = [by_coset[g * dim + i] for g in range(dim)
-                     for i in rng.sample(range(dim), rng.randint(2, most))]
+def draw(kind: str, m: int, rng: random.Random) -> dict:
+    """{mask: (numerator, exponent)} of one operand of the kind."""
+    if kind == "dense":
         return {mask: (rng.choice((-1, 1)) * rng.randint(1, 1023),
-                       rng.randint(0, 4)) for mask in masks}
-    if kind == "wide":
-        bits = 32 - 2 * m
-        return {mask: (rng.choice((-1, 1))
-                       * rng.randrange(1 << bits - 1, 1 << bits), 0)
-                for mask in range(1 << 2 * m)}
+                       rng.randint(0, 4)) for mask in range(1 << 2 * m)}
     terms: dict = {}
     for _ in range(rng.randint(1, 6)):
         mask = rng.randrange(1 << 2 * m)
@@ -115,39 +90,34 @@ def build(pkg, m: int, terms: dict):
 def pipeline(pkg, texts: tuple, m: int) -> tuple:
     """Seconds of each layer of a product of the two operand texts, the
     pipeline being the sum of the three Fock-basis layers, and of
-    parse-odd: per layer the median of CALLS products, each from fresh
-    parses of the texts, so that no call meets what an earlier one
-    cached on its operands."""
+    parse-odd, from fresh parses of the texts."""
     clock = time.perf_counter
     metric = pkg.Metric.interleaved(m)
     odd = [pkg.verify._respaced(text) for text in texts]
-    spent = []
-    for _ in range(CALLS):
-        t0 = clock()
-        x, y = (pkg.Multivector.parse(text, metric) for text in texts)
-        t1 = clock()
-        for text in odd:
-            pkg.Multivector.parse(text, metric)
-        t2 = clock()
-        ex, ey = pkg.blades_to_efb(x, m), pkg.blades_to_efb(y, m)
-        t3 = clock()
-        ez = pkg.efb_product(ex, ey)
-        t4 = clock()
-        fast = pkg.efb_to_blades(ez)
-        t5 = clock()
-        slow = pkg.mv_mul(x, y)
-        t6 = clock()
-        str(slow), str(fast)
-        t7 = clock()
-        spent.append((t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t5 - t2,
-                      t6 - t5, t7 - t6))
-    return tuple(map(statistics.median, zip(*spent)))
+    t0 = clock()
+    x, y = (pkg.Multivector.parse(text, metric) for text in texts)
+    t1 = clock()
+    for text in odd:
+        pkg.Multivector.parse(text, metric)
+    t2 = clock()
+    ex, ey = pkg.blades_to_efb(x, m), pkg.blades_to_efb(y, m)
+    t3 = clock()
+    ez = pkg.efb_product(ex, ey)
+    t4 = clock()
+    fast = pkg.efb_to_blades(ez)
+    t5 = clock()
+    slow = pkg.mv_mul(x, y)
+    t6 = clock()
+    str(slow), str(fast)
+    t7 = clock()
+    return (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t5 - t2, t6 - t5,
+            t7 - t6)
 
 
 def compare(parent, change, m: int, kind: str, rounds: int,
             rng: random.Random) -> list:
     """Per layer, (parent seconds, change seconds) of each round."""
-    pool = [(draw(change, kind, m, rng), draw(change, kind, m, rng))
+    pool = [(draw(kind, m, rng), draw(kind, m, rng))
             for _ in range(_POOL[kind])]
     sides = {pkg: [(build(pkg, m, a), build(pkg, m, b)) for a, b in pool]
              for pkg in (parent, change)}
@@ -156,12 +126,9 @@ def compare(parent, change, m: int, kind: str, rounds: int,
             pkg.blades_to_efb(x, m)
     times = {parent: [], change: []}
     for r in range(rounds + 1):  # round 0 warms the caches of both
-        scales = []
-        for _ in range(2):  # a wide pair keeps its numerators
-            sign = rng.choice((-1, 1))
-            odd = 1 if kind == "wide" else 2 * rng.randint(0, 7) + 1
-            scales.append((sign * odd, rng.randint(0, 3)))
-        order = (parent, change) if r % 2 else (change, parent)
+        scales = [(rng.choice((-1, 1)) * (2 * rng.randint(0, 7) + 1),
+                   rng.randint(0, 3)) for _ in range(2)]
+        order = (parent, change) if r // len(pool) % 2 else (change, parent)
         for pkg in order:
             x, y = sides[pkg][r % len(pool)]
             a, b = (pkg.DyadicRational(*s) for s in scales)
@@ -193,8 +160,6 @@ def main(argv: list[str] | None = None) -> int:
           f"{'change us':>11}{'ratio':>7}")
     for m in range(args.m_min, args.m_max + 1):
         for kind in _POOL:
-            if kind == "cover" and m < 3:  # 2 blades a coset reach 3/8
-                continue
             runs = compare(parent, change, m, kind, args.rounds, rng)
             for i, layer in enumerate(LAYERS):
                 old, new = (statistics.median(t) * 1e6

@@ -1,7 +1,7 @@
 """Run the benchmark in this checkout and in another one, in alternating
 pairs, and compare their end-to-end metrics.
 
-    python tools/pairs.py PARENT_DIR --workload W [--pairs 4]
+    python tools/pairs.py PARENT_DIR --workload W [--pairs 10]
                           [--seconds 20] [--seed 1]
 
 PARENT_DIR is another checkout of this repository, for example the
@@ -19,10 +19,10 @@ with its metrics and its correct and failed fields, and then one line
 per metric: the median of each side, their ratio, change over parent,
 the distance between the parent's quartiles, the number of pairs in
 which this checkout did better, and a verdict.  The verdict is `gain`
-when this checkout wins at least nine pairs in ten and its median is
-better than the parent's by more than that distance, `worse` when its
-median is worse than the parent's by more than the metric's bound, and
-`-` otherwise.
+on ten pairs or more, when this checkout wins at least nine pairs in
+ten and its median is better than the parent's by more than that
+distance, `worse` when its median is worse than the parent's by more
+than the metric's bound, and `-` otherwise.
 """
 
 from __future__ import annotations
@@ -72,15 +72,16 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def compare(old: list, new: list, up: bool, bound: float) -> tuple:
     """(old's median, new's median, the distance between old's quartiles,
     the pairs new won, the verdict) of one metric's runs, pair by pair.
-    The verdict is 'gain' when new wins at least 9 pairs in 10 and its
-    median is better than old's by more than that distance, 'worse' when
+    The verdict is 'gain' on 10 pairs or more, when new wins at least 9
+    pairs in 10 and its median is better than old's by more than that
+    distance, 'worse' when
     its median is worse than old's by more than bound, a share of old's
     median, and '-' otherwise."""
     won = sum(n > o if up else n < o for o, n in zip(old, new))
     a, b = statistics.median(old), statistics.median(new)
     q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else (a, a, a)
     better = b - a if up else a - b
-    if 10 * won >= 9 * len(old) and better > q3 - q1:
+    if len(old) >= 10 and 10 * won >= 9 * len(old) and better > q3 - q1:
         verdict = "gain"
     elif -better > bound * abs(a):
         verdict = "worse"
@@ -94,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         description="alternating benchmark pairs against another checkout")
     parser.add_argument("parent", type=Path, help="the other checkout")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=4)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
