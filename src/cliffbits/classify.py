@@ -19,6 +19,9 @@ _DIVISION = (
     ("H", False), ("H", True), ("H", False), ("C", False),
 )
 _LOG2_BASE_DIM = {"R": 0, "C": 1, "H": 2}
+# the largest n = k + l that classify builds: a matrix size of at most
+# 2^(n/2) then takes at most 1 MB
+MAX_CLASSIFY_N = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -113,8 +116,13 @@ def _matrix_size_log2(k: int, l: int) -> int:
 
 
 def classify(k: int, l: int) -> AlgebraClass:
-    """Full isomorphism class of Cl(k,l) from the closed forms."""
+    """Full isomorphism class of Cl(k,l) from the closed forms.  Its
+    matrix size is built as an int, so n past MAX_CLASSIFY_N is refused
+    with a ValueError."""
     sig = SignatureKL(k, l)
+    if sig.n > MAX_CLASSIFY_N:
+        raise ValueError(f"n = k + l must be at most MAX_CLASSIFY_N = 2^24, "
+                         f"got n of {sig.n.bit_length()} bits")
     base, doubled = division_algebra(sig.nu)
     return AlgebraClass(
         base=base,
@@ -183,8 +191,9 @@ def classification_record(k: int, l: int) -> dict:
     """JSON-ready record; tau-dependent fields are None for odd n.
 
     matrix_size is a power of two and matrix_size_log2 its exponent,
-    which prints at any n; str() of matrix_size is refused by Python
-    past its integer-to-string digit limit (n of about 28,570).
+    which prints at any n up to MAX_CLASSIFY_N, past which classify
+    refuses n; str() of matrix_size is refused by Python past its
+    integer-to-string digit limit (n of about 28,570).
     """
     sig = SignatureKL(k, l)
     cls = classify(k, l)

@@ -178,6 +178,19 @@ def test_record_exponent_at_huge_n():
             assert rec["matrix_size"] == 1 << rec["matrix_size_log2"]
 
 
+def test_classify_refuses_an_n_past_its_bound():
+    # the matrix size of n = 2^40 would take 2^36 bytes: refused, with
+    # the bound named, before it is built; n = 2^24 is built, and the
+    # exponent alone is still computed past it
+    for f in (classify, classification_record):
+        for k, l in ((2**40, 0), (0, 2**24 + 1)):
+            with pytest.raises(ValueError,
+                               match=r"at most MAX_CLASSIFY_N = 2\^24"):
+                f(k, l)
+    assert classify(2**24, 0).matrix_size == 1 << 2**23
+    assert _matrix_size_log2(2**40, 0) == 2**39
+
+
 def test_signatures_refuse_non_int_and_bool_counts():
     # 2.0 and True equal ints, but a record of them would print as such
     for k, l in ((2.0, 1), ("2", 1), (True, False), (1, 0.0), (None, 2)):

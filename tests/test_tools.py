@@ -5,6 +5,9 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
+
+from cliffbits import Metric
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -82,7 +85,8 @@ def test_code_lines_against_a_parent_prints_each_difference(
 def test_ab_times_every_layer_of_both_pipelines(capsys):
     # this checkout against itself: one line per m, pair kind and layer,
     # parse of the text str writes and of it respaced, the Fock-basis
-    # layers, mv_mul and render, two positive medians and their ratio
+    # layers, mv_mul and render, two positive medians and a positive
+    # ratio
     assert ab.LAYERS == ("parse", "parse-odd", "blades_to_efb",
                          "efb_product", "efb_to_blades", "pipeline",
                          "mv_mul", "render")
@@ -90,65 +94,103 @@ def test_ab_times_every_layer_of_both_pipelines(capsys):
                     "--rounds", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("# parent ")
-    assert lines[1].split() == ["m", "pair", "layer", "parent", "us",
+    assert "not the quotient of the two medians" in lines[1]
+    assert lines[2].split() == ["m", "pair", "layer", "parent", "us",
                                 "change", "us", "ratio"]
-    rows = [line.split() for line in lines[2:]]
+    rows = [line.split() for line in lines[3:]]
     assert [row[:3] for row in rows] == [
         [m, pair, layer] for m in ("2", "3") for pair in ("dense", "sparse")
         for layer in ab.LAYERS]
     for _, _, _, old, new, ratio in rows:
-        assert float(old) > 0 and float(new) > 0
-        # the medians are printed to 0.1 us, the ratio to 0.01
-        want = float(old) / float(new)
-        assert abs(float(ratio) - want) <= 0.05 * want + 0.005
+        assert float(old) > 0 and float(new) > 0 and float(ratio) > 0
+
+
+def test_ab_ratio_is_the_median_of_the_round_ratios(monkeypatch, capsys):
+    # the parent times 1, 2 and 10 us in the three timed rounds and the
+    # change 2, 1 and 4 us: round ratios 0.5, 2 and 2.5, whose median is
+    # 2, while both side medians are 2 us, whose quotient is 1
+    times = {"parent": [5, 1, 2, 10], "change": [5, 2, 1, 4]}
+    calls = Counter()
+
+    def pipeline(pkg, texts, m):
+        side = pkg.__name__.rsplit("_", 1)[1]
+        calls[side] += 1
+        return (times[side][(calls[side] - 1) % 4] * 1e-6,) * len(ab.LAYERS)
+    monkeypatch.setattr(ab, "pipeline", pipeline)
+    assert ab.main([str(TOOLS.parent), "--m-min", "2", "--m-max", "2",
+                    "--rounds", "3"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith(" 2 ")]
+    assert len(rows) == 2 * len(ab.LAYERS)
+    assert {tuple(row[3:]) for row in rows} == {("2.0", "2.0", "2.00")}
+
+
+class _Package:
+    """A stub package whose multivectors are their text."""
+
+    Metric = SimpleNamespace(interleaved=lambda m: m)
+    Multivector = SimpleNamespace(parse=lambda text, metric: text)
+
+    def __init__(self, name):
+        self.name = name
+
+    def blades_to_efb(self, x, m):
+        return x
 
 
 def test_ab_runs_each_pair_once_with_each_package_first(monkeypatch):
-    # stub packages and operands: in 2P timed rounds over a pool of P
-    # pairs, the (pair, package that runs first) of the rounds are every
-    # pair with each package once, and both packages time the same pair
-    # in a round
-    class Operand:
-        def __init__(self, index):
-            self.index = index
-
-        def __mul__(self, scalar):
-            return self
-
-        def __str__(self):
-            return str(self.index)
-
-    class Package:
-        def __init__(self, name):
-            self.name = name
-
-        def blades_to_efb(self, x, m):
-            return x
-
-        def DyadicRational(self, n, e):
-            return n
-    built = Counter()
-
-    def build(pkg, m, terms):
-        built[pkg.name] += 1
-        return Operand((built[pkg.name] - 1) // 2)
+    # unscaled operands, so that a pair is its two texts: in 2P timed
+    # rounds over a pool of P pairs, the (pair, package that runs first)
+    # of the rounds are every pair with each package once, and both
+    # packages time the same pair in a round
     runs = []
 
     def pipeline(pkg, texts, m):
-        runs.append((int(texts[0]), pkg.name))
+        runs.append((texts, pkg.name))
         return (1e-6,) * len(ab.LAYERS)
-    monkeypatch.setattr(ab, "build", build)
+    monkeypatch.setattr(ab, "_scale", lambda rng: 1)
     monkeypatch.setattr(ab, "pipeline", pipeline)
-    parent, change = Package("parent"), Package("change")
-    for kind, size in ab._POOL.items():
-        built.clear()
+    for kind, (size, _) in ab._POOL.items():
         runs.clear()
-        ab.compare(parent, change, 2, kind, 2 * size, random.Random(3))
+        ab.compare(_Package("parent"), _Package("change"), 2, kind,
+                   2 * size, random.Random(3))
         timed = runs[2:]  # round 0 warms both
         assert [a[0] for a in timed[::2]] == [b[0] for b in timed[1::2]]
+        pool = {texts for texts, _ in timed}
+        assert len(pool) == size
         assert sorted(timed[::2]) == sorted(
-            (pair, name) for pair in range(size)
-            for name in ("parent", "change"))
+            (pair, name) for pair in pool for name in ("parent", "change"))
+
+
+def test_ab_draws_with_perfbench_generators(monkeypatch):
+    # the texts of every round, replayed from the seed with perfbench's
+    # own draws: a pool of dense_dyadic operands, or of sparse_operand
+    # ones with 1 to 6 draws, then two _scale factors a round; dense
+    # operands hold every blade, sparse ones at most 6
+    import workloads  # perfbench's, on the path that tools/ab.py adds
+    seen = []
+    monkeypatch.setattr(ab, "pipeline", lambda pkg, texts, m: (
+        seen.append(texts) or (1e-6,) * len(ab.LAYERS)))
+    m = 3
+    metric = Metric.interleaved(m)
+    draws = {"dense": lambda rng: workloads.dense_dyadic(m, rng),
+             "sparse": lambda rng: workloads.sparse_operand(
+                 metric, rng, rng.randint(1, 6))}
+    for kind, (size, _) in ab._POOL.items():
+        seen.clear()
+        ab.compare(_Package("parent"), _Package("change"), m, kind, size,
+                   random.Random(5))
+        rng = random.Random(5)
+        pool = [(draws[kind](rng), draws[kind](rng)) for _ in range(size)]
+        scale = workloads._scale
+        want = [(str(x * scale(rng)), str(y * scale(rng)))
+                for x, y in pool + pool[:1]]
+        assert seen[::2] == seen[1::2] == want
+        sizes = {len(x.terms) for pair in pool for x in pair}
+        if kind == "dense":
+            assert sizes == {4 ** m}
+        else:
+            assert max(sizes) <= 6
 
 
 def _checkout(root: Path, side: str) -> Path:

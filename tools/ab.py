@@ -8,31 +8,41 @@ PARENT_DIR is another checkout of this repository, for example the
 parent commit unpacked by `git archive`.  Its src/cliffbits is loaded
 with importlib under another package name, next to this checkout's, so
 both run in one process on one host state.  For each m and each pair
-kind both packages build the same operands from the same numbers:
+kind the operands are drawn by perfbench's own generators
+(perfbench/workloads.py, run on this checkout's package):
 
-* dense: every blade, with +-(1..1023) / 2^(0..4), as perfbench's
-  dense workloads draw them;
-* sparse: 1 to 6 draws of a blade and +-(0..32) / 2^(0..4), as the
-  cli-session workload draws them (a pool of 16 pairs).
+* dense: `dense_dyadic`, every blade, as the dense workloads draw
+  them (a pool of 2 pairs);
+* sparse: `sparse_operand` with 1 to 6 draws, as the cli-session
+  workload draws them (a pool of 16 pairs).
 
-Each operand is converted once, untimed, as perfbench's dense draws
-are.  Each round scales both operands by a fresh odd dyadic and writes
-them as text, untimed, as perfbench scales its pool, then times parse of
-both texts, blades_to_efb on both parsed operands, efb_product and
-efb_to_blades, mv_mul on the same two operands, and str of both
-products: the layers of a `cliffbits mul`.  It also times parse-odd,
-parse of both texts with their first space doubled (verify's
-_respaced, untimed), text outside the form str writes, which parse
-reads again split at every sign.  Each package runs these layers once
-a round, from fresh parses.  Round r runs pair r mod P of a pool of P
-pairs, and the package that runs first changes after every P rounds,
-so that in 2P rounds each pair runs once with each package first.
-mv_mul on the dense pair is the call of the dense-blade workload, on
-the sparse pair that of cli-session.  The output has one line per (m,
-pair, layer), the pipeline being the sum of the three Fock-basis
-layers of a call: the median microseconds of each side over the
-rounds and their ratio, parent over this checkout, so above 1 this
-checkout is faster.
+Each package parses its copy of each operand and converts it once,
+untimed, as perfbench's dense draws are converted.  Each round scales
+both operands of a pair by a fresh odd dyadic (perfbench's `_scale`)
+and writes them as text, untimed, as perfbench scales its pool; then
+each package times parse of both texts, blades_to_efb on both parsed
+operands, efb_product and efb_to_blades, mv_mul on the same two
+operands, and str of both products: the layers of a `cliffbits mul`.
+It also times parse-odd, parse of both texts with their first space
+doubled (verify's _respaced, untimed), text outside the form str
+writes, which parse reads again split at every sign.  Each package
+runs these layers once a round, from fresh parses.  Round r runs pair
+r mod P of a pool of P pairs, and the package that runs first changes
+after every P rounds, so that in 2P rounds each pair runs once with
+each package first.  mv_mul on the dense pair is the call of the
+dense-blade workload, on the sparse pair that of cli-session.
+
+The output has one line per (m, pair, layer), the pipeline being the
+sum of the three Fock-basis layers of a call.  The ratio is the median
+over the rounds of each round's parent seconds over this checkout's
+seconds, so above 1 this checkout is faster.  Both packages time the
+same operands in a round, so host drift that slows a round mostly
+cancels in its ratio.  The two medians of each side's microseconds
+over the rounds are printed as context; the ratio is not their
+quotient.  In A/A runs, a tree against a copy of itself (m = 2..6, 60
+rounds; Python 3.11.7 on 2 CPUs), the rows read 0.96-1.02x on seed 42
+and 0.98-1.02x on seed 43, with 1 and 0 of 80 outside 0.97-1.03x; the
+quotient of the medians read 0.84-1.04x and 0.91-1.12x.
 """
 
 from __future__ import annotations
@@ -46,9 +56,16 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+from cliffbits import Metric  # noqa: E402
+from workloads import _scale, dense_dyadic, sparse_operand  # noqa: E402
+
 LAYERS = ("parse", "parse-odd", "blades_to_efb", "efb_product",
           "efb_to_blades", "pipeline", "mv_mul", "render")
-_POOL = {"dense": 2, "sparse": 16}
+# pair kind: (pairs in the pool, one operand as perfbench draws it)
+_POOL = {"dense": (2, dense_dyadic),
+         "sparse": (16, lambda m, rng: sparse_operand(
+             Metric.interleaved(m), rng, rng.randint(1, 6)))}
 
 
 def load(checkout: Path, name: str):
@@ -64,27 +81,6 @@ def load(checkout: Path, name: str):
     spec.loader.exec_module(module)
     importlib.import_module(f"{name}.verify")
     return module
-
-
-def draw(kind: str, m: int, rng: random.Random) -> dict:
-    """{mask: (numerator, exponent)} of one operand of the kind."""
-    if kind == "dense":
-        return {mask: (rng.choice((-1, 1)) * rng.randint(1, 1023),
-                       rng.randint(0, 4)) for mask in range(1 << 2 * m)}
-    terms: dict = {}
-    for _ in range(rng.randint(1, 6)):
-        mask = rng.randrange(1 << 2 * m)
-        n, e = terms.get(mask, (0, 0))
-        c, f = rng.randint(-32, 32), rng.randint(0, 4)
-        top = max(e, f)
-        terms[mask] = ((n << top - e) + (c << top - f), top)
-    return terms
-
-
-def build(pkg, m: int, terms: dict):
-    """The operand as a Multivector of pkg."""
-    return pkg.Multivector(pkg.Metric.interleaved(m), {
-        mask: pkg.DyadicRational(n, e) for mask, (n, e) in terms.items()})
 
 
 def pipeline(pkg, texts: tuple, m: int) -> tuple:
@@ -116,27 +112,22 @@ def pipeline(pkg, texts: tuple, m: int) -> tuple:
 
 def compare(parent, change, m: int, kind: str, rounds: int,
             rng: random.Random) -> list:
-    """Per layer, (parent seconds, change seconds) of each round."""
-    pool = [(draw(kind, m, rng), draw(kind, m, rng))
-            for _ in range(_POOL[kind])]
-    sides = {pkg: [(build(pkg, m, a), build(pkg, m, b)) for a, b in pool]
-             for pkg in (parent, change)}
-    for pkg, pairs in sides.items():  # as perfbench's draws convert once
-        for x in (x for pair in pairs for x in pair):
-            pkg.blades_to_efb(x, m)
-    times = {parent: [], change: []}
+    """(parent seconds, change seconds) per layer, of each timed round."""
+    size, operand = _POOL[kind]
+    pool = [(operand(m, rng), operand(m, rng)) for _ in range(size)]
+    for pkg in (parent, change):  # as perfbench's draws convert once
+        metric = pkg.Metric.interleaved(m)
+        for x in (x for pair in pool for x in pair):
+            pkg.blades_to_efb(pkg.Multivector.parse(str(x), metric), m)
+    timed = []
     for r in range(rounds + 1):  # round 0 warms the caches of both
-        scales = [(rng.choice((-1, 1)) * (2 * rng.randint(0, 7) + 1),
-                   rng.randint(0, 3)) for _ in range(2)]
-        order = (parent, change) if r // len(pool) % 2 else (change, parent)
-        for pkg in order:
-            x, y = sides[pkg][r % len(pool)]
-            a, b = (pkg.DyadicRational(*s) for s in scales)
-            spent = pipeline(pkg, (str(x * a), str(y * b)), m)
-            if r:
-                times[pkg].append(spent)
-    return [tuple(zip(*times[pkg]))[i] for i in range(len(LAYERS))
-            for pkg in (parent, change)]
+        x, y = pool[r % size]
+        texts = str(x * _scale(rng)), str(y * _scale(rng))
+        order = (parent, change) if r // size % 2 else (change, parent)
+        spent = {pkg: pipeline(pkg, texts, m) for pkg in order}
+        if r:
+            timed.append((spent[parent], spent[change]))
+    return timed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -156,16 +147,20 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(args.seed)
     print(f"# parent {args.parent.resolve()}  change {ROOT}  "
           f"rounds {args.rounds}  seed {args.seed}")
+    print("# ratio: median over the rounds of parent s / change s in a "
+          "round, not the quotient of the two medians")
     print(f"{'m':>2} {'pair':<7}{'layer':<15}{'parent us':>11}"
           f"{'change us':>11}{'ratio':>7}")
     for m in range(args.m_min, args.m_max + 1):
         for kind in _POOL:
-            runs = compare(parent, change, m, kind, args.rounds, rng)
+            timed = compare(parent, change, m, kind, args.rounds, rng)
             for i, layer in enumerate(LAYERS):
-                old, new = (statistics.median(t) * 1e6
-                            for t in runs[2 * i:2 * i + 2])
-                print(f"{m:>2} {kind:<7}{layer:<15}{old:>11.1f}{new:>11.1f}"
-                      f"{old / new:>7.2f}")
+                old = [parent_s[i] for parent_s, _ in timed]
+                new = [change_s[i] for _, change_s in timed]
+                ratio = statistics.median(a / b for a, b in zip(old, new))
+                print(f"{m:>2} {kind:<7}{layer:<15}"
+                      f"{statistics.median(old) * 1e6:>11.1f}"
+                      f"{statistics.median(new) * 1e6:>11.1f}{ratio:>7.2f}")
     return 0
 
 
