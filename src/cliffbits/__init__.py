@@ -38,20 +38,19 @@ The classification half of the package names the matrix algebra of any
 Cl(k, l) from three mod-8 residues, and can run the other way, turning
 measured squares of canonical elements back into bits of the signature.
 
-The oracle layer (``verify``) and the word calculus (``words``) load on
-the first access of one of their names, so a product imports neither.
+The oracle layer (``verify``), which also holds the slow oracles that
+the classification's closed forms are checked against (the
+volume-element square, the centre, the dual-automorphism squares and
+Lucas' binomial parity), and the word calculus (``words``) load on the
+first access of one of their names, so a product imports neither.
 """
 
 from importlib import import_module
 
-from .bits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
-                   neg_mod8, parity_above, sign_bit, sign_to_bit,
-                   walsh_hadamard)
+from .bits import (bit, bit_to_sign, half_pochhammer_sign, neg_mod8,
+                   parity_above, sign_bit, sign_to_bit, walsh_hadamard)
 from .blades import (Metric, MetricError, Multivector, ParseError,
-                     blade_product, center_check, dual_automorphism_check,
-                     grade_involution, mv_mul, omega_squared_oracle,
-                     omega_tau_squared_oracle, tau_blade, tau_squared_oracle,
-                     volume_element)
+                     blade_product, grade_involution, mv_mul, volume_element)
 from .classify import (AlgebraClass, AutomorphismBits, SignatureKL,
                        algebra_name, classification_record, classify,
                        cube_coordinates, cube_record, division_algebra,
@@ -67,7 +66,10 @@ from .instrument import OpCounts, op_counters, reset_op_counters
 # names (PEP 562), and `import cliffbits` leaves both, and the samplers
 # that verify imports, unloaded
 _LAZY = {name: module for module, names in (
-    ("verify", ("CheckResult", "run_suite")),
+    ("verify", ("CheckResult", "center_check", "dual_automorphism_check",
+                "lucas_sign", "omega_squared_oracle",
+                "omega_tau_squared_oracle", "run_suite", "tau_blade",
+                "tau_squared_oracle")),
     ("words", ("ChiralityRecord", "EFBElement", "EFBIndex", "efb_element",
                "matrix_unit_normalization", "normal_order",
                "normalization_sign", "omega_eigen_check", "sig_label",

@@ -33,12 +33,12 @@ The packed kernels, efb's product, the blade engine's Gray-code walk and
 the column kernel, lay signed integers end to end in one int as lanes
 of W bits (Kronecker substitution): a row of values v_c is the int
 sum_c v_c * 2^(W * c).  The lane layer here is all any kernel knows of
-that format.  _width sizes a lane for a number of signed bits,
-_lane_width sizes the lanes from a scan of the operands by
-dyadic._magnitude (the oracle, in verify and the tests, of the bounds
-that the multivector types carry), and _kernel_width weighs a packed
-product kernel at a width against the loop it replaces, asking for the
-width only when the kernel can win.  _pack reads values into rows as
+that format.  _width sizes a lane for a number of signed bits, read
+by the kernels from the bounds that the multivector types carry
+(verify._lane_width, their oracle, scans the operands by
+dyadic._magnitude), and _kernel_width weighs a packed product kernel
+at a width against the loop it replaces, asking for the width only
+when the kernel can win.  _pack reads values into rows as
 two's-complement bytes at any whole-byte lane size: one struct call
 for the native sizes 1, 2, 4 and 8 bytes, one at the next native size
 cut down to 3, 5, 6 or 7 bytes per value by strided byte-slice
@@ -51,7 +51,7 @@ and packs and unpacks it once, so its narrower lanes outweigh the
 codec's cost from n = 6 on.  efb's product and the column kernel pack
 and unpack each value about as often as they multiply it, and keep the
 native sizes of _width.
-with T = _halves(size, count), (U ^ T) - T turns the unsigned int U of
+With T = _halves(size, count), (U ^ T) - T turns the unsigned int U of
 a row's bytes into its signed sum, since every lane of U ^ T holds its
 value plus 2^(W - 1).  _unpack writes the bytes of (S + T) ^ T back as
 lanes, so a signed sum S comes out lane by lane as long as every lane
@@ -72,14 +72,13 @@ walsh_function runs.
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from functools import lru_cache, reduce
 from operator import add, or_, sub
 from struct import pack
 
-from .dyadic import _magnitude, _shift
+from .dyadic import _shift
 
 # A sign-valued bit: +1 or -1.
 SignBit = int
@@ -290,13 +289,6 @@ def _width(need: int) -> int:
     return (1 << (size - 1).bit_length() if size <= 8 else size) << 3
 
 
-def _lane_width(extra: int, *operands) -> int:
-    """Bits of a lane that holds, signed, a sum of up to 2^extra products
-    of one value from each operand: |sum| < 2^(extra + sum of bits),
-    bits being the _magnitude of an operand, a collection of rows."""
-    return _width(extra + 1 + sum(map(_magnitude, operands)))
-
-
 def _kernel_width(loop: int, fixed: int, slope: int, width) -> int:
     """The lane width W of a packed kernel when it is the faster one,
     else 0.  The interpreted loop it replaces costs loop multiply-adds,
@@ -449,17 +441,6 @@ def _permute(v: int, plan: tuple) -> int:
     for shift, keep in plan:
         v = _swap(v, shift, keep)
     return v
-
-
-def lucas_sign(n: int, i: int) -> SignBit:
-    """(-1) ** C(n, 2^i), with the binomial evaluated exactly.
-
-    Deliberately not a bit lookup: this is the independent cross-check
-    that the parity of C(n, 2^i) picks out bit i of n.
-    """
-    if n < 0 or i < 0:
-        raise ValueError("lucas_sign needs n >= 0 and i >= 0")
-    return -1 if math.comb(n, 1 << i) & 1 else 1
 
 
 def half_pochhammer_sign(n: int) -> SignBit:

@@ -815,80 +815,3 @@ def volume_element(metric: Metric) -> Blade:
     """The product of all generators in index order, as a mask."""
     return (1 << metric.n) - 1
 
-
-def omega_squared_oracle(metric: Metric) -> int:
-    """Square of the volume element, straight from the blade product."""
-    w = volume_element(metric)
-    sign, rest = blade_product(w, w, metric)
-    assert rest == 0
-    return sign
-
-
-def center_check(metric: Metric) -> bool:
-    """Whether the volume element spans a nontrivial piece of the center.
-
-    Checks the explicit commutators with every generator.  For n = 0
-    the volume element is the scalar 1 and contributes nothing beyond
-    the base field, so the answer is False.
-    """
-    n = metric.n
-    if n == 0:
-        return False
-    w = volume_element(metric)
-    for i in range(n):
-        g = 1 << i
-        if blade_product(w, g, metric) != blade_product(g, w, metric):
-            return False
-    return True
-
-
-def tau_blade(k: int, l: int) -> Blade:
-    """Mask of the dual-automorphism element in the block metric.
-
-    The negative-square generators when k, l are both even; the
-    positive-square generators when both are odd.
-    """
-    if k < 0 or l < 0:
-        raise ValueError("k and l must be non-negative")
-    if (k + l) & 1:
-        raise ValueError("tau is undefined for odd n = k + l")
-    if k & 1:
-        return (1 << k) - 1
-    return ((1 << l) - 1) << k
-
-
-def tau_squared_oracle(k: int, l: int) -> int:
-    metric = Metric.block(k, l)
-    t = tau_blade(k, l)
-    return blade_product(t, t, metric)[0]
-
-
-def omega_tau_squared_oracle(k: int, l: int) -> int:
-    metric = Metric.block(k, l)
-    t = tau_blade(k, l)
-    w = volume_element(metric)
-    _, wt = blade_product(w, t, metric)
-    # the +-1 prefactor of the combined blade squares away
-    return blade_product(wt, wt, metric)[0]
-
-
-def dual_automorphism_check(k: int, l: int) -> bool:
-    """Verify t g_i t^-1 == g_i^-1 and (w t) g_i (w t)^-1 == -g_i^-1 for all i."""
-    metric = Metric.block(k, l)
-    t = tau_blade(k, l)
-    t_sq = tau_squared_oracle(k, l)          # t^-1 = t^2 * t
-    w = volume_element(metric)
-    _, wt = blade_product(w, t, metric)
-    wt_sq = omega_tau_squared_oracle(k, l)   # (w t)^-1 = (w t)^2 * (w t)
-    for i in range(k + l):
-        g = 1 << i
-        g_inv_sign = metric.squares[i]       # g^-1 = (g^2) g
-        s1, m1 = blade_product(t, g, metric)
-        s2, m2 = blade_product(m1, t, metric)
-        if (s1 * s2 * t_sq, m2) != (g_inv_sign, g):
-            return False
-        s3, m3 = blade_product(wt, g, metric)
-        s4, m4 = blade_product(m3, wt, metric)
-        if (s3 * s4 * wt_sq, m4) != (-g_inv_sign, g):
-            return False
-    return True

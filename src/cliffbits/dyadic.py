@@ -96,7 +96,7 @@ def _magnitude(rows) -> int:
     """The bit length of the largest magnitude in a collection of rows:
     one C-level max and one min per row, an empty row or collection
     counting as 0.  The one bit scan of numerators, read by _bound() and
-    by the lane widths of bits (_lane_width)."""
+    by verify's lane-width oracle (_lane_width)."""
     return max(max(map(max, filter(None, rows)), default=0),
                -min(map(min, filter(None, rows)), default=0)).bit_length()
 
@@ -214,7 +214,8 @@ class DyadicRational:
     __slots__ = ("numerator", "exponent")
 
     def __init__(self, numerator: int, exponent: int = 0):
-        if not isinstance(numerator, int) or not isinstance(exponent, int):
+        # type(x) is int: True is an int, but kept as one it prints True
+        if type(numerator) is not int or type(exponent) is not int:
             raise TypeError("numerator and exponent must be integers")
         if exponent < 0:
             raise ValueError("exponent must be non-negative")

@@ -396,8 +396,8 @@ def _packed_width(x: EFBMultivector, y: EFBMultivector, stored: int,
 
 def _lanes(x: EFBMultivector, y: EFBMultivector) -> int:
     """The lane width for a sum of 2^m products of an entry of x and one
-    of y, from their _bound()s: bits._lane_width with extra = m, without
-    its scan where a producer set _bits."""
+    of y, from their _bound()s: verify._lane_width with extra = m,
+    without its scan where a producer set _bits."""
     return _width(x.m + 1 + x._bound() + y._bound())
 
 

@@ -8,6 +8,16 @@ registers it, in definition order, for ``run_suite``.  The CLI
 aggregates the results and sets the exit code; the test suite runs the
 same checks.
 
+The slow oracles that only the suites and the tests call live here,
+each beside the suite that runs it, so the product modules hold only
+what a product runs: ``lucas_sign`` (the parity of C(n, 2^i) by the
+exact binomial), the blade-product oracles of the classification
+(``omega_squared_oracle``, ``center_check``, ``tau_blade``,
+``tau_squared_oracle``, ``omega_tau_squared_oracle`` and
+``dual_automorphism_check``), and ``_lane_width``, which sizes a lane
+from a scan of the operands, the oracle of the bounds that the packed
+kernels read.
+
 Most suites walk one of two binary case sets, and one case layer
 enumerates both: ``_signatures(bound, even)`` yields the signatures
 (k, l), k-major, whose low bits the classification reads, and
@@ -58,18 +68,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 import time
 from dataclasses import dataclass
 
-from .bits import (_columns, _lane_width, _pack, _stages, _unpack, _width,
-                   _zero_lanes, lucas_sign, sign_bit, walsh_batch)
-from .blades import (Metric, Multivector, _gray_walk, _pair_loop,
-                     _walk_lanes, blade_product, center_check,
-                     dual_automorphism_check, grade_involution, mv_mul,
-                     omega_squared_oracle, omega_tau_squared_oracle,
-                     tau_squared_oracle, volume_element)
+from .bits import (_columns, _pack, _stages, _unpack, _width, _zero_lanes,
+                   sign_bit, walsh_batch)
+from .blades import (Metric, Multivector, _check_metric, _gray_walk,
+                     _pair_loop, _walk_lanes, blade_product, grade_involution,
+                     mv_mul, volume_element)
 from .classify import (algebra_name, classify, omega_squared,
                        omega_tau_squared, recover_n_bits, tau_squared,
                        varlamov_bits)
@@ -166,6 +175,17 @@ def _indices(top: int, r: int):
             yield (m, *index)
 
 
+def lucas_sign(n: int, i: int) -> int:
+    """(-1) ** C(n, 2^i), with the binomial evaluated exactly.
+
+    Deliberately not a bit lookup: this is the independent cross-check
+    that the parity of C(n, 2^i) picks out bit i of n.
+    """
+    if n < 0 or i < 0:
+        raise ValueError("lucas_sign needs n >= 0 and i >= 0")
+    return -1 if math.comb(n, 1 << i) & 1 else 1
+
+
 @_suite("lucas-vs-sign-bit")
 def check_lucas(b):
     for n in range(b["lucas_n"]):
@@ -249,6 +269,86 @@ def check_witt_relations(b):
                 yield ("pp", m, i, j), anti_pp == zero
                 yield ("qq", m, i, j), anti_qq == zero
                 yield ("pq", m, i, j), anti_pq == (one if i == j else zero)
+
+
+def omega_squared_oracle(metric: Metric) -> int:
+    """Square of the volume element, straight from the blade product."""
+    _check_metric(metric)
+    w = volume_element(metric)
+    sign, rest = blade_product(w, w, metric)
+    assert rest == 0
+    return sign
+
+
+def center_check(metric: Metric) -> bool:
+    """Whether the volume element spans a nontrivial piece of the center.
+
+    Checks the explicit commutators with every generator.  For n = 0
+    the volume element is the scalar 1 and contributes nothing beyond
+    the base field, so the answer is False.
+    """
+    _check_metric(metric)
+    n = metric.n
+    if n == 0:
+        return False
+    w = volume_element(metric)
+    for i in range(n):
+        g = 1 << i
+        if blade_product(w, g, metric) != blade_product(g, w, metric):
+            return False
+    return True
+
+
+def tau_blade(k: int, l: int) -> int:
+    """Mask of the dual-automorphism element in the block metric.
+
+    The negative-square generators when k, l are both even; the
+    positive-square generators when both are odd.  k and l are checked
+    as Metric.block checks them.
+    """
+    Metric.block(k, l)
+    if (k + l) & 1:
+        raise ValueError("tau is undefined for odd n = k + l")
+    if k & 1:
+        return (1 << k) - 1
+    return ((1 << l) - 1) << k
+
+
+def tau_squared_oracle(k: int, l: int) -> int:
+    metric = Metric.block(k, l)
+    t = tau_blade(k, l)
+    return blade_product(t, t, metric)[0]
+
+
+def omega_tau_squared_oracle(k: int, l: int) -> int:
+    metric = Metric.block(k, l)
+    t = tau_blade(k, l)
+    w = volume_element(metric)
+    _, wt = blade_product(w, t, metric)
+    # the +-1 prefactor of the combined blade squares away
+    return blade_product(wt, wt, metric)[0]
+
+
+def dual_automorphism_check(k: int, l: int) -> bool:
+    """Verify t g_i t^-1 == g_i^-1 and (w t) g_i (w t)^-1 == -g_i^-1 for all i."""
+    metric = Metric.block(k, l)
+    t = tau_blade(k, l)
+    t_sq = tau_squared_oracle(k, l)          # t^-1 = t^2 * t
+    w = volume_element(metric)
+    _, wt = blade_product(w, t, metric)
+    wt_sq = omega_tau_squared_oracle(k, l)   # (w t)^-1 = (w t)^2 * (w t)
+    for i in range(k + l):
+        g = 1 << i
+        g_inv_sign = metric.squares[i]       # g^-1 = (g^2) g
+        s1, m1 = blade_product(t, g, metric)
+        s2, m2 = blade_product(m1, t, metric)
+        if (s1 * s2 * t_sq, m2) != (g_inv_sign, g):
+            return False
+        s3, m3 = blade_product(wt, g, metric)
+        s4, m4 = blade_product(m3, wt, metric)
+        if (s3 * s4 * wt_sq, m4) != (-g_inv_sign, g):
+            return False
+    return True
 
 
 @_suite("omega-squared-formula")
@@ -549,6 +649,15 @@ def _looped(x: Multivector, y: Multivector) -> Multivector:
                             x._e + y._e)
 
 
+def _lane_width(extra: int, *operands) -> int:
+    """Bits of a lane that holds, signed, a sum of up to 2^extra products
+    of one value from each operand: |sum| < 2^(extra + sum of bits),
+    bits being the _magnitude of an operand, a collection of rows.  The
+    oracle of the lane widths that the kernels read from carried
+    bounds."""
+    return _width(extra + 1 + sum(map(_magnitude, operands)))
+
+
 def _column_kernel(flat: list, k: int, neg: int = 0,
                    cap: int = 0) -> tuple[list, int]:
     """(out, shift): bits._columns on a full batch of 2^k vectors laid end
@@ -556,7 +665,7 @@ def _column_kernel(flat: list, k: int, neg: int = 0,
     with bit c of neg negated, lowered by at most cap and unpacked;
     entry a of vector c comes out at a * 2^k + c."""
     count = 1 << k
-    size = _width(_magnitude([flat]) + k + 1) >> 3
+    size = _lane_width(k, [flat]) >> 3
     rows = _pack(itertools.chain.from_iterable(
         flat[i::count] for i in range(count)), size, count, neg)
     out, shift = _columns(rows, k, size, cap)

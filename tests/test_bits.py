@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from cliffbits import (bit, bit_to_sign, half_pochhammer_sign, lucas_sign,
                        neg_mod8, parity_above, sign_bit, sign_to_bit,
                        walsh_hadamard)
-from cliffbits import Metric, bits, efb
+from cliffbits import Metric, bits, efb, verify
 from cliffbits.bits import walsh_batch, walsh_function, walsh_index, xor_span
 from cliffbits.dyadic import _common_shift
 from cliffbits.sampling import dense_blade_multivector
@@ -287,13 +287,13 @@ def test_lane_width_at_the_word_edge():
     # 2^extra products of 31- and 31-bit magnitudes: 31 + 31 + extra + 1
     # lane bits, so extra = 0, 1, 2 need 63, 64 and 65 bits
     top = [[(1 << 31) - 1, -5]], [[-(1 << 31) + 1], [3]]
-    assert [bits._lane_width(extra, *top) for extra in (0, 1, 2)] == [
+    assert [verify._lane_width(extra, *top) for extra in (0, 1, 2)] == [
         64, 64, 72]
     # the min is read as well as the max: -64 has bit length 7, 63 has 6
-    assert bits._lane_width(0, [[63, 2]], [[1]]) == 8
-    assert bits._lane_width(0, [[-64, 2]], [[1]]) == 16
+    assert verify._lane_width(0, [[63, 2]], [[1]]) == 8
+    assert verify._lane_width(0, [[-64, 2]], [[1]]) == 16
     # empty rows and operands count 0
-    assert bits._lane_width(3, [[], {}.values()], []) == 8
+    assert verify._lane_width(3, [[], {}.values()], []) == 8
 
 
 def test_kernel_width_returns_0_without_a_scan():
@@ -301,10 +301,10 @@ def test_kernel_width_returns_0_without_a_scan():
         raise AssertionError("bit scan")
     # 100 + 2048 * 8 / 2048 = 108 at 8-bit lanes: a loop of 107 wins
     assert bits._kernel_width(107, 100, 2048, refuse) == 0
-    narrow = partial(bits._lane_width, 0, [[1]], [[1]])
+    narrow = partial(verify._lane_width, 0, [[1]], [[1]])
     assert bits._kernel_width(108, 100, 2048, narrow) == 8
     # 2^20 needs 2 * 21 + 1 = 43 bits, a 64-bit lane: 100 + 64 = 164
-    wide = partial(bits._lane_width, 0, [[1 << 20]], [[1 << 20]])
+    wide = partial(verify._lane_width, 0, [[1 << 20]], [[1 << 20]])
     assert bits._kernel_width(163, 100, 2048, wide) == 0
     assert bits._kernel_width(164, 100, 2048, wide) == 64
 
@@ -370,8 +370,8 @@ def test_full_batches_past_a_word_take_the_list_stages(monkeypatch):
         top = 1 << 63 - k
         narrow = [rng.randrange(-top + 1, top) for _ in range(1 << 2 * k)]
         wide = narrow[:-1] + [top]
-        assert bits._lane_width(k, [narrow]) == 64
-        assert bits._lane_width(k, [wide]) == 72
+        assert verify._lane_width(k, [narrow]) == 64
+        assert verify._lane_width(k, [wide]) == 72
         assert efb._fits_word(63 - k, k) and not efb._fits_word(64 - k, k)
         assert walsh_batch(wide, k) == _staged(wide, k)
         assert walsh_batch(narrow, k) == _staged(narrow, k)

@@ -420,6 +420,9 @@ def test_boundary_checks_name_the_bad_input():
             (lambda: Metric.block(-1, 2), "k and l must be non-negative"),
             (lambda: Metric.interleaved(-1), "m must be non-negative"),
             (lambda: tau_blade(-1, 0), "k and l must be non-negative"),
+            # refused before any shift: 1 << 2^33 asked for 1 GB
+            (lambda: tau_blade(2**33 + 1, 1),
+             f"n must be at most {blades.MAX_N}, got {2**33 + 2}"),
             (lambda: Multivector.generator(E22, 0),
              "generator index 0 outside 1..4"),
             (lambda: Multivector.generator(E22, n + 1),
@@ -452,7 +455,13 @@ def test_constructors_refuse_non_int_masks_and_sizes():
              "k and l must be ints, got 1.5, 2"),
             (lambda: Metric.block(2, True),
              "k and l must be ints, got 2, True"),
-            (lambda: Metric.interleaved(2.0), "m must be an int, got 2.0")):
+            (lambda: Metric.interleaved(2.0), "m must be an int, got 2.0"),
+            # tau_blade checks k and l as Metric.block does: True is no
+            # size, and 1.0 met & inside Python
+            (lambda: tau_blade(True, True),
+             "k and l must be ints, got True, True"),
+            (lambda: tau_blade(1.0, 1.0),
+             "k and l must be ints, got 1.0, 1.0")):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             make()
 
@@ -535,6 +544,8 @@ def test_parse_refuses_arguments_of_the_wrong_type():
     (lambda: Multivector(Metric.interleaved(1), 5),
      "terms must be a mapping, got int"),
     (lambda: Multivector(5, {}), "metric must be a Metric, got int"),
+    (lambda: center_check("x"), "metric must be a Metric, got str"),
+    (lambda: omega_squared_oracle("x"), "metric must be a Metric, got str"),
     (lambda: EFBMultivector(2, 5), "entries must be a mapping, got int"),
     (lambda: EFBMultivector(2, {0: 1}),
      re.escape("entry keys must be (row, column) pairs, got 0")),
@@ -549,7 +560,7 @@ def test_parse_refuses_arguments_of_the_wrong_type():
     (lambda: EFBMultivector(2, 0), "entries must be a mapping, got int"),
 ], ids=["metric-int", "metric-none", "metric-set", "metric-frozenset",
         "metric-dict", "multivector-terms",
-        "multivector-metric", "efb-entries", "efb-key", "multivector-zero",
+        "multivector-metric", "center-metric", "omega-metric", "efb-entries", "efb-key", "multivector-zero",
         "multivector-false", "multivector-float-zero", "efb-zero"])
 def test_constructors_name_a_bad_argument(build, message):
     # a TypeError that names the argument, as parse raises, not one from

@@ -695,6 +695,17 @@ def test_lazy_names_resolve_as_before():
         assert getattr(cliffbits, name) is not None, name
     assert cliffbits.run_suite is verify.run_suite
     assert cliffbits.witt_basis is words.witt_basis
+    # the oracles live in verify alone, and the product modules define
+    # none of them
+    from cliffbits import bits, blades
+    for name in ("omega_squared_oracle", "center_check", "tau_blade",
+                 "tau_squared_oracle", "omega_tau_squared_oracle",
+                 "dual_automorphism_check", "lucas_sign", "_lane_width"):
+        oracle = getattr(verify, name)
+        assert oracle.__module__ == "cliffbits.verify", name
+        assert getattr(cliffbits, name, oracle) is oracle, name
+        assert not hasattr(blades, name) and not hasattr(bits, name), name
+    assert "_lane_width" not in cliffbits.__all__
     with pytest.raises(AttributeError, match="no attribute 'nowhere'"):
         cliffbits.nowhere
 

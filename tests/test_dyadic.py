@@ -138,9 +138,12 @@ def test_rsub_abs_repr_hash():
 
 
 def test_constructor_refuses_bad_arguments():
-    with pytest.raises(TypeError,
-                       match="^numerator and exponent must be integers$"):
-        DyadicRational(1.5)
+    # a bool is an int, but was stored as one: DyadicRational(True)
+    # printed True
+    for args in ((1.5,), (True,), (False,), (5, True)):
+        with pytest.raises(TypeError,
+                           match="^numerator and exponent must be integers$"):
+            DyadicRational(*args)
     with pytest.raises(ValueError, match="^exponent must be non-negative$"):
         DyadicRational(1, -1)
 

@@ -21,9 +21,9 @@ from cliffbits import (DyadicRational, EFBMultivector, Metric, MetricError,
                        volume_element, witt_basis, word_multivector,
                        word_product_oracle)
 from cliffbits import blades, dyadic, efb, verify, words
-from cliffbits.bits import (_magnitude, half_pochhammer_sign, parity_above,
-                            walsh_batch, walsh_function, walsh_index)
-from cliffbits.dyadic import MAX_BITS
+from cliffbits.bits import (half_pochhammer_sign, parity_above, walsh_batch,
+                            walsh_function, walsh_index)
+from cliffbits.dyadic import MAX_BITS, _magnitude
 from cliffbits.sampling import (dense_blade_multivector,
                                 dense_efb_multivector, random_multivector)
 
@@ -1643,10 +1643,10 @@ def test_dense_pipeline_takes_its_widths_from_the_bounds(m, monkeypatch):
         assert scans == []
         assert verify._terms(z) == verify._terms(
             verify.batched_efb_to_blades(ez))
-        assert efb._lanes(ex, ey) == cliffbits.bits._lane_width(
+        assert efb._lanes(ex, ey) == verify._lane_width(
             m, ex._cosets.values(), ey._cosets.values())
         assert cliffbits.bits._width(ez._bits + m + 1) == (
-            cliffbits.bits._lane_width(m, ez._cosets.values()))
+            verify._lane_width(m, ez._cosets.values()))
 
 
 # -- kept columns ------------------------------------------------------------
